@@ -850,14 +850,12 @@ fn adversarial_report(pattern: &KeyPattern, keys: &[String], iterations: usize) 
         map.guard_mode(),
         map.len()
     );
-    if sepe_obs::enabled() {
-        println!(
-            "  counters: {} escalations, {} seed rotations, {} de-escalations",
-            map.escalations(),
-            map.seed_rotations(),
-            map.deescalations()
-        );
-    }
+    println!(
+        "  counters: {} escalations, {} seed rotations, {} de-escalations",
+        map.escalations(),
+        map.seed_rotations(),
+        map.deescalations()
+    );
 }
 
 /// `--synth`: machine-readable synthesis-search report. Prints a pure-JSON

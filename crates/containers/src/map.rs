@@ -307,10 +307,14 @@ where
     /// `table_probe_len` histogram plus the `table_drain_ops`,
     /// `table_epochs_opened`, `table_epochs_finished`,
     /// `table_stale_probes`, `table_batch_chunks` and `table_batch_keys`
-    /// counters. The registry reads the live shared handles; nothing is
-    /// copied and the map's hot paths are unaffected.
+    /// counters, and the `table_escalations`, `table_deescalations` and
+    /// `table_seed_rotations` ladder counters. The registry reads the live
+    /// shared handles; nothing is copied and the map's hot paths are
+    /// unaffected.
     ///
-    /// In `obs`-off builds the ids still register but stay at zero.
+    /// In `obs`-off builds the ids still register. The probe histogram and
+    /// the ladder counters still count (the storm detector and the
+    /// harnesses read them); the rest stay at zero.
     ///
     /// # Errors
     ///
@@ -440,12 +444,17 @@ where
     F: ByteHash + Clone,
     G: ByteHash + Clone,
 {
-    /// Degrades unconditionally: flips the hasher to fallback-for-all-keys
-    /// and opens a migration epoch so stored entries re-file incrementally
-    /// instead of in one stop-the-world rebuild. Lookups stay consistent
-    /// throughout — they probe both epochs until the drain completes.
+    /// Degrades without consulting the drift window: flips the hasher to
+    /// fallback-for-all-keys and opens a migration epoch so stored entries
+    /// re-file incrementally instead of in one stop-the-world rebuild.
+    /// Lookups stay consistent throughout — they probe both epochs until
+    /// the drain completes.
+    ///
+    /// A no-op unless the map is on [`GuardMode::Guarded`]: a degraded map
+    /// has nothing to do, and a keyed map is already above this rung (only
+    /// [`UnorderedMap::maybe_deescalate`] leaves it).
     pub fn degrade_now(&mut self) {
-        if self.hasher().is_degraded() {
+        if self.guard_mode() != GuardMode::Guarded {
             return;
         }
         // Snapshot the pre-flip routing first: the epoch's entries were
@@ -461,9 +470,14 @@ where
     /// when the off-format rate of the current observation window exceeds
     /// the threshold; full clean windows are rolled away, so early clean
     /// traffic cannot mask a later drift burst. Returns whether a
-    /// transition happened during this call. Idempotent once degraded.
+    /// transition happened during this call.
+    ///
+    /// Judges only a map on [`GuardMode::Guarded`]; on any other rung it
+    /// returns `false` and leaves the window alone. On the keyed rung the
+    /// drift window is still the one frozen at escalation, and degrading
+    /// from there would file the stored entries under the wrong routing.
     pub fn maybe_degrade(&mut self, policy: &DriftPolicy) -> bool {
-        if self.hasher().is_degraded() {
+        if self.guard_mode() != GuardMode::Guarded {
             return false;
         }
         let (off, total) = self.drift_stats().window_counts();
@@ -488,8 +502,8 @@ where
     ///   the seed leaked; rotate it.
     ///
     /// Each call bumps the `table_escalations` counter (rotations also
-    /// bump `table_seed_rotations`), which the adversarial harness checks
-    /// against its own transcript.
+    /// bump `table_seed_rotations`) in every build, which the adversarial
+    /// harness checks against its own transcript.
     pub fn escalate_now(&mut self, seeds: &impl SeedSource) {
         let mode = self.guard_mode();
         // Pin the pre-transition routing first: stored entries were filed
@@ -507,17 +521,13 @@ where
             }
             GuardMode::Keyed => {
                 self.table.hasher().rotate_seed(seeds);
-                if sepe_obs::enabled() {
-                    self.table.obs().seed_rotations.inc();
-                }
+                self.table.obs().seed_rotations.inc();
                 GuardMode::Keyed
             }
         };
         let rehasher = self.table.hasher().epoch_frozen(next);
         self.table.begin_migration(old, rehasher);
-        if sepe_obs::enabled() {
-            self.table.obs().escalations.inc();
-        }
+        self.table.obs().escalations.inc();
     }
 
     /// Gathers one [`AttackSignals`] snapshot from the table's own
@@ -566,9 +576,7 @@ where
         self.table.hasher().rearm();
         let rehasher = self.table.hasher().epoch_frozen(GuardMode::Guarded);
         self.table.begin_migration(old, rehasher);
-        if sepe_obs::enabled() {
-            self.table.obs().deescalations.inc();
-        }
+        self.table.obs().deescalations.inc();
         true
     }
 
@@ -578,22 +586,19 @@ where
     /// Takes `&mut self` because reading the probe tail advances the
     /// per-tick histogram window: `probe_p99` covers the probes since the
     /// *previous* call, so a long-past storm cannot keep the signal hot.
+    /// The probe window is recorded in every build, so `obs`-off builds
+    /// judge the same signals and take the same transitions.
     pub fn attack_signals(&mut self) -> AttackSignals {
         let (window_off, window_total) = self.drift_stats().window_counts();
-        let probe_p99 = if sepe_obs::enabled() {
-            let counts = self.table.obs().probe_len.bucket_counts();
-            let p99 = windowed_quantile(&self.attack.probe_baseline, &counts, 0.99);
-            self.attack.probe_baseline = counts;
-            if let Some(p) = p99 {
-                self.table
-                    .obs()
-                    .probe_tail
-                    .store(p, std::sync::atomic::Ordering::Relaxed);
-            }
-            p99
-        } else {
-            None
-        };
+        let counts = self.table.obs().probe_len.bucket_counts();
+        let probe_p99 = windowed_quantile(&self.attack.probe_baseline, &counts, 0.99);
+        self.attack.probe_baseline = counts;
+        if let Some(p) = probe_p99 {
+            self.table
+                .obs()
+                .probe_tail
+                .store(p, std::sync::atomic::Ordering::Relaxed);
+        }
         AttackSignals {
             max_bucket_len: self.table.max_bucket_len(),
             len: self.len(),
@@ -604,17 +609,17 @@ where
         }
     }
 
-    /// Escalation-ladder rungs taken (lifetime, `obs` builds only).
+    /// Escalation-ladder rungs taken (lifetime, every build).
     pub fn escalations(&self) -> u64 {
         self.table.obs().escalations.get()
     }
 
-    /// Quiet-window de-escalations (lifetime, `obs` builds only).
+    /// Quiet-window de-escalations (lifetime, every build).
     pub fn deescalations(&self) -> u64 {
         self.table.obs().deescalations.get()
     }
 
-    /// Keyed-rung seed rotations (lifetime, `obs` builds only).
+    /// Keyed-rung seed rotations (lifetime, every build).
     pub fn seed_rotations(&self) -> u64 {
         self.table.obs().seed_rotations.get()
     }
@@ -1311,10 +1316,8 @@ mod tests {
         m.escalate_now(&seeds);
         assert_eq!(m.guard_mode(), GuardMode::Keyed);
         assert_ne!(m.hasher().current_seed(), seed_before, "rotation rung");
-        if sepe_obs::enabled() {
-            assert_eq!(m.escalations(), 3);
-            assert_eq!(m.seed_rotations(), 1);
-        }
+        assert_eq!(m.escalations(), 3);
+        assert_eq!(m.seed_rotations(), 1);
         // Contents survive every rung; lookups probe both epochs.
         for i in 0..200u32 {
             let key = format!("{:03}-{:02}-{:04}", i % 900, i % 90, i);
@@ -1367,11 +1370,97 @@ mod tests {
         assert!(m.maybe_deescalate(&policy));
         assert_eq!(m.guard_mode(), GuardMode::Guarded);
         m.finish_migration();
-        if sepe_obs::enabled() {
-            assert_eq!(m.escalations(), 1);
-            assert_eq!(m.deescalations(), 1);
-        }
+        assert_eq!(m.escalations(), 1);
+        assert_eq!(m.deescalations(), 1);
         // The drift counters were reset by the re-arm.
         assert_eq!(m.drift_stats().total(), 0);
+    }
+
+    #[test]
+    fn degrading_from_the_keyed_rung_is_a_no_op() {
+        // Regression: on the keyed rung `maybe_degrade` judged the drift
+        // window frozen at escalation and degraded, filing the old epoch
+        // under the guarded routing, so every stored key missed until
+        // the epoch drained.
+        let mut m = guarded_ssn_map(sepe_core::Family::OffXor);
+        let seeds = sepe_core::hash::keyed::FixedSeedSource::new(0x5E9E);
+        let policy = DriftPolicy {
+            threshold: 0.10,
+            min_samples: 16,
+            ..DriftPolicy::default()
+        };
+        let key = |i: u32| {
+            if i % 10 < 3 {
+                format!("off-format key {i}")
+            } else {
+                format!("{:03}-{:02}-{:04}", i % 900, i % 90, i)
+            }
+        };
+        for i in 0..300u32 {
+            m.insert(key(i), i);
+        }
+        m.escalate_now(&seeds);
+        m.escalate_now(&seeds);
+        assert_eq!(m.guard_mode(), GuardMode::Keyed);
+        m.finish_migration();
+        assert!(!m.maybe_degrade(&policy), "no degrade from the keyed rung");
+        m.degrade_now();
+        assert_eq!(m.guard_mode(), GuardMode::Keyed);
+        assert!(!m.migration_in_flight(), "no epoch opened");
+        for i in 0..300u32 {
+            assert_eq!(m.get(&key(i)), Some(&i), "{} lost", key(i));
+        }
+    }
+
+    #[test]
+    fn probe_tail_catches_a_flood_hidden_in_an_open_epoch() {
+        // A flood filed before a migration epoch opened sits in the old
+        // epoch's chains, where the live-epoch chain scan cannot see it;
+        // lookups that keep hammering it while the epoch drains show up
+        // only in the probe-length window. That window is recorded in
+        // every build, so this escalates with and without `obs`.
+        let mut m = guarded_ssn_map(sepe_core::Family::OffXor);
+        let seeds = sepe_core::hash::keyed::FixedSeedSource::new(7);
+        let policy = AttackPolicy::default();
+        m.reserve(4_200);
+        let resident: Vec<String> = (0..4_000u32)
+            .map(|i| format!("{:03}-{:02}-{:04}", i % 1000, i % 100, i))
+            .collect();
+        for (i, key) in resident.iter().enumerate() {
+            m.insert(key.clone(), i as u32);
+        }
+        let buckets = m.bucket_count() as u64;
+        let target = m.hash_of(b"flood target") % buckets;
+        let flood: Vec<String> = (0u64..)
+            .map(|i| format!("atk-{i:016x}"))
+            .filter(|k| m.hash_of(k.as_bytes()) % buckets == target)
+            .take(64)
+            .collect();
+        for key in &flood {
+            m.insert(key.clone(), 0);
+        }
+        m.degrade_now();
+        assert!(m.migration_in_flight());
+        // Start the probe window after the epoch opened.
+        let signals = m.attack_signals();
+        assert!(
+            signals.max_bucket_len < policy.min_chain,
+            "the chain scan sees the flood: {signals:?}"
+        );
+        let mut escalated = false;
+        for tick in 0..policy.trip_streak {
+            for key in resident.iter().take(640) {
+                assert!(m.get(key).is_some());
+            }
+            for key in &flood {
+                assert_eq!(m.get(key), Some(&0));
+            }
+            assert!(m.migration_in_flight(), "tick {tick}: epoch still open");
+            assert!(m.max_bucket_len() < policy.min_chain);
+            escalated = m.maybe_escalate(&policy, &seeds);
+        }
+        assert!(escalated, "the probe tail tripped the detector");
+        assert_eq!(m.guard_mode(), GuardMode::Keyed);
+        assert_eq!(m.escalations(), 1);
     }
 }

@@ -123,9 +123,9 @@ impl DriftPolicy {
 ///
 /// Everything here is already maintained by the containers: the longest
 /// bucket chain and table shape from `RawTable`, the drift-window counts
-/// from [`sepe_core::guard::GuardStats`], and (when the `obs` feature is
-/// on) the p99 of the probe-length histogram. [`AttackPolicy::storm`] is a
-/// pure function of one such snapshot.
+/// from [`sepe_core::guard::GuardStats`], and the p99 of the probe-length
+/// histogram's window since the previous observation (recorded in every
+/// build). [`AttackPolicy::storm`] is a pure function of one such snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AttackSignals {
     /// Length of the longest live bucket chain.
@@ -138,7 +138,8 @@ pub struct AttackSignals {
     pub window_off: u64,
     /// Total keys observed in the current drift window.
     pub window_total: u64,
-    /// p99 of the probe-length histogram, when instrumentation is on.
+    /// Upper bound on the p99 probe length since the previous
+    /// observation; `None` when no lookup ran in between.
     pub probe_p99: Option<u64>,
 }
 

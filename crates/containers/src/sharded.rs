@@ -47,8 +47,10 @@ const SHARD_EVENT_CAPACITY: usize = 1024;
 
 /// Map-wide observability: lock acquisitions, shard degradations, and a
 /// bounded trace of [`ObsEvent::ShardDegrade`] events. Shared handles so
-/// an exported [`sepe_obs::Registry`] reads live values; bumps are gated
-/// on [`sepe_obs::enabled`].
+/// an exported [`sepe_obs::Registry`] reads live values. The escalation,
+/// de-escalation and rotation counts are kept in every build (they move
+/// only on transitions); every other bump is gated on
+/// [`sepe_obs::enabled`].
 #[derive(Debug)]
 struct ShardObs {
     /// Shard read locks taken (including non-blocking upgrade probes).
@@ -363,8 +365,10 @@ where
             .count()
     }
 
-    /// Degrades shard `i` unconditionally and opens its migration epoch.
-    /// Other shards are untouched — they keep their specialized hashes.
+    /// Degrades shard `i` and opens its migration epoch when it is on
+    /// [`GuardMode::Guarded`] (see [`UnorderedMap::degrade_now`]); a shard
+    /// on any other rung is left alone and no degrade is recorded. Other
+    /// shards are untouched — they keep their specialized hashes.
     ///
     /// # Panics
     ///
@@ -372,9 +376,9 @@ where
     pub fn degrade_shard(&self, i: usize) {
         let flipped = {
             let mut shard = self.write(i);
-            let was_degraded = shard.guard_mode() == GuardMode::Degraded;
+            let was_guarded = shard.guard_mode() == GuardMode::Guarded;
             shard.degrade_now();
-            !was_degraded
+            was_guarded && shard.guard_mode() == GuardMode::Degraded
         };
         if flipped {
             self.record_degrade(i);
@@ -458,11 +462,13 @@ where
         (0..self.shards.len())
             .filter(|&i| {
                 let rearmed = self.write(i).maybe_deescalate(policy);
-                if rearmed && sepe_obs::enabled() {
+                if rearmed {
                     self.obs.shard_deescalations.inc();
-                    self.obs
-                        .events
-                        .push(ObsEvent::ShardDeescalate { shard: i as u64 });
+                    if sepe_obs::enabled() {
+                        self.obs
+                            .events
+                            .push(ObsEvent::ShardDeescalate { shard: i as u64 });
+                    }
                 }
                 rearmed
             })
@@ -470,20 +476,21 @@ where
     }
 
     /// Counts one escalation of shard `i`; a rung taken *from* the keyed
-    /// mode is a seed rotation and is recorded as such.
+    /// mode is a seed rotation and is recorded as such. The counts are
+    /// kept in every build (they change only on transitions); the event
+    /// trace only with `obs`.
     fn record_escalate(&self, i: usize, from: GuardMode) {
+        self.obs.shard_escalations.inc();
+        let rotated = from == GuardMode::Keyed;
+        if rotated {
+            self.obs.shard_seed_rotations.inc();
+        }
         if sepe_obs::enabled() {
-            self.obs.shard_escalations.inc();
-            if from == GuardMode::Keyed {
-                self.obs.shard_seed_rotations.inc();
-                self.obs
-                    .events
-                    .push(ObsEvent::SeedRotation { shard: i as u64 });
+            self.obs.events.push(if rotated {
+                ObsEvent::SeedRotation { shard: i as u64 }
             } else {
-                self.obs
-                    .events
-                    .push(ObsEvent::ShardEscalate { shard: i as u64 });
-            }
+                ObsEvent::ShardEscalate { shard: i as u64 }
+            });
         }
     }
 
@@ -813,7 +820,8 @@ where
         self.inner.drift_counts()
     }
 
-    /// Degrades shard `i` unconditionally.
+    /// Degrades shard `i` when it is on the guarded rung (see
+    /// [`ShardedMap::degrade_shard`]).
     ///
     /// # Panics
     ///
@@ -1217,9 +1225,9 @@ mod tests {
                 assert_eq!(m.shard_mode(i), GuardMode::Guarded, "sibling {i} flipped");
             }
         }
+        assert_eq!(m.shard_escalation_count(), 3);
+        assert_eq!(m.shard_seed_rotation_count(), 1);
         if sepe_obs::enabled() {
-            assert_eq!(m.shard_escalation_count(), 3);
-            assert_eq!(m.shard_seed_rotation_count(), 1);
             let names: Vec<&str> = m.degrade_events().iter().map(ObsEvent::name).collect();
             assert_eq!(
                 names,
@@ -1242,8 +1250,26 @@ mod tests {
         for i in 0..400 {
             assert_eq!(m.get(ssn(i).as_str()), Some(i), "{} lost", ssn(i));
         }
-        if sepe_obs::enabled() {
-            assert_eq!(m.shard_deescalation_count(), 1);
+        assert_eq!(m.shard_deescalation_count(), 1);
+    }
+
+    #[test]
+    fn degrading_a_keyed_shard_records_nothing() {
+        let m = sharded(4);
+        let seeds = sepe_core::hash::keyed::FixedSeedSource::new(0xC4A05);
+        for i in 0..400 {
+            m.insert(ssn(i), i);
+        }
+        let target = m.shard_of(ssn(0).as_bytes());
+        m.escalate_shard(target, &seeds);
+        m.escalate_shard(target, &seeds);
+        m.finish_migrations();
+        m.degrade_shard(target);
+        assert_eq!(m.shard_mode(target), GuardMode::Keyed);
+        assert_eq!(m.shard_degrade_count(), 0, "no Guarded→Degraded flip");
+        assert_eq!(m.migrations_in_flight(), 0, "no epoch opened");
+        for i in 0..400 {
+            assert_eq!(m.get(ssn(i).as_str()), Some(i), "{} lost", ssn(i));
         }
     }
 

@@ -49,14 +49,17 @@ pub(crate) const STALE_READ_LIMIT: u64 = 1024;
 /// flight. `&self` lookups cannot drain (draining relinks chains), but
 /// they *can* record starvation so the next `&mut` caller knows the old
 /// epoch has overstayed. Relaxed ordering suffices: the count only gates a
-/// heuristic. Cloning a table snapshots the current value.
+/// heuristic. Recording is a load and a store, not a locked add, so
+/// concurrent readers of one table may lose increments; that only delays
+/// the full drain. Cloning a table snapshots the current value.
 #[derive(Debug, Default)]
 struct StaleReads(AtomicU64);
 
 impl StaleReads {
     #[inline]
     fn record(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+        self.0
+            .store(self.get().saturating_add(1), Ordering::Relaxed);
     }
 
     fn get(&self) -> u64 {
@@ -75,14 +78,21 @@ impl Clone for StaleReads {
 }
 
 /// Interior-mutable observability channel of one table: probe-length
-/// distribution, migration-epoch accounting, and batch-kernel usage.
-/// Handles are shared (`Arc`) so a [`Registry`] export reads live values
-/// without the hot path paying registry indirection; every bump is gated
-/// on [`sepe_obs::enabled`], so `obs`-off builds compile the channel away
-/// at the call sites.
+/// distribution, migration-epoch accounting, batch-kernel usage and
+/// escalation-ladder counts. Handles are shared (`Arc`) so a [`Registry`]
+/// export reads live values without the hot path paying registry
+/// indirection.
+///
+/// Two kinds of state live here. The probe-length window and the ladder
+/// counters are product state — the storm detector judges the first, the
+/// harnesses check the second — so they are recorded in every build,
+/// like the guard drift counters. Everything else is pure observability,
+/// gated on [`sepe_obs::enabled`] so `obs`-off builds compile it away at
+/// the call sites.
 #[derive(Debug)]
 pub(crate) struct TableObs {
-    /// Entries examined per lookup, across both epochs.
+    /// Entries examined per lookup, across both epochs. Recorded in every
+    /// build with single-writer bumps (see [`RawTable::find_hashed`]).
     pub(crate) probe_len: Arc<Histogram>,
     /// Entries drained out of migration epochs (monotone lifetime total).
     pub(crate) drain_ops: Arc<Counter>,
@@ -478,12 +488,21 @@ where
     /// hash up front). Compares keys by their bytes, which agrees with `Eq`
     /// for every key type the containers accept. While a migration is in
     /// flight, a miss in the live epoch falls through to the old one.
+    ///
+    /// Every lookup records its probe length into `probe_len`, in every
+    /// build: the storm detector's probe-tail signal reads that window.
+    /// All per-lookup bumps here are single-writer (a load and a store, no
+    /// locked instruction), so the counts are exact whenever one thread
+    /// drives the table. Concurrent readers of one table (a `ShardedMap`
+    /// shard under its read lock, or a map shared by reference across
+    /// threads) may lose increments; the detector judges a quantile of the
+    /// window, which a few lost observations do not move.
     #[inline]
     pub(crate) fn find_hashed(&self, hash: u64, key_bytes: &[u8]) -> Option<u32> {
         if self.migration.is_some() {
             self.stale_reads.record();
             if sepe_obs::enabled() {
-                self.obs.stale_probes.inc();
+                self.obs.stale_probes.add_single_writer(1);
             }
         }
         let mut probes = 0u64;
@@ -498,9 +517,7 @@ where
                 let (head, old_hash) = self.old_epoch_probe(key_bytes)?;
                 self.find_in_chain(head, old_hash, key_bytes, &mut probes)
             });
-        if sepe_obs::enabled() {
-            self.obs.probe_len.observe(probes);
-        }
+        self.obs.probe_len.observe_single_writer(probes);
         found
     }
 

@@ -4,7 +4,9 @@
 //! and bucket `i` (1 ≤ i ≤ 64) holds `2^(i-1) ≤ v < 2^i`. 65 fixed
 //! buckets cover the whole `u64` range, so recording is a constant-time
 //! relaxed bump with no allocation and no lock — cheap enough for probe
-//! chains and per-op latencies on the hot path.
+//! chains and per-op latencies on the hot path. Single-writer recording
+//! ([`Histogram::observe_single_writer`]) drops the locked instruction
+//! too.
 
 use crate::metrics::Counter;
 use sepe_stats::BoxplotSummary;
@@ -72,6 +74,18 @@ impl Histogram {
         self.buckets[bucket_index(v)].inc();
         self.count.inc();
         self.sum.add(v);
+    }
+
+    /// Records one observation with [`Counter::add_single_writer`]
+    /// bumps: no locked instruction, the same result as
+    /// [`observe`](Histogram::observe) from one writer at a time.
+    /// Concurrent writers may lose observations (bucket counts, `count`
+    /// and `sum` each fall short independently), never add phantom ones.
+    #[inline]
+    pub fn observe_single_writer(&self, v: u64) {
+        self.buckets[bucket_index(v)].add_single_writer(1);
+        self.count.add_single_writer(1);
+        self.sum.add_single_writer(v);
     }
 
     /// Total observations recorded.
@@ -188,6 +202,20 @@ mod tests {
         assert_eq!(counts[3], 1); // 7
         assert_eq!(counts[4], 1); // 9
         assert_eq!(counts[11], 1); // 1024
+    }
+
+    #[test]
+    fn single_writer_observations_equal_observe_from_one_thread() {
+        let locked = Histogram::new();
+        let single = Histogram::new();
+        for v in [0u64, 1, 1, 7, 9, 1024, u64::MAX, u64::MAX, 3] {
+            locked.observe(v);
+            single.observe_single_writer(v);
+        }
+        assert_eq!(single.bucket_counts(), locked.bucket_counts());
+        assert_eq!(single.count(), locked.count());
+        assert_eq!(single.sum(), u64::MAX, "the sum saturates");
+        assert_eq!(single.sum(), locked.sum());
     }
 
     #[test]

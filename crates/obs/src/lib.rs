@@ -28,18 +28,23 @@
 //! # The `obs` façade
 //!
 //! The metric primitives are always compiled and always correct — guard
-//! drift counters are load-bearing (degradation policy reads them), so
-//! they cannot be compiled away. What *can* be compiled away is the pure
-//! observability instrumentation layered on the hot paths: probe-length
-//! histograms, lock-acquisition counters, batch chunk counters. Call
-//! sites gate those bumps on [`enabled()`], a `const fn` on
-//! `cfg!(feature = "obs")`, so an `obs`-off build folds the whole branch
-//! to nothing.
+//! drift counters and a table's probe-length window are load-bearing
+//! (the degradation and storm policies read them), so they cannot be
+//! compiled away. What *can* be compiled away is the pure observability
+//! instrumentation layered on the hot paths: lock-acquisition counters,
+//! batch chunk counters, epoch accounting. Call sites gate those bumps
+//! on [`enabled()`], a `const fn` on `cfg!(feature = "obs")`, so an
+//! `obs`-off build folds the whole branch to nothing.
 //!
 //! Locking discipline: counters, gauges, and histograms are wait-free on
-//! the write path (one relaxed RMW). The registry and trace use a mutex,
-//! but only on registration, snapshot, and event push — never inside a
-//! per-key hot loop.
+//! the write path. [`Counter::add`] and [`Histogram::observe`] are one
+//! relaxed RMW per counter and exact under any number of writers;
+//! [`Counter::add_single_writer`] and [`Histogram::observe_single_writer`]
+//! are a relaxed load and store with no locked instruction, exact from
+//! one writer at a time and lossy (never inflating) under racing
+//! writers. The registry and trace use a mutex, but only on
+//! registration, snapshot, and event push — never inside a per-key hot
+//! loop.
 
 pub mod event;
 pub mod histogram;
@@ -59,8 +64,9 @@ pub use trace::EventTrace;
 ///
 /// This is `const`, so `if sepe_obs::enabled() { ... }` disappears
 /// entirely from `obs`-off builds — the near-zero-cost façade the hot
-/// paths are instrumented behind. Load-bearing counters (guard drift)
-/// must *not* be gated on this.
+/// paths are instrumented behind. Load-bearing counters (guard drift,
+/// the probe-length window, escalation-ladder counts) must *not* be
+/// gated on this.
 #[inline(always)]
 #[must_use]
 pub const fn enabled() -> bool {

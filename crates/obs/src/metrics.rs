@@ -7,6 +7,11 @@
 //! counter can never be observed small again. The transient where another
 //! thread reads the wrapped value before the pinning store lands is
 //! accepted — drift policy treats any huge count identically.
+//!
+//! [`Counter::add_single_writer`] is the unlocked variant for per-lookup
+//! paths: a relaxed load and a relaxed store, no read-modify-write. It
+//! is exact while one thread writes the counter at a time; concurrent
+//! writers may lose increments (never invent them).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,6 +45,22 @@ impl Counter {
         if prev > u64::MAX - n {
             self.value.store(u64::MAX, Ordering::Relaxed);
         }
+    }
+
+    /// Adds `n` with a relaxed load and a relaxed store instead of a
+    /// locked read-modify-write, saturating at `u64::MAX` like
+    /// [`add`](Counter::add).
+    ///
+    /// From one writer at a time the result equals `add` for the same
+    /// inputs. Writers racing on the same counter may overwrite each
+    /// other's bumps, so the value can fall short of the true count (and
+    /// a reader may even see it step back) but never exceed it. Use it
+    /// where the counter is logically owned by one thread and losing a
+    /// few bumps under contention is acceptable.
+    #[inline]
+    pub fn add_single_writer(&self, n: u64) {
+        let prev = self.value.load(Ordering::Relaxed);
+        self.value.store(prev.saturating_add(n), Ordering::Relaxed);
     }
 
     /// Current value.
@@ -118,6 +139,30 @@ mod tests {
         c.add(u64::MAX);
         c.add(0);
         assert_eq!(c.get(), u64::MAX);
+    }
+
+    #[test]
+    fn single_writer_bumps_equal_add_from_one_thread() {
+        let steps = [
+            0u64,
+            1,
+            41,
+            7,
+            u64::MAX / 2,
+            u64::MAX / 2,
+            3,
+            0,
+            u64::MAX,
+            1,
+        ];
+        let locked = Counter::new();
+        let single = Counter::new();
+        for n in steps {
+            locked.add(n);
+            single.add_single_writer(n);
+            assert_eq!(single.get(), locked.get(), "after adding {n}");
+        }
+        assert_eq!(single.get(), u64::MAX, "saturated, not wrapped");
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Concurrency audits: no lost updates in a shared [`Registry`], and
-//! exact drop accounting in the [`EventTrace`] ring under contended,
+//! Concurrency audits: no lost updates in a shared [`Registry`], no
+//! phantom updates from racing single-writer bumps, and exact drop
+//! accounting in the [`EventTrace`] ring under contended,
 //! seed-matrix-scheduled interleavings.
 
-use sepe_obs::{EventTrace, Registry};
+use sepe_obs::{Counter, EventTrace, Histogram, Registry};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -74,6 +75,52 @@ fn registry_totals_equal_per_thread_sums() {
         assert_eq!(hist.sum, summed, "seed {seed:#x}: lost sums");
         let bucket_total: u64 = hist.buckets.values().sum();
         assert_eq!(bucket_total, observed, "seed {seed:#x}: bucket drift");
+    }
+}
+
+#[test]
+fn racing_single_writer_bumps_never_exceed_the_true_count() {
+    let threads = 4usize;
+    let ops = 20_000u64;
+    for seed in SEEDS {
+        let counter = Counter::new();
+        let hist = Histogram::new();
+        let go = AtomicBool::new(false);
+        let summed: u64 = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (counter, hist, go) = (&counter, &hist, &go);
+                    s.spawn(move || {
+                        while !go.load(Ordering::Relaxed) {
+                            std::hint::spin_loop();
+                        }
+                        let mut rng = seed ^ (t as u64) << 16;
+                        let mut summed = 0u64;
+                        for _ in 0..ops {
+                            let v = splitmix(&mut rng) % 64;
+                            counter.add_single_writer(1);
+                            hist.observe_single_writer(v);
+                            summed += v;
+                        }
+                        summed
+                    })
+                })
+                .collect();
+            go.store(true, Ordering::Relaxed);
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        let attempted = threads as u64 * ops;
+        assert!(
+            counter.get() <= attempted,
+            "seed {seed:#x}: counter overshot"
+        );
+        assert!(counter.get() > 0, "seed {seed:#x}");
+        assert!(hist.count() <= attempted, "seed {seed:#x}: count overshot");
+        assert!(hist.sum() <= summed, "seed {seed:#x}: sum overshot");
+        let buckets: u64 = hist.bucket_counts().iter().sum();
+        assert!(buckets <= attempted, "seed {seed:#x}: buckets overshot");
+        // Reading a quantile off racy counts must still work.
+        assert!(hist.quantile(0.99).is_some_and(|q| q <= 63));
     }
 }
 

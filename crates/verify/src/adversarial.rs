@@ -13,8 +13,9 @@
 //!   crafted keys the attacker streams;
 //! * **content integrity** — contents always match the twin, through
 //!   escalations, incremental re-key migrations, and de-escalation;
-//! * **counter discipline** — the `obs` escalation / de-escalation /
-//!   seed-rotation counters exactly equal the harness transcript;
+//! * **counter discipline** — the escalation / de-escalation /
+//!   seed-rotation counters exactly equal the harness transcript, in
+//!   every build;
 //! * **hysteresis** — benign workloads never trip the detector.
 
 use std::collections::HashMap;
@@ -139,7 +140,7 @@ fn escalate_one_rung<G: ByteHash + Clone>(
 /// bound is restored) → a second flood forged against the *keyed* hash,
 /// simulating a seed leak (must rotate the seed and restore the bound) →
 /// attack traffic removed (must de-escalate back to the specialized hash).
-/// The twin is consulted at every phase boundary, and the `obs` counters
+/// The twin is consulted at every phase boundary, and the ladder counters
 /// must equal the transcript at the end.
 pub fn check_escalation_ladder<G>(
     pattern: &KeyPattern,
@@ -246,7 +247,7 @@ where
     if map.hash_of(&probe) == hash_before {
         return Err("seed rotation did not change the keyed routing".into());
     }
-    if sepe_obs::enabled() && map.seed_rotations() != rotations_before + 1 {
+    if map.seed_rotations() != rotations_before + 1 {
         return Err(format!(
             "seed rotation counter went {rotations_before} -> {} across one rotation",
             map.seed_rotations()
@@ -287,15 +288,13 @@ where
     check_twin(&map, &twin, "after de-escalating")?;
     stats.checkpoints += 1;
 
-    if sepe_obs::enabled() {
-        let (esc, deesc, rot) = (map.escalations(), map.deescalations(), map.seed_rotations());
-        if (esc, deesc, rot) != (stats.escalations, stats.deescalations, stats.rotations) {
-            return Err(format!(
-                "obs counters (esc {esc}, deesc {deesc}, rot {rot}) disagree with the \
-                 transcript (esc {}, deesc {}, rot {})",
-                stats.escalations, stats.deescalations, stats.rotations
-            ));
-        }
+    let (esc, deesc, rot) = (map.escalations(), map.deescalations(), map.seed_rotations());
+    if (esc, deesc, rot) != (stats.escalations, stats.deescalations, stats.rotations) {
+        return Err(format!(
+            "ladder counters (esc {esc}, deesc {deesc}, rot {rot}) disagree with the \
+             transcript (esc {}, deesc {}, rot {})",
+            stats.escalations, stats.deescalations, stats.rotations
+        ));
     }
     Ok(stats)
 }
@@ -358,7 +357,7 @@ where
             map.guard_mode()
         ));
     }
-    if sepe_obs::enabled() && map.escalations() != 0 {
+    if map.escalations() != 0 {
         return Err(format!(
             "benign workload bumped the escalation counter to {}",
             map.escalations()
@@ -775,19 +774,19 @@ where
     sharded_twin_check(&map, &twin, "after the attack")?;
     stats.checkpoints += 1;
 
+    let (esc, deesc, rot) = (
+        map.shard_escalation_count(),
+        map.shard_deescalation_count(),
+        map.shard_seed_rotation_count(),
+    );
+    if (esc, deesc, rot) != (stats.escalations, stats.deescalations, stats.rotations) {
+        return Err(format!(
+            "shard counters (esc {esc}, deesc {deesc}, rot {rot}) disagree with the \
+             transcript (esc {}, deesc {}, rot {})",
+            stats.escalations, stats.deescalations, stats.rotations
+        ));
+    }
     if sepe_obs::enabled() {
-        let (esc, deesc, rot) = (
-            map.shard_escalation_count(),
-            map.shard_deescalation_count(),
-            map.shard_seed_rotation_count(),
-        );
-        if (esc, deesc, rot) != (stats.escalations, stats.deescalations, stats.rotations) {
-            return Err(format!(
-                "shard counters (esc {esc}, deesc {deesc}, rot {rot}) disagree with the \
-                 transcript (esc {}, deesc {}, rot {})",
-                stats.escalations, stats.deescalations, stats.rotations
-            ));
-        }
         let names: Vec<&str> = map
             .degrade_events()
             .iter()

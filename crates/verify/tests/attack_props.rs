@@ -106,12 +106,10 @@ proptest! {
         for (k, v) in &twin {
             prop_assert_eq!(map.get(k.as_slice()), Some(v), "round trip lost {:?}", k);
         }
-        if sepe_obs::enabled() {
-            prop_assert_eq!(
-                (map.escalations(), map.seed_rotations(), map.deescalations()),
-                (3, 1, 1),
-                "counters must match the transcript"
-            );
-        }
+        prop_assert_eq!(
+            (map.escalations(), map.seed_rotations(), map.deescalations()),
+            (3, 1, 1),
+            "counters must match the transcript"
+        );
     }
 }
