@@ -858,85 +858,40 @@ fn adversarial_report(pattern: &KeyPattern, keys: &[String], iterations: usize) 
     );
 }
 
-/// `--synth`: machine-readable synthesis-search report. Prints a pure-JSON
-/// `sepe-keybench/v1` document with a `synthesis` array — per family, the
-/// candidate-search wall time at 1/2/4/8 worker threads (with speedup
-/// relative to the single-thread row, plus the deterministic search
-/// statistics, which must not vary with the thread count) — and a
-/// `plan_cache` array comparing a cold search against a memoized
-/// [`PlanCache`] hit on the same pattern.
-///
-/// [`PlanCache`]: sepe_core::PlanCache
+/// `--synth`: machine-readable synthesis report. Prints a pure-JSON
+/// `sepe-keybench/v1` document with a `synthesis` array: per family, the
+/// wall time per synthesis plus its two work counters.
 fn synth_report(pattern: &KeyPattern, iterations: usize) {
     use sepe_core::plan_io::Json;
-    use sepe_core::synth::synthesize_parallel_with_stats;
-    use sepe_core::PlanCache;
+    use sepe_core::supervisor::CancelToken;
     use std::collections::BTreeMap;
 
     let reps = (iterations / 1_000).clamp(8, 256);
-    let time_synth = |family: Family, jobs: usize| -> (f64, sepe_core::SearchStats) {
-        let mut stats = sepe_core::SearchStats::default();
-        let start = Instant::now();
-        for _ in 0..reps {
-            let (plan, s) = synthesize_parallel_with_stats(pattern, family, jobs);
-            std::hint::black_box(plan);
-            stats = s;
-        }
-        (start.elapsed().as_secs_f64() * 1e9 / reps as f64, stats)
-    };
-
     let mut rows = Vec::new();
     for family in Family::ALL {
-        let mut baseline_ns = None;
-        for jobs in [1usize, 2, 4, 8] {
-            let (ns, stats) = time_synth(family, jobs);
-            let baseline = *baseline_ns.get_or_insert(ns);
-            let mut row = BTreeMap::new();
-            row.insert(
-                "family".to_string(),
-                Json::Str(family.to_string().to_ascii_lowercase()),
-            );
-            row.insert("jobs".to_string(), Json::Num(jobs as f64));
-            row.insert("ns_per_synth".to_string(), Json::Num(ns));
-            row.insert(
-                "speedup".to_string(),
-                Json::Num(if ns > 0.0 { baseline / ns } else { 0.0 }),
-            );
-            row.insert(
-                "candidates".to_string(),
-                Json::Num(stats.candidates_considered as f64),
-            );
-            row.insert("work_units".to_string(), Json::Num(stats.work_units as f64));
-            rows.push(Json::Obj(row));
-        }
-    }
-
-    let cache = PlanCache::new(Family::ALL.len());
-    let mut cache_rows = Vec::new();
-    for family in Family::ALL {
-        let (cold_ns, _) = time_synth(family, 1);
-        cache.insert(pattern, family, sepe_core::synthesize(pattern, family));
         let start = Instant::now();
         for _ in 0..reps {
-            std::hint::black_box(cache.lookup(pattern, family));
+            std::hint::black_box(sepe_core::synthesize(pattern, family));
         }
-        let warm_ns = start.elapsed().as_secs_f64() * 1e9 / reps as f64;
+        let ns = start.elapsed().as_secs_f64() * 1e9 / reps as f64;
+        let (_, stats) =
+            sepe_core::synth::synthesize_with_cancel(pattern, family, &CancelToken::unbounded())
+                .expect("an unbounded token never cancels");
         let mut row = BTreeMap::new();
         row.insert(
             "family".to_string(),
             Json::Str(family.to_string().to_ascii_lowercase()),
         );
-        row.insert("cold_ns".to_string(), Json::Num(cold_ns));
-        row.insert("warm_ns".to_string(), Json::Num(warm_ns));
+        row.insert("ns_per_synth".to_string(), Json::Num(ns));
         row.insert(
-            "speedup".to_string(),
-            Json::Num(if warm_ns > 0.0 {
-                cold_ns / warm_ns
-            } else {
-                0.0
-            }),
+            "nodes_expanded".to_string(),
+            Json::Num(stats.nodes_expanded as f64),
         );
-        cache_rows.push(Json::Obj(row));
+        row.insert(
+            "candidates_rejected".to_string(),
+            Json::Num(stats.candidates_rejected as f64),
+        );
+        rows.push(Json::Obj(row));
     }
 
     let mut doc = BTreeMap::new();
@@ -946,7 +901,6 @@ fn synth_report(pattern: &KeyPattern, iterations: usize) {
     );
     doc.insert("reps".to_string(), Json::Num(reps as f64));
     doc.insert("synthesis".to_string(), Json::Arr(rows));
-    doc.insert("plan_cache".to_string(), Json::Arr(cache_rows));
     println!("{}", Json::Obj(doc));
 }
 

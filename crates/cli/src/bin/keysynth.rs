@@ -6,18 +6,13 @@
 //! keysynth --family pext --lang rust '\d{3}-\d{2}-\d{4}'
 //! keysynth --family pext --emit-plan '\d{16}' > plan.json
 //! keysynth --plan plan.json --lang rust               # re-emit without re-synthesis
-//! keysynth --jobs 4 '[0-9]{100}'                      # parallel candidate search
 //! ```
-//!
-//! `--jobs N` runs the candidate search on up to `N` scoped worker
-//! threads. The emitted code is bit-identical at any thread count — the
-//! search winner is selected under a schedule-independent total order.
 
 use sepe_cli::{parse_family, parse_language, CliError, Context as _};
 use sepe_core::codegen::{emit, Language};
 use sepe_core::plan_io::{bundle_from_str, bundle_to_string, SynthBundle};
 use sepe_core::regex::Regex;
-use sepe_core::synth::{synthesize, synthesize_parallel, Family, Plan};
+use sepe_core::synth::{synthesize, Family, Plan};
 use sepe_core::KeyPattern;
 use std::process::ExitCode;
 
@@ -29,7 +24,6 @@ struct Options {
     emit_plan: bool,
     plan_path: Option<String>,
     regex: Option<String>,
-    jobs: usize,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -40,7 +34,6 @@ fn parse_args() -> Result<Options, String> {
     let mut emit_plan = false;
     let mut plan_path = None;
     let mut regex = None;
-    let mut jobs = 1usize;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -67,10 +60,6 @@ fn parse_args() -> Result<Options, String> {
             "--plan" | "-p" => {
                 plan_path = Some(args.next().ok_or("--plan needs a file path")?);
             }
-            "--jobs" | "-j" => {
-                let v = args.next().ok_or("--jobs needs a value")?;
-                jobs = v.parse().map_err(|e| format!("--jobs: {e}"))?;
-            }
             other if regex.is_none() && !other.starts_with('-') => {
                 regex = Some(other.to_owned());
             }
@@ -94,7 +83,6 @@ fn parse_args() -> Result<Options, String> {
         emit_plan,
         plan_path,
         regex,
-        jobs,
     })
 }
 
@@ -133,12 +121,7 @@ fn run(opts: &Options) -> Result<(), CliError> {
     let regex = opts.regex.as_deref().unwrap_or_default();
     let pattern = Regex::compile(regex).context("bad regular expression")?;
     for family in &opts.families {
-        let plan = if opts.jobs > 1 {
-            synthesize_parallel(&pattern, *family, opts.jobs)
-        } else {
-            synthesize(&pattern, *family)
-        };
-        render(opts, &pattern, *family, &plan);
+        render(opts, &pattern, *family, &synthesize(&pattern, *family));
     }
     Ok(())
 }
@@ -153,7 +136,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: keysynth [--family naive|offxor|aes|pext]... \
                  [--lang cpp|rust] [--name NAME] [--explain] [--emit-plan] \
-                 [--jobs N] (REGEX | --plan FILE)"
+                 (REGEX | --plan FILE)"
             );
             return if msg.is_empty() {
                 ExitCode::SUCCESS

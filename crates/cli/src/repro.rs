@@ -641,8 +641,7 @@ pub fn guard(
 /// scenario (churn ns/op and worst chain length benign, under a
 /// brute-forced collision flood, and after the collision-storm detector
 /// escalates to the keyed hasher, plus the escalation latency) and the
-/// synthesis scenario (ns per candidate search at 1/2/4/8 worker threads
-/// per family, plus the memoized plan-cache hit as the `jobs = 0` row).
+/// synthesis scenario (ns per `synthesize` call per format and family).
 /// `sepe-repro` writes it as `BENCH_<date>.json`, the machine-readable
 /// perf trajectory.
 ///

@@ -666,34 +666,6 @@ where
         })
     }
 
-    /// Serves a drift event straight from a memoized [`PlanCache`]: when
-    /// the widened pattern's plan is already cached (same format drifted
-    /// before, here or on another container), the resynthesized hash is
-    /// installed immediately — no supervisor round-trip, no search. The
-    /// cached plan preserves this hasher's family/ISA/seed (plans are
-    /// independent of all three). Returns whether a cached plan was
-    /// applied; `false` means no drift was sampled or the cache missed,
-    /// and the caller should enqueue [`UnorderedMap::resynth_request`] as
-    /// usual.
-    pub fn resynth_from_cache(&mut self, tag: u64, cache: &sepe_core::PlanCache) -> bool {
-        let Some(request) = self.resynth_request(tag) else {
-            return false;
-        };
-        let Some(plan) = cache.lookup(&request.widened, request.family) else {
-            return false;
-        };
-        let hash = sepe_core::SynthesizedHash::new(plan, request.family, request.isa)
-            .with_seed(request.seed);
-        let ready = ReadyPlan {
-            tag,
-            hash,
-            widened: request.widened,
-            snapshot_generation: request.snapshot_generation,
-            attempts: 0,
-        };
-        self.apply_resynthesized(&ready)
-    }
-
     /// Applies a plan completed by a background resynthesis job: installs
     /// the supervisor-validated hash (unless the reservoir generation
     /// advanced past the job's snapshot — a stale result is discarded) and
@@ -964,38 +936,6 @@ mod tests {
         }
         // Replaying the same (now stale) result is discarded harmlessly.
         assert!(!m.apply_resynthesized(&ready[0]), "stale result discarded");
-    }
-
-    #[test]
-    fn cached_plan_resynthesizes_without_a_supervisor_round_trip() {
-        let cache = sepe_core::PlanCache::new(8);
-        let mut m = guarded_ssn_map(sepe_core::Family::OffXor);
-        for i in 0..50u32 {
-            m.insert(format!("{i:03}-11-2222"), i);
-            m.insert(format!("{i:03}-11-222x"), i);
-        }
-        // Cold cache: the miss changes nothing and the caller would fall
-        // back to the supervisor path.
-        assert!(!m.resynth_from_cache(3, &cache), "cold cache misses");
-        assert_eq!(cache.misses(), 1);
-        // Prime the cache as a completed search would (same format drifted
-        // elsewhere), then the same drift resolves synchronously.
-        let request = m.resynth_request(3).expect("drift was sampled");
-        cache.insert(
-            &request.widened,
-            request.family,
-            sepe_core::synthesize(&request.widened, request.family),
-        );
-        assert!(m.resynth_from_cache(3, &cache), "warm cache applies");
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(m.guard_mode(), GuardMode::Guarded);
-        assert!(m.hasher().guard().matches(b"123-11-222x"));
-        for i in 0..50u32 {
-            assert_eq!(m.get(format!("{i:03}-11-2222").as_str()), Some(&i));
-            assert_eq!(m.get(format!("{i:03}-11-222x").as_str()), Some(&i));
-        }
-        // Guard re-armed: no drift sampled, so nothing to serve.
-        assert!(!m.resynth_from_cache(3, &cache), "no drift after re-arm");
     }
 
     #[test]

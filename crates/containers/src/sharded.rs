@@ -698,19 +698,6 @@ where
         self.read(i).resynth_request(i as u64)
     }
 
-    /// Serves shard `i`'s drift from a memoized plan cache when possible:
-    /// a hit installs the cached plan under the shard write lock and
-    /// returns `true`; a miss (or no sampled drift) changes nothing and
-    /// the caller should fall back to
-    /// [`ShardedMap::resynth_request`] + the supervisor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.shard_count()`.
-    pub fn resynth_shard_from_cache(&self, i: usize, cache: &sepe_core::PlanCache) -> bool {
-        self.write(i).resynth_from_cache(i as u64, cache)
-    }
-
     /// Applies a plan completed by a background job to the shard named by
     /// its tag: a cheap hash swap plus opening a migration epoch, under
     /// the shard write lock. Stale results (the shard's reservoir
@@ -1165,46 +1152,6 @@ mod tests {
         let mut bogus = ready.into_iter().next().unwrap();
         bogus.tag = 1_000;
         assert!(!m.apply_ready(&bogus));
-    }
-
-    #[test]
-    fn shard_drift_resolves_from_a_warm_plan_cache() {
-        let cache = sepe_core::PlanCache::new(8);
-        let m = sharded(4);
-        for i in 0..400 {
-            m.insert(ssn(i), i);
-        }
-        let drifted = 0usize;
-        let mut i = 0u32;
-        let mut planted = 0;
-        while planted < 40 {
-            let key = format!("drifted-{i:05}");
-            if m.shard_of(key.as_bytes()) == drifted {
-                m.insert(key, i);
-                planted += 1;
-            }
-            i += 1;
-        }
-        assert!(
-            !m.resynth_shard_from_cache(drifted, &cache),
-            "cold cache misses and changes nothing"
-        );
-        let request = m.resynth_request(drifted).expect("drift was sampled");
-        cache.insert(
-            &request.widened,
-            request.family,
-            sepe_core::synthesize(&request.widened, request.family),
-        );
-        assert!(
-            m.resynth_shard_from_cache(drifted, &cache),
-            "warm cache installs without a supervisor"
-        );
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(m.shard_mode(drifted), GuardMode::Guarded, "shard re-armed");
-        m.finish_migrations();
-        for i in 0..400 {
-            assert_eq!(m.get(ssn(i).as_str()), Some(i), "{} preserved", ssn(i));
-        }
     }
 
     #[test]

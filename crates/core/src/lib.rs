@@ -45,7 +45,6 @@
 
 pub mod aes;
 pub mod bits;
-pub mod cache;
 pub mod codegen;
 pub mod guard;
 pub mod hash;
@@ -59,7 +58,6 @@ pub mod supervisor;
 pub mod synth;
 
 pub use bits::Isa;
-pub use cache::{pattern_fingerprint, PlanCache, SEARCH_VERSION};
 pub use guard::{FormatGuard, GuardMode, GuardedHash, Resynth};
 pub use hash::{ByteHash, HashBatch, SynthError, SynthesizedHash};
 pub use pattern::{BytePattern, KeyPattern};
@@ -67,6 +65,4 @@ pub use supervisor::{
     CancelToken, Clock, MockClock, ReadyPlan, ResynthSupervisor, SupervisorConfig, SynthRequest,
     SystemClock,
 };
-pub use synth::{
-    synthesize, synthesize_parallel, synthesize_parallel_with_stats, Family, Plan, SearchStats,
-};
+pub use synth::{synthesize, Family, Plan, SearchStats};

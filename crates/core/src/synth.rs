@@ -228,190 +228,40 @@ pub fn synthesize(pattern: &KeyPattern, family: Family) -> Plan {
 }
 
 /// [`synthesize`] with a cooperative cancellation checkpoint threaded
-/// through the synthesis loops (target collection, word cover, mask
-/// construction) — the entry point the resynthesis supervisor runs, so a
-/// deadline or an explicit cancel stops the search between units of work
-/// instead of after the fact.
+/// through the synthesis loops (target collection and mask construction),
+/// also returning the [`SearchStats`] of the run — the entry point the
+/// resynthesis supervisor runs, so a deadline or an explicit cancel stops
+/// synthesis between units of work instead of after the fact.
 ///
 /// # Errors
 ///
 /// Returns [`crate::hash::SynthError::Cancelled`] once `token` reports
-/// cancellation; the partial plan is discarded.
+/// cancellation; the partial plan and its statistics are discarded.
 pub fn synthesize_with_cancel(
     pattern: &KeyPattern,
     family: Family,
     token: &crate::supervisor::CancelToken,
-) -> Result<Plan, crate::hash::SynthError> {
-    synthesize_with_stats_cancel(pattern, family, token).map(|(plan, _)| plan)
+) -> Result<(Plan, SearchStats), crate::hash::SynthError> {
+    token.check()?;
+    let mut stats = SearchStats::default();
+    if pattern.max_len() < 8 {
+        return Ok((Plan::StlFallback, stats));
+    }
+    let plan = synthesize_impl(pattern, family, &|| Ok(token.check()?), &mut stats)?;
+    Ok((plan, stats))
 }
 
-/// Search statistics of one synthesis run — the solver telemetry that
-/// makes synthesis strategies comparable (SyGuS-style node counts), fed
-/// into the observability layer as `SynthSearch` events.
-///
-/// The fields split into two groups. **Deterministic** fields are pure
-/// functions of (pattern, family) and must be bit-identical between the
-/// sequential and parallel searches at any thread count:
-/// `nodes_expanded`, `candidates_rejected`, `candidates_considered`, and
-/// `work_units`. **Schedule-dependent** fields (`steals`, `wall_nanos`)
-/// describe how this particular run executed and are excluded from every
-/// equivalence assertion.
+/// Work counters of one synthesis run, fed into the observability layer
+/// as `SynthSearch` events. Both are pure functions of the pattern and
+/// family.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SearchStats {
     /// Byte positions the target scan expanded (one per candidate
     /// position examined, across every synthesis loop).
     pub nodes_expanded: u64,
-    /// Candidate targets skipped by the canonical (index-0) greedy cover
-    /// because an earlier load already covered them.
+    /// Target bytes the greedy cover skipped because an earlier load
+    /// already covered them.
     pub candidates_rejected: u64,
-    /// Cover candidates enumerated by the cost search (the canonical
-    /// greedy cover plus every alignment-backoff variant). Deterministic:
-    /// depends only on the pattern and family.
-    pub candidates_considered: u64,
-    /// Work units the candidate space was partitioned into (cancellation
-    /// and stealing granularity, [`WORK_UNIT`] candidates each).
-    /// Deterministic: a pure function of `candidates_considered`.
-    pub work_units: u64,
-    /// Work units a parallel worker claimed outside its round-robin home
-    /// assignment. Zero for sequential runs; schedule-dependent.
-    pub steals: u64,
-    /// Wall-clock duration of the search, in nanoseconds.
-    /// Schedule-dependent.
-    pub wall_nanos: u64,
-    /// Whether this result was served from a [`crate::cache::PlanCache`]
-    /// instead of a fresh search.
-    pub cache_hit: bool,
-}
-
-/// [`synthesize`], also returning the [`SearchStats`] of the run.
-#[must_use]
-pub fn synthesize_with_stats(pattern: &KeyPattern, family: Family) -> (Plan, SearchStats) {
-    let t0 = std::time::Instant::now();
-    let mut stats = SearchStats::default();
-    if pattern.max_len() < 8 {
-        return (Plan::StlFallback, stats);
-    }
-    let exec = SearchExec::Sequential(&|| Ok(()));
-    let result = match family {
-        Family::Aes => synthesize_blocks_impl(pattern, &exec, &mut stats),
-        Family::Naive | Family::OffXor | Family::Pext => {
-            synthesize_words_impl(pattern, family, &exec, &mut stats)
-        }
-    };
-    stats.wall_nanos = t0.elapsed().as_nanos() as u64;
-    match result {
-        Ok(plan) => (plan, stats),
-        Err(_) => unreachable!("uncancellable synthesis cannot fail"),
-    }
-}
-
-/// [`synthesize_with_cancel`], also returning the [`SearchStats`] of the
-/// (possibly aborted) run.
-///
-/// # Errors
-///
-/// Returns [`crate::hash::SynthError::Cancelled`] once `token` reports
-/// cancellation; the partial plan and its statistics are discarded.
-pub fn synthesize_with_stats_cancel(
-    pattern: &KeyPattern,
-    family: Family,
-    token: &crate::supervisor::CancelToken,
-) -> Result<(Plan, SearchStats), crate::hash::SynthError> {
-    let t0 = std::time::Instant::now();
-    token.check()?;
-    let mut stats = SearchStats::default();
-    if pattern.max_len() < 8 {
-        return Ok((Plan::StlFallback, stats));
-    }
-    let check: &dyn Fn() -> Result<(), crate::hash::SynthError> = &|| Ok(token.check()?);
-    let exec = SearchExec::Sequential(check);
-    let plan = match family {
-        Family::Aes => synthesize_blocks_impl(pattern, &exec, &mut stats)?,
-        Family::Naive | Family::OffXor | Family::Pext => {
-            synthesize_words_impl(pattern, family, &exec, &mut stats)?
-        }
-    };
-    stats.wall_nanos = t0.elapsed().as_nanos() as u64;
-    Ok((plan, stats))
-}
-
-/// [`synthesize`], running the candidate-cover search on up to `jobs`
-/// scoped worker threads. Bit-identical to the sequential search at any
-/// `jobs` value: candidates are scored under the `(cost, index)` total
-/// order, so the winner is independent of work distribution. `jobs` of 0
-/// or 1 runs the sequential path.
-#[must_use]
-pub fn synthesize_parallel(pattern: &KeyPattern, family: Family, jobs: usize) -> Plan {
-    synthesize_parallel_with_stats(pattern, family, jobs).0
-}
-
-/// [`synthesize_parallel`], also returning the [`SearchStats`] of the run.
-/// The deterministic fields (`nodes_expanded`, `candidates_rejected`,
-/// `candidates_considered`, `work_units`) equal the sequential search's;
-/// `steals` and `wall_nanos` describe this particular schedule.
-#[must_use]
-pub fn synthesize_parallel_with_stats(
-    pattern: &KeyPattern,
-    family: Family,
-    jobs: usize,
-) -> (Plan, SearchStats) {
-    let token = crate::supervisor::CancelToken::unbounded();
-    match synthesize_parallel_with_stats_cancel(pattern, family, jobs, &token) {
-        Ok(out) => out,
-        Err(_) => unreachable!("an unbounded token cannot cancel synthesis"),
-    }
-}
-
-/// [`synthesize_parallel`] threaded through a cancellation token: every
-/// worker polls `token` once per [`WORK_UNIT`] candidates, so cancellation
-/// latency is bounded by one work unit on each thread and an aborted
-/// search leaves no shared state behind (worker results are local until
-/// the final merge).
-///
-/// # Errors
-///
-/// Returns [`crate::hash::SynthError::Cancelled`] once `token` reports
-/// cancellation; partial results are discarded.
-pub fn synthesize_parallel_with_cancel(
-    pattern: &KeyPattern,
-    family: Family,
-    jobs: usize,
-    token: &crate::supervisor::CancelToken,
-) -> Result<Plan, crate::hash::SynthError> {
-    synthesize_parallel_with_stats_cancel(pattern, family, jobs, token).map(|(plan, _)| plan)
-}
-
-/// [`synthesize_parallel_with_cancel`], also returning the
-/// [`SearchStats`] of the (possibly aborted) run.
-///
-/// # Errors
-///
-/// Returns [`crate::hash::SynthError::Cancelled`] once `token` reports
-/// cancellation; the partial plan and its statistics are discarded.
-pub fn synthesize_parallel_with_stats_cancel(
-    pattern: &KeyPattern,
-    family: Family,
-    jobs: usize,
-    token: &crate::supervisor::CancelToken,
-) -> Result<(Plan, SearchStats), crate::hash::SynthError> {
-    let t0 = std::time::Instant::now();
-    token.check()?;
-    let mut stats = SearchStats::default();
-    if pattern.max_len() < 8 {
-        return Ok((Plan::StlFallback, stats));
-    }
-    let exec = SearchExec::Parallel {
-        token,
-        jobs: jobs.max(1),
-    };
-    let plan = match family {
-        Family::Aes => synthesize_blocks_impl(pattern, &exec, &mut stats)?,
-        Family::Naive | Family::OffXor | Family::Pext => {
-            synthesize_words_impl(pattern, family, &exec, &mut stats)?
-        }
-    };
-    stats.wall_nanos = t0.elapsed().as_nanos() as u64;
-    Ok((plan, stats))
 }
 
 /// Synthesizes a plan *without* the eight-byte minimum-length guard.
@@ -423,20 +273,37 @@ pub fn synthesize_parallel_with_stats_cancel(
 /// point of that experiment.
 #[must_use]
 pub fn synthesize_unchecked(pattern: &KeyPattern, family: Family) -> Plan {
-    match family {
-        Family::Aes => synthesize_blocks(pattern),
-        Family::Naive | Family::OffXor | Family::Pext => synthesize_words(pattern, family),
+    match synthesize_impl(pattern, family, &|| Ok(()), &mut SearchStats::default()) {
+        Ok(plan) => plan,
+        Err(_) => unreachable!("uncancellable synthesis cannot fail"),
     }
 }
 
-/// Greedy word cover: repeatedly place an eight-byte load over the first
+fn synthesize_impl(
+    pattern: &KeyPattern,
+    family: Family,
+    check: &dyn Fn() -> Result<(), crate::hash::SynthError>,
+    stats: &mut SearchStats,
+) -> Result<Plan, crate::hash::SynthError> {
+    match family {
+        Family::Aes => synthesize_blocks(pattern, check, stats),
+        Family::Naive | Family::OffXor | Family::Pext => {
+            synthesize_words(pattern, family, check, stats)
+        }
+    }
+}
+
+/// Greedy word cover: repeatedly place a `width`-byte load over the first
 /// uncovered byte we care about, clamping the final load so it never reads
 /// past `region_len` (this produces the overlapping loads of Section 3.2.2:
 /// "the last load of a non-constant sequence of n bits always starts at
 /// position n − 8").
 ///
-/// This is candidate **zero** of the cost search: the anchor-aligned
-/// placement with every backoff digit at zero (see [`candidate_cover`]).
+/// The cover uses the fewest loads possible: every cover needs some load
+/// over the first uncovered target, and no such load reaches further right
+/// than the one placed here, so whatever the rest of the cover must still
+/// reach is never more than what remains after the greedy load (the
+/// classic interval point-cover argument, DESIGN §17).
 fn cover_with_loads(
     targets: &[usize],
     region_len: usize,
@@ -458,214 +325,10 @@ fn cover_with_loads(
     loads
 }
 
-/// Alignment backoffs tried per load placement by the candidate search:
-/// digit `b` places the load `b` bytes left of its greedy anchor.
-pub const BACKOFF_RADIX: u64 = 4;
-
-/// Cap on the candidate covers one search enumerates. The space is
-/// [`BACKOFF_RADIX`]^placements, truncated here so pathological patterns
-/// cannot turn synthesis into an exponential walk.
-pub const MAX_CANDIDATES: u64 = 256;
-
-/// Candidates per work unit — the granularity of both cancellation checks
-/// and parallel work distribution. A cancelled search stops within one
-/// work unit on every thread.
-pub const WORK_UNIT: u64 = 16;
-
-/// The size of the candidate space for a search whose canonical greedy
-/// cover used `greedy_loads` loads: one backoff digit per placement (the
-/// first four placements carry digits; deeper covers share the cap).
-fn candidate_count(greedy_loads: usize) -> u64 {
-    if greedy_loads == 0 {
-        return 1;
-    }
-    let digits = u32::try_from(greedy_loads.min(4)).expect("≤ 4 digits");
-    BACKOFF_RADIX.saturating_pow(digits).min(MAX_CANDIDATES)
-}
-
-/// Builds the cover of candidate `index`: the mixed-radix digits of
-/// `index` (base [`BACKOFF_RADIX`], least significant digit first) give
-/// each successive placement an alignment backoff, shifting that load up
-/// to `RADIX - 1` bytes left of its greedy anchor. Digit values never
-/// reach the load width, so the anchoring target stays covered, and every
-/// load still makes progress — the cover terminates for any index.
-/// Candidate 0 (all digits zero) is exactly [`cover_with_loads`].
-fn candidate_cover(targets: &[usize], region_len: usize, width: usize, index: u64) -> Vec<u32> {
-    let mut loads = Vec::new();
-    let mut covered_until = 0usize;
-    let mut code = index;
-    for &t in targets {
-        if t < covered_until {
-            continue;
-        }
-        let backoff = (code % BACKOFF_RADIX) as usize;
-        code /= BACKOFF_RADIX;
-        let offset = t.saturating_sub(backoff).min(region_len - width);
-        loads.push(offset as u32);
-        covered_until = offset + width;
-    }
-    loads
-}
-
-/// The execution cost the search minimizes: the number of loads the
-/// emitted hash performs. The canonical greedy cover is provably minimal
-/// here (it is the classic optimal strategy for covering points with
-/// fixed-width intervals), so with the `(cost, index)` tie-break candidate
-/// 0 wins every tie — which is what keeps the searched plans bit-identical
-/// to the seed's greedy synthesis while richer cost models remain
-/// drop-in.
-fn cover_cost(loads: &[u32]) -> u64 {
-    loads.len() as u64
-}
-
-/// The per-unit-of-work checkpoint threaded through the synthesis loops:
-/// a no-op for plain [`synthesize`], a [`crate::supervisor::CancelToken`]
-/// check for [`synthesize_with_cancel`].
-type SynthCheck<'a> = &'a dyn Fn() -> Result<(), crate::hash::SynthError>;
-
-/// How the candidate search executes: on the calling thread behind a
-/// [`SynthCheck`], or fanned out over scoped worker threads that poll a
-/// shared [`crate::supervisor::CancelToken`] once per work unit.
-enum SearchExec<'a> {
-    Sequential(SynthCheck<'a>),
-    Parallel {
-        token: &'a crate::supervisor::CancelToken,
-        jobs: usize,
-    },
-}
-
-impl SearchExec<'_> {
-    fn check(&self) -> Result<(), crate::hash::SynthError> {
-        match self {
-            SearchExec::Sequential(check) => check(),
-            SearchExec::Parallel { token, .. } => Ok(token.check()?),
-        }
-    }
-}
-
-/// Selects the winning cover from the candidate space.
-///
-/// The winner is the minimum under the lexicographic `(cost, index)` total
-/// order — a schedule-independent selection rule, so the parallel path
-/// returns bit-identical covers to the sequential path at any thread
-/// count: workers reduce their chunks to local minima and the final merge
-/// takes the global minimum under the same order, which is associative
-/// and commutative.
-fn search_cover(
-    targets: &[usize],
-    region_len: usize,
-    width: usize,
-    exec: &SearchExec<'_>,
-    stats: &mut SearchStats,
-) -> Result<Vec<u32>, crate::hash::SynthError> {
-    // Candidate 0: the canonical greedy cover, whose rejection counts are
-    // the seed's telemetry semantics.
-    let greedy = cover_with_loads(targets, region_len, width, stats);
-    let total = candidate_count(greedy.len());
-    stats.candidates_considered += total;
-    let chunks = (total - 1).div_ceil(WORK_UNIT);
-    stats.work_units += chunks;
-    let mut best_cost = cover_cost(&greedy);
-    let mut best_index = 0u64;
-    let mut best = greedy;
-    match exec {
-        SearchExec::Parallel { token, jobs } if *jobs > 1 && chunks > 1 => {
-            let workers = (*jobs).min(chunks as usize);
-            let cursor = std::sync::atomic::AtomicU64::new(0);
-            let steals = std::sync::atomic::AtomicU64::new(0);
-            type Local = Option<(u64, u64, Vec<u32>)>;
-            let results: Vec<Result<Local, crate::supervisor::SynthCancelled>> =
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|w| {
-                            let cursor = &cursor;
-                            let steals = &steals;
-                            s.spawn(move || {
-                                let mut local: Local = None;
-                                loop {
-                                    let chunk =
-                                        cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                    if chunk >= chunks {
-                                        break;
-                                    }
-                                    // Per-work-unit cancellation: a cancel
-                                    // lands within one unit on every worker.
-                                    token.check()?;
-                                    if chunk as usize % workers != w {
-                                        steals.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                    }
-                                    let lo = 1 + chunk * WORK_UNIT;
-                                    let hi = (lo + WORK_UNIT).min(total);
-                                    for index in lo..hi {
-                                        let cover =
-                                            candidate_cover(targets, region_len, width, index);
-                                        let cost = cover_cost(&cover);
-                                        let better = local
-                                            .as_ref()
-                                            .is_none_or(|(c, i, _)| (cost, index) < (*c, *i));
-                                        if better {
-                                            local = Some((cost, index, cover));
-                                        }
-                                    }
-                                }
-                                Ok(local)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("search worker never panics"))
-                        .collect()
-                });
-            let mut cancelled = false;
-            for result in results {
-                match result {
-                    Err(crate::supervisor::SynthCancelled) => cancelled = true,
-                    Ok(Some((cost, index, cover))) => {
-                        if (cost, index) < (best_cost, best_index) {
-                            best_cost = cost;
-                            best_index = index;
-                            best = cover;
-                        }
-                    }
-                    Ok(None) => {}
-                }
-            }
-            if cancelled {
-                return Err(crate::hash::SynthError::Cancelled);
-            }
-            stats.steals += steals.load(std::sync::atomic::Ordering::Relaxed);
-        }
-        _ => {
-            for index in 1..total {
-                if (index - 1).is_multiple_of(WORK_UNIT) {
-                    exec.check()?;
-                }
-                let cover = candidate_cover(targets, region_len, width, index);
-                let cost = cover_cost(&cover);
-                if (cost, index) < (best_cost, best_index) {
-                    best_cost = cost;
-                    best_index = index;
-                    best = cover;
-                }
-            }
-        }
-    }
-    Ok(best)
-}
-
-fn synthesize_words(pattern: &KeyPattern, family: Family) -> Plan {
-    let exec = SearchExec::Sequential(&|| Ok(()));
-    match synthesize_words_impl(pattern, family, &exec, &mut SearchStats::default()) {
-        Ok(plan) => plan,
-        Err(_) => unreachable!("uncancellable synthesis cannot fail"),
-    }
-}
-
-fn synthesize_words_impl(
+fn synthesize_words(
     pattern: &KeyPattern,
     family: Family,
-    exec: &SearchExec<'_>,
+    check: &dyn Fn() -> Result<(), crate::hash::SynthError>,
     stats: &mut SearchStats,
 ) -> Result<Plan, crate::hash::SynthError> {
     let min_len = pattern.min_len();
@@ -677,7 +340,7 @@ fn synthesize_words_impl(
 
     let mut targets: Vec<usize> = Vec::new();
     for i in 0..region_len {
-        exec.check()?;
+        check()?;
         stats.nodes_expanded += 1;
         match family {
             // Naive ignores the const constraint: every byte is a target.
@@ -692,7 +355,7 @@ fn synthesize_words_impl(
     }
 
     let (offsets, tail_start) = if region_len >= 8 {
-        let offsets = search_cover(&targets, region_len, 8, exec, stats)?;
+        let offsets = cover_with_loads(&targets, region_len, 8, stats);
         let tail = offsets
             .last()
             .map_or(0, |&o| o as usize + 8)
@@ -713,7 +376,7 @@ fn synthesize_words_impl(
     let mut ops = Vec::with_capacity(offsets.len());
     let mut covered_until = 0usize;
     for &offset in &offsets {
-        exec.check()?;
+        check()?;
         let offset_us = offset as usize;
         let overlaps = offset_us < covered_until;
         let (mask, shift) = if family == Family::Pext {
@@ -767,17 +430,9 @@ fn assign_shifts(ops: &mut [WordOp]) {
     }
 }
 
-fn synthesize_blocks(pattern: &KeyPattern) -> Plan {
-    let exec = SearchExec::Sequential(&|| Ok(()));
-    match synthesize_blocks_impl(pattern, &exec, &mut SearchStats::default()) {
-        Ok(plan) => plan,
-        Err(_) => unreachable!("uncancellable synthesis cannot fail"),
-    }
-}
-
-fn synthesize_blocks_impl(
+fn synthesize_blocks(
     pattern: &KeyPattern,
-    exec: &SearchExec<'_>,
+    check: &dyn Fn() -> Result<(), crate::hash::SynthError>,
     stats: &mut SearchStats,
 ) -> Result<Plan, crate::hash::SynthError> {
     let min_len = pattern.min_len();
@@ -804,13 +459,13 @@ fn synthesize_blocks_impl(
 
     let mut targets: Vec<usize> = Vec::new();
     for i in 0..region_len {
-        exec.check()?;
+        check()?;
         stats.nodes_expanded += 1;
         if !pattern.bytes()[i].is_const() {
             targets.push(i);
         }
     }
-    let offsets = search_cover(&targets, region_len, 16, exec, stats)?;
+    let offsets = cover_with_loads(&targets, region_len, 16, stats);
     let tail_start = offsets
         .last()
         .map_or(0, |&o| o as usize + 16)
@@ -1001,7 +656,9 @@ mod tests {
             let p = pattern(re);
             for f in Family::ALL {
                 assert_eq!(
-                    synthesize_with_cancel(&p, f, &token).expect("uncancelled"),
+                    synthesize_with_cancel(&p, f, &token)
+                        .expect("uncancelled")
+                        .0,
                     synthesize(&p, f),
                     "{re} {f}"
                 );
@@ -1040,111 +697,22 @@ mod tests {
         assert_eq!(total, 400);
     }
 
-    /// The regexes whose plans are pinned elsewhere in this module; the
-    /// parallel search must reproduce every one of them byte for byte.
-    const CORPUS: &[&str] = &[
-        r"[0-9]{3}-[0-9]{2}-[0-9]{4}",
-        r"[0-9]{20}",
-        r"[0-9]{100}",
-        r"https://www\.[a-z]{8}\.com/[a-z0-9]{12}",
-        r"[A-Z]{2}[0-9]{6}[a-z]{14}",
-        r"[a-z]{5,40}",
-        r"key_[0-9]{4,16}",
-    ];
-
     #[test]
-    fn parallel_search_is_bit_identical_to_sequential() {
-        for re in CORPUS {
-            let p = pattern(re);
-            for f in Family::ALL {
-                let (seq_plan, seq_stats) = synthesize_with_stats(&p, f);
-                for jobs in [1usize, 2, 4, 8] {
-                    let (par_plan, par_stats) = synthesize_parallel_with_stats(&p, f, jobs);
-                    assert_eq!(par_plan, seq_plan, "{re} {f} jobs={jobs}");
-                    assert_eq!(
-                        par_stats.candidates_considered, seq_stats.candidates_considered,
-                        "{re} {f} jobs={jobs}"
-                    );
-                    assert_eq!(
-                        par_stats.nodes_expanded, seq_stats.nodes_expanded,
-                        "{re} {f} jobs={jobs}"
-                    );
-                    assert_eq!(
-                        par_stats.work_units, seq_stats.work_units,
-                        "{re} {f} jobs={jobs}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn candidate_zero_is_the_greedy_cover() {
-        let targets = [0usize, 5, 9, 14, 23, 31];
-        let mut stats = SearchStats::default();
-        let greedy = cover_with_loads(&targets, 40, 8, &mut stats);
-        assert_eq!(candidate_cover(&targets, 40, 8, 0), greedy);
-    }
-
-    #[test]
-    fn candidate_count_is_capped() {
-        assert_eq!(candidate_count(0), 1);
-        assert_eq!(candidate_count(1), 4);
-        assert_eq!(candidate_count(2), 16);
-        assert_eq!(candidate_count(4), 256);
-        // Deep covers saturate at the cap rather than exploding.
-        assert_eq!(candidate_count(13), MAX_CANDIDATES);
-    }
-
-    #[test]
-    fn sequential_search_checks_cancellation_once_per_work_unit() {
-        use core::cell::Cell;
-        let p = pattern(r"[0-9]{100}");
-        let calls = Cell::new(0u64);
-        let check = || {
-            calls.set(calls.get() + 1);
-            Ok(())
-        };
-        let exec = SearchExec::Sequential(&check);
-        let mut stats = SearchStats::default();
-        synthesize_words_impl(&p, Family::Pext, &exec, &mut stats)
-            .expect("uncancelled search succeeds");
-        // The 13-load cover searches MAX_CANDIDATES candidates, so the
-        // cover loop alone must poll at least once per work unit.
-        assert!(stats.work_units >= MAX_CANDIDATES / WORK_UNIT);
-        assert!(
-            calls.get() >= stats.work_units,
-            "{} checks for {} work units",
-            calls.get(),
-            stats.work_units
-        );
-    }
-
-    #[test]
-    fn cancellation_latency_is_bounded_by_one_work_unit() {
+    fn mid_synthesis_cancellation_stops_at_the_raising_checkpoint() {
         use crate::hash::SynthError;
         use core::cell::Cell;
         let p = pattern(r"[0-9]{100}");
-        // Count how many checks an uncancelled run performs, then abort at
-        // a checkpoint in the middle: the search must stop at exactly that
-        // poll rather than draining the remaining candidates.
+        // Count the checkpoints of an uncancelled run, then abort halfway:
+        // synthesis must stop at exactly that poll.
         let calls = Cell::new(0u64);
         let count_all = || {
             calls.set(calls.get() + 1);
             Ok(())
         };
-        let mut stats = SearchStats::default();
-        synthesize_words_impl(
-            &p,
-            Family::Pext,
-            &SearchExec::Sequential(&count_all),
-            &mut stats,
-        )
-        .expect("uncancelled search succeeds");
-        let total_checks = calls.get();
-        assert!(total_checks > 4, "need room to cancel mid-search");
-
-        let cancel_at = total_checks / 2;
+        synthesize_impl(&p, Family::Pext, &count_all, &mut SearchStats::default())
+            .expect("uncancelled synthesis succeeds");
+        let cancel_at = calls.get() / 2;
+        assert!(cancel_at > 1, "need room to cancel mid-synthesis");
         let seen = Cell::new(0u64);
         let cancel_mid = || {
             seen.set(seen.get() + 1);
@@ -1154,41 +722,9 @@ mod tests {
                 Ok(())
             }
         };
-        let mut aborted = SearchStats::default();
-        let err = synthesize_words_impl(
-            &p,
-            Family::Pext,
-            &SearchExec::Sequential(&cancel_mid),
-            &mut aborted,
-        )
-        .expect_err("mid-search cancellation must surface");
+        let err = synthesize_impl(&p, Family::Pext, &cancel_mid, &mut SearchStats::default())
+            .expect_err("mid-synthesis cancellation must surface");
         assert_eq!(err, SynthError::Cancelled);
-        // Latency bound: the search observed the cancellation at the very
-        // checkpoint that raised it — no further polls ran, so at most one
-        // work unit of candidates was evaluated past the cancel point.
         assert_eq!(seen.get(), cancel_at);
-    }
-
-    #[test]
-    fn cancelled_parallel_search_leaves_no_poisoned_state() {
-        use crate::hash::SynthError;
-        use crate::supervisor::CancelToken;
-        let p = pattern(r"[0-9]{100}");
-        for f in Family::ALL {
-            let token = CancelToken::unbounded();
-            token.cancel();
-            assert_eq!(
-                synthesize_parallel_with_cancel(&p, f, 4, &token),
-                Err(SynthError::Cancelled),
-                "{f}"
-            );
-            // A fresh run after the abort still produces the exact plan.
-            let token = CancelToken::unbounded();
-            assert_eq!(
-                synthesize_parallel_with_cancel(&p, f, 4, &token).expect("fresh run"),
-                synthesize(&p, f),
-                "{f}"
-            );
-        }
     }
 }

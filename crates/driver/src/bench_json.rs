@@ -419,88 +419,35 @@ pub fn resynth_records(scale: &RunScale, config: &BenchConfig) -> Vec<ResynthRec
     records
 }
 
-/// One (format, family, jobs) measurement of the synthesis-search
-/// scenario: wall time per candidate search at a given worker-thread
-/// count, with speedup relative to the single-thread cell of the same
-/// format and family. `jobs == 0` is the memoized row — a [`PlanCache`]
-/// hit on the same pattern, whose speedup is cold-search / cache-hit. On
-/// a single-core runner the threaded speedups hover near (or below) 1.0
-/// — determinism is the point there, and the JSON records whatever the
-/// machine actually delivers; the cache row's speedup is real on any
-/// machine.
-///
-/// [`PlanCache`]: sepe_core::PlanCache
+/// One (format, family) measurement of synthesis: wall time per
+/// [`synthesize`](sepe_core::synth::synthesize) call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SynthesisRecord {
     /// Key format name (`ssn`, `ipv4`, …).
     pub format: String,
     /// Family name, lowercase (`naive`, `offxor`, `aes`, `pext`).
     pub family: String,
-    /// Worker threads the search ran on; `0` marks the plan-cache row.
-    pub jobs: usize,
-    /// Wall time per search (or per cache hit), in nanoseconds.
+    /// Wall time per synthesis, in nanoseconds.
     pub ns_per_synth: f64,
-    /// Speedup relative to the `jobs == 1` cell of the same format and
-    /// family (for the cache row: cold search / memoized hit).
-    pub speedup: f64,
-    /// Candidate covers scored — identical at every `jobs` value (that is
-    /// the determinism claim); `0` for the cache row (no search ran).
-    pub candidates: u64,
 }
 
-/// Measures the candidate search for every format in `scale.formats`, all
-/// four families, at 1/2/4/8 worker threads plus a memoized plan-cache
-/// hit (`jobs == 0`).
+/// Times synthesis for every format in `scale.formats` and all four
+/// families.
 #[must_use]
 pub fn synthesis_records(scale: &RunScale, config: &BenchConfig) -> Vec<SynthesisRecord> {
-    use sepe_core::synth::{synthesize, synthesize_parallel_with_stats};
-    use sepe_core::PlanCache;
-
     let reps = (config.samples.max(1) * 8).clamp(8, 128);
     let mut records = Vec::new();
     for &format in &scale.formats {
         let pattern = Regex::compile(&format.regex()).expect("paper formats compile");
         for family in Family::ALL {
-            let family_name = family.to_string().to_ascii_lowercase();
-            let mut baseline_ns = None;
-            for jobs in [1usize, 2, 4, 8] {
-                let mut candidates = 0u64;
-                let start = Instant::now();
-                for _ in 0..reps {
-                    let (plan, stats) = synthesize_parallel_with_stats(&pattern, family, jobs);
-                    std::hint::black_box(plan);
-                    candidates = stats.candidates_considered;
-                }
-                let ns = start.elapsed().as_secs_f64() * 1e9 / reps as f64;
-                let baseline = *baseline_ns.get_or_insert(ns);
-                records.push(SynthesisRecord {
-                    format: format.name().to_string(),
-                    family: family_name.clone(),
-                    jobs,
-                    ns_per_synth: ns,
-                    speedup: if ns > 0.0 { baseline / ns } else { 0.0 },
-                    candidates,
-                });
-            }
-            let cache = PlanCache::new(1);
-            cache.insert(&pattern, family, synthesize(&pattern, family));
             let start = Instant::now();
             for _ in 0..reps {
-                std::hint::black_box(cache.lookup(&pattern, family));
+                std::hint::black_box(sepe_core::synth::synthesize(&pattern, family));
             }
-            let warm_ns = start.elapsed().as_secs_f64() * 1e9 / reps as f64;
-            let cold_ns = baseline_ns.unwrap_or(0.0);
             records.push(SynthesisRecord {
                 format: format.name().to_string(),
-                family: family_name,
-                jobs: 0,
-                ns_per_synth: warm_ns,
-                speedup: if warm_ns > 0.0 {
-                    cold_ns / warm_ns
-                } else {
-                    0.0
-                },
-                candidates: 0,
+                family: family.to_string().to_ascii_lowercase(),
+                ns_per_synth: start.elapsed().as_secs_f64() * 1e9 / reps as f64,
             });
         }
     }
@@ -785,7 +732,7 @@ pub fn metrics_snapshot(scale: &RunScale, config: &BenchConfig) -> sepe_obs::Sna
 /// Every section is emitted in a **canonical sort order** — `records` by
 /// (family, format, width), `migration` by (format, phase), `concurrency`
 /// by (format, threads), `resynthesis` by (format, mode), `adversarial`
-/// by (format, phase), `synthesis` by (format, family, jobs), `metrics` in the
+/// by (format, phase), `synthesis` by (format, family), `metrics` in the
 /// canonical `sepe-metrics/v1` spelling — and object keys
 /// are alphabetical (`BTreeMap`),
 /// so two runs over the same measurements produce byte-identical documents
@@ -816,7 +763,7 @@ pub fn to_json(
     let mut adversarial: Vec<&AdversarialRecord> = adversarial.iter().collect();
     adversarial.sort_by(|a, b| (&a.format, &a.phase).cmp(&(&b.format, &b.phase)));
     let mut synthesis: Vec<&SynthesisRecord> = synthesis.iter().collect();
-    synthesis.sort_by(|a, b| (&a.format, &a.family, a.jobs).cmp(&(&b.format, &b.family, b.jobs)));
+    synthesis.sort_by(|a, b| (&a.format, &a.family).cmp(&(&b.format, &b.family)));
     let rows: Vec<Json> = records
         .iter()
         .map(|r| {
@@ -886,10 +833,7 @@ pub fn to_json(
             let mut obj = BTreeMap::new();
             obj.insert("format".to_string(), Json::Str(s.format.clone()));
             obj.insert("family".to_string(), Json::Str(s.family.clone()));
-            obj.insert("jobs".to_string(), Json::Num(s.jobs as f64));
             obj.insert("ns_per_synth".to_string(), Json::Num(s.ns_per_synth));
-            obj.insert("speedup".to_string(), Json::Num(s.speedup));
-            obj.insert("candidates".to_string(), Json::Num(s.candidates as f64));
             Json::Obj(obj)
         })
         .collect();
@@ -1002,10 +946,7 @@ mod tests {
         let synthesis = vec![SynthesisRecord {
             format: "ssn".to_string(),
             family: "pext".to_string(),
-            jobs: 4,
             ns_per_synth: 5_000.0,
-            speedup: 1.1,
-            candidates: 96,
         }];
         let mut metrics = sepe_obs::Snapshot::default();
         metrics.counters.insert("table_drain_ops".to_string(), 64);
@@ -1059,8 +1000,7 @@ mod tests {
         assert_eq!(synth.len(), 1);
         assert_eq!(synth[0].get("format").as_str(), Some("ssn"));
         assert_eq!(synth[0].get("family").as_str(), Some("pext"));
-        assert_eq!(synth[0].get("jobs").as_u64(), Some(4));
-        assert_eq!(synth[0].get("candidates").as_u64(), Some(96));
+        assert_eq!(synth[0].get("ns_per_synth").as_u64(), Some(5_000));
         let met = parsed.get("metrics");
         assert_eq!(met.get("schema").as_str(), Some("sepe-metrics/v1"));
         assert_eq!(
@@ -1101,13 +1041,10 @@ mod tests {
             max_chain: 3,
             escalation_us: 0.0,
         };
-        let mks = |family: &str, jobs: usize| SynthesisRecord {
-            format: "ssn".to_string(),
+        let mks = |format: &str, family: &str| SynthesisRecord {
+            format: format.to_string(),
             family: family.to_string(),
-            jobs,
             ns_per_synth: 100.0,
-            speedup: 1.0,
-            candidates: 8,
         };
         let metrics = sepe_obs::Snapshot::default();
         let forward = to_json(
@@ -1117,7 +1054,7 @@ mod tests {
             &[mkc(1), mkc(2), mkc(8)],
             &[mkr("inline"), mkr("supervised")],
             &[mka("benign"), mka("attack"), mka("escalated")],
-            &[mks("aes", 0), mks("aes", 1), mks("naive", 4)],
+            &[mks("ipv4", "aes"), mks("ssn", "aes"), mks("ssn", "naive")],
             &metrics,
         );
         let shuffled = to_json(
@@ -1127,7 +1064,7 @@ mod tests {
             &[mkc(8), mkc(1), mkc(2)],
             &[mkr("supervised"), mkr("inline")],
             &[mka("escalated"), mka("attack"), mka("benign")],
-            &[mks("naive", 4), mks("aes", 1), mks("aes", 0)],
+            &[mks("ssn", "naive"), mks("ssn", "aes"), mks("ipv4", "aes")],
             &metrics,
         );
         assert_eq!(
@@ -1173,29 +1110,14 @@ mod tests {
     }
 
     #[test]
-    fn synthesis_scenario_covers_every_family_and_thread_count() {
+    fn synthesis_scenario_covers_every_format_and_family() {
         let scale = tiny_scale();
         let mut config = BenchConfig::from_scale(&scale);
         config.samples = 1;
         let records = synthesis_records(&scale, &config);
-        // 4 threaded rows + 1 cache row per (format, family).
-        assert_eq!(records.len(), scale.formats.len() * Family::ALL.len() * 5);
+        assert_eq!(records.len(), scale.formats.len() * Family::ALL.len());
         for r in &records {
             assert!(r.ns_per_synth > 0.0 && r.ns_per_synth.is_finite(), "{r:?}");
-            assert!(r.speedup > 0.0, "{r:?}");
-        }
-        for family in Family::ALL {
-            let family = family.to_string().to_ascii_lowercase();
-            let cell: Vec<&SynthesisRecord> =
-                records.iter().filter(|r| r.family == family).collect();
-            let single = cell.iter().find(|r| r.jobs == 1).expect("jobs=1 row");
-            assert!((single.speedup - 1.0).abs() < f64::EPSILON, "{single:?}");
-            // Candidate counts are deterministic across thread counts.
-            for r in cell.iter().filter(|r| r.jobs > 0) {
-                assert_eq!(r.candidates, single.candidates, "{r:?}");
-            }
-            let cached = cell.iter().find(|r| r.jobs == 0).expect("cache row");
-            assert_eq!(cached.candidates, 0, "{cached:?}");
         }
     }
 

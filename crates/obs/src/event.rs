@@ -125,17 +125,14 @@ pub enum ObsEvent {
         /// Kind of transition.
         kind: TransitionKind,
     },
-    /// A synthesis search completed, with its search statistics.
+    /// A synthesis run completed, with its work counters.
     SynthSearch {
         /// Candidate positions the target scan expanded.
         nodes_expanded: u64,
         /// Candidate targets rejected as already covered.
         candidates_rejected: u64,
-        /// Total candidate covers scored by the search (identical for
-        /// sequential and parallel runs of the same pattern).
-        candidates_considered: u64,
-        /// Wall-clock time to the final plan, in milliseconds.
-        time_to_plan_ms: u64,
+        /// Wall-clock time to the final plan, in nanoseconds.
+        time_to_plan_ns: u64,
     },
 }
 
@@ -190,8 +187,7 @@ mod tests {
             ObsEvent::SynthSearch {
                 nodes_expanded: 1,
                 candidates_rejected: 0,
-                candidates_considered: 2,
-                time_to_plan_ms: 3,
+                time_to_plan_ns: 3,
             },
         ];
         let mut names: Vec<_> = events.iter().map(ObsEvent::name).collect();

@@ -53,11 +53,9 @@
 //!   typed error, invalid plan) against concurrent container traffic,
 //!   breaker discipline audits, and mock-clock transcript replay
 //!   equality;
-//! * [`synthesis`] — the search-equivalence suite: the parallel
-//!   candidate search must produce byte-identical plans (and identical
-//!   deterministic search statistics) to the sequential search at every
-//!   thread count, a cancelled mid-flight search must leave no poisoned
-//!   state, and a `PlanCache` hit must equal a fresh search.
+//! * [`synthesis`] — the minimality suite: every plan must be valid and
+//!   use exactly as many loads as an independent minimum-cover reference,
+//!   and a cancelled mid-flight synthesis must leave no poisoned state.
 //!
 //! [`Plan`]: sepe_core::synth::Plan
 

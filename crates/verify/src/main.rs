@@ -30,12 +30,10 @@
 //! and a concurrently hammered `ShardedMap`, asserting bounded chains
 //! after escalation, `Mutex<HashMap>`-twin agreement throughout, exact
 //! escalation/rotation/de-escalation counter transcripts, and that
-//! benign churn never escalates), `synthesis` (the search-equivalence
-//! suite: parallel candidate search vs. sequential over the seed corpus
-//! at 1/2/4/8 threads — or the single count pinned by `--jobs N` — with
-//! byte-identical plans and identical deterministic statistics required,
-//! plus cancel-mid-search poisoning checks and `PlanCache` hit/fresh
-//! equivalence), or `all` (default; faults, migration,
+//! benign churn never escalates), `synthesis` (the minimality suite:
+//! every plan over the seed corpus is valid and uses exactly as many
+//! loads as an independent minimum-cover reference, plus
+//! cancel-mid-synthesis poisoning checks), or `all` (default; faults, migration,
 //! concurrent, supervisor, adversarial and synthesis included). `--inject-faults`
 //! alone is a shorthand for `--suite faults`; combined with an explicit
 //! `--suite` it keeps that suite. Exits non-zero on the first failing
@@ -60,7 +58,6 @@ struct Options {
     seed: u64,
     suite: String,
     inject_faults: bool,
-    jobs: Option<usize>,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -71,7 +68,6 @@ fn parse_args() -> Result<Options, String> {
         seed: 0x5E9E,
         suite: "all".to_owned(),
         inject_faults: false,
-        jobs: None,
     };
     let mut suite_chosen = false;
     let mut inject_faults = false;
@@ -99,19 +95,11 @@ fn parse_args() -> Result<Options, String> {
                 suite_chosen = true;
             }
             "--inject-faults" => inject_faults = true,
-            "--jobs" => {
-                opts.jobs = Some(
-                    value("--jobs")?
-                        .parse()
-                        .map_err(|e| format!("--jobs: {e}"))?,
-                )
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: sepe-verify [--formats N] [--keys N] [--ops N] [--seed S] \
                      [--suite differential|batch|invariants|model|faults|migration|\
-                     concurrent|supervisor|adversarial|synthesis|all] [--inject-faults] \
-                     [--jobs N]"
+                     concurrent|supervisor|adversarial|synthesis|all] [--inject-faults]"
                 );
                 std::process::exit(0);
             }
@@ -699,46 +687,29 @@ fn run_adversarial(opts: &Options) -> Result<String, String> {
 fn run_synthesis(opts: &Options) -> Result<String, String> {
     let mut rng = SplitMix64::new(opts.seed ^ 0x5717);
     // The seed corpus: every paper-evaluated format plus seeded random
-    // ones, so the equivalence claim is checked over formats nobody
+    // ones, so the minimality claim is checked over formats nobody
     // hand-picked.
     let mut corpus = paper_patterns();
     for i in 0..(opts.formats / 10).max(4) {
         let format = RandomFormat::generate(&mut rng);
         corpus.push((format!("random format {i}"), format.pattern()));
     }
-    // `--jobs N` pins the sweep to one thread count (CI uses `--jobs 1`
-    // to keep the sequential path exercised); the default sweeps 1/2/4/8.
-    let jobs_list: Vec<usize> = match opts.jobs {
-        Some(jobs) => vec![jobs],
-        None => synthesis::DEFAULT_JOBS.to_vec(),
-    };
 
-    let mut compared = 0usize;
+    let mut checked = 0usize;
     for (name, pattern) in &corpus {
-        compared += synthesis::check_search_equivalence(name, pattern, &jobs_list)?;
+        checked += synthesis::check_minimal_cover(name, pattern)?;
     }
 
-    let cancel_jobs = opts.jobs.unwrap_or(4);
     let mut aborted = 0usize;
     for (name, pattern) in corpus.iter().take(6) {
-        aborted += synthesis::check_cancel_no_poison(name, pattern, cancel_jobs)?;
-    }
-
-    let cache = sepe_core::PlanCache::new(corpus.len() * Family::ALL.len());
-    let mut memoized = 0usize;
-    for (name, pattern) in &corpus {
-        memoized += synthesis::check_cache_equivalence(name, pattern, &cache)?;
+        aborted += synthesis::check_cancel_no_poison(name, pattern)?;
     }
 
     Ok(format!(
-        "{} patterns × {} families × jobs {jobs_list:?}: {compared} parallel plans \
-         byte-identical to sequential (stats included), {aborted} cancelled searches \
-         left no poisoned state, {memoized} memoized plans equal to fresh searches \
-         ({} cache hits, {} misses)",
+        "{} patterns × {} families: {checked} plans valid and exactly as short as the \
+         minimum cover, {aborted} cancelled syntheses left no poisoned state",
         corpus.len(),
         Family::ALL.len(),
-        cache.hits(),
-        cache.misses()
     ))
 }
 

@@ -185,7 +185,7 @@ fn scripted_runner(scripts: HashMap<u64, Vec<Fault>>, release: Arc<AtomicBool>) 
             Fault::Error => Err(SynthError::PlanMaskConstBits),
             Fault::InvalidPlan => Err(invalid_plan_error(req)),
             Fault::Success => {
-                let plan =
+                let (plan, _) =
                     sepe_core::synth::synthesize_with_cancel(&req.widened, req.family, token)?;
                 validate_plan(&plan)?;
                 Ok(SynthesizedHash::new(plan, req.family, req.isa).with_seed(req.seed))

@@ -1,106 +1,134 @@
-//! Search-equivalence checks for the parallel synthesis search.
+//! Minimality checks for the synthesizer's greedy word cover.
 //!
-//! The tentpole claim of the parallel search is *determinism*: because the
-//! winning candidate is selected under the `(cost, index)` total order,
-//! the plan is a pure function of the pattern and family — never of the
-//! thread count or the schedule. This module checks that claim the blunt
-//! way: run the sequential search, run the parallel search at several
-//! thread counts, and require byte-identical serialized plans plus
-//! identical deterministic search statistics. It also checks that a
-//! search cancelled mid-flight leaves no poisoned state (the next search
-//! over the same pattern still wins with the exact sequential plan), and
-//! that a [`PlanCache`] hit is indistinguishable from a fresh search.
+//! Synthesis places its loads in one greedy pass: a load over the first
+//! uncovered target byte, clamped to the region (DESIGN §17 argues this
+//! needs the fewest loads possible). This module checks that claim
+//! against an independent reference, [`min_cover_loads`]: a dynamic
+//! program that tries every clamped load covering the first uncovered
+//! target and keeps the cheapest continuation. Every plan must also pass
+//! `validate_plan` and cover every target byte. A second check cancels
+//! synthesis before and during a run and requires a typed error and no
+//! poisoned state.
 
-use sepe_core::cache::PlanCache;
 use sepe_core::pattern::KeyPattern;
-use sepe_core::plan_io::plan_to_string;
+use sepe_core::plan_io::{plan_to_string, validate_plan};
 use sepe_core::supervisor::CancelToken;
-use sepe_core::synth::{
-    synthesize, synthesize_parallel_with_cancel, synthesize_parallel_with_stats,
-    synthesize_with_stats, Family,
-};
+use sepe_core::synth::{synthesize, synthesize_with_cancel, Family, Plan};
 use sepe_core::SynthError;
 
-/// Thread counts the equivalence sweep runs at when the caller does not
-/// pin one with `--jobs`.
-pub const DEFAULT_JOBS: &[usize] = &[1, 2, 4, 8];
-
-/// Runs the sequential search once and the parallel search at every
-/// thread count in `jobs_list`, for every family, over one pattern.
-/// Returns the number of (family × jobs) plan comparisons performed.
+/// The fewest `width`-byte loads, each starting in `0..=region_len -
+/// width`, that cover every byte position in `targets` (sorted
+/// ascending, all below `region_len`).
 ///
-/// # Errors
+/// `best[i]` is the minimum for the suffix `targets[i..]`: some load must
+/// cover `targets[i]`, so try every start that does and continue from the
+/// first target that load leaves uncovered.
 ///
-/// Describes the first divergence: a plan whose serialized bytes differ
-/// from the sequential search's, or a deterministic statistic
-/// (`candidates_considered`, `nodes_expanded`, `candidates_rejected`,
-/// `work_units`) that depends on the schedule.
-pub fn check_search_equivalence(
-    name: &str,
-    pattern: &KeyPattern,
-    jobs_list: &[usize],
-) -> Result<usize, String> {
-    let mut compared = 0usize;
-    for family in Family::ALL {
-        let (seq_plan, seq_stats) = synthesize_with_stats(pattern, family);
-        let seq_bytes = plan_to_string(&seq_plan);
-        for &jobs in jobs_list {
-            let (par_plan, par_stats) = synthesize_parallel_with_stats(pattern, family, jobs);
-            let par_bytes = plan_to_string(&par_plan);
-            if par_bytes != seq_bytes {
-                return Err(format!(
-                    "{name} {family} jobs={jobs}: parallel plan diverged from sequential\n\
-                     sequential: {seq_bytes}\n\
-                     parallel:   {par_bytes}"
-                ));
-            }
-            for (stat, seq, par) in [
-                (
-                    "candidates_considered",
-                    seq_stats.candidates_considered,
-                    par_stats.candidates_considered,
-                ),
-                (
-                    "nodes_expanded",
-                    seq_stats.nodes_expanded,
-                    par_stats.nodes_expanded,
-                ),
-                (
-                    "candidates_rejected",
-                    seq_stats.candidates_rejected,
-                    par_stats.candidates_rejected,
-                ),
-                ("work_units", seq_stats.work_units, par_stats.work_units),
-            ] {
-                if seq != par {
-                    return Err(format!(
-                        "{name} {family} jobs={jobs}: {stat} diverged \
-                         (sequential {seq}, parallel {par})"
-                    ));
-                }
-            }
-            compared += 1;
-        }
+/// # Panics
+///
+/// Panics if `region_len < width`.
+#[must_use]
+pub fn min_cover_loads(targets: &[usize], region_len: usize, width: usize) -> usize {
+    assert!(region_len >= width, "no load fits in the region");
+    let mut best = vec![0usize; targets.len() + 1];
+    for i in (0..targets.len()).rev() {
+        let t = targets[i];
+        best[i] = (t.saturating_sub(width - 1)..=t.min(region_len - width))
+            .map(|start| best[targets.partition_point(|&u| u < start + width)])
+            .min()
+            .expect("some start covers the target")
+            + 1;
     }
-    Ok(compared)
+    best[0]
 }
 
-/// Cancels parallel searches both before entry and from a racing thread
-/// mid-flight, then requires a fresh search over the same pattern to
-/// still produce the exact sequential plan — an aborted search must
-/// leave no poisoned state behind. Returns the number of cancelled (or
-/// raced) runs.
+/// Load width, covered region, and target bytes of a `family` plan for
+/// `pattern` — the instance synthesis covers. `None` when synthesis places
+/// no loads: an STL fallback, a mandatory prefix shorter than one load, or
+/// an AES key short enough to be replicated into one block.
+fn cover_instance(pattern: &KeyPattern, family: Family) -> Option<(usize, usize, Vec<usize>)> {
+    let width = if family == Family::Aes { 16 } else { 8 };
+    let region_len = if pattern.is_fixed_len() {
+        pattern.max_len()
+    } else {
+        pattern.min_len()
+    };
+    if pattern.max_len() < 8 || region_len < width {
+        return None;
+    }
+    let targets = (0..region_len)
+        .filter(|&i| family == Family::Naive || !pattern.bytes()[i].is_const())
+        .collect();
+    Some((width, region_len, targets))
+}
+
+/// The load offsets of a plan (word or block loads; none for a fallback).
+fn load_offsets(plan: &Plan) -> Vec<usize> {
+    match plan {
+        Plan::FixedWords { ops, .. } | Plan::VarWords { ops, .. } => {
+            ops.iter().map(|op| op.offset as usize).collect()
+        }
+        Plan::FixedBlocks { offsets, .. } | Plan::VarBlocks { offsets, .. } => {
+            offsets.iter().map(|&o| o as usize).collect()
+        }
+        Plan::StlFallback => Vec::new(),
+    }
+}
+
+/// Synthesizes every family for `pattern` and requires each plan to pass
+/// `validate_plan`, to cover every target byte, and to use exactly
+/// [`min_cover_loads`] loads. Returns the number of plans checked.
 ///
 /// # Errors
 ///
-/// Reports a pre-cancelled search that did not return
-/// [`SynthError::Cancelled`], a raced search that returned any error
-/// other than `Cancelled`, or a post-abort search whose plan diverged.
-pub fn check_cancel_no_poison(
-    name: &str,
-    pattern: &KeyPattern,
-    jobs: usize,
-) -> Result<usize, String> {
+/// Describes the first plan that is invalid, misses a target byte, or
+/// uses a different number of loads than the minimum cover.
+pub fn check_minimal_cover(name: &str, pattern: &KeyPattern) -> Result<usize, String> {
+    for family in Family::ALL {
+        let plan = synthesize(pattern, family);
+        validate_plan(&plan).map_err(|e| format!("{name} {family}: invalid plan: {e}"))?;
+        let offsets = load_offsets(&plan);
+        let Some((width, region_len, targets)) = cover_instance(pattern, family) else {
+            if !offsets.is_empty() {
+                return Err(format!(
+                    "{name} {family}: {} loads where synthesis places none",
+                    offsets.len()
+                ));
+            }
+            continue;
+        };
+        if let Some(t) = targets
+            .iter()
+            .find(|&&t| !offsets.iter().any(|&o| o <= t && t < o + width))
+        {
+            return Err(format!(
+                "{name} {family}: target byte {t} is not covered by {}",
+                plan_to_string(&plan)
+            ));
+        }
+        let minimum = min_cover_loads(&targets, region_len, width);
+        if offsets.len() != minimum {
+            return Err(format!(
+                "{name} {family}: {} loads, but {minimum} suffice\nplan: {}",
+                offsets.len(),
+                plan_to_string(&plan)
+            ));
+        }
+    }
+    Ok(Family::ALL.len())
+}
+
+/// Cancels syntheses both before entry and from a racing thread
+/// mid-flight, then requires a fresh synthesis over the same pattern to
+/// still produce the exact plan of [`synthesize`] — an aborted run must
+/// leave no poisoned state behind. Returns the number of cancelled runs.
+///
+/// # Errors
+///
+/// Reports a pre-cancelled run that did not return
+/// [`SynthError::Cancelled`], a raced run that returned any error other
+/// than `Cancelled`, or a post-abort run whose plan diverged.
+pub fn check_cancel_no_poison(name: &str, pattern: &KeyPattern) -> Result<usize, String> {
     let mut aborted = 0usize;
     for family in Family::ALL {
         let expected = plan_to_string(&synthesize(pattern, family));
@@ -108,106 +136,58 @@ pub fn check_cancel_no_poison(
         // Cancellation observed at entry: typed error, nothing else.
         let token = CancelToken::unbounded();
         token.cancel();
-        match synthesize_parallel_with_cancel(pattern, family, jobs, &token) {
+        match synthesize_with_cancel(pattern, family, &token) {
             Err(SynthError::Cancelled) => aborted += 1,
             Ok(_) => {
                 return Err(format!(
-                    "{name} {family}: pre-cancelled search returned a plan"
+                    "{name} {family}: pre-cancelled synthesis returned a plan"
                 ))
             }
             Err(e) => {
                 return Err(format!(
-                    "{name} {family}: pre-cancelled search returned {e} instead of Cancelled"
+                    "{name} {family}: pre-cancelled synthesis returned {e} instead of Cancelled"
                 ))
             }
         }
 
-        // A racing cancel: the search either finishes first (and must
-        // match the sequential plan) or observes the cancel (and must
-        // report it as the typed error). Either way the *next* search
-        // must be pristine.
+        // A racing cancel: the run either finishes first (and must match
+        // the plain plan) or observes the cancel (and must report it as
+        // the typed error). Either way the *next* run must be pristine.
         let token = CancelToken::unbounded();
         let racer = {
             let token = token.clone();
             std::thread::spawn(move || token.cancel())
         };
-        let raced = synthesize_parallel_with_cancel(pattern, family, jobs, &token);
+        let raced = synthesize_with_cancel(pattern, family, &token);
         racer.join().map_err(|_| "cancel racer panicked")?;
         match raced {
-            Ok(plan) => {
+            Ok((plan, _)) => {
                 if plan_to_string(&plan) != expected {
                     return Err(format!(
-                        "{name} {family}: race-completed plan diverged from sequential"
+                        "{name} {family}: race-completed plan diverged from synthesize"
                     ));
                 }
             }
             Err(SynthError::Cancelled) => aborted += 1,
             Err(e) => {
                 return Err(format!(
-                    "{name} {family}: raced search failed with {e} instead of Cancelled"
+                    "{name} {family}: raced synthesis failed with {e} instead of Cancelled"
                 ))
             }
         }
 
-        // No poisoned state: a fresh search still wins with the exact
-        // sequential plan and a fresh token.
+        // No poisoned state: a fresh run with a fresh token still returns
+        // the exact plan.
         let token = CancelToken::unbounded();
-        let fresh = synthesize_parallel_with_cancel(pattern, family, jobs, &token)
-            .map_err(|e| format!("{name} {family}: post-abort search failed: {e}"))?;
+        let (fresh, _) = synthesize_with_cancel(pattern, family, &token)
+            .map_err(|e| format!("{name} {family}: post-abort synthesis failed: {e}"))?;
         if plan_to_string(&fresh) != expected {
             return Err(format!(
-                "{name} {family}: post-abort search diverged from sequential"
+                "{name} {family}: post-abort synthesis diverged from synthesize"
             ));
         }
     }
     Ok(aborted)
-}
-
-/// Feeds a pattern through a [`PlanCache`] and requires the memoized
-/// plan to serialize identically to a fresh sequential search, with the
-/// hit/miss counters advancing exactly as the probe sequence dictates.
-/// Returns the number of verified cache hits.
-///
-/// # Errors
-///
-/// Reports an unexpected cold-cache hit, a memoized plan that diverged
-/// from a fresh search, or counters that disagree with the probe
-/// sequence.
-pub fn check_cache_equivalence(
-    name: &str,
-    pattern: &KeyPattern,
-    cache: &PlanCache,
-) -> Result<usize, String> {
-    let mut hits = 0usize;
-    for family in Family::ALL {
-        let fresh = synthesize(pattern, family);
-        if let Some(stale) = cache.lookup(pattern, family) {
-            // A prior pattern with the same fingerprint would be a
-            // fingerprint collision — surface it instead of masking it.
-            if plan_to_string(&stale) != plan_to_string(&fresh) {
-                return Err(format!(
-                    "{name} {family}: cold lookup returned a different pattern's plan \
-                     (fingerprint collision?)"
-                ));
-            }
-            continue;
-        }
-        cache.insert(pattern, family, fresh.clone());
-        let Some(memoized) = cache.lookup(pattern, family) else {
-            return Err(format!("{name} {family}: plan vanished after insert"));
-        };
-        if plan_to_string(&memoized) != plan_to_string(&fresh) {
-            return Err(format!(
-                "{name} {family}: memoized plan diverged from a fresh search\n\
-                 fresh:    {}\n\
-                 memoized: {}",
-                plan_to_string(&fresh),
-                plan_to_string(&memoized)
-            ));
-        }
-        hits += 1;
-    }
-    Ok(hits)
 }
 
 #[cfg(test)]
@@ -220,31 +200,39 @@ mod tests {
     }
 
     #[test]
-    fn equivalence_holds_for_the_ssn_pattern() {
-        let p = pattern(r"[0-9]{3}-[0-9]{2}-[0-9]{4}");
-        let compared =
-            check_search_equivalence("ssn", &p, DEFAULT_JOBS).expect("equivalence holds");
-        assert_eq!(compared, Family::ALL.len() * DEFAULT_JOBS.len());
+    fn min_cover_counts_clamped_loads() {
+        // 20 bytes: 0..8, 8..16, and a clamped 12..20.
+        let all: Vec<usize> = (0..20).collect();
+        assert_eq!(min_cover_loads(&all, 20, 8), 3);
+        // Two targets one load apart share a load.
+        assert_eq!(min_cover_loads(&[0, 7], 16, 8), 1);
+        assert_eq!(min_cover_loads(&[0, 8], 16, 8), 2);
+        // Gaps cost nothing: 0..8 takes 0 and 5, 9..17 takes 9 and 14,
+        // and 23 and 31 are a full load apart.
+        assert_eq!(min_cover_loads(&[0, 5, 9, 14, 23, 31], 40, 8), 4);
+        assert_eq!(min_cover_loads(&[], 40, 8), 0);
+    }
+
+    #[test]
+    fn paper_style_plans_are_minimal() {
+        for re in [
+            r"[0-9]{3}-[0-9]{2}-[0-9]{4}",
+            r"[0-9]{100}",
+            r"https://www\.[a-z]{8}\.com/[a-z0-9]{12}",
+            r"key_[0-9]{4,16}",
+            r"\d{4}",
+        ] {
+            let checked = check_minimal_cover(re, &pattern(re)).expect("minimal cover");
+            assert_eq!(checked, Family::ALL.len());
+        }
     }
 
     #[test]
     fn cancel_checks_pass_for_a_deep_pattern() {
         let p = pattern(r"[0-9]{100}");
-        let aborted = check_cancel_no_poison("ints", &p, 4).expect("no poisoned state");
+        let aborted = check_cancel_no_poison("ints", &p).expect("no poisoned state");
         // The pre-cancelled run always aborts; the raced one may or may
         // not, so the floor is one abort per family.
         assert!(aborted >= Family::ALL.len());
-    }
-
-    #[test]
-    fn cache_round_trip_matches_fresh_search() {
-        let cache = PlanCache::new(16);
-        let p = pattern(r"[0-9]{20}");
-        let hits = check_cache_equivalence("ints20", &p, &cache).expect("cache agrees");
-        assert_eq!(hits, Family::ALL.len());
-        // A second pass over the same pattern hits the memoized entries.
-        let rehits = check_cache_equivalence("ints20", &p, &cache).expect("cache still agrees");
-        assert_eq!(rehits, 0, "already memoized");
-        assert!(cache.hits() >= Family::ALL.len() as u64);
     }
 }
