@@ -215,6 +215,15 @@ where
         self.table.max_bucket_len()
     }
 
+    /// Upper bound on [`UnorderedMap::max_bucket_len`] that the table
+    /// keeps from its inserts, or `None` while unknown: after a rehash,
+    /// and from the opening of a migration epoch until the first exact
+    /// count after it drains. The storm detector's ticks read it instead
+    /// of walking every chain whenever it is too short to look skewed.
+    pub fn chain_bound(&self) -> Option<usize> {
+        self.table.chain_bound()
+    }
+
     /// Current load factor.
     pub fn load_factor(&self) -> f64 {
         self.table.load_factor()
@@ -539,7 +548,7 @@ where
     /// [`UnorderedMap::maybe_degrade`]; the streak state makes the cadence
     /// itself part of the hysteresis.
     pub fn maybe_escalate(&mut self, policy: &AttackPolicy, seeds: &impl SeedSource) -> bool {
-        let signals = self.attack_signals();
+        let signals = self.judged_signals(policy);
         if !policy.storm(&signals) {
             self.attack.storm_streak = 0;
             return false;
@@ -563,7 +572,7 @@ where
         if self.guard_mode() == GuardMode::Guarded {
             return false;
         }
-        if policy.storm(&self.attack_signals()) {
+        if policy.storm(&self.judged_signals(policy)) {
             self.attack.quiet_streak = 0;
             return false;
         }
@@ -580,8 +589,13 @@ where
         true
     }
 
-    /// The detector's view of the table right now. Public so harnesses
-    /// and benchmarks can log exactly what the policy judged.
+    /// The detector's view of the table right now, with the longest chain
+    /// counted exactly. Public so harnesses and benchmarks can log what
+    /// the policy judges: [`UnorderedMap::maybe_escalate`] and
+    /// [`UnorderedMap::maybe_deescalate`] read the same signals, except
+    /// that they take the table's O(1) chain bound in place of the
+    /// O(buckets + len) walk whenever that bound cannot trip
+    /// [`AttackPolicy::chain_skewed`] — the same verdict either way.
     ///
     /// Takes `&mut self` because reading the probe tail advances the
     /// per-tick histogram window: `probe_p99` covers the probes since the
@@ -589,6 +603,19 @@ where
     /// The probe window is recorded in every build, so `obs`-off builds
     /// judge the same signals and take the same transitions.
     pub fn attack_signals(&mut self) -> AttackSignals {
+        self.signals_with(|_| true)
+    }
+
+    /// The signals `policy` judges on a tick: exact unless the chain
+    /// bound proves the skew test false (see [`UnorderedMap::attack_signals`]).
+    fn judged_signals(&mut self, policy: &AttackPolicy) -> AttackSignals {
+        let (len, buckets) = (self.len(), self.bucket_count());
+        self.signals_with(|max| policy.chain_skewed(max, len, buckets))
+    }
+
+    /// One signal snapshot; walks the chains when `could_trip` holds for
+    /// the chain bound (see [`RawTable::longest_chain`]).
+    fn signals_with(&mut self, could_trip: impl Fn(usize) -> bool) -> AttackSignals {
         let (window_off, window_total) = self.drift_stats().window_counts();
         let counts = self.table.obs().probe_len.bucket_counts();
         let probe_p99 = windowed_quantile(&self.attack.probe_baseline, &counts, 0.99);
@@ -600,7 +627,7 @@ where
                 .store(p, std::sync::atomic::Ordering::Relaxed);
         }
         AttackSignals {
-            max_bucket_len: self.table.max_bucket_len(),
+            max_bucket_len: self.table.longest_chain(could_trip),
             len: self.len(),
             bucket_count: self.bucket_count(),
             window_off,
@@ -1402,5 +1429,71 @@ mod tests {
         assert!(escalated, "the probe tail tripped the detector");
         assert_eq!(m.guard_mode(), GuardMode::Keyed);
         assert_eq!(m.escalations(), 1);
+    }
+
+    #[test]
+    fn calm_ticks_read_the_chain_bound_and_floods_trip_on_schedule() {
+        let mut m = guarded_ssn_map(sepe_core::Family::OffXor);
+        let seeds = sepe_core::hash::keyed::FixedSeedSource::new(7);
+        let policy = AttackPolicy::default();
+        let ssn = |i: u32| format!("{:03}-{:02}-{:04}", i % 1000, i % 100, i);
+        m.reserve(4_200);
+        for i in 0..4_096u32 {
+            m.insert(ssn(i), i);
+        }
+        let buckets = m.bucket_count();
+        // The first tick counts the chains; every later one reads the
+        // bound, which the churn between ticks keeps an upper bound.
+        for tick in 0..100u32 {
+            assert!(!m.maybe_escalate(&policy, &seeds), "calm tick {tick}");
+            let bound = m.chain_bound().expect("known while no epoch is open");
+            assert!(bound < policy.min_chain, "tick {tick}: bound {bound}");
+            assert!(bound >= m.max_bucket_len(), "tick {tick}: bound {bound}");
+            m.remove(&ssn(tick));
+            m.insert(ssn(4_096 + tick), tick);
+        }
+        assert_eq!(m.bucket_count(), buckets, "no rehash reset the bound");
+
+        let target = m.hash_of(b"flood target") % buckets as u64;
+        let flood: Vec<String> = (0u64..)
+            .map(|i| format!("atk-{i:016x}"))
+            .filter(|k| m.hash_of(k.as_bytes()) % buckets as u64 == target)
+            .take(64)
+            .collect();
+        for key in &flood {
+            m.insert(key.clone(), 0);
+        }
+        assert!(m.chain_bound() >= Some(64), "the inserts raised the bound");
+        assert!(!m.maybe_escalate(&policy, &seeds), "first stormy tick arms");
+        // Removing the flood leaves a stale bound; one walk resets it.
+        for key in &flood {
+            m.remove(key);
+        }
+        assert!(m.chain_bound() >= Some(64), "removals leave the bound");
+        assert!(!m.maybe_escalate(&policy, &seeds), "calm again");
+        assert_eq!(m.chain_bound(), Some(m.max_bucket_len()));
+
+        // A flood landing between two ticks trips on the second one, as
+        // it did when every tick walked the table.
+        for key in &flood {
+            m.insert(key.clone(), 0);
+        }
+        assert!(!m.maybe_escalate(&policy, &seeds));
+        assert!(m.maybe_escalate(&policy, &seeds));
+        assert_eq!(m.guard_mode(), GuardMode::Degraded);
+        assert_eq!(m.chain_bound(), None, "an open epoch forgets the bound");
+
+        // The flood leaves; de-escalation follows after `quiet_streak`.
+        for key in &flood {
+            m.remove(key);
+        }
+        m.finish_migration();
+        for tick in 1..policy.quiet_streak {
+            assert!(!m.maybe_deescalate(&policy), "quiet tick {tick}");
+            assert_eq!(m.chain_bound(), Some(m.max_bucket_len()));
+        }
+        assert!(m.maybe_deescalate(&policy));
+        assert_eq!(m.guard_mode(), GuardMode::Guarded);
+        assert_eq!((m.escalations(), m.deescalations()), (1, 1));
     }
 }

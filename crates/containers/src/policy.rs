@@ -126,9 +126,15 @@ impl DriftPolicy {
 /// from [`sepe_core::guard::GuardStats`], and the p99 of the probe-length
 /// histogram's window since the previous observation (recorded in every
 /// build). [`AttackPolicy::storm`] is a pure function of one such snapshot.
+///
+/// A snapshot from `UnorderedMap::attack_signals` is exact. The maps'
+/// own ticks judge a cheaper one: while the table's insert-time chain
+/// bound fails [`AttackPolicy::chain_skewed`], `max_bucket_len` holds
+/// that bound instead of a walked count, which yields the same verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AttackSignals {
-    /// Length of the longest live bucket chain.
+    /// Length of the longest live bucket chain (exact, or an upper bound
+    /// that is not skewed — see above).
     pub max_bucket_len: usize,
     /// Number of entries in the table.
     pub len: usize,
@@ -226,13 +232,34 @@ impl AttackPolicy {
         if signals.len < self.min_len.max(1) || signals.bucket_count == 0 {
             return false;
         }
-        let expected = (signals.len as f64 / signals.bucket_count as f64).max(1.0);
-        let skewed = signals.max_bucket_len >= self.min_chain
-            && signals.max_bucket_len as f64 >= self.skew_factor * expected;
         let heavy_tail = signals
             .probe_p99
             .is_some_and(|p99| p99 > self.probe_p99_limit);
-        skewed || heavy_tail
+        self.chain_skewed(signals.max_bucket_len, signals.len, signals.bucket_count) || heavy_tail
+    }
+
+    /// The occupancy-skew half of [`AttackPolicy::storm`]: whether a
+    /// longest chain of `max` entries in a table of `len` entries over
+    /// `buckets` buckets counts as an attack. Monotone in `max` — a longer
+    /// chain is never less skewed — so a table that knows only an upper
+    /// bound on its longest chain can skip the exact count whenever the
+    /// bound itself is not skewed.
+    ///
+    /// ```
+    /// use sepe_containers::AttackPolicy;
+    ///
+    /// let policy = AttackPolicy::default();
+    /// assert!(!policy.chain_skewed(31, 1000, 100_000)); // under min_chain
+    /// assert!(policy.chain_skewed(32, 1000, 100_000));
+    /// assert!(!policy.chain_skewed(64, 64, 97)); // under min_len
+    /// ```
+    #[must_use]
+    pub fn chain_skewed(&self, max: usize, len: usize, buckets: usize) -> bool {
+        if len < self.min_len.max(1) || buckets == 0 {
+            return false;
+        }
+        let expected = (len as f64 / buckets as f64).max(1.0);
+        max >= self.min_chain && max as f64 >= self.skew_factor * expected
     }
 }
 

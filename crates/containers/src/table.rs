@@ -224,6 +224,12 @@ pub(crate) struct RawTable<K, V, H> {
     policy: BucketPolicy,
     max_load_factor: f64,
     migration: Option<Migration<H>>,
+    /// Upper bound on the longest live-epoch chain, `None` when unknown.
+    /// Inserts of new keys raise it from the chain their miss just walked;
+    /// removals leave it standing (still a bound); anything that relinks
+    /// chains without probing them forgets it until
+    /// [`RawTable::longest_chain`] walks the table again.
+    chain_bound: Option<usize>,
     stale_reads: StaleReads,
     obs: TableObs,
 }
@@ -243,6 +249,7 @@ where
             policy,
             max_load_factor: 1.0,
             migration: None,
+            chain_bound: Some(0),
             stale_reads: StaleReads::default(),
             obs: TableObs::default(),
         }
@@ -272,6 +279,8 @@ where
     /// already in flight is drained first, with *its* stored rehasher, so
     /// stacked degrade/resynthesize transitions never mix plans.
     pub(crate) fn begin_migration(&mut self, old_hasher: H, rehasher: H) {
+        // Draining relinks entries into live chains without probing them.
+        self.chain_bound = None;
         self.finish_migration();
         if self.len == 0 {
             return;
@@ -499,6 +508,14 @@ where
     /// window, which a few lost observations do not move.
     #[inline]
     pub(crate) fn find_hashed(&self, hash: u64, key_bytes: &[u8]) -> Option<u32> {
+        self.find_probed(hash, key_bytes).0
+    }
+
+    /// [`RawTable::find_hashed`] that also returns how many live-epoch
+    /// entries it examined: on a miss, the length of the live chain a new
+    /// entry for `key_bytes` would join.
+    #[inline]
+    fn find_probed(&self, hash: u64, key_bytes: &[u8]) -> (Option<u32>, usize) {
         if self.migration.is_some() {
             self.stale_reads.record();
             if sepe_obs::enabled() {
@@ -506,31 +523,41 @@ where
             }
         }
         let mut probes = 0u64;
-        let found = self
-            .find_in_chain(
-                self.heads[self.bucket_of(hash)],
-                hash,
-                key_bytes,
-                &mut probes,
-            )
-            .or_else(|| {
-                let (head, old_hash) = self.old_epoch_probe(key_bytes)?;
-                self.find_in_chain(head, old_hash, key_bytes, &mut probes)
-            });
+        let found = self.find_in_chain(
+            self.heads[self.bucket_of(hash)],
+            hash,
+            key_bytes,
+            &mut probes,
+        );
+        let live = probes as usize;
+        let found = found.or_else(|| {
+            let (head, old_hash) = self.old_epoch_probe(key_bytes)?;
+            self.find_in_chain(head, old_hash, key_bytes, &mut probes)
+        });
         self.obs.probe_len.observe_single_writer(probes);
-        found
+        (found, live)
+    }
+
+    /// Raises the chain bound to cover a live chain of `len` entries.
+    #[inline]
+    fn note_chain(&mut self, len: usize) {
+        if let Some(bound) = &mut self.chain_bound {
+            *bound = (*bound).max(len);
+        }
     }
 
     /// [`RawTable::insert_unique`] with the hash already computed. The
     /// caller must have computed `hash` with this table's hasher.
     pub(crate) fn insert_unique_hashed(&mut self, hash: u64, key: K, value: V) -> Option<V> {
         self.migrate(MIGRATE_STRIDE);
-        if let Some(idx) = self.find_hashed(hash, key.as_ref()) {
+        let (found, chain) = self.find_probed(hash, key.as_ref());
+        if let Some(idx) = found {
             let slot = &mut self.get_kv_mut(idx).1;
             return Some(std::mem::replace(slot, value));
         }
         self.reserve_one();
         self.link_new(hash, key, value);
+        self.note_chain(chain + 1);
         None
     }
 
@@ -558,21 +585,33 @@ where
     /// Inserts without checking for an existing equal key (multimap
     /// semantics).
     pub(crate) fn insert_multi(&mut self, key: K, value: V) {
-        self.migrate(MIGRATE_STRIDE);
-        self.reserve_one();
-        let hash = self.hash_of(key.as_ref());
-        self.link_new(hash, key, value);
+        // No probe, so no chain length to bound with.
+        self.chain_bound = None;
+        self.link_unprobed(key, value);
     }
 
     /// Map semantics: replaces the value of an existing equal key.
     pub(crate) fn insert_unique(&mut self, key: K, value: V) -> Option<V> {
         self.migrate(MIGRATE_STRIDE);
-        if let Some(idx) = self.find(&key) {
+        let bytes = key.as_ref();
+        let (found, chain) = self.find_probed(self.hash_of(bytes), bytes);
+        if let Some(idx) = found {
             let slot = &mut self.get_kv_mut(idx).1;
             return Some(std::mem::replace(slot, value));
         }
-        self.insert_multi(key, value);
+        // Links into the chain the miss just walked: the key hashes the
+        // same, and a rehash in between forgets the bound anyway.
+        self.link_unprobed(key, value);
+        self.note_chain(chain + 1);
         None
+    }
+
+    /// The body of [`RawTable::insert_multi`]: drain, grow, hash, link.
+    fn link_unprobed(&mut self, key: K, value: V) {
+        self.migrate(MIGRATE_STRIDE);
+        self.reserve_one();
+        let hash = self.hash_of(key.as_ref());
+        self.link_new(hash, key, value);
     }
 
     fn reserve_one(&mut self) {
@@ -746,10 +785,12 @@ where
             self.obs.epochs_finished.inc();
         }
         self.migration = None;
+        self.chain_bound = Some(0);
         self.stale_reads.reset();
     }
 
     pub(crate) fn rehash(&mut self, bucket_count: usize) {
+        self.chain_bound = None;
         let bucket_count = bucket_count.max(1);
         if self.migration.is_some() {
             // Old-epoch entries keep their old-plan hashes, so a full-arena
@@ -821,6 +862,30 @@ where
             .map(|i| self.bucket_len(i))
             .max()
             .unwrap_or(0)
+    }
+
+    /// The longest live chain as the storm detector needs it: the O(1)
+    /// chain bound while it is known and `could_trip(bound)` is false,
+    /// otherwise the exact [`RawTable::max_bucket_len`] walk, whose result
+    /// becomes the new bound when no epoch is open (a draining epoch grows
+    /// live chains unprobed). `could_trip` must be monotone in the chain
+    /// length, so a bound that cannot trip means the exact length cannot.
+    pub(crate) fn longest_chain(&mut self, could_trip: impl Fn(usize) -> bool) -> usize {
+        if let Some(bound) = self.chain_bound {
+            if !could_trip(bound) {
+                return bound;
+            }
+        }
+        let exact = self.max_bucket_len();
+        if self.migration.is_none() {
+            self.chain_bound = Some(exact);
+        }
+        exact
+    }
+
+    /// The current chain bound (`None` when unknown).
+    pub(crate) fn chain_bound(&self) -> Option<usize> {
+        self.chain_bound
     }
 
     /// Σ over buckets of `max(0, bucket_len - 1)` — the bucket-collision

@@ -1,16 +1,18 @@
 //! Property-based pins for the collision-storm detector's hysteresis:
 //! benign keygen workloads never escalate under the production
-//! [`AttackPolicy`], and a full escalation → de-escalation round trip
-//! restores the specialized hasher with contents and counters intact.
+//! [`AttackPolicy`], a full escalation → de-escalation round trip
+//! restores the specialized hasher with contents and counters intact, and
+//! the chain bound the detector's ticks read in place of a full walk never
+//! changes a decision.
 
 use proptest::prelude::*;
 use sepe_containers::{AttackPolicy, UnorderedMap};
 use sepe_core::guard::{GuardMode, GuardedHash};
-use sepe_core::hash::FixedSeedSource;
+use sepe_core::hash::{ByteHash, FixedSeedSource};
 use sepe_core::regex::Regex;
 use sepe_core::synth::Family;
 use sepe_keygen::{Distribution, KeyFormat, KeySampler};
-use sepe_verify::adversarial;
+use sepe_verify::{adversarial, attacker};
 
 use std::collections::HashMap;
 
@@ -111,5 +113,163 @@ proptest! {
             (3, 1, 1),
             "counters must match the transcript"
         );
+    }
+}
+
+/// The chain-bound invariants after one step: a known bound is at least
+/// the walked longest chain, and every policy's skew verdict as a tick
+/// judges it (the bound when that is not skewed, else the walk) equals the
+/// verdict on the walk.
+fn check_chain_bound<H: ByteHash>(
+    map: &UnorderedMap<Vec<u8>, u64, H>,
+    policies: &[AttackPolicy],
+    step: usize,
+) -> Result<(), TestCaseError> {
+    let exact = map.max_bucket_len();
+    let (len, buckets) = (map.len(), map.bucket_count());
+    let bound = map.chain_bound();
+    if let Some(b) = bound {
+        prop_assert!(b >= exact, "step {step}: bound {b} below the walk {exact}");
+    }
+    for policy in policies {
+        let walked = policy.chain_skewed(exact, len, buckets);
+        let judged = match bound {
+            Some(b) if !policy.chain_skewed(b, len, buckets) => false,
+            _ => walked,
+        };
+        prop_assert_eq!(
+            judged,
+            walked,
+            "step {step}: {policy:?} bound {bound:?} walk {exact}"
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random op sequences over a guarded map — new and existing inserts,
+    /// removes, batches, reserves that rehash, forced transitions that
+    /// open epochs, drains, clears, 64-key bucket floods (some removed
+    /// again before the next tick) and detector ticks — keep the chain
+    /// bound sound after every step. A twin that
+    /// receives the same ops but forgets its bound before every tick (so
+    /// each tick walks, as before the bound existed) must take exactly the
+    /// same transitions. The twin's ticks ignore the probe tail, which a
+    /// relinked chain order can shift; the skew half is what the bound
+    /// replaces.
+    #[test]
+    fn chain_bound_never_changes_a_detector_decision(
+        seed in any::<u64>(),
+        ops in prop::collection::vec((0u8..16, any::<u64>()), 1..160),
+    ) {
+        let (format, dist, family) = cell(seed);
+        let pattern = Regex::compile(&format.regex()).expect("evaluated formats compile");
+        let pool = keygen_pool(format, dist, seed, 300);
+        let build = || {
+            let hasher = GuardedHash::from_pattern(&pattern, family, sepe_baselines::CityHash::new());
+            UnorderedMap::<Vec<u8>, u64, _>::with_hasher(hasher)
+        };
+        let (mut map, mut twin) = (build(), build());
+        // Room for the pool and a few floods, so growth rarely forgets the
+        // bound and ticks often judge a known one.
+        map.reserve(pool.len() + 4 * 64);
+        twin.reserve(pool.len() + 4 * 64);
+        let (map_seeds, twin_seeds) = (FixedSeedSource::new(seed | 1), FixedSeedSource::new(seed | 1));
+        let random = AttackPolicy {
+            skew_factor: 1.0 + (seed >> 8) as f64 % 16.0,
+            min_chain: 1 + (seed >> 16) as usize % 48,
+            min_len: (seed >> 24) as usize % 300,
+            trip_streak: 1 + (seed >> 32) as u32 % 3,
+            quiet_streak: 1 + (seed >> 40) as u32 % 4,
+            ..AttackPolicy::default()
+        };
+        let policies = [AttackPolicy::default(), random];
+        let tick_policy = AttackPolicy {
+            probe_p99_limit: u64::MAX,
+            ..policies[(seed & 1) as usize]
+        };
+        let mut flooded: Vec<Vec<u8>> = Vec::new();
+        for (step, &(op, arg)) in ops.iter().enumerate() {
+            let key = |arg: u64| pool[(arg % pool.len() as u64) as usize].clone();
+            match op {
+                0..=4 => {
+                    prop_assert_eq!(map.insert(key(arg), arg), twin.insert(key(arg), arg));
+                }
+                5 | 6 => {
+                    let k = if arg & 1 == 1 && !flooded.is_empty() {
+                        flooded[(arg as usize >> 1) % flooded.len()].clone()
+                    } else {
+                        key(arg)
+                    };
+                    prop_assert_eq!(map.remove(&k), twin.remove(&k));
+                }
+                7 => {
+                    let pairs: Vec<(Vec<u8>, u64)> =
+                        (0..arg % 16 + 1).map(|i| (key(arg.wrapping_add(i)), i)).collect();
+                    prop_assert_eq!(map.insert_batch(pairs.clone()), twin.insert_batch(pairs));
+                }
+                8 => {
+                    map.reserve((arg % 600) as usize);
+                    twin.reserve((arg % 600) as usize);
+                }
+                9 if arg & 1 == 0 => {
+                    map.degrade_now();
+                    twin.degrade_now();
+                }
+                9 => {
+                    map.escalate_now(&map_seeds);
+                    twin.escalate_now(&twin_seeds);
+                }
+                10 => {
+                    map.migrate((arg % 64) as usize);
+                    twin.migrate((arg % 64) as usize);
+                }
+                11 if arg % 8 == 0 => {
+                    map.clear();
+                    twin.clear();
+                    flooded.clear();
+                }
+                11 => {
+                    map.finish_migration();
+                    twin.finish_migration();
+                }
+                12 | 13 => {
+                    // Forged against a counter-silent copy of the live hash.
+                    let frozen = map.hasher().epoch_frozen(map.guard_mode());
+                    let buckets = map.bucket_count() as u64;
+                    let flood = attacker::bucket_flood(|k| frozen.hash_bytes(k), buckets, 64, arg);
+                    for k in &flood {
+                        prop_assert_eq!(map.insert(k.clone(), 0), twin.insert(k.clone(), 0));
+                    }
+                    if op == 12 {
+                        flooded.extend(flood);
+                    } else {
+                        // A flood gone before the next tick leaves a stale
+                        // bound that only a walk can correct.
+                        for k in &flood {
+                            prop_assert_eq!(map.remove(k), twin.remove(k));
+                        }
+                    }
+                }
+                _ => {
+                    twin.rehash(twin.bucket_count());
+                    prop_assert_eq!(twin.chain_bound(), None);
+                    let map_moves = (
+                        map.maybe_escalate(&tick_policy, &map_seeds),
+                        map.maybe_deescalate(&tick_policy),
+                    );
+                    let twin_moves = (
+                        twin.maybe_escalate(&tick_policy, &twin_seeds),
+                        twin.maybe_deescalate(&tick_policy),
+                    );
+                    prop_assert_eq!(map_moves, twin_moves, "step {step}: transitions diverged");
+                    prop_assert_eq!(map.guard_mode(), twin.guard_mode());
+                }
+            }
+            prop_assert_eq!(map.len(), twin.len());
+            check_chain_bound(&map, &policies, step)?;
+        }
     }
 }
