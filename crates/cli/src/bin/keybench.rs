@@ -550,98 +550,25 @@ fn churn_report(pattern: &KeyPattern, keys: &[String], n_ops: usize) {
     );
 }
 
-/// `--resynth`: measures the tail-latency fix for drift-triggered
-/// resynthesis. Fills a guarded map with the user's keys, samples drift
-/// from shadow keys, then runs the same mutating workload twice: once with
-/// the resynthesis running *inline* on the serving thread (the op that
-/// triggers it absorbs the whole synthesis search) and once handed to a
-/// background [`ResynthSupervisor`] worker, where the serving thread only
-/// enqueues the job and later applies the completed plan. Reports
-/// p50/p99/max per-op latency for both modes.
-///
-/// [`ResynthSupervisor`]: sepe_core::ResynthSupervisor
+/// `--resynth`: the `resynthesis` bench pass
+/// ([`sepe_driver::bench_json::resynth_record`]) over the user's keys.
+/// Fills a guarded map with them, samples drift from shadow keys, and runs
+/// a mutating workload that resynthesizes inline halfway through; reports
+/// p50/p99/max per-op latency, where the max is normally the op that paid
+/// for the resynthesis.
 fn resynth_report(pattern: &KeyPattern, keys: &[String], iterations: usize) {
-    use sepe_core::{ResynthSupervisor, SupervisorConfig, SystemClock};
-    use sepe_keygen::SplitMix64;
-    use std::sync::Arc;
-
     let ops = iterations.clamp(512, 65_536);
-    let run = |supervised: bool| -> (f64, f64, f64) {
-        let hasher = GuardedHash::from_pattern(pattern, Family::OffXor, CityHash::new());
-        let mut map: UnorderedMap<String, usize, _> = UnorderedMap::with_hasher(hasher);
-        for (i, key) in keys.iter().enumerate() {
-            map.insert(key.clone(), i);
-        }
-        // Shadow keys one byte off-format: the reservoir needs sampled
-        // drift before a resynthesis has anything to widen over.
-        for key in keys.iter().take(32) {
-            map.insert(format!("{key}~"), 0);
-        }
-        let mut supervisor =
-            ResynthSupervisor::new(SupervisorConfig::default(), Arc::new(SystemClock::new()));
-        let mut rng = SplitMix64::new(0xC4A0_5EED);
-        let trigger_at = ops / 2;
-        let mut latencies = Vec::with_capacity(ops);
-        for op in 0..ops {
-            let key = &keys[(rng.next_u64() % keys.len() as u64) as usize];
-            let start = Instant::now();
-            if rng.next_u64().is_multiple_of(2) {
-                map.insert(key.clone(), op);
-            } else {
-                map.remove(key.as_str());
-                map.insert(key.clone(), op);
-            }
-            if op == trigger_at {
-                if supervised {
-                    if let Some(req) = map.resynth_request(0) {
-                        supervisor.enqueue(req);
-                    }
-                } else {
-                    std::hint::black_box(map.resynthesize());
-                }
-            } else if supervised && op > trigger_at {
-                supervisor.pump();
-                for ready in supervisor.take_ready() {
-                    map.apply_resynthesized(&ready);
-                }
-            }
-            latencies.push(start.elapsed().as_secs_f64() * 1e9);
-        }
-        let drain_until = Instant::now() + std::time::Duration::from_secs(5);
-        while supervised && supervisor.active_jobs() > 0 && Instant::now() < drain_until {
-            supervisor.pump();
-            for ready in supervisor.take_ready() {
-                map.apply_resynthesized(&ready);
-            }
-            std::thread::yield_now();
-        }
-        latencies.sort_by(f64::total_cmp);
-        let pick = |p: f64| latencies[(((latencies.len() - 1) as f64) * p).round() as usize];
-        (pick(0.50), pick(0.99), *latencies.last().unwrap())
-    };
-
+    let r = sepe_driver::bench_json::resynth_record("keys", pattern, keys, ops, 1);
     println!(
-        "resynthesis trigger: {} keys resident, {ops} mutating ops per mode, \
+        "resynthesis trigger: {} keys resident, {ops} mutating ops, \
          drift sampled from 32 shadow keys",
         keys.len()
     );
-    let (inline_p50, inline_p99, inline_max) = run(false);
     println!(
-        "  inline      p50 {inline_p50:>8.1} ns  p99 {inline_p99:>10.1} ns  \
-         max {inline_max:>12.1} ns   (synthesis on the serving thread)"
+        "  inline  p50 {:>8.1} ns  p99 {:>10.1} ns  max {:>12.1} ns   \
+         (resynthesis on the serving thread)",
+        r.p50_ns, r.p99_ns, r.max_ns
     );
-    let (sup_p50, sup_p99, sup_max) = run(true);
-    println!(
-        "  supervised  p50 {sup_p50:>8.1} ns  p99 {sup_p99:>10.1} ns  \
-         max {sup_max:>12.1} ns   (synthesis on a worker thread)"
-    );
-    if sup_max > 0.0 {
-        println!(
-            "  worst mutating op: {:.1}x cheaper supervised — the serving \
-             thread never runs the synthesis search",
-            inline_max / sup_max
-        );
-    }
 }
 
 /// `--metrics`: machine-readable observability snapshot. Runs a
@@ -863,7 +790,6 @@ fn adversarial_report(pattern: &KeyPattern, keys: &[String], iterations: usize) 
 /// wall time per synthesis plus its two work counters.
 fn synth_report(pattern: &KeyPattern, iterations: usize) {
     use sepe_core::plan_io::Json;
-    use sepe_core::supervisor::CancelToken;
     use std::collections::BTreeMap;
 
     let reps = (iterations / 1_000).clamp(8, 256);
@@ -874,9 +800,7 @@ fn synth_report(pattern: &KeyPattern, iterations: usize) {
             std::hint::black_box(sepe_core::synthesize(pattern, family));
         }
         let ns = start.elapsed().as_secs_f64() * 1e9 / reps as f64;
-        let (_, stats) =
-            sepe_core::synth::synthesize_with_cancel(pattern, family, &CancelToken::unbounded())
-                .expect("an unbounded token never cancels");
+        let (_, stats) = sepe_core::synth::synthesize_with_stats(pattern, family);
         let mut row = BTreeMap::new();
         row.insert(
             "family".to_string(),

@@ -636,8 +636,8 @@ pub fn guard(
 /// drain is in flight, and after it completes) and the concurrency
 /// scenario (the same churn fanned over a lock-striped [`ShardedMap`] at
 /// 1/2/4/8 threads) and the resynthesis scenario (p50/p99/max mutating-op
-/// latency across a resynthesis trigger, synthesis inline on the serving
-/// thread vs handed to the background supervisor) and the adversarial
+/// latency across an inline resynthesis on the serving thread) and the
+/// adversarial
 /// scenario (churn ns/op and worst chain length benign, under a
 /// brute-forced collision flood, and after the collision-storm detector
 /// escalates to the keyed hasher, plus the escalation latency) and the

@@ -48,6 +48,6 @@ pub use direct::DirectMap;
 pub use map::UnorderedMap;
 pub use multimap::UnorderedMultiMap;
 pub use multiset::UnorderedMultiSet;
-pub use policy::{AttackPolicy, AttackSignals, BucketPolicy, DriftPolicy, ResynthPolicy};
+pub use policy::{AttackPolicy, AttackSignals, BucketPolicy, DriftPolicy};
 pub use set::UnorderedSet;
 pub use sharded::{ShardedMap, ShardedSet};

@@ -5,7 +5,6 @@ use crate::table::RawTable;
 use sepe_core::guard::{GuardMode, GuardStats, GuardedHash, Resynth};
 use sepe_core::hash::keyed::SeedSource;
 use sepe_core::hash::{ByteHash, HashBatch};
-use sepe_core::supervisor::{ReadyPlan, SynthRequest};
 use std::borrow::Borrow;
 
 /// Hysteresis state of the collision-storm detector: consecutive stormy
@@ -675,44 +674,6 @@ where
         }
         out
     }
-
-    /// Builds the request a background resynthesis job needs: the
-    /// reservoir-widened pattern and its generation snapshot, stamped with
-    /// `tag` (the supervisor's per-hasher breaker identity). `None` when no
-    /// drift was sampled — there is nothing to enqueue.
-    pub fn resynth_request(&self, tag: u64) -> Option<SynthRequest> {
-        let (widened, snapshot_generation) = self.hasher().resynth_snapshot()?;
-        let specialized = self.hasher().specialized();
-        Some(SynthRequest {
-            tag,
-            widened,
-            family: specialized.family(),
-            isa: specialized.isa(),
-            seed: specialized.seed(),
-            snapshot_generation,
-        })
-    }
-
-    /// Applies a plan completed by a background resynthesis job: installs
-    /// the supervisor-validated hash (unless the reservoir generation
-    /// advanced past the job's snapshot — a stale result is discarded) and
-    /// opens a migration epoch to re-file stored entries incrementally.
-    /// The serving path only ever sees this cheap swap; the synthesis
-    /// itself already happened off-thread. Returns whether the plan was
-    /// installed.
-    pub fn apply_resynthesized(&mut self, ready: &ReadyPlan) -> bool {
-        let old = self.table.hasher().epoch_frozen(self.table.hasher().mode());
-        if !self.table.hasher_mut().install_resynthesized(
-            ready.hash.clone(),
-            &ready.widened,
-            ready.snapshot_generation,
-        ) {
-            return false;
-        }
-        let rehasher = self.table.hasher().epoch_frozen(GuardMode::Guarded);
-        self.table.begin_migration(old, rehasher);
-        true
-    }
 }
 
 #[cfg(test)]
@@ -924,45 +885,6 @@ mod tests {
         let mut m = guarded_ssn_map(sepe_core::Family::OffXor);
         m.insert("123-45-6789".to_owned(), 1);
         assert_eq!(m.resynthesize(), sepe_core::guard::Resynth::NoDrift);
-        assert!(m.resynth_request(0).is_none(), "nothing to enqueue either");
-    }
-
-    #[test]
-    fn supervised_request_and_apply_round_trip() {
-        use sepe_core::supervisor::{
-            Enqueue, ExecMode, MockClock, ResynthSupervisor, SupervisorConfig,
-        };
-        use std::sync::Arc;
-        let mut m = guarded_ssn_map(sepe_core::Family::OffXor);
-        for i in 0..50u32 {
-            m.insert(format!("{i:03}-11-2222"), i);
-        }
-        for i in 0..50u32 {
-            m.insert(format!("{i:03}-11-222x"), i);
-        }
-        m.degrade_now();
-        let request = m.resynth_request(7).expect("drift was sampled");
-        assert_eq!(request.tag, 7);
-        let clock = Arc::new(MockClock::new());
-        let mut sup = ResynthSupervisor::with_runner(
-            SupervisorConfig::default(),
-            clock,
-            sepe_core::supervisor::default_runner(),
-            ExecMode::Inline,
-        );
-        assert_eq!(sup.enqueue(request), Enqueue::Accepted);
-        sup.pump();
-        let ready = sup.take_ready();
-        assert_eq!(ready.len(), 1);
-        assert!(m.apply_resynthesized(&ready[0]), "fresh result applies");
-        assert_eq!(m.guard_mode(), GuardMode::Guarded);
-        assert!(m.hasher().guard().matches(b"123-11-222x"));
-        for i in 0..50u32 {
-            assert_eq!(m.get(format!("{i:03}-11-2222").as_str()), Some(&i));
-            assert_eq!(m.get(format!("{i:03}-11-222x").as_str()), Some(&i));
-        }
-        // Replaying the same (now stale) result is discarded harmlessly.
-        assert!(!m.apply_resynthesized(&ready[0]), "stale result discarded");
     }
 
     #[test]

@@ -263,88 +263,6 @@ impl AttackPolicy {
     }
 }
 
-/// Tunables for *supervised* background resynthesis.
-///
-/// Where [`DriftPolicy`] decides *when* a container gives up on its
-/// specialized hash, `ResynthPolicy` decides how hard the background
-/// supervisor tries to win it back: how long one synthesis attempt may
-/// run, how retries back off, and how many consecutive failures trip the
-/// per-hasher circuit breaker so the container settles permanently on the
-/// guarded fallback. [`ResynthPolicy::config`] converts the policy into
-/// the [`sepe_core::supervisor::SupervisorConfig`] a
-/// [`sepe_core::ResynthSupervisor`] is built from.
-///
-/// # Examples
-///
-/// ```
-/// use sepe_containers::ResynthPolicy;
-/// use sepe_core::{ResynthSupervisor, SystemClock};
-/// use std::sync::Arc;
-///
-/// let policy = ResynthPolicy::default();
-/// let supervisor = ResynthSupervisor::new(policy.config(), Arc::new(SystemClock::new()));
-/// assert!(!supervisor.breaker_open(0));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResynthPolicy {
-    /// Cooperative deadline for one synthesis attempt, in milliseconds.
-    pub deadline_ms: u64,
-    /// First retry delay; later retries double it up to `backoff_cap_ms`.
-    pub backoff_base_ms: u64,
-    /// Upper bound on any single backoff delay.
-    pub backoff_cap_ms: u64,
-    /// Consecutive failures after which the breaker opens.
-    pub breaker_failures: u32,
-    /// How long an open breaker waits before admitting one half-open
-    /// probe. `None` keeps the breaker open permanently: the container
-    /// settles on the guarded fallback for good.
-    pub breaker_cooldown_ms: Option<u64>,
-    /// Seed for the deterministic backoff jitter.
-    pub seed: u64,
-}
-
-impl Default for ResynthPolicy {
-    /// One-second attempts, 50 ms → 5 s exponential backoff, breaker
-    /// opens after 3 consecutive failures and probes again after 30 s —
-    /// the defaults of [`sepe_core::supervisor::SupervisorConfig`].
-    fn default() -> Self {
-        let config = sepe_core::SupervisorConfig::default();
-        ResynthPolicy {
-            deadline_ms: config.deadline_ms,
-            backoff_base_ms: config.backoff.base_ms,
-            backoff_cap_ms: config.backoff.cap_ms,
-            breaker_failures: config.breaker_failures,
-            breaker_cooldown_ms: config.breaker_cooldown_ms,
-            seed: config.seed,
-        }
-    }
-}
-
-impl ResynthPolicy {
-    /// A policy whose breaker never re-closes: after `breaker_failures`
-    /// consecutive failures the hasher is abandoned permanently.
-    #[must_use]
-    pub fn settle_permanently(mut self) -> Self {
-        self.breaker_cooldown_ms = None;
-        self
-    }
-
-    /// Converts the policy into a supervisor configuration.
-    #[must_use]
-    pub fn config(&self) -> sepe_core::SupervisorConfig {
-        sepe_core::SupervisorConfig {
-            deadline_ms: self.deadline_ms,
-            backoff: sepe_core::supervisor::BackoffPolicy {
-                base_ms: self.backoff_base_ms,
-                cap_ms: self.backoff_cap_ms,
-            },
-            breaker_failures: self.breaker_failures,
-            breaker_cooldown_ms: self.breaker_cooldown_ms,
-            seed: self.seed,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,40 +382,6 @@ mod tests {
             probe_p99: None,
             ..s
         }));
-    }
-
-    #[test]
-    fn resynth_policy_round_trips_into_a_supervisor_config() {
-        let policy = ResynthPolicy {
-            deadline_ms: 250,
-            backoff_base_ms: 10,
-            backoff_cap_ms: 80,
-            breaker_failures: 2,
-            breaker_cooldown_ms: Some(500),
-            seed: 0xFEED,
-        };
-        let config = policy.config();
-        assert_eq!(config.deadline_ms, 250);
-        assert_eq!(config.backoff.base_ms, 10);
-        assert_eq!(config.backoff.cap_ms, 80);
-        assert_eq!(config.breaker_failures, 2);
-        assert_eq!(config.breaker_cooldown_ms, Some(500));
-        assert_eq!(config.seed, 0xFEED);
-    }
-
-    #[test]
-    fn default_resynth_policy_mirrors_the_supervisor_defaults() {
-        assert_eq!(
-            ResynthPolicy::default().config(),
-            sepe_core::SupervisorConfig::default()
-        );
-        assert_eq!(
-            ResynthPolicy::default()
-                .settle_permanently()
-                .config()
-                .breaker_cooldown_ms,
-            None
-        );
     }
 
     #[test]

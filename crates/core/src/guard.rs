@@ -327,9 +327,9 @@ pub enum GuardMode {
     Keyed = 2,
 }
 
-/// Typed outcome of a resynthesis attempt, so callers (and the resynthesis
-/// supervisor) can distinguish "nothing to do" from "search failed" —
-/// a bare `bool` conflated the two.
+/// Typed outcome of a resynthesis attempt, so callers can distinguish
+/// "nothing to do" from "synthesis failed" — a bare `bool` conflated the
+/// two.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Resynth {
     /// A widened plan was synthesized, validated and installed; the guard
@@ -357,23 +357,16 @@ const RESERVOIR_CAP: usize = 64;
 /// A bounded uniform sample of recently observed off-format keys, kept so a
 /// degraded table can re-synthesize a widened pattern that covers the
 /// drifted traffic.
-///
-/// `generation` counts resets: a background resynthesis job snapshots it
-/// when it starts and a completed plan is only installed if the generation
-/// still matches — a job whose reservoir was cleared under it (by a
-/// competing resynthesis) is stale and discarded.
 #[derive(Debug, Default)]
 struct Reservoir {
     keys: Vec<Vec<u8>>,
     seen: u64,
-    generation: u64,
 }
 
 impl Reservoir {
     fn clear(&mut self) {
         self.keys.clear();
         self.seen = 0;
-        self.generation += 1;
     }
 
     fn offer(&mut self, key: &[u8]) {
@@ -702,25 +695,11 @@ impl<F, G> GuardedHash<F, G> {
         self.lock_reservoir().keys.clone()
     }
 
-    /// The reservoir's reset generation — the staleness ticket background
-    /// resynthesis jobs carry (see [`Resynth`] and the supervisor).
-    #[must_use]
-    pub fn reservoir_generation(&self) -> u64 {
-        self.lock_reservoir().generation
-    }
-
     /// A pattern widened to cover both the original format and the sampled
-    /// off-format keys, or `None` when the reservoir is empty.
+    /// off-format keys, read under one reservoir lock, or `None` when the
+    /// reservoir is empty.
     #[must_use]
     pub fn resynthesize_pattern(&self) -> Option<KeyPattern> {
-        self.resynth_snapshot().map(|(widened, _)| widened)
-    }
-
-    /// One consistent snapshot for a background resynthesis job: the
-    /// reservoir-widened pattern plus the generation it was taken at, read
-    /// under a single reservoir lock. `None` when no drift was sampled.
-    #[must_use]
-    pub fn resynth_snapshot(&self) -> Option<(KeyPattern, u64)> {
         let r = self.lock_reservoir();
         if r.keys.is_empty() {
             return None;
@@ -729,7 +708,7 @@ impl<F, G> GuardedHash<F, G> {
         for key in &r.keys {
             widened.join_key(key);
         }
-        Some((widened, r.generation))
+        Some(widened)
     }
 
     /// Offers one off-format key to the reservoir. Sampling must never
@@ -785,45 +764,21 @@ impl<G> GuardedHash<SynthesizedHash, G> {
     where
         S: FnOnce(&KeyPattern) -> Result<SynthesizedHash, SynthError>,
     {
-        let Some((widened, _generation)) = self.resynth_snapshot() else {
+        let Some(widened) = self.resynthesize_pattern() else {
             return Resynth::NoDrift;
         };
-        match synth(&widened) {
-            Err(e) => Resynth::SynthFailed(e),
-            Ok(hash) => {
-                self.install(hash, &widened);
-                Resynth::Applied
-            }
-        }
-    }
-
-    /// Installs a plan produced by a *background* resynthesis job, unless
-    /// it is stale: the job's reservoir-generation snapshot must still
-    /// match (a competing resynthesis bumps the generation when it clears
-    /// the reservoir). Returns whether the plan was installed; a discarded
-    /// stale result changes nothing.
-    pub fn install_resynthesized(
-        &mut self,
-        hash: SynthesizedHash,
-        widened: &KeyPattern,
-        snapshot_generation: u64,
-    ) -> bool {
-        if self.reservoir_generation() != snapshot_generation {
-            return false;
-        }
-        self.install(hash, widened);
-        true
-    }
-
-    /// The shared install step: swap the specialized hash, recompile the
-    /// guard, clear the reservoir (bumping its generation), reset the
-    /// counters, and re-arm. Only called with an already-validated hash.
-    fn install(&mut self, hash: SynthesizedHash, widened: &KeyPattern) {
+        let hash = match synth(&widened) {
+            Err(e) => return Resynth::SynthFailed(e),
+            Ok(hash) => hash,
+        };
+        // Swap the specialized hash, recompile the guard, clear the
+        // reservoir, reset the counters, and re-arm.
         self.specialized = hash;
-        self.guard = FormatGuard::compile(widened);
+        self.guard = FormatGuard::compile(&widened);
         self.lock_reservoir().clear();
         self.stats.reset();
         self.mode.store(GuardMode::Guarded as u8, Ordering::Relaxed);
+        Resynth::Applied
     }
 
     /// Builds a guarded hash by synthesizing `family` for `pattern`.
@@ -1199,7 +1154,7 @@ mod tests {
         }
         guarded.degrade();
         let keys_before = guarded.reservoir_keys();
-        let gen_before = guarded.reservoir_generation();
+        assert!(!keys_before.is_empty(), "drift was sampled");
         let stats_before = (guarded.stats().in_format(), guarded.stats().off_format());
         let guard_before = guarded.guard().clone();
         let out = guarded.resynthesize_with(|widened| {
@@ -1219,38 +1174,10 @@ mod tests {
             "stats untouched"
         );
         assert_eq!(guarded.reservoir_keys(), keys_before, "reservoir untouched");
-        assert_eq!(guarded.reservoir_generation(), gen_before);
         assert_eq!(guarded.guard(), &guard_before, "guard untouched");
         // The same reservoir still resynthesizes fine with a working
         // synthesizer afterwards.
         assert_eq!(guarded.resynthesize(), Resynth::Applied);
-    }
-
-    #[test]
-    fn stale_background_results_are_discarded() {
-        let pattern = Regex::compile(r"\d{8}").expect("test regex is valid by construction");
-        let mut guarded = GuardedHash::from_pattern(&pattern, Family::OffXor, Stl);
-        for i in 0..50u32 {
-            let _ = guarded.hash_bytes(format!("{i:07}x").as_bytes());
-        }
-        let (widened, generation) = guarded.resynth_snapshot().expect("drift sampled");
-        let replacement = SynthesizedHash::from_pattern(&widened, Family::OffXor);
-        // A competing resynthesis lands first and bumps the generation.
-        assert_eq!(guarded.resynthesize(), Resynth::Applied);
-        assert_ne!(guarded.reservoir_generation(), generation);
-        let guard_after_first = guarded.guard().clone();
-        assert!(
-            !guarded.install_resynthesized(replacement.clone(), &widened, generation),
-            "stale snapshot generation must be discarded"
-        );
-        assert_eq!(
-            guarded.guard(),
-            &guard_after_first,
-            "discard changed nothing"
-        );
-        // With the current generation the same plan installs.
-        let current = guarded.reservoir_generation();
-        assert!(guarded.install_resynthesized(replacement, &widened, current));
     }
 
     #[test]
@@ -1279,8 +1206,8 @@ mod tests {
         let sampled = guarded.reservoir_keys();
         assert!(sampled.contains(&b"1111111x".to_vec()), "{sampled:?}");
         assert!(sampled.contains(&b"2222222x".to_vec()), "{sampled:?}");
-        // Snapshots and resynthesis recover the guard too.
-        assert!(guarded.resynth_snapshot().is_some());
+        // Widening and resynthesis recover the guard too.
+        assert!(guarded.resynthesize_pattern().is_some());
         assert_eq!(guarded.resynthesize(), Resynth::Applied);
         assert!(guarded.guard().matches(b"1111111x"));
     }

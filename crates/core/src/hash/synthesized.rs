@@ -78,11 +78,6 @@ pub enum SynthError {
         /// What disagreed, in one phrase.
         detail: String,
     },
-    /// Synthesis was cancelled before it finished: its cooperative
-    /// [`crate::supervisor::CancelToken`] was revoked or its deadline
-    /// expired. The partial work is discarded; retrying is the caller's
-    /// (typically the resynthesis supervisor's) decision.
-    Cancelled,
 }
 
 impl fmt::Display for SynthError {
@@ -130,9 +125,6 @@ impl fmt::Display for SynthError {
             SynthError::PlanPatternMismatch { detail } => {
                 write!(f, "plan does not fit its declared family/pattern: {detail}")
             }
-            SynthError::Cancelled => {
-                write!(f, "synthesis was cancelled (deadline expired or revoked)")
-            }
         }
     }
 }
@@ -156,12 +148,6 @@ impl From<ParseRegexError> for SynthError {
 impl From<ExpandError> for SynthError {
     fn from(e: ExpandError) -> Self {
         SynthError::Expand(e)
-    }
-}
-
-impl From<crate::supervisor::SynthCancelled> for SynthError {
-    fn from(_: crate::supervisor::SynthCancelled) -> Self {
-        SynthError::Cancelled
     }
 }
 

@@ -58,34 +58,6 @@ where
     Ok(pattern)
 }
 
-/// [`infer_pattern`] with a cooperative cancellation checkpoint per joined
-/// key — the variant the resynthesis supervisor uses when widening a
-/// pattern from a large reservoir under a deadline.
-///
-/// # Errors
-///
-/// Returns [`crate::hash::SynthError::EmptyExampleSet`] when `keys` yields
-/// no items and [`crate::hash::SynthError::Cancelled`] once `token`
-/// reports cancellation.
-pub fn infer_pattern_with_cancel<'a, I>(
-    keys: I,
-    token: &crate::supervisor::CancelToken,
-) -> Result<KeyPattern, crate::hash::SynthError>
-where
-    I: IntoIterator<Item = &'a [u8]>,
-{
-    let mut iter = keys.into_iter();
-    let first = iter
-        .next()
-        .ok_or(crate::hash::SynthError::EmptyExampleSet)?;
-    let mut pattern = KeyPattern::of_key(first);
-    for key in iter {
-        token.check()?;
-        pattern.join_key(key);
-    }
-    Ok(pattern)
-}
-
 /// Infers a pattern and renders it as a regular expression — the exact
 /// behaviour of the `keybuilder` command-line tool
 /// (`keysynth "$(keybuilder < keys.txt)"`, Figure 5a).
@@ -231,26 +203,6 @@ mod tests {
         assert_eq!(reports.len(), 4);
         assert_eq!(reports[3].distinct_examples, 1);
         assert_eq!(reports[3].cardinality, 256, "missing bytes join to top");
-    }
-
-    #[test]
-    fn cancellable_inference_agrees_and_cancels() {
-        use crate::supervisor::CancelToken;
-        let keys: [&[u8]; 3] = [b"000-00-0000", b"555-55-5555", b"999-99-9999"];
-        let token = CancelToken::unbounded();
-        assert_eq!(
-            infer_pattern_with_cancel(keys, &token).expect("uncancelled"),
-            infer_pattern(keys).expect("non-empty")
-        );
-        token.cancel();
-        assert_eq!(
-            infer_pattern_with_cancel(keys, &token),
-            Err(crate::hash::SynthError::Cancelled)
-        );
-        assert_eq!(
-            infer_pattern_with_cancel(std::iter::empty(), &token),
-            Err(crate::hash::SynthError::EmptyExampleSet)
-        );
     }
 
     #[test]

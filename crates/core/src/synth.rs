@@ -227,33 +227,20 @@ pub fn synthesize(pattern: &KeyPattern, family: Family) -> Plan {
     synthesize_unchecked(pattern, family)
 }
 
-/// [`synthesize`] with a cooperative cancellation checkpoint threaded
-/// through the synthesis loops (target collection and mask construction),
-/// also returning the [`SearchStats`] of the run — the entry point the
-/// resynthesis supervisor runs, so a deadline or an explicit cancel stops
-/// synthesis between units of work instead of after the fact.
-///
-/// # Errors
-///
-/// Returns [`crate::hash::SynthError::Cancelled`] once `token` reports
-/// cancellation; the partial plan and its statistics are discarded.
-pub fn synthesize_with_cancel(
-    pattern: &KeyPattern,
-    family: Family,
-    token: &crate::supervisor::CancelToken,
-) -> Result<(Plan, SearchStats), crate::hash::SynthError> {
-    token.check()?;
+/// [`synthesize`] that also returns the [`SearchStats`] of the run — the
+/// entry point `keybench --synth` reports the work counters of.
+#[must_use]
+pub fn synthesize_with_stats(pattern: &KeyPattern, family: Family) -> (Plan, SearchStats) {
     let mut stats = SearchStats::default();
     if pattern.max_len() < 8 {
-        return Ok((Plan::StlFallback, stats));
+        return (Plan::StlFallback, stats);
     }
-    let plan = synthesize_impl(pattern, family, &|| Ok(token.check()?), &mut stats)?;
-    Ok((plan, stats))
+    let plan = synthesize_impl(pattern, family, &mut stats);
+    (plan, stats)
 }
 
-/// Work counters of one synthesis run, fed into the observability layer
-/// as `SynthSearch` events. Both are pure functions of the pattern and
-/// family.
+/// Work counters of one synthesis run. Both are pure functions of the
+/// pattern and family, and both grow linearly with the pattern length.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SearchStats {
     /// Byte positions the target scan expanded (one per candidate
@@ -273,23 +260,13 @@ pub struct SearchStats {
 /// point of that experiment.
 #[must_use]
 pub fn synthesize_unchecked(pattern: &KeyPattern, family: Family) -> Plan {
-    match synthesize_impl(pattern, family, &|| Ok(()), &mut SearchStats::default()) {
-        Ok(plan) => plan,
-        Err(_) => unreachable!("uncancellable synthesis cannot fail"),
-    }
+    synthesize_impl(pattern, family, &mut SearchStats::default())
 }
 
-fn synthesize_impl(
-    pattern: &KeyPattern,
-    family: Family,
-    check: &dyn Fn() -> Result<(), crate::hash::SynthError>,
-    stats: &mut SearchStats,
-) -> Result<Plan, crate::hash::SynthError> {
+fn synthesize_impl(pattern: &KeyPattern, family: Family, stats: &mut SearchStats) -> Plan {
     match family {
-        Family::Aes => synthesize_blocks(pattern, check, stats),
-        Family::Naive | Family::OffXor | Family::Pext => {
-            synthesize_words(pattern, family, check, stats)
-        }
+        Family::Aes => synthesize_blocks(pattern, stats),
+        Family::Naive | Family::OffXor | Family::Pext => synthesize_words(pattern, family, stats),
     }
 }
 
@@ -325,12 +302,7 @@ fn cover_with_loads(
     loads
 }
 
-fn synthesize_words(
-    pattern: &KeyPattern,
-    family: Family,
-    check: &dyn Fn() -> Result<(), crate::hash::SynthError>,
-    stats: &mut SearchStats,
-) -> Result<Plan, crate::hash::SynthError> {
+fn synthesize_words(pattern: &KeyPattern, family: Family, stats: &mut SearchStats) -> Plan {
     let min_len = pattern.min_len();
     let fixed = pattern.is_fixed_len();
     // The region word loads may cover. For variable-length formats, loads
@@ -340,7 +312,6 @@ fn synthesize_words(
 
     let mut targets: Vec<usize> = Vec::new();
     for i in 0..region_len {
-        check()?;
         stats.nodes_expanded += 1;
         match family {
             // Naive ignores the const constraint: every byte is a target.
@@ -376,7 +347,6 @@ fn synthesize_words(
     let mut ops = Vec::with_capacity(offsets.len());
     let mut covered_until = 0usize;
     for &offset in &offsets {
-        check()?;
         let offset_us = offset as usize;
         let overlaps = offset_us < covered_until;
         let (mask, shift) = if family == Family::Pext {
@@ -403,7 +373,7 @@ fn synthesize_words(
         assign_shifts(&mut ops);
     }
 
-    Ok(if fixed {
+    if fixed {
         Plan::FixedWords {
             len: pattern.max_len(),
             ops,
@@ -414,7 +384,7 @@ fn synthesize_words(
             ops,
             tail_start,
         }
-    })
+    }
 }
 
 /// Packs extracted bits: the first load stays at the bottom of the range,
@@ -430,11 +400,7 @@ fn assign_shifts(ops: &mut [WordOp]) {
     }
 }
 
-fn synthesize_blocks(
-    pattern: &KeyPattern,
-    check: &dyn Fn() -> Result<(), crate::hash::SynthError>,
-    stats: &mut SearchStats,
-) -> Result<Plan, crate::hash::SynthError> {
+fn synthesize_blocks(pattern: &KeyPattern, stats: &mut SearchStats) -> Plan {
     let min_len = pattern.min_len();
     let fixed = pattern.is_fixed_len();
     let region_len = if fixed { pattern.max_len() } else { min_len };
@@ -443,7 +409,7 @@ fn synthesize_blocks(
         // Keys shorter than one AES block: the key is replicated to fill a
         // block (the paper: "Aes requires two 16 byte values; thus, we
         // replicate the key").
-        return Ok(if fixed {
+        return if fixed {
             Plan::FixedBlocks {
                 len: pattern.max_len(),
                 offsets: Vec::new(),
@@ -454,12 +420,11 @@ fn synthesize_blocks(
                 offsets: Vec::new(),
                 tail_start: 0,
             }
-        });
+        };
     }
 
     let mut targets: Vec<usize> = Vec::new();
     for i in 0..region_len {
-        check()?;
         stats.nodes_expanded += 1;
         if !pattern.bytes()[i].is_const() {
             targets.push(i);
@@ -471,7 +436,7 @@ fn synthesize_blocks(
         .map_or(0, |&o| o as usize + 16)
         .max(min_len.min(region_len));
 
-    Ok(if fixed {
+    if fixed {
         Plan::FixedBlocks {
             len: pattern.max_len(),
             offsets,
@@ -482,7 +447,7 @@ fn synthesize_blocks(
             offsets,
             tail_start,
         }
-    })
+    }
 }
 
 #[cfg(test)]
@@ -643,9 +608,7 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_synthesis_agrees_with_plain_synthesis() {
-        use crate::supervisor::CancelToken;
-        let token = CancelToken::unbounded();
+    fn synthesis_with_stats_agrees_with_plain_synthesis() {
         for re in [
             r"\d{3}-\d{2}-\d{4}",
             r"(([0-9]{3})\.){3}[0-9]{3}",
@@ -656,29 +619,11 @@ mod tests {
             let p = pattern(re);
             for f in Family::ALL {
                 assert_eq!(
-                    synthesize_with_cancel(&p, f, &token)
-                        .expect("uncancelled")
-                        .0,
+                    synthesize_with_stats(&p, f).0,
                     synthesize(&p, f),
                     "{re} {f}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn cancelled_synthesis_returns_a_typed_error() {
-        use crate::hash::SynthError;
-        use crate::supervisor::CancelToken;
-        let token = CancelToken::unbounded();
-        token.cancel();
-        let p = pattern(r"[0-9]{100}");
-        for f in Family::ALL {
-            assert_eq!(
-                synthesize_with_cancel(&p, f, &token),
-                Err(SynthError::Cancelled),
-                "{f}"
-            );
         }
     }
 
@@ -695,36 +640,5 @@ mod tests {
         // bits").
         let total: u32 = ops.iter().map(|o| o.mask.count_ones()).sum();
         assert_eq!(total, 400);
-    }
-
-    #[test]
-    fn mid_synthesis_cancellation_stops_at_the_raising_checkpoint() {
-        use crate::hash::SynthError;
-        use core::cell::Cell;
-        let p = pattern(r"[0-9]{100}");
-        // Count the checkpoints of an uncancelled run, then abort halfway:
-        // synthesis must stop at exactly that poll.
-        let calls = Cell::new(0u64);
-        let count_all = || {
-            calls.set(calls.get() + 1);
-            Ok(())
-        };
-        synthesize_impl(&p, Family::Pext, &count_all, &mut SearchStats::default())
-            .expect("uncancelled synthesis succeeds");
-        let cancel_at = calls.get() / 2;
-        assert!(cancel_at > 1, "need room to cancel mid-synthesis");
-        let seen = Cell::new(0u64);
-        let cancel_mid = || {
-            seen.set(seen.get() + 1);
-            if seen.get() >= cancel_at {
-                Err(SynthError::Cancelled)
-            } else {
-                Ok(())
-            }
-        };
-        let err = synthesize_impl(&p, Family::Pext, &cancel_mid, &mut SearchStats::default())
-            .expect_err("mid-synthesis cancellation must surface");
-        assert_eq!(err, SynthError::Cancelled);
-        assert_eq!(seen.get(), cancel_at);
     }
 }

@@ -282,27 +282,21 @@ pub fn migration_records(scale: &RunScale, config: &BenchConfig) -> Vec<Migratio
     records
 }
 
-/// One (format, mode) measurement of the resynthesis scenario: per-op
-/// latency of a mutating workload across a resynthesis trigger. In
-/// `inline` mode the triggering operation runs synthesis on the serving
-/// thread (the pre-supervisor behaviour), so the tail latency absorbs the
-/// whole search; in `supervised` mode the trigger only enqueues a job on a
-/// [`ResynthSupervisor`] worker thread and later ops pay a cheap
-/// pump/apply poll. The `p99_ns` gap between the two modes is the headline
-/// number of the supervisor subsystem.
+/// One format's measurement of the resynthesis scenario: per-op latency
+/// of a mutating workload across an inline resynthesis trigger. The op
+/// that triggers it pays for widening, synthesis, the guard rebuild and
+/// opening the migration epoch, so `max_ns` is the cost of resynthesis on
+/// the serving thread.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResynthRecord {
     /// Key format name (`ssn`, `ipv4`, …).
     pub format: String,
-    /// `inline` (synthesis on the serving thread) or `supervised`
-    /// (background worker, serving thread only enqueues and applies).
-    pub mode: String,
     /// Median mutating-op latency in nanoseconds.
     pub p50_ns: f64,
     /// 99th-percentile mutating-op latency in nanoseconds.
     pub p99_ns: f64,
-    /// Worst single mutating-op latency in nanoseconds — in `inline` mode
-    /// this is the op that ran synthesis.
+    /// Worst single mutating-op latency in nanoseconds — normally the op
+    /// that ran the resynthesis.
     pub max_ns: f64,
 }
 
@@ -316,19 +310,14 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// One timed pass of the resynthesis scenario: mutating ops over a guarded
-/// map with sampled drift, with the resynthesis triggered halfway through —
-/// inline on the serving thread, or through a background supervisor.
-/// Returns the per-op latencies in nanoseconds.
+/// map with sampled drift, with an inline resynthesis triggered halfway
+/// through. Returns the per-op latencies in nanoseconds.
 fn resynth_latency_pass(
     keys: &[String],
     pattern: &sepe_core::pattern::KeyPattern,
     rng: &mut SplitMix64,
     ops: usize,
-    supervised: bool,
 ) -> Vec<f64> {
-    use sepe_core::{ResynthSupervisor, SupervisorConfig, SystemClock};
-    use std::sync::Arc;
-
     let hasher = GuardedHash::from_pattern(pattern, Family::OffXor, CityHash::new());
     let mut map: GuardedMap = UnorderedMap::with_hasher(hasher);
     for (i, key) in keys.iter().enumerate() {
@@ -339,8 +328,6 @@ fn resynth_latency_pass(
     for key in keys.iter().take(32) {
         map.insert(format!("{key}~"), 0);
     }
-    let mut supervisor =
-        ResynthSupervisor::new(SupervisorConfig::default(), Arc::new(SystemClock::new()));
     let trigger_at = ops / 2;
     let mut latencies = Vec::with_capacity(ops);
     for op in 0..ops {
@@ -354,69 +341,60 @@ fn resynth_latency_pass(
             map.insert(key.clone(), r);
         }
         if op == trigger_at {
-            if supervised {
-                // The serving thread only builds the request and enqueues;
-                // the search runs on the supervisor's worker thread.
-                if let Some(req) = map.resynth_request(0) {
-                    supervisor.enqueue(req);
-                }
-            } else {
-                std::hint::black_box(map.resynthesize());
-            }
-        } else if supervised && op > trigger_at {
-            // The steady-state tax of supervision: a non-blocking poll.
-            supervisor.pump();
-            for ready in supervisor.take_ready() {
-                map.apply_resynthesized(&ready);
-            }
+            std::hint::black_box(map.resynthesize());
         }
         latencies.push(start.elapsed().as_secs_f64() * 1e9);
-    }
-    // Drain the background job before the pass returns (untimed): the
-    // measurement is about the serving thread, not worker lifetime.
-    let drain_until = Instant::now() + std::time::Duration::from_secs(5);
-    while supervised && supervisor.active_jobs() > 0 && Instant::now() < drain_until {
-        supervisor.pump();
-        for ready in supervisor.take_ready() {
-            map.apply_resynthesized(&ready);
-        }
-        std::thread::yield_now();
     }
     latencies
 }
 
-/// Measures the resynthesis scenario for every format in `scale.formats`,
-/// in both `inline` and `supervised` mode. Latencies are pooled across
-/// sample runs before the percentiles are taken.
+/// Measures the resynthesis scenario over `keys` (which `pattern` must
+/// accept): `samples` passes of `ops` mutating ops each, latencies pooled
+/// before the percentiles are taken. `sepe-repro bench-json` runs it per
+/// paper format and `keybench --resynth` over the user's keys.
+///
+/// # Panics
+///
+/// Panics if `keys` is empty.
+#[must_use]
+pub fn resynth_record(
+    format: &str,
+    pattern: &sepe_core::pattern::KeyPattern,
+    keys: &[String],
+    ops: usize,
+    samples: usize,
+) -> ResynthRecord {
+    let mut pooled = Vec::new();
+    for sample in 0..samples.max(1) {
+        let mut rng = SplitMix64::new(0xB0A7 ^ sample as u64);
+        pooled.extend(resynth_latency_pass(keys, pattern, &mut rng, ops));
+    }
+    pooled.sort_by(f64::total_cmp);
+    ResynthRecord {
+        format: format.to_string(),
+        p50_ns: percentile(&pooled, 0.50),
+        p99_ns: percentile(&pooled, 0.99),
+        max_ns: pooled.last().copied().unwrap_or(0.0),
+    }
+}
+
+/// Measures the resynthesis scenario ([`resynth_record`]) for every
+/// format in `scale.formats`.
 #[must_use]
 pub fn resynth_records(scale: &RunScale, config: &BenchConfig) -> Vec<ResynthRecord> {
-    let mut records = Vec::new();
-    for &format in &scale.formats {
-        let cap = usize::try_from(format.space()).unwrap_or(usize::MAX).max(1);
-        let pool_size = config.pool_size.min(cap).max(1);
-        let mut sampler = KeySampler::new(format, Distribution::Normal, 0x4E5F);
-        let keys = sampler.distinct_pool(pool_size);
-        let pattern = Regex::compile(&format.regex()).expect("paper formats compile");
-        let ops = config.iterations.clamp(256, 4096);
-        for (mode, supervised) in [("inline", false), ("supervised", true)] {
-            let mut pooled = Vec::new();
-            for sample in 0..config.samples.max(1) {
-                let mut rng = SplitMix64::new(0xB0A7 ^ sample as u64);
-                pooled.extend(resynth_latency_pass(
-                    &keys, &pattern, &mut rng, ops, supervised,
-                ));
-            }
-            pooled.sort_by(f64::total_cmp);
-            records.push(ResynthRecord {
-                format: format.name().to_string(),
-                mode: mode.to_string(),
-                p50_ns: percentile(&pooled, 0.50),
-                p99_ns: percentile(&pooled, 0.99),
-                max_ns: pooled.last().copied().unwrap_or(0.0),
-            });
-        }
-    }
-    records
+    scale
+        .formats
+        .iter()
+        .map(|&format| {
+            let cap = usize::try_from(format.space()).unwrap_or(usize::MAX).max(1);
+            let pool_size = config.pool_size.min(cap).max(1);
+            let mut sampler = KeySampler::new(format, Distribution::Normal, 0x4E5F);
+            let keys = sampler.distinct_pool(pool_size);
+            let pattern = Regex::compile(&format.regex()).expect("paper formats compile");
+            let ops = config.iterations.clamp(256, 4096);
+            resynth_record(format.name(), &pattern, &keys, ops, config.samples)
+        })
+        .collect()
 }
 
 /// One (format, family) measurement of synthesis: wall time per
@@ -731,7 +709,7 @@ pub fn metrics_snapshot(scale: &RunScale, config: &BenchConfig) -> sepe_obs::Sna
 ///
 /// Every section is emitted in a **canonical sort order** — `records` by
 /// (family, format, width), `migration` by (format, phase), `concurrency`
-/// by (format, threads), `resynthesis` by (format, mode), `adversarial`
+/// by (format, threads), `resynthesis` by format, `adversarial`
 /// by (format, phase), `synthesis` by (format, family), `metrics` in the
 /// canonical `sepe-metrics/v1` spelling — and object keys
 /// are alphabetical (`BTreeMap`),
@@ -759,7 +737,7 @@ pub fn to_json(
     let mut concurrency: Vec<&ConcurrencyRecord> = concurrency.iter().collect();
     concurrency.sort_by(|a, b| (&a.format, a.threads).cmp(&(&b.format, b.threads)));
     let mut resynthesis: Vec<&ResynthRecord> = resynthesis.iter().collect();
-    resynthesis.sort_by(|a, b| (&a.format, &a.mode).cmp(&(&b.format, &b.mode)));
+    resynthesis.sort_by(|a, b| a.format.cmp(&b.format));
     let mut adversarial: Vec<&AdversarialRecord> = adversarial.iter().collect();
     adversarial.sort_by(|a, b| (&a.format, &a.phase).cmp(&(&b.format, &b.phase)));
     let mut synthesis: Vec<&SynthesisRecord> = synthesis.iter().collect();
@@ -808,7 +786,6 @@ pub fn to_json(
         .map(|r| {
             let mut obj = BTreeMap::new();
             obj.insert("format".to_string(), Json::Str(r.format.clone()));
-            obj.insert("mode".to_string(), Json::Str(r.mode.clone()));
             obj.insert("p50_ns".to_string(), Json::Num(r.p50_ns));
             obj.insert("p99_ns".to_string(), Json::Num(r.p99_ns));
             obj.insert("max_ns".to_string(), Json::Num(r.max_ns));
@@ -931,7 +908,6 @@ mod tests {
         }];
         let resynthesis = vec![ResynthRecord {
             format: "ssn".to_string(),
-            mode: "supervised".to_string(),
             p50_ns: 120.0,
             p99_ns: 480.0,
             max_ns: 950.0,
@@ -984,7 +960,6 @@ mod tests {
             .as_arr()
             .expect("resynthesis array");
         assert_eq!(resy.len(), 1);
-        assert_eq!(resy[0].get("mode").as_str(), Some("supervised"));
         assert_eq!(resy[0].get("format").as_str(), Some("ssn"));
         assert_eq!(resy[0].get("p99_ns").as_u64(), Some(480));
         let adv = parsed
@@ -1027,9 +1002,8 @@ mod tests {
             throughput_mops: 1000.0,
             speedup: 1.0,
         };
-        let mkr = |mode: &str| ResynthRecord {
-            format: "ssn".to_string(),
-            mode: mode.to_string(),
+        let mkr = |format: &str| ResynthRecord {
+            format: format.to_string(),
             p50_ns: 10.0,
             p99_ns: 20.0,
             max_ns: 30.0,
@@ -1052,7 +1026,7 @@ mod tests {
             &[mk("aes", 1), mk("aes", 8), mk("pext", 1)],
             &[],
             &[mkc(1), mkc(2), mkc(8)],
-            &[mkr("inline"), mkr("supervised")],
+            &[mkr("ipv4"), mkr("ssn")],
             &[mka("benign"), mka("attack"), mka("escalated")],
             &[mks("ipv4", "aes"), mks("ssn", "aes"), mks("ssn", "naive")],
             &metrics,
@@ -1062,7 +1036,7 @@ mod tests {
             &[mk("pext", 1), mk("aes", 8), mk("aes", 1)],
             &[],
             &[mkc(8), mkc(1), mkc(2)],
-            &[mkr("supervised"), mkr("inline")],
+            &[mkr("ssn"), mkr("ipv4")],
             &[mka("escalated"), mka("attack"), mka("benign")],
             &[mks("ssn", "naive"), mks("ssn", "aes"), mks("ipv4", "aes")],
             &metrics,
@@ -1122,18 +1096,15 @@ mod tests {
     }
 
     #[test]
-    fn resynth_scenario_measures_both_modes_per_format() {
+    fn resynth_scenario_measures_one_row_per_format() {
         let scale = tiny_scale();
         let mut config = BenchConfig::from_scale(&scale);
         config.iterations = 512;
         config.samples = 1;
         let records = resynth_records(&scale, &config);
-        assert_eq!(records.len(), scale.formats.len() * 2);
-        for mode in ["inline", "supervised"] {
-            let row = records
-                .iter()
-                .find(|r| r.mode == mode)
-                .unwrap_or_else(|| panic!("missing mode {mode}"));
+        assert_eq!(records.len(), scale.formats.len());
+        for (row, format) in records.iter().zip(&scale.formats) {
+            assert_eq!(row.format, format.name());
             assert!(row.p50_ns > 0.0 && row.p50_ns.is_finite(), "{row:?}");
             assert!(row.p99_ns >= row.p50_ns, "{row:?}");
             assert!(row.max_ns >= row.p99_ns, "{row:?}");

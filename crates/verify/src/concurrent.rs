@@ -12,12 +12,14 @@
 //!
 //! The chaos variant adds a drift-burst thread that degrades shards one at
 //! a time (hammering them with off-format keys first, so the degradation
-//! is earned, not just injected) while the other threads keep reading —
-//! the blast radius of a degrading shard must stay confined to that shard.
+//! is earned, not just injected) and then resynthesizes each degraded
+//! shard inline while the other threads keep serving — the blast radius
+//! of a degrading shard must stay confined to that shard, and every
+//! degraded shard must be re-armed on its widened plan.
 
 use sepe_containers::sharded::ShardedMap;
 use sepe_containers::DriftPolicy;
-use sepe_core::guard::GuardedHash;
+use sepe_core::guard::{GuardMode, GuardedHash};
 use sepe_core::hash::ByteHash;
 use sepe_core::pattern::KeyPattern;
 use sepe_core::synth::Family;
@@ -35,6 +37,8 @@ pub struct ConcurrentStats {
     pub threads: usize,
     /// Shards degraded by drift bursts during the run.
     pub degradations: usize,
+    /// Degraded shards re-armed by inline resynthesis under load.
+    pub resyntheses: usize,
     /// Full-content comparisons against the twin (and `HashMap` union).
     pub checkpoints: usize,
 }
@@ -45,6 +49,7 @@ impl ConcurrentStats {
         self.ops += other.ops;
         self.threads += other.threads;
         self.degradations += other.degradations;
+        self.resyntheses += other.resyntheses;
         self.checkpoints += other.checkpoints;
     }
 }
@@ -80,9 +85,9 @@ fn partition(pool: &[Vec<u8>], t: usize, threads: usize) -> Vec<Vec<u8>> {
 /// interleaving inserts, gets and removes over its own key partition and
 /// asserting per-operation agreement with the twin. When
 /// [`ConcurrentRun::chaos`] is set, thread 0 additionally fires drift
-/// bursts — off-format traffic aimed at one shard, followed by a
-/// policy-driven degradation of that shard — while the others keep
-/// serving reads.
+/// bursts — off-format traffic aimed at one shard, a policy-driven
+/// degradation of that shard, then [`ShardedMap::resynthesize_shard`] on
+/// every degraded shard — while the others keep serving reads.
 ///
 /// # Errors
 ///
@@ -110,29 +115,35 @@ where
     let twin: Mutex<HashMap<Vec<u8>, u64>> = Mutex::new(HashMap::new());
     let policy = DriftPolicy::default();
 
-    let worker = |t: usize| -> Result<(usize, usize), String> {
+    let worker = |t: usize| -> Result<(usize, usize, usize), String> {
         let mine = partition(pool, t, threads);
         if mine.is_empty() {
-            return Ok((0, 0));
+            return Ok((0, 0, 0));
         }
         let mut rng = SplitMix64::new(seed ^ (t as u64) << 16);
         let mut ops = 0usize;
         let mut degradations = 0usize;
-        // Off-format shadows of this thread's keys ('~' is outside every
-        // byte class the paper formats admit, and lengthening breaks
-        // fixed-length patterns either way).
-        let shadows: Vec<Vec<u8>> = mine
-            .iter()
-            .map(|k| {
-                let mut s = k.clone();
-                s.push(b'~');
-                s
-            })
-            .collect();
+        let mut resyntheses = 0usize;
+        let mut bursts = 0usize;
         for step in 0..ops_per_thread {
             let r = rng.next_u64();
             let chaos_burst = chaos && t == 0 && step % 97 == 96;
             if chaos_burst {
+                // Off-format shadows of this thread's keys, '~'-padded
+                // ('~' is outside every byte class the formats admit) to a
+                // length no earlier burst reached: a resynthesis widens
+                // the shard's pattern to the shadows it sampled, so only
+                // a longer key is off-format for it again.
+                bursts += 1;
+                let shadow_len = pattern.max_len() + bursts;
+                let shadows: Vec<Vec<u8>> = mine
+                    .iter()
+                    .map(|k| {
+                        let mut s = k.clone();
+                        s.resize(shadow_len, b'~');
+                        s
+                    })
+                    .collect();
                 // Drift burst: hammer one owned shard with off-format
                 // traffic, then let the per-shard policy pull the trigger.
                 // Bursts only ever target the lower half of the stripes, so
@@ -171,10 +182,39 @@ where
                 // target. Only lower-half shards ever see off-format keys,
                 // so neither path can reach the upper half.
                 map.maybe_degrade(&policy);
-                if map.shard_mode(target) == sepe_core::guard::GuardMode::Guarded {
+                if map.shard_mode(target) == GuardMode::Guarded {
                     map.degrade_shard(target);
                 }
                 degradations += map.degraded_shards().saturating_sub(before);
+                // Win the specialized hash back inline, under the shard
+                // write lock, while the other threads keep serving.
+                for shard in 0..map.shard_count() {
+                    if map.shard_mode(shard) == GuardMode::Guarded {
+                        continue;
+                    }
+                    let out = map.resynthesize_shard(shard);
+                    if !out.is_applied() || map.shard_mode(shard) != GuardMode::Guarded {
+                        return Err(format!(
+                            "inline resynthesis of shard {shard} returned {out:?} and left \
+                             it {:?}",
+                            map.shard_mode(shard)
+                        ));
+                    }
+                    resyntheses += 1;
+                }
+                // The burst's keys read back mid-migration.
+                let twin = twin.lock().map_err(|_| "twin mutex poisoned".to_string())?;
+                for s in shadows.iter().filter(|s| map.shard_of(s) == target) {
+                    let got = map.get(s.as_slice());
+                    if got != twin.get(s).copied() {
+                        return Err(format!(
+                            "get after resynthesis disagreed on {:?}: {got:?} vs {:?}",
+                            String::from_utf8_lossy(s),
+                            twin.get(s)
+                        ));
+                    }
+                    ops += 1;
+                }
                 continue;
             }
             let key = &mine[((r >> 8) % mine.len() as u64) as usize];
@@ -222,14 +262,14 @@ where
             }
             ops += 1;
         }
-        Ok((ops, degradations))
+        Ok((ops, degradations, resyntheses))
     };
 
     let mut stats = ConcurrentStats {
         threads,
         ..ConcurrentStats::default()
     };
-    let results: Vec<Result<(usize, usize), String>> = std::thread::scope(|s| {
+    let results: Vec<Result<(usize, usize, usize), String>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads).map(|t| s.spawn(move || worker(t))).collect();
         handles
             .into_iter()
@@ -240,9 +280,10 @@ where
             .collect()
     });
     for r in results {
-        let (ops, degradations) = r?;
+        let (ops, degradations, resyntheses) = r?;
         stats.ops += ops;
         stats.degradations += degradations;
+        stats.resyntheses += resyntheses;
     }
 
     // Quiescent checkpoint: drain the epochs, then the sharded contents
@@ -286,15 +327,28 @@ where
         // Bursts only ever aim at the lower half of the stripes, and a
         // shard that never saw an off-format key must not degrade: any
         // degradation in the upper half means drift leaked across shards
-        // (via routing, shared counters, or the policy).
+        // (via routing, shared counters, or the policy). Every lower-half
+        // degradation was followed by an inline resynthesis of its shard.
+        if stats.resyntheses != stats.degradations {
+            return Err(format!(
+                "{} shards degraded but {} were resynthesized",
+                stats.degradations, stats.resyntheses
+            ));
+        }
         let half = (map.shard_count() / 2).max(1);
-        for shard in half..map.shard_count() {
-            if map.shard_mode(shard) != sepe_core::guard::GuardMode::Guarded {
-                return Err(format!(
+        for shard in 0..map.shard_count() {
+            let mode = map.shard_mode(shard);
+            if mode == GuardMode::Guarded {
+                continue;
+            }
+            return Err(if shard >= half {
+                format!(
                     "shard {shard} degraded without ever seeing off-format traffic — \
                      blast radius was not confined"
-                ));
-            }
+                )
+            } else {
+                format!("shard {shard} is {mode:?} after its resynthesis drained")
+            });
         }
     }
     check_metrics_against_ground_truth(&map, &stats)?;
@@ -420,5 +474,6 @@ mod tests {
         )
         .expect("chaos run agrees");
         assert!(stats.degradations >= 1, "{stats:?}");
+        assert_eq!(stats.resyntheses, stats.degradations, "{stats:?}");
     }
 }

@@ -37,7 +37,7 @@
 //! * [`concurrent`] — a multi-threaded model checker for the lock-striped
 //!   `ShardedMap`: real OS threads over disjoint key partitions against a
 //!   `Mutex<HashMap>` twin, with chaos-mode drift bursts that degrade one
-//!   shard while its siblings keep serving reads;
+//!   shard and resynthesize it inline while its siblings keep serving;
 //! * [`attacker`] — scripted HashDoS attackers: the linear OffXor
 //!   forgeries promoted from the repository's adversarial tests, plus a
 //!   brute-force bucket-flood generator that works against any
@@ -48,14 +48,9 @@
 //!   bounded chains after escalation, twin agreement throughout, exact
 //!   escalation-counter transcripts, and that benign churn never trips
 //!   the detector;
-//! * [`supervisor`] — chaos and replay checks for the background
-//!   resynthesis supervisor: scripted synthesis faults (hang, panic,
-//!   typed error, invalid plan) against concurrent container traffic,
-//!   breaker discipline audits, and mock-clock transcript replay
-//!   equality;
-//! * [`synthesis`] — the minimality suite: every plan must be valid and
-//!   use exactly as many loads as an independent minimum-cover reference,
-//!   and a cancelled mid-flight synthesis must leave no poisoned state.
+//! * [`synthesis`] — the minimality suite: every plan must be valid, use
+//!   exactly as many loads as an independent minimum-cover reference, and
+//!   take at most one step per pattern byte.
 //!
 //! [`Plan`]: sepe_core::synth::Plan
 
@@ -73,5 +68,4 @@ pub mod interp;
 pub mod invariants;
 pub mod migration;
 pub mod model;
-pub mod supervisor;
 pub mod synthesis;

@@ -2,42 +2,15 @@
 //! command line.
 //!
 //! ```text
-//! sepe-verify [--formats N] [--keys N] [--ops N] [--seed S] [--suite NAME]
+//! sepe-verify [--formats N] [--keys N] [--ops N] [--seed S] [--suite NAME] [--inject-faults]
 //! ```
 //!
-//! Suites: `differential` (tuned hashes vs. the plan interpreter over
-//! random and paper formats), `batch` (`hash_batch` vs. the scalar path
-//! and the interpreter at widths 1/3/4/7/8, with hardware `pext` forced
-//! both on and off), `invariants` (structural plan checks, Pext bijection
-//! inversion, lattice soundness), `model` (container operations vs.
-//! `std::collections::HashMap`), `faults` (fault-injected guarded
-//! containers and the degradation state machine, including batched guard
-//! checks), `migration` (interrupted incremental migrations with drift
-//! bursts, model-checked against an eagerly drained twin for content *and*
-//! counter equivalence, plus typed rejection of corrupted plan bundles),
-//! `concurrent` (multi-threaded operations on the lock-striped
-//! `ShardedMap` model-checked against a `Mutex<HashMap>` twin over
-//! disjoint per-thread key partitions; with `--inject-faults`, drift
-//! bursts degrade individual shards while the other threads keep serving
-//! reads), `supervisor` (the background resynthesis supervisor:
-//! mock-clock transcript replay equality and breaker discipline, plus a
-//! supervised chaos run where worker threads hammer a `ShardedMap` while
-//! background synthesis recovers degraded shards; with `--inject-faults`,
-//! the synthesis runner hangs, panics, errors, and returns invalid plans,
-//! and no container op may ever block on it), `adversarial` (the HashDoS
-//! chaos harness: crafted collision storms — including a simulated seed
-//! leak — drive the escalation ladder on single maps, the batched paths,
-//! and a concurrently hammered `ShardedMap`, asserting bounded chains
-//! after escalation, `Mutex<HashMap>`-twin agreement throughout, exact
-//! escalation/rotation/de-escalation counter transcripts, and that
-//! benign churn never escalates), `synthesis` (the minimality suite:
-//! every plan over the seed corpus is valid and uses exactly as many
-//! loads as an independent minimum-cover reference, plus
-//! cancel-mid-synthesis poisoning checks), or `all` (default; faults, migration,
-//! concurrent, supervisor, adversarial and synthesis included). `--inject-faults`
-//! alone is a shorthand for `--suite faults`; combined with an explicit
-//! `--suite` it keeps that suite. Exits non-zero on the first failing
-//! suite.
+//! The suites, with what each checks, are the `SUITES` table below;
+//! `--help` prints it and `--suite all` (the default) runs it in order.
+//! `--inject-faults` alone is a shorthand for `--suite faults`; combined
+//! with an explicit `--suite` it keeps that suite (the concurrent suite
+//! uses it to arm its drift bursts). Exits 1 if any suite fails and 2 on
+//! bad arguments, including an unknown suite name.
 
 use sepe_baselines::CityHash;
 use sepe_core::guard::GuardedHash;
@@ -48,8 +21,71 @@ use sepe_core::Isa;
 use sepe_keygen::{KeyFormat, SplitMix64};
 use sepe_verify::{
     adversarial, batch, concurrent, differential, faults, formats::RandomFormat, invariants,
-    migration, model, supervisor, synthesis,
+    migration, model, synthesis,
 };
+
+type Suite = fn(&Options) -> Result<String, String>;
+
+/// Every suite, in the order `--suite all` runs them: name, what it
+/// checks (printed by `--help`), and its runner.
+const SUITES: &[(&str, &str, Suite)] = &[
+    (
+        "differential",
+        "tuned hashes vs. the plan interpreter over random and paper formats",
+        run_differential,
+    ),
+    (
+        "batch",
+        "hash_batch vs. the scalar path and the interpreter at widths 1/3/4/7/8, \
+         hardware pext forced on and off",
+        run_batch,
+    ),
+    (
+        "invariants",
+        "structural plan checks, Pext bijection inversion, lattice soundness",
+        run_invariants,
+    ),
+    (
+        "model",
+        "container operations vs. std::collections::HashMap",
+        run_model,
+    ),
+    (
+        "faults",
+        "fault-injected guarded containers and the degradation state machine, \
+         batched guard checks included",
+        run_faults,
+    ),
+    (
+        "migration",
+        "interrupted incremental migrations with drift bursts vs. an eagerly drained \
+         twin (contents and counters), typed rejection of corrupted plan bundles",
+        run_migration,
+    ),
+    (
+        "concurrent",
+        "threaded ShardedMap ops vs. a Mutex<HashMap> twin; with --inject-faults, \
+         drift bursts degrade shards and each is resynthesized inline under load",
+        run_concurrent,
+    ),
+    (
+        "adversarial",
+        "HashDoS collision storms drive the escalation ladder on maps, batches and \
+         a hammered ShardedMap; benign churn never escalates",
+        run_adversarial,
+    ),
+    (
+        "synthesis",
+        "every corpus plan valid, minimal against a reference cover, and linear work",
+        run_synthesis,
+    ),
+];
+
+/// The valid `--suite` values, for usage and error messages.
+fn suite_names() -> String {
+    let names: Vec<&str> = SUITES.iter().map(|(name, _, _)| *name).collect();
+    format!("{}|all", names.join("|"))
+}
 
 struct Options {
     formats: usize,
@@ -98,9 +134,12 @@ fn parse_args() -> Result<Options, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: sepe-verify [--formats N] [--keys N] [--ops N] [--seed S] \
-                     [--suite differential|batch|invariants|model|faults|migration|\
-                     concurrent|supervisor|adversarial|synthesis|all] [--inject-faults]"
+                     [--suite {}] [--inject-faults]\n\nsuites:",
+                    suite_names()
                 );
+                for (name, about, _) in SUITES {
+                    println!("  {name:<14}{about}");
+                }
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument {other}")),
@@ -112,6 +151,13 @@ fn parse_args() -> Result<Options, String> {
     // and the concurrent suite uses the flag to arm its drift bursts.
     if inject_faults && !suite_chosen {
         opts.suite = "faults".to_owned();
+    }
+    if opts.suite != "all" && !SUITES.iter().any(|(name, _, _)| *name == opts.suite) {
+        return Err(format!(
+            "unknown suite {} (valid: {})",
+            opts.suite,
+            suite_names()
+        ));
     }
     opts.inject_faults = inject_faults;
     Ok(opts)
@@ -520,65 +566,9 @@ fn run_concurrent(opts: &Options) -> Result<String, String> {
 
     Ok(format!(
         "{} threaded ops across {runs} runs ({} worker threads total, {} shard \
-         degradations, {} quiescent checkpoints) — every per-key observation and final \
-         content matched the Mutex<HashMap> twin",
-        stats.ops, stats.threads, stats.degradations, stats.checkpoints
-    ))
-}
-
-fn run_supervisor(opts: &Options) -> Result<String, String> {
-    let mut rng = SplitMix64::new(opts.seed ^ 0x5FE);
-
-    // Transcript replay: the whole state machine — backoff schedule,
-    // breaker open/half-open/close, fault absorption — must replay
-    // event-for-event from seed + mock clock alone.
-    let mut events = 0usize;
-    let mut replays = 0usize;
-    for _ in 0..3 {
-        events += supervisor::check_replay_transcripts(rng.next_u64())?;
-        replays += 1;
-    }
-    supervisor::check_policy_breaker(opts.seed)?;
-
-    // Supervised chaos: worker threads hammer a ShardedMap while the
-    // supervisor recovers degraded shards in the background. With
-    // `--inject-faults`, synthesis hangs, panics, errors, and returns
-    // invalid plans — and still no container op may block on it.
-    let mut stats = supervisor::SupervisorStats::default();
-    let mut runs = 0usize;
-    for (format, family) in [
-        (KeyFormat::Ssn, Family::Pext),
-        (KeyFormat::Ipv4, Family::OffXor),
-    ] {
-        let pattern = Regex::compile(&format.regex()).expect("compiles");
-        let pool = sample_pattern_keys(&pattern, &mut rng, opts.keys.max(48) * 4);
-        let s = supervisor::check_supervised_chaos(
-            &pattern,
-            family,
-            CityHash::new(),
-            &pool,
-            supervisor::SupervisedRun {
-                threads: 3,
-                ops_per_thread: (opts.ops / 2).max(500),
-                seed: opts.seed ^ runs as u64,
-                faults: opts.inject_faults,
-            },
-        )
-        .map_err(|e| format!("{} {family}: {e}", format.name()))?;
-        stats.absorb(s);
-        runs += 1;
-    }
-
-    Ok(format!(
-        "{replays} transcript replays identical over {events} events, {} threaded ops \
-         across {runs} supervised runs ({} shards degraded, {} background plans applied, \
-         {} injected faults absorbed, worst mutating-op stall {} ms) — no op ever blocked \
-         on synthesis and final contents matched the Mutex<HashMap> twin",
-        stats.ops,
-        stats.degradations,
-        stats.applied,
-        stats.faults,
-        stats.max_mutating_ns / 1_000_000
+         degradations, {} inline shard resyntheses under load, {} quiescent checkpoints) — \
+         every per-key observation and final content matched the Mutex<HashMap> twin",
+        stats.ops, stats.threads, stats.degradations, stats.resyntheses, stats.checkpoints
     ))
 }
 
@@ -700,14 +690,9 @@ fn run_synthesis(opts: &Options) -> Result<String, String> {
         checked += synthesis::check_minimal_cover(name, pattern)?;
     }
 
-    let mut aborted = 0usize;
-    for (name, pattern) in corpus.iter().take(6) {
-        aborted += synthesis::check_cancel_no_poison(name, pattern)?;
-    }
-
     Ok(format!(
-        "{} patterns × {} families: {checked} plans valid and exactly as short as the \
-         minimum cover, {aborted} cancelled syntheses left no poisoned state",
+        "{} patterns × {} families: {checked} plans valid, exactly as short as the \
+         minimum cover, and synthesized in at most one step per pattern byte",
         corpus.len(),
         Family::ALL.len(),
     ))
@@ -721,37 +706,11 @@ fn main() {
             std::process::exit(2);
         }
     };
-    type Suite = fn(&Options) -> Result<String, String>;
-    let suites: Vec<(&str, Suite)> = match opts.suite.as_str() {
-        "differential" => vec![("differential", run_differential)],
-        "batch" => vec![("batch", run_batch)],
-        "invariants" => vec![("invariants", run_invariants)],
-        "model" => vec![("model", run_model)],
-        "faults" => vec![("faults", run_faults)],
-        "migration" => vec![("migration", run_migration)],
-        "concurrent" => vec![("concurrent", run_concurrent)],
-        "supervisor" => vec![("supervisor", run_supervisor)],
-        "adversarial" => vec![("adversarial", run_adversarial)],
-        "synthesis" => vec![("synthesis", run_synthesis)],
-        "all" => vec![
-            ("differential", run_differential),
-            ("batch", run_batch),
-            ("invariants", run_invariants),
-            ("model", run_model),
-            ("faults", run_faults),
-            ("migration", run_migration),
-            ("concurrent", run_concurrent),
-            ("supervisor", run_supervisor),
-            ("adversarial", run_adversarial),
-            ("synthesis", run_synthesis),
-        ],
-        other => {
-            eprintln!("sepe-verify: unknown suite {other}");
-            std::process::exit(2);
-        }
-    };
     let mut failed = false;
-    for (name, run) in suites {
+    for (name, _, run) in SUITES {
+        if opts.suite != "all" && opts.suite != *name {
+            continue;
+        }
         match run(&opts) {
             Ok(summary) => println!("PASS {name}: {summary}"),
             Err(e) => {

@@ -6,15 +6,13 @@
 //! against an independent reference, [`min_cover_loads`]: a dynamic
 //! program that tries every clamped load covering the first uncovered
 //! target and keeps the cheapest continuation. Every plan must also pass
-//! `validate_plan` and cover every target byte. A second check cancels
-//! synthesis before and during a run and requires a typed error and no
-//! poisoned state.
+//! `validate_plan` and cover every target byte, and the run's work
+//! counters must stay within one step per byte of the pattern: synthesis
+//! is total and linear, so it can run inline on the serving thread.
 
 use sepe_core::pattern::KeyPattern;
 use sepe_core::plan_io::{plan_to_string, validate_plan};
-use sepe_core::supervisor::CancelToken;
-use sepe_core::synth::{synthesize, synthesize_with_cancel, Family, Plan};
-use sepe_core::SynthError;
+use sepe_core::synth::{synthesize, synthesize_with_stats, Family, Plan};
 
 /// The fewest `width`-byte loads, each starting in `0..=region_len -
 /// width`, that cover every byte position in `targets` (sorted
@@ -81,11 +79,12 @@ fn load_offsets(plan: &Plan) -> Vec<usize> {
 ///
 /// # Errors
 ///
-/// Describes the first plan that is invalid, misses a target byte, or
-/// uses a different number of loads than the minimum cover.
+/// Describes the first plan that is invalid, misses a target byte, uses
+/// a different number of loads than the minimum cover, or took more than
+/// linear work (see [`check_linear_work`]).
 pub fn check_minimal_cover(name: &str, pattern: &KeyPattern) -> Result<usize, String> {
     for family in Family::ALL {
-        let plan = synthesize(pattern, family);
+        let plan = check_linear_work(name, pattern, family)?;
         validate_plan(&plan).map_err(|e| format!("{name} {family}: invalid plan: {e}"))?;
         let offsets = load_offsets(&plan);
         let Some((width, region_len, targets)) = cover_instance(pattern, family) else {
@@ -118,76 +117,29 @@ pub fn check_minimal_cover(name: &str, pattern: &KeyPattern) -> Result<usize, St
     Ok(Family::ALL.len())
 }
 
-/// Cancels syntheses both before entry and from a racing thread
-/// mid-flight, then requires a fresh synthesis over the same pattern to
-/// still produce the exact plan of [`synthesize`] — an aborted run must
-/// leave no poisoned state behind. Returns the number of cancelled runs.
+/// Synthesizes `family` for `pattern` and requires the run's work to be
+/// linear in the pattern length: at most one expanded node and one
+/// rejected candidate per byte. Returns the plan, which must equal
+/// [`synthesize`]'s.
 ///
 /// # Errors
 ///
-/// Reports a pre-cancelled run that did not return
-/// [`SynthError::Cancelled`], a raced run that returned any error other
-/// than `Cancelled`, or a post-abort run whose plan diverged.
-pub fn check_cancel_no_poison(name: &str, pattern: &KeyPattern) -> Result<usize, String> {
-    let mut aborted = 0usize;
-    for family in Family::ALL {
-        let expected = plan_to_string(&synthesize(pattern, family));
-
-        // Cancellation observed at entry: typed error, nothing else.
-        let token = CancelToken::unbounded();
-        token.cancel();
-        match synthesize_with_cancel(pattern, family, &token) {
-            Err(SynthError::Cancelled) => aborted += 1,
-            Ok(_) => {
-                return Err(format!(
-                    "{name} {family}: pre-cancelled synthesis returned a plan"
-                ))
-            }
-            Err(e) => {
-                return Err(format!(
-                    "{name} {family}: pre-cancelled synthesis returned {e} instead of Cancelled"
-                ))
-            }
-        }
-
-        // A racing cancel: the run either finishes first (and must match
-        // the plain plan) or observes the cancel (and must report it as
-        // the typed error). Either way the *next* run must be pristine.
-        let token = CancelToken::unbounded();
-        let racer = {
-            let token = token.clone();
-            std::thread::spawn(move || token.cancel())
-        };
-        let raced = synthesize_with_cancel(pattern, family, &token);
-        racer.join().map_err(|_| "cancel racer panicked")?;
-        match raced {
-            Ok((plan, _)) => {
-                if plan_to_string(&plan) != expected {
-                    return Err(format!(
-                        "{name} {family}: race-completed plan diverged from synthesize"
-                    ));
-                }
-            }
-            Err(SynthError::Cancelled) => aborted += 1,
-            Err(e) => {
-                return Err(format!(
-                    "{name} {family}: raced synthesis failed with {e} instead of Cancelled"
-                ))
-            }
-        }
-
-        // No poisoned state: a fresh run with a fresh token still returns
-        // the exact plan.
-        let token = CancelToken::unbounded();
-        let (fresh, _) = synthesize_with_cancel(pattern, family, &token)
-            .map_err(|e| format!("{name} {family}: post-abort synthesis failed: {e}"))?;
-        if plan_to_string(&fresh) != expected {
-            return Err(format!(
-                "{name} {family}: post-abort synthesis diverged from synthesize"
-            ));
-        }
+/// Reports a run whose counters exceed the bound, or whose plan differs
+/// from [`synthesize`]'s.
+pub fn check_linear_work(name: &str, pattern: &KeyPattern, family: Family) -> Result<Plan, String> {
+    let (plan, stats) = synthesize_with_stats(pattern, family);
+    let len = pattern.max_len() as u64;
+    if stats.nodes_expanded > len || stats.candidates_rejected > len {
+        return Err(format!(
+            "{name} {family}: {stats:?} exceeds one step per byte of a {len}-byte pattern"
+        ));
     }
-    Ok(aborted)
+    if plan != synthesize(pattern, family) {
+        return Err(format!(
+            "{name} {family}: synthesize_with_stats diverged from synthesize"
+        ));
+    }
+    Ok(plan)
 }
 
 #[cfg(test)]
@@ -225,14 +177,5 @@ mod tests {
             let checked = check_minimal_cover(re, &pattern(re)).expect("minimal cover");
             assert_eq!(checked, Family::ALL.len());
         }
-    }
-
-    #[test]
-    fn cancel_checks_pass_for_a_deep_pattern() {
-        let p = pattern(r"[0-9]{100}");
-        let aborted = check_cancel_no_poison("ints", &p).expect("no poisoned state");
-        // The pre-cancelled run always aborts; the raced one may or may
-        // not, so the floor is one abort per family.
-        assert!(aborted >= Family::ALL.len());
     }
 }

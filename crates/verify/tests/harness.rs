@@ -116,3 +116,47 @@ fn small_paper_formats_are_injective_for_every_word_family() {
             .unwrap_or_else(|e| panic!("{}: {e}", format.name()));
     }
 }
+
+/// `--suite` names outside the suite table (such as the removed
+/// `supervisor` suite) are a usage error: exit 2, naming every valid
+/// suite. `--help` lists the same table.
+#[test]
+fn unknown_suites_exit_2_and_name_the_valid_ones() {
+    let valid = [
+        "differential",
+        "batch",
+        "invariants",
+        "model",
+        "faults",
+        "migration",
+        "concurrent",
+        "adversarial",
+        "synthesis",
+        "all",
+    ];
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_sepe-verify"))
+        .args(["--suite", "supervisor"])
+        .output()
+        .expect("sepe-verify runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "no suite ran");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown suite supervisor"), "{stderr}");
+    for name in valid {
+        assert!(stderr.contains(name), "{name} missing from: {stderr}");
+    }
+
+    let help = std::process::Command::new(env!("CARGO_BIN_EXE_sepe-verify"))
+        .arg("--help")
+        .output()
+        .expect("sepe-verify runs");
+    assert!(help.status.success());
+    let stdout = String::from_utf8_lossy(&help.stdout);
+    for name in valid {
+        assert!(
+            stdout.contains(name),
+            "{name} missing from --help: {stdout}"
+        );
+    }
+    assert!(!stdout.contains("supervisor"), "{stdout}");
+}

@@ -1,6 +1,8 @@
 //! Property-based tests for the epoch migration machinery: `resynthesize`
 //! must reset the drift counters and the reservoir *exactly* (a guard that
-//! keeps stale counts re-degrades on phantom drift), and `hash_of` must
+//! keeps stale counts re-degrades on phantom drift) and be total over
+//! arbitrary off-format bytes (it runs inline, with no deadline or panic
+//! isolation around it), and `hash_of` must
 //! agree with a freshly constructed scalar [`SynthesizedHash`] across an
 //! epoch boundary — the live hasher routes through the new plan even while
 //! stored entries still sit in the old epoch's buckets.
@@ -9,7 +11,8 @@ use proptest::prelude::*;
 use sepe_containers::UnorderedMap;
 use sepe_core::guard::{GuardMode, GuardedHash};
 use sepe_core::hash::{stl_hash_bytes, ByteHash};
-use sepe_core::synth::Family;
+use sepe_core::plan_io::validate_plan;
+use sepe_core::synth::{synthesize_with_stats, Family};
 use sepe_core::SynthesizedHash;
 use sepe_keygen::SplitMix64;
 use sepe_verify::faults::mutate_off_format;
@@ -28,7 +31,10 @@ proptest! {
 
     /// `resynthesize()` rearms the guard completely: lifetime counters,
     /// window counters, reservoir and mode all return to their fresh
-    /// state, no matter what traffic preceded the call.
+    /// state, no matter what traffic preceded the call. It is also total:
+    /// with arbitrary off-format bytes in the reservoir (the empty key,
+    /// keys up to 4x the format length, non-ASCII bytes) it still applies
+    /// a valid plan in linear synthesis work and keeps every stored key.
     #[test]
     fn resynthesize_resets_stats_and_reservoir_exactly(seed in any::<u64>()) {
         let mut rng = SplitMix64::new(seed);
@@ -37,18 +43,47 @@ proptest! {
         for family in Family::ALL {
             let hasher = GuardedHash::from_pattern(&pattern, family, Stl);
             let mut map: UnorderedMap<Vec<u8>, u64, _> = UnorderedMap::with_hasher(hasher);
-            let mut inserted = std::collections::HashSet::new();
+            let mut inserted = std::collections::HashMap::new();
             let mut i = 0u64;
-            for key in format.sample_keys(&mut rng, 24) {
+            // Half the seeds add the empty key, which shrinks the widened
+            // minimum length to 0 (no word loads at all); the other half
+            // keep every off-format key at least as long as the format's
+            // minimum, so the loads cover junk-widened bytes.
+            let with_empty = seed.is_multiple_of(2);
+            let shortest = if with_empty { 0 } else { pattern.min_len() };
+            let longest = 4 * pattern.max_len();
+            for (n, key) in format.sample_keys(&mut rng, 24).into_iter().enumerate() {
                 map.insert(key.clone(), i);
-                inserted.insert(key.clone());
+                inserted.insert(key.clone(), i);
                 i += 1;
                 // Off-format traffic populates both counters and reservoir.
                 let off = mutate_off_format(&pattern, &key, &mut rng);
-                inserted.insert(off.clone());
-                map.insert(off, i);
-                i += 1;
+                if off.len() >= shortest {
+                    inserted.insert(off.clone(), i);
+                    map.insert(off, i);
+                    i += 1;
+                }
+                // Arbitrary bytes on every other key (so all 60 offers fit
+                // the reservoir): the shortest key, a 4x-long key, then
+                // any length in between.
+                if n % 2 == 0 {
+                    let len = match n {
+                        0 => shortest,
+                        2 => longest,
+                        _ => shortest + (rng.next_u64() % (longest - shortest + 1) as u64) as usize,
+                    };
+                    let junk: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                    inserted.insert(junk.clone(), i);
+                    map.insert(junk, i);
+                    i += 1;
+                }
             }
+            let sampled = map.hasher().reservoir_keys();
+            prop_assert!(
+                sampled.iter().any(|k| k.len() == shortest)
+                    && sampled.iter().any(|k| k.len() == longest),
+                "{family}: the reservoir lacks the shortest or the 4x-long key"
+            );
             prop_assert!(map.drift_stats().off_format() > 0, "{family}: no drift recorded");
             prop_assert!(
                 !map.hasher().reservoir_keys().is_empty(),
@@ -64,9 +99,23 @@ proptest! {
                 "{family}: reservoir survived resynthesize"
             );
             prop_assert_eq!(map.guard_mode(), GuardMode::Guarded, "{} mode", family);
+            let plan = map.hasher().specialized().plan();
+            let valid = validate_plan(plan);
+            prop_assert!(valid.is_ok(), "{family}: invalid plan: {valid:?}");
+            let widened = map.hasher().guard().pattern().clone();
+            let (again, stats) = synthesize_with_stats(&widened, family);
+            prop_assert_eq!(&again, plan, "{} plan is not synthesize's", family);
+            prop_assert!(
+                stats.nodes_expanded <= widened.max_len() as u64,
+                "{family}: {stats:?} for a {}-byte pattern",
+                widened.max_len()
+            );
             // The epoch the resynthesize opened must drain losslessly.
             map.finish_migration();
             prop_assert_eq!(map.len(), inserted.len(), "{} entries lost across the epoch", family);
+            for (key, v) in &inserted {
+                prop_assert_eq!(map.get(key), Some(v), "{} lost {:?}", family, key);
+            }
         }
     }
 
