@@ -7,18 +7,46 @@ use sepe_core::hash::keyed::SeedSource;
 use sepe_core::hash::{ByteHash, HashBatch};
 use std::borrow::Borrow;
 
-/// Hysteresis state of the collision-storm detector: consecutive stormy
-/// and calm observations, plus the probe-histogram baseline that turns
-/// the cumulative [`sepe_obs::Histogram`] into a per-tick window.
-/// [`AttackPolicy`] is the pure judgment; this is the memory that keeps
-/// one noisy snapshot from flipping the hasher.
+/// Why a map left [`GuardMode::Guarded`]: the signal that took it off,
+/// and so the only evidence that may bring it back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cause {
+    /// The drift window tripped ([`UnorderedMap::degrade_now`]). The
+    /// degraded hasher counts no drift, so no later tick can see the drift
+    /// end: only an applied [`UnorderedMap::resynthesize`] leaves.
+    Drift,
+    /// The storm detector escalated ([`UnorderedMap::escalate_now`]). A
+    /// quiet window leaves, once the routing it returns to would not
+    /// itself look flooded.
+    Storm,
+}
+
+/// Doublings of [`AttackPolicy::quiet_streak`] a storm rung can accrue
+/// while its flood stays resident: the longest streak is 16× the policy's.
+pub(crate) const MAX_HOLD_DOUBLINGS: u32 = 4;
+
+/// Per-table maintenance state of the drift and storm ladder: why the map
+/// left the guarded rung, the consecutive stormy and calm observations,
+/// and the probe-histogram baseline that turns the cumulative
+/// [`sepe_obs::Histogram`] into a per-tick window. [`AttackPolicy`] is the
+/// pure judgment; this is the memory that keeps one noisy snapshot from
+/// flipping the hasher, and a transition from being undone by a signal
+/// that cannot see its cause.
 #[derive(Debug, Clone, Copy)]
 pub struct AttackState {
+    /// Why the current rung was entered; `None` on the guarded rung (and
+    /// on a rung the hasher reached outside this map, which the storm
+    /// rules treat as theirs).
+    cause: Option<Cause>,
     /// Consecutive observations that looked like a storm.
     storm_streak: u32,
     /// Consecutive observations that looked calm (only counted while on
-    /// an escalated rung).
+    /// a storm rung).
     quiet_streak: u32,
+    /// Times the current storm rung's quiet streak ended with the guarded
+    /// routing still skewed on the stored entries; each doubles the next
+    /// streak, up to [`MAX_HOLD_DOUBLINGS`]. Reset by every transition.
+    hold: u32,
     /// Probe-length bucket counts at the previous detector tick. The
     /// histogram is monotone, so judging its lifetime p99 would keep a
     /// long-past storm "visible" forever; each tick diffs against this
@@ -29,10 +57,22 @@ pub struct AttackState {
 impl Default for AttackState {
     fn default() -> Self {
         AttackState {
+            cause: None,
             storm_streak: 0,
             quiet_streak: 0,
+            hold: 0,
             probe_baseline: [0; sepe_obs::histogram::BUCKETS],
         }
+    }
+}
+
+impl AttackState {
+    /// Records a transition onto a rung entered for `cause` (`None`: back
+    /// to guarded); the quiet streak and its hold start over.
+    fn enter(&mut self, cause: Option<Cause>) {
+        self.cause = cause;
+        self.quiet_streak = 0;
+        self.hold = 0;
     }
 }
 
@@ -215,10 +255,10 @@ where
     }
 
     /// Upper bound on [`UnorderedMap::max_bucket_len`] that the table
-    /// keeps from its inserts, or `None` while unknown: after a rehash,
-    /// and from the opening of a migration epoch until the first exact
-    /// count after it drains. The storm detector's ticks read it instead
-    /// of walking every chain whenever it is too short to look skewed.
+    /// keeps from its inserts and migration drains, or `None` while
+    /// unknown: after a rehash, until the next exact count. The storm
+    /// detector's ticks read it instead of walking every chain whenever it
+    /// is too short to look skewed.
     pub fn chain_bound(&self) -> Option<usize> {
         self.table.chain_bound()
     }
@@ -461,10 +501,14 @@ where
     /// A no-op unless the map is on [`GuardMode::Guarded`]: a degraded map
     /// has nothing to do, and a keyed map is already above this rung (only
     /// [`UnorderedMap::maybe_deescalate`] leaves it).
+    ///
+    /// The rung is held for drift: storm quiet never leaves it, only an
+    /// applied [`UnorderedMap::resynthesize`] does.
     pub fn degrade_now(&mut self) {
         if self.guard_mode() != GuardMode::Guarded {
             return;
         }
+        self.attack.enter(Some(Cause::Drift));
         // Snapshot the pre-flip routing first: the epoch's entries were
         // filed under it. Both frozen copies are counter-silent, so an
         // amortized drain and an eager rebuild leave identical drift stats.
@@ -536,6 +580,7 @@ where
         let rehasher = self.table.hasher().epoch_frozen(next);
         self.table.begin_migration(old, rehasher);
         self.table.obs().escalations.inc();
+        self.attack.enter(Some(Cause::Storm));
     }
 
     /// Gathers one [`AttackSignals`] snapshot from the table's own
@@ -562,13 +607,25 @@ where
         true
     }
 
-    /// Counts one calm observation and, after
-    /// [`AttackPolicy::quiet_streak`] of them on an escalated rung,
-    /// de-escalates all the way back to the specialized hasher (guard
-    /// re-armed, counters reset, reservoir cleared) under an incremental
-    /// migration. Returns whether the de-escalation happened.
+    /// Counts one calm observation on a storm rung and, at the end of a
+    /// quiet streak, de-escalates all the way back to the specialized
+    /// hasher (guard re-armed, counters reset, reservoir cleared) under an
+    /// incremental migration. Returns whether the de-escalation happened.
+    ///
+    /// A streak is [`AttackPolicy::quiet_streak`] calm ticks, doubled (up
+    /// to 16×) each time one ends with the guarded routing still skewed on
+    /// the stored entries: a rung stays while its flood is resident, since
+    /// the specialized and fallback routes are adversary-computable. A
+    /// storm rung re-arms even if a drift degrade sat below it; the
+    /// reservoir, filled during the attack, is cleared with it.
+    ///
+    /// A rung held for drift ([`UnorderedMap::degrade_now`]) is neither
+    /// counted nor left: the degraded hasher counts no drift, so a calm
+    /// tick says nothing about it. Only [`UnorderedMap::resynthesize`]
+    /// leaves it.
     pub fn maybe_deescalate(&mut self, policy: &AttackPolicy) -> bool {
-        if self.guard_mode() == GuardMode::Guarded {
+        let mode = self.guard_mode();
+        if mode == GuardMode::Guarded || self.attack.cause == Some(Cause::Drift) {
             return false;
         }
         if policy.storm(&self.judged_signals(policy)) {
@@ -576,15 +633,25 @@ where
             return false;
         }
         self.attack.quiet_streak += 1;
-        if self.attack.quiet_streak < policy.quiet_streak.max(1) {
+        let streak = policy
+            .quiet_streak
+            .max(1)
+            .saturating_mul(1 << self.attack.hold);
+        if self.attack.quiet_streak < streak {
             return false;
         }
         self.attack.quiet_streak = 0;
-        let old = self.table.hasher().epoch_frozen(self.guard_mode());
+        let guarded = self.table.hasher().epoch_frozen(GuardMode::Guarded);
+        let (len, buckets) = (self.len(), self.bucket_count());
+        if policy.chain_skewed(self.table.longest_chain_under(&guarded), len, buckets) {
+            self.attack.hold = (self.attack.hold + 1).min(MAX_HOLD_DOUBLINGS);
+            return false;
+        }
+        let old = self.table.hasher().epoch_frozen(mode);
         self.table.hasher().rearm();
-        let rehasher = self.table.hasher().epoch_frozen(GuardMode::Guarded);
-        self.table.begin_migration(old, rehasher);
+        self.table.begin_migration(old, guarded);
         self.table.obs().deescalations.inc();
+        self.attack.enter(None);
         true
     }
 
@@ -607,9 +674,22 @@ where
 
     /// The signals `policy` judges on a tick: exact unless the chain
     /// bound proves the skew test false (see [`UnorderedMap::attack_signals`]).
+    ///
+    /// On the keyed rung, while its re-key epoch drains, the probe tail is
+    /// dropped: its long probes walk the old epoch's chains, filed under
+    /// the routing the rung just left, so they say nothing about whether
+    /// the *current* seed leaked, the one thing a rotation answers. A
+    /// flood forged against the current seed lands in the live epoch,
+    /// where the chain signal sees it. (Below the keyed rung the tail
+    /// still counts: the unkeyed fallback is as forgeable as the routing
+    /// before it.)
     fn judged_signals(&mut self, policy: &AttackPolicy) -> AttackSignals {
         let (len, buckets) = (self.len(), self.bucket_count());
-        self.signals_with(|max| policy.chain_skewed(max, len, buckets))
+        let mut signals = self.signals_with(|max| policy.chain_skewed(max, len, buckets));
+        if self.guard_mode() == GuardMode::Keyed && self.migration_in_flight() {
+            signals.probe_p99 = None;
+        }
+        signals
     }
 
     /// One signal snapshot; walks the chains when `could_trip` holds for
@@ -671,6 +751,7 @@ where
         if out.is_applied() {
             let rehasher = self.table.hasher().epoch_frozen(GuardMode::Guarded);
             self.table.begin_migration(old, rehasher);
+            self.attack.enter(None);
         }
         out
     }
@@ -1403,7 +1484,9 @@ mod tests {
         assert!(!m.maybe_escalate(&policy, &seeds));
         assert!(m.maybe_escalate(&policy, &seeds));
         assert_eq!(m.guard_mode(), GuardMode::Degraded);
-        assert_eq!(m.chain_bound(), None, "an open epoch forgets the bound");
+        assert!(m.migration_in_flight());
+        let bound = m.chain_bound().expect("an open epoch keeps the bound");
+        assert!(bound >= m.max_bucket_len(), "bound {bound} mid-drain");
 
         // The flood leaves; de-escalation follows after `quiet_streak`.
         for key in &flood {
@@ -1412,10 +1495,185 @@ mod tests {
         m.finish_migration();
         for tick in 1..policy.quiet_streak {
             assert!(!m.maybe_deescalate(&policy), "quiet tick {tick}");
-            assert_eq!(m.chain_bound(), Some(m.max_bucket_len()));
+            assert!(m.chain_bound() >= Some(m.max_bucket_len()));
         }
         assert!(m.maybe_deescalate(&policy));
         assert_eq!(m.guard_mode(), GuardMode::Guarded);
+        assert_eq!((m.escalations(), m.deescalations()), (1, 1));
+
+        // The re-arm opened an epoch; its drain keeps a bound at least the
+        // walk. A burst into one live bucket, gone again before the tick,
+        // leaves the bound above the walk, so a calm tick that kept the
+        // bound read it instead of walking.
+        assert!(m.migration_in_flight(), "the re-arm opened an epoch");
+        let burst: Vec<String> = (0u64..)
+            .map(|i| format!("burst-{i:016x}"))
+            .filter(|k| m.hash_of(k.as_bytes()) % buckets as u64 == target)
+            .take(policy.min_chain / 2)
+            .collect();
+        let mut ticks = 0u32;
+        while m.migration_in_flight() {
+            for key in &burst {
+                m.insert(key.clone(), 0);
+            }
+            for key in &burst {
+                m.remove(key);
+            }
+            let bound = m.chain_bound().expect("an open epoch keeps the bound");
+            assert!(bound > m.max_bucket_len(), "tick {ticks}: bound {bound}");
+            assert!(!m.maybe_escalate(&policy, &seeds), "calm tick {ticks}");
+            assert_eq!(m.chain_bound(), Some(bound), "tick {ticks} walked");
+            m.remove(&ssn(ticks));
+            m.insert(ssn(8_192 + ticks), ticks);
+            ticks += 1;
+        }
+        assert!(ticks > 1, "the drain spanned several ticks");
+    }
+
+    /// A guarded SSN map holding `n` resident SSNs plus a 64-key flood
+    /// forged against its live routing (off-format keys, so the
+    /// specialized, degraded and re-armed routings all pile them up).
+    fn flooded_ssn_map(
+        n: u32,
+    ) -> (
+        UnorderedMap<String, u32, GuardedHash<sepe_core::SynthesizedHash, StlHash>>,
+        Vec<String>,
+    ) {
+        let mut m = guarded_ssn_map(sepe_core::Family::OffXor);
+        m.reserve(n as usize + 64);
+        for i in 0..n {
+            m.insert(format!("{:03}-{:02}-{:04}", i % 1000, i % 100, i), i);
+        }
+        let buckets = m.bucket_count() as u64;
+        let target = m.hash_of(b"flood target") % buckets;
+        let flood: Vec<String> = (0u64..)
+            .map(|i| format!("atk-{i:016x}"))
+            .filter(|k| m.hash_of(k.as_bytes()) % buckets == target)
+            .take(64)
+            .collect();
+        for key in &flood {
+            m.insert(key.clone(), 0);
+        }
+        (m, flood)
+    }
+
+    #[test]
+    fn a_drift_degrade_is_left_only_by_resynthesis() {
+        let mut m = guarded_ssn_map(sepe_core::Family::OffXor);
+        let seeds = sepe_core::hash::keyed::FixedSeedSource::new(7);
+        let (drift, attack) = (DriftPolicy::default(), AttackPolicy::default());
+        let ssn = |i: u32| format!("{:03}-{:02}-{:04}", i % 1000, i % 100, i);
+        for i in 0..2_000u32 {
+            m.insert(ssn(i), i);
+        }
+        for i in 0..400u32 {
+            m.insert(format!("{:03}/{:02}/{:04}", i % 1000, i % 100, i), i);
+        }
+        assert!(m.maybe_degrade(&drift));
+        assert_eq!(m.guard_mode(), GuardMode::Degraded);
+        // Calm ticks see no storm, and the degraded hasher counts no
+        // drift: neither signal can say the drift is over.
+        for tick in 0..64u32 {
+            m.remove(&ssn(tick));
+            m.insert(ssn(tick), tick);
+            assert!(!m.maybe_degrade(&drift), "tick {tick}");
+            assert!(!m.maybe_escalate(&attack, &seeds), "tick {tick}");
+            assert!(
+                !m.maybe_deescalate(&attack),
+                "tick {tick} left the drift rung"
+            );
+            assert_eq!(m.guard_mode(), GuardMode::Degraded, "tick {tick}");
+        }
+        assert_eq!((m.escalations(), m.deescalations()), (0, 0));
+        // The reservoir kept the drifted keys sampled before the degrade.
+        assert!(m.resynthesize().is_applied());
+        assert_eq!(m.guard_mode(), GuardMode::Guarded);
+        assert!(m.hasher().guard().matches(b"123/45/6789"));
+        for tick in 0..8u32 {
+            assert!(!m.maybe_deescalate(&attack), "guarded tick {tick}");
+        }
+        for i in 0..2_000u32 {
+            assert_eq!(m.get(&ssn(i)), Some(&i), "{}", ssn(i));
+        }
+        for i in 0..400u32 {
+            let key = format!("{:03}/{:02}/{:04}", i % 1000, i % 100, i);
+            assert_eq!(m.get(&key), Some(&i), "{key}");
+        }
+    }
+
+    #[test]
+    fn a_storm_rung_holds_while_its_flood_is_resident() {
+        let (mut m, flood) = flooded_ssn_map(4_000);
+        let seeds = sepe_core::hash::keyed::FixedSeedSource::new(7);
+        let policy = AttackPolicy::default();
+        for _ in 0..8 {
+            if m.guard_mode() == GuardMode::Keyed {
+                break;
+            }
+            m.maybe_escalate(&policy, &seeds);
+            m.finish_migration();
+        }
+        assert_eq!(m.guard_mode(), GuardMode::Keyed);
+        assert_eq!(m.escalations(), 2, "guarded, degraded, keyed");
+        // The keyed rung spreads the flood, so every tick is quiet; but
+        // the guarded routing it would return to piles the flood up again.
+        for tick in 0..64u32 {
+            assert!(!m.maybe_escalate(&policy, &seeds), "tick {tick}");
+            assert!(
+                !m.maybe_deescalate(&policy),
+                "tick {tick} re-armed onto the flood"
+            );
+        }
+        assert_eq!(m.guard_mode(), GuardMode::Keyed);
+        assert_eq!(
+            m.attack.hold, MAX_HOLD_DOUBLINGS,
+            "each failed check doubled"
+        );
+        for key in &flood {
+            assert_eq!(m.remove(key), Some(0));
+        }
+        let streak = policy.quiet_streak << MAX_HOLD_DOUBLINGS;
+        let after = (1..=streak).find(|_| m.maybe_deescalate(&policy));
+        assert!(after.is_some(), "no re-arm within one {streak}-tick streak");
+        assert_eq!(m.guard_mode(), GuardMode::Guarded);
+        assert_eq!((m.escalations(), m.deescalations()), (2, 1));
+        assert_eq!(m.attack.hold, 0, "the transition reset the hold");
+        m.finish_migration();
+        assert_eq!(m.len(), 4_000);
+        for i in 0..4_000u32 {
+            let key = format!("{:03}-{:02}-{:04}", i % 1000, i % 100, i);
+            assert_eq!(m.get(&key), Some(&i), "{key}");
+        }
+    }
+
+    #[test]
+    fn a_storm_rung_above_a_drift_degrade_rearms_and_clears_the_reservoir() {
+        let (mut m, flood) = flooded_ssn_map(2_000);
+        let seeds = sepe_core::hash::keyed::FixedSeedSource::new(7);
+        let policy = AttackPolicy::default();
+        // The flood keys are off-format, so the reservoir sampled them.
+        assert!(!m.hasher().reservoir_keys().is_empty());
+        m.degrade_now();
+        m.finish_migration();
+        for _ in 0..policy.trip_streak {
+            m.maybe_escalate(&policy, &seeds);
+        }
+        assert_eq!(
+            m.guard_mode(),
+            GuardMode::Keyed,
+            "the storm climbs past the drift rung"
+        );
+        for key in &flood {
+            m.remove(key);
+        }
+        m.finish_migration();
+        let after = (1..=policy.quiet_streak).find(|_| m.maybe_deescalate(&policy));
+        assert!(after.is_some(), "quiet with the flood gone re-arms");
+        assert_eq!(m.guard_mode(), GuardMode::Guarded);
+        assert!(
+            m.hasher().reservoir_keys().is_empty(),
+            "attack samples dropped"
+        );
         assert_eq!((m.escalations(), m.deescalations()), (1, 1));
     }
 }

@@ -199,7 +199,9 @@ pub struct AttackPolicy {
     pub min_len: usize,
     /// Consecutive stormy observations required before escalating.
     pub trip_streak: u32,
-    /// Consecutive calm observations required before de-escalating.
+    /// Consecutive calm observations required before de-escalating. A
+    /// streak that ends with the flood still stored does not de-escalate
+    /// and doubles the next one (see `UnorderedMap::maybe_deescalate`).
     pub quiet_streak: u32,
     /// A probe-length p99 above this is stormy regardless of chain shape.
     pub probe_p99_limit: u64,

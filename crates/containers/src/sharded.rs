@@ -1148,6 +1148,94 @@ mod tests {
     }
 
     #[test]
+    fn a_shard_holds_each_rung_for_its_cause_and_siblings_stay_guarded() {
+        let m = sharded(4);
+        let seeds = sepe_core::hash::keyed::FixedSeedSource::new(0xD1F7);
+        let policy = AttackPolicy::default();
+        for i in 0..2_000 {
+            m.insert(ssn(i), i);
+        }
+        let (drifted, flooded) = (0usize, 2usize);
+        // Off-format keys routed to the drifted shard, sampled by its
+        // reservoir before the degrade.
+        let drift: Vec<String> = (0u32..)
+            .map(|i| format!("{:03}/{:02}/{:04}", i % 1000, i % 100, i))
+            .filter(|k| m.shard_of(k.as_bytes()) == drifted)
+            .take(64)
+            .collect();
+        for (i, key) in drift.iter().enumerate() {
+            m.insert(key.clone(), i as u32);
+        }
+        m.degrade_shard(drifted);
+
+        // Pre-grow the flooded shard so the flood's bucket stays put, then
+        // forge it against that shard's guarded routing.
+        let filler: Vec<String> = (0u32..)
+            .map(|i| format!("filler-{i:08}"))
+            .filter(|k| m.shard_of(k.as_bytes()) == flooded)
+            .take(256)
+            .collect();
+        for key in &filler {
+            m.insert(key.clone(), 0);
+        }
+        for key in &filler {
+            m.remove(key.as_str());
+        }
+        let buckets = m.shard_bucket_count(flooded) as u64;
+        let bucket_of = |k: &str| m.read(flooded).hash_of(k.as_bytes()) % buckets;
+        let target = bucket_of("flood target");
+        let flood: Vec<String> = (0u64..)
+            .map(|i| format!("atk-{i:016x}"))
+            .filter(|k| m.shard_of(k.as_bytes()) == flooded && bucket_of(k) == target)
+            .take(64)
+            .collect();
+        for key in &flood {
+            m.insert(key.clone(), 0);
+        }
+        for _ in 0..8 {
+            if m.shard_mode(flooded) == GuardMode::Keyed {
+                break;
+            }
+            m.maybe_escalate(&policy, &seeds);
+            m.finish_migrations();
+        }
+        assert_eq!(m.shard_bucket_count(flooded) as u64, buckets);
+        assert_eq!(m.shard_mode(flooded), GuardMode::Keyed);
+        assert_eq!(m.shard_escalation_count(), 2);
+
+        // Calm ticks leave neither the drift rung nor the resident flood.
+        for tick in 0..64 {
+            assert_eq!(m.maybe_escalate(&policy, &seeds), 0, "tick {tick}");
+            assert_eq!(m.maybe_deescalate(&policy), 0, "tick {tick}");
+        }
+        assert_eq!(m.shard_mode(drifted), GuardMode::Degraded);
+        assert_eq!(m.shard_mode(flooded), GuardMode::Keyed);
+        for i in [1, 3] {
+            assert_eq!(m.shard_mode(i), GuardMode::Guarded, "sibling {i}");
+        }
+
+        // Resynthesis leaves the drift rung; the flood's removal the storm.
+        assert!(m.resynthesize_shard(drifted).is_applied());
+        for key in &flood {
+            assert_eq!(m.remove(key.as_str()), Some(0));
+        }
+        let streak = policy.quiet_streak << crate::map::MAX_HOLD_DOUBLINGS;
+        let after = (1..=streak).find(|_| m.maybe_deescalate(&policy) == 1);
+        assert!(after.is_some(), "no re-arm within one {streak}-tick streak");
+        for i in 0..4 {
+            assert_eq!(m.shard_mode(i), GuardMode::Guarded, "shard {i}");
+        }
+        assert_eq!(m.shard_deescalation_count(), 1);
+        m.finish_migrations();
+        for i in 0..2_000 {
+            assert_eq!(m.get(ssn(i).as_str()), Some(i), "{} lost", ssn(i));
+        }
+        for (i, key) in drift.iter().enumerate() {
+            assert_eq!(m.get(key.as_str()), Some(i as u32), "{key} lost");
+        }
+    }
+
+    #[test]
     fn degrading_a_keyed_shard_records_nothing() {
         let m = sharded(4);
         let seeds = sepe_core::hash::keyed::FixedSeedSource::new(0xC4A05);

@@ -225,9 +225,10 @@ pub(crate) struct RawTable<K, V, H> {
     max_load_factor: f64,
     migration: Option<Migration<H>>,
     /// Upper bound on the longest live-epoch chain, `None` when unknown.
-    /// Inserts of new keys raise it from the chain their miss just walked;
-    /// removals leave it standing (still a bound); anything that relinks
-    /// chains without probing them forgets it until
+    /// Inserts of new keys raise it from the chain their miss just walked,
+    /// and a migration drain from the chain each drained entry joins;
+    /// removals leave it standing (still a bound); a resize, which
+    /// relinks every chain without probing it, forgets it until
     /// [`RawTable::longest_chain`] walks the table again.
     chain_bound: Option<usize>,
     stale_reads: StaleReads,
@@ -278,9 +279,10 @@ where
     /// observable side effects (see `GuardedHash::epoch_frozen`). An epoch
     /// already in flight is drained first, with *its* stored rehasher, so
     /// stacked degrade/resynthesize transitions never mix plans.
+    ///
+    /// The fresh live epoch starts empty, so its chain bound is 0; the
+    /// drain and the inserts after it raise the bound as they link.
     pub(crate) fn begin_migration(&mut self, old_hasher: H, rehasher: H) {
-        // Draining relinks entries into live chains without probing them.
-        self.chain_bound = None;
         self.finish_migration();
         if self.len == 0 {
             return;
@@ -290,6 +292,7 @@ where
         }
         let buckets = self.heads.len();
         let old_heads = std::mem::replace(&mut self.heads, vec![NONE; buckets]);
+        self.chain_bound = Some(0);
         self.migration = Some(Migration {
             old_hasher,
             rehasher,
@@ -324,6 +327,9 @@ where
             e.hash = hash;
             e.next = self.heads[bucket];
             self.heads[bucket] = idx;
+            if self.chain_bound.is_some() {
+                self.note_chain(self.chain_len(idx));
+            }
             mig.old_len -= 1;
             moved += 1;
         }
@@ -538,6 +544,16 @@ where
         (found, live)
     }
 
+    /// Number of entries in the chain starting at `at`.
+    fn chain_len(&self, mut at: u32) -> usize {
+        let mut n = 0;
+        while at != NONE {
+            n += 1;
+            at = self.entries[at as usize].next;
+        }
+        n
+    }
+
     /// Raises the chain bound to cover a live chain of `len` entries.
     #[inline]
     fn note_chain(&mut self, len: usize) {
@@ -548,6 +564,11 @@ where
 
     /// [`RawTable::insert_unique`] with the hash already computed. The
     /// caller must have computed `hash` with this table's hasher.
+    ///
+    /// Drains once, before the probe: a drain between the probe and the
+    /// link could grow the probed chain unseen, and the new entry joins
+    /// exactly the chain its miss walked (a resize in between forgets the
+    /// bound anyway).
     pub(crate) fn insert_unique_hashed(&mut self, hash: u64, key: K, value: V) -> Option<V> {
         self.migrate(MIGRATE_STRIDE);
         let (found, chain) = self.find_probed(hash, key.as_ref());
@@ -587,31 +608,17 @@ where
     pub(crate) fn insert_multi(&mut self, key: K, value: V) {
         // No probe, so no chain length to bound with.
         self.chain_bound = None;
-        self.link_unprobed(key, value);
-    }
-
-    /// Map semantics: replaces the value of an existing equal key.
-    pub(crate) fn insert_unique(&mut self, key: K, value: V) -> Option<V> {
-        self.migrate(MIGRATE_STRIDE);
-        let bytes = key.as_ref();
-        let (found, chain) = self.find_probed(self.hash_of(bytes), bytes);
-        if let Some(idx) = found {
-            let slot = &mut self.get_kv_mut(idx).1;
-            return Some(std::mem::replace(slot, value));
-        }
-        // Links into the chain the miss just walked: the key hashes the
-        // same, and a rehash in between forgets the bound anyway.
-        self.link_unprobed(key, value);
-        self.note_chain(chain + 1);
-        None
-    }
-
-    /// The body of [`RawTable::insert_multi`]: drain, grow, hash, link.
-    fn link_unprobed(&mut self, key: K, value: V) {
         self.migrate(MIGRATE_STRIDE);
         self.reserve_one();
         let hash = self.hash_of(key.as_ref());
         self.link_new(hash, key, value);
+    }
+
+    /// Map semantics: replaces the value of an existing equal key. Hashes
+    /// the key once, so a guarded hasher counts it once.
+    pub(crate) fn insert_unique(&mut self, key: K, value: V) -> Option<V> {
+        let hash = self.hash_of(key.as_ref());
+        self.insert_unique_hashed(hash, key, value)
     }
 
     fn reserve_one(&mut self) {
@@ -867,9 +874,9 @@ where
     /// The longest live chain as the storm detector needs it: the O(1)
     /// chain bound while it is known and `could_trip(bound)` is false,
     /// otherwise the exact [`RawTable::max_bucket_len`] walk, whose result
-    /// becomes the new bound when no epoch is open (a draining epoch grows
-    /// live chains unprobed). `could_trip` must be monotone in the chain
-    /// length, so a bound that cannot trip means the exact length cannot.
+    /// becomes the new bound (an open epoch's drain raises it from there).
+    /// `could_trip` must be monotone in the chain length, so a bound that
+    /// cannot trip means the exact length cannot.
     pub(crate) fn longest_chain(&mut self, could_trip: impl Fn(usize) -> bool) -> usize {
         if let Some(bound) = self.chain_bound {
             if !could_trip(bound) {
@@ -877,10 +884,28 @@ where
             }
         }
         let exact = self.max_bucket_len();
-        if self.migration.is_none() {
-            self.chain_bound = Some(exact);
-        }
+        self.chain_bound = Some(exact);
         exact
+    }
+
+    /// Length of the longest chain the stored entries, in both epochs,
+    /// would form if filed under `hasher` in the live bucket array. One
+    /// pass over the arena that hashes every key: the storm detector asks
+    /// it once per quiet streak, to learn whether a routing it would
+    /// return to still looks flooded.
+    pub(crate) fn longest_chain_under(&self, hasher: &H) -> usize {
+        let buckets = self.heads.len();
+        let mut counts = vec![0u32; buckets];
+        let mut longest = 0;
+        for (key, _) in self.iter() {
+            let bucket = self
+                .policy
+                .bucket_of(hasher.hash_bytes(key.as_ref()), buckets as u64);
+            let n = &mut counts[bucket as usize];
+            *n += 1;
+            longest = longest.max(*n);
+        }
+        longest as usize
     }
 
     /// The current chain bound (`None` when unknown).

@@ -16,12 +16,14 @@
 //! * **counter discipline** — the escalation / de-escalation /
 //!   seed-rotation counters exactly equal the harness transcript, in
 //!   every build;
-//! * **hysteresis** — benign workloads never trip the detector.
+//! * **hysteresis** — benign workloads never trip the detector;
+//! * **cause-aware exits** — a drift degrade is never undone by storm
+//!   quiet, and a storm rung is never left while its flood is resident.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use sepe_containers::{AttackPolicy, ShardedMap, UnorderedMap};
+use sepe_containers::{AttackPolicy, DriftPolicy, ShardedMap, UnorderedMap};
 use sepe_core::guard::{GuardMode, GuardedHash};
 use sepe_core::hash::{ByteHash, FixedSeedSource, HashBatch, SynthesizedHash};
 use sepe_core::pattern::KeyPattern;
@@ -297,6 +299,294 @@ where
         ));
     }
     Ok(stats)
+}
+
+/// Operations served between two maintenance ticks in
+/// [`check_drift_flood_calm`].
+const TICK_OPS: usize = 32;
+
+/// One map served the way a server runs it: a burst of traffic, then one
+/// maintenance tick (`maybe_degrade`, `maybe_escalate`, `maybe_deescalate`,
+/// in that order), with every transition the tick reports written to the
+/// transcript.
+struct Served<G: ByteHash> {
+    map: GuardedMap<G>,
+    twin: HashMap<Vec<u8>, u64>,
+    seeds: FixedSeedSource,
+    attack: AttackPolicy,
+    drift: DriftPolicy,
+    rng: SplitMix64,
+    stats: AdversarialStats,
+    degrades: u64,
+}
+
+impl<G: ByteHash + Clone> Served<G> {
+    /// [`TICK_OPS`] lookups and overwrites of `keys`, each checked
+    /// against the twin.
+    fn serve(&mut self, keys: &[&[u8]]) -> Result<(), String> {
+        for _ in 0..TICK_OPS {
+            let r = self.rng.next_u64();
+            let k = keys[(r >> 1) as usize % keys.len()];
+            if r & 1 == 1 {
+                self.insert(k, r >> 8)?;
+            } else if self.map.get(k) != self.twin.get(k) {
+                return Err(format!("get {:?} disagreed", String::from_utf8_lossy(k)));
+            } else {
+                self.stats.ops += 1;
+            }
+        }
+        Ok(())
+    }
+
+    fn insert(&mut self, k: &[u8], v: u64) -> Result<(), String> {
+        self.stats.ops += 1;
+        if self.map.insert(k.to_vec(), v) != self.twin.insert(k.to_vec(), v) {
+            return Err(format!("insert {:?} disagreed", String::from_utf8_lossy(k)));
+        }
+        Ok(())
+    }
+
+    fn remove(&mut self, k: &[u8]) -> Result<(), String> {
+        self.stats.ops += 1;
+        if self.map.remove(k) != self.twin.remove(k) {
+            return Err(format!("remove {:?} disagreed", String::from_utf8_lossy(k)));
+        }
+        Ok(())
+    }
+
+    /// One maintenance tick; returns whether it degraded, escalated and
+    /// de-escalated.
+    fn tick(&mut self) -> (bool, bool, bool) {
+        let degraded = self.map.maybe_degrade(&self.drift);
+        let from = self.map.guard_mode();
+        let escalated = self.map.maybe_escalate(&self.attack, &self.seeds);
+        let deescalated = self.map.maybe_deescalate(&self.attack);
+        self.degrades += u64::from(degraded);
+        self.stats.escalations += u64::from(escalated);
+        self.stats.rotations += u64::from(escalated && from == GuardMode::Keyed);
+        self.stats.deescalations += u64::from(deescalated);
+        (degraded, escalated, deescalated)
+    }
+
+    /// A tick that must take no transition.
+    fn calm_tick(&mut self, when: &str) -> Result<(), String> {
+        match self.tick() {
+            (false, false, false) => Ok(()),
+            moves => Err(format!(
+                "{when}: a tick took (degrade, escalate, de-escalate) {moves:?} on {:?}",
+                self.map.guard_mode()
+            )),
+        }
+    }
+
+    fn checkpoint(&mut self, when: &str) -> Result<(), String> {
+        self.stats.checkpoints += 1;
+        check_twin(&self.map, &self.twin, when)
+    }
+}
+
+/// Drift, then a flood, then calm, on one `UnorderedMap` ticked like a
+/// serving map: the sequence that makes a ladder flap if storm quiet can
+/// re-arm a drift degrade, or a keyed rung can re-arm onto a flood that
+/// is still stored.
+///
+/// The transcript must read: one drift degrade, held through calm ticks
+/// until an inline resynthesis widens the guard; a flood forged against
+/// the re-armed routing, answered by the keyed rung in at most two
+/// escalations and held there while the flood stays resident; exactly one
+/// de-escalation once the flood is removed, and no transition after it.
+/// The ladder counters must equal the transcript and the twin must agree
+/// at every checkpoint.
+pub fn check_drift_flood_calm<G>(
+    pattern: &KeyPattern,
+    family: Family,
+    fallback: G,
+    benign: &[Vec<u8>],
+    seed: u64,
+) -> Result<AdversarialStats, String>
+where
+    G: ByteHash + Clone,
+{
+    if benign.len() < 64 {
+        return Err(format!("need ≥ 64 benign keys, got {}", benign.len()));
+    }
+    // Drifted keys keep the format's length but put a byte the pattern
+    // does not admit at its first constrained position, so a resynthesis
+    // can widen the pattern to them.
+    let (at, stray) = (0..pattern.min_len())
+        .find_map(|i| {
+            let admitted: Vec<u8> = pattern.bytes()[i].possible_bytes().collect();
+            (0..=u8::MAX)
+                .find(|b| !admitted.contains(b))
+                .map(|b| (i, b))
+        })
+        .ok_or("the pattern admits every byte at every position")?;
+    let drift: Vec<Vec<u8>> = {
+        let mut seen = std::collections::HashSet::new();
+        benign
+            .iter()
+            .map(|k| {
+                let mut k = k.clone();
+                k[at] = stray;
+                k
+            })
+            .filter(|k| seen.insert(k.clone()))
+            .take(benign.len() / 2)
+            .collect()
+    };
+    let mut s = Served {
+        map: UnorderedMap::with_hasher(GuardedHash::from_pattern(pattern, family, fallback)),
+        twin: HashMap::new(),
+        seeds: FixedSeedSource::new(seed | 1),
+        attack: harness_policy(),
+        drift: DriftPolicy {
+            threshold: 0.10,
+            min_samples: 32,
+            window: 256,
+        },
+        rng: SplitMix64::new(seed ^ 0xD21F),
+        stats: AdversarialStats::default(),
+        degrades: 0,
+    };
+    let quiet = s.attack.quiet_streak.max(1);
+    for (i, k) in benign.iter().enumerate() {
+        s.insert(k, i as u64)?;
+    }
+    // Room for the drift and the flood: the flood is forged against the
+    // bucket count it must find.
+    s.map.reserve(drift.len() + FLOOD_KEYS);
+    let benign_refs: Vec<&[u8]> = benign.iter().map(Vec::as_slice).collect();
+    for _ in 0..8 {
+        s.serve(&benign_refs)?;
+        s.calm_tick("benign prefix")?;
+    }
+    s.checkpoint("after the benign prefix")?;
+
+    // Drift: a third of each burst is new off-format keys.
+    for chunk in drift.chunks(TICK_OPS / 3) {
+        for (i, k) in chunk.iter().enumerate() {
+            s.insert(k, 500_000 + i as u64)?;
+        }
+        s.serve(&benign_refs)?;
+        let (_, escalated, deescalated) = s.tick();
+        if escalated || deescalated {
+            return Err(format!(
+                "drift moved the storm ladder ({:?})",
+                s.map.guard_mode()
+            ));
+        }
+    }
+    if s.degrades != 1 || s.map.guard_mode() != GuardMode::Degraded {
+        return Err(format!(
+            "drift took {} degrades, left the map {:?}",
+            s.degrades,
+            s.map.guard_mode()
+        ));
+    }
+    for _ in 0..8 * quiet {
+        s.serve(&benign_refs)?;
+        s.calm_tick("calm after the drift degrade")?;
+    }
+    s.checkpoint("drift degrade held through calm ticks")?;
+    if !s.map.resynthesize().is_applied() || s.map.guard_mode() != GuardMode::Guarded {
+        return Err(format!(
+            "resynthesis did not re-arm the drift degrade ({:?})",
+            s.map.guard_mode()
+        ));
+    }
+    s.checkpoint("after the resynthesis")?;
+
+    // A flood forged against the live, re-armed routing, one key per
+    // tick inside traffic that looks the flood up too, so its off-format
+    // share stays under the drift threshold and only the storm signals
+    // can see it.
+    let flood = {
+        // Forged offline: a counter-silent copy, so the forgery's hash
+        // evaluations do not count as drift.
+        let frozen = s.map.hasher().epoch_frozen(GuardMode::Guarded);
+        let buckets = s.map.bucket_count() as u64;
+        attacker::bucket_flood(|k| frozen.hash_bytes(k), buckets, FLOOD_KEYS, seed ^ 0xF10D)
+    };
+    let mut hammered: Vec<&[u8]> = benign_refs.repeat(8);
+    let mut flood_keys = flood.iter().enumerate();
+    for _ in 0..FLOOD_KEYS + 16 {
+        if let Some((i, k)) = flood_keys.next() {
+            s.insert(k, 1_000_000 + i as u64)?;
+            hammered.push(k);
+        } else if s.map.guard_mode() == GuardMode::Keyed {
+            break;
+        }
+        s.serve(&hammered)?;
+        let (degraded, _, deescalated) = s.tick();
+        if degraded || deescalated {
+            return Err(format!(
+                "the flood degraded or de-escalated the map ({:?})",
+                s.map.guard_mode()
+            ));
+        }
+    }
+    if s.map.guard_mode() != GuardMode::Keyed || s.stats.escalations > 2 {
+        return Err(format!(
+            "the flood took {} escalations and left the map {:?}",
+            s.stats.escalations,
+            s.map.guard_mode()
+        ));
+    }
+    s.checkpoint("flood answered by the keyed rung")?;
+    for _ in 0..16 * quiet {
+        s.serve(&hammered)?;
+        s.calm_tick("keyed rung with the flood resident")?;
+    }
+    s.checkpoint("keyed rung held while the flood is resident")?;
+
+    // Calm: the flood leaves, and one streak later so does the keyed rung.
+    for k in &flood {
+        s.remove(k)?;
+    }
+    for _ in 0..32 * quiet {
+        s.serve(&benign_refs)?;
+        let (degraded, escalated, deescalated) = s.tick();
+        if degraded || escalated {
+            return Err("calm traffic degraded or escalated the map".into());
+        }
+        if deescalated {
+            break;
+        }
+    }
+    if s.stats.deescalations != 1 || s.map.guard_mode() != GuardMode::Guarded {
+        return Err(format!(
+            "calm took {} de-escalations and left the map {:?}",
+            s.stats.deescalations,
+            s.map.guard_mode()
+        ));
+    }
+    s.checkpoint("after de-escalating, mid-drain")?;
+    for _ in 0..8 * quiet {
+        s.serve(&benign_refs)?;
+        s.calm_tick("calm after the de-escalation")?;
+    }
+    s.map.finish_migration();
+    s.checkpoint("after calm")?;
+
+    let (esc, deesc, rot) = (
+        s.map.escalations(),
+        s.map.deescalations(),
+        s.map.seed_rotations(),
+    );
+    if (esc, deesc, rot)
+        != (
+            s.stats.escalations,
+            s.stats.deescalations,
+            s.stats.rotations,
+        )
+    {
+        return Err(format!(
+            "ladder counters (esc {esc}, deesc {deesc}, rot {rot}) disagree with the \
+             transcript (esc {}, deesc {}, rot {})",
+            s.stats.escalations, s.stats.deescalations, s.stats.rotations
+        ));
+    }
+    Ok(s.stats)
 }
 
 /// Runs a benign insert/lookup/remove churn workload with the *default*

@@ -599,6 +599,28 @@ fn run_adversarial(opts: &Options) -> Result<String, String> {
         ladders += 1;
     }
 
+    // Drift, then a flood, then calm, ticked like a serving map: each
+    // transition is left only for its own cause.
+    let mut transcripts = 0usize;
+    for (i, format) in [KeyFormat::Ssn, KeyFormat::Ipv4, KeyFormat::Uuid]
+        .into_iter()
+        .enumerate()
+    {
+        let pattern = Regex::compile(&format.regex()).expect("compiles");
+        let pool = sample_pattern_keys(&pattern, &mut rng, opts.keys.max(48) * 4);
+        let family = Family::ALL[(i + 1 + opts.seed as usize) % Family::ALL.len()];
+        let s = adversarial::check_drift_flood_calm(
+            &pattern,
+            family,
+            CityHash::new(),
+            &pool,
+            opts.seed ^ (i as u64) << 12,
+        )
+        .map_err(|e| format!("{} {family} (drift, flood, calm): {e}", format.name()))?;
+        stats.absorb(s);
+        transcripts += 1;
+    }
+
     // Hysteresis: benign churn over paper and random keygen formats with
     // the production policy must never escalate.
     let mut calm_ticks = 0u64;
@@ -661,8 +683,9 @@ fn run_adversarial(opts: &Options) -> Result<String, String> {
     stats.absorb(s);
 
     Ok(format!(
-        "{ladders} full ladders + 1 sharded attack ({} ops, {} escalations, {} seed \
-         rotations, {} de-escalations, {} twin checkpoints, {} worker threads), \
+        "{ladders} full ladders + {transcripts} drift-flood-calm transcripts + 1 sharded \
+         attack ({} ops, {} escalations, {} seed rotations, {} de-escalations, {} twin \
+         checkpoints, {} worker threads), \
          {calm_ticks} benign detector ticks without an escalation, {batched_ops} batched \
          ops under flood — chains stayed bounded and every counter matched the transcript",
         stats.ops,

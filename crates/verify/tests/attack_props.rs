@@ -152,8 +152,9 @@ proptest! {
     /// Random op sequences over a guarded map — new and existing inserts,
     /// removes, batches, reserves that rehash, forced transitions that
     /// open epochs, drains, clears, 64-key bucket floods (some removed
-    /// again before the next tick) and detector ticks — keep the chain
-    /// bound sound after every step. A twin that
+    /// again before the next tick), bursts of new keys inserted while an
+    /// epoch drains, and detector ticks — keep the chain bound sound after
+    /// every step. A twin that
     /// receives the same ops but forgets its bound before every tick (so
     /// each tick walks, as before the bound existed) must take exactly the
     /// same transitions. The twin's ticks ignore the probe tail, which a
@@ -162,7 +163,7 @@ proptest! {
     #[test]
     fn chain_bound_never_changes_a_detector_decision(
         seed in any::<u64>(),
-        ops in prop::collection::vec((0u8..16, any::<u64>()), 1..160),
+        ops in prop::collection::vec((0u8..17, any::<u64>()), 1..160),
     ) {
         let (format, dist, family) = cell(seed);
         let pattern = Regex::compile(&format.regex()).expect("evaluated formats compile");
@@ -251,6 +252,24 @@ proptest! {
                         for k in &flood {
                             prop_assert_eq!(map.remove(k), twin.remove(k));
                         }
+                    }
+                }
+                14 => {
+                    // New keys joining live chains mid-drain: each insert
+                    // drains a stride, then links, and the bound must cover
+                    // the chains the drain grew as well as the new key's.
+                    if !map.migration_in_flight() {
+                        map.escalate_now(&map_seeds);
+                        twin.escalate_now(&twin_seeds);
+                    }
+                    for i in 0..arg % 32 + 1 {
+                        let k = if i % 2 == 0 {
+                            key(arg.wrapping_add(i))
+                        } else {
+                            format!("new-{arg:016x}-{i:02}").into_bytes()
+                        };
+                        prop_assert_eq!(map.insert(k.clone(), i), twin.insert(k, i));
+                        check_chain_bound(&map, &policies, step)?;
                     }
                 }
                 _ => {
