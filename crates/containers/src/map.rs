@@ -1676,4 +1676,37 @@ mod tests {
         );
         assert_eq!((m.escalations(), m.deescalations()), (1, 1));
     }
+
+    #[test]
+    fn a_degrade_sweep_survives_removes_reserve_and_clear() {
+        let ssn = |i: u32| format!("{:03}-{:02}-{:04}", i % 1000, i % 100, i);
+        let mut m = guarded_ssn_map(sepe_core::Family::OffXor);
+        for i in 0..4000u32 {
+            m.insert(ssn(i), i);
+        }
+        m.degrade_now();
+        m.migrate(500);
+        let mid = m.migration_progress();
+        assert!(m.migration_in_flight() && mid > 0.0);
+        // Swept (low) and unswept (high) entries leave alike.
+        for i in (0..4000u32).step_by(31) {
+            assert_eq!(m.remove(ssn(i).as_str()), Some(i), "{i}");
+        }
+        m.reserve(8000);
+        assert!(m.migration_in_flight(), "a resize keeps the epoch open");
+        assert!(m.migration_progress() >= mid, "progress is monotone");
+        for i in 4000..4050u32 {
+            m.insert(ssn(i), i);
+        }
+        for i in 0..4050u32 {
+            let want = (i % 31 != 0 || i >= 4000).then_some(i);
+            assert_eq!(m.get(ssn(i).as_str()).copied(), want, "{i}");
+        }
+        assert!(m.migration_in_flight());
+        assert!(m.chain_bound().is_none_or(|b| b >= m.max_bucket_len()));
+        m.clear();
+        assert!(!m.migration_in_flight() && m.is_empty());
+        m.insert(ssn(1), 1);
+        assert_eq!(m.get(ssn(1).as_str()), Some(&1));
+    }
 }

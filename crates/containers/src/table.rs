@@ -3,15 +3,18 @@
 //! Layout follows libstdc++: an array of bucket heads pointing into an
 //! entry arena; each entry caches its full 64-bit hash (so rehashing never
 //! re-hashes keys) and links to the next entry of its bucket. Removed slots
-//! go on a free list and are reused before the arena grows.
+//! go on a free list; outside a migration epoch they are reused before the
+//! arena grows, and a slot freed during an epoch waits for it to close.
 //!
 //! When the hash *function* changes (a guarded hasher degrades or
 //! resynthesizes), the table does not pause the world to rebuild: it opens
 //! a migration epoch. The superseded bucket array is set aside, lookups
 //! consult both epochs, and every mutating operation drains a bounded
-//! number of entries from the old chains into the new ones — the amortized
-//! rehash of Redis and hashbrown, applied to a change of hash function
-//! rather than of capacity.
+//! number of entries into the new chains — the amortized rehash of Redis
+//! and hashbrown, applied to a change of hash function rather than of
+//! capacity. The drain sweeps the arena in slot order rather than popping
+//! old chains, so each drained entry costs one sequential arena read, its
+//! key, and the live chain it joins.
 
 use crate::policy::BucketPolicy;
 use crate::primes::grow_bucket_count;
@@ -38,6 +41,11 @@ pub(crate) const MIGRATE_STRIDE: usize = 16;
 /// than [`MIGRATE_STRIDE`] so read latency stays flat, but enough that a
 /// read-heavy table converges instead of paying dual-epoch probes forever.
 pub(crate) const LOOKUP_MIGRATE_STRIDE: usize = 2;
+
+/// Arena slots one drain may scan per entry of its budget. Slots freed
+/// before or during the epoch are dead weight to the sweep; the cap keeps
+/// a drain of `budget` entries O(`budget`) however many it meets.
+const SWEEP_SLOTS_PER_ENTRY: usize = 4;
 
 /// Read-only lookups observed while a migration was in flight before the
 /// epoch is declared *stale*: the next operation with mutable access stops
@@ -182,17 +190,50 @@ impl TableObs {
 
 #[derive(Debug, Clone)]
 struct Entry<K, V> {
+    /// The cached full hash of an occupied slot; on a free slot, the index
+    /// of the next free slot. The free list threads through this field so
+    /// a freed slot keeps both chain links intact.
     hash: u64,
-    next: u32,
+    /// Next entry of the bucket, one link per epoch parity: `links[live]`
+    /// threads the live epoch's chains, the other link the old epoch's
+    /// while a migration is in flight.
+    links: [u32; 2],
     kv: Option<(K, V)>,
+}
+
+impl<K, V> Entry<K, V> {
+    /// The next entry of this one's chain in the epoch `link` threads.
+    #[inline]
+    fn next(&self, link: bool) -> u32 {
+        self.links[usize::from(link)]
+    }
+
+    #[inline]
+    fn set_next(&mut self, link: bool, at: u32) {
+        self.links[usize::from(link)] = at;
+    }
+}
+
+/// A bucket chain to walk (see [`RawTable::live_chain`]).
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    bucket: usize,
+    head: u32,
+    link: bool,
+    swept: u32,
 }
 
 /// One in-flight migration epoch: the superseded bucket array plus the two
 /// frozen hashers needed to probe it and to drain it.
 ///
-/// Every arena entry is linked in exactly one epoch's chains. Entries in
-/// `old_heads` still carry their old-epoch cached hash; draining recomputes
-/// the hash with `rehasher` and relinks into the live bucket array.
+/// The drain sweeps arena slots `cursor..end` in order. Occupied slots
+/// below `cursor`, and every slot from `end` on (inserted after the epoch
+/// opened), are filed in the live epoch; occupied slots in `cursor..end`
+/// are filed in the old one, under their old-epoch cached hash. A swept
+/// entry stays threaded in its old chain through the other link, so old
+/// chains never need unlinking; old-epoch probes skip slots below
+/// `cursor`. No slot is reused while the epoch is open, which keeps the
+/// range partition exact.
 #[derive(Debug, Clone)]
 struct Migration<H> {
     /// The hash function of the superseded epoch, pinned so lookups can
@@ -203,12 +244,15 @@ struct Migration<H> {
     /// same observable counters as a stop-the-world rebuild).
     rehasher: H,
     old_heads: Vec<u32>,
-    /// Live entries still linked in `old_heads`.
+    /// Occupied slots in `cursor..end`: entries still filed in the old
+    /// epoch.
     old_len: usize,
     /// `old_len` when the epoch opened, for progress reporting.
     initial: usize,
-    /// Next old bucket the drain cursor will inspect.
-    cursor: usize,
+    /// Next arena slot the sweep will inspect.
+    cursor: u32,
+    /// Arena length when the epoch opened.
+    end: u32,
 }
 
 /// A separate-chaining hash table with cached hashes, bucket introspection
@@ -218,6 +262,9 @@ struct Migration<H> {
 pub(crate) struct RawTable<K, V, H> {
     heads: Vec<u32>,
     entries: Vec<Entry<K, V>>,
+    /// Which of [`Entry::links`] threads the live epoch; flips each time
+    /// an epoch opens.
+    live: bool,
     free_head: u32,
     len: usize,
     hasher: H,
@@ -244,6 +291,7 @@ where
         RawTable {
             heads: vec![NONE; INITIAL_BUCKETS as usize],
             entries: Vec::new(),
+            live: false,
             free_head: NONE,
             len: 0,
             hasher,
@@ -282,6 +330,9 @@ where
     ///
     /// The fresh live epoch starts empty, so its chain bound is 0; the
     /// drain and the inserts after it raise the bound as they link.
+    ///
+    /// Opening touches no entry: the live chains become the old epoch's
+    /// simply by flipping which link is live.
     pub(crate) fn begin_migration(&mut self, old_hasher: H, rehasher: H) {
         self.finish_migration();
         if self.len == 0 {
@@ -292,6 +343,7 @@ where
         }
         let buckets = self.heads.len();
         let old_heads = std::mem::replace(&mut self.heads, vec![NONE; buckets]);
+        self.live = !self.live;
         self.chain_bound = Some(0);
         self.migration = Some(Migration {
             old_hasher,
@@ -300,42 +352,50 @@ where
             old_len: self.len,
             initial: self.len,
             cursor: 0,
+            end: self.entries.len() as u32,
         });
     }
 
-    /// Drains up to `budget` entries from the old epoch into the live one.
+    /// Drains up to `budget` entries from the old epoch into the live one,
+    /// sweeping at most `SWEEP_SLOTS_PER_ENTRY * budget` arena slots.
     pub(crate) fn migrate(&mut self, budget: usize) {
         let Some(mut mig) = self.migration.take() else {
             return;
         };
+        let live = self.live;
+        let scan = budget.saturating_mul(SWEEP_SLOTS_PER_ENTRY);
+        let stop = (mig.cursor as usize)
+            .saturating_add(scan)
+            .min(mig.end as usize) as u32;
+        let want = budget.min(mig.old_len);
         let mut moved = 0usize;
-        while moved < budget && mig.old_len > 0 {
-            while mig.cursor < mig.old_heads.len() && mig.old_heads[mig.cursor] == NONE {
-                mig.cursor += 1;
-            }
-            if mig.cursor >= mig.old_heads.len() {
-                break;
-            }
-            let idx = mig.old_heads[mig.cursor];
-            mig.old_heads[mig.cursor] = self.entries[idx as usize].next;
-            let hash = {
-                let (key, _) = self.entries[idx as usize].kv.as_ref().expect("live entry");
-                mig.rehasher.hash_bytes(key.as_ref())
+        while moved < want && mig.cursor < stop {
+            let idx = mig.cursor;
+            mig.cursor += 1;
+            let Some((key, _)) = &self.entries[idx as usize].kv else {
+                continue;
             };
+            let hash = mig.rehasher.hash_bytes(key.as_ref());
             let bucket = self.policy.bucket_of(hash, self.heads.len() as u64) as usize;
             let e = &mut self.entries[idx as usize];
             e.hash = hash;
-            e.next = self.heads[bucket];
+            e.set_next(live, self.heads[bucket]);
             self.heads[bucket] = idx;
             if self.chain_bound.is_some() {
                 self.note_chain(self.chain_len(idx));
             }
-            mig.old_len -= 1;
             moved += 1;
         }
+        mig.old_len -= moved;
         if sepe_obs::enabled() && moved > 0 {
             self.obs.drain_ops.add(moved as u64);
         }
+        self.keep_or_close(mig);
+    }
+
+    /// Puts `mig` back while it still files entries; otherwise retires the
+    /// epoch, which makes the slots freed during it reusable.
+    fn keep_or_close(&mut self, mig: Migration<H>) {
         if mig.old_len > 0 {
             self.migration = Some(mig);
         } else {
@@ -464,39 +524,62 @@ where
         }
     }
 
-    /// Walks the chain starting at `at` for an entry with `hash` whose key
-    /// bytes equal `key_bytes`. `probes` counts the entries examined.
+    /// One bucket chain to walk: its bucket and head, the link that
+    /// threads it, and the slots below `swept`, which belong to the live
+    /// epoch and so are passed over (0 for a live chain, the sweep cursor
+    /// for an old one).
+    #[inline]
+    fn live_chain(&self, hash: u64) -> Chain {
+        let bucket = self.bucket_of(hash);
+        Chain {
+            bucket,
+            head: self.heads[bucket],
+            link: self.live,
+            swept: 0,
+        }
+    }
+
+    /// Walks `chain` for an entry with `hash` whose key bytes equal
+    /// `key_bytes`. `probes` counts the entries examined, swept ones
+    /// included.
     #[inline]
     fn find_in_chain(
         &self,
-        mut at: u32,
+        chain: Chain,
         hash: u64,
         key_bytes: &[u8],
         probes: &mut u64,
     ) -> Option<u32> {
+        let mut at = chain.head;
         while at != NONE {
             *probes += 1;
             let e = &self.entries[at as usize];
-            if e.hash == hash {
+            if e.hash == hash && at >= chain.swept {
                 if let Some((k, _)) = &e.kv {
                     if k.as_ref() == key_bytes {
                         return Some(at);
                     }
                 }
             }
-            at = e.next;
+            at = e.next(chain.link);
         }
         None
     }
 
-    /// The old-epoch chain head for `key_bytes` and the old-epoch hash it
-    /// was filed under, when a migration is in flight.
+    /// The old-epoch chain for `key_bytes` and the old-epoch hash it was
+    /// filed under, when a migration is in flight.
     #[inline]
-    fn old_epoch_probe(&self, key_bytes: &[u8]) -> Option<(u32, u64)> {
+    fn old_epoch_probe(&self, key_bytes: &[u8]) -> Option<(Chain, u64)> {
         let mig = self.migration.as_ref()?;
         let old_hash = mig.old_hasher.hash_bytes(key_bytes);
         let bucket = self.policy.bucket_of(old_hash, mig.old_heads.len() as u64) as usize;
-        Some((mig.old_heads[bucket], old_hash))
+        let chain = Chain {
+            bucket,
+            head: mig.old_heads[bucket],
+            link: !self.live,
+            swept: mig.cursor,
+        };
+        Some((chain, old_hash))
     }
 
     /// [`RawTable::find`] with the hash already computed (batched lookups
@@ -529,27 +612,22 @@ where
             }
         }
         let mut probes = 0u64;
-        let found = self.find_in_chain(
-            self.heads[self.bucket_of(hash)],
-            hash,
-            key_bytes,
-            &mut probes,
-        );
+        let found = self.find_in_chain(self.live_chain(hash), hash, key_bytes, &mut probes);
         let live = probes as usize;
         let found = found.or_else(|| {
-            let (head, old_hash) = self.old_epoch_probe(key_bytes)?;
-            self.find_in_chain(head, old_hash, key_bytes, &mut probes)
+            let (chain, old_hash) = self.old_epoch_probe(key_bytes)?;
+            self.find_in_chain(chain, old_hash, key_bytes, &mut probes)
         });
         self.obs.probe_len.observe_single_writer(probes);
         (found, live)
     }
 
-    /// Number of entries in the chain starting at `at`.
+    /// Number of entries in the live chain starting at `at`.
     fn chain_len(&self, mut at: u32) -> usize {
         let mut n = 0;
         while at != NONE {
             n += 1;
-            at = self.entries[at as usize].next;
+            at = self.entries[at as usize].next(self.live);
         }
         n
     }
@@ -629,28 +707,53 @@ where
         }
     }
 
+    /// Files a new entry in the live epoch. A free slot is reused only
+    /// while no epoch is open: mid-epoch, a freed slot may still be
+    /// threaded in an old chain, and the sweep reads every occupied slot
+    /// below the epoch's `end` as an old-epoch entry.
     fn link_new(&mut self, hash: u64, key: K, value: V) {
         let bucket = self.bucket_of(hash);
-        let idx = if self.free_head != NONE {
+        let mut entry = Entry {
+            hash,
+            links: [NONE; 2],
+            kv: Some((key, value)),
+        };
+        entry.set_next(self.live, self.heads[bucket]);
+        let idx = if self.free_head != NONE && self.migration.is_none() {
             let idx = self.free_head;
-            self.free_head = self.entries[idx as usize].next;
-            self.entries[idx as usize] = Entry {
-                hash,
-                next: self.heads[bucket],
-                kv: Some((key, value)),
-            };
+            self.free_head = self.entries[idx as usize].hash as u32;
+            self.entries[idx as usize] = entry;
             idx
         } else {
             let idx = u32::try_from(self.entries.len()).expect("table below 2^32 entries");
-            self.entries.push(Entry {
-                hash,
-                next: self.heads[bucket],
-                kv: Some((key, value)),
-            });
+            self.entries.push(entry);
             idx
         };
         self.heads[bucket] = idx;
         self.len += 1;
+    }
+
+    /// The first entry of `chain` filed under `hash` whose key equals
+    /// `key`, and its predecessor in the chain (`NONE` at the head).
+    fn find_with_prev<Q>(&self, chain: Chain, hash: u64, key: &Q) -> Option<(u32, u32)>
+    where
+        Q: ?Sized + Eq,
+        K: Borrow<Q>,
+    {
+        let mut prev = NONE;
+        let mut at = chain.head;
+        while at != NONE {
+            let e = &self.entries[at as usize];
+            if e.hash == hash
+                && at >= chain.swept
+                && e.kv.as_ref().is_some_and(|(k, _)| k.borrow() == key)
+            {
+                return Some((prev, at));
+            }
+            prev = at;
+            at = e.next(chain.link);
+        }
+        None
     }
 
     /// Removes the first entry matching `key`, returning its pair. Probes
@@ -662,78 +765,51 @@ where
     {
         self.migrate(MIGRATE_STRIDE);
         let hash = self.hash_of(key.as_ref());
-        let bucket = self.bucket_of(hash);
-        let mut prev = NONE;
-        let mut at = self.heads[bucket];
-        while at != NONE {
-            let matches = {
-                let e = &self.entries[at as usize];
-                e.hash == hash && e.kv.as_ref().is_some_and(|(k, _)| k.borrow() == key)
-            };
-            if matches {
-                let next = self.entries[at as usize].next;
-                if prev == NONE {
-                    self.heads[bucket] = next;
-                } else {
-                    self.entries[prev as usize].next = next;
-                }
-                return Some(self.free_entry(at));
-            }
-            prev = at;
-            at = self.entries[at as usize].next;
+        let chain = self.live_chain(hash);
+        let Some((prev, at)) = self.find_with_prev(chain, hash, key) else {
+            return self.remove_one_old_epoch(key);
+        };
+        let next = self.entries[at as usize].next(chain.link);
+        if prev == NONE {
+            self.heads[chain.bucket] = next;
+        } else {
+            self.entries[prev as usize].set_next(chain.link, next);
         }
-        self.remove_one_old_epoch(key)
+        Some(self.free_entry(at))
     }
 
-    /// Unlinks `at` into the free list and returns its pair.
+    /// Puts the (already unlinked) slot `at` on the free list and returns
+    /// its pair. The slot keeps its links, so an old chain that still
+    /// threads it stays walkable.
     fn free_entry(&mut self, at: u32) -> (K, V) {
-        let kv = self.entries[at as usize].kv.take().expect("live entry");
-        self.entries[at as usize].next = self.free_head;
+        let e = &mut self.entries[at as usize];
+        let kv = e.kv.take().expect("live entry");
+        e.hash = u64::from(self.free_head);
         self.free_head = at;
         self.len -= 1;
         kv
     }
 
-    /// The old-epoch leg of [`RawTable::remove_one`].
+    /// The old-epoch leg of [`RawTable::remove_one`]: only unswept slots
+    /// match, since a swept entry would have been found in the live epoch.
     fn remove_one_old_epoch<Q>(&mut self, key: &Q) -> Option<(K, V)>
     where
         Q: ?Sized + Eq + AsRef<[u8]>,
         K: Borrow<Q>,
     {
-        let mut mig = self.migration.take()?;
-        let old_hash = mig.old_hasher.hash_bytes(key.as_ref());
-        let bucket = self.policy.bucket_of(old_hash, mig.old_heads.len() as u64) as usize;
-        let mut prev = NONE;
-        let mut at = mig.old_heads[bucket];
-        let mut found = None;
-        while at != NONE {
-            let matches = {
-                let e = &self.entries[at as usize];
-                e.hash == old_hash && e.kv.as_ref().is_some_and(|(k, _)| k.borrow() == key)
-            };
-            if matches {
-                let next = self.entries[at as usize].next;
-                if prev == NONE {
-                    mig.old_heads[bucket] = next;
-                } else {
-                    self.entries[prev as usize].next = next;
-                }
-                mig.old_len -= 1;
-                found = Some(self.free_entry(at));
-                break;
-            }
-            prev = at;
-            at = self.entries[at as usize].next;
-        }
-        if mig.old_len > 0 {
-            self.migration = Some(mig);
+        let (chain, old_hash) = self.old_epoch_probe(key.as_ref())?;
+        let (prev, at) = self.find_with_prev(chain, old_hash, key)?;
+        let next = self.entries[at as usize].next(chain.link);
+        let mut mig = self.migration.take().expect("epoch in flight");
+        if prev == NONE {
+            mig.old_heads[chain.bucket] = next;
         } else {
-            self.stale_reads.reset();
-            if sepe_obs::enabled() {
-                self.obs.epochs_finished.inc();
-            }
+            self.entries[prev as usize].set_next(chain.link, next);
         }
-        found
+        mig.old_len -= 1;
+        let kv = self.free_entry(at);
+        self.keep_or_close(mig);
+        Some(kv)
     }
 
     /// Removes every entry matching `key` (multimap `erase(key)`), returning
@@ -750,19 +826,23 @@ where
         removed
     }
 
-    /// Counts chain entries equal to `key` under `hash` starting at `at`.
-    fn count_in_chain<Q>(&self, mut at: u32, hash: u64, key: &Q) -> usize
+    /// Counts the entries of `chain` equal to `key` under `hash`.
+    fn count_in_chain<Q>(&self, chain: Chain, hash: u64, key: &Q) -> usize
     where
         Q: ?Sized + Eq,
         K: Borrow<Q>,
     {
         let mut n = 0;
+        let mut at = chain.head;
         while at != NONE {
             let e = &self.entries[at as usize];
-            if e.hash == hash && e.kv.as_ref().is_some_and(|(k, _)| k.borrow() == key) {
+            if e.hash == hash
+                && at >= chain.swept
+                && e.kv.as_ref().is_some_and(|(k, _)| k.borrow() == key)
+            {
                 n += 1;
             }
-            at = e.next;
+            at = e.next(chain.link);
         }
         n
     }
@@ -774,9 +854,9 @@ where
         K: Borrow<Q>,
     {
         let hash = self.hash_of(key.as_ref());
-        let mut n = self.count_in_chain(self.heads[self.bucket_of(hash)], hash, key);
-        if let Some((head, old_hash)) = self.old_epoch_probe(key.as_ref()) {
-            n += self.count_in_chain(head, old_hash, key);
+        let mut n = self.count_in_chain(self.live_chain(hash), hash, key);
+        if let Some((chain, old_hash)) = self.old_epoch_probe(key.as_ref()) {
+            n += self.count_in_chain(chain, old_hash, key);
         }
         n
     }
@@ -796,48 +876,33 @@ where
         self.stale_reads.reset();
     }
 
+    /// Resizes the live epoch to `bucket_count` buckets. Mid-epoch, the
+    /// unswept slots keep their old-plan hashes and old chains; only the
+    /// slots the live epoch owns (below the cursor, and from `end` on)
+    /// relink.
     pub(crate) fn rehash(&mut self, bucket_count: usize) {
         self.chain_bound = None;
         let bucket_count = bucket_count.max(1);
-        if self.migration.is_some() {
-            // Old-epoch entries keep their old-plan hashes, so a full-arena
-            // relink would file them in the wrong buckets of the wrong
-            // epoch. Resize the live epoch only: collect its members by
-            // walking the live chains, then relink just those. The free
-            // list is untouched (only removals mutate it).
-            let mut members = Vec::with_capacity(self.len);
-            for &head in &self.heads {
-                let mut at = head;
-                while at != NONE {
-                    members.push(at);
-                    at = self.entries[at as usize].next;
-                }
-            }
-            self.heads = vec![NONE; bucket_count];
-            let policy = self.policy;
-            for &idx in members.iter().rev() {
-                let bucket =
-                    policy.bucket_of(self.entries[idx as usize].hash, bucket_count as u64) as usize;
-                self.entries[idx as usize].next = self.heads[bucket];
-                self.heads[bucket] = idx;
-            }
-            return;
-        }
         self.heads = vec![NONE; bucket_count];
-        let policy = self.policy;
-        for idx in 0..self.entries.len() {
-            if self.entries[idx].kv.is_none() {
+        let (policy, live) = (self.policy, self.live);
+        let (swept, end) = self
+            .migration
+            .as_ref()
+            .map_or((0, 0), |m| (m.cursor as usize, m.end as usize));
+        for idx in (0..swept).chain(end..self.entries.len()) {
+            let e = &mut self.entries[idx];
+            if e.kv.is_none() {
                 continue;
             }
-            let bucket = policy.bucket_of(self.entries[idx].hash, bucket_count as u64) as usize;
-            self.entries[idx].next = self.heads[bucket];
+            let bucket = policy.bucket_of(e.hash, bucket_count as u64) as usize;
+            e.set_next(live, self.heads[bucket]);
             self.heads[bucket] = idx as u32;
         }
-        // Rebuild the free list over dead slots.
+        // Rebuild the free list over dead slots, lowest first.
         self.free_head = NONE;
         for idx in (0..self.entries.len()).rev() {
             if self.entries[idx].kv.is_none() {
-                self.entries[idx].next = self.free_head;
+                self.entries[idx].hash = u64::from(self.free_head);
                 self.free_head = idx as u32;
             }
         }
@@ -854,7 +919,7 @@ where
             if e.kv.is_some() {
                 n += 1;
             }
-            at = e.next;
+            at = e.next(self.live);
         }
         n
     }
@@ -926,5 +991,301 @@ where
         self.entries
             .iter()
             .filter_map(|e| e.kv.as_ref().map(|(k, v)| (k, v)))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A hasher whose chains a test can steer: `Const` files every key in
+    /// one bucket, `Fnv` spreads them (FNV-1a of the bytes, xor a salt).
+    #[derive(Debug, Clone, Copy)]
+    enum TestHash {
+        Const(u64),
+        Fnv(u64),
+    }
+
+    impl ByteHash for TestHash {
+        fn hash_bytes(&self, key: &[u8]) -> u64 {
+            match *self {
+                TestHash::Const(h) => h,
+                TestHash::Fnv(salt) => {
+                    key.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+                        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+                    }) ^ salt
+                }
+            }
+        }
+    }
+
+    type Table = RawTable<Vec<u8>, u32, TestHash>;
+
+    fn key(i: u32) -> Vec<u8> {
+        format!("key-{i:04}").into_bytes()
+    }
+
+    /// A table of `n` keys, all in one bucket chain, with an epoch open
+    /// that re-files them under a spreading hasher.
+    fn colliding_epoch(n: u32) -> Table {
+        let mut t = RawTable::new(TestHash::Const(7), BucketPolicy::Modulo);
+        for i in 0..n {
+            t.insert_unique(key(i), i);
+        }
+        *t.hasher_mut() = TestHash::Fnv(1);
+        t.begin_migration(TestHash::Const(7), TestHash::Fnv(1));
+        t
+    }
+
+    /// Slots a chain array threads through link `link`, with multiplicity.
+    fn threaded(t: &Table, heads: &[u32], link: bool) -> Vec<u32> {
+        let mut seen = vec![0u32; t.entries.len()];
+        for &head in heads {
+            let mut at = head;
+            while at != NONE {
+                seen[at as usize] += 1;
+                at = t.entries[at as usize].next(link);
+            }
+        }
+        seen
+    }
+
+    /// The sweep's range partition, checked slot by slot: an occupied slot
+    /// below the cursor or from `end` on sits exactly once in the live
+    /// chains under its live hash; one in `cursor..end` sits exactly once
+    /// in the old chains under its old hash; dead slots sit in no live
+    /// chain and exactly once on the free list.
+    fn assert_partition(t: &Table) {
+        let live = threaded(t, &t.heads, t.live);
+        let (old, swept, end) = match &t.migration {
+            Some(m) => (
+                threaded(t, &m.old_heads, !t.live),
+                m.cursor as usize,
+                m.end as usize,
+            ),
+            None => (vec![0; t.entries.len()], 0, 0),
+        };
+        let mut free = vec![0u32; t.entries.len()];
+        let mut at = t.free_head;
+        while at != NONE {
+            free[at as usize] += 1;
+            at = t.entries[at as usize].hash as u32;
+        }
+        let mut occupied = 0;
+        let mut unswept = 0;
+        for (idx, e) in t.entries.iter().enumerate() {
+            let Some((k, _)) = &e.kv else {
+                assert_eq!((live[idx], free[idx]), (0, 1), "dead slot {idx}");
+                continue;
+            };
+            occupied += 1;
+            assert_eq!(free[idx], 0, "occupied slot {idx} on the free list");
+            if (swept..end).contains(&idx) {
+                unswept += 1;
+                let m = t.migration.as_ref().unwrap();
+                assert_eq!((live[idx], old[idx]), (0, 1), "old-epoch slot {idx}");
+                assert_eq!(e.hash, m.old_hasher.hash_bytes(k), "slot {idx}");
+            } else {
+                assert_eq!(live[idx], 1, "live-epoch slot {idx}");
+                assert_eq!(e.hash, t.hasher.hash_bytes(k), "slot {idx}");
+            }
+        }
+        assert_eq!(t.len, occupied);
+        if let Some(m) = &t.migration {
+            assert_eq!(m.old_len, unswept);
+            assert!(
+                old[end..].iter().all(|&n| n == 0),
+                "an old chain reaches past end"
+            );
+        }
+    }
+
+    #[test]
+    fn an_entry_keeps_to_forty_bytes_with_its_second_link() {
+        // The second link fills the padding after the first one.
+        assert_eq!(std::mem::size_of::<Entry<Box<[u8]>, u64>>(), 40);
+    }
+
+    #[test]
+    fn opening_an_epoch_touches_no_entry() {
+        let mut t = RawTable::new(TestHash::Fnv(0), BucketPolicy::Modulo);
+        for i in 0..50 {
+            t.insert_unique(key(i), i);
+        }
+        let before: Vec<(u64, [u32; 2])> = t.entries.iter().map(|e| (e.hash, e.links)).collect();
+        *t.hasher_mut() = TestHash::Fnv(1);
+        t.begin_migration(TestHash::Fnv(0), TestHash::Fnv(1));
+        let after: Vec<(u64, [u32; 2])> = t.entries.iter().map(|e| (e.hash, e.links)).collect();
+        assert_eq!(before, after);
+        assert_partition(&t);
+    }
+
+    #[test]
+    fn a_drain_moves_and_scans_within_its_budget() {
+        let mut t = colliding_epoch(400);
+        // A run of dead slots ahead of the cursor (through the old-epoch
+        // leg directly: `remove_one` would drain a stride first).
+        for i in 300..340 {
+            assert_eq!(t.remove_one_old_epoch(&key(i)[..]).map(|(_, v)| v), Some(i));
+        }
+        assert_partition(&t);
+        let mut capped = false;
+        while let Some(m) = &t.migration {
+            let (cursor, left) = (m.cursor, m.old_len);
+            t.migrate(2);
+            let (swept, moved) = match &t.migration {
+                Some(m) => (m.cursor - cursor, left - m.old_len),
+                None => break,
+            };
+            assert!(moved <= 2 && swept as usize <= 2 * SWEEP_SLOTS_PER_ENTRY);
+            capped |= moved == 0 && swept as usize == 2 * SWEEP_SLOTS_PER_ENTRY;
+        }
+        assert!(capped, "the dead run stopped a drain at its scan cap");
+        assert_partition(&t);
+        for i in (0..400).filter(|i| !(300..340).contains(i)) {
+            assert_eq!(t.find(&key(i)[..]).map(|x| t.get_kv(x).1), Some(i));
+        }
+    }
+
+    #[test]
+    fn removing_a_swept_entry_leaves_its_old_chain_walkable() {
+        // Slot 0 is freed and refilled, so it heads the one old chain
+        // (slot 0, then 3, 2, 1): the sweep's first slot sits in front of
+        // every unswept entry of that chain.
+        let mut t = RawTable::new(TestHash::Const(7), BucketPolicy::Modulo);
+        for i in 0..4 {
+            t.insert_unique(key(i), i);
+        }
+        t.remove_one(&key(0)[..]);
+        t.insert_unique(key(9), 9);
+        assert_eq!(t.find(&key(9)[..]), Some(0));
+        *t.hasher_mut() = TestHash::Fnv(1);
+        t.begin_migration(TestHash::Const(7), TestHash::Fnv(1));
+        t.migrate(1);
+        assert_eq!(t.migration.as_ref().unwrap().cursor, 1, "swept slot 0 only");
+        assert_partition(&t);
+        // The swept entry leaves through the live epoch; its slot stays
+        // threaded at the head of the old chain.
+        assert_eq!(t.remove_one(&key(9)[..]), Some((key(9), 9)));
+        assert_partition(&t);
+        assert_eq!(t.find(&key(9)[..]), None);
+        assert_eq!(t.count(&key(9)[..]), 0);
+        // Unswept keys behind it are found and removed through the old epoch.
+        assert_eq!(t.find(&key(2)[..]), Some(2));
+        assert_eq!(t.remove_one(&key(1)[..]), Some((key(1), 1)));
+        assert_partition(&t);
+        assert_eq!(t.remove_one(&key(1)[..]), None);
+        assert_eq!(t.find(&key(3)[..]), Some(3));
+        t.finish_migration();
+        assert_partition(&t);
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.find(&key(2)[..]).map(|x| t.get_kv(x).1), Some(2));
+        assert_eq!(t.find(&key(3)[..]).map(|x| t.get_kv(x).1), Some(3));
+    }
+
+    #[test]
+    fn a_slot_freed_mid_epoch_waits_for_the_epoch_to_close() {
+        let mut t = colliding_epoch(100);
+        t.migrate(4);
+        // One swept and one unswept slot freed mid-epoch.
+        t.remove_one(&key(1)[..]);
+        t.remove_one(&key(60)[..]);
+        assert!(t.migration.as_ref().unwrap().cursor <= 60);
+        let fresh = t.entries.len() as u32;
+        // Link directly: `insert_unique` would drain a stride first.
+        t.link_new(t.hash_of(&key(100)), key(100), 100);
+        assert_eq!(
+            t.find(&key(100)[..]),
+            Some(fresh),
+            "mid-epoch inserts append"
+        );
+        assert!(t.migration_in_flight());
+        assert_partition(&t);
+        t.finish_migration();
+        assert_partition(&t);
+        t.insert_unique(key(101), 101);
+        t.insert_unique(key(102), 102);
+        let mut reused = [t.find(&key(101)[..]), t.find(&key(102)[..])];
+        reused.sort();
+        assert_eq!(
+            reused,
+            [Some(1), Some(60)],
+            "a closed epoch frees its slots"
+        );
+        assert_eq!(t.entries.len() as u32, fresh + 1);
+        assert_partition(&t);
+    }
+
+    #[test]
+    fn rehash_mid_sweep_relinks_only_the_live_epoch() {
+        let mut t = colliding_epoch(400);
+        t.migrate(10);
+        t.remove_one(&key(3)[..]);
+        t.remove_one(&key(350)[..]);
+        for i in 400..415 {
+            t.insert_unique(key(i), i);
+        }
+        assert!(t.migration_in_flight());
+        let grown = t.bucket_count() * 4 + 1;
+        t.rehash(grown);
+        assert_eq!(t.bucket_count(), grown);
+        assert_eq!(t.chain_bound(), None, "a resize forgets the bound");
+        assert!(t.migration_in_flight());
+        assert_partition(&t);
+        let kept = || (0..415).filter(|&i| i != 3 && i != 350);
+        for i in kept() {
+            assert_eq!(t.find(&key(i)[..]).map(|x| t.get_kv(x).1), Some(i), "{i}");
+        }
+        t.finish_migration();
+        assert_partition(&t);
+        assert_eq!(t.len(), 413);
+        for i in kept() {
+            assert_eq!(t.find(&key(i)[..]).map(|x| t.get_kv(x).1), Some(i), "{i}");
+        }
+    }
+
+    #[test]
+    fn clear_mid_sweep_discards_the_epoch_and_reuses_nothing_stale() {
+        let mut t = colliding_epoch(100);
+        t.migrate(5);
+        t.remove_one(&key(2)[..]);
+        assert!(t.migration_in_flight());
+        t.clear();
+        assert!(!t.migration_in_flight());
+        assert_eq!((t.len(), t.entries.len(), t.free_head), (0, 0, NONE));
+        for i in 0..10 {
+            t.insert_unique(key(i), i);
+        }
+        assert_partition(&t);
+        for i in 0..10 {
+            assert_eq!(t.find(&key(i)[..]).map(|x| t.get_kv(x).1), Some(i));
+        }
+    }
+
+    #[test]
+    fn multimap_count_sums_both_epochs_without_double_counting_swept_entries() {
+        // The transition keeps every hash, as a degrade keeps an
+        // off-format key's: a swept entry then matches its old chain's
+        // probe too, and only the sweep cursor tells the epochs apart.
+        let mut t = RawTable::new(TestHash::Fnv(1), BucketPolicy::Modulo);
+        for v in 0..4 {
+            t.insert_multi(b"dup".to_vec(), v);
+            t.insert_multi(key(v), v);
+        }
+        t.begin_migration(TestHash::Fnv(1), TestHash::Fnv(1));
+        t.migrate(3);
+        assert!(t.migration_in_flight());
+        // Swept duplicates sit in both epochs' chains; count sees each once.
+        assert_eq!(t.count(&b"dup"[..]), 4);
+        t.insert_multi(b"dup".to_vec(), 4);
+        assert_eq!(t.count(&b"dup"[..]), 5);
+        assert!(t.remove_one(&b"dup"[..]).is_some());
+        assert_eq!(t.count(&b"dup"[..]), 4);
+        assert_partition(&t);
+        t.finish_migration();
+        assert_eq!(t.count(&b"dup"[..]), 4);
+        assert_eq!(t.remove_all(&b"dup"[..]), 4);
+        assert_eq!(t.len(), 4);
+        assert_partition(&t);
     }
 }

@@ -5,18 +5,23 @@
 //! isolation around it), and `hash_of` must
 //! agree with a freshly constructed scalar [`SynthesizedHash`] across an
 //! epoch boundary — the live hasher routes through the new plan even while
-//! stored entries still sit in the old epoch's buckets.
+//! stored entries still sit in the old epoch's buckets. Two model checks
+//! drive the arena sweep that drains an epoch through random operation
+//! sequences against a `HashMap` twin: contents and `len` agree after
+//! every step, `migration_progress` never falls within an epoch, and a
+//! known chain bound covers the longest live chain.
 
 use proptest::prelude::*;
-use sepe_containers::UnorderedMap;
+use sepe_containers::{AttackPolicy, UnorderedMap, UnorderedMultiMap};
 use sepe_core::guard::{GuardMode, GuardedHash};
-use sepe_core::hash::{stl_hash_bytes, ByteHash};
+use sepe_core::hash::{stl_hash_bytes, ByteHash, FixedSeedSource};
 use sepe_core::plan_io::validate_plan;
 use sepe_core::synth::{synthesize_with_stats, Family};
 use sepe_core::SynthesizedHash;
 use sepe_keygen::SplitMix64;
 use sepe_verify::faults::mutate_off_format;
 use sepe_verify::formats::RandomFormat;
+use std::collections::HashMap;
 
 #[derive(Clone)]
 struct Stl;
@@ -26,8 +31,174 @@ impl ByteHash for Stl {
     }
 }
 
+/// In-format keys of a random format, and off-format mutations of some
+/// of them, so the guard sees drift.
+fn key_pool(seed: u64) -> (RandomFormat, Vec<Vec<u8>>) {
+    let mut rng = SplitMix64::new(seed);
+    let format = RandomFormat::generate(&mut rng);
+    let pattern = format.pattern();
+    let mut keys = format.sample_keys(&mut rng, 480);
+    let off: Vec<Vec<u8>> = keys
+        .iter()
+        .take(120)
+        .map(|k| mutate_off_format(&pattern, k, &mut rng))
+        .collect();
+    keys.extend(off);
+    keys.sort();
+    keys.dedup();
+    (format, keys)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random map traffic across sweep-drained epochs opened by every
+    /// ladder transition: after each step the map holds exactly its
+    /// twin's pairs, progress is monotone unless the step opened an
+    /// epoch, and a known chain bound is at least the longest chain. The
+    /// map starts with most of the pool, so an epoch spans dozens of
+    /// steps, each draining a stride of its own.
+    #[test]
+    fn map_sweep_matches_a_hashmap_twin(
+        seed in any::<u64>(),
+        ops in prop::collection::vec((0u8..24, any::<u64>()), 1..240),
+    ) {
+        let (format, pool) = key_pool(seed);
+        let family = Family::ALL[(seed % Family::ALL.len() as u64) as usize];
+        let hasher = GuardedHash::from_pattern(&format.pattern(), family, Stl);
+        let mut map: UnorderedMap<Vec<u8>, u64, _> = UnorderedMap::with_hasher(hasher);
+        let mut twin: HashMap<Vec<u8>, u64> = HashMap::new();
+        let seeds = FixedSeedSource::new(seed | 1);
+        let calm = AttackPolicy { quiet_streak: 1, ..AttackPolicy::default() };
+        for (i, key) in pool.iter().enumerate().filter(|(i, _)| (seed >> (i % 64)) & 3 != 0) {
+            map.insert(key.clone(), i as u64);
+            twin.insert(key.clone(), i as u64);
+        }
+        for (step, &(op, arg)) in ops.iter().enumerate() {
+            let key = pool[(arg % pool.len() as u64) as usize].clone();
+            let progress = map.migration_progress();
+            let mut opens_epoch = false;
+            match op {
+                0..=5 => prop_assert_eq!(map.insert(key.clone(), arg), twin.insert(key, arg)),
+                6..=10 => prop_assert_eq!(map.remove(&key), twin.remove(&key)),
+                11 | 12 => prop_assert_eq!(map.get(&key), twin.get(&key)),
+                13 => prop_assert_eq!(map.get_mut(&key).copied(), twin.get(&key).copied()),
+                14 => map.reserve((arg % 1200) as usize),
+                15..=17 => map.migrate((arg % 24) as usize),
+                18 => {
+                    opens_epoch = true;
+                    map.degrade_now();
+                }
+                19 | 20 => {
+                    opens_epoch = true;
+                    map.escalate_now(&seeds);
+                }
+                21 => {
+                    opens_epoch = true;
+                    map.maybe_deescalate(&calm);
+                }
+                22 => {}
+                _ if arg % 4 == 0 => {
+                    map.clear();
+                    twin.clear();
+                }
+                _ => map.finish_migration(),
+            }
+            prop_assert_eq!(map.len(), twin.len(), "len after step {} (op {})", step, op);
+            if !opens_epoch {
+                prop_assert!(
+                    map.migration_progress() >= progress,
+                    "progress fell at step {step} (op {op})"
+                );
+            }
+            if let Some(bound) = map.chain_bound() {
+                prop_assert!(bound >= map.max_bucket_len(), "bound {} at step {}", bound, step);
+            }
+            let mut ours: Vec<(&Vec<u8>, &u64)> = map.iter().collect();
+            let mut theirs: Vec<(&Vec<u8>, &u64)> = twin.iter().collect();
+            ours.sort();
+            theirs.sort();
+            prop_assert_eq!(&ours, &theirs, "contents after step {} (op {})", step, op);
+            for k in twin.keys() {
+                prop_assert_eq!(map.get(k), twin.get(k), "lookup after step {}", step);
+            }
+        }
+        map.finish_migration();
+        for (k, v) in &twin {
+            prop_assert_eq!(map.get(k), Some(v));
+        }
+    }
+
+    /// The multimap's `insert` links duplicates without a probe, and its
+    /// `count` sums both epochs: under random traffic across sweep-drained
+    /// degrade epochs, every key's multiset of values matches the twin's.
+    #[test]
+    fn multimap_sweep_matches_a_counting_twin(
+        seed in any::<u64>(),
+        ops in prop::collection::vec((0u8..10, any::<u64>()), 1..240),
+    ) {
+        let (format, pool) = key_pool(seed);
+        let pool = &pool[..pool.len().min(64)];
+        let family = Family::ALL[(seed % Family::ALL.len() as u64) as usize];
+        let hasher = GuardedHash::from_pattern(&format.pattern(), family, Stl);
+        let mut map: UnorderedMultiMap<Vec<u8>, u64, _> = UnorderedMultiMap::with_hasher(hasher);
+        let mut twin: HashMap<Vec<u8>, Vec<u64>> = HashMap::new();
+        for v in 0..400u64 {
+            let key = pool[(v.wrapping_mul(seed | 1) >> 7) as usize % pool.len()].clone();
+            map.insert(key.clone(), v);
+            twin.entry(key).or_default().push(v);
+        }
+        for (step, &(op, arg)) in ops.iter().enumerate() {
+            let key = pool[(arg % pool.len() as u64) as usize].clone();
+            let progress = map.migration_progress();
+            let mut opens_epoch = false;
+            match op {
+                0..=2 => {
+                    map.insert(key.clone(), arg);
+                    twin.entry(key).or_default().push(arg);
+                }
+                3 | 4 => match map.remove_one(&key) {
+                    Some(v) => {
+                        let values = twin.get_mut(&key).expect("twin holds the key");
+                        let at = values.iter().position(|&x| x == v);
+                        prop_assert!(at.is_some(), "removed a value the twin lacks");
+                        values.swap_remove(at.unwrap());
+                    }
+                    None => prop_assert!(twin.get(&key).is_none_or(Vec::is_empty)),
+                },
+                5 => map.migrate((arg % 24) as usize),
+                6 => {
+                    opens_epoch = true;
+                    map.degrade_now();
+                }
+                7 if arg % 8 == 0 => {
+                    map.clear();
+                    twin.clear();
+                }
+                _ => {
+                    prop_assert_eq!(
+                        map.count(&key),
+                        twin.get(&key).map_or(0, Vec::len),
+                        "count at step {}", step
+                    );
+                }
+            }
+            let total: usize = twin.values().map(Vec::len).sum();
+            prop_assert_eq!(map.len(), total, "len after step {} (op {})", step, op);
+            if !opens_epoch {
+                prop_assert!(map.migration_progress() >= progress, "progress fell at step {step}");
+            }
+            let mut ours: Vec<(&Vec<u8>, &u64)> = map.iter().collect();
+            let mut theirs: Vec<(&Vec<u8>, &u64)> =
+                twin.iter().flat_map(|(k, vs)| vs.iter().map(move |v| (k, v))).collect();
+            ours.sort();
+            theirs.sort();
+            prop_assert_eq!(&ours, &theirs, "contents after step {} (op {})", step, op);
+            for (k, vs) in &twin {
+                prop_assert_eq!(map.count(k), vs.len(), "count after step {}", step);
+            }
+        }
+    }
 
     /// `resynthesize()` rearms the guard completely: lifetime counters,
     /// window counters, reservoir and mode all return to their fresh

@@ -1,0 +1,90 @@
+//! What draining a migration epoch costs per entry.
+//!
+//! A guarded SSN map (boxed byte keys, `u64` values, the OffXor plan with
+//! a CityHash fallback) degrades, which opens an epoch, and then drains it
+//! in `migrate(16)` calls, the stride every mutating operation pays. For
+//! scale the example also times hashing every key once and a cached-hash
+//! `rehash` of the same table. Each round builds a fresh map; the output is
+//! the median and range over the rounds.
+//!
+//! ```text
+//! cargo run --release --example migration_drain [keys] [rounds]
+//! ```
+
+use sepe::baselines::CityHash;
+use sepe::containers::UnorderedMap;
+use sepe::core::guard::GuardedHash;
+use sepe::core::hash::SynthesizedHash;
+use sepe::core::regex::Regex;
+use sepe::core::synth::Family;
+use sepe::keygen::{Distribution, KeyFormat, KeySampler};
+use std::hint::black_box;
+use std::time::Instant;
+
+type Map = UnorderedMap<Box<[u8]>, u64, GuardedHash<SynthesizedHash, CityHash>>;
+
+fn build(keys: &[Box<[u8]>]) -> Map {
+    let pattern = Regex::compile(&KeyFormat::Ssn.regex()).expect("the SSN regex compiles");
+    let hasher = GuardedHash::new(
+        &pattern,
+        SynthesizedHash::from_pattern(&pattern, Family::OffXor),
+        CityHash::new(),
+    );
+    let mut map = UnorderedMap::with_hasher(hasher);
+    map.reserve(keys.len());
+    for (i, key) in keys.iter().enumerate() {
+        map.insert(key.clone(), i as u64);
+    }
+    map
+}
+
+/// Median, minimum and maximum of `samples`.
+fn summary(mut samples: Vec<f64>) -> String {
+    samples.sort_by(f64::total_cmp);
+    format!(
+        "{:6.1} ns/entry (range {:.1}–{:.1})",
+        samples[samples.len() / 2],
+        samples[0],
+        samples[samples.len() - 1]
+    )
+}
+
+fn main() {
+    let mut args = std::env::args().skip(1);
+    let n: usize = args.next().map_or(36_864, |a| a.parse().expect("keys"));
+    let rounds: usize = args.next().map_or(9, |a| a.parse().expect("rounds"));
+    let keys: Vec<Box<[u8]>> = KeySampler::new(KeyFormat::Ssn, Distribution::Uniform, 1)
+        .distinct_pool(n)
+        .into_iter()
+        .map(|k| k.into_bytes().into_boxed_slice())
+        .collect();
+
+    let (mut drain, mut hash, mut rehash) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..rounds {
+        let mut map = build(&keys);
+        let start = Instant::now();
+        let mut sum = 0u64;
+        for key in &keys {
+            sum = sum.wrapping_add(map.hash_of(key));
+        }
+        black_box(sum);
+        hash.push(start.elapsed().as_nanos() as f64 / n as f64);
+
+        let start = Instant::now();
+        map.degrade_now();
+        while map.migration_in_flight() {
+            map.migrate(16);
+        }
+        drain.push(start.elapsed().as_nanos() as f64 / n as f64);
+        assert_eq!(map.len(), n);
+
+        let buckets = map.bucket_count();
+        let start = Instant::now();
+        map.rehash(2 * buckets + 1);
+        rehash.push(start.elapsed().as_nanos() as f64 / n as f64);
+    }
+    println!("{n} SSN keys, {rounds} rounds");
+    println!("drain an epoch, migrate(16) calls: {}", summary(drain));
+    println!("hash every key once:               {}", summary(hash));
+    println!("cached-hash rehash:                {}", summary(rehash));
+}
