@@ -287,18 +287,13 @@ where
         self.table.rehash(bucket_count);
     }
 
-    /// Ensures `additional` more pairs fit without rehashing, growing to a
-    /// prime bucket count if necessary.
+    /// Ensures `additional` more pairs fit without rehashing or growing
+    /// the entry arena, as `std`'s `HashMap::reserve` does: grows to a
+    /// prime bucket count if necessary, and reserves `additional` arena
+    /// slots past the last one in use, so the inserts never reallocate
+    /// even mid-epoch, when none of them may reuse a freed slot.
     pub fn reserve(&mut self, additional: usize) {
-        let required = self.len() + additional;
-        if required as f64 > self.max_load_factor() * self.bucket_count() as f64 {
-            let target = crate::primes::grow_bucket_count(
-                self.bucket_count() as u64,
-                required,
-                self.max_load_factor(),
-            );
-            self.rehash(target as usize);
-        }
+        self.table.reserve(additional);
     }
 
     /// The 64-bit hash of `key` under this map's hash function.
@@ -615,7 +610,12 @@ where
     /// A streak is [`AttackPolicy::quiet_streak`] calm ticks, doubled (up
     /// to 16×) each time one ends with the guarded routing still skewed on
     /// the stored entries: a rung stays while its flood is resident, since
-    /// the specialized and fallback routes are adversary-computable. A
+    /// the specialized and fallback routes are adversary-computable. The
+    /// skew check hashes the stored keys newest first and stops at the
+    /// first bucket [`AttackPolicy::chain_skewed`] accepts, so holding
+    /// over a resident flood costs a few dozen hashes; only the check
+    /// that lets the rung go counts every key. The verdict is the full
+    /// count's, since the skew test is monotone in the chain length. A
     /// storm rung re-arms even if a drift degrade sat below it; the
     /// reservoir, filled during the attack, is cleared with it.
     ///
@@ -643,7 +643,8 @@ where
         self.attack.quiet_streak = 0;
         let guarded = self.table.hasher().epoch_frozen(GuardMode::Guarded);
         let (len, buckets) = (self.len(), self.bucket_count());
-        if policy.chain_skewed(self.table.longest_chain_under(&guarded), len, buckets) {
+        let skewed = |n| policy.chain_skewed(n, len, buckets);
+        if self.table.chain_skewed_under(&guarded, skewed) {
             self.attack.hold = (self.attack.hold + 1).min(MAX_HOLD_DOUBLINGS);
             return false;
         }
@@ -871,12 +872,13 @@ mod tests {
     fn reserve_prevents_rehashes() {
         let mut m = map();
         m.reserve(10_000);
-        let buckets = m.bucket_count();
-        assert!(buckets >= 10_000);
+        let (buckets, slots) = (m.bucket_count(), m.table.arena_capacity());
+        assert!(buckets >= 10_000 && slots >= 10_000);
         for i in 0..10_000u32 {
             m.insert(format!("{i:08}"), i);
         }
         assert_eq!(m.bucket_count(), buckets, "no rehash after reserve");
+        assert_eq!(m.table.arena_capacity(), slots, "no arena growth either");
         assert_eq!(m.len(), 10_000);
     }
 
@@ -1643,6 +1645,66 @@ mod tests {
         for i in 0..4_000u32 {
             let key = format!("{:03}-{:02}-{:04}", i % 1000, i % 100, i);
             assert_eq!(m.get(&key), Some(&i), "{key}");
+        }
+    }
+
+    #[test]
+    fn the_hold_check_stops_early_with_the_full_counts_verdict() {
+        let policy = AttackPolicy::default();
+        let seeds = sepe_core::hash::keyed::FixedSeedSource::new(7);
+        let ssn = |i: u32| format!("{:03}-{:02}-{:04}", i % 1000, i % 100, i);
+        let residents: Vec<String> = (0..2_000).map(ssn).collect();
+        let build = || {
+            let mut m = guarded_ssn_map(sepe_core::Family::OffXor);
+            m.reserve(2_000 + 64);
+            m
+        };
+        let guarded = build().hasher().epoch_frozen(GuardMode::Guarded);
+        let buckets = build().bucket_count() as u64;
+        let bucket = |k: &str| guarded.hash_bytes(k.as_bytes()) % buckets;
+        let target = bucket("flood target");
+        let base = residents.iter().filter(|k| bucket(k) == target).count();
+        let floods: Vec<String> = (0u64..)
+            .map(|i| format!("atk-{i:016x}"))
+            .filter(|k| bucket(k) == target)
+            .take(64)
+            .collect();
+        // Flood first (the newest-first scan meets it last), interleaved,
+        // and last; target chains of `min_chain - 1` and `min_chain`.
+        let near = policy.min_chain - base;
+        for at in [0, 1_000, 2_000] {
+            for size in [0, 16, near - 1, near, 64] {
+                let mut m = build();
+                let mut keys = residents.clone();
+                keys.splice(at..at, floods[..size].iter().cloned());
+                for (i, key) in keys.into_iter().enumerate() {
+                    m.insert(key, i as u32);
+                }
+                assert_eq!(m.bucket_count() as u64, buckets);
+                m.escalate_now(&seeds);
+                m.escalate_now(&seeds);
+                m.finish_migration();
+                // Start the probe window here: the flood's own inserts
+                // walked its chain, and that tail would read as a storm.
+                m.attack_signals();
+                let full = m.table.longest_chain_under(&guarded);
+                if size > 0 {
+                    assert_eq!(full, base + size, "the flood's bucket is the longest");
+                }
+                let held = policy.chain_skewed(full, m.len(), m.bucket_count());
+                assert_eq!(
+                    held,
+                    base + size >= policy.min_chain,
+                    "at {at}, {size} keys"
+                );
+                let ticks: Vec<bool> = (0..policy.quiet_streak)
+                    .map(|_| m.maybe_deescalate(&policy))
+                    .collect();
+                let last = ticks.len() - 1;
+                assert!(!ticks[..last].contains(&true), "at {at}, {size} keys");
+                assert_eq!(ticks[last], !held, "at {at}, {size} keys: chain {full}");
+                assert_eq!(m.attack.hold, u32::from(held));
+            }
         }
     }
 

@@ -14,7 +14,8 @@
 //! and hashbrown, applied to a change of hash function rather than of
 //! capacity. The drain sweeps the arena in slot order rather than popping
 //! old chains, so each drained entry costs one sequential arena read, its
-//! key, and the live chain it joins.
+//! key, and the live chain it joins; a batch's key and head misses are
+//! prefetched together.
 
 use crate::policy::BucketPolicy;
 use crate::primes::grow_bucket_count;
@@ -25,6 +26,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const NONE: u32 = u32::MAX;
+
+/// Hints the cache line holding `at` into L1; a no-op off x86-64.
+#[inline]
+fn prefetch<T>(at: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: prefetch has no memory effects; any address is safe.
+        unsafe { _mm_prefetch(at.cast::<i8>(), _MM_HINT_T0) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = at;
+    }
+}
 
 /// Initial bucket count (the first prime of libstdc++'s table is 13 once a
 /// table grows beyond its singleton state).
@@ -276,7 +292,9 @@ pub(crate) struct RawTable<K, V, H> {
     /// and a migration drain from the chain each drained entry joins;
     /// removals leave it standing (still a bound); a resize, which
     /// relinks every chain without probing it, forgets it until
-    /// [`RawTable::longest_chain`] walks the table again.
+    /// [`RawTable::longest_chain`] walks the table again. Opening an
+    /// epoch restarts it at 0, after forgetting it for the finish of the
+    /// epoch it replaces.
     chain_bound: Option<usize>,
     stale_reads: StaleReads,
     obs: TableObs,
@@ -332,9 +350,14 @@ where
     /// drain and the inserts after it raise the bound as they link.
     ///
     /// Opening touches no entry: the live chains become the old epoch's
-    /// simply by flipping which link is live.
+    /// simply by flipping which link is live. The drain of an epoch still
+    /// in flight forgets the chain bound first: every chain it links is
+    /// retired a few lines later, so bounding them would be wasted walks.
     pub(crate) fn begin_migration(&mut self, old_hasher: H, rehasher: H) {
-        self.finish_migration();
+        if self.migration.is_some() {
+            self.chain_bound = None;
+            self.finish_migration();
+        }
         if self.len == 0 {
             return;
         }
@@ -358,33 +381,64 @@ where
 
     /// Drains up to `budget` entries from the old epoch into the live one,
     /// sweeping at most `SWEEP_SLOTS_PER_ENTRY * budget` arena slots.
+    #[inline]
     pub(crate) fn migrate(&mut self, budget: usize) {
-        let Some(mut mig) = self.migration.take() else {
-            return;
-        };
+        if self.migration.is_some() {
+            self.drain(budget);
+        }
+    }
+
+    /// The body of [`RawTable::migrate`], out of line so the calm-table
+    /// check stays small in every mutating operation.
+    ///
+    /// Works in batches of up to [`MIGRATE_STRIDE`] occupied slots:
+    /// gather them and prefetch their key bytes, hash them and prefetch
+    /// their bucket heads, then link them in slot order. The key and head
+    /// misses of a batch overlap instead of serializing, and the chains
+    /// come out exactly as one-at-a-time linking leaves them.
+    #[inline(never)]
+    fn drain(&mut self, budget: usize) {
+        let mut mig = self.migration.take().expect("epoch in flight");
         let live = self.live;
         let scan = budget.saturating_mul(SWEEP_SLOTS_PER_ENTRY);
         let stop = (mig.cursor as usize)
             .saturating_add(scan)
             .min(mig.end as usize) as u32;
         let want = budget.min(mig.old_len);
+        let nbuckets = self.heads.len() as u64;
+        let mut slots = [0u32; MIGRATE_STRIDE];
+        let mut buckets = [0usize; MIGRATE_STRIDE];
+        let mut hashes = [0u64; MIGRATE_STRIDE];
         let mut moved = 0usize;
         while moved < want && mig.cursor < stop {
-            let idx = mig.cursor;
-            mig.cursor += 1;
-            let Some((key, _)) = &self.entries[idx as usize].kv else {
-                continue;
-            };
-            let hash = mig.rehasher.hash_bytes(key.as_ref());
-            let bucket = self.policy.bucket_of(hash, self.heads.len() as u64) as usize;
-            let e = &mut self.entries[idx as usize];
-            e.hash = hash;
-            e.set_next(live, self.heads[bucket]);
-            self.heads[bucket] = idx;
-            if self.chain_bound.is_some() {
-                self.note_chain(self.chain_len(idx));
+            let room = (want - moved).min(MIGRATE_STRIDE);
+            let mut n = 0;
+            while n < room && mig.cursor < stop {
+                let idx = mig.cursor;
+                mig.cursor += 1;
+                if let Some((key, _)) = &self.entries[idx as usize].kv {
+                    prefetch(key.as_ref().as_ptr());
+                    slots[n] = idx;
+                    n += 1;
+                }
             }
-            moved += 1;
+            for i in 0..n {
+                let (key, _) = self.get_kv(slots[i]);
+                hashes[i] = mig.rehasher.hash_bytes(key.as_ref());
+                buckets[i] = self.policy.bucket_of(hashes[i], nbuckets) as usize;
+                prefetch(&self.heads[buckets[i]]);
+            }
+            for i in 0..n {
+                let (idx, bucket) = (slots[i], buckets[i]);
+                let e = &mut self.entries[idx as usize];
+                e.hash = hashes[i];
+                e.set_next(live, self.heads[bucket]);
+                self.heads[bucket] = idx;
+                if self.chain_bound.is_some() {
+                    self.note_chain(self.chain_len(idx));
+                }
+            }
+            moved += n;
         }
         mig.old_len -= moved;
         if sepe_obs::enabled() && moved > 0 {
@@ -496,31 +550,11 @@ where
     /// serializing.
     #[inline]
     pub(crate) fn prefetch_bucket(&self, hash: u64) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let bucket = self.bucket_of(hash);
-            // SAFETY: prefetch has no memory effects; any address is safe.
-            unsafe {
-                _mm_prefetch(
-                    std::ptr::addr_of!(self.heads[bucket]).cast::<i8>(),
-                    _MM_HINT_T0,
-                );
-            }
-            let at = self.heads[bucket];
-            if at != NONE {
-                // SAFETY: as above; `at` indexes the entry arena.
-                unsafe {
-                    _mm_prefetch(
-                        std::ptr::addr_of!(self.entries[at as usize]).cast::<i8>(),
-                        _MM_HINT_T0,
-                    );
-                }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = hash;
+        let bucket = self.bucket_of(hash);
+        prefetch(&self.heads[bucket]);
+        let at = self.heads[bucket];
+        if at != NONE {
+            prefetch(&self.entries[at as usize]);
         }
     }
 
@@ -697,6 +731,26 @@ where
     pub(crate) fn insert_unique(&mut self, key: K, value: V) -> Option<V> {
         let hash = self.hash_of(key.as_ref());
         self.insert_unique_hashed(hash, key, value)
+    }
+
+    /// Makes room for `additional` more entries: a prime bucket count that
+    /// holds them under the maximum load factor, and as many arena slots.
+    /// Counting slots from the arena's end covers the worst case, an open
+    /// epoch, where every insert appends; outside one, freed slots are
+    /// reused first and the reserve is slack.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        let required = self.len + additional;
+        if required as f64 > self.max_load_factor * self.heads.len() as f64 {
+            let target = grow_bucket_count(self.heads.len() as u64, required, self.max_load_factor);
+            self.rehash(target as usize);
+        }
+        self.entries.reserve(additional);
+    }
+
+    /// Arena slots allocated, occupied or not.
+    #[cfg(test)]
+    pub(crate) fn arena_capacity(&self) -> usize {
+        self.entries.capacity()
     }
 
     fn reserve_one(&mut self) {
@@ -953,24 +1007,51 @@ where
         exact
     }
 
-    /// Length of the longest chain the stored entries, in both epochs,
-    /// would form if filed under `hasher` in the live bucket array. One
-    /// pass over the arena that hashes every key: the storm detector asks
-    /// it once per quiet streak, to learn whether a routing it would
-    /// return to still looks flooded.
-    pub(crate) fn longest_chain_under(&self, hasher: &H) -> usize {
+    /// Whether the stored entries, in both epochs, filed under `hasher` in
+    /// the live bucket array, would form a chain whose length `skewed`
+    /// accepts. The storm detector asks it once per quiet streak, to learn
+    /// whether a routing it would return to still looks flooded.
+    ///
+    /// Scans the arena newest slot first, counting per bucket, and stops
+    /// at the first count `skewed` accepts: a flood is the newest thing in
+    /// a table, so a resident one is found after a few dozen hashes. The
+    /// verdict is that of the longest chain whenever `skewed` is monotone
+    /// in the length (a bucket that trips it on the way to its full count
+    /// trips it at that count too); only a table that is not skewed
+    /// hashes every key, and none does when even a chain of every entry
+    /// would not be.
+    pub(crate) fn chain_skewed_under(&self, hasher: &H, skewed: impl Fn(usize) -> bool) -> bool {
+        if !skewed(self.len) {
+            return false;
+        }
         let buckets = self.heads.len();
         let mut counts = vec![0u32; buckets];
-        let mut longest = 0;
+        self.entries.iter().rev().any(|e| {
+            e.kv.as_ref().is_some_and(|(key, _)| {
+                let bucket = self
+                    .policy
+                    .bucket_of(hasher.hash_bytes(key.as_ref()), buckets as u64);
+                let n = &mut counts[bucket as usize];
+                *n += 1;
+                skewed(*n as usize)
+            })
+        })
+    }
+
+    /// Length of the longest chain the stored entries would form under
+    /// `hasher`: the full count [`RawTable::chain_skewed_under`] stops
+    /// short of, kept as the reference its verdict is tested against.
+    #[cfg(test)]
+    pub(crate) fn longest_chain_under(&self, hasher: &H) -> usize {
+        let buckets = self.heads.len();
+        let mut counts = vec![0usize; buckets];
         for (key, _) in self.iter() {
             let bucket = self
                 .policy
                 .bucket_of(hasher.hash_bytes(key.as_ref()), buckets as u64);
-            let n = &mut counts[bucket as usize];
-            *n += 1;
-            longest = longest.max(*n);
+            counts[bucket as usize] += 1;
         }
-        longest as usize
+        counts.into_iter().max().unwrap_or(0)
     }
 
     /// The current chain bound (`None` when unknown).
@@ -1098,6 +1179,215 @@ mod tests {
                 "an old chain reaches past end"
             );
         }
+    }
+
+    /// The one-entry-at-a-time drain the batched one replaced: the
+    /// reference its chains, hashes, cursor and bound are checked against.
+    fn drain_one_by_one(t: &mut Table, budget: usize) {
+        let Some(mut mig) = t.migration.take() else {
+            return;
+        };
+        let live = t.live;
+        let stop = (mig.cursor as usize)
+            .saturating_add(budget.saturating_mul(SWEEP_SLOTS_PER_ENTRY))
+            .min(mig.end as usize) as u32;
+        let want = budget.min(mig.old_len);
+        let mut moved = 0;
+        while moved < want && mig.cursor < stop {
+            let idx = mig.cursor;
+            mig.cursor += 1;
+            let Some((key, _)) = &t.entries[idx as usize].kv else {
+                continue;
+            };
+            let hash = mig.rehasher.hash_bytes(key);
+            let bucket = t.bucket_of(hash);
+            let e = &mut t.entries[idx as usize];
+            e.hash = hash;
+            e.set_next(live, t.heads[bucket]);
+            t.heads[bucket] = idx;
+            if t.chain_bound.is_some() {
+                t.note_chain(t.chain_len(idx));
+            }
+            moved += 1;
+        }
+        mig.old_len -= moved;
+        t.keep_or_close(mig);
+    }
+
+    /// Every live chain of `t`, as the slot sequence from its head.
+    fn live_chains(t: &Table) -> Vec<Vec<u32>> {
+        t.heads
+            .iter()
+            .map(|&head| {
+                let mut chain = Vec::new();
+                let mut at = head;
+                while at != NONE {
+                    chain.push(at);
+                    at = t.entries[at as usize].next(t.live);
+                }
+                chain
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_batched_drain_links_exactly_as_one_at_a_time() {
+        for budget in [1, 3, 16, 17, usize::MAX] {
+            // A high load factor makes every chain a drained entry joins
+            // long enough to move the bound; dead slots, a run of them
+            // longer than a small batch's scan, and mid-epoch inserts sit
+            // in the sweep's way.
+            let mut t = RawTable::new(TestHash::Fnv(0), BucketPolicy::Modulo);
+            t.set_max_load_factor(24.0);
+            for i in 0..600 {
+                t.insert_unique(key(i), i);
+            }
+            for i in (0..600).filter(|i| i % 7 == 2 || (200..230).contains(i)) {
+                t.remove_one(&key(i)[..]);
+            }
+            *t.hasher_mut() = TestHash::Fnv(1);
+            t.begin_migration(TestHash::Fnv(0), TestHash::Fnv(1));
+            for i in 600..620 {
+                t.insert_unique(key(i), i);
+            }
+            let mut reference = t.clone();
+            let mut calls = 0;
+            while t.migration_in_flight() {
+                t.migrate(budget);
+                drain_one_by_one(&mut reference, budget);
+                calls += 1;
+                assert_eq!(
+                    threaded(&t, &t.heads, t.live),
+                    threaded(&reference, &reference.heads, reference.live),
+                    "budget {budget}, call {calls}"
+                );
+                assert_eq!(live_chains(&t), live_chains(&reference), "budget {budget}");
+                let hashes = |t: &Table| t.entries.iter().map(|e| e.hash).collect::<Vec<_>>();
+                assert_eq!(hashes(&t), hashes(&reference), "budget {budget}");
+                assert_eq!(
+                    t.migration.as_ref().map(|m| (m.cursor, m.old_len)),
+                    reference.migration.as_ref().map(|m| (m.cursor, m.old_len)),
+                    "budget {budget}, call {calls}"
+                );
+                assert_eq!(t.chain_bound(), reference.chain_bound(), "budget {budget}");
+                let bound = t.chain_bound().expect("a drain keeps the bound");
+                assert!(bound >= t.max_bucket_len(), "budget {budget}, call {calls}");
+                assert_partition(&t);
+            }
+            assert!(!reference.migration_in_flight());
+            assert_eq!(
+                calls == 1,
+                budget == usize::MAX,
+                "budget {budget}: {calls} calls"
+            );
+        }
+    }
+
+    #[test]
+    fn an_epoch_opened_over_a_half_drained_one_starts_at_bound_zero() {
+        let mut t = colliding_epoch(300);
+        t.migrate(40);
+        assert!(t.migration_in_flight());
+        assert!(t.chain_bound() >= Some(1), "the drain raised the bound");
+        *t.hasher_mut() = TestHash::Fnv(2);
+        t.begin_migration(TestHash::Fnv(1), TestHash::Fnv(2));
+        assert!(t.migration_in_flight());
+        assert_eq!(t.chain_bound(), Some(0), "the fresh live epoch is empty");
+        assert_eq!(t.migration.as_ref().unwrap().old_len, 300);
+        assert_partition(&t);
+        t.finish_migration();
+        assert_partition(&t);
+        assert!(t.chain_bound() >= Some(t.max_bucket_len()));
+        // An empty table opens no epoch and keeps its bound.
+        let mut empty: Table = RawTable::new(TestHash::Fnv(0), BucketPolicy::Modulo);
+        empty.begin_migration(TestHash::Fnv(0), TestHash::Fnv(1));
+        assert!(!empty.migration_in_flight());
+        assert_eq!(empty.chain_bound(), Some(0));
+    }
+
+    #[test]
+    fn inserts_after_reserve_never_grow_the_arena() {
+        let mut t = RawTable::new(TestHash::Fnv(0), BucketPolicy::Modulo);
+        t.reserve(1000);
+        let (cap, buckets) = (t.arena_capacity(), t.bucket_count());
+        assert!(cap >= 1000);
+        for i in 0..1000 {
+            t.insert_unique(key(i), i);
+            assert_eq!(t.arena_capacity(), cap, "insert {i} regrew the arena");
+        }
+        assert_eq!(t.bucket_count(), buckets);
+        // Mid-epoch every insert appends, freed slots or not.
+        for i in 0..300 {
+            t.remove_one(&key(i)[..]);
+        }
+        *t.hasher_mut() = TestHash::Fnv(1);
+        t.begin_migration(TestHash::Fnv(0), TestHash::Fnv(1));
+        t.reserve(500);
+        let cap = t.arena_capacity();
+        for i in 1000..1500 {
+            t.insert_unique(key(i), i);
+            assert_eq!(t.arena_capacity(), cap, "insert {i} regrew the arena");
+        }
+        assert_partition(&t);
+    }
+
+    #[test]
+    fn reserve_mid_epoch_reuses_no_slot_freed_during_it() {
+        let mut t = colliding_epoch(100);
+        t.migrate(4);
+        // One swept and one unswept slot freed mid-epoch, then a reserve
+        // that resizes, which rebuilds the free list over both.
+        t.remove_one(&key(1)[..]);
+        t.remove_one(&key(60)[..]);
+        let fresh = t.entries.len() as u32;
+        t.reserve(4 * t.bucket_count());
+        assert!(t.migration_in_flight());
+        assert_partition(&t);
+        t.link_new(t.hash_of(&key(100)), key(100), 100);
+        t.link_new(t.hash_of(&key(101)), key(101), 101);
+        assert_eq!(
+            t.find(&key(100)[..]),
+            Some(fresh),
+            "mid-epoch inserts append"
+        );
+        assert_eq!(t.find(&key(101)[..]), Some(fresh + 1));
+        assert_partition(&t);
+        t.finish_migration();
+        t.insert_unique(key(102), 102);
+        assert_eq!(
+            t.find(&key(102)[..]),
+            Some(1),
+            "a closed epoch frees its slots"
+        );
+        assert_partition(&t);
+    }
+
+    #[test]
+    fn the_skew_check_stops_early_with_the_full_counts_verdict() {
+        let mut t = RawTable::new(TestHash::Fnv(0), BucketPolicy::Modulo);
+        for i in 0..200 {
+            t.insert_unique(key(i), i);
+        }
+        let spread = TestHash::Fnv(0);
+        let pile = TestHash::Const(3);
+        let longest = t.longest_chain_under(&spread);
+        for min in [1, longest, longest + 1, 200, 201] {
+            let skewed = |n: usize| n >= min;
+            assert_eq!(
+                t.chain_skewed_under(&spread, skewed),
+                longest >= min,
+                "{min}"
+            );
+            assert_eq!(t.chain_skewed_under(&pile, skewed), 200 >= min, "{min}");
+        }
+        // The newest-first scan trips after `min` keys of a pile-up.
+        let hashed = std::cell::Cell::new(0);
+        let counted = |n: usize| {
+            hashed.set(hashed.get() + 1);
+            n >= 8
+        };
+        assert!(t.chain_skewed_under(&pile, counted));
+        assert_eq!(hashed.get(), 1 + 8, "one bound check, then eight keys");
     }
 
     #[test]

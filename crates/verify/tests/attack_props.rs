@@ -1,9 +1,9 @@
 //! Property-based pins for the collision-storm detector's hysteresis:
 //! benign keygen workloads never escalate under the production
 //! [`AttackPolicy`], a full escalation → de-escalation round trip
-//! restores the specialized hasher with contents and counters intact, and
-//! the chain bound the detector's ticks read in place of a full walk never
-//! changes a decision.
+//! restores the specialized hasher with contents and counters intact, the
+//! chain bound the detector's ticks read in place of a full walk never
+//! changes a decision, and neither does the storm hold's early exit.
 
 use proptest::prelude::*;
 use sepe_containers::{AttackPolicy, UnorderedMap};
@@ -290,5 +290,105 @@ proptest! {
             prop_assert_eq!(map.len(), twin.len());
             check_chain_bound(&map, &policies, step)?;
         }
+    }
+}
+
+/// The full-count reference of the storm hold: whether every stored key,
+/// filed under the guarded routing in the live bucket array, leaves a
+/// chain `policy` calls skewed.
+fn guarded_routing_skewed<F, G>(
+    map: &UnorderedMap<Vec<u8>, u64, GuardedHash<F, G>>,
+    policy: &AttackPolicy,
+) -> bool
+where
+    F: ByteHash + Clone,
+    G: ByteHash + Clone,
+{
+    let guarded = map.hasher().epoch_frozen(GuardMode::Guarded);
+    let buckets = map.bucket_count();
+    let mut counts = vec![0usize; buckets];
+    for (key, _) in map.iter() {
+        let bucket = map
+            .policy()
+            .bucket_of(guarded.hash_bytes(key), buckets as u64);
+        counts[bucket as usize] += 1;
+    }
+    let longest = counts.into_iter().max().unwrap_or(0);
+    policy.chain_skewed(longest, map.len(), buckets)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The storm hold stops hashing at the first bucket the policy calls
+    /// skewed, scanning the newest entries first. Whatever the flood's
+    /// size (0 to 96 keys forged against the guarded routing) and wherever
+    /// it sits in the arena (inserted first, the early exit's worst case,
+    /// interleaved with benign keys, or last), the quiet streak's end must
+    /// hold the keyed rung exactly when a full count of the guarded
+    /// routing finds a skewed chain, and de-escalate otherwise.
+    #[test]
+    fn the_storm_holds_early_exit_matches_a_full_count(
+        seed in any::<u64>(),
+        flood_len in 0usize..97,
+        order in 0u8..3,
+    ) {
+        let (format, dist, family) = cell(seed);
+        let pattern = Regex::compile(&format.regex()).expect("evaluated formats compile");
+        let pool = keygen_pool(format, dist, seed, 300);
+        let hasher = GuardedHash::from_pattern(&pattern, family, sepe_baselines::CityHash::new());
+        let mut map: UnorderedMap<Vec<u8>, u64, _> = UnorderedMap::with_hasher(hasher);
+        map.reserve(pool.len() + flood_len);
+        let guarded = map.hasher().epoch_frozen(GuardMode::Guarded);
+        let buckets = map.bucket_count() as u64;
+        let flood = attacker::bucket_flood(|k| guarded.hash_bytes(k), buckets, flood_len, seed);
+        let keys: Vec<&Vec<u8>> = match order {
+            0 => flood.iter().chain(&pool).collect(),
+            1 => {
+                let mut flood = flood.iter();
+                let mut keys = Vec::new();
+                for (i, key) in pool.iter().enumerate() {
+                    keys.push(key);
+                    if i % 3 == 0 {
+                        keys.extend(flood.next());
+                    }
+                }
+                keys.extend(flood);
+                keys
+            }
+            _ => pool.iter().chain(&flood).collect(),
+        };
+        for (i, key) in keys.into_iter().enumerate() {
+            map.insert(key.clone(), i as u64);
+        }
+        prop_assert_eq!(map.bucket_count() as u64, buckets, "the flood's bucket count held");
+
+        let policy = AttackPolicy {
+            min_chain: 8 + (seed >> 8) as usize % 48,
+            quiet_streak: 1 + (seed >> 16) as u32 % 3,
+            probe_p99_limit: u64::MAX,
+            ..AttackPolicy::default()
+        };
+        let seeds = FixedSeedSource::new(seed | 1);
+        map.escalate_now(&seeds);
+        map.escalate_now(&seeds);
+        map.finish_migration();
+        prop_assert_eq!(map.guard_mode(), GuardMode::Keyed);
+        // A keyed routing that itself looks skewed is a storm, not a hold.
+        prop_assume!(!policy.chain_skewed(map.max_bucket_len(), map.len(), map.bucket_count()));
+        let held = guarded_routing_skewed(&map, &policy);
+        for tick in 1..policy.quiet_streak {
+            prop_assert!(!map.maybe_deescalate(&policy), "tick {} ended the streak", tick);
+        }
+        prop_assert_eq!(
+            map.maybe_deescalate(&policy),
+            !held,
+            "{} flood keys, order {}, {:?}",
+            flood_len,
+            order,
+            policy
+        );
+        let expect = if held { GuardMode::Keyed } else { GuardMode::Guarded };
+        prop_assert_eq!(map.guard_mode(), expect);
     }
 }

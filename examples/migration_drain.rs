@@ -2,10 +2,13 @@
 //!
 //! A guarded SSN map (boxed byte keys, `u64` values, the OffXor plan with
 //! a CityHash fallback) degrades, which opens an epoch, and then drains it
-//! in `migrate(16)` calls, the stride every mutating operation pays. For
-//! scale the example also times hashing every key once and a cached-hash
-//! `rehash` of the same table. Each round builds a fresh map; the output is
-//! the median and range over the rounds.
+//! in `migrate(16)` calls, the stride every mutating operation pays. It
+//! also times the synchronous drain an escalation pays when it opens an
+//! epoch over one still in flight: `escalate_now` on a map whose degrade
+//! epoch is half drained, per entry it had left. For scale the example
+//! also times hashing every key once and a cached-hash `rehash` of the
+//! same table. Each round builds a fresh map; the output is the median and
+//! range over the rounds.
 //!
 //! ```text
 //! cargo run --release --example migration_drain [keys] [rounds]
@@ -14,7 +17,7 @@
 use sepe::baselines::CityHash;
 use sepe::containers::UnorderedMap;
 use sepe::core::guard::GuardedHash;
-use sepe::core::hash::SynthesizedHash;
+use sepe::core::hash::{FixedSeedSource, SynthesizedHash};
 use sepe::core::regex::Regex;
 use sepe::core::synth::Family;
 use sepe::keygen::{Distribution, KeyFormat, KeySampler};
@@ -60,6 +63,8 @@ fn main() {
         .collect();
 
     let (mut drain, mut hash, mut rehash) = (Vec::new(), Vec::new(), Vec::new());
+    let mut escalate = Vec::new();
+    let seeds = FixedSeedSource::new(1);
     for _ in 0..rounds {
         let mut map = build(&keys);
         let start = Instant::now();
@@ -82,9 +87,21 @@ fn main() {
         let start = Instant::now();
         map.rehash(2 * buckets + 1);
         rehash.push(start.elapsed().as_nanos() as f64 / n as f64);
+
+        let mut map = build(&keys);
+        map.degrade_now();
+        while map.migration_progress() < 0.5 {
+            map.migrate(16);
+        }
+        let left = ((1.0 - map.migration_progress()) * n as f64).round();
+        let start = Instant::now();
+        map.escalate_now(&seeds);
+        escalate.push(start.elapsed().as_nanos() as f64 / left);
+        assert!(map.migration_in_flight(), "the escalation opened an epoch");
     }
     println!("{n} SSN keys, {rounds} rounds");
     println!("drain an epoch, migrate(16) calls: {}", summary(drain));
+    println!("escalate over a half-drained one:  {}", summary(escalate));
     println!("hash every key once:               {}", summary(hash));
     println!("cached-hash rehash:                {}", summary(rehash));
 }
