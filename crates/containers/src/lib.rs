@@ -35,6 +35,7 @@
 #![warn(clippy::all)]
 
 pub mod direct;
+mod maintenance;
 mod map;
 mod multimap;
 mod multiset;

@@ -1,107 +1,12 @@
 //! `UnorderedMap` — the analog of `std::unordered_map`.
 
-use crate::policy::{AttackPolicy, AttackSignals, BucketPolicy, DriftPolicy};
+use crate::maintenance::{Controller, Maintenance};
+use crate::policy::{AttackPolicy, BucketPolicy, DriftPolicy};
 use crate::table::RawTable;
 use sepe_core::guard::{GuardMode, GuardStats, GuardedHash, Resynth};
 use sepe_core::hash::keyed::SeedSource;
 use sepe_core::hash::{ByteHash, HashBatch};
 use std::borrow::Borrow;
-
-/// Why a map left [`GuardMode::Guarded`]: the signal that took it off,
-/// and so the only evidence that may bring it back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Cause {
-    /// The drift window tripped ([`UnorderedMap::degrade_now`]). The
-    /// degraded hasher counts no drift, so no later tick can see the drift
-    /// end: only an applied [`UnorderedMap::resynthesize`] leaves.
-    Drift,
-    /// The storm detector escalated ([`UnorderedMap::escalate_now`]). A
-    /// quiet window leaves, once the routing it returns to would not
-    /// itself look flooded.
-    Storm,
-}
-
-/// Doublings of [`AttackPolicy::quiet_streak`] a storm rung can accrue
-/// while its flood stays resident: the longest streak is 16× the policy's.
-pub(crate) const MAX_HOLD_DOUBLINGS: u32 = 4;
-
-/// Per-table maintenance state of the drift and storm ladder: why the map
-/// left the guarded rung, the consecutive stormy and calm observations,
-/// and the probe-histogram baseline that turns the cumulative
-/// [`sepe_obs::Histogram`] into a per-tick window. [`AttackPolicy`] is the
-/// pure judgment; this is the memory that keeps one noisy snapshot from
-/// flipping the hasher, and a transition from being undone by a signal
-/// that cannot see its cause.
-#[derive(Debug, Clone, Copy)]
-pub struct AttackState {
-    /// Why the current rung was entered; `None` on the guarded rung (and
-    /// on a rung the hasher reached outside this map, which the storm
-    /// rules treat as theirs).
-    cause: Option<Cause>,
-    /// Consecutive observations that looked like a storm.
-    storm_streak: u32,
-    /// Consecutive observations that looked calm (only counted while on
-    /// a storm rung).
-    quiet_streak: u32,
-    /// Times the current storm rung's quiet streak ended with the guarded
-    /// routing still skewed on the stored entries; each doubles the next
-    /// streak, up to [`MAX_HOLD_DOUBLINGS`]. Reset by every transition.
-    hold: u32,
-    /// Probe-length bucket counts at the previous detector tick. The
-    /// histogram is monotone, so judging its lifetime p99 would keep a
-    /// long-past storm "visible" forever; each tick diffs against this
-    /// baseline and judges only the probes since the last one.
-    probe_baseline: [u64; sepe_obs::histogram::BUCKETS],
-}
-
-impl Default for AttackState {
-    fn default() -> Self {
-        AttackState {
-            cause: None,
-            storm_streak: 0,
-            quiet_streak: 0,
-            hold: 0,
-            probe_baseline: [0; sepe_obs::histogram::BUCKETS],
-        }
-    }
-}
-
-impl AttackState {
-    /// Records a transition onto a rung entered for `cause` (`None`: back
-    /// to guarded); the quiet streak and its hold start over.
-    fn enter(&mut self, cause: Option<Cause>) {
-        self.cause = cause;
-        self.quiet_streak = 0;
-        self.hold = 0;
-    }
-}
-
-/// Upper bound on the `q`-quantile of the probe-length observations
-/// between two bucket-count snapshots (same semantics as
-/// [`sepe_obs::Histogram::quantile`], over the delta). `None` when the
-/// window saw nothing.
-fn windowed_quantile(
-    before: &[u64; sepe_obs::histogram::BUCKETS],
-    after: &[u64; sepe_obs::histogram::BUCKETS],
-    q: f64,
-) -> Option<u64> {
-    let mut total = 0u64;
-    for (b, a) in before.iter().zip(after.iter()) {
-        total = total.saturating_add(a.saturating_sub(*b));
-    }
-    if total == 0 {
-        return None;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-    let mut seen = 0u64;
-    for (i, (b, a)) in before.iter().zip(after.iter()).enumerate() {
-        seen = seen.saturating_add(a.saturating_sub(*b));
-        if seen >= rank {
-            return Some(sepe_obs::histogram::bucket_bounds(i).1);
-        }
-    }
-    Some(u64::MAX)
-}
 
 /// A chained hash map with prime bucket counts and bucket introspection,
 /// hashing keys through a [`ByteHash`].
@@ -122,7 +27,7 @@ fn windowed_quantile(
 #[derive(Debug, Clone)]
 pub struct UnorderedMap<K, V, H> {
     table: RawTable<K, V, H>,
-    attack: AttackState,
+    maint: Maintenance,
 }
 
 impl<K, V, H> UnorderedMap<K, V, H>
@@ -132,10 +37,7 @@ where
 {
     /// Creates an empty map using `hasher` and modulo bucket indexing.
     pub fn with_hasher(hasher: H) -> Self {
-        UnorderedMap {
-            table: RawTable::new(hasher, BucketPolicy::Modulo),
-            attack: AttackState::default(),
-        }
+        Self::with_hasher_and_policy(hasher, BucketPolicy::Modulo)
     }
 
     /// Creates an empty map with an explicit bucket-index policy (used by
@@ -143,7 +45,7 @@ where
     pub fn with_hasher_and_policy(hasher: H, policy: BucketPolicy) -> Self {
         UnorderedMap {
             table: RawTable::new(hasher, policy),
-            attack: AttackState::default(),
+            maint: Maintenance::default(),
         }
     }
 
@@ -494,23 +396,11 @@ where
     /// the drain completes.
     ///
     /// A no-op unless the map is on [`GuardMode::Guarded`]: a degraded map
-    /// has nothing to do, and a keyed map is already above this rung (only
-    /// [`UnorderedMap::maybe_deescalate`] leaves it).
-    ///
-    /// The rung is held for drift: storm quiet never leaves it, only an
+    /// has nothing to do, and a keyed map is already above this rung. The
+    /// rung is held for drift: storm quiet never leaves it, only an
     /// applied [`UnorderedMap::resynthesize`] does.
     pub fn degrade_now(&mut self) {
-        if self.guard_mode() != GuardMode::Guarded {
-            return;
-        }
-        self.attack.enter(Some(Cause::Drift));
-        // Snapshot the pre-flip routing first: the epoch's entries were
-        // filed under it. Both frozen copies are counter-silent, so an
-        // amortized drain and an eager rebuild leave identical drift stats.
-        let old = self.table.hasher().epoch_frozen(GuardMode::Guarded);
-        self.table.hasher().degrade();
-        let rehasher = self.table.hasher().epoch_frozen(GuardMode::Degraded);
-        self.table.begin_migration(old, rehasher);
+        self.controller().degrade();
     }
 
     /// Checks the *windowed* drift counters against `policy` and degrades
@@ -524,18 +414,7 @@ where
     /// drift window is still the one frozen at escalation, and degrading
     /// from there would file the stored entries under the wrong routing.
     pub fn maybe_degrade(&mut self, policy: &DriftPolicy) -> bool {
-        if self.guard_mode() != GuardMode::Guarded {
-            return false;
-        }
-        let (off, total) = self.drift_stats().window_counts();
-        if policy.should_degrade(off, total) {
-            self.degrade_now();
-            return true;
-        }
-        if policy.window_full(total) {
-            self.drift_stats().roll_window();
-        }
-        false
+        self.controller().maybe_degrade(policy).is_some()
     }
 
     /// Takes one upward rung on the escalation ladder, opening a
@@ -552,54 +431,21 @@ where
     /// bump `table_seed_rotations`) in every build, which the adversarial
     /// harness checks against its own transcript.
     pub fn escalate_now(&mut self, seeds: &impl SeedSource) {
-        let mode = self.guard_mode();
-        // Pin the pre-transition routing first: stored entries were filed
-        // under it, and for the keyed rung the frozen copy must keep the
-        // *old* seed through the rotation below.
-        let old = self.table.hasher().epoch_frozen(mode);
-        let next = match mode {
-            GuardMode::Guarded => {
-                self.table.hasher().degrade();
-                GuardMode::Degraded
-            }
-            GuardMode::Degraded => {
-                self.table.hasher().escalate_keyed(seeds);
-                GuardMode::Keyed
-            }
-            GuardMode::Keyed => {
-                self.table.hasher().rotate_seed(seeds);
-                self.table.obs().seed_rotations.inc();
-                GuardMode::Keyed
-            }
-        };
-        let rehasher = self.table.hasher().epoch_frozen(next);
-        self.table.begin_migration(old, rehasher);
-        self.table.obs().escalations.inc();
-        self.attack.enter(Some(Cause::Storm));
+        self.controller().escalate(seeds);
     }
 
-    /// Gathers one [`AttackSignals`] snapshot from the table's own
-    /// accounting and escalates when `policy` has judged it stormy
-    /// [`AttackPolicy::trip_streak`] times in a row. Returns whether an
-    /// escalation happened during this call.
+    /// Gathers one [`AttackSignals`](crate::AttackSignals) snapshot from
+    /// the table's own accounting and escalates when `policy` has judged
+    /// it stormy [`AttackPolicy::trip_streak`] times in a row. Returns
+    /// whether an escalation happened during this call.
     ///
     /// Call this from the same maintenance cadence as
     /// [`UnorderedMap::maybe_degrade`]; the streak state makes the cadence
-    /// itself part of the hysteresis.
+    /// itself part of the hysteresis. Each call advances the per-tick
+    /// probe window, recorded in every build, so `obs`-off builds take the
+    /// same transitions.
     pub fn maybe_escalate(&mut self, policy: &AttackPolicy, seeds: &impl SeedSource) -> bool {
-        let signals = self.judged_signals(policy);
-        if !policy.storm(&signals) {
-            self.attack.storm_streak = 0;
-            return false;
-        }
-        self.attack.quiet_streak = 0;
-        self.attack.storm_streak += 1;
-        if self.attack.storm_streak < policy.trip_streak.max(1) {
-            return false;
-        }
-        self.attack.storm_streak = 0;
-        self.escalate_now(seeds);
-        true
+        self.controller().maybe_escalate(policy, seeds).is_some()
     }
 
     /// Counts one calm observation on a storm rung and, at the end of a
@@ -610,110 +456,14 @@ where
     /// A streak is [`AttackPolicy::quiet_streak`] calm ticks, doubled (up
     /// to 16×) each time one ends with the guarded routing still skewed on
     /// the stored entries: a rung stays while its flood is resident, since
-    /// the specialized and fallback routes are adversary-computable. The
-    /// skew check hashes the stored keys newest first and stops at the
-    /// first bucket [`AttackPolicy::chain_skewed`] accepts, so holding
-    /// over a resident flood costs a few dozen hashes; only the check
-    /// that lets the rung go counts every key. The verdict is the full
-    /// count's, since the skew test is monotone in the chain length. A
+    /// the specialized and fallback routes are adversary-computable. A
     /// storm rung re-arms even if a drift degrade sat below it; the
-    /// reservoir, filled during the attack, is cleared with it.
-    ///
-    /// A rung held for drift ([`UnorderedMap::degrade_now`]) is neither
-    /// counted nor left: the degraded hasher counts no drift, so a calm
-    /// tick says nothing about it. Only [`UnorderedMap::resynthesize`]
-    /// leaves it.
+    /// reservoir, filled during the attack, is cleared with it. A rung
+    /// held for drift ([`UnorderedMap::degrade_now`]) is neither counted
+    /// nor left: the degraded hasher counts no drift, so only
+    /// [`UnorderedMap::resynthesize`] leaves it.
     pub fn maybe_deescalate(&mut self, policy: &AttackPolicy) -> bool {
-        let mode = self.guard_mode();
-        if mode == GuardMode::Guarded || self.attack.cause == Some(Cause::Drift) {
-            return false;
-        }
-        if policy.storm(&self.judged_signals(policy)) {
-            self.attack.quiet_streak = 0;
-            return false;
-        }
-        self.attack.quiet_streak += 1;
-        let streak = policy
-            .quiet_streak
-            .max(1)
-            .saturating_mul(1 << self.attack.hold);
-        if self.attack.quiet_streak < streak {
-            return false;
-        }
-        self.attack.quiet_streak = 0;
-        let guarded = self.table.hasher().epoch_frozen(GuardMode::Guarded);
-        let (len, buckets) = (self.len(), self.bucket_count());
-        let skewed = |n| policy.chain_skewed(n, len, buckets);
-        if self.table.chain_skewed_under(&guarded, skewed) {
-            self.attack.hold = (self.attack.hold + 1).min(MAX_HOLD_DOUBLINGS);
-            return false;
-        }
-        let old = self.table.hasher().epoch_frozen(mode);
-        self.table.hasher().rearm();
-        self.table.begin_migration(old, guarded);
-        self.table.obs().deescalations.inc();
-        self.attack.enter(None);
-        true
-    }
-
-    /// The detector's view of the table right now, with the longest chain
-    /// counted exactly. Public so harnesses and benchmarks can log what
-    /// the policy judges: [`UnorderedMap::maybe_escalate`] and
-    /// [`UnorderedMap::maybe_deescalate`] read the same signals, except
-    /// that they take the table's O(1) chain bound in place of the
-    /// O(buckets + len) walk whenever that bound cannot trip
-    /// [`AttackPolicy::chain_skewed`] — the same verdict either way.
-    ///
-    /// Takes `&mut self` because reading the probe tail advances the
-    /// per-tick histogram window: `probe_p99` covers the probes since the
-    /// *previous* call, so a long-past storm cannot keep the signal hot.
-    /// The probe window is recorded in every build, so `obs`-off builds
-    /// judge the same signals and take the same transitions.
-    pub fn attack_signals(&mut self) -> AttackSignals {
-        self.signals_with(|_| true)
-    }
-
-    /// The signals `policy` judges on a tick: exact unless the chain
-    /// bound proves the skew test false (see [`UnorderedMap::attack_signals`]).
-    ///
-    /// On the keyed rung, while its re-key epoch drains, the probe tail is
-    /// dropped: its long probes walk the old epoch's chains, filed under
-    /// the routing the rung just left, so they say nothing about whether
-    /// the *current* seed leaked, the one thing a rotation answers. A
-    /// flood forged against the current seed lands in the live epoch,
-    /// where the chain signal sees it. (Below the keyed rung the tail
-    /// still counts: the unkeyed fallback is as forgeable as the routing
-    /// before it.)
-    fn judged_signals(&mut self, policy: &AttackPolicy) -> AttackSignals {
-        let (len, buckets) = (self.len(), self.bucket_count());
-        let mut signals = self.signals_with(|max| policy.chain_skewed(max, len, buckets));
-        if self.guard_mode() == GuardMode::Keyed && self.migration_in_flight() {
-            signals.probe_p99 = None;
-        }
-        signals
-    }
-
-    /// One signal snapshot; walks the chains when `could_trip` holds for
-    /// the chain bound (see [`RawTable::longest_chain`]).
-    fn signals_with(&mut self, could_trip: impl Fn(usize) -> bool) -> AttackSignals {
-        let (window_off, window_total) = self.drift_stats().window_counts();
-        let counts = self.table.obs().probe_len.bucket_counts();
-        let probe_p99 = windowed_quantile(&self.attack.probe_baseline, &counts, 0.99);
-        self.attack.probe_baseline = counts;
-        if let Some(p) = probe_p99 {
-            self.table
-                .obs()
-                .probe_tail
-                .store(p, std::sync::atomic::Ordering::Relaxed);
-        }
-        AttackSignals {
-            max_bucket_len: self.table.longest_chain(could_trip),
-            len: self.len(),
-            bucket_count: self.bucket_count(),
-            window_off,
-            window_total,
-            probe_p99,
-        }
+        self.controller().maybe_deescalate(policy).is_some()
     }
 
     /// Escalation-ladder rungs taken (lifetime, every build).
@@ -730,6 +480,12 @@ where
     pub fn seed_rotations(&self) -> u64 {
         self.table.obs().seed_rotations.get()
     }
+
+    /// The ladder controller of this map's table (`ShardedMap` reads each
+    /// shard's transitions from it).
+    pub(crate) fn controller(&mut self) -> Controller<'_, K, V, F, G> {
+        self.maint.on(&mut self.table)
+    }
 }
 
 impl<K, V, G> UnorderedMap<K, V, GuardedHash<sepe_core::SynthesizedHash, G>>
@@ -745,22 +501,14 @@ where
     /// [`Resynth::SynthFailed`] (and changes nothing) when synthesis or
     /// plan validation rejected the widened pattern.
     pub fn resynthesize(&mut self) -> Resynth {
-        // Snapshot the current routing before the plan is replaced: entries
-        // are filed under it, whatever mode the map is in right now.
-        let old = self.table.hasher().epoch_frozen(self.table.hasher().mode());
-        let out = self.table.hasher_mut().resynthesize();
-        if out.is_applied() {
-            let rehasher = self.table.hasher().epoch_frozen(GuardMode::Guarded);
-            self.table.begin_migration(old, rehasher);
-            self.attack.enter(None);
-        }
-        out
+        self.maint.on(&mut self.table).resynthesize()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maintenance::MAX_HOLD_DOUBLINGS;
     use sepe_baselines::StlHash;
 
     fn map() -> UnorderedMap<String, u32, StlHash> {
@@ -1414,7 +1162,7 @@ mod tests {
         m.degrade_now();
         assert!(m.migration_in_flight());
         // Start the probe window after the epoch opened.
-        let signals = m.attack_signals();
+        let signals = m.controller().exact_signals();
         assert!(
             signals.max_bucket_len < policy.min_chain,
             "the chain scan sees the flood: {signals:?}"
@@ -1628,7 +1376,8 @@ mod tests {
         }
         assert_eq!(m.guard_mode(), GuardMode::Keyed);
         assert_eq!(
-            m.attack.hold, MAX_HOLD_DOUBLINGS,
+            m.maint.hold(),
+            MAX_HOLD_DOUBLINGS,
             "each failed check doubled"
         );
         for key in &flood {
@@ -1639,7 +1388,7 @@ mod tests {
         assert!(after.is_some(), "no re-arm within one {streak}-tick streak");
         assert_eq!(m.guard_mode(), GuardMode::Guarded);
         assert_eq!((m.escalations(), m.deescalations()), (2, 1));
-        assert_eq!(m.attack.hold, 0, "the transition reset the hold");
+        assert_eq!(m.maint.hold(), 0, "the transition reset the hold");
         m.finish_migration();
         assert_eq!(m.len(), 4_000);
         for i in 0..4_000u32 {
@@ -1686,7 +1435,7 @@ mod tests {
                 m.finish_migration();
                 // Start the probe window here: the flood's own inserts
                 // walked its chain, and that tail would read as a storm.
-                m.attack_signals();
+                m.controller().exact_signals();
                 let full = m.table.longest_chain_under(&guarded);
                 if size > 0 {
                     assert_eq!(full, base + size, "the flood's bucket is the longest");
@@ -1703,7 +1452,7 @@ mod tests {
                 let last = ticks.len() - 1;
                 assert!(!ticks[..last].contains(&true), "at {at}, {size} keys");
                 assert_eq!(ticks[last], !held, "at {at}, {size} keys: chain {full}");
-                assert_eq!(m.attack.hold, u32::from(held));
+                assert_eq!(m.maint.hold(), u32::from(held));
             }
         }
     }

@@ -1,5 +1,6 @@
 //! `UnorderedMultiMap` — the analog of `std::unordered_multimap`.
 
+use crate::maintenance::Maintenance;
 use crate::policy::{BucketPolicy, DriftPolicy};
 use crate::table::RawTable;
 use sepe_core::guard::{GuardMode, GuardStats, GuardedHash};
@@ -26,6 +27,7 @@ use std::borrow::Borrow;
 #[derive(Debug, Clone)]
 pub struct UnorderedMultiMap<K, V, H> {
     table: RawTable<K, V, H>,
+    maint: Maintenance,
 }
 
 impl<K, V, H> UnorderedMultiMap<K, V, H>
@@ -35,15 +37,14 @@ where
 {
     /// Creates an empty multimap using `hasher`.
     pub fn with_hasher(hasher: H) -> Self {
-        UnorderedMultiMap {
-            table: RawTable::new(hasher, BucketPolicy::Modulo),
-        }
+        Self::with_hasher_and_policy(hasher, BucketPolicy::Modulo)
     }
 
     /// Creates an empty multimap with an explicit bucket-index policy.
     pub fn with_hasher_and_policy(hasher: H, policy: BucketPolicy) -> Self {
         UnorderedMultiMap {
             table: RawTable::new(hasher, policy),
+            maint: Maintenance::default(),
         }
     }
 
@@ -188,37 +189,23 @@ where
     F: ByteHash + Clone,
     G: ByteHash + Clone,
 {
-    /// Degrades unconditionally and opens an incremental migration epoch.
+    /// Degrades from [`GuardMode::Guarded`] and opens a migration epoch.
     pub fn degrade_now(&mut self) {
-        if self.table.hasher().is_degraded() {
-            return;
-        }
-        let old = self.table.hasher().epoch_frozen(GuardMode::Guarded);
-        self.table.hasher().degrade();
-        let rehasher = self.table.hasher().epoch_frozen(GuardMode::Degraded);
-        self.table.begin_migration(old, rehasher);
+        self.maint.on(&mut self.table).degrade();
     }
 
     /// Degrades when windowed drift exceeds `policy`; returns whether this
     /// call performed the transition.
     pub fn maybe_degrade(&mut self, policy: &DriftPolicy) -> bool {
-        if self.table.hasher().is_degraded() {
-            return false;
-        }
-        let (off, total) = self.drift_stats().window_counts();
-        if policy.should_degrade(off, total) {
-            self.degrade_now();
-            return true;
-        }
-        if policy.window_full(total) {
-            self.drift_stats().roll_window();
-        }
-        false
+        self.maint
+            .on(&mut self.table)
+            .maybe_degrade(policy)
+            .is_some()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sepe_baselines::StlHash;
 
@@ -257,5 +244,37 @@ mod tests {
         assert_eq!(m.len(), 5000);
         assert_eq!(m.count("same"), 5000);
         assert!(m.bucket_count() >= 5000);
+    }
+
+    /// A guarded SSN hasher already on the keyed rung.
+    pub(crate) fn keyed_ssn_hasher() -> GuardedHash<sepe_core::SynthesizedHash, StlHash> {
+        let pattern = sepe_core::regex::Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("compiles");
+        let hasher = GuardedHash::from_pattern(&pattern, sepe_core::Family::Pext, StlHash::new());
+        hasher.escalate_keyed(&sepe_core::hash::keyed::FixedSeedSource::new(7));
+        hasher
+    }
+
+    pub(crate) fn ssn(i: u32) -> String {
+        format!("{:03}-{:02}-{:04}", i % 1000, i % 100, i)
+    }
+
+    #[test]
+    fn degrading_from_the_keyed_rung_keeps_every_key() {
+        // Regression: the multimap degraded from any rung but `Degraded`,
+        // filing the old epoch under the guarded routing while its entries
+        // sat under the keyed one, so every stored key missed until the
+        // epoch drained.
+        let mut m = UnorderedMultiMap::with_hasher(keyed_ssn_hasher());
+        for i in 0..500u32 {
+            m.insert(ssn(i), i);
+        }
+        m.degrade_now();
+        let missing = (0..500u32).filter(|&i| m.count(&ssn(i)) != 1).count();
+        assert_eq!(
+            missing, 0,
+            "{missing} of 500 keys missing after degrade_now"
+        );
+        assert_eq!(m.guard_mode(), GuardMode::Keyed);
+        assert!(!m.migration_in_flight(), "no epoch opened");
     }
 }

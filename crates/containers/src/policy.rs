@@ -127,10 +127,11 @@ impl DriftPolicy {
 /// histogram's window since the previous observation (recorded in every
 /// build). [`AttackPolicy::storm`] is a pure function of one such snapshot.
 ///
-/// A snapshot from `UnorderedMap::attack_signals` is exact. The maps'
-/// own ticks judge a cheaper one: while the table's insert-time chain
-/// bound fails [`AttackPolicy::chain_skewed`], `max_bucket_len` holds
-/// that bound instead of a walked count, which yields the same verdict.
+/// The containers' maintenance ticks (`maybe_escalate`,
+/// `maybe_deescalate`) gather one per call. While the table's insert-time
+/// chain bound fails [`AttackPolicy::chain_skewed`], `max_bucket_len`
+/// holds that bound instead of a walked count, which yields the same
+/// verdict; otherwise it is the exact longest chain.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AttackSignals {
     /// Length of the longest live bucket chain (exact, or an upper bound
@@ -227,8 +228,8 @@ impl AttackPolicy {
     /// Whether one snapshot of the table looks like a collision storm.
     ///
     /// Pure and stateless — the hysteresis streaks live with the caller
-    /// (`UnorderedMap` keeps one `AttackState` per table, `ShardedMap`
-    /// one per shard).
+    /// (every guarded container keeps one maintenance controller per
+    /// table, `ShardedMap` one per shard).
     #[must_use]
     pub fn storm(&self, signals: &AttackSignals) -> bool {
         if signals.len < self.min_len.max(1) || signals.bucket_count == 0 {

@@ -152,7 +152,7 @@ where
     F: ByteHash + Clone,
     G: ByteHash + Clone,
 {
-    /// Degrades unconditionally and opens an incremental migration epoch.
+    /// Degrades from [`GuardMode::Guarded`] and opens a migration epoch.
     pub fn degrade_now(&mut self) {
         self.inner.degrade_now();
     }

@@ -27,6 +27,7 @@
 //! reuse the single-shard batch kernels (one [`HashBatch`] call and one
 //! prefetch sweep per chunk) inside the lock.
 
+use crate::maintenance::{Controller, Transition};
 use crate::map::UnorderedMap;
 use crate::policy::{AttackPolicy, BucketPolicy, DriftPolicy};
 use sepe_core::guard::{GuardMode, GuardedHash};
@@ -45,11 +46,10 @@ pub const MAX_SHARDS: usize = 64;
 const SHARD_EVENT_CAPACITY: usize = 1024;
 
 /// Map-wide observability: lock acquisitions, shard degradations, and a
-/// bounded trace of [`ObsEvent::ShardDegrade`] events. Shared handles so
-/// an exported [`sepe_obs::Registry`] reads live values. The escalation,
-/// de-escalation and rotation counts are kept in every build (they move
-/// only on transitions); every other bump is gated on
-/// [`sepe_obs::enabled`].
+/// bounded trace of per-shard transition events. Shared handles so an
+/// exported [`sepe_obs::Registry`] reads live values. Every bump is gated
+/// on [`sepe_obs::enabled`]; the ladder counts that hold in every build
+/// are the shards' own table counters.
 #[derive(Debug)]
 struct ShardObs {
     /// Shard read locks taken (including non-blocking upgrade probes).
@@ -58,13 +58,6 @@ struct ShardObs {
     write_locks: Arc<Counter>,
     /// Guarded→Degraded transitions, counted once per actual flip.
     shard_degrades: Arc<Counter>,
-    /// Upward escalation-ladder rungs taken across shards (rotations
-    /// included).
-    shard_escalations: Arc<Counter>,
-    /// Quiet-window de-escalations back to specialized hashing.
-    shard_deescalations: Arc<Counter>,
-    /// Keyed-rung seed rotations (a subset of `shard_escalations`).
-    shard_seed_rotations: Arc<Counter>,
     /// Degradation and escalation events, oldest first.
     events: Arc<EventTrace<ObsEvent>>,
 }
@@ -75,9 +68,6 @@ impl Default for ShardObs {
             read_locks: Arc::new(Counter::new()),
             write_locks: Arc::new(Counter::new()),
             shard_degrades: Arc::new(Counter::new()),
-            shard_escalations: Arc::new(Counter::new()),
-            shard_deescalations: Arc::new(Counter::new()),
-            shard_seed_rotations: Arc::new(Counter::new()),
             events: Arc::new(EventTrace::new(SHARD_EVENT_CAPACITY)),
         }
     }
@@ -215,7 +205,7 @@ where
     /// Total number of pairs across all shards. Taken shard by shard, so
     /// under concurrent writers the value is a moment-to-moment estimate.
     pub fn len(&self) -> usize {
-        (0..self.shards.len()).map(|i| self.read(i).len()).sum()
+        self.sum(UnorderedMap::len)
     }
 
     /// Whether every shard is empty.
@@ -299,9 +289,7 @@ where
 
     /// Σ over all shards of the paper's bucket-collision count.
     pub fn bucket_collisions(&self) -> u64 {
-        (0..self.shards.len())
-            .map(|i| self.read(i).bucket_collisions())
-            .sum()
+        self.sum(UnorderedMap::bucket_collisions)
     }
 
     /// Lifetime drift counters summed across shards: `(in_format,
@@ -322,9 +310,7 @@ where
     /// Stale reads recorded across shards (see
     /// [`UnorderedMap::stale_reads`]).
     pub fn stale_reads(&self) -> u64 {
-        (0..self.shards.len())
-            .map(|i| self.read(i).stale_reads())
-            .sum()
+        self.sum(UnorderedMap::stale_reads)
     }
 
     /// The routing mode of shard `i`.
@@ -359,9 +345,7 @@ where
 
     /// How many shards have degraded to fallback-for-all-keys.
     pub fn degraded_shards(&self) -> usize {
-        (0..self.shards.len())
-            .filter(|&i| self.read(i).guard_mode() == GuardMode::Degraded)
-            .count()
+        self.sum(|s| usize::from(s.guard_mode() == GuardMode::Degraded))
     }
 
     /// Degrades shard `i` and opens its migration epoch when it is on
@@ -373,15 +357,7 @@ where
     ///
     /// Panics if `i >= self.shard_count()`.
     pub fn degrade_shard(&self, i: usize) {
-        let flipped = {
-            let mut shard = self.write(i);
-            let was_guarded = shard.guard_mode() == GuardMode::Guarded;
-            shard.degrade_now();
-            was_guarded && shard.guard_mode() == GuardMode::Degraded
-        };
-        if flipped {
-            self.record_degrade(i);
-        }
+        self.transition(i, |c| c.degrade());
     }
 
     /// Degrades every shard (mainly for tests and the verify harness).
@@ -396,24 +372,8 @@ where
     /// shards degraded during this call.
     pub fn maybe_degrade(&self, policy: &DriftPolicy) -> usize {
         (0..self.shards.len())
-            .filter(|&i| {
-                let flipped = self.write(i).maybe_degrade(policy);
-                if flipped {
-                    self.record_degrade(i);
-                }
-                flipped
-            })
+            .filter(|&i| self.transition(i, |c| c.maybe_degrade(policy)))
             .count()
-    }
-
-    /// Counts one actual Guarded→Degraded flip of shard `i`.
-    fn record_degrade(&self, i: usize) {
-        if sepe_obs::enabled() {
-            self.obs.shard_degrades.inc();
-            self.obs
-                .events
-                .push(ObsEvent::ShardDegrade { shard: i as u64 });
-        }
     }
 
     /// Takes one upward escalation rung on shard `i` — see
@@ -426,13 +386,7 @@ where
     ///
     /// Panics if `i >= self.shard_count()`.
     pub fn escalate_shard(&self, i: usize, seeds: &impl SeedSource) {
-        let from = {
-            let mut shard = self.write(i);
-            let from = shard.guard_mode();
-            shard.escalate_now(seeds);
-            from
-        };
-        self.record_escalate(i, from);
+        self.transition(i, |c| Some(c.escalate(seeds)));
     }
 
     /// Applies `policy` to each shard's own collision-storm signals,
@@ -440,17 +394,7 @@ where
     /// shards escalated during this call.
     pub fn maybe_escalate(&self, policy: &AttackPolicy, seeds: &impl SeedSource) -> usize {
         (0..self.shards.len())
-            .filter(|&i| {
-                let (escalated, from) = {
-                    let mut shard = self.write(i);
-                    let from = shard.guard_mode();
-                    (shard.maybe_escalate(policy, seeds), from)
-                };
-                if escalated {
-                    self.record_escalate(i, from);
-                }
-                escalated
-            })
+            .filter(|&i| self.transition(i, |c| c.maybe_escalate(policy, seeds)))
             .count()
     }
 
@@ -459,57 +403,64 @@ where
     /// re-armed during this call.
     pub fn maybe_deescalate(&self, policy: &AttackPolicy) -> usize {
         (0..self.shards.len())
-            .filter(|&i| {
-                let rearmed = self.write(i).maybe_deescalate(policy);
-                if rearmed {
-                    self.obs.shard_deescalations.inc();
-                    if sepe_obs::enabled() {
-                        self.obs
-                            .events
-                            .push(ObsEvent::ShardDeescalate { shard: i as u64 });
-                    }
-                }
-                rearmed
-            })
+            .filter(|&i| self.transition(i, |c| c.maybe_deescalate(policy)))
             .count()
     }
 
-    /// Counts one escalation of shard `i`; a rung taken *from* the keyed
-    /// mode is a seed rotation and is recorded as such. The counts are
-    /// kept in every build (they change only on transitions); the event
-    /// trace only with `obs`.
-    fn record_escalate(&self, i: usize, from: GuardMode) {
-        self.obs.shard_escalations.inc();
-        let rotated = from == GuardMode::Keyed;
-        if rotated {
-            self.obs.shard_seed_rotations.inc();
-        }
+    /// Runs `call` on shard `i` under its write lock; after the lock is
+    /// released, records its transition (only with `obs`), if it took one.
+    fn transition(
+        &self,
+        i: usize,
+        call: impl FnOnce(Controller<'_, K, V, F, G>) -> Option<Transition>,
+    ) -> bool {
+        let Some(t) = call(self.write(i).controller()) else {
+            return false;
+        };
         if sepe_obs::enabled() {
-            self.obs.events.push(if rotated {
-                ObsEvent::SeedRotation { shard: i as u64 }
-            } else {
-                ObsEvent::ShardEscalate { shard: i as u64 }
-            });
+            let shard = i as u64;
+            let event = match t {
+                Transition::Degrade => {
+                    self.obs.shard_degrades.inc();
+                    ObsEvent::ShardDegrade { shard }
+                }
+                Transition::Escalate => ObsEvent::ShardEscalate { shard },
+                Transition::Rotate => ObsEvent::SeedRotation { shard },
+                Transition::Deescalate => ObsEvent::ShardDeescalate { shard },
+                Transition::Resynth => return true,
+            };
+            self.obs.events.push(event);
         }
+        true
     }
 
-    /// Lifetime count of escalation rungs taken across shards.
+    /// `f` summed over the shards, one read lock at a time.
+    fn sum<T: std::iter::Sum>(&self, f: impl Fn(&UnorderedMap<K, V, GuardedHash<F, G>>) -> T) -> T {
+        (0..self.shards.len()).map(|i| f(&self.read(i))).sum()
+    }
+
+    /// Lifetime count of escalation rungs taken across shards: the sum of
+    /// the shards' `table_escalations`.
     pub fn shard_escalation_count(&self) -> u64 {
-        self.obs.shard_escalations.get()
+        self.sum(UnorderedMap::escalations)
     }
 
-    /// Lifetime count of quiet-window de-escalations across shards.
+    /// Lifetime count of quiet-window de-escalations across shards: the
+    /// sum of the shards' `table_deescalations`.
     pub fn shard_deescalation_count(&self) -> u64 {
-        self.obs.shard_deescalations.get()
+        self.sum(UnorderedMap::deescalations)
     }
 
-    /// Lifetime count of keyed-rung seed rotations across shards.
+    /// Lifetime count of keyed-rung seed rotations across shards: the sum
+    /// of the shards' `table_seed_rotations`.
     pub fn shard_seed_rotation_count(&self) -> u64 {
-        self.obs.shard_seed_rotations.get()
+        self.sum(UnorderedMap::seed_rotations)
     }
 
     /// Advances in-flight migrations by up to `budget` entries total,
-    /// split evenly across the shards still draining.
+    /// split evenly across the shards still draining. A budget smaller
+    /// than the number of draining shards drains one entry in each of the
+    /// first `budget` of them; `migrate(0)` does nothing.
     pub fn migrate(&self, budget: usize) {
         let draining: Vec<usize> = (0..self.shards.len())
             .filter(|&i| self.read(i).migration_in_flight())
@@ -518,7 +469,7 @@ where
             return;
         }
         let per_shard = (budget / draining.len()).max(1);
-        for i in draining {
+        for i in draining.into_iter().take(budget) {
             self.write(i).migrate(per_shard);
         }
     }
@@ -532,19 +483,14 @@ where
 
     /// How many shards currently have a migration epoch in flight.
     pub fn migrations_in_flight(&self) -> usize {
-        (0..self.shards.len())
-            .filter(|&i| self.read(i).migration_in_flight())
-            .count()
+        self.sum(|s| usize::from(s.migration_in_flight()))
     }
 
     /// Mean migration progress across shards: 1.0 when fully drained
     /// (idle shards count as 1.0, matching
     /// [`UnorderedMap::migration_progress`]).
     pub fn migration_progress(&self) -> f64 {
-        let sum: f64 = (0..self.shards.len())
-            .map(|i| self.read(i).migration_progress())
-            .sum();
-        sum / self.shards.len() as f64
+        self.sum(UnorderedMap::migration_progress) / self.shards.len() as f64
     }
 
     /// Lifetime count of shards flipped Guarded→Degraded (each flip
@@ -578,17 +524,6 @@ where
         registry.register_counter("shard_read_locks", &[], self.obs.read_locks.clone())?;
         registry.register_counter("shard_write_locks", &[], self.obs.write_locks.clone())?;
         registry.register_counter("shard_degrades", &[], self.obs.shard_degrades.clone())?;
-        registry.register_counter("shard_escalations", &[], self.obs.shard_escalations.clone())?;
-        registry.register_counter(
-            "shard_deescalations",
-            &[],
-            self.obs.shard_deescalations.clone(),
-        )?;
-        registry.register_counter(
-            "shard_seed_rotations",
-            &[],
-            self.obs.shard_seed_rotations.clone(),
-        )?;
         for i in 0..self.shards.len() {
             let label = i.to_string();
             let labels = [("shard", label.as_str())];
@@ -857,6 +792,35 @@ mod tests {
         let pattern = Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("pattern");
         let hash = SynthesizedHash::from_pattern(&pattern, Family::Pext);
         ShardedMap::with_hasher(GuardedHash::new(&pattern, hash, StlHash::new()), shards)
+    }
+
+    #[test]
+    fn migrate_drains_at_most_its_budget_across_shards() {
+        // Regression: every draining shard drained at least one entry, so
+        // a budget below the shard count overshot it.
+        let m = sharded(8);
+        for i in 0..800 {
+            m.insert(format!("key-{i}"), i);
+        }
+        m.degrade_all();
+        assert_eq!(m.migrations_in_flight(), 8);
+        let left = |m: &Map| -> usize {
+            (0..m.shard_count())
+                .map(|i| {
+                    let shard = m.read(i);
+                    let left = (1.0 - shard.migration_progress()) * shard.len() as f64;
+                    left.round() as usize
+                })
+                .sum()
+        };
+        let before = left(&m);
+        m.migrate(0);
+        assert_eq!(left(&m), before, "migrate(0) is a no-op");
+        m.migrate(3);
+        assert_eq!(before - left(&m), 3, "migrate(3) over 8 draining shards");
+        // A budget of at least one entry per shard keeps the even split.
+        m.migrate(16);
+        assert_eq!(before - left(&m), 3 + 16);
     }
 
     #[test]
@@ -1219,7 +1183,7 @@ mod tests {
         for key in &flood {
             assert_eq!(m.remove(key.as_str()), Some(0));
         }
-        let streak = policy.quiet_streak << crate::map::MAX_HOLD_DOUBLINGS;
+        let streak = policy.quiet_streak << crate::maintenance::MAX_HOLD_DOUBLINGS;
         let after = (1..=streak).find(|_| m.maybe_deescalate(&policy) == 1);
         assert!(after.is_some(), "no re-arm within one {streak}-tick streak");
         for i in 0..4 {

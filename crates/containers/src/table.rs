@@ -131,9 +131,8 @@ pub(crate) struct TableObs {
     pub(crate) batch_chunks: Arc<Counter>,
     /// Keys that went through those chunks.
     pub(crate) batch_keys: Arc<Counter>,
-    /// Upward rungs taken on the escalation ladder (degrade, keyed,
-    /// rotation all count — every call to `escalate_now` that changed
-    /// routing).
+    /// Upward storm rungs taken on the escalation ladder (to degraded,
+    /// to keyed, and rotations all count; a drift degrade does not).
     pub(crate) escalations: Arc<Counter>,
     /// Quiet-window de-escalations back to the specialized hasher.
     pub(crate) deescalations: Arc<Counter>,
@@ -174,7 +173,9 @@ impl TableObs {
     /// Registers every family under `labels`. Ids follow the repo scheme:
     /// `table_probe_len`, `table_drain_ops`, `table_epochs_opened`,
     /// `table_epochs_finished`, `table_stale_probes`,
-    /// `table_batch_chunks`, `table_batch_keys`.
+    /// `table_batch_chunks`, `table_batch_keys`, the ladder counters
+    /// `table_escalations`, `table_deescalations` and
+    /// `table_seed_rotations`, and the `table_probe_tail` gauge.
     pub(crate) fn export(
         &self,
         registry: &Registry,

@@ -51,6 +51,10 @@
 //! * [`synthesis`] — the minimality suite: every plan must be valid, use
 //!   exactly as many loads as an independent minimum-cover reference, and
 //!   take at most one step per pattern byte.
+//! * [`transitions`] — the exhaustive transition check: every sequence of
+//!   data operations and maintenance calls up to a small depth on a tiny
+//!   guarded map and multimap, against a `HashMap` twin and an eagerly
+//!   drained twin's mode and ladder counters.
 //!
 //! [`Plan`]: sepe_core::synth::Plan
 
@@ -69,3 +73,4 @@ pub mod invariants;
 pub mod migration;
 pub mod model;
 pub mod synthesis;
+pub mod transitions;

@@ -21,7 +21,7 @@ use sepe_core::Isa;
 use sepe_keygen::{KeyFormat, SplitMix64};
 use sepe_verify::{
     adversarial, batch, concurrent, differential, faults, formats::RandomFormat, invariants,
-    migration, model, synthesis,
+    migration, model, synthesis, transitions,
 };
 
 type Suite = fn(&Options) -> Result<String, String>;
@@ -79,6 +79,12 @@ const SUITES: &[(&str, &str, Suite)] = &[
         "every corpus plan valid, minimal against a reference cover, and linear work",
         run_synthesis,
     ),
+    (
+        "transitions",
+        "every op sequence up to --depth on tiny guarded maps and multimaps vs. a \
+         HashMap twin and an eagerly drained twin's mode and ladder counters",
+        run_transitions,
+    ),
 ];
 
 /// The valid `--suite` values, for usage and error messages.
@@ -94,6 +100,7 @@ struct Options {
     seed: u64,
     suite: String,
     inject_faults: bool,
+    depth: usize,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -104,6 +111,7 @@ fn parse_args() -> Result<Options, String> {
         seed: 0x5E9E,
         suite: "all".to_owned(),
         inject_faults: false,
+        depth: 4,
     };
     let mut suite_chosen = false;
     let mut inject_faults = false;
@@ -122,6 +130,11 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|e| format!("--keys: {e}"))?
             }
             "--ops" => opts.ops = value("--ops")?.parse().map_err(|e| format!("--ops: {e}"))?,
+            "--depth" => {
+                opts.depth = value("--depth")?
+                    .parse()
+                    .map_err(|e| format!("--depth: {e}"))?
+            }
             "--seed" => {
                 let v = value("--seed")?;
                 opts.seed = parse_u64(&v).map_err(|e| format!("--seed: {e}"))?;
@@ -134,7 +147,7 @@ fn parse_args() -> Result<Options, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: sepe-verify [--formats N] [--keys N] [--ops N] [--seed S] \
-                     [--suite {}] [--inject-faults]\n\nsuites:",
+                     [--depth K] [--suite {}] [--inject-faults]\n\nsuites:",
                     suite_names()
                 );
                 for (name, about, _) in SUITES {
@@ -718,6 +731,37 @@ fn run_synthesis(opts: &Options) -> Result<String, String> {
          minimum cover, and synthesized in at most one step per pattern byte",
         corpus.len(),
         Family::ALL.len(),
+    ))
+}
+
+fn run_transitions(opts: &Options) -> Result<String, String> {
+    // One family per seed, as in the adversarial suite, so the CI seed
+    // matrix covers several specialized plans.
+    let family = Family::ALL[opts.seed as usize % Family::ALL.len()];
+    let pattern = Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("compiles");
+    let template = GuardedHash::from_pattern(&pattern, family, CityHash::new());
+    let map = transitions::check_map(&template, opts.depth, opts.seed)
+        .map_err(|e| format!("{family} map: {e}"))?;
+    let mut multi = transitions::TransitionStats::default();
+    for keyed in [false, true] {
+        let s = transitions::check_multimap(&template, keyed, opts.depth, opts.seed)
+            .map_err(|e| format!("{family} multimap (keyed start: {keyed}): {e}"))?;
+        multi.absorb(s);
+    }
+    Ok(format!(
+        "depth {} over {family}: {} map sequences ({} steps, {} mid-epoch, {} transitions) \
+         and {} multimap sequences from guarded and keyed starts ({} steps, {} mid-epoch) — \
+         contents matched the HashMap twin, mode and ladder counters the eager twin, and \
+         {} degrade_now calls off Guarded changed nothing",
+        opts.depth,
+        map.sequences,
+        map.steps,
+        map.mid_epoch,
+        map.transitions,
+        multi.sequences,
+        multi.steps,
+        multi.mid_epoch,
+        map.inert_degrades + multi.inert_degrades,
     ))
 }
 
