@@ -175,7 +175,7 @@ pub fn explain_plan(
                 let _ = writeln!(out, "  tail:   byte loop from offset {tail_start}");
             }
             match plan.bijection_bits() {
-                Some(bits) if bits as usize == pattern.variable_bits() => {
+                Some(bits) if plan.injective_over(Family::Pext, pattern) => {
                     let _ = writeln!(
                         out,
                         "bijection: yes — distinct format keys map to distinct {bits}-bit values"

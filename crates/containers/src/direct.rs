@@ -134,21 +134,19 @@ impl<V> DirectMap<V> {
     /// or a sub-word key that SEPE refuses).
     pub fn new(pattern: &KeyPattern) -> Result<Self, DirectMapError> {
         let plan = synthesize(pattern, Family::Pext);
-        let Some(bits) = plan.bijection_bits() else {
-            if plan.is_fallback() || !pattern.is_fixed_len() {
-                return Err(DirectMapError::UnsupportedShape);
-            }
-            return Err(DirectMapError::NotBijective {
-                variable_bits: pattern.variable_bits(),
-            });
-        };
-        // The plan must account for every variable bit, or two distinct
-        // keys could still coincide.
-        if bits as usize != pattern.variable_bits() {
-            return Err(DirectMapError::NotBijective {
-                variable_bits: pattern.variable_bits(),
-            });
+        if plan.is_fallback() || !pattern.is_fixed_len() {
+            return Err(DirectMapError::UnsupportedShape);
         }
+        // The plan must read every variable bit into disjoint fields, or two
+        // distinct keys could still coincide.
+        let bits = match plan.bijection_bits() {
+            Some(bits) if plan.injective_over(Family::Pext, pattern) => bits,
+            _ => {
+                return Err(DirectMapError::NotBijective {
+                    variable_bits: pattern.variable_bits(),
+                })
+            }
+        };
         let store = if bits <= FLAT_BITS {
             Store::Flat((0..1usize << bits).map(|_| None).collect())
         } else {

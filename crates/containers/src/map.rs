@@ -286,7 +286,9 @@ where
 {
     /// Batched lookup: hashes up to eight keys with one [`HashBatch`] call,
     /// prefetches every target bucket, then probes. `result[i]` is the value
-    /// for `keys[i]`, as if by [`UnorderedMap::get`].
+    /// for `keys[i]`, as if by [`UnorderedMap::get`]. A batch hash carries
+    /// no route, so every hash match compares key bytes, even where a
+    /// scalar `get` would let an injective plan's hash decide.
     pub fn get_batch(&self, keys: &[&[u8]]) -> Vec<Option<&V>> {
         let mut results = Vec::with_capacity(keys.len());
         let mut hashes = [0u64; BATCH_CHUNK];
@@ -313,7 +315,9 @@ where
 
     /// Batched insert: reserves room for the whole batch, then hashes eight
     /// pairs at a time before probing. `result[i]` is the previous value for
-    /// `pairs[i].0`, as if by [`UnorderedMap::insert`] in order.
+    /// `pairs[i].0`, as if by [`UnorderedMap::insert`] in order. With no
+    /// route to go on, the entries it files are not vouched for: lookups
+    /// compare their key bytes until a migration re-files them.
     pub fn insert_batch(&mut self, pairs: Vec<(K, V)>) -> Vec<Option<V>> {
         // Reserving up front keeps the bucket array stable across the batch;
         // the cached hashes are bucket-count independent either way.

@@ -16,6 +16,22 @@
 //! old chains, so each drained entry costs one sequential arena read, its
 //! key, and the live chain it joins; a batch's key and head misses are
 //! prefetched together.
+//!
+//! Equality is decided by hash wherever the hasher vouches for it
+//! ([`ByteHash::hash_routed`]): a guarded hasher vouches for an in-format
+//! key under a plan injective over its format, and no two keys it vouches
+//! for share a hash. Each entry keeps, in the top bit of its first link
+//! (which caps the arena at 2^31 − 1 slots), whether the hasher of the
+//! epoch it is filed in vouched for it, and every chain walk routes
+//! the probe through that epoch's hasher: the live one for the live
+//! chain, the old one for the old chain. A hash match between a vouched
+//! probe and a vouched entry of the same epoch is a key match without
+//! reading the stored key; every other hash match compares the key bytes
+//! word by word ([`key_eq`]). The batched paths (`get_batch`,
+//! `insert_batch`) hash through `HashBatch`, which carries no route, so
+//! they probe and file without vouching: they compare bytes, and
+//! the entries they file are compared by bytes until a drain re-files
+//! them.
 
 use crate::policy::BucketPolicy;
 use crate::primes::grow_bucket_count;
@@ -25,7 +41,43 @@ use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-const NONE: u32 = u32::MAX;
+/// The end of a chain or of the free list. Slot indices stay below it,
+/// which caps the arena at 2^31 − 1 slots and frees the top bit of a link
+/// for [`VOUCHED`].
+const NONE: u32 = 0x7FFF_FFFF;
+
+/// Top bit of `links[0]`: the entry's hash was vouched for by the hasher
+/// of the epoch it is filed in.
+const VOUCHED: u32 = !NONE;
+
+/// Byte equality of two keys, inlined into the chain walks: 8-byte words
+/// plus an overlapping final word from 8 bytes up, two overlapping 4-byte
+/// words from 4 to 7 bytes, and a plain slice compare below that.
+#[inline]
+fn key_eq(a: &[u8], b: &[u8]) -> bool {
+    let n = a.len();
+    if n != b.len() {
+        return false;
+    }
+    if n >= 8 {
+        let word =
+            |s: &[u8], at: usize| u64::from_ne_bytes(s[at..at + 8].try_into().expect("8 bytes"));
+        let mut at = 0;
+        while at + 8 < n {
+            if word(a, at) != word(b, at) {
+                return false;
+            }
+            at += 8;
+        }
+        word(a, n - 8) == word(b, n - 8)
+    } else if n >= 4 {
+        let word =
+            |s: &[u8], at: usize| u32::from_ne_bytes(s[at..at + 4].try_into().expect("4 bytes"));
+        word(a, 0) == word(b, 0) && word(a, n - 4) == word(b, n - 4)
+    } else {
+        a == b
+    }
+}
 
 /// Hints the cache line holding `at` into L1; a no-op off x86-64.
 #[inline]
@@ -213,7 +265,8 @@ struct Entry<K, V> {
     hash: u64,
     /// Next entry of the bucket, one link per epoch parity: `links[live]`
     /// threads the live epoch's chains, the other link the old epoch's
-    /// while a migration is in flight.
+    /// while a migration is in flight. The top bit of `links[0]` is the
+    /// [`VOUCHED`] flag, not part of a link.
     links: [u32; 2],
     kv: Option<(K, V)>,
 }
@@ -222,12 +275,38 @@ impl<K, V> Entry<K, V> {
     /// The next entry of this one's chain in the epoch `link` threads.
     #[inline]
     fn next(&self, link: bool) -> u32 {
-        self.links[usize::from(link)]
+        self.links[usize::from(link)] & NONE
     }
 
     #[inline]
     fn set_next(&mut self, link: bool, at: u32) {
-        self.links[usize::from(link)] = at;
+        let l = &mut self.links[usize::from(link)];
+        *l = (*l & VOUCHED) | at;
+    }
+
+    /// Whether the hasher of this entry's epoch vouched for its hash.
+    #[inline]
+    fn vouched(&self) -> bool {
+        self.links[0] & VOUCHED != 0
+    }
+
+    #[inline]
+    fn set_vouched(&mut self, vouched: bool) {
+        self.links[0] = (self.links[0] & NONE) | if vouched { VOUCHED } else { 0 };
+    }
+
+    /// Whether this entry, whose hash matched `probe`'s in the probe's
+    /// epoch, holds the probed key: by the hash alone when both are
+    /// vouched for, by the key bytes otherwise. A free slot never does.
+    #[inline]
+    fn holds(&self, probe: Probe<'_>) -> bool
+    where
+        K: AsRef<[u8]>,
+    {
+        match &self.kv {
+            Some((k, _)) => (probe.vouched && self.vouched()) || key_eq(k.as_ref(), probe.key),
+            None => false,
+        }
     }
 }
 
@@ -238,6 +317,15 @@ struct Chain {
     head: u32,
     link: bool,
     swept: u32,
+}
+
+/// A key to look for in one epoch: its hash under that epoch's hasher,
+/// and whether that hasher vouched for it.
+#[derive(Debug, Clone, Copy)]
+struct Probe<'k> {
+    hash: u64,
+    vouched: bool,
+    key: &'k [u8],
 }
 
 /// One in-flight migration epoch: the superseded bucket array plus the two
@@ -396,7 +484,9 @@ where
     /// gather them and prefetch their key bytes, hash them and prefetch
     /// their bucket heads, then link them in slot order. The key and head
     /// misses of a batch overlap instead of serializing, and the chains
-    /// come out exactly as one-at-a-time linking leaves them.
+    /// come out exactly as one-at-a-time linking leaves them. Each entry's
+    /// vouched bit is recomputed from the rehasher's route, since it now
+    /// speaks for the live epoch.
     #[inline(never)]
     fn drain(&mut self, budget: usize) {
         let mut mig = self.migration.take().expect("epoch in flight");
@@ -410,6 +500,7 @@ where
         let mut slots = [0u32; MIGRATE_STRIDE];
         let mut buckets = [0usize; MIGRATE_STRIDE];
         let mut hashes = [0u64; MIGRATE_STRIDE];
+        let mut vouched = [false; MIGRATE_STRIDE];
         let mut moved = 0usize;
         while moved < want && mig.cursor < stop {
             let room = (want - moved).min(MIGRATE_STRIDE);
@@ -425,7 +516,7 @@ where
             }
             for i in 0..n {
                 let (key, _) = self.get_kv(slots[i]);
-                hashes[i] = mig.rehasher.hash_bytes(key.as_ref());
+                (hashes[i], vouched[i]) = mig.rehasher.hash_routed(key.as_ref());
                 buckets[i] = self.policy.bucket_of(hashes[i], nbuckets) as usize;
                 prefetch(&self.heads[buckets[i]]);
             }
@@ -433,6 +524,7 @@ where
                 let (idx, bucket) = (slots[i], buckets[i]);
                 let e = &mut self.entries[idx as usize];
                 e.hash = hashes[i];
+                e.set_vouched(vouched[i]);
                 e.set_next(live, self.heads[bucket]);
                 self.heads[bucket] = idx;
                 if self.chain_bound.is_some() {
@@ -574,53 +666,50 @@ where
         }
     }
 
-    /// Walks `chain` for an entry with `hash` whose key bytes equal
-    /// `key_bytes`. `probes` counts the entries examined, swept ones
-    /// included.
+    /// Walks `chain` for an entry with the probe's hash that holds its
+    /// key. `probes` counts the entries examined, swept ones included.
     #[inline]
-    fn find_in_chain(
-        &self,
-        chain: Chain,
-        hash: u64,
-        key_bytes: &[u8],
-        probes: &mut u64,
-    ) -> Option<u32> {
+    fn find_in_chain(&self, chain: Chain, probe: Probe<'_>, probes: &mut u64) -> Option<u32> {
         let mut at = chain.head;
         while at != NONE {
             *probes += 1;
             let e = &self.entries[at as usize];
-            if e.hash == hash && at >= chain.swept {
-                if let Some((k, _)) = &e.kv {
-                    if k.as_ref() == key_bytes {
-                        return Some(at);
-                    }
-                }
+            if e.hash == probe.hash && at >= chain.swept && e.holds(probe) {
+                return Some(at);
             }
             at = e.next(chain.link);
         }
         None
     }
 
-    /// The old-epoch chain for `key_bytes` and the old-epoch hash it was
-    /// filed under, when a migration is in flight.
+    /// The probe for `key` in the live epoch: its live hash and route.
     #[inline]
-    fn old_epoch_probe(&self, key_bytes: &[u8]) -> Option<(Chain, u64)> {
+    fn live_probe<'k>(&self, key: &'k [u8]) -> Probe<'k> {
+        let (hash, vouched) = self.hasher.hash_routed(key);
+        Probe { hash, vouched, key }
+    }
+
+    /// The old-epoch chain for `key` and the probe routed through the old
+    /// epoch's hasher, when a migration is in flight.
+    #[inline]
+    fn old_epoch_probe<'k>(&self, key: &'k [u8]) -> Option<(Chain, Probe<'k>)> {
         let mig = self.migration.as_ref()?;
-        let old_hash = mig.old_hasher.hash_bytes(key_bytes);
-        let bucket = self.policy.bucket_of(old_hash, mig.old_heads.len() as u64) as usize;
+        let (hash, vouched) = mig.old_hasher.hash_routed(key);
+        let bucket = self.policy.bucket_of(hash, mig.old_heads.len() as u64) as usize;
         let chain = Chain {
             bucket,
             head: mig.old_heads[bucket],
             link: !self.live,
             swept: mig.cursor,
         };
-        Some((chain, old_hash))
+        Some((chain, Probe { hash, vouched, key }))
     }
 
     /// [`RawTable::find`] with the hash already computed (batched lookups
-    /// hash up front). Compares keys by their bytes, which agrees with `Eq`
-    /// for every key type the containers accept. While a migration is in
-    /// flight, a miss in the live epoch falls through to the old one.
+    /// hash up front). The hash carries no route, so every hash match
+    /// compares key bytes, which agrees with `Eq` for every key type the
+    /// containers accept. While a migration is in flight, a miss in the
+    /// live epoch falls through to the old one.
     ///
     /// Every lookup records its probe length into `probe_len`, in every
     /// build: the storm detector's probe-tail signal reads that window.
@@ -632,14 +721,19 @@ where
     /// window, which a few lost observations do not move.
     #[inline]
     pub(crate) fn find_hashed(&self, hash: u64, key_bytes: &[u8]) -> Option<u32> {
-        self.find_probed(hash, key_bytes).0
+        let probe = Probe {
+            hash,
+            vouched: false,
+            key: key_bytes,
+        };
+        self.find_probed(probe).0
     }
 
-    /// [`RawTable::find_hashed`] that also returns how many live-epoch
-    /// entries it examined: on a miss, the length of the live chain a new
-    /// entry for `key_bytes` would join.
+    /// Finds `probe`'s key, live epoch first, and also returns how many
+    /// live-epoch entries it examined: on a miss, the length of the live
+    /// chain a new entry for the key would join.
     #[inline]
-    fn find_probed(&self, hash: u64, key_bytes: &[u8]) -> (Option<u32>, usize) {
+    fn find_probed(&self, probe: Probe<'_>) -> (Option<u32>, usize) {
         if self.migration.is_some() {
             self.stale_reads.record();
             if sepe_obs::enabled() {
@@ -647,11 +741,11 @@ where
             }
         }
         let mut probes = 0u64;
-        let found = self.find_in_chain(self.live_chain(hash), hash, key_bytes, &mut probes);
+        let found = self.find_in_chain(self.live_chain(probe.hash), probe, &mut probes);
         let live = probes as usize;
         let found = found.or_else(|| {
-            let (chain, old_hash) = self.old_epoch_probe(key_bytes)?;
-            self.find_in_chain(chain, old_hash, key_bytes, &mut probes)
+            let (chain, old) = self.old_epoch_probe(probe.key)?;
+            self.find_in_chain(chain, old, &mut probes)
         });
         self.obs.probe_len.observe_single_writer(probes);
         (found, live)
@@ -675,22 +769,34 @@ where
         }
     }
 
-    /// [`RawTable::insert_unique`] with the hash already computed. The
-    /// caller must have computed `hash` with this table's hasher.
+    /// [`RawTable::insert_unique`] with the hash already computed (batched
+    /// inserts hash up front). The caller must have computed `hash` with
+    /// this table's hasher; with no route to go on, the probe compares
+    /// bytes and a new entry is filed unvouched.
+    pub(crate) fn insert_unique_hashed(&mut self, hash: u64, key: K, value: V) -> Option<V> {
+        self.insert_probed(hash, false, key, value)
+    }
+
+    /// Map-semantics insert of `key` under `hash`, vouched for or not.
     ///
     /// Drains once, before the probe: a drain between the probe and the
     /// link could grow the probed chain unseen, and the new entry joins
     /// exactly the chain its miss walked (a resize in between forgets the
     /// bound anyway).
-    pub(crate) fn insert_unique_hashed(&mut self, hash: u64, key: K, value: V) -> Option<V> {
+    fn insert_probed(&mut self, hash: u64, vouched: bool, key: K, value: V) -> Option<V> {
         self.migrate(MIGRATE_STRIDE);
-        let (found, chain) = self.find_probed(hash, key.as_ref());
+        let probe = Probe {
+            hash,
+            vouched,
+            key: key.as_ref(),
+        };
+        let (found, chain) = self.find_probed(probe);
         if let Some(idx) = found {
             let slot = &mut self.get_kv_mut(idx).1;
             return Some(std::mem::replace(slot, value));
         }
         self.reserve_one();
-        self.link_new(hash, key, value);
+        self.link_new(hash, vouched, key, value);
         self.note_chain(chain + 1);
         None
     }
@@ -704,8 +810,7 @@ where
         Q: ?Sized + Eq + AsRef<[u8]>,
         K: Borrow<Q>,
     {
-        let bytes = key.as_ref();
-        self.find_hashed(self.hash_of(bytes), bytes)
+        self.find_probed(self.live_probe(key.as_ref())).0
     }
 
     pub(crate) fn get_kv(&self, idx: u32) -> &(K, V) {
@@ -723,15 +828,15 @@ where
         self.chain_bound = None;
         self.migrate(MIGRATE_STRIDE);
         self.reserve_one();
-        let hash = self.hash_of(key.as_ref());
-        self.link_new(hash, key, value);
+        let (hash, vouched) = self.hasher.hash_routed(key.as_ref());
+        self.link_new(hash, vouched, key, value);
     }
 
     /// Map semantics: replaces the value of an existing equal key. Hashes
     /// the key once, so a guarded hasher counts it once.
     pub(crate) fn insert_unique(&mut self, key: K, value: V) -> Option<V> {
-        let hash = self.hash_of(key.as_ref());
-        self.insert_unique_hashed(hash, key, value)
+        let (hash, vouched) = self.hasher.hash_routed(key.as_ref());
+        self.insert_probed(hash, vouched, key, value)
     }
 
     /// Makes room for `additional` more entries: a prime bucket count that
@@ -762,17 +867,19 @@ where
         }
     }
 
-    /// Files a new entry in the live epoch. A free slot is reused only
-    /// while no epoch is open: mid-epoch, a freed slot may still be
-    /// threaded in an old chain, and the sweep reads every occupied slot
-    /// below the epoch's `end` as an old-epoch entry.
-    fn link_new(&mut self, hash: u64, key: K, value: V) {
+    /// Files a new entry in the live epoch, vouched for or not as the
+    /// live hasher routed it. A free slot is reused only while no epoch is
+    /// open: mid-epoch, a freed slot may still be threaded in an old
+    /// chain, and the sweep reads every occupied slot below the epoch's
+    /// `end` as an old-epoch entry.
+    fn link_new(&mut self, hash: u64, vouched: bool, key: K, value: V) {
         let bucket = self.bucket_of(hash);
         let mut entry = Entry {
             hash,
             links: [NONE; 2],
             kv: Some((key, value)),
         };
+        entry.set_vouched(vouched);
         entry.set_next(self.live, self.heads[bucket]);
         let idx = if self.free_head != NONE && self.migration.is_none() {
             let idx = self.free_head;
@@ -780,7 +887,10 @@ where
             self.entries[idx as usize] = entry;
             idx
         } else {
-            let idx = u32::try_from(self.entries.len()).expect("table below 2^32 entries");
+            let idx = u32::try_from(self.entries.len())
+                .ok()
+                .filter(|&idx| idx < NONE)
+                .expect("a table holds at most 2^31 - 1 entry slots");
             self.entries.push(entry);
             idx
         };
@@ -788,21 +898,14 @@ where
         self.len += 1;
     }
 
-    /// The first entry of `chain` filed under `hash` whose key equals
-    /// `key`, and its predecessor in the chain (`NONE` at the head).
-    fn find_with_prev<Q>(&self, chain: Chain, hash: u64, key: &Q) -> Option<(u32, u32)>
-    where
-        Q: ?Sized + Eq,
-        K: Borrow<Q>,
-    {
+    /// The first entry of `chain` holding `probe`'s key, and its
+    /// predecessor in the chain (`NONE` at the head).
+    fn find_with_prev(&self, chain: Chain, probe: Probe<'_>) -> Option<(u32, u32)> {
         let mut prev = NONE;
         let mut at = chain.head;
         while at != NONE {
             let e = &self.entries[at as usize];
-            if e.hash == hash
-                && at >= chain.swept
-                && e.kv.as_ref().is_some_and(|(k, _)| k.borrow() == key)
-            {
+            if e.hash == probe.hash && at >= chain.swept && e.holds(probe) {
                 return Some((prev, at));
             }
             prev = at;
@@ -819,9 +922,9 @@ where
         K: Borrow<Q>,
     {
         self.migrate(MIGRATE_STRIDE);
-        let hash = self.hash_of(key.as_ref());
-        let chain = self.live_chain(hash);
-        let Some((prev, at)) = self.find_with_prev(chain, hash, key) else {
+        let probe = self.live_probe(key.as_ref());
+        let chain = self.live_chain(probe.hash);
+        let Some((prev, at)) = self.find_with_prev(chain, probe) else {
             return self.remove_one_old_epoch(key);
         };
         let next = self.entries[at as usize].next(chain.link);
@@ -835,10 +938,11 @@ where
 
     /// Puts the (already unlinked) slot `at` on the free list and returns
     /// its pair. The slot keeps its links, so an old chain that still
-    /// threads it stays walkable.
+    /// threads it stays walkable, and loses its vouched bit.
     fn free_entry(&mut self, at: u32) -> (K, V) {
         let e = &mut self.entries[at as usize];
         let kv = e.kv.take().expect("live entry");
+        e.set_vouched(false);
         e.hash = u64::from(self.free_head);
         self.free_head = at;
         self.len -= 1;
@@ -852,8 +956,8 @@ where
         Q: ?Sized + Eq + AsRef<[u8]>,
         K: Borrow<Q>,
     {
-        let (chain, old_hash) = self.old_epoch_probe(key.as_ref())?;
-        let (prev, at) = self.find_with_prev(chain, old_hash, key)?;
+        let (chain, probe) = self.old_epoch_probe(key.as_ref())?;
+        let (prev, at) = self.find_with_prev(chain, probe)?;
         let next = self.entries[at as usize].next(chain.link);
         let mut mig = self.migration.take().expect("epoch in flight");
         if prev == NONE {
@@ -881,20 +985,13 @@ where
         removed
     }
 
-    /// Counts the entries of `chain` equal to `key` under `hash`.
-    fn count_in_chain<Q>(&self, chain: Chain, hash: u64, key: &Q) -> usize
-    where
-        Q: ?Sized + Eq,
-        K: Borrow<Q>,
-    {
+    /// Counts the entries of `chain` holding `probe`'s key.
+    fn count_in_chain(&self, chain: Chain, probe: Probe<'_>) -> usize {
         let mut n = 0;
         let mut at = chain.head;
         while at != NONE {
             let e = &self.entries[at as usize];
-            if e.hash == hash
-                && at >= chain.swept
-                && e.kv.as_ref().is_some_and(|(k, _)| k.borrow() == key)
-            {
+            if e.hash == probe.hash && at >= chain.swept && e.holds(probe) {
                 n += 1;
             }
             at = e.next(chain.link);
@@ -908,10 +1005,10 @@ where
         Q: ?Sized + Eq + AsRef<[u8]>,
         K: Borrow<Q>,
     {
-        let hash = self.hash_of(key.as_ref());
-        let mut n = self.count_in_chain(self.live_chain(hash), hash, key);
-        if let Some((chain, old_hash)) = self.old_epoch_probe(key.as_ref()) {
-            n += self.count_in_chain(chain, old_hash, key);
+        let probe = self.live_probe(key.as_ref());
+        let mut n = self.count_in_chain(self.live_chain(probe.hash), probe);
+        if let Some((chain, old)) = self.old_epoch_probe(key.as_ref()) {
+            n += self.count_in_chain(chain, old);
         }
         n
     }
@@ -1081,22 +1178,40 @@ mod tests {
     use super::*;
 
     /// A hasher whose chains a test can steer: `Const` files every key in
-    /// one bucket, `Fnv` spreads them (FNV-1a of the bytes, xor a salt).
+    /// one bucket, `Fnv` spreads them (FNV-1a of the bytes, xor a salt);
+    /// neither vouches. `Word` hashes an 8-byte key to its bytes as a word
+    /// (xor a salt) and vouches for it, which is sound, and every other
+    /// key like `Fnv`. `Claim` files every key in one bucket *and* vouches
+    /// for all of them, which is unsound: a test uses it to see which
+    /// matches the hash alone decides.
     #[derive(Debug, Clone, Copy)]
     enum TestHash {
         Const(u64),
         Fnv(u64),
+        Word(u64),
+        Claim(u64),
+    }
+
+    fn fnv(key: &[u8]) -> u64 {
+        key.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
     }
 
     impl ByteHash for TestHash {
         fn hash_bytes(&self, key: &[u8]) -> u64 {
+            self.hash_routed(key).0
+        }
+
+        fn hash_routed(&self, key: &[u8]) -> (u64, bool) {
             match *self {
-                TestHash::Const(h) => h,
-                TestHash::Fnv(salt) => {
-                    key.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-                        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-                    }) ^ salt
-                }
+                TestHash::Const(h) => (h, false),
+                TestHash::Fnv(salt) => (fnv(key) ^ salt, false),
+                TestHash::Word(salt) => match <[u8; 8]>::try_from(key) {
+                    Ok(word) => (u64::from_le_bytes(word) ^ salt, true),
+                    Err(_) => (fnv(key) ^ salt, false),
+                },
+                TestHash::Claim(h) => (h, true),
             }
         }
     }
@@ -1119,6 +1234,12 @@ mod tests {
         t
     }
 
+    /// Files key `i` under the live hasher's route without draining first.
+    fn link(t: &mut Table, i: u32) {
+        let (hash, vouched) = t.hasher.hash_routed(&key(i));
+        t.link_new(hash, vouched, key(i), i);
+    }
+
     /// Slots a chain array threads through link `link`, with multiplicity.
     fn threaded(t: &Table, heads: &[u32], link: bool) -> Vec<u32> {
         let mut seen = vec![0u32; t.entries.len()];
@@ -1132,11 +1253,22 @@ mod tests {
         seen
     }
 
+    /// An entry's cached hash is its epoch hasher's, and it is vouched for
+    /// only if that hasher vouches for its key (a batched insert files a
+    /// vouched key unvouched).
+    fn assert_filed(e: &Entry<Vec<u8>, u32>, (hash, vouched): (u64, bool), idx: usize) {
+        assert_eq!(e.hash, hash, "slot {idx}");
+        assert!(
+            vouched || !e.vouched(),
+            "slot {idx} is vouched for unrouted"
+        );
+    }
+
     /// The sweep's range partition, checked slot by slot: an occupied slot
     /// below the cursor or from `end` on sits exactly once in the live
     /// chains under its live hash; one in `cursor..end` sits exactly once
     /// in the old chains under its old hash; dead slots sit in no live
-    /// chain and exactly once on the free list.
+    /// chain, exactly once on the free list, and unvouched.
     fn assert_partition(t: &Table) {
         let live = threaded(t, &t.heads, t.live);
         let (old, swept, end) = match &t.migration {
@@ -1158,6 +1290,7 @@ mod tests {
         for (idx, e) in t.entries.iter().enumerate() {
             let Some((k, _)) = &e.kv else {
                 assert_eq!((live[idx], free[idx]), (0, 1), "dead slot {idx}");
+                assert!(!e.vouched(), "dead slot {idx} is vouched for");
                 continue;
             };
             occupied += 1;
@@ -1166,10 +1299,10 @@ mod tests {
                 unswept += 1;
                 let m = t.migration.as_ref().unwrap();
                 assert_eq!((live[idx], old[idx]), (0, 1), "old-epoch slot {idx}");
-                assert_eq!(e.hash, m.old_hasher.hash_bytes(k), "slot {idx}");
+                assert_filed(e, m.old_hasher.hash_routed(k), idx);
             } else {
                 assert_eq!(live[idx], 1, "live-epoch slot {idx}");
-                assert_eq!(e.hash, t.hasher.hash_bytes(k), "slot {idx}");
+                assert_filed(e, t.hasher.hash_routed(k), idx);
             }
         }
         assert_eq!(t.len, occupied);
@@ -1200,10 +1333,11 @@ mod tests {
             let Some((key, _)) = &t.entries[idx as usize].kv else {
                 continue;
             };
-            let hash = mig.rehasher.hash_bytes(key);
+            let (hash, vouched) = mig.rehasher.hash_routed(key);
             let bucket = t.bucket_of(hash);
             let e = &mut t.entries[idx as usize];
             e.hash = hash;
+            e.set_vouched(vouched);
             e.set_next(live, t.heads[bucket]);
             t.heads[bucket] = idx;
             if t.chain_bound.is_some() {
@@ -1246,8 +1380,10 @@ mod tests {
             for i in (0..600).filter(|i| i % 7 == 2 || (200..230).contains(i)) {
                 t.remove_one(&key(i)[..]);
             }
-            *t.hasher_mut() = TestHash::Fnv(1);
-            t.begin_migration(TestHash::Fnv(0), TestHash::Fnv(1));
+            // The new hasher vouches for every key: the drain must set
+            // each entry's bit as it re-files it.
+            *t.hasher_mut() = TestHash::Word(1);
+            t.begin_migration(TestHash::Fnv(0), TestHash::Word(1));
             for i in 600..620 {
                 t.insert_unique(key(i), i);
             }
@@ -1263,7 +1399,12 @@ mod tests {
                     "budget {budget}, call {calls}"
                 );
                 assert_eq!(live_chains(&t), live_chains(&reference), "budget {budget}");
-                let hashes = |t: &Table| t.entries.iter().map(|e| e.hash).collect::<Vec<_>>();
+                let hashes = |t: &Table| {
+                    t.entries
+                        .iter()
+                        .map(|e| (e.hash, e.vouched()))
+                        .collect::<Vec<_>>()
+                };
                 assert_eq!(hashes(&t), hashes(&reference), "budget {budget}");
                 assert_eq!(
                     t.migration.as_ref().map(|m| (m.cursor, m.old_len)),
@@ -1344,8 +1485,8 @@ mod tests {
         t.reserve(4 * t.bucket_count());
         assert!(t.migration_in_flight());
         assert_partition(&t);
-        t.link_new(t.hash_of(&key(100)), key(100), 100);
-        t.link_new(t.hash_of(&key(101)), key(101), 101);
+        link(&mut t, 100);
+        link(&mut t, 101);
         assert_eq!(
             t.find(&key(100)[..]),
             Some(fresh),
@@ -1395,6 +1536,67 @@ mod tests {
     fn an_entry_keeps_to_forty_bytes_with_its_second_link() {
         // The second link fills the padding after the first one.
         assert_eq!(std::mem::size_of::<Entry<Box<[u8]>, u64>>(), 40);
+    }
+
+    #[test]
+    fn key_eq_agrees_with_slice_equality_at_every_length_and_position() {
+        for n in 0..=40usize {
+            let a: Vec<u8> = (0..n as u8).map(|b| b.wrapping_mul(37)).collect();
+            assert!(key_eq(&a, &a.clone()), "{n}");
+            assert!(!key_eq(&a, &a[..n.saturating_sub(1)]) || n == 0, "{n}");
+            for at in 0..n {
+                for flip in [0x01, 0x10, 0x80] {
+                    let mut b = a.clone();
+                    b[at] ^= flip;
+                    assert!(!key_eq(&a, &b), "{n} bytes, byte {at} ^ {flip:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_routes_of_the_same_epoch_let_a_hash_match_decide() {
+        // `Claim` vouches for every key under one hash: wherever the hash
+        // decides, a lookup of an absent key finds the stored one.
+        let mut t = RawTable::new(TestHash::Claim(5), BucketPolicy::Modulo);
+        t.insert_unique(key(1), 1);
+        assert_eq!(t.find(&key(2)[..]), Some(0), "vouched probe and entry");
+        assert_eq!(
+            t.find_hashed(5, &key(2)),
+            None,
+            "an unrouted probe compares bytes"
+        );
+        // A batched insert files its entry unvouched: a vouched probe
+        // compares it by bytes, and still finds its own key.
+        assert_eq!(t.insert_unique_hashed(5, key(3), 3), None);
+        assert_eq!(t.find(&key(3)[..]), Some(1));
+        assert_eq!(
+            t.count(&key(3)[..]),
+            2,
+            "its own entry, and key 1's by hash"
+        );
+        assert_partition(&t);
+        // Mid-epoch, the old chain is probed through the old hasher's
+        // route: its vouched entry still decides there, while the live
+        // epoch's hasher vouches for nothing.
+        *t.hasher_mut() = TestHash::Fnv(0);
+        t.begin_migration(TestHash::Claim(5), TestHash::Fnv(0));
+        assert_eq!(t.find(&key(9)[..]), Some(0), "old-epoch route");
+        assert_partition(&t);
+        // The drain re-files both entries under the live route: no match
+        // is decided by hash any more.
+        t.finish_migration();
+        assert_partition(&t);
+        assert!(t.entries.iter().all(|e| !e.vouched()));
+        assert_eq!(t.find(&key(9)[..]), None);
+        assert_eq!(t.find(&key(1)[..]), Some(0));
+        // Freeing a vouched slot clears its bit.
+        let mut t = RawTable::new(TestHash::Word(0), BucketPolicy::Modulo);
+        t.insert_unique(key(4), 4);
+        assert!(t.entries[0].vouched());
+        assert_eq!(t.remove_one(&key(4)[..]), Some((key(4), 4)));
+        assert!(!t.entries[0].vouched());
+        assert_partition(&t);
     }
 
     #[test]
@@ -1484,7 +1686,7 @@ mod tests {
         assert!(t.migration.as_ref().unwrap().cursor <= 60);
         let fresh = t.entries.len() as u32;
         // Link directly: `insert_unique` would drain a stride first.
-        t.link_new(t.hash_of(&key(100)), key(100), 100);
+        link(&mut t, 100);
         assert_eq!(
             t.find(&key(100)[..]),
             Some(fresh),

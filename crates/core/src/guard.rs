@@ -469,15 +469,21 @@ pub struct GuardedHash<F, G> {
     /// copy taken in a keyed epoch must keep reproducing that epoch's
     /// hashes even after the live seed rotates.
     forced_seed: Option<(u64, u64)>,
+    /// Whether `specialized` is injective over the guard's own pattern
+    /// ([`ByteHash::injective_over`]), judged whenever either changes: the
+    /// in-format route vouches for its hashes only then (see
+    /// [`ByteHash::hash_routed`]).
+    injective: bool,
 }
 
-impl<F, G> GuardedHash<F, G> {
+impl<F: ByteHash, G> GuardedHash<F, G> {
     /// Wraps `specialized` (synthesized for `pattern`) with a format guard
     /// that reroutes non-matching keys to `fallback`.
     #[must_use]
     pub fn new(pattern: &KeyPattern, specialized: F, fallback: G) -> Self {
         GuardedHash {
             guard: FormatGuard::compile(pattern),
+            injective: specialized.injective_over(pattern),
             specialized,
             fallback,
             stats: Arc::new(GuardStats::default()),
@@ -489,7 +495,9 @@ impl<F, G> GuardedHash<F, G> {
             forced_seed: None,
         }
     }
+}
 
+impl<F, G> GuardedHash<F, G> {
     /// The compiled guard.
     #[must_use]
     pub fn guard(&self) -> &FormatGuard {
@@ -585,6 +593,7 @@ impl<F, G> GuardedHash<F, G> {
                 Arc::new((AtomicU64::new(k0), AtomicU64::new(k1)))
             },
             forced_seed: self.forced_seed,
+            injective: self.injective,
         }
     }
 
@@ -771,8 +780,10 @@ impl<G> GuardedHash<SynthesizedHash, G> {
             Err(e) => return Resynth::SynthFailed(e),
             Ok(hash) => hash,
         };
-        // Swap the specialized hash, recompile the guard, clear the
-        // reservoir, reset the counters, and re-arm.
+        // Swap the specialized hash, recompile the guard, judge the new
+        // plan against it, clear the reservoir, reset the counters, and
+        // re-arm.
+        self.injective = hash.injective_over(&widened);
         self.specialized = hash;
         self.guard = FormatGuard::compile(&widened);
         self.lock_reservoir().clear();
@@ -813,22 +824,32 @@ impl<G> GuardedHash<SynthesizedHash, G> {
 impl<F: ByteHash, G: ByteHash> ByteHash for GuardedHash<F, G> {
     #[inline]
     fn hash_bytes(&self, key: &[u8]) -> u64 {
+        self.hash_routed(key).0
+    }
+
+    /// Routes `key` and hashes it. Vouches only for an in-format key in
+    /// [`GuardMode::Guarded`] under a plan injective over the guard's
+    /// pattern: two such keys with equal hashes are equal. Degraded and
+    /// keyed hashes, and off-format keys, never vouch — the fallback and
+    /// the keyed hash are not injective.
+    #[inline]
+    fn hash_routed(&self, key: &[u8]) -> (u64, bool) {
         match self.mode() {
-            GuardMode::Degraded => return self.off_format_hash(key),
-            GuardMode::Keyed => return self.keyed_hash(key),
+            GuardMode::Degraded => return (self.off_format_hash(key), false),
+            GuardMode::Keyed => return (self.keyed_hash(key), false),
             GuardMode::Guarded => {}
         }
         if self.guard.matches(key) {
             if !self.silent {
                 self.stats.in_format.inc();
             }
-            self.specialized.hash_bytes(key)
+            (self.specialized.hash_bytes(key), self.injective)
         } else {
             if !self.silent {
                 self.stats.off_format.inc();
                 self.offer_to_reservoir(key);
             }
-            self.off_format_hash(key)
+            (self.off_format_hash(key), false)
         }
     }
 }
@@ -1400,6 +1421,77 @@ mod tests {
         assert!(original.is_degraded());
         assert!(!detached.is_degraded(), "detached copy keeps its own mode");
         assert_eq!(detached.hash_bytes(key), inner.hash_bytes(key));
+    }
+
+    #[test]
+    fn only_an_in_format_key_under_an_injective_guarded_plan_is_vouched_for() {
+        let pattern =
+            Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("test regex is valid by construction");
+        let key: &[u8] = b"123-45-6789";
+        let off: &[u8] = b"123/45/6789";
+        for family in Family::ALL {
+            let inner = SynthesizedHash::from_pattern(&pattern, family).with_seed(0xABCD);
+            let guarded = GuardedHash::new(&pattern, inner.clone(), Stl);
+            let injective = family != Family::Aes;
+            // The route never changes the hash, and vouches only in format.
+            assert_eq!(guarded.hash_routed(key), (inner.hash_bytes(key), injective));
+            assert_eq!(guarded.hash_routed(off), (guarded.hash_bytes(off), false));
+            // An unguarded hash never checks the format, so never vouches.
+            assert!(!inner.hash_routed(key).1);
+            assert_eq!(inner.injective_over(&pattern), injective, "{family}");
+            // Frozen and detached copies of the guarded routing keep the
+            // verdict; copies pinned to the other modes never vouch.
+            let frozen = guarded.epoch_frozen(GuardMode::Guarded);
+            assert_eq!(frozen.hash_routed(key).1, injective, "{family}");
+            assert_eq!(guarded.detached().hash_routed(key).1, injective, "{family}");
+            let frozen_degraded = guarded.epoch_frozen(GuardMode::Degraded);
+            let frozen_keyed = guarded.epoch_frozen(GuardMode::Keyed);
+            guarded.degrade();
+            assert!(!guarded.hash_routed(key).1, "{family} degraded");
+            assert!(
+                !frozen_degraded.hash_routed(key).1,
+                "{family} frozen degraded"
+            );
+            guarded.escalate_keyed(&crate::hash::keyed::FixedSeedSource::new(1));
+            assert!(!guarded.hash_routed(key).1, "{family} keyed");
+            assert!(!frozen_keyed.hash_routed(key).1, "{family} frozen keyed");
+            assert_eq!(
+                frozen.hash_routed(key).1,
+                injective,
+                "the frozen copy ignores flips"
+            );
+            guarded.rearm();
+            assert_eq!(guarded.hash_routed(key).1, injective, "{family} rearmed");
+        }
+    }
+
+    #[test]
+    fn resynthesize_with_judges_whatever_plan_it_installs() {
+        let pattern =
+            Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("test regex is valid by construction");
+        let key: &[u8] = b"123-45-6789";
+        let mut guarded = GuardedHash::from_pattern(&pattern, Family::Pext, Stl);
+        assert!(guarded.hash_routed(key).1);
+        // An Aes plan over the widened pattern: not injective.
+        let _ = guarded.hash_bytes(b"123/45/6789");
+        let out = guarded
+            .resynthesize_with(|widened| Ok(SynthesizedHash::from_pattern(widened, Family::Aes)));
+        assert_eq!(out, Resynth::Applied);
+        assert!(guarded.guard().matches(key));
+        assert!(!guarded.hash_routed(key).1, "an Aes plan never vouches");
+        // The original SSN plan, stale against the widened guard: its masks
+        // skip separator bits the guard now lets vary.
+        let _ = guarded.hash_bytes(b"123_45_6789");
+        let stale = SynthesizedHash::from_pattern(&pattern, Family::Pext);
+        assert_eq!(guarded.resynthesize_with(|_| Ok(stale)), Resynth::Applied);
+        assert!(!guarded.hash_routed(key).1, "a stale plan never vouches");
+        // A Pext plan synthesized for the widened pattern vouches again.
+        let _ = guarded.hash_bytes(b"123 45 6789");
+        let out = guarded
+            .resynthesize_with(|widened| Ok(SynthesizedHash::from_pattern(widened, Family::Pext)));
+        assert_eq!(out, Resynth::Applied);
+        assert!(guarded.hash_routed(key).1);
+        assert!(guarded.hash_routed(b"123_45 6789").1);
     }
 
     #[test]

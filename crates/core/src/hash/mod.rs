@@ -19,6 +19,8 @@ pub use keyed::{siphash13, EntropySeedSource, FixedSeedSource, SeedSource};
 pub use stl::{stl_hash_bytes, DEFAULT_STL_SEED};
 pub use synthesized::{SynthError, SynthesizedHash};
 
+use crate::pattern::KeyPattern;
+
 /// A hash function over byte strings.
 ///
 /// This is the shape of every function the paper evaluates: keys go in as
@@ -41,11 +43,40 @@ pub use synthesized::{SynthError, SynthesizedHash};
 pub trait ByteHash {
     /// Hashes `key` to a 64-bit code.
     fn hash_bytes(&self, key: &[u8]) -> u64;
+
+    /// Hashes `key` and says whether the hash *vouches* for it: `true`
+    /// promises that any other key this hasher vouches for has a different
+    /// hash, so a table may take a hash match between two vouched keys as
+    /// a key match. The default never vouches; only a format-checking
+    /// hasher over an injective plan can (`GuardedHash` in `Guarded` mode).
+    #[inline]
+    fn hash_routed(&self, key: &[u8]) -> (u64, bool) {
+        (self.hash_bytes(key), false)
+    }
+
+    /// Whether distinct keys of `pattern` always get distinct hashes.
+    /// Defaults to `false`; [`SynthesizedHash`] answers with
+    /// [`Plan::injective_over`](crate::synth::Plan::injective_over). The
+    /// answer says nothing about keys outside `pattern`, so an unguarded
+    /// hasher never vouches through [`ByteHash::hash_routed`].
+    fn injective_over(&self, pattern: &KeyPattern) -> bool {
+        let _ = pattern;
+        false
+    }
 }
 
 impl<T: ByteHash + ?Sized> ByteHash for &T {
     fn hash_bytes(&self, key: &[u8]) -> u64 {
         (**self).hash_bytes(key)
+    }
+
+    #[inline]
+    fn hash_routed(&self, key: &[u8]) -> (u64, bool) {
+        (**self).hash_routed(key)
+    }
+
+    fn injective_over(&self, pattern: &KeyPattern) -> bool {
+        (**self).injective_over(pattern)
     }
 }
 
@@ -53,10 +84,28 @@ impl<T: ByteHash + ?Sized> ByteHash for Box<T> {
     fn hash_bytes(&self, key: &[u8]) -> u64 {
         (**self).hash_bytes(key)
     }
+
+    #[inline]
+    fn hash_routed(&self, key: &[u8]) -> (u64, bool) {
+        (**self).hash_routed(key)
+    }
+
+    fn injective_over(&self, pattern: &KeyPattern) -> bool {
+        (**self).injective_over(pattern)
+    }
 }
 
 impl<T: ByteHash + ?Sized> ByteHash for std::sync::Arc<T> {
     fn hash_bytes(&self, key: &[u8]) -> u64 {
         (**self).hash_bytes(key)
+    }
+
+    #[inline]
+    fn hash_routed(&self, key: &[u8]) -> (u64, bool) {
+        (**self).hash_routed(key)
+    }
+
+    fn injective_over(&self, pattern: &KeyPattern) -> bool {
+        (**self).injective_over(pattern)
     }
 }

@@ -562,6 +562,10 @@ impl ByteHash for SynthesizedHash {
             } => self.eval_blocks(key, offsets, Some(*tail_start)),
         }
     }
+
+    fn injective_over(&self, pattern: &KeyPattern) -> bool {
+        self.plan.injective_over(self.family, pattern)
+    }
 }
 
 /// The fixed round key of the Aes family (hex digits of e).

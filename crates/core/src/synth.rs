@@ -184,6 +184,78 @@ impl Plan {
         Some(total)
     }
 
+    /// Whether this plan, evaluated as `family`, maps distinct keys of
+    /// `pattern` to distinct hashes, so that on keys of the format a hash
+    /// match is a key match.
+    ///
+    /// True only for a [`Plan::FixedWords`] plan over a fixed-length
+    /// `pattern` of the plan's length, whose loads read every variable bit
+    /// of `pattern`, and then for one of two reasons:
+    ///
+    /// * **Pext** with pairwise-disjoint fields
+    ///   ([`Plan::bijection_bits`]): a key difference survives in the field
+    ///   of every load that extracts it.
+    /// * **Naive/OffXor** under the clamped-load rotation argument: one
+    ///   load, or two of which the second carries [`OVERLAP_ROTATION`],
+    ///   over a pattern whose variable bits all sit in low nibbles. The
+    ///   unrotated load's key differences then live in low nibbles and the
+    ///   rotated load's in high nibbles, so no difference cancels.
+    ///
+    /// Aes, variable-length and [`Plan::StlFallback`] plans are never
+    /// judged injective. The hash seed is xored in after the combine, so
+    /// seeded hashes keep the property.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sepe_core::regex::Regex;
+    /// use sepe_core::synth::{synthesize, Family};
+    ///
+    /// let ssn = Regex::compile(r"\d{3}-\d{2}-\d{4}")?;
+    /// for family in [Family::Naive, Family::OffXor, Family::Pext] {
+    ///     assert!(synthesize(&ssn, family).injective_over(family, &ssn));
+    /// }
+    /// assert!(!synthesize(&ssn, Family::Aes).injective_over(Family::Aes, &ssn));
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    #[must_use]
+    pub fn injective_over(&self, family: Family, pattern: &KeyPattern) -> bool {
+        let Plan::FixedWords { len, ops } = self else {
+            return false;
+        };
+        if !pattern.is_fixed_len() || pattern.max_len() != *len {
+            return false;
+        }
+        let variable = |i: usize| pattern.bytes()[i].variable_mask();
+        // The bits of byte `i` that `op` reads into the hash.
+        let read = |op: &WordOp, i: usize| -> u8 {
+            let lane = i.wrapping_sub(op.offset as usize);
+            match (lane < 8, family) {
+                (false, _) => 0,
+                (true, Family::Pext) => (op.mask >> (8 * lane)) as u8,
+                (true, _) => 0xFF,
+            }
+        };
+        let covered = (0..*len).all(|i| {
+            let read = ops.iter().fold(0u8, |acc, op| acc | read(op, i));
+            variable(i) & !read == 0
+        });
+        covered
+            && match family {
+                Family::Pext => self.bijection_bits().is_some(),
+                Family::Naive | Family::OffXor => {
+                    let nibble_confined = (0..*len).all(|i| variable(i) & 0xF0 == 0);
+                    let rotation_shape = match ops.as_slice() {
+                        [] | [_] => true,
+                        [a, b] => a.shift == 0 && b.shift == OVERLAP_ROTATION,
+                        _ => false,
+                    };
+                    nibble_confined && rotation_shape
+                }
+                Family::Aes => false,
+            }
+    }
+
     /// The word operations of the plan, if it is a word plan.
     #[must_use]
     pub fn word_ops(&self) -> Option<&[WordOp]> {

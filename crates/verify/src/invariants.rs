@@ -302,29 +302,6 @@ pub fn check_pext_roundtrip(
     Ok(())
 }
 
-/// Whether the clamped-load rotation argument guarantees Naive/OffXor
-/// injectivity on this plan: at most two loads (the second carrying the
-/// rotation), over a format whose variable bytes vary only in their low
-/// nibble, with at most 64 variable bits in total. Under those conditions
-/// the unrotated load's differences live in low nibbles and the rotated
-/// load's in high nibbles, so no key difference can cancel.
-#[must_use]
-pub fn xor_injectivity_applies(pattern: &KeyPattern, plan: &Plan) -> bool {
-    let Plan::FixedWords { len, ops } = plan else {
-        return false;
-    };
-    let nibble_confined = (0..*len).all(|i| pattern.bytes()[i].variable_mask() & 0xF0 == 0);
-    let var_bits: u32 = (0..*len)
-        .map(|i| pattern.bytes()[i].variable_mask().count_ones())
-        .sum();
-    let load_shape_ok = match ops.as_slice() {
-        [] | [_] => true,
-        [a, b] => a.shift == 0 && b.shift == OVERLAP_ROTATION,
-        _ => false,
-    };
-    nibble_confined && var_bits <= 64 && load_shape_ok
-}
-
 /// Distinct keys must produce distinct (seedless) interpreter hashes.
 ///
 /// # Errors
@@ -432,13 +409,13 @@ mod tests {
             let p = pattern(re);
             for family in [Family::Naive, Family::OffXor] {
                 let plan = synthesize(&p, family);
-                assert!(xor_injectivity_applies(&p, &plan), "{re} {family}");
+                assert!(plan.injective_over(family, &p), "{re} {family}");
             }
         }
         // Two disjoint loads offer no such guarantee ("16 digits" keys can
         // swap their halves).
         let p = pattern(r"[0-9]{16}");
         let plan = synthesize(&p, Family::Naive);
-        assert!(!xor_injectivity_applies(&p, &plan));
+        assert!(!plan.injective_over(Family::Naive, &p));
     }
 }

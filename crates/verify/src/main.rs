@@ -17,7 +17,7 @@ use sepe_core::guard::GuardedHash;
 use sepe_core::pattern::KeyPattern;
 use sepe_core::regex::Regex;
 use sepe_core::synth::{synthesize, Family};
-use sepe_core::Isa;
+use sepe_core::{ByteHash, Isa};
 use sepe_keygen::{KeyFormat, SplitMix64};
 use sepe_verify::{
     adversarial, batch, concurrent, differential, faults, formats::RandomFormat, invariants,
@@ -321,16 +321,14 @@ fn run_invariants(opts: &Options) -> Result<String, String> {
                 return Err(format!("{name}: {v} ({} total)", violations.len()));
             }
             plans += 1;
-            if family == Family::Pext && plan.bijection_bits().is_some() {
-                invariants::check_pext_roundtrip(pattern, &plan, keys)
-                    .map_err(|e| format!("{name}: Pext inversion: {e}"))?;
-                roundtrips += 1;
-            }
-            if matches!(family, Family::Naive | Family::OffXor)
-                && invariants::xor_injectivity_applies(pattern, &plan)
-            {
+            if plan.injective_over(family, pattern) {
                 invariants::check_sampled_injectivity(&plan, family, keys)
                     .map_err(|e| format!("{name}: {e}"))?;
+                if family == Family::Pext {
+                    invariants::check_pext_roundtrip(pattern, &plan, keys)
+                        .map_err(|e| format!("{name}: Pext inversion: {e}"))?;
+                    roundtrips += 1;
+                }
             }
         }
         invariants::check_lattice_soundness(keys).map_err(|e| format!("{name}: {e}"))?;
@@ -735,11 +733,16 @@ fn run_synthesis(opts: &Options) -> Result<String, String> {
 }
 
 fn run_transitions(opts: &Options) -> Result<String, String> {
-    // One family per seed, as in the adversarial suite, so the CI seed
-    // matrix covers several specialized plans.
-    let family = Family::ALL[opts.seed as usize % Family::ALL.len()];
-    let pattern = Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("compiles");
-    let template = GuardedHash::from_pattern(&pattern, family, CityHash::new());
+    let template = transitions::seeded_template(opts.seed);
+    let family = template.specialized().family();
+    let injective = if template
+        .specialized()
+        .injective_over(template.guard().pattern())
+    {
+        "injective"
+    } else {
+        "not injective"
+    };
     let map = transitions::check_map(&template, opts.depth, opts.seed)
         .map_err(|e| format!("{family} map: {e}"))?;
     let mut multi = transitions::TransitionStats::default();
@@ -749,7 +752,7 @@ fn run_transitions(opts: &Options) -> Result<String, String> {
         multi.absorb(s);
     }
     Ok(format!(
-        "depth {} over {family}: {} map sequences ({} steps, {} mid-epoch, {} transitions) \
+        "depth {} over {family} ({injective} plan): {} map sequences ({} steps, {} mid-epoch, {} transitions) \
          and {} multimap sequences from guarded and keyed starts ({} steps, {} mid-epoch) — \
          contents matched the HashMap twin, mode and ladder counters the eager twin, and \
          {} degrade_now calls off Guarded changed nothing",

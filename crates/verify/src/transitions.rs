@@ -25,11 +25,24 @@ use sepe_baselines::CityHash;
 use sepe_containers::{AttackPolicy, UnorderedMap, UnorderedMultiMap};
 use sepe_core::guard::{GuardMode, GuardedHash};
 use sepe_core::hash::keyed::FixedSeedSource;
+use sepe_core::regex::Regex;
+use sepe_core::synth::Family;
 use sepe_core::SynthesizedHash;
 use std::collections::HashMap;
 
 /// The guarded hasher under test.
 pub type Hasher = GuardedHash<SynthesizedHash, CityHash>;
+
+/// The SSN hasher a run at `seed` checks: one family per seed, as in the
+/// adversarial suite, so the CI seed matrix covers several specialized
+/// plans — among them injective ones, whose in-format hits the tables
+/// decide by hash, and Aes, whose hits they decide by bytes.
+#[must_use]
+pub fn seeded_template(seed: u64) -> Hasher {
+    let family = Family::ALL[seed as usize % Family::ALL.len()];
+    let pattern = Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("compiles");
+    GuardedHash::from_pattern(&pattern, family, CityHash::new())
+}
 
 /// The key universe: three SSNs and one key a byte outside the format,
 /// so a resynthesis can widen the plan over it.
@@ -453,12 +466,30 @@ pub fn check_multimap(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sepe_core::regex::Regex;
-    use sepe_core::synth::Family;
+    use sepe_core::hash::ByteHash;
 
     fn template(family: Family) -> Hasher {
         let pattern = Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("compiles");
         GuardedHash::from_pattern(&pattern, family, CityHash::new())
+    }
+
+    #[test]
+    fn the_ci_seeds_cover_both_equality_paths() {
+        for (seed, family, injective) in [
+            (0x5E9E, Family::Aes, false),
+            (0xC4A05, Family::OffXor, true),
+            (0xD1F7, Family::Pext, true),
+        ] {
+            let t = seeded_template(seed);
+            assert_eq!(t.specialized().family(), family, "{seed:#x}");
+            let pattern = t.guard().pattern();
+            assert_eq!(
+                t.specialized().injective_over(pattern),
+                injective,
+                "{seed:#x}"
+            );
+            assert_eq!(t.hash_routed(KEYS[0]).1, injective, "{seed:#x}");
+        }
     }
 
     #[test]

@@ -9,16 +9,21 @@
 //! drive the arena sweep that drains an epoch through random operation
 //! sequences against a `HashMap` twin: contents and `len` agree after
 //! every step, `migration_progress` never falls within an epoch, and a
-//! known chain bound covers the longest live chain.
+//! known chain bound covers the longest live chain. Two more drive traffic
+//! while both epochs are live across a change of equality path: a degrade
+//! out of an injective plan, whose old-epoch hits are decided by hash, and
+//! a resynthesis from a stale Pext plan, which colliding in-format keys
+//! must not fool, into an injective one.
 
 use proptest::prelude::*;
 use sepe_containers::{AttackPolicy, UnorderedMap, UnorderedMultiMap};
 use sepe_core::guard::{GuardMode, GuardedHash};
 use sepe_core::hash::{stl_hash_bytes, ByteHash, FixedSeedSource};
 use sepe_core::plan_io::validate_plan;
+use sepe_core::regex::Regex;
 use sepe_core::synth::{synthesize_with_stats, Family};
-use sepe_core::SynthesizedHash;
-use sepe_keygen::SplitMix64;
+use sepe_core::{KeyPattern, SynthesizedHash};
+use sepe_keygen::{Distribution, KeyFormat, KeySampler, SplitMix64};
 use sepe_verify::faults::mutate_off_format;
 use sepe_verify::formats::RandomFormat;
 use std::collections::HashMap;
@@ -49,8 +54,120 @@ fn key_pool(seed: u64) -> (RandomFormat, Vec<Vec<u8>>) {
     (format, keys)
 }
 
+/// Drives `ops` against `map` and a `HashMap` twin over `pool`, with
+/// small drains in between, checking every pair after each step. Returns
+/// the number of steps taken with an epoch in flight.
+fn twin_traffic(
+    map: &mut UnorderedMap<Vec<u8>, u64, GuardedHash<SynthesizedHash, Stl>>,
+    twin: &mut HashMap<Vec<u8>, u64>,
+    pool: &[Vec<u8>],
+    ops: &[(u8, u64)],
+) -> Result<usize, TestCaseError> {
+    let mut mid_epoch = 0;
+    for (step, &(op, arg)) in ops.iter().enumerate() {
+        mid_epoch += usize::from(map.migration_in_flight());
+        let key = pool[(arg % pool.len() as u64) as usize].clone();
+        match op % 8 {
+            0..=2 => prop_assert_eq!(map.insert(key.clone(), arg), twin.insert(key, arg)),
+            3 | 4 => prop_assert_eq!(map.remove(&key), twin.remove(&key)),
+            5 | 6 => prop_assert_eq!(map.get(&key), twin.get(&key)),
+            _ => map.migrate((arg % 4) as usize),
+        }
+        prop_assert_eq!(map.len(), twin.len(), "len after step {}", step);
+        for k in pool {
+            prop_assert_eq!(map.get(k), twin.get(k), "{:?} after step {}", k, step);
+        }
+    }
+    Ok(mid_epoch)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A degrade out of an injective plan: old-epoch entries stay vouched
+    /// for under the frozen guarded routing while the live epoch vouches
+    /// for nothing, and off-format keys sit in both.
+    #[test]
+    fn a_degrade_out_of_an_injective_plan_keeps_both_epochs_apart(
+        seed in any::<u64>(),
+        ops in prop::collection::vec((any::<u8>(), any::<u64>()), 1..160),
+    ) {
+        let format = [KeyFormat::Ssn, KeyFormat::Cpf, KeyFormat::Ipv4][(seed % 3) as usize];
+        let family = [Family::Naive, Family::OffXor, Family::Pext][(seed / 3 % 3) as usize];
+        let pattern = Regex::compile(&format.regex()).expect("compiles");
+        let hasher = GuardedHash::from_pattern(&pattern, family, Stl);
+        let mut rng = SplitMix64::new(seed);
+        let mut pool: Vec<Vec<u8>> = KeySampler::new(format, Distribution::Normal, seed)
+            .distinct_pool(160)
+            .into_iter()
+            .map(String::into_bytes)
+            .collect();
+        let off: Vec<Vec<u8>> =
+            pool.iter().take(40).map(|k| mutate_off_format(&pattern, k, &mut rng)).collect();
+        pool.extend(off);
+        prop_assert!(hasher.epoch_frozen(GuardMode::Guarded).hash_routed(&pool[0]).1);
+        let mut map: UnorderedMap<Vec<u8>, u64, _> = UnorderedMap::with_hasher(hasher);
+        let mut twin = HashMap::new();
+        for (i, key) in pool.iter().enumerate().filter(|(i, _)| i % 4 != 1) {
+            map.insert(key.clone(), i as u64);
+            twin.insert(key.clone(), i as u64);
+        }
+        map.degrade_now();
+        prop_assert!(map.migration_in_flight());
+        prop_assert!(!map.hasher().epoch_frozen(map.guard_mode()).hash_routed(&pool[0]).1);
+        let mid_epoch = twin_traffic(&mut map, &mut twin, &pool, &ops)?;
+        prop_assert!(mid_epoch > 0);
+    }
+
+    /// A resynthesis from a plan that does not read the guard's separator
+    /// bits (so `123-45-6789` and `123/45/6789` collide in format) into a
+    /// Pext plan for the widened pattern, which reads them all.
+    #[test]
+    fn a_resynthesis_into_an_injective_plan_keeps_both_epochs_apart(
+        seed in any::<u64>(),
+        ops in prop::collection::vec((any::<u8>(), any::<u64>()), 1..160),
+    ) {
+        let ssn = Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("compiles");
+        let mut guard: KeyPattern = ssn.clone();
+        guard.join_key(b"123/45/6789");
+        let stale = SynthesizedHash::from_pattern(&ssn, Family::Pext);
+        let hasher = GuardedHash::new(&guard, stale, Stl);
+        let mut rng = SplitMix64::new(seed);
+        let ssns: Vec<Vec<u8>> = KeySampler::new(KeyFormat::Ssn, Distribution::Normal, seed)
+            .distinct_pool(120)
+            .into_iter()
+            .map(String::into_bytes)
+            .collect();
+        let mut pool = Vec::new();
+        for key in ssns {
+            let mut slashed = key.clone();
+            let mut underscored = key.clone();
+            for at in [3, 6] {
+                slashed[at] = b'/';
+                underscored[at] = b'_';
+            }
+            pool.push(key);
+            pool.push(slashed);
+            if rng.next_u64().is_multiple_of(4) {
+                pool.push(underscored);
+            }
+        }
+        let router = hasher.epoch_frozen(GuardMode::Guarded);
+        prop_assert_eq!(router.hash_bytes(&pool[0]), router.hash_bytes(&pool[1]));
+        prop_assert!(!router.hash_routed(&pool[0]).1);
+        let mut map: UnorderedMap<Vec<u8>, u64, _> = UnorderedMap::with_hasher(hasher);
+        let mut twin = HashMap::new();
+        for (i, key) in pool.iter().enumerate().filter(|(i, _)| i % 5 != 2) {
+            map.insert(key.clone(), i as u64);
+            twin.insert(key.clone(), i as u64);
+        }
+        prop_assert!(map.resynthesize().is_applied());
+        prop_assert!(map.migration_in_flight());
+        let live = map.hasher().epoch_frozen(GuardMode::Guarded);
+        prop_assert!(live.hash_routed(&pool[0]).1 && live.hash_routed(&pool[1]).1);
+        let mid_epoch = twin_traffic(&mut map, &mut twin, &pool, &ops)?;
+        prop_assert!(mid_epoch > 0);
+    }
 
     /// Random map traffic across sweep-drained epochs opened by every
     /// ladder transition: after each step the map holds exactly its
