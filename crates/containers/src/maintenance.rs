@@ -3,9 +3,15 @@
 //! ladder state; a [`Controller`] pairs it with the table, takes every
 //! transition through one private `step`, and returns each judgment's
 //! [`Transition`]. `UnorderedMap` and `UnorderedMultiMap` delegate here.
+//!
+//! The controller also owns the bulk of every migration epoch's drain:
+//! each judgment first drains [`DRAIN_PER_OP`] entries per data operation
+//! the table served since the controller last drained, in one batched
+//! sweep, so an epoch closes on the maintenance clock rather than on
+//! whichever data operations land inside it.
 
 use crate::policy::{AttackPolicy, AttackSignals, DriftPolicy};
-use crate::table::RawTable;
+use crate::table::{RawTable, DRAIN_PER_OP};
 use sepe_core::guard::{GuardMode, GuardedHash, Resynth};
 use sepe_core::hash::keyed::SeedSource;
 use sepe_core::hash::ByteHash;
@@ -63,6 +69,10 @@ pub(crate) struct Maintenance {
     /// Probe-length bucket counts at the previous tick: each tick judges
     /// only the probes since, so a long-past storm does not stay visible.
     probe_baseline: [u64; BUCKETS],
+    /// [`RawTable::epoch_ops`] at the controller's last drain, or when it
+    /// last opened an epoch: the drain owes a share of the operations
+    /// since, never of those before the epoch.
+    drained_at: u64,
 }
 
 impl Default for Maintenance {
@@ -73,6 +83,7 @@ impl Default for Maintenance {
             quiet_streak: 0,
             hold: 0,
             probe_baseline: [0; BUCKETS],
+            drained_at: 0,
         }
     }
 }
@@ -126,12 +137,28 @@ where
         self.table.hasher().mode()
     }
 
+    /// Drains the open epoch's share of the data operations served since
+    /// the last drain, [`DRAIN_PER_OP`] entries each, in one batched sweep.
+    /// Every judgment calls it first, so two judgments in one tick drain
+    /// once, and a tick after a long stretch without one drains at most
+    /// the share of the operations served since the epoch opened.
+    fn drain_served(&mut self) {
+        let clock = self.table.epoch_ops();
+        let served = clock - self.state.drained_at;
+        self.state.drained_at = clock;
+        if served > 0 {
+            let budget = usize::try_from(served).unwrap_or(usize::MAX);
+            self.table.migrate(budget.saturating_mul(DRAIN_PER_OP));
+        }
+    }
+
     /// The one transition mechanism: freezes the routing the entries are
     /// filed under, lets `flip` change the hasher (`false`: nothing
     /// happens), opens a migration epoch from the frozen routing to the
-    /// new one, bumps `t`'s ladder counter (in every build), records the
-    /// cause and restarts the quiet streak and hold. Frozen copies are
-    /// counter-silent and keep a keyed seed through a rotation.
+    /// new one, restarts the drain clock there, bumps `t`'s ladder counter
+    /// (in every build), records the cause and restarts the quiet streak
+    /// and hold. Frozen copies are counter-silent and keep a keyed seed
+    /// through a rotation.
     fn step(
         &mut self,
         t: Transition,
@@ -143,6 +170,7 @@ where
         }
         let rehasher = self.table.hasher().epoch_frozen(self.mode());
         self.table.begin_migration(old, rehasher);
+        self.state.drained_at = self.table.epoch_ops();
         let obs = self.table.obs();
         self.state.cause = match t {
             Transition::Degrade => Some(Cause::Drift),
@@ -177,8 +205,10 @@ where
         })
     }
 
-    /// `UnorderedMap::maybe_degrade`: the one drift-window judgment.
-    pub(crate) fn maybe_degrade(self, policy: &DriftPolicy) -> Option<Transition> {
+    /// `UnorderedMap::maybe_degrade`: the one drift-window judgment, after
+    /// the drain on every rung.
+    pub(crate) fn maybe_degrade(mut self, policy: &DriftPolicy) -> Option<Transition> {
+        self.drain_served();
         if self.mode() != GuardMode::Guarded {
             return None;
         }
@@ -211,13 +241,14 @@ where
         t
     }
 
-    /// `UnorderedMap::maybe_escalate`: escalates once
+    /// `UnorderedMap::maybe_escalate`: drains, then escalates once
     /// [`AttackPolicy::trip_streak`] ticks in a row looked stormy.
     pub(crate) fn maybe_escalate(
         mut self,
         policy: &AttackPolicy,
         seeds: &impl SeedSource,
     ) -> Option<Transition> {
+        self.drain_served();
         let signals = self.judged_signals(policy);
         let state = &mut *self.state;
         if !policy.storm(&signals) {
@@ -233,11 +264,13 @@ where
         Some(self.escalate(seeds))
     }
 
-    /// `UnorderedMap::maybe_deescalate`. The storm hold scans the stored
-    /// keys under the guarded routing newest first and stops at the first
-    /// skewed bucket, a few dozen hashes over a resident flood; the skew
-    /// test is monotone, so the verdict is the full count's.
+    /// `UnorderedMap::maybe_deescalate`, after the drain on every rung.
+    /// The storm hold scans the stored keys under the guarded routing
+    /// newest first and stops at the first skewed bucket, a few dozen
+    /// hashes over a resident flood; the skew test is monotone, so the
+    /// verdict is the full count's.
     pub(crate) fn maybe_deescalate(mut self, policy: &AttackPolicy) -> Option<Transition> {
+        self.drain_served();
         if self.mode() == GuardMode::Guarded || self.state.cause == Some(Cause::Drift) {
             return None;
         }

@@ -86,9 +86,10 @@ where
     /// Looks up a key, returning a mutable value reference.
     ///
     /// Having mutable access anyway, this also drains an in-flight
-    /// hash-function migration by a small bounded stride (see
-    /// [`UnorderedMap::drain_on_read`]), so lookup-only workloads that go
-    /// through `get_mut` still converge out of the dual-epoch state.
+    /// hash-function migration by the few entries a mutating operation
+    /// pays (see [`UnorderedMap::drain_on_read`]), so lookup-only workloads
+    /// that go through `get_mut` still converge out of the dual-epoch
+    /// state.
     pub fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
     where
         Q: ?Sized + Eq + AsRef<[u8]>,
@@ -204,8 +205,10 @@ where
     }
 
     /// Advances any in-flight hash-function migration by up to `n` entries
-    /// (a no-op otherwise). Mutating operations already drain a bounded
-    /// stride each; this lets idle callers drain faster.
+    /// (a no-op otherwise). Mutating operations already drain 4 entries
+    /// each, and every maintenance judgment (`maybe_degrade`,
+    /// `maybe_escalate`, `maybe_deescalate`) 4 more per data operation
+    /// served since the last one; this lets idle callers drain faster.
     pub fn migrate(&mut self, n: usize) {
         self.table.migrate(n);
     }
@@ -229,13 +232,13 @@ where
 
     /// Opportunistic migration drain for read-heavy callers.
     ///
-    /// Historically the old epoch drained only from *mutating* operations,
-    /// so a table that served nothing but `get`s after a degrade paid the
-    /// dual-epoch probe on every lookup forever. Read-only lookups now
-    /// record their starvation (each `get` that probes an open epoch bumps
-    /// an internal relaxed counter); this call — a no-op when no migration
-    /// is in flight — drains a couple of entries, or the *whole* epoch once
-    /// the staleness threshold has been crossed. `get_mut` calls it
+    /// `get` takes `&self` and cannot drain. A ticked map drains for its
+    /// reads at the next maintenance judgment; for callers that never
+    /// tick, read-only lookups record their starvation (each `get` that
+    /// probes an open epoch bumps an internal relaxed counter), and this
+    /// call — a no-op when no migration is in flight — drains the 4
+    /// entries a mutating operation pays, or the *whole* epoch once the
+    /// staleness threshold has been crossed. `get_mut` calls it
     /// automatically; `ShardedMap` calls it from plain `get`s whenever it
     /// can take a shard's write lock without blocking readers.
     pub fn drain_on_read(&mut self) {
@@ -417,6 +420,13 @@ where
     /// returns `false` and leaves the window alone. On the keyed rung the
     /// drift window is still the one frozen at escalation, and degrading
     /// from there would file the stored entries under the wrong routing.
+    ///
+    /// On every rung it first drains an open migration epoch by 4 entries
+    /// per data operation the map served since the last maintenance
+    /// judgment drained, in one batched sweep; `maybe_escalate` and
+    /// `maybe_deescalate` do the same, so one tick drains once however
+    /// many judgments it makes, and the bulk of an epoch's drain runs on
+    /// the maintenance clock instead of inside data operations.
     pub fn maybe_degrade(&mut self, policy: &DriftPolicy) -> bool {
         self.controller().maybe_degrade(policy).is_some()
     }
@@ -447,7 +457,8 @@ where
     /// [`UnorderedMap::maybe_degrade`]; the streak state makes the cadence
     /// itself part of the hysteresis. Each call advances the per-tick
     /// probe window, recorded in every build, so `obs`-off builds take the
-    /// same transitions.
+    /// same transitions. It first drains the epoch's share of the
+    /// operations served since the last drain, as `maybe_degrade` does.
     pub fn maybe_escalate(&mut self, policy: &AttackPolicy, seeds: &impl SeedSource) -> bool {
         self.controller().maybe_escalate(policy, seeds).is_some()
     }
@@ -465,7 +476,9 @@ where
     /// reservoir, filled during the attack, is cleared with it. A rung
     /// held for drift ([`UnorderedMap::degrade_now`]) is neither counted
     /// nor left: the degraded hasher counts no drift, so only
-    /// [`UnorderedMap::resynthesize`] leaves it.
+    /// [`UnorderedMap::resynthesize`] leaves it. On every rung it first
+    /// drains the epoch's share of the operations served since the last
+    /// drain, as `maybe_degrade` does.
     pub fn maybe_deescalate(&mut self, policy: &AttackPolicy) -> bool {
         self.controller().maybe_deescalate(policy).is_some()
     }
@@ -513,6 +526,7 @@ where
 mod tests {
     use super::*;
     use crate::maintenance::MAX_HOLD_DOUBLINGS;
+    use crate::table::DRAIN_PER_OP;
     use sepe_baselines::StlHash;
 
     fn map() -> UnorderedMap<String, u32, StlHash> {
@@ -1523,5 +1537,103 @@ mod tests {
         assert!(!m.migration_in_flight() && m.is_empty());
         m.insert(ssn(1), 1);
         assert_eq!(m.get(ssn(1).as_str()), Some(&1));
+    }
+
+    type GuardedMap = UnorderedMap<String, u32, GuardedHash<sepe_core::SynthesizedHash, StlHash>>;
+
+    /// A guarded SSN map of `len` keys, then a degrade epoch over them.
+    fn degraded_ssn_map(len: u32) -> GuardedMap {
+        let mut m = guarded_ssn_map(sepe_core::Family::OffXor);
+        for i in 0..len {
+            m.insert(ssn_key(i), i);
+        }
+        m.degrade_now();
+        assert!(m.migration_in_flight());
+        m
+    }
+
+    fn ssn_key(i: u32) -> String {
+        format!("{:03}-{:02}-{:04}", i % 1000, i % 100, i)
+    }
+
+    /// Entries still filed in an epoch opened over `len` entries, with
+    /// nothing inserted or removed since.
+    fn left_in_epoch(m: &GuardedMap, len: u32) -> usize {
+        ((1.0 - m.migration_progress()) * f64::from(len)).round() as usize
+    }
+
+    /// `n` hits, each counted on the maintenance clock while an epoch is
+    /// open.
+    fn serve_gets(m: &GuardedMap, len: u32, n: u32) {
+        for i in 0..n {
+            assert_eq!(m.get(ssn_key(i % len).as_str()), Some(&(i % len)));
+        }
+    }
+
+    #[test]
+    fn read_only_ticked_traffic_closes_its_epoch() {
+        // Regression: `get` takes `&self` and never drains, and no
+        // maintenance call drained either, so a ticked map that served
+        // only reads after a degrade kept its epoch open for good.
+        let len = 3000u32;
+        let window = 64u32;
+        let mut m = degraded_ssn_map(len);
+        let (policy, seeds) = (
+            AttackPolicy::default(),
+            sepe_core::hash::keyed::FixedSeedSource::new(7),
+        );
+        let bound = (len as usize).div_ceil(DRAIN_PER_OP * window as usize) + 1;
+        let mut ticks = 0;
+        while m.migration_in_flight() && ticks <= bound {
+            serve_gets(&m, len, window);
+            m.maybe_escalate(&policy, &seeds);
+            m.maybe_deescalate(&policy);
+            ticks += 1;
+        }
+        assert!(!m.migration_in_flight(), "still open after {ticks} ticks");
+        assert!(ticks <= bound, "{ticks} ticks, bound {bound}");
+        serve_gets(&m, len, len);
+    }
+
+    #[test]
+    fn two_judgments_in_one_tick_drain_once() {
+        let len = 3000u32;
+        let mut m = degraded_ssn_map(len);
+        let (policy, seeds) = (
+            AttackPolicy::default(),
+            sepe_core::hash::keyed::FixedSeedSource::new(7),
+        );
+        serve_gets(&m, len, 50);
+        m.maybe_escalate(&policy, &seeds);
+        let left = len as usize - 50 * DRAIN_PER_OP;
+        assert_eq!(
+            left_in_epoch(&m, len),
+            left,
+            "the first judgment drains the share"
+        );
+        m.maybe_deescalate(&policy);
+        m.maybe_degrade(&DriftPolicy::default());
+        assert_eq!(left_in_epoch(&m, len), left, "later judgments owe nothing");
+    }
+
+    #[test]
+    fn a_late_tick_drains_only_the_share_of_ops_since_the_epoch_opened() {
+        let len = 3000u32;
+        let mut m = guarded_ssn_map(sepe_core::Family::OffXor);
+        for i in 0..len {
+            m.insert(ssn_key(i), i);
+        }
+        // Calm reads before any epoch never reach the clock.
+        serve_gets(&m, len, 500);
+        m.degrade_now();
+        serve_gets(&m, len, 20);
+        // The escalation finishes the degrade epoch and opens its own; the
+        // reads served inside the first one are not owed to the second.
+        let seeds = sepe_core::hash::keyed::FixedSeedSource::new(7);
+        m.escalate_now(&seeds);
+        assert!(m.migration_in_flight());
+        serve_gets(&m, len, 10);
+        m.maybe_escalate(&AttackPolicy::default(), &seeds);
+        assert_eq!(left_in_epoch(&m, len), len as usize - 10 * DRAIN_PER_OP);
     }
 }

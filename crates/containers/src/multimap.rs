@@ -196,6 +196,9 @@ where
 
     /// Degrades when windowed drift exceeds `policy`; returns whether this
     /// call performed the transition.
+    /// First drains an open migration epoch by its share of the operations
+    /// served since the last call, as
+    /// [`UnorderedMap::maybe_degrade`](crate::UnorderedMap::maybe_degrade) does.
     pub fn maybe_degrade(&mut self, policy: &DriftPolicy) -> bool {
         self.maint
             .on(&mut self.table)
@@ -207,6 +210,7 @@ where
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::table::DRAIN_PER_OP;
     use sepe_baselines::StlHash;
 
     #[test]
@@ -276,5 +280,63 @@ pub(crate) mod tests {
         );
         assert_eq!(m.guard_mode(), GuardMode::Keyed);
         assert!(!m.migration_in_flight(), "no epoch opened");
+    }
+
+    /// A guarded SSN multimap of `len` keys, then a degrade epoch over
+    /// them.
+    fn degraded_ssn_multimap(
+        len: u32,
+    ) -> UnorderedMultiMap<String, u32, GuardedHash<sepe_core::SynthesizedHash, StlHash>> {
+        let pattern = sepe_core::regex::Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("compiles");
+        let hasher = GuardedHash::from_pattern(&pattern, sepe_core::Family::Pext, StlHash::new());
+        let mut m = UnorderedMultiMap::with_hasher(hasher);
+        for i in 0..len {
+            m.insert(ssn(i), i);
+        }
+        m.degrade_now();
+        assert!(m.migration_in_flight());
+        m
+    }
+
+    #[test]
+    fn ticked_insert_only_traffic_drains_twice_the_per_op_share() {
+        // A multimap insert probes nothing, so the maintenance clock
+        // counts it at its drain: each insert pays `DRAIN_PER_OP` entries
+        // itself and owes as many to the next tick.
+        let len = 3000u32;
+        let mut m = degraded_ssn_multimap(len);
+        let (window, policy) = (64u32, DriftPolicy::default());
+        let mut ops = 0u32;
+        while m.migration_in_flight() {
+            for _ in 0..window {
+                m.insert(ssn(len + ops), ops);
+                ops += 1;
+            }
+            m.maybe_degrade(&policy);
+        }
+        let bound = (len as usize).div_ceil(2 * DRAIN_PER_OP) + window as usize;
+        assert!(
+            ops as usize <= bound,
+            "closed after {ops} inserts, bound {bound}"
+        );
+        assert_eq!(m.count(&ssn(7)), 1);
+    }
+
+    #[test]
+    fn counts_and_removals_served_mid_epoch_are_owed_to_the_next_tick() {
+        let len = 3000u32;
+        let mut m = degraded_ssn_multimap(len);
+        for i in 0..50 {
+            assert_eq!(m.count(&ssn(i)), 1);
+        }
+        for i in 100..110 {
+            assert_eq!(m.remove_one(&ssn(i)), Some(i));
+        }
+        let left = |m: &UnorderedMultiMap<_, _, _>| {
+            ((1.0 - m.migration_progress()) * f64::from(len)).round() as usize
+        };
+        let before = left(&m);
+        m.maybe_degrade(&DriftPolicy::default());
+        assert_eq!(before - left(&m), 60 * DRAIN_PER_OP);
     }
 }

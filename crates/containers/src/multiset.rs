@@ -182,6 +182,9 @@ where
 
     /// Degrades when windowed drift exceeds `policy`; returns whether this
     /// call performed the transition.
+    /// First drains an open migration epoch by its share of the operations
+    /// served since the last call, as
+    /// [`UnorderedMap::maybe_degrade`](crate::UnorderedMap::maybe_degrade) does.
     pub fn maybe_degrade(&mut self, policy: &DriftPolicy) -> bool {
         self.inner.maybe_degrade(policy)
     }

@@ -223,8 +223,8 @@ where
     /// the shard lock).
     ///
     /// When the shard has a migration epoch in flight, the lookup also
-    /// tries a non-blocking write-lock upgrade afterwards and drains a
-    /// small stride ([`UnorderedMap::drain_on_read`]) — read-heavy
+    /// tries a non-blocking write-lock upgrade afterwards and drains the
+    /// few entries a write pays ([`UnorderedMap::drain_on_read`]) — read-heavy
     /// workloads converge out of the dual-epoch state instead of paying
     /// the double probe forever, but never block behind other readers.
     pub fn get<Q>(&self, key: &Q) -> Option<V>

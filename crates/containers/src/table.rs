@@ -9,13 +9,15 @@
 //! When the hash *function* changes (a guarded hasher degrades or
 //! resynthesizes), the table does not pause the world to rebuild: it opens
 //! a migration epoch. The superseded bucket array is set aside, lookups
-//! consult both epochs, and every mutating operation drains a bounded
-//! number of entries into the new chains — the amortized rehash of Redis
-//! and hashbrown, applied to a change of hash function rather than of
-//! capacity. The drain sweeps the arena in slot order rather than popping
-//! old chains, so each drained entry costs one sequential arena read, its
-//! key, and the live chain it joins; a batch's key and head misses are
-//! prefetched together.
+//! consult both epochs, and entries drain into the new chains a bounded
+//! number at a time — the amortized rehash of Redis and hashbrown, applied
+//! to a change of hash function rather than of capacity. Every mutating
+//! operation drains a few entries itself; the bulk drains on the
+//! maintenance controller's calls, a share per data operation served
+//! since its last drain. The drain sweeps the arena in slot order rather
+//! than popping old chains, so each drained entry costs one sequential
+//! arena read, its key, and the live chain it joins; a batch's key and
+//! head misses are prefetched together.
 //!
 //! Equality is decided by hash wherever the hasher vouches for it
 //! ([`ByteHash::hash_routed`]): a guarded hasher vouches for an in-format
@@ -98,17 +100,22 @@ fn prefetch<T>(at: *const T) {
 /// table grows beyond its singleton state).
 const INITIAL_BUCKETS: u64 = 13;
 
-/// Entries drained from the old epoch per mutating operation while a
-/// migration is in flight. The bound keeps the latency of any single
-/// `insert`/`remove` O(`MIGRATE_STRIDE`) instead of O(len), and a table
-/// under write traffic fully drains after `len / MIGRATE_STRIDE` ops.
-pub(crate) const MIGRATE_STRIDE: usize = 16;
+/// Entries of an open epoch each data operation pays for: a mutating
+/// operation drains this many itself, and so does
+/// [`RawTable::drain_on_read`]; the maintenance controller drains this
+/// many more per data operation served since it last drained (see
+/// [`RawTable::epoch_ops`]). The per-operation share keeps any single
+/// `insert`/`remove` O(`DRAIN_PER_OP`) and is the floor that lets a table
+/// nobody ticks converge: under write traffic alone an epoch of `len`
+/// entries closes after about `len / DRAIN_PER_OP` operations; ticked,
+/// after about `len / (2 * DRAIN_PER_OP)` writes or `len / DRAIN_PER_OP`
+/// reads.
+pub(crate) const DRAIN_PER_OP: usize = 4;
 
-/// Entries drained per *lookup* that reaches the table with mutable access
-/// (`get_mut`, or a sharded read that wins its shard's write lock). Smaller
-/// than [`MIGRATE_STRIDE`] so read latency stays flat, but enough that a
-/// read-heavy table converges instead of paying dual-epoch probes forever.
-pub(crate) const LOOKUP_MIGRATE_STRIDE: usize = 2;
+/// Widest batch one drain gathers, hashes and links at a time: it sizes
+/// the prefetch arrays in [`RawTable::migrate`]'s body, not how much a
+/// call drains.
+const DRAIN_BATCH: usize = 16;
 
 /// Arena slots one drain may scan per entry of its budget. Slots freed
 /// before or during the epoch are dead weight to the sweep; the cap keeps
@@ -121,17 +128,15 @@ const SWEEP_SLOTS_PER_ENTRY: usize = 4;
 /// read-dominated workload to one bounded burst instead of forever.
 pub(crate) const STALE_READ_LIMIT: u64 = 1024;
 
-/// Interior-mutable counter of lookups served while an epoch was in
-/// flight. `&self` lookups cannot drain (draining relinks chains), but
-/// they *can* record starvation so the next `&mut` caller knows the old
-/// epoch has overstayed. Relaxed ordering suffices: the count only gates a
-/// heuristic. Recording is a load and a store, not a locked add, so
-/// concurrent readers of one table may lose increments; that only delays
-/// the full drain. Cloning a table snapshots the current value.
+/// An interior-mutable count of operations, bumped from `&self` lookups.
+/// Relaxed ordering suffices: the counts only pace heuristics. Recording
+/// is a load and a store, not a locked add, so concurrent readers of one
+/// table may lose increments; that only delays a drain. Cloning a table
+/// snapshots the current value.
 #[derive(Debug, Default)]
-struct StaleReads(AtomicU64);
+struct OpCount(AtomicU64);
 
-impl StaleReads {
+impl OpCount {
     #[inline]
     fn record(&self) {
         self.0
@@ -147,9 +152,9 @@ impl StaleReads {
     }
 }
 
-impl Clone for StaleReads {
+impl Clone for OpCount {
     fn clone(&self) -> Self {
-        StaleReads(AtomicU64::new(self.get()))
+        OpCount(AtomicU64::new(self.get()))
     }
 }
 
@@ -177,7 +182,7 @@ pub(crate) struct TableObs {
     /// Migration epochs retired — fully drained, or discarded by `clear`.
     pub(crate) epochs_finished: Arc<Counter>,
     /// Lookups that probed a still-open epoch (monotone, unlike the
-    /// resettable starvation counter in [`StaleReads`]).
+    /// resettable starvation count [`RawTable::stale_reads`]).
     pub(crate) stale_probes: Arc<Counter>,
     /// Batch-kernel chunks hashed (`get_batch` / `insert_batch`).
     pub(crate) batch_chunks: Arc<Counter>,
@@ -385,7 +390,15 @@ pub(crate) struct RawTable<K, V, H> {
     /// epoch restarts it at 0, after forgetting it for the finish of the
     /// epoch it replaces.
     chain_bound: Option<usize>,
-    stale_reads: StaleReads,
+    /// Lookups that probed an open epoch since the last one closed. `&self`
+    /// lookups cannot drain (draining relinks chains), but they record
+    /// starvation, so the next `&mut` caller knows the old epoch has
+    /// overstayed.
+    stale_reads: OpCount,
+    /// The maintenance clock: data operations served while an epoch was
+    /// open, over the table's life. Bumped only in branches that already
+    /// run only mid-epoch, so a calm table never touches it.
+    epoch_ops: OpCount,
     obs: TableObs,
 }
 
@@ -406,7 +419,8 @@ where
             max_load_factor: 1.0,
             migration: None,
             chain_bound: Some(0),
-            stale_reads: StaleReads::default(),
+            stale_reads: OpCount::default(),
+            epoch_ops: OpCount::default(),
             obs: TableObs::default(),
         }
     }
@@ -426,8 +440,9 @@ where
 
     /// Opens a migration epoch: the current bucket array becomes the old
     /// epoch (probed with `old_hasher`), a fresh one takes live traffic,
-    /// and each subsequent mutating operation drains up to
-    /// [`MIGRATE_STRIDE`] entries by rehashing them with `rehasher`.
+    /// and entries drain into it by rehashing with `rehasher`:
+    /// [`DRAIN_PER_OP`] per mutating operation, and the maintenance
+    /// controller's share on each of its calls.
     ///
     /// `old_hasher` must reproduce the hashes the stored entries were filed
     /// under; `rehasher` must reproduce the live hasher's values without
@@ -469,7 +484,9 @@ where
     }
 
     /// Drains up to `budget` entries from the old epoch into the live one,
-    /// sweeping at most `SWEEP_SLOTS_PER_ENTRY * budget` arena slots.
+    /// sweeping at most `SWEEP_SLOTS_PER_ENTRY * budget` arena slots: the
+    /// maintenance controller's batched sweep, and the explicit
+    /// `migrate`/`finish_migration` calls. It advances no clock.
     #[inline]
     pub(crate) fn migrate(&mut self, budget: usize) {
         if self.migration.is_some() {
@@ -477,10 +494,29 @@ where
         }
     }
 
+    /// A mutating operation's share of an open epoch: counts the operation
+    /// on the maintenance clock and drains [`DRAIN_PER_OP`] entries.
+    #[inline]
+    fn pay_drain(&mut self) {
+        if self.migration.is_some() {
+            self.epoch_ops.record();
+            self.drain(DRAIN_PER_OP);
+        }
+    }
+
+    /// The maintenance clock: data operations served while an epoch was
+    /// open, over the table's life. Lookups and map inserts count at their
+    /// probe, multimap inserts and removals at their drain, and multimap
+    /// counts at their old-epoch probe. The controller drains
+    /// [`DRAIN_PER_OP`] entries per tick of it.
+    pub(crate) fn epoch_ops(&self) -> u64 {
+        self.epoch_ops.get()
+    }
+
     /// The body of [`RawTable::migrate`], out of line so the calm-table
     /// check stays small in every mutating operation.
     ///
-    /// Works in batches of up to [`MIGRATE_STRIDE`] occupied slots:
+    /// Works in batches of up to [`DRAIN_BATCH`] occupied slots:
     /// gather them and prefetch their key bytes, hash them and prefetch
     /// their bucket heads, then link them in slot order. The key and head
     /// misses of a batch overlap instead of serializing, and the chains
@@ -497,13 +533,13 @@ where
             .min(mig.end as usize) as u32;
         let want = budget.min(mig.old_len);
         let nbuckets = self.heads.len() as u64;
-        let mut slots = [0u32; MIGRATE_STRIDE];
-        let mut buckets = [0usize; MIGRATE_STRIDE];
-        let mut hashes = [0u64; MIGRATE_STRIDE];
-        let mut vouched = [false; MIGRATE_STRIDE];
+        let mut slots = [0u32; DRAIN_BATCH];
+        let mut buckets = [0usize; DRAIN_BATCH];
+        let mut hashes = [0u64; DRAIN_BATCH];
+        let mut vouched = [false; DRAIN_BATCH];
         let mut moved = 0usize;
         while moved < want && mig.cursor < stop {
-            let room = (want - moved).min(MIGRATE_STRIDE);
+            let room = (want - moved).min(DRAIN_BATCH);
             let mut n = 0;
             while n < room && mig.cursor < stop {
                 let idx = mig.cursor;
@@ -564,8 +600,8 @@ where
     /// mutable access: a no-op when no epoch is in flight; a full
     /// [`RawTable::finish_migration`] once [`STALE_READ_LIMIT`] read-only
     /// lookups have probed both epochs (the migration is starving — no
-    /// mutating traffic is coming to amortize it); a bounded
-    /// [`LOOKUP_MIGRATE_STRIDE`]-entry drain otherwise.
+    /// mutating traffic or maintenance is coming to amortize it); the
+    /// [`DRAIN_PER_OP`] entries a mutating operation pays otherwise.
     pub(crate) fn drain_on_read(&mut self) {
         if self.migration.is_none() {
             return;
@@ -573,7 +609,7 @@ where
         if self.stale_reads.get() >= STALE_READ_LIMIT {
             self.finish_migration();
         } else {
-            self.migrate(LOOKUP_MIGRATE_STRIDE);
+            self.migrate(DRAIN_PER_OP);
         }
     }
 
@@ -736,6 +772,7 @@ where
     fn find_probed(&self, probe: Probe<'_>) -> (Option<u32>, usize) {
         if self.migration.is_some() {
             self.stale_reads.record();
+            self.epoch_ops.record();
             if sepe_obs::enabled() {
                 self.obs.stale_probes.add_single_writer(1);
             }
@@ -782,9 +819,10 @@ where
     /// Drains once, before the probe: a drain between the probe and the
     /// link could grow the probed chain unseen, and the new entry joins
     /// exactly the chain its miss walked (a resize in between forgets the
-    /// bound anyway).
+    /// bound anyway). The probe, not the drain, counts the insert on the
+    /// maintenance clock.
     fn insert_probed(&mut self, hash: u64, vouched: bool, key: K, value: V) -> Option<V> {
-        self.migrate(MIGRATE_STRIDE);
+        self.migrate(DRAIN_PER_OP);
         let probe = Probe {
             hash,
             vouched,
@@ -826,7 +864,7 @@ where
     pub(crate) fn insert_multi(&mut self, key: K, value: V) {
         // No probe, so no chain length to bound with.
         self.chain_bound = None;
-        self.migrate(MIGRATE_STRIDE);
+        self.pay_drain();
         self.reserve_one();
         let (hash, vouched) = self.hasher.hash_routed(key.as_ref());
         self.link_new(hash, vouched, key, value);
@@ -921,7 +959,7 @@ where
         Q: ?Sized + Eq + AsRef<[u8]>,
         K: Borrow<Q>,
     {
-        self.migrate(MIGRATE_STRIDE);
+        self.pay_drain();
         let probe = self.live_probe(key.as_ref());
         let chain = self.live_chain(probe.hash);
         let Some((prev, at)) = self.find_with_prev(chain, probe) else {
@@ -1008,6 +1046,7 @@ where
         let probe = self.live_probe(key.as_ref());
         let mut n = self.count_in_chain(self.live_chain(probe.hash), probe);
         if let Some((chain, old)) = self.old_epoch_probe(key.as_ref()) {
+            self.epoch_ops.record();
             n += self.count_in_chain(chain, old);
         }
         n

@@ -752,8 +752,8 @@ fn run_transitions(opts: &Options) -> Result<String, String> {
         multi.absorb(s);
     }
     Ok(format!(
-        "depth {} over {family} ({injective} plan): {} map sequences ({} steps, {} mid-epoch, {} transitions) \
-         and {} multimap sequences from guarded and keyed starts ({} steps, {} mid-epoch) — \
+        "depth {} over {family} ({injective} plan): {} map sequences ({} steps, {} mid-epoch, {} transitions, \
+         {} tick drains) and {} multimap sequences from guarded and keyed starts ({} steps, {} mid-epoch) — \
          contents matched the HashMap twin, mode and ladder counters the eager twin, and \
          {} degrade_now calls off Guarded changed nothing",
         opts.depth,
@@ -761,6 +761,7 @@ fn run_transitions(opts: &Options) -> Result<String, String> {
         map.steps,
         map.mid_epoch,
         map.transitions,
+        map.tick_drains,
         multi.sequences,
         multi.steps,
         multi.mid_epoch,

@@ -8,8 +8,10 @@
 //! off-format key) plus every maintenance call:
 //!
 //! * [`check_map`] drives an [`UnorderedMap`] through insert, remove and
-//!   get, `degrade_now`, `escalate_now`, a calm `maybe_deescalate`,
-//!   `resynthesize`, `migrate(1)` and `finish_migration`;
+//!   get, `degrade_now`, `escalate_now`, a calm `maybe_escalate` tick (which
+//!   drains the epoch's share of the operations served since the last
+//!   one), a calm `maybe_deescalate`, `resynthesize`, `migrate(1)` and
+//!   `finish_migration`;
 //! * [`check_multimap`] drives an [`UnorderedMultiMap`] through insert,
 //!   `remove_one` and count, `degrade_now`, `migrate(1)` and
 //!   `finish_migration`, from a guarded and from a keyed start.
@@ -66,6 +68,9 @@ pub enum MapOp {
     Degrade,
     /// `escalate_now(seeds)`.
     Escalate,
+    /// `maybe_escalate(calm, seeds)`: a tick that judges no storm in a
+    /// four-key table, so it only drains.
+    Tick,
     /// `maybe_deescalate(calm)`: no storm is visible in a four-key table.
     Deescalate,
     /// `resynthesize()`.
@@ -76,8 +81,8 @@ pub enum MapOp {
     Finish,
 }
 
-/// Every map operation: 18 in all.
-pub const MAP_OPS: [MapOp; 18] = [
+/// Every map operation: 19 in all.
+pub const MAP_OPS: [MapOp; 19] = [
     MapOp::Insert(0),
     MapOp::Insert(1),
     MapOp::Insert(2),
@@ -92,6 +97,7 @@ pub const MAP_OPS: [MapOp; 18] = [
     MapOp::Get(3),
     MapOp::Degrade,
     MapOp::Escalate,
+    MapOp::Tick,
     MapOp::Deescalate,
     MapOp::Resynthesize,
     MapOp::Migrate,
@@ -148,6 +154,8 @@ pub struct TransitionStats {
     pub transitions: usize,
     /// `degrade_now` calls off `Guarded` that were checked to be inert.
     pub inert_degrades: usize,
+    /// Maintenance ticks that drained part of an open epoch.
+    pub tick_drains: usize,
 }
 
 impl TransitionStats {
@@ -158,6 +166,7 @@ impl TransitionStats {
         self.mid_epoch += other.mid_epoch;
         self.transitions += other.transitions;
         self.inert_degrades += other.inert_degrades;
+        self.tick_drains += other.tick_drains;
     }
 }
 
@@ -326,6 +335,10 @@ pub fn check_map(template: &Hasher, depth: usize, seed: u64) -> Result<Transitio
                     eager.escalate_now(&eager_seeds);
                     true
                 }
+                MapOp::Tick => {
+                    lazy.maybe_escalate(&calm, &lazy_seeds)
+                        == eager.maybe_escalate(&calm, &eager_seeds)
+                }
                 MapOp::Deescalate => lazy.maybe_deescalate(&calm) == eager.maybe_deescalate(&calm),
                 MapOp::Resynthesize => {
                     let out = lazy.resynthesize();
@@ -348,6 +361,9 @@ pub fn check_map(template: &Hasher, depth: usize, seed: u64) -> Result<Transitio
                 return Err(fail("the call's result differs between the twins".into()));
             }
             let (after, twin) = (observe_map(&lazy), observe_map(&eager));
+            let drained =
+                before.in_flight && (!after.in_flight || after.progress > before.progress);
+            stats.tick_drains += usize::from(op == MapOp::Tick && drained);
             check_step(
                 &mut stats,
                 op == MapOp::Degrade,

@@ -13,7 +13,9 @@
 //! while both epochs are live across a change of equality path: a degrade
 //! out of an injective plan, whose old-epoch hits are decided by hash, and
 //! a resynthesis from a stale Pext plan, which colliding in-format keys
-//! must not fool, into an injective one.
+//! must not fool, into an injective one. The last requests transitions
+//! at maintenance ticks, which drain, while an earlier epoch is still
+//! open, against a `HashMap` twin and an eagerly drained twin.
 
 use proptest::prelude::*;
 use sepe_containers::{AttackPolicy, UnorderedMap, UnorderedMultiMap};
@@ -81,8 +83,128 @@ fn twin_traffic(
     Ok(mid_epoch)
 }
 
+type Map = UnorderedMap<Vec<u8>, u64, GuardedHash<SynthesizedHash, Stl>>;
+
+/// Mode, ladder counters, keyed seed and lifetime drift counts: what an
+/// eagerly drained twin must agree on.
+type Ladder = (GuardMode, (u64, u64, u64), Option<(u64, u64)>, (u64, u64));
+
+fn ladder(m: &Map) -> Ladder {
+    let h = m.hasher();
+    (
+        h.mode(),
+        (m.escalations(), m.deescalations(), m.seed_rotations()),
+        (h.mode() == GuardMode::Keyed).then(|| h.current_seed()),
+        (h.stats().in_format(), h.stats().off_format()),
+    )
+}
+
+/// One data operation on both maps and the `HashMap` twin; the eager map
+/// then finishes any epoch its operation left open.
+fn both_traffic(
+    lazy: &mut Map,
+    eager: &mut Map,
+    twin: &mut HashMap<Vec<u8>, u64>,
+    key: Vec<u8>,
+    (op, arg): (u8, u64),
+) -> Result<(), TestCaseError> {
+    match op % 4 {
+        0 | 1 => {
+            let want = twin.insert(key.clone(), arg);
+            prop_assert_eq!(lazy.insert(key.clone(), arg), want);
+            prop_assert_eq!(eager.insert(key, arg), want);
+        }
+        2 => {
+            let want = twin.remove(&key);
+            prop_assert_eq!(lazy.remove(&key), want);
+            prop_assert_eq!(eager.remove(&key), want);
+        }
+        _ => {
+            prop_assert_eq!(lazy.get(&key), twin.get(&key));
+            prop_assert_eq!(eager.get(&key), twin.get(&key));
+        }
+    }
+    eager.finish_migration();
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A degrade, traffic with two calm ticks that each drain part of its
+    /// epoch, then an escalation requested while that epoch is still open
+    /// (it finishes the rest synchronously), then traffic with a tick
+    /// every eight operations, where a de-escalation comes due at a tick
+    /// that may itself land inside the escalation's epoch. After every
+    /// step the map holds its `HashMap` twin's pairs and agrees with an
+    /// eagerly drained twin on mode, ladder counters, seed and drift.
+    #[test]
+    fn a_transition_at_a_tick_over_an_open_epoch_matches_both_twins(
+        seed in any::<u64>(),
+        ops in prop::collection::vec((any::<u8>(), any::<u64>()), 1..120),
+    ) {
+        let family = Family::ALL[(seed % Family::ALL.len() as u64) as usize];
+        let pattern = Regex::compile(&KeyFormat::Ssn.regex()).expect("compiles");
+        let hasher = GuardedHash::from_pattern(&pattern, family, Stl);
+        let mut rng = SplitMix64::new(seed);
+        let mut pool: Vec<Vec<u8>> = KeySampler::new(KeyFormat::Ssn, Distribution::Normal, seed)
+            .distinct_pool(600)
+            .into_iter()
+            .map(String::into_bytes)
+            .collect();
+        let off: Vec<Vec<u8>> =
+            pool.iter().take(60).map(|k| mutate_off_format(&pattern, k, &mut rng)).collect();
+        pool.extend(off);
+        let (mut lazy, mut eager) = (Map::with_hasher(hasher.detached()), Map::with_hasher(hasher));
+        let mut twin = HashMap::new();
+        for (i, key) in pool.iter().enumerate().filter(|(i, _)| i % 6 != 5) {
+            lazy.insert(key.clone(), i as u64);
+            eager.insert(key.clone(), i as u64);
+            twin.insert(key.clone(), i as u64);
+        }
+        let (lazy_seeds, eager_seeds) = (FixedSeedSource::new(seed | 1), FixedSeedSource::new(seed | 1));
+        let policy = AttackPolicy::default();
+        let key = |arg: u64| pool[(arg % pool.len() as u64) as usize].clone();
+        let tick = |lazy: &mut Map, eager: &mut Map| -> Result<(), TestCaseError> {
+            prop_assert_eq!(
+                lazy.maybe_escalate(&policy, &lazy_seeds),
+                eager.maybe_escalate(&policy, &eager_seeds)
+            );
+            prop_assert_eq!(lazy.maybe_deescalate(&policy), eager.maybe_deescalate(&policy));
+            eager.finish_migration();
+            Ok(())
+        };
+        lazy.degrade_now();
+        eager.degrade_now();
+        eager.finish_migration();
+        let (head, tail) = ops.split_at(ops.len().min(16));
+        let (first, second) = head.split_at(head.len() / 2);
+        for part in [first, second] {
+            for &(op, arg) in part {
+                both_traffic(&mut lazy, &mut eager, &mut twin, key(arg), (op, arg))?;
+            }
+            let before = lazy.migration_progress();
+            tick(&mut lazy, &mut eager)?;
+            prop_assert!(lazy.migration_progress() >= before, "a tick undid drain progress");
+        }
+        prop_assert!(lazy.migration_in_flight(), "the degrade epoch closed before the escalation");
+        lazy.escalate_now(&lazy_seeds);
+        eager.escalate_now(&eager_seeds);
+        eager.finish_migration();
+        prop_assert_eq!(ladder(&lazy), ladder(&eager), "after the escalation");
+        for (step, &(op, arg)) in tail.iter().enumerate() {
+            both_traffic(&mut lazy, &mut eager, &mut twin, key(arg), (op, arg))?;
+            if step % 8 == 7 {
+                tick(&mut lazy, &mut eager)?;
+            }
+            prop_assert_eq!(ladder(&lazy), ladder(&eager), "ladder after step {}", step);
+            prop_assert_eq!(lazy.len(), twin.len(), "len after step {}", step);
+        }
+        for k in &pool {
+            prop_assert_eq!(lazy.get(k), twin.get(k));
+            prop_assert_eq!(eager.get(k), twin.get(k));
+        }
+    }
 
     /// A degrade out of an injective plan: old-epoch entries stay vouched
     /// for under the frozen guarded routing while the live epoch vouches

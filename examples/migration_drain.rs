@@ -2,20 +2,24 @@
 //!
 //! A guarded SSN map (boxed byte keys, `u64` values, the OffXor plan with
 //! a CityHash fallback) degrades, which opens an epoch, and then drains it
-//! in `migrate(16)` calls, the stride every mutating operation pays. It
-//! also times the synchronous drain an escalation pays when it opens an
-//! epoch over one still in flight: `escalate_now` on a map whose degrade
-//! epoch is half drained, per entry it had left. For scale the example
-//! also times hashing every key once and a cached-hash `rehash` of the
-//! same table. Each round builds a fresh map; the output is the median and
-//! range over the rounds.
+//! two ways: in `migrate(4)` calls, the 4 entries every mutating operation
+//! pays; and on the maintenance clock, by calm ticks
+//! (`maybe_escalate`, `maybe_deescalate`) after every 1024 `get`s, each of
+//! which drains 4 entries per lookup served since the last one in one
+//! batched sweep. The ticked row also reports how many ticks closed the
+//! epoch, and its time covers only the ticks. The example also times the
+//! synchronous drain an escalation pays when it opens an epoch over one
+//! still in flight: `escalate_now` on a map whose degrade epoch is half
+//! drained, per entry it had left. For scale it times hashing every key
+//! once and a cached-hash `rehash` of the same table. Each round builds a
+//! fresh map; the output is the median and range over the rounds.
 //!
 //! ```text
 //! cargo run --release --example migration_drain [keys] [rounds]
 //! ```
 
 use sepe::baselines::CityHash;
-use sepe::containers::UnorderedMap;
+use sepe::containers::{AttackPolicy, UnorderedMap};
 use sepe::core::guard::GuardedHash;
 use sepe::core::hash::{FixedSeedSource, SynthesizedHash};
 use sepe::core::regex::Regex;
@@ -63,8 +67,9 @@ fn main() {
         .collect();
 
     let (mut drain, mut hash, mut rehash) = (Vec::new(), Vec::new(), Vec::new());
-    let mut escalate = Vec::new();
+    let (mut ticked, mut ticks, mut escalate) = (Vec::new(), Vec::new(), Vec::new());
     let seeds = FixedSeedSource::new(1);
+    let calm = AttackPolicy::default();
     for _ in 0..rounds {
         let mut map = build(&keys);
         let start = Instant::now();
@@ -78,7 +83,7 @@ fn main() {
         let start = Instant::now();
         map.degrade_now();
         while map.migration_in_flight() {
-            map.migrate(16);
+            map.migrate(4);
         }
         drain.push(start.elapsed().as_nanos() as f64 / n as f64);
         assert_eq!(map.len(), n);
@@ -90,8 +95,25 @@ fn main() {
 
         let mut map = build(&keys);
         map.degrade_now();
+        let (mut spent, mut count, mut served) = (0u128, 0usize, 0usize);
+        while map.migration_in_flight() {
+            for _ in 0..1024 {
+                black_box(map.get(&keys[served % n]));
+                served += 1;
+            }
+            let start = Instant::now();
+            map.maybe_escalate(&calm, &seeds);
+            map.maybe_deescalate(&calm);
+            spent += start.elapsed().as_nanos();
+            count += 1;
+        }
+        ticked.push(spent as f64 / n as f64);
+        ticks.push(count as f64);
+
+        let mut map = build(&keys);
+        map.degrade_now();
         while map.migration_progress() < 0.5 {
-            map.migrate(16);
+            map.migrate(4);
         }
         let left = ((1.0 - map.migration_progress()) * n as f64).round();
         let start = Instant::now();
@@ -100,7 +122,13 @@ fn main() {
         assert!(map.migration_in_flight(), "the escalation opened an epoch");
     }
     println!("{n} SSN keys, {rounds} rounds");
-    println!("drain an epoch, migrate(16) calls: {}", summary(drain));
+    ticks.sort_by(f64::total_cmp);
+    println!("drain an epoch, migrate(4) calls:  {}", summary(drain));
+    println!(
+        "ticked, a tick per 1024 gets:      {} in {} ticks",
+        summary(ticked),
+        ticks[ticks.len() / 2]
+    );
     println!("escalate over a half-drained one:  {}", summary(escalate));
     println!("hash every key once:               {}", summary(hash));
     println!("cached-hash rehash:                {}", summary(rehash));
