@@ -805,7 +805,6 @@ fn keybench_metrics_emits_a_deterministic_parseable_snapshot() {
     let second = run();
     assert_eq!(first, second, "same keys, same seeds, same snapshot bytes");
     let snap = sepe_obs::Snapshot::parse(first.trim_end()).expect("stdout is a valid snapshot");
-    // Every build counts guard verdicts, the probe window and the ladder.
     assert!(snap.counter("guard_in_format").unwrap_or(0) > 0, "{snap:?}");
     assert_eq!(snap.counter("guard_off_format"), Some(0), "{snap:?}");
     assert_eq!(
@@ -819,22 +818,19 @@ fn keybench_metrics_emits_a_deterministic_parseable_snapshot() {
             .is_some_and(|h| h.count > 0),
         "probe lengths recorded: {snap:?}"
     );
-    // Epoch accounting is pure observability: it stays at zero without
-    // `obs`.
-    let epochs = |n: u64| Some(if sepe_obs::enabled() { n } else { 0 });
     assert_eq!(
         snap.counter("table_epochs_opened"),
-        epochs(1),
+        Some(1),
         "the workload degrades exactly once: {snap:?}"
     );
     assert_eq!(
         snap.counter("table_epochs_finished"),
-        epochs(1),
+        Some(1),
         "the drain loop retires the epoch before the snapshot: {snap:?}"
     );
     assert_eq!(
         snap.counter("table_drain_ops"),
-        epochs(128),
+        Some(128),
         "every resident entry moves exactly once: {snap:?}"
     );
 }

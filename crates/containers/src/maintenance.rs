@@ -155,8 +155,8 @@ where
     /// The one transition mechanism: freezes the routing the entries are
     /// filed under, lets `flip` change the hasher (`false`: nothing
     /// happens), opens a migration epoch from the frozen routing to the
-    /// new one, restarts the drain clock there, bumps `t`'s ladder counter
-    /// (in every build), records the cause and restarts the quiet streak
+    /// new one, restarts the drain clock there, bumps `t`'s ladder counter,
+    /// records the cause and restarts the quiet streak
     /// and hold. Frozen copies are counter-silent and keep a keyed seed
     /// through a rotation.
     fn step(
@@ -315,8 +315,7 @@ where
 
     /// One signal snapshot; walks the chains when `could_trip` holds for
     /// the chain bound (see [`RawTable::longest_chain`]). `probe_p99`
-    /// covers the probes since the previous snapshot; the window is
-    /// recorded in every build, so `obs`-off builds judge the same signals.
+    /// covers the probes since the previous snapshot.
     fn signals_with(&mut self, could_trip: impl Fn(usize) -> bool) -> AttackSignals {
         let table = &mut *self.table;
         let (window_off, window_total) = table.hasher().stats().window_counts();

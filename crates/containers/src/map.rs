@@ -260,10 +260,6 @@ where
     /// shared handles; nothing is copied and the map's hot paths are
     /// unaffected.
     ///
-    /// In `obs`-off builds the ids still register. The probe histogram and
-    /// the ladder counters still count (the storm detector and the
-    /// harnesses read them); the rest stay at zero.
-    ///
     /// # Errors
     ///
     /// Propagates [`sepe_obs::RegistryError`] on duplicate registration
@@ -296,10 +292,8 @@ where
         let mut results = Vec::with_capacity(keys.len());
         let mut hashes = [0u64; BATCH_CHUNK];
         for chunk in keys.chunks(BATCH_CHUNK) {
-            if sepe_obs::enabled() {
-                self.table.obs().batch_chunks.inc();
-                self.table.obs().batch_keys.add(chunk.len() as u64);
-            }
+            self.table.obs().batch_chunks.inc();
+            self.table.obs().batch_keys.add(chunk.len() as u64);
             let hashes = &mut hashes[..chunk.len()];
             self.table.hasher().hash_batch(chunk, hashes);
             for &h in hashes.iter() {
@@ -334,10 +328,8 @@ where
             if chunk.is_empty() {
                 break;
             }
-            if sepe_obs::enabled() {
-                self.table.obs().batch_chunks.inc();
-                self.table.obs().batch_keys.add(chunk.len() as u64);
-            }
+            self.table.obs().batch_chunks.inc();
+            self.table.obs().batch_keys.add(chunk.len() as u64);
             {
                 let keyrefs: Vec<&[u8]> = chunk.iter().map(|(k, _)| k.as_ref()).collect();
                 let hashes = &mut hashes[..keyrefs.len()];
@@ -442,7 +434,7 @@ where
     ///   the seed leaked; rotate it.
     ///
     /// Each call bumps the `table_escalations` counter (rotations also
-    /// bump `table_seed_rotations`) in every build, which the adversarial
+    /// bump `table_seed_rotations`), which the adversarial
     /// harness checks against its own transcript.
     pub fn escalate_now(&mut self, seeds: &impl SeedSource) {
         self.controller().escalate(seeds);
@@ -456,8 +448,7 @@ where
     /// Call this from the same maintenance cadence as
     /// [`UnorderedMap::maybe_degrade`]; the streak state makes the cadence
     /// itself part of the hysteresis. Each call advances the per-tick
-    /// probe window, recorded in every build, so `obs`-off builds take the
-    /// same transitions. It first drains the epoch's share of the
+    /// probe window. It first drains the epoch's share of the
     /// operations served since the last drain, as `maybe_degrade` does.
     pub fn maybe_escalate(&mut self, policy: &AttackPolicy, seeds: &impl SeedSource) -> bool {
         self.controller().maybe_escalate(policy, seeds).is_some()
@@ -483,17 +474,17 @@ where
         self.controller().maybe_deescalate(policy).is_some()
     }
 
-    /// Escalation-ladder rungs taken (lifetime, every build).
+    /// Escalation-ladder rungs taken (lifetime).
     pub fn escalations(&self) -> u64 {
         self.table.obs().escalations.get()
     }
 
-    /// Quiet-window de-escalations (lifetime, every build).
+    /// Quiet-window de-escalations (lifetime).
     pub fn deescalations(&self) -> u64 {
         self.table.obs().deescalations.get()
     }
 
-    /// Keyed-rung seed rotations (lifetime, every build).
+    /// Keyed-rung seed rotations (lifetime).
     pub fn seed_rotations(&self) -> u64 {
         self.table.obs().seed_rotations.get()
     }
@@ -1155,8 +1146,7 @@ mod tests {
         // A flood filed before a migration epoch opened sits in the old
         // epoch's chains, where the live-epoch chain scan cannot see it;
         // lookups that keep hammering it while the epoch drains show up
-        // only in the probe-length window. That window is recorded in
-        // every build, so this escalates with and without `obs`.
+        // only in the probe-length window.
         let mut m = guarded_ssn_map(sepe_core::Family::OffXor);
         let seeds = sepe_core::hash::keyed::FixedSeedSource::new(7);
         let policy = AttackPolicy::default();

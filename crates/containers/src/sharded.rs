@@ -47,9 +47,8 @@ const SHARD_EVENT_CAPACITY: usize = 1024;
 
 /// Map-wide observability: lock acquisitions, shard degradations, and a
 /// bounded trace of per-shard transition events. Shared handles so an
-/// exported [`sepe_obs::Registry`] reads live values. Every bump is gated
-/// on [`sepe_obs::enabled`]; the ladder counts that hold in every build
-/// are the shards' own table counters.
+/// exported [`sepe_obs::Registry`] reads live values. The ladder counts
+/// are the shards' own table counters, not kept here.
 #[derive(Debug)]
 struct ShardObs {
     /// Shard read locks taken (including non-blocking upgrade probes).
@@ -184,9 +183,7 @@ where
         // A poisoned shard saw a panic mid-operation; its chains are still
         // structurally sound (no unsafe in the table), so recover rather
         // than cascade the panic through every thread touching the map.
-        if sepe_obs::enabled() {
-            self.obs.read_locks.inc();
-        }
+        self.obs.read_locks.inc();
         self.shards[i]
             .read()
             .unwrap_or_else(PoisonError::into_inner)
@@ -194,9 +191,7 @@ where
 
     #[inline]
     fn write(&self, i: usize) -> RwLockWriteGuard<'_, UnorderedMap<K, V, GuardedHash<F, G>>> {
-        if sepe_obs::enabled() {
-            self.obs.write_locks.inc();
-        }
+        self.obs.write_locks.inc();
         self.shards[i]
             .write()
             .unwrap_or_else(PoisonError::into_inner)
@@ -408,7 +403,7 @@ where
     }
 
     /// Runs `call` on shard `i` under its write lock; after the lock is
-    /// released, records its transition (only with `obs`), if it took one.
+    /// released, records its transition, if it took one.
     fn transition(
         &self,
         i: usize,
@@ -417,20 +412,18 @@ where
         let Some(t) = call(self.write(i).controller()) else {
             return false;
         };
-        if sepe_obs::enabled() {
-            let shard = i as u64;
-            let event = match t {
-                Transition::Degrade => {
-                    self.obs.shard_degrades.inc();
-                    ObsEvent::ShardDegrade { shard }
-                }
-                Transition::Escalate => ObsEvent::ShardEscalate { shard },
-                Transition::Rotate => ObsEvent::SeedRotation { shard },
-                Transition::Deescalate => ObsEvent::ShardDeescalate { shard },
-                Transition::Resynth => return true,
-            };
-            self.obs.events.push(event);
-        }
+        let shard = i as u64;
+        let event = match t {
+            Transition::Degrade => {
+                self.obs.shard_degrades.inc();
+                ObsEvent::ShardDegrade { shard }
+            }
+            Transition::Escalate => ObsEvent::ShardEscalate { shard },
+            Transition::Rotate => ObsEvent::SeedRotation { shard },
+            Transition::Deescalate => ObsEvent::ShardDeescalate { shard },
+            Transition::Resynth => return true,
+        };
+        self.obs.events.push(event);
         true
     }
 
@@ -500,7 +493,6 @@ where
     }
 
     /// The recorded [`ObsEvent::ShardDegrade`] events, oldest first.
-    /// Empty in `obs`-off builds.
     pub fn degrade_events(&self) -> Vec<ObsEvent> {
         self.obs.events.snapshot()
     }
@@ -1085,13 +1077,11 @@ mod tests {
         }
         assert_eq!(m.shard_escalation_count(), 3);
         assert_eq!(m.shard_seed_rotation_count(), 1);
-        if sepe_obs::enabled() {
-            let names: Vec<&str> = m.degrade_events().iter().map(ObsEvent::name).collect();
-            assert_eq!(
-                names,
-                vec!["shard_escalate", "shard_escalate", "seed_rotation"]
-            );
-        }
+        let names: Vec<&str> = m.degrade_events().iter().map(ObsEvent::name).collect();
+        assert_eq!(
+            names,
+            vec!["shard_escalate", "shard_escalate", "seed_rotation"]
+        );
         // Contents survive; de-escalation restores the specialized hash.
         m.finish_migrations();
         for i in 0..400 {

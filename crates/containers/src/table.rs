@@ -164,16 +164,13 @@ impl Clone for OpCount {
 /// export reads live values without the hot path paying registry
 /// indirection.
 ///
-/// Two kinds of state live here. The probe-length window and the ladder
-/// counters are product state — the storm detector judges the first, the
-/// harnesses check the second — so they are recorded in every build,
-/// like the guard drift counters. Everything else is pure observability,
-/// gated on [`sepe_obs::enabled`] so `obs`-off builds compile it away at
-/// the call sites.
+/// The storm detector judges the probe-length window and the harnesses
+/// check the ladder counters; the rest is read only by exports and the
+/// harnesses' cross-checks.
 #[derive(Debug)]
 pub(crate) struct TableObs {
-    /// Entries examined per lookup, across both epochs. Recorded in every
-    /// build with single-writer bumps (see [`RawTable::find_hashed`]).
+    /// Entries examined per lookup, across both epochs. Recorded with
+    /// single-writer bumps (see [`RawTable::find_hashed`]).
     pub(crate) probe_len: Arc<Histogram>,
     /// Entries drained out of migration epochs (monotone lifetime total).
     pub(crate) drain_ops: Arc<Counter>,
@@ -465,9 +462,7 @@ where
         if self.len == 0 {
             return;
         }
-        if sepe_obs::enabled() {
-            self.obs.epochs_opened.inc();
-        }
+        self.obs.epochs_opened.inc();
         let buckets = self.heads.len();
         let old_heads = std::mem::replace(&mut self.heads, vec![NONE; buckets]);
         self.live = !self.live;
@@ -570,7 +565,7 @@ where
             moved += n;
         }
         mig.old_len -= moved;
-        if sepe_obs::enabled() && moved > 0 {
+        if moved > 0 {
             self.obs.drain_ops.add(moved as u64);
         }
         self.keep_or_close(mig);
@@ -583,9 +578,7 @@ where
             self.migration = Some(mig);
         } else {
             self.stale_reads.reset();
-            if sepe_obs::enabled() {
-                self.obs.epochs_finished.inc();
-            }
+            self.obs.epochs_finished.inc();
         }
     }
 
@@ -773,9 +766,7 @@ where
         if self.migration.is_some() {
             self.stale_reads.record();
             self.epoch_ops.record();
-            if sepe_obs::enabled() {
-                self.obs.stale_probes.add_single_writer(1);
-            }
+            self.obs.stale_probes.add_single_writer(1);
         }
         let mut probes = 0u64;
         let found = self.find_in_chain(self.live_chain(probe.hash), probe, &mut probes);
@@ -1059,7 +1050,7 @@ where
         self.len = 0;
         // A discarded epoch still counts as retired, so opened/finished
         // stay balanced for metric cross-checks.
-        if sepe_obs::enabled() && self.migration.is_some() {
+        if self.migration.is_some() {
             self.obs.epochs_finished.inc();
         }
         self.migration = None;

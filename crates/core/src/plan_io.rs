@@ -120,7 +120,7 @@ impl Json {
             pos: 0,
         };
         p.skip_ws();
-        let value = p.value()?;
+        let value = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(p.err("trailing characters"));
@@ -213,6 +213,11 @@ fn shape_err(message: impl Into<String>) -> ParseError {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Plans and
+/// bundles nest well under ten levels; the cap keeps hostile input from
+/// overflowing the parser's stack.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -258,14 +263,17 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, ParseError> {
+    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
         match self.peek() {
             Some(b'n') => self.eat_keyword("null").map(|()| Json::Null),
             Some(b't') => self.eat_keyword("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.eat_keyword("false").map(|()| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => {
+                Err(self.err("arrays and objects nested too deep"))
+            }
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -293,9 +301,12 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign.
                             let hex = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
@@ -338,7 +349,7 @@ impl Parser<'_> {
             .map_err(|_| self.err("bad number"))
     }
 
-    fn array(&mut self) -> Result<Json, ParseError> {
+    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -348,7 +359,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -361,7 +372,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, ParseError> {
+    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
         self.eat(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
@@ -375,7 +386,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             map.insert(key, value);
             self.skip_ws();
             match self.peek() {
@@ -974,6 +985,30 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse(r#""open"#).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let deep = open.repeat(100_000) + &close.repeat(100_000);
+            assert!(Json::parse(&deep).is_err());
+            assert!(matches!(
+                bundle_from_str(&deep),
+                Err(SynthError::MalformedPlan { .. })
+            ));
+        }
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&ok).is_ok());
+        let over = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&over).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(Json::parse(r#""a\u0041""#).unwrap().as_str(), Some("aA"));
+        for bad in [r#""a\u+041""#, r#""a\u-041""#, r#""a\u 041""#, r#""a\u04""#] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -1,12 +1,16 @@
-//! Robustness fuzzing for the regex front end: the parser and expander must
-//! be total (return `Ok` or a structured error, never panic) on arbitrary
-//! input, and everything they accept must go through synthesis and hashing
-//! without trouble.
+//! Robustness fuzzing for the two parsers that read untrusted text. The
+//! regex parser and expander must be total (return `Ok` or a structured
+//! error, never panic) on arbitrary input, and everything they accept must
+//! go through synthesis and hashing without trouble. The plan-bundle
+//! decoder is fuzzed from canonical bundles: every truncation, single-byte
+//! flips, duplicated keys and deep nesting must decode or return a typed
+//! error, and whatever decodes must re-encode to a bundle that decodes.
 
 use proptest::prelude::*;
 use sepe_core::hash::{ByteHash, SynthesizedHash};
+use sepe_core::plan_io::{bundle_from_str, bundle_to_string, SynthBundle};
 use sepe_core::regex::{parse, Regex};
-use sepe_core::synth::Family;
+use sepe_core::synth::{synthesize, Family};
 
 /// Strings biased toward regex metacharacters so the parser's corners get
 /// hit far more often than uniform ASCII would manage.
@@ -80,5 +84,91 @@ proptest! {
         for c in &expansion.classes {
             prop_assert!(!c.is_empty());
         }
+    }
+}
+
+/// Canonical bundles: a fixed-length and a variable-length format under
+/// every family.
+fn canonical_bundles() -> Vec<String> {
+    let mut out = Vec::new();
+    for src in [r"\d{3}-\d{2}-\d{4}", r"user-[a-z0-9]{4,12}"] {
+        let pattern = Regex::compile(src).expect("format compiles");
+        for family in Family::ALL {
+            let plan = synthesize(&pattern, family);
+            out.push(bundle_to_string(&SynthBundle {
+                pattern: pattern.clone(),
+                family,
+                plan,
+            }));
+        }
+    }
+    out
+}
+
+/// `text` may be rejected (the error is typed by construction), but must
+/// not panic, and a decoded bundle must re-encode to one that decodes.
+fn decodes_or_rejects(text: &str) {
+    if let Ok(bundle) = bundle_from_str(text) {
+        assert_eq!(
+            bundle_from_str(&bundle_to_string(&bundle)),
+            Ok(bundle),
+            "{text}"
+        );
+    }
+}
+
+#[test]
+fn every_truncation_of_a_bundle_is_rejected() {
+    for text in canonical_bundles() {
+        assert!(bundle_from_str(&text).is_ok(), "{text}");
+        for cut in 0..text.len() {
+            assert!(bundle_from_str(&text[..cut]).is_err(), "{}", &text[..cut]);
+        }
+    }
+}
+
+#[test]
+fn duplicated_bundle_keys_decode_to_the_same_bundle() {
+    for text in canonical_bundles() {
+        // Split at the top level's commas (bundle strings hold no
+        // brackets or commas) and repeat each member at the front.
+        let mut depth = 0;
+        let mut cuts = vec![0];
+        for (i, b) in text.bytes().enumerate() {
+            match b {
+                b'{' | b'[' => depth += 1,
+                b'}' | b']' => depth -= 1,
+                b',' if depth == 1 => cuts.push(i),
+                _ => {}
+            }
+        }
+        cuts.push(text.len() - 1);
+        for w in cuts.windows(2) {
+            let member = &text[w[0] + 1..w[1]];
+            let dup = text.replacen('{', &format!("{{{member},"), 1);
+            decodes_or_rejects(&dup);
+            assert_eq!(bundle_from_str(&dup), bundle_from_str(&text), "{dup}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn single_byte_flips_decode_or_reject(which in any::<usize>(), at in any::<usize>(), byte in any::<u8>()) {
+        let bundles = canonical_bundles();
+        let mut bytes = bundles[which % bundles.len()].clone().into_bytes();
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        decodes_or_rejects(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn nested_bundles_decode_or_reject(n in 0usize..200, object in any::<bool>()) {
+        let (open, close) = if object { ("{\"a\":", "}") } else { ("[", "]") };
+        let text = open.repeat(n) + &canonical_bundles()[0] + &close.repeat(n);
+        decodes_or_rejects(&text);
+        prop_assert_eq!(bundle_from_str(&text).is_ok(), n == 0);
     }
 }

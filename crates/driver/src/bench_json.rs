@@ -675,8 +675,7 @@ pub fn adversarial_records(scale: &RunScale, config: &BenchConfig) -> Vec<Advers
 /// table and guard metrics exported into one [`sepe_obs::Registry`]
 /// under a `format` label. Because the workload is single-threaded and
 /// every input is seeded, the resulting [`sepe_obs::Snapshot`] is
-/// byte-identical across runs at the same scale (with the `obs` feature
-/// off the counters stay registered at zero, still deterministically).
+/// byte-identical across runs at the same scale.
 #[must_use]
 pub fn metrics_snapshot(scale: &RunScale, config: &BenchConfig) -> sepe_obs::Snapshot {
     let registry = sepe_obs::Registry::new();
@@ -1157,16 +1156,14 @@ mod tests {
             b.render(),
             "same scale, same seeds, same snapshot bytes"
         );
-        if sepe_obs::enabled() {
-            // One degrade per format: the epoch opened, drained completely,
-            // and every resident entry moved.
-            let opened = a.counter_family_total("table_epochs_opened");
-            let finished = a.counter_family_total("table_epochs_finished");
-            assert_eq!(opened, scale.formats.len() as u64, "{a:?}");
-            assert_eq!(opened, finished, "quiescent snapshot balances epochs");
-            assert!(a.counter_family_total("table_drain_ops") > 0);
-            assert!(a.counter_family_total("guard_in_format") > 0);
-        }
+        // One degrade per format: the epoch opened, drained completely,
+        // and every resident entry moved.
+        let opened = a.counter_family_total("table_epochs_opened");
+        let finished = a.counter_family_total("table_epochs_finished");
+        assert_eq!(opened, scale.formats.len() as u64, "{a:?}");
+        assert_eq!(opened, finished, "quiescent snapshot balances epochs");
+        assert!(a.counter_family_total("table_drain_ops") > 0);
+        assert!(a.counter_family_total("guard_in_format") > 0);
     }
 
     #[test]

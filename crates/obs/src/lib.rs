@@ -25,16 +25,14 @@
 //!   [`SCHEMA`](snapshot::SCHEMA) = `sepe-metrics/v1`, and a strict parser
 //!   that rejects corruption with typed [`SnapshotError`]s.
 //!
-//! # The `obs` façade
+//! # One build
 //!
-//! The metric primitives are always compiled and always correct — guard
-//! drift counters and a table's probe-length window are load-bearing
-//! (the degradation and storm policies read them), so they cannot be
-//! compiled away. What *can* be compiled away is the pure observability
-//! instrumentation layered on the hot paths: lock-acquisition counters,
-//! batch chunk counters, epoch accounting. Call sites gate those bumps
-//! on [`enabled()`], a `const fn` on `cfg!(feature = "obs")`, so an
-//! `obs`-off build folds the whole branch to nothing.
+//! There is no feature that compiles instrumentation out: every metric is
+//! always recorded. Some are load-bearing: the
+//! guard drift counters and a table's probe-length window drive the
+//! degradation and storm policies. The rest (lock-acquisition counters,
+//! batch chunk counters, epoch accounting) are observability, kept on
+//! because they are cheap and the harnesses reconcile them.
 //!
 //! Locking discipline: counters, gauges, and histograms are wait-free on
 //! the write path. [`Counter::add`] and [`Histogram::observe`] are one
@@ -60,15 +58,11 @@ pub use registry::{metric_id, Registry, RegistryError};
 pub use snapshot::{HistogramSnapshot, Snapshot, SnapshotError, SCHEMA};
 pub use trace::EventTrace;
 
-/// Whether pure-observability instrumentation is compiled in.
+/// Always `true`: instrumentation is compiled into every build.
 ///
-/// This is `const`, so `if sepe_obs::enabled() { ... }` disappears
-/// entirely from `obs`-off builds — the near-zero-cost façade the hot
-/// paths are instrumented behind. Load-bearing counters (guard drift,
-/// the probe-length window, escalation-ladder counts) must *not* be
-/// gated on this.
-#[inline(always)]
+/// Kept only because the `benchmark/` package prints it as
+/// `obs_enabled`; nothing in the workspace calls it.
 #[must_use]
 pub const fn enabled() -> bool {
-    cfg!(feature = "obs")
+    true
 }

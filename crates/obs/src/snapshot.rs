@@ -22,6 +22,11 @@ use std::fmt;
 /// Schema identifier pinned into every rendered snapshot.
 pub const SCHEMA: &str = "sepe-metrics/v1";
 
+/// Deepest object nesting [`Snapshot::parse`] accepts. A rendered
+/// snapshot nests four levels; the cap keeps hostile input from
+/// overflowing the parser's stack.
+const MAX_DEPTH: usize = 64;
+
 /// A histogram reduced to its occupied buckets.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
@@ -458,7 +463,7 @@ impl<'a> Parser<'a> {
     }
 
     fn document(&mut self) -> Result<Node, SnapshotError> {
-        let value = self.value()?;
+        let value = self.value(0)?;
         self.skip_ws();
         if self.pos != self.bytes.len() {
             return Err(self.err("trailing content after the snapshot"));
@@ -466,17 +471,18 @@ impl<'a> Parser<'a> {
         Ok(value)
     }
 
-    fn value(&mut self) -> Result<Node, SnapshotError> {
+    fn value(&mut self, depth: usize) -> Result<Node, SnapshotError> {
         self.skip_ws();
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
+            Some(b'{') if depth == MAX_DEPTH => Err(self.err("objects nested too deep")),
+            Some(b'{') => self.object(depth + 1),
             Some(b'"') => Ok(Node::Str(self.string()?)),
             Some(_) => Err(self.err("expected a string or an object")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn object(&mut self) -> Result<Node, SnapshotError> {
+    fn object(&mut self, depth: usize) -> Result<Node, SnapshotError> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
@@ -488,7 +494,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             let key = self.string()?;
             self.expect(b':')?;
-            let value = self.value()?;
+            let value = self.value(depth)?;
             if map.insert(key.clone(), value).is_some() {
                 return Err(self.err(format!("duplicate key {key:?}")));
             }
@@ -527,14 +533,15 @@ impl<'a> Parser<'a> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            let hex = self
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign.
+                            let code = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-ASCII \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| self.err("\\u escape needs four hex digits"))?;
                             let c = char::from_u32(code)
                                 .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
                             out.push(c);
@@ -673,6 +680,35 @@ mod tests {
             Snapshot::parse(&extra),
             Err(SnapshotError::Malformed { .. })
         ));
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+        let deep = "{\"a\":".repeat(100_000) + &"}".repeat(100_000);
+        assert!(matches!(
+            Snapshot::parse(&deep),
+            Err(SnapshotError::Malformed { .. })
+        ));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        let doc = |id: &str| {
+            format!(
+                r#"{{"counters":{{"{id}":"1"}},"gauges":{{}},"histograms":{{}},"schema":"sepe-metrics/v1"}}"#
+            )
+        };
+        let parsed = Snapshot::parse(&doc(r"a\u0041")).expect("parses");
+        assert_eq!(parsed.counter("aA"), Some(1));
+        for bad in [r"a\u+041", r"a\u-041", r"a\u 041", r"a\u04"] {
+            assert!(
+                matches!(
+                    Snapshot::parse(&doc(bad)),
+                    Err(SnapshotError::Malformed { .. })
+                ),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

@@ -5,11 +5,15 @@
 //! observation (bucket counts sum to the observation count and every
 //! value lands in the bucket whose bounds contain it); snapshots of the
 //! same op sequence render byte-identically and round-trip through the
-//! strict parser.
+//! strict parser. The parser is a trust boundary, so it is also fuzzed
+//! from a canonical render: every truncation, single-byte flips,
+//! duplicated keys and deep nesting must parse or return a typed error,
+//! never panic, and whatever parses must re-render to a document that
+//! parses back to the same snapshot.
 
 use proptest::prelude::*;
 use sepe_obs::histogram::{bucket_bounds, bucket_index};
-use sepe_obs::{Counter, Histogram, Registry, Snapshot, BUCKETS};
+use sepe_obs::{Counter, Histogram, Registry, Snapshot, SnapshotError, BUCKETS};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The verbatim pre-migration `GuardStats::bump_many` semantics, kept
@@ -18,6 +22,85 @@ fn reference_bump(counter: &AtomicU64, n: u64) {
     let prev = counter.fetch_add(n, Ordering::Relaxed);
     if prev > u64::MAX - n {
         counter.store(u64::MAX, Ordering::Relaxed);
+    }
+}
+
+/// A canonical render with every section populated and labeled ids.
+fn canonical_snapshot() -> String {
+    let reg = Registry::new();
+    reg.counter("drift", &[]).expect("counter").add(u64::MAX);
+    reg.counter("ops", &[("shard", "0")])
+        .expect("counter")
+        .add(7);
+    reg.gauge("depth", &[]).expect("gauge").set(3);
+    let h = reg
+        .histogram("probe_len", &[("shard", "1")])
+        .expect("histogram");
+    for v in [0, 1, 5, 900] {
+        h.observe(v);
+    }
+    reg.snapshot().render()
+}
+
+/// `doc` may be rejected (the error is typed by construction), but must
+/// not panic, and what parses must survive a render and re-parse.
+fn parses_or_rejects(doc: &str) {
+    if let Ok(snap) = Snapshot::parse(doc) {
+        assert_eq!(Snapshot::parse(&snap.render()), Ok(snap), "{doc}");
+    }
+}
+
+#[test]
+fn every_truncation_of_a_snapshot_is_rejected() {
+    let doc = canonical_snapshot();
+    assert!(Snapshot::parse(&doc).is_ok());
+    for cut in 0..doc.len() {
+        assert!(Snapshot::parse(&doc[..cut]).is_err(), "{}", &doc[..cut]);
+    }
+}
+
+#[test]
+fn duplicated_snapshot_keys_are_rejected() {
+    let doc = canonical_snapshot();
+    let first_counter = {
+        let open = doc.find("\"counters\":{").expect("counters") + "\"counters\":{".len();
+        &doc[open..open + doc[open..].find(',').expect("two counters")]
+    };
+    let dups = [
+        doc.replacen('{', "{\"counters\":{},", 1),
+        doc.replacen('{', "{\"schema\":\"sepe-metrics/v1\",", 1),
+        doc.replacen("\"count\":", "\"count\":\"4\",\"count\":", 1),
+        doc.replacen(
+            first_counter,
+            &format!("{first_counter},{first_counter}"),
+            1,
+        ),
+    ];
+    for dup in dups {
+        assert_ne!(dup, doc);
+        assert!(
+            matches!(Snapshot::parse(&dup), Err(SnapshotError::Malformed { .. })),
+            "{dup}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn single_byte_flips_parse_or_reject(at in any::<usize>(), byte in any::<u8>()) {
+        let mut bytes = canonical_snapshot().into_bytes();
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        parses_or_rejects(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn nested_snapshots_parse_or_reject(n in 0usize..200) {
+        let doc = "{\"a\":".repeat(n) + &canonical_snapshot() + &"}".repeat(n);
+        parses_or_rejects(&doc);
+        prop_assert_eq!(Snapshot::parse(&doc).is_ok(), n == 0);
     }
 }
 

@@ -14,8 +14,7 @@
 //! * **content integrity** — contents always match the twin, through
 //!   escalations, incremental re-key migrations, and de-escalation;
 //! * **counter discipline** — the escalation / de-escalation /
-//!   seed-rotation counters exactly equal the harness transcript, in
-//!   every build;
+//!   seed-rotation counters exactly equal the harness transcript;
 //! * **hysteresis** — benign workloads never trip the detector;
 //! * **cause-aware exits** — a drift degrade is never undone by storm
 //!   quiet, and a storm rung is never left while its flood is resident.
@@ -1076,31 +1075,29 @@ where
             stats.escalations, stats.deescalations, stats.rotations
         ));
     }
-    if sepe_obs::enabled() {
-        let names: Vec<&str> = map
-            .degrade_events()
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    ObsEvent::ShardEscalate { shard }
-                    | ObsEvent::ShardDeescalate { shard }
-                    | ObsEvent::SeedRotation { shard } if *shard == target as u64
-                )
-            })
-            .map(ObsEvent::name)
-            .collect();
-        let want = [
-            "shard_escalate",
-            "shard_escalate",
-            "seed_rotation",
-            "shard_deescalate",
-        ];
-        if names != want {
-            return Err(format!(
-                "target-shard event transcript {names:?} != expected {want:?}"
-            ));
-        }
+    let names: Vec<&str> = map
+        .degrade_events()
+        .iter()
+        .filter(|e| {
+            matches!(
+                e,
+                ObsEvent::ShardEscalate { shard }
+                | ObsEvent::ShardDeescalate { shard }
+                | ObsEvent::SeedRotation { shard } if *shard == target as u64
+            )
+        })
+        .map(ObsEvent::name)
+        .collect();
+    let want = [
+        "shard_escalate",
+        "shard_escalate",
+        "seed_rotation",
+        "shard_deescalate",
+    ];
+    if names != want {
+        return Err(format!(
+            "target-shard event transcript {names:?} != expected {want:?}"
+        ));
     }
     Ok(stats)
 }

@@ -361,7 +361,7 @@ where
 /// [`ShardedMap::drift_counts`], the `shard_degrades` counter (and the
 /// degrade event trace) must equal the worker-observed degradations, and
 /// after the quiescent drain every opened migration epoch must be
-/// finished. A no-op in `obs`-off builds, where the counters stay zero.
+/// finished.
 fn check_metrics_against_ground_truth<G>(
     map: &ShardedMap<Vec<u8>, u64, SynthesizedHash, G>,
     stats: &ConcurrentStats,
@@ -369,9 +369,6 @@ fn check_metrics_against_ground_truth<G>(
 where
     G: ByteHash + Clone + Send + Sync,
 {
-    if !sepe_obs::enabled() {
-        return Ok(());
-    }
     let registry = sepe_obs::Registry::new();
     map.export_metrics(&registry)
         .map_err(|e| format!("metrics export failed: {e}"))?;

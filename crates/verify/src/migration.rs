@@ -414,9 +414,7 @@ pub fn check_batched_epoch_boundary<G: ByteHash + Clone>(
 /// strides, then probe every key once. The registry snapshot must show
 /// exactly one epoch opened and finished, exactly `len` entries drained,
 /// and exactly `len` additional probe-length observations. Returns the
-/// number of metric assertions checked. The probe histogram is table
-/// state recorded in every build; the epoch and drain counters are
-/// compiled out of `obs`-off builds, which check the probe growth only.
+/// number of metric assertions checked.
 ///
 /// # Errors
 ///
@@ -442,7 +440,6 @@ pub fn check_drain_accounting<G: ByteHash + Clone>(
         return Err("empty clean pool".to_owned());
     }
     map.degrade_now();
-    let mut checked = 0usize;
     let expect = |what: &str, got: Option<u64>, want: u64| -> Result<(), String> {
         if got != Some(want) {
             return Err(format!(
@@ -451,34 +448,27 @@ pub fn check_drain_accounting<G: ByteHash + Clone>(
         }
         Ok(())
     };
-    let obs = sepe_obs::enabled();
-    if obs {
-        let snap = registry.snapshot();
-        expect(
-            "table_epochs_opened",
-            snap.counter("table_epochs_opened"),
-            1,
-        )?;
-        expect(
-            "table_epochs_finished",
-            snap.counter("table_epochs_finished"),
-            0,
-        )?;
-        checked += 2;
-    }
+    let snap = registry.snapshot();
+    expect(
+        "table_epochs_opened",
+        snap.counter("table_epochs_opened"),
+        1,
+    )?;
+    expect(
+        "table_epochs_finished",
+        snap.counter("table_epochs_finished"),
+        0,
+    )?;
     while map.migration_in_flight() {
         map.migrate(1 + (rng.next_u64() % 16) as usize);
     }
     let snap = registry.snapshot();
-    if obs {
-        expect("table_drain_ops", snap.counter("table_drain_ops"), entries)?;
-        expect(
-            "table_epochs_finished",
-            snap.counter("table_epochs_finished"),
-            1,
-        )?;
-        checked += 2;
-    }
+    expect("table_drain_ops", snap.counter("table_drain_ops"), entries)?;
+    expect(
+        "table_epochs_finished",
+        snap.counter("table_epochs_finished"),
+        1,
+    )?;
     let probes_before = snap
         .histograms
         .get("table_probe_len")
@@ -504,8 +494,8 @@ pub fn check_drain_accounting<G: ByteHash + Clone>(
             probes_after - probes_before
         ));
     }
-    checked += 1;
-    Ok(checked)
+    // Epochs opened, finished twice, entries drained, probe growth.
+    Ok(5)
 }
 
 /// Synthesizes a pristine plan bundle for `pattern`/`family`, derives
