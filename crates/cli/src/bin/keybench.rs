@@ -139,8 +139,8 @@ fn parse_args() -> Result<Options, String> {
 /// relative to the single-thread row.
 fn threads_report(pattern: &KeyPattern, keys: &[String], max_threads: usize, iterations: usize) {
     use sepe_containers::ShardedMap;
-    use sepe_core::plan_io::Json;
     use sepe_keygen::SplitMix64;
+    use sepe_obs::json::Json;
     use std::collections::BTreeMap;
 
     type Map = ShardedMap<String, usize, SynthesizedHash, CityHash>;
@@ -225,8 +225,8 @@ fn threads_report(pattern: &KeyPattern, keys: &[String], max_threads: usize, ite
 /// straight into tooling): per family, ns/key at width 1 (latency-chained)
 /// and width `W` (interleaved kernels).
 fn batch_report(pattern: &KeyPattern, key_bytes: &[&[u8]], width: usize, iterations: usize) {
-    use sepe_core::plan_io::Json;
     use sepe_driver::bench_json::{batched_ns_per_key, scalar_ns_per_key};
+    use sepe_obs::json::Json;
     use std::collections::BTreeMap;
 
     // The chained measurements mask indices, so use the largest
@@ -789,7 +789,7 @@ fn adversarial_report(pattern: &KeyPattern, keys: &[String], iterations: usize) 
 /// `sepe-keybench/v1` document with a `synthesis` array: per family, the
 /// wall time per synthesis plus its two work counters.
 fn synth_report(pattern: &KeyPattern, iterations: usize) {
-    use sepe_core::plan_io::Json;
+    use sepe_obs::json::Json;
     use std::collections::BTreeMap;
 
     let reps = (iterations / 1_000).clamp(8, 256);

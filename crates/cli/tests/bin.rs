@@ -1,6 +1,7 @@
 //! End-to-end tests of the command-line binaries, including the composed
 //! `keysynth "$(keybuilder < keys)"` workflow of Figure 5a.
 
+use sepe_obs::json::Json;
 use std::io::Write as _;
 use std::process::{Command, Stdio};
 
@@ -314,7 +315,7 @@ fn keybench_batch_emits_valid_keybench_json() {
     let (stdout, stderr, ok) = run_with_stdin(cmd, &keys);
     assert!(ok, "{stderr}");
 
-    let doc = sepe_core::plan_io::Json::parse(&stdout).expect("stdout is pure JSON");
+    let doc = Json::parse(&stdout).expect("stdout is pure JSON");
     assert_eq!(doc.get("schema").as_str(), Some("sepe-keybench/v1"));
     assert_eq!(doc.get("batch_width").as_u64(), Some(8));
     assert_eq!(doc.get("keys").as_u64(), Some(256));
@@ -331,7 +332,7 @@ fn keybench_batch_emits_valid_keybench_json() {
         assert!(width == 1 || width == 8, "unexpected width {width}");
         for field in ["ns_per_key", "throughput_mkeys"] {
             let v = match rec.get(field) {
-                sepe_core::plan_io::Json::Num(n) => *n,
+                Json::Num(n) => *n,
                 other => panic!("{field} is not a number: {other:?}"),
             };
             assert!(v > 0.0 && v.is_finite(), "{field} = {v} not positive");
@@ -374,7 +375,7 @@ fn sepe_repro_bench_json_writes_a_dated_parseable_baseline() {
         })
         .expect("a BENCH_<date>.json was written");
     let text = std::fs::read_to_string(&bench_file).expect("baseline readable");
-    let doc = sepe_core::plan_io::Json::parse(&text).expect("baseline is valid JSON");
+    let doc = Json::parse(&text).expect("baseline is valid JSON");
 
     // Golden schema fixture: the emitted document must carry exactly the
     // fields the fixture pins, so downstream consumers can rely on them.
@@ -383,10 +384,10 @@ fn sepe_repro_bench_json_writes_a_dated_parseable_baseline() {
         "/tests/fixtures/bench_schema.json"
     ))
     .expect("fixture readable");
-    let schema = sepe_core::plan_io::Json::parse(&fixture).expect("fixture is valid JSON");
+    let schema = Json::parse(&fixture).expect("fixture is valid JSON");
 
     assert_eq!(doc.get("schema").as_str(), schema.get("schema").as_str());
-    if let sepe_core::plan_io::Json::Obj(map) = &doc {
+    if let Json::Obj(map) = &doc {
         let keys: Vec<&str> = map.keys().map(String::as_str).collect();
         let want: Vec<&str> = schema
             .get("top_level")
@@ -411,7 +412,7 @@ fn sepe_repro_bench_json_writes_a_dated_parseable_baseline() {
     let records = doc.get("records").as_arr().expect("records array");
     assert!(!records.is_empty(), "baseline has no records");
     for rec in records {
-        if let sepe_core::plan_io::Json::Obj(map) = rec {
+        if let Json::Obj(map) = rec {
             let keys: Vec<&str> = map.keys().map(String::as_str).collect();
             assert_eq!(
                 keys, record_fields,
@@ -423,7 +424,7 @@ fn sepe_repro_bench_json_writes_a_dated_parseable_baseline() {
         let ns = rec.get("ns_per_key");
         let tp = rec.get("throughput_mkeys");
         match (ns, tp) {
-            (sepe_core::plan_io::Json::Num(ns), sepe_core::plan_io::Json::Num(tp)) => {
+            (Json::Num(ns), Json::Num(tp)) => {
                 assert!(*ns > 0.0 && ns.is_finite(), "ns_per_key {ns}");
                 assert!(*tp > 0.0 && tp.is_finite(), "throughput {tp}");
             }
@@ -448,7 +449,7 @@ fn sepe_repro_bench_json_writes_a_dated_parseable_baseline() {
         "phases come in steady/migrating/drained triples"
     );
     for row in migration {
-        if let sepe_core::plan_io::Json::Obj(map) = row {
+        if let Json::Obj(map) = row {
             let keys: Vec<&str> = map.keys().map(String::as_str).collect();
             assert_eq!(
                 keys, migration_fields,
@@ -463,7 +464,7 @@ fn sepe_repro_bench_json_writes_a_dated_parseable_baseline() {
             "unknown phase {phase}"
         );
         match row.get("ns_per_op") {
-            sepe_core::plan_io::Json::Num(ns) => {
+            Json::Num(ns) => {
                 assert!(*ns > 0.0 && ns.is_finite(), "ns_per_op {ns}");
             }
             other => panic!("non-numeric ns_per_op: {other:?}"),
@@ -482,7 +483,7 @@ fn sepe_repro_bench_json_writes_a_dated_parseable_baseline() {
     let concurrency = doc.get("concurrency").as_arr().expect("concurrency array");
     assert!(!concurrency.is_empty(), "baseline has no concurrency rows");
     for row in concurrency {
-        if let sepe_core::plan_io::Json::Obj(map) = row {
+        if let Json::Obj(map) = row {
             let keys: Vec<&str> = map.keys().map(String::as_str).collect();
             assert_eq!(
                 keys, concurrency_fields,
@@ -492,11 +493,7 @@ fn sepe_repro_bench_json_writes_a_dated_parseable_baseline() {
             panic!("concurrency row is not a JSON object");
         }
         match (row.get("threads"), row.get("ns_per_op"), row.get("speedup")) {
-            (
-                sepe_core::plan_io::Json::Num(threads),
-                sepe_core::plan_io::Json::Num(ns),
-                sepe_core::plan_io::Json::Num(speedup),
-            ) => {
+            (Json::Num(threads), Json::Num(ns), Json::Num(speedup)) => {
                 assert!(*threads >= 1.0, "threads {threads}");
                 assert!(*ns > 0.0 && ns.is_finite(), "ns_per_op {ns}");
                 assert!(*speedup > 0.0 && speedup.is_finite(), "speedup {speedup}");
@@ -524,7 +521,7 @@ fn sepe_repro_bench_json_writes_a_dated_parseable_baseline() {
     formats.dedup();
     assert_eq!(formats.len(), resynthesis.len(), "one row per format");
     for row in resynthesis {
-        if let sepe_core::plan_io::Json::Obj(map) = row {
+        if let Json::Obj(map) = row {
             let keys: Vec<&str> = map.keys().map(String::as_str).collect();
             assert_eq!(
                 keys, resynthesis_fields,
@@ -534,11 +531,7 @@ fn sepe_repro_bench_json_writes_a_dated_parseable_baseline() {
             panic!("resynthesis row is not a JSON object");
         }
         match (row.get("p50_ns"), row.get("p99_ns"), row.get("max_ns")) {
-            (
-                sepe_core::plan_io::Json::Num(p50),
-                sepe_core::plan_io::Json::Num(p99),
-                sepe_core::plan_io::Json::Num(max),
-            ) => {
+            (Json::Num(p50), Json::Num(p99), Json::Num(max)) => {
                 assert!(*p50 > 0.0 && p50.is_finite(), "p50_ns {p50}");
                 assert!(*p99 >= *p50, "p99_ns {p99} below p50_ns {p50}");
                 assert!(*max >= *p99, "max_ns {max} below p99_ns {p99}");
@@ -567,7 +560,7 @@ fn sepe_repro_bench_json_writes_a_dated_parseable_baseline() {
         "phases come in benign/attack/escalated triples"
     );
     for row in adversarial {
-        if let sepe_core::plan_io::Json::Obj(map) = row {
+        if let Json::Obj(map) = row {
             let keys: Vec<&str> = map.keys().map(String::as_str).collect();
             assert_eq!(
                 keys, adversarial_fields,
@@ -586,11 +579,7 @@ fn sepe_repro_bench_json_writes_a_dated_parseable_baseline() {
             row.get("max_chain"),
             row.get("escalation_us"),
         ) {
-            (
-                sepe_core::plan_io::Json::Num(ns),
-                sepe_core::plan_io::Json::Num(chain),
-                sepe_core::plan_io::Json::Num(esc),
-            ) => {
+            (Json::Num(ns), Json::Num(chain), Json::Num(esc)) => {
                 assert!(*ns > 0.0 && ns.is_finite(), "ns_per_op {ns}");
                 assert!(*chain >= 1.0, "max_chain {chain}");
                 match phase {
@@ -616,7 +605,7 @@ fn sepe_repro_bench_json_writes_a_dated_parseable_baseline() {
     assert!(!synthesis.is_empty(), "baseline has no synthesis rows");
     let mut cells = std::collections::BTreeSet::new();
     for row in synthesis {
-        if let sepe_core::plan_io::Json::Obj(map) = row {
+        if let Json::Obj(map) = row {
             let keys: Vec<&str> = map.keys().map(String::as_str).collect();
             assert_eq!(
                 keys, synthesis_fields,
@@ -632,7 +621,7 @@ fn sepe_repro_bench_json_writes_a_dated_parseable_baseline() {
             "one synthesis row per (format, family)"
         );
         match row.get("ns_per_synth") {
-            sepe_core::plan_io::Json::Num(ns) => {
+            Json::Num(ns) => {
                 assert!(*ns > 0.0 && ns.is_finite(), "ns_per_synth {ns}");
             }
             other => panic!("non-numeric ns_per_synth: {other:?}"),
@@ -662,10 +651,13 @@ fn sepe_repro_bench_json_writes_a_dated_parseable_baseline() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The four corrupted-plan fixtures, each with the typed error its
-/// corruption must produce. Paths are relative to the crate root.
-const CORRUPTED_PLAN_FIXTURES: [(&str, &str); 4] = [
+/// The corrupted-plan fixtures, each with the typed error its corruption
+/// must produce. Paths are relative to the crate root. A checksum with a
+/// redundant leading zero is not a `u64` spelling the codec reads, so it
+/// is malformed rather than mismatched.
+const CORRUPTED_PLAN_FIXTURES: [(&str, &str); 5] = [
     ("plan_truncated.json", "malformed plan"),
+    ("plan_noncanonical_checksum.json", "malformed plan"),
     (
         "plan_wrong_version.json",
         "plan schema version 1 is not supported",

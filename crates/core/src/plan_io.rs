@@ -11,9 +11,11 @@
 //!   `{"FixedWords":{"len":11,"ops":[{"offset":0,"mask":…,"shift":0},…]}}`,
 //!   with the unit variant as the bare string `"StlFallback"`.
 //!
-//! The module exposes a tiny [`Json`] value type plus a strict parser;
-//! both are general-purpose enough for the test suites and the `sepe-verify`
-//! tooling to reuse.
+//! The JSON itself — value type, strict parser, canonical printer — is
+//! the workspace's one codec, [`sepe_obs::json`]; this module holds only
+//! the pattern, plan and bundle encoders on top of it. The codec rejects
+//! duplicate keys, non-JSON numbers and non-canonical decimal strings, so
+//! a 64-bit mask or checksum has exactly one accepted spelling.
 //!
 //! Plans cross a trust boundary when they come back from disk: the batched
 //! kernels and the emitted C++ perform raw loads at the plan's offsets, so
@@ -26,8 +28,7 @@
 use crate::hash::SynthError;
 use crate::pattern::{BytePattern, KeyPattern};
 use crate::synth::{Family, Plan, WordOp};
-use std::collections::BTreeMap;
-use std::fmt;
+use sepe_obs::json::{Json, ParseError};
 
 /// Schema version stamped into every serialized [`SynthBundle`].
 ///
@@ -36,166 +37,6 @@ use std::fmt;
 /// because a plan that reaches the unchecked batch kernels must have
 /// passed the validation this version introduces.
 pub const BUNDLE_VERSION: u64 = 2;
-
-/// A parsed JSON value. Objects use a [`BTreeMap`] so encoding is
-/// deterministic regardless of insertion order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number. Stored as `f64`, which is exact for the `u64`
-    /// values this module produces only up to 2^53; masks are therefore
-    /// encoded as [`Json::Str`] decimal strings, never as numbers.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object.
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// Member access on objects; [`Json::Null`] on anything else or when
-    /// the key is absent. Mirrors `serde_json::Value`'s indexing, which the
-    /// tests rely on for shape assertions.
-    #[must_use]
-    pub fn get(&self, key: &str) -> &Json {
-        match self {
-            Json::Obj(map) => map.get(key).unwrap_or(&Json::Null),
-            _ => &Json::Null,
-        }
-    }
-
-    /// Element access on arrays; [`Json::Null`] out of range.
-    #[must_use]
-    pub fn at(&self, index: usize) -> &Json {
-        match self {
-            Json::Arr(items) => items.get(index).unwrap_or(&Json::Null),
-            _ => &Json::Null,
-        }
-    }
-
-    /// The value as a `u64`, accepting both numbers and the decimal
-    /// strings used for 64-bit masks.
-    #[must_use]
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9_007_199_254_740_992.0 => {
-                Some(*n as u64)
-            }
-            Json::Str(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice.
-    #[must_use]
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Parses a JSON document. The whole input must be consumed.
-    ///
-    /// # Errors
-    ///
-    /// Returns a byte offset plus message for malformed input.
-    pub fn parse(text: &str) -> Result<Json, ParseError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters"));
-        }
-        Ok(value)
-    }
-}
-
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
-            Json::Str(s) => {
-                f.write_str("\"")?;
-                for c in s.chars() {
-                    match c {
-                        '"' => f.write_str("\\\"")?,
-                        '\\' => f.write_str("\\\\")?,
-                        '\n' => f.write_str("\\n")?,
-                        '\r' => f.write_str("\\r")?,
-                        '\t' => f.write_str("\\t")?,
-                        c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                        c => write!(f, "{c}")?,
-                    }
-                }
-                f.write_str("\"")
-            }
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(map) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{}:{v}", Json::Str(k.clone()))?;
-                }
-                f.write_str("}")
-            }
-        }
-    }
-}
-
-/// A malformed JSON document or a well-formed document of the wrong shape.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Byte offset the error was detected at (0 for shape errors).
-    pub at: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} at byte {}", self.message, self.at)
-    }
-}
-
-impl std::error::Error for ParseError {}
 
 impl From<ParseError> for SynthError {
     fn from(e: ParseError) -> Self {
@@ -210,194 +51,6 @@ fn shape_err(message: impl Into<String>) -> ParseError {
     ParseError {
         at: 0,
         message: message.into(),
-    }
-}
-
-/// Deepest array/object nesting [`Json::parse`] accepts. Plans and
-/// bundles nest well under ten levels; the cap keeps hostile input from
-/// overflowing the parser's stack.
-const MAX_DEPTH: usize = 64;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, message: &str) -> ParseError {
-        ParseError {
-            at: self.pos,
-            message: message.to_string(),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn eat_keyword(&mut self, word: &str) -> Result<(), ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
-        match self.peek() {
-            Some(b'n') => self.eat_keyword("null").map(|()| Json::Null),
-            Some(b't') => self.eat_keyword("true").map(|()| Json::Bool(true)),
-            Some(b'f') => self.eat_keyword("false").map(|()| Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[' | b'{') if depth == MAX_DEPTH => {
-                Err(self.err("arrays and objects nested too deep"))
-            }
-            Some(b'[') => self.array(depth + 1),
-            Some(b'{') => self.object(depth + 1),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            // Exactly four hex digits: `from_str_radix`
-                            // alone would also take a sign.
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            // Surrogate pairs are not needed for plan files.
-                            let c =
-                                char::from_u32(hex).ok_or_else(|| self.err("bad \\u escape"))?;
-                            out.push(c);
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy the full UTF-8 sequence starting here.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("bad number"))
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
-        self.eat(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value(depth)?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
     }
 }
 
@@ -967,56 +620,6 @@ pub fn bundle_from_str(text: &str) -> Result<SynthBundle, SynthError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_parser_handles_nesting_and_escapes() {
-        let v = Json::parse(r#"{"a":[1,2.5,"x\n\"y"],"b":{"c":null,"d":true}}"#).unwrap();
-        assert_eq!(v.get("a").at(0).as_u64(), Some(1));
-        assert_eq!(v.get("a").at(1), &Json::Num(2.5));
-        assert_eq!(v.get("a").at(2).as_str(), Some("x\n\"y"));
-        assert_eq!(v.get("b").get("c"), &Json::Null);
-        assert_eq!(v.get("b").get("d"), &Json::Bool(true));
-        assert_eq!(v.get("missing"), &Json::Null);
-    }
-
-    #[test]
-    fn json_parser_rejects_garbage() {
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("1 2").is_err());
-        assert!(Json::parse(r#""open"#).is_err());
-    }
-
-    #[test]
-    fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
-        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
-            let deep = open.repeat(100_000) + &close.repeat(100_000);
-            assert!(Json::parse(&deep).is_err());
-            assert!(matches!(
-                bundle_from_str(&deep),
-                Err(SynthError::MalformedPlan { .. })
-            ));
-        }
-        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
-        assert!(Json::parse(&ok).is_ok());
-        let over = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
-        assert!(Json::parse(&over).is_err());
-    }
-
-    #[test]
-    fn unicode_escapes_take_exactly_four_hex_digits() {
-        assert_eq!(Json::parse(r#""a\u0041""#).unwrap().as_str(), Some("aA"));
-        for bad in [r#""a\u+041""#, r#""a\u-041""#, r#""a\u 041""#, r#""a\u04""#] {
-            assert!(Json::parse(bad).is_err(), "{bad}");
-        }
-    }
-
-    #[test]
-    fn display_round_trips() {
-        let text = r#"{"a":[1,"m",true],"b":null}"#;
-        let v = Json::parse(text).unwrap();
-        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
-    }
 
     #[test]
     fn masks_round_trip_exactly() {

@@ -3,14 +3,18 @@
 //! error, never panic) on arbitrary input, and everything they accept must
 //! go through synthesis and hashing without trouble. The plan-bundle
 //! decoder is fuzzed from canonical bundles: every truncation, single-byte
-//! flips, duplicated keys and deep nesting must decode or return a typed
-//! error, and whatever decodes must re-encode to a bundle that decodes.
+//! flips, duplicated keys, non-canonical decimal strings, deep nesting and
+//! megabyte strings must decode or return a typed error (fast), and
+//! whatever decodes must re-encode to a bundle that decodes. The JSON
+//! codec underneath has its own fuzz properties in `sepe-obs`.
 
 use proptest::prelude::*;
-use sepe_core::hash::{ByteHash, SynthesizedHash};
-use sepe_core::plan_io::{bundle_from_str, bundle_to_string, SynthBundle};
+use sepe_core::hash::{ByteHash, SynthError, SynthesizedHash};
+use sepe_core::plan_io::{bundle_from_str, bundle_to_string, plan_from_str, SynthBundle};
 use sepe_core::regex::{parse, Regex};
 use sepe_core::synth::{synthesize, Family};
+use sepe_obs::json::Json;
+use std::time::{Duration, Instant};
 
 /// Strings biased toward regex metacharacters so the parser's corners get
 /// hit far more often than uniform ASCII would manage.
@@ -128,7 +132,7 @@ fn every_truncation_of_a_bundle_is_rejected() {
 }
 
 #[test]
-fn duplicated_bundle_keys_decode_to_the_same_bundle() {
+fn duplicated_bundle_keys_are_rejected() {
     for text in canonical_bundles() {
         // Split at the top level's commas (bundle strings hold no
         // brackets or commas) and repeat each member at the front.
@@ -146,10 +150,59 @@ fn duplicated_bundle_keys_decode_to_the_same_bundle() {
         for w in cuts.windows(2) {
             let member = &text[w[0] + 1..w[1]];
             let dup = text.replacen('{', &format!("{{{member},"), 1);
-            decodes_or_rejects(&dup);
-            assert_eq!(bundle_from_str(&dup), bundle_from_str(&text), "{dup}");
+            assert!(
+                matches!(bundle_from_str(&dup), Err(SynthError::MalformedPlan { .. })),
+                "{dup}"
+            );
         }
     }
+}
+
+#[test]
+fn masks_and_checksums_take_only_canonical_decimals() {
+    let plan = |mask: &str| {
+        plan_from_str(&format!(
+            r#"{{"FixedWords":{{"len":8,"ops":[{{"offset":0,"mask":"{mask}","shift":0}}]}}}}"#
+        ))
+    };
+    assert!(plan("5").is_ok());
+    for bad in ["+5", "007", "-5", " 5", ""] {
+        assert!(
+            matches!(plan(bad), Err(SynthError::MalformedPlan { .. })),
+            "{bad:?}"
+        );
+    }
+    let text = &canonical_bundles()[0];
+    let checksum = Json::parse(text).expect("canonical bundle parses");
+    let checksum = checksum.get("checksum").as_str().expect("checksum string");
+    for bad in [format!("+{checksum}"), format!("00{checksum}")] {
+        let respelled = text.replacen(checksum, &bad, 1);
+        assert!(
+            matches!(
+                bundle_from_str(&respelled),
+                Err(SynthError::MalformedPlan { .. })
+            ),
+            "{respelled}"
+        );
+    }
+}
+
+#[test]
+fn a_megabyte_string_decodes_in_linear_time() {
+    // A family name of 1,000,001 characters ending in a two-byte one. The
+    // decoder reads it, prints it again for the checksum and rejects the
+    // bundle; a parser that re-validated the rest of the input at every
+    // character takes tens of seconds here.
+    let long = "ab".repeat(500_000) + "\u{e9}";
+    let text = canonical_bundles()[0].replacen(r#""family":""#, &format!(r#""family":"{long}"#), 1);
+    let start = Instant::now();
+    let got = bundle_from_str(&text);
+    let took = start.elapsed();
+    assert!(
+        matches!(got, Err(SynthError::PlanChecksum { .. })),
+        "{got:?}"
+    );
+    assert!(took < Duration::from_secs(1), "took {took:?}");
 }
 
 proptest! {

@@ -15,11 +15,11 @@ use sepe_baselines::CityHash;
 use sepe_containers::{AttackPolicy, ShardedMap, UnorderedMap};
 use sepe_core::guard::{GuardMode, GuardedHash};
 use sepe_core::hash::{ByteHash, FixedSeedSource, HashBatch};
-use sepe_core::plan_io::Json;
 use sepe_core::regex::Regex;
 use sepe_core::synth::Family;
 use sepe_core::SynthesizedHash;
 use sepe_keygen::{Distribution, KeySampler, SplitMix64};
+use sepe_obs::json::Json;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -822,12 +822,7 @@ pub fn to_json(
     doc.insert("resynthesis".to_string(), Json::Arr(resynthesis_rows));
     doc.insert("adversarial".to_string(), Json::Arr(adversarial_rows));
     doc.insert("synthesis".to_string(), Json::Arr(synthesis_rows));
-    // The snapshot's canonical spelling is itself JSON built from strings
-    // and objects only, so it embeds as a subtree without re-encoding.
-    doc.insert(
-        "metrics".to_string(),
-        Json::parse(&metrics.render()).expect("snapshot renders valid JSON"),
-    );
+    doc.insert("metrics".to_string(), metrics.to_json());
     Json::Obj(doc)
 }
 

@@ -24,6 +24,9 @@
 //!   decimal strings (exact for the full `u64` range), schema
 //!   [`SCHEMA`](snapshot::SCHEMA) = `sepe-metrics/v1`, and a strict parser
 //!   that rejects corruption with typed [`SnapshotError`]s.
+//! * [`json`] — the workspace's one JSON codec ([`json::Json`], a strict
+//!   parser and a canonical printer), shared by snapshots, plan bundles
+//!   and bench reports.
 //!
 //! # One build
 //!
@@ -46,6 +49,7 @@
 
 pub mod event;
 pub mod histogram;
+pub mod json;
 pub mod metrics;
 pub mod registry;
 pub mod snapshot;

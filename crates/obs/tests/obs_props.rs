@@ -9,12 +9,15 @@
 //! from a canonical render: every truncation, single-byte flips,
 //! duplicated keys and deep nesting must parse or return a typed error,
 //! never panic, and whatever parses must re-render to a document that
-//! parses back to the same snapshot.
+//! parses back to the same snapshot. These test the snapshot's shape
+//! checks above the JSON codec, whose own properties are in
+//! `json_fuzz.rs`.
 
 use proptest::prelude::*;
 use sepe_obs::histogram::{bucket_bounds, bucket_index};
 use sepe_obs::{Counter, Histogram, Registry, Snapshot, SnapshotError, BUCKETS};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 /// The verbatim pre-migration `GuardStats::bump_many` semantics, kept
 /// here as the reference the shared [`Counter`] must match bump for bump.
@@ -83,6 +86,22 @@ fn duplicated_snapshot_keys_are_rejected() {
             "{dup}"
         );
     }
+}
+
+#[test]
+fn a_megabyte_metric_id_parses_in_linear_time() {
+    // A counter id of 1,000,001 characters ending in a two-byte one; a
+    // parser that re-validated the rest of the input at every character
+    // takes tens of seconds here.
+    let id = "ab".repeat(500_000) + "\u{e9}";
+    let doc = format!(
+        r#"{{"counters":{{"{id}":"1"}},"gauges":{{}},"histograms":{{}},"schema":"sepe-metrics/v1"}}"#
+    );
+    let start = Instant::now();
+    let snap = Snapshot::parse(&doc);
+    let took = start.elapsed();
+    assert_eq!(snap.expect("parses").counter(&id), Some(1));
+    assert!(took < Duration::from_secs(1), "took {took:?}");
 }
 
 proptest! {

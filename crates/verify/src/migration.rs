@@ -636,12 +636,15 @@ fn bump_digit_after(text: &str, anchor: &str) -> Option<String> {
     String::from_utf8(bytes).ok()
 }
 
-/// Returns `text` with the first *nonzero* ASCII digit after `anchor`
-/// decremented, so a tampered decimal number strictly shrinks and still
-/// parses as `u64`. `None` when the anchor or such a digit is missing.
+/// Returns `text` with the last *nonzero* digit of the quoted decimal
+/// after `anchor` decremented, so the tampered number strictly shrinks
+/// and is still a canonical decimal `u64` (a leading `1` would become a
+/// leading zero, which the codec rejects as malformed). `None` when the
+/// anchor or such a digit is missing.
 fn lower_digit_after(text: &str, anchor: &str) -> Option<String> {
     let start = text.find(anchor)? + anchor.len();
-    let rel = text[start..].find(|c: char| ('1'..='9').contains(&c))?;
+    let len = text[start..].find('"')?;
+    let rel = text[start..start + len].rfind(|c: char| ('1'..='9').contains(&c))?;
     let at = start + rel;
     let mut bytes = text.as_bytes().to_vec();
     bytes[at] -= 1;
