@@ -1203,8 +1203,12 @@ mod tests {
             m.insert(ssn(i), i);
         }
         let buckets = m.bucket_count();
-        // The first tick counts the chains; every later one reads the
-        // bound, which the churn between ticks keeps an upper bound.
+        // The reserve resized an empty table, which keeps its bound of 0,
+        // and every insert's miss raised it: even the first tick reads the
+        // bound instead of walking, and the churn between ticks keeps it
+        // an upper bound.
+        let bound = m.chain_bound().expect("reserve and inserts keep the bound");
+        assert!(bound >= m.max_bucket_len(), "bound {bound} after the fill");
         for tick in 0..100u32 {
             assert!(!m.maybe_escalate(&policy, &seeds), "calm tick {tick}");
             let bound = m.chain_bound().expect("known while no epoch is open");

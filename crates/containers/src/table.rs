@@ -81,6 +81,15 @@ fn key_eq(a: &[u8], b: &[u8]) -> bool {
     }
 }
 
+/// `len` zeroed counts, in `spare`'s allocation when there is one: an
+/// epoch's bucket counts are rebuilt in place rather than reallocated.
+fn zeroed(spare: Option<Vec<u32>>, len: usize) -> Vec<u32> {
+    let mut counts = spare.unwrap_or_default();
+    counts.clear();
+    counts.resize(len, 0);
+    counts
+}
+
 /// Hints the cache line holding `at` into L1; a no-op off x86-64.
 #[inline]
 fn prefetch<T>(at: *const T) {
@@ -341,6 +350,10 @@ struct Probe<'k> {
 /// chains never need unlinking; old-epoch probes skip slots below
 /// `cursor`. No slot is reused while the epoch is open, which keeps the
 /// range partition exact.
+///
+/// A transition requested while the epoch is open re-targets it (see
+/// [`RawTable::begin_migration`]): the unswept slots keep their old
+/// filing and drain straight to the newest routing.
 #[derive(Debug, Clone)]
 struct Migration<H> {
     /// The hash function of the superseded epoch, pinned so lookups can
@@ -360,6 +373,12 @@ struct Migration<H> {
     cursor: u32,
     /// Arena length when the epoch opened.
     end: u32,
+    /// Entries in each live bucket's chain, kept so a drain or an insert
+    /// bounds the chain it joins without walking it: raised by every entry
+    /// linked into the live epoch, lowered by every live removal. `None`
+    /// once a resize relinked the live chains uncounted, until
+    /// [`RawTable::longest_chain`] walks them again.
+    counts: Option<Vec<u32>>,
 }
 
 /// A separate-chaining hash table with cached hashes, bucket introspection
@@ -380,12 +399,13 @@ pub(crate) struct RawTable<K, V, H> {
     migration: Option<Migration<H>>,
     /// Upper bound on the longest live-epoch chain, `None` when unknown.
     /// Inserts of new keys raise it from the chain their miss just walked,
-    /// and a migration drain from the chain each drained entry joins;
-    /// removals leave it standing (still a bound); a resize, which
+    /// and a migration drain from the epoch's count of the chain each
+    /// drained entry joins ([`Migration::counts`]); removals leave it
+    /// standing (still a bound); a resize of a non-empty table, which
     /// relinks every chain without probing it, forgets it until
     /// [`RawTable::longest_chain`] walks the table again. Opening an
-    /// epoch restarts it at 0, after forgetting it for the finish of the
-    /// epoch it replaces.
+    /// epoch restarts it at 0; re-targeting one sets it to the longest
+    /// chain the re-filed entries form.
     chain_bound: Option<usize>,
     /// Lookups that probed an open epoch since the last one closed. `&self`
     /// lookups cannot drain (draining relinks chains), but they record
@@ -443,21 +463,21 @@ where
     ///
     /// `old_hasher` must reproduce the hashes the stored entries were filed
     /// under; `rehasher` must reproduce the live hasher's values without
-    /// observable side effects (see `GuardedHash::epoch_frozen`). An epoch
-    /// already in flight is drained first, with *its* stored rehasher, so
-    /// stacked degrade/resynthesize transitions never mix plans.
+    /// observable side effects (see `GuardedHash::epoch_frozen`).
     ///
-    /// The fresh live epoch starts empty, so its chain bound is 0; the
-    /// drain and the inserts after it raise the bound as they link.
+    /// The fresh live epoch starts empty, so its chain bound and bucket
+    /// counts are 0; the drain and the inserts after it raise them as
+    /// they link. Opening touches no entry: the live chains become the old
+    /// epoch's simply by flipping which link is live.
     ///
-    /// Opening touches no entry: the live chains become the old epoch's
-    /// simply by flipping which link is live. The drain of an epoch still
-    /// in flight forgets the chain bound first: every chain it links is
-    /// retired a few lines later, so bounding them would be wasted walks.
+    /// An epoch already in flight is not finished but re-targeted
+    /// ([`RawTable::retarget`]), and `old_hasher`, which speaks for the
+    /// superseded live routing, is dropped: the unswept entries are still
+    /// filed under the open epoch's own old routing.
     pub(crate) fn begin_migration(&mut self, old_hasher: H, rehasher: H) {
-        if self.migration.is_some() {
-            self.chain_bound = None;
-            self.finish_migration();
+        if let Some(mig) = self.migration.take() {
+            self.retarget(mig, rehasher);
+            return;
         }
         if self.len == 0 {
             return;
@@ -475,7 +495,42 @@ where
             initial: self.len,
             cursor: 0,
             end: self.entries.len() as u32,
+            counts: Some(vec![0; buckets]),
         });
+    }
+
+    /// Merges a transition into the open epoch `mig`: the slots the
+    /// superseded live routing owns (below the cursor, and from `end` on)
+    /// are re-filed under `rehasher` into a fresh live bucket array, in
+    /// slot order and in prefetched batches like a drain; the unswept
+    /// slots stay filed in the old epoch and will drain straight to
+    /// `rehasher`. Only the swept side moves now, and every entry moves
+    /// at most once more before the epoch closes. The re-filed chains are
+    /// counted as they link, so the epoch's counts and the chain bound
+    /// come out exact. The epoch keeps its counters: no epoch opens or
+    /// closes, and nothing drains out of the old one.
+    fn retarget(&mut self, mut mig: Migration<H>, rehasher: H) {
+        self.heads.fill(NONE);
+        let mut counts = Some(zeroed(mig.counts.take(), self.heads.len()));
+        self.chain_bound = Some(0);
+        let mut slots = [0u32; DRAIN_BATCH];
+        let mut n = 0;
+        for idx in (0..mig.cursor).chain(mig.end..self.entries.len() as u32) {
+            if let Some((key, _)) = &self.entries[idx as usize].kv {
+                prefetch(key.as_ref().as_ptr());
+                slots[n] = idx;
+                n += 1;
+            }
+            if n == DRAIN_BATCH {
+                self.file_batch(&slots, &rehasher, &mut counts);
+                n = 0;
+            }
+        }
+        self.file_batch(&slots[..n], &rehasher, &mut counts);
+        mig.rehasher = rehasher;
+        mig.counts = counts;
+        self.stale_reads.reset();
+        self.migration = Some(mig);
     }
 
     /// Drains up to `budget` entries from the old epoch into the live one,
@@ -512,26 +567,18 @@ where
     /// check stays small in every mutating operation.
     ///
     /// Works in batches of up to [`DRAIN_BATCH`] occupied slots:
-    /// gather them and prefetch their key bytes, hash them and prefetch
-    /// their bucket heads, then link them in slot order. The key and head
-    /// misses of a batch overlap instead of serializing, and the chains
-    /// come out exactly as one-at-a-time linking leaves them. Each entry's
-    /// vouched bit is recomputed from the rehasher's route, since it now
-    /// speaks for the live epoch.
+    /// gather them and prefetch their key bytes, then file them
+    /// ([`RawTable::file_batch`]). The chains come out exactly as
+    /// one-at-a-time linking leaves them.
     #[inline(never)]
     fn drain(&mut self, budget: usize) {
         let mut mig = self.migration.take().expect("epoch in flight");
-        let live = self.live;
         let scan = budget.saturating_mul(SWEEP_SLOTS_PER_ENTRY);
         let stop = (mig.cursor as usize)
             .saturating_add(scan)
             .min(mig.end as usize) as u32;
         let want = budget.min(mig.old_len);
-        let nbuckets = self.heads.len() as u64;
         let mut slots = [0u32; DRAIN_BATCH];
-        let mut buckets = [0usize; DRAIN_BATCH];
-        let mut hashes = [0u64; DRAIN_BATCH];
-        let mut vouched = [false; DRAIN_BATCH];
         let mut moved = 0usize;
         while moved < want && mig.cursor < stop {
             let room = (want - moved).min(DRAIN_BATCH);
@@ -545,23 +592,7 @@ where
                     n += 1;
                 }
             }
-            for i in 0..n {
-                let (key, _) = self.get_kv(slots[i]);
-                (hashes[i], vouched[i]) = mig.rehasher.hash_routed(key.as_ref());
-                buckets[i] = self.policy.bucket_of(hashes[i], nbuckets) as usize;
-                prefetch(&self.heads[buckets[i]]);
-            }
-            for i in 0..n {
-                let (idx, bucket) = (slots[i], buckets[i]);
-                let e = &mut self.entries[idx as usize];
-                e.hash = hashes[i];
-                e.set_vouched(vouched[i]);
-                e.set_next(live, self.heads[bucket]);
-                self.heads[bucket] = idx;
-                if self.chain_bound.is_some() {
-                    self.note_chain(self.chain_len(idx));
-                }
-            }
+            self.file_batch(&slots[..n], &mig.rehasher, &mut mig.counts);
             moved += n;
         }
         mig.old_len -= moved;
@@ -569,6 +600,40 @@ where
             self.obs.drain_ops.add(moved as u64);
         }
         self.keep_or_close(mig);
+    }
+
+    /// Files the occupied `slots` (at most [`DRAIN_BATCH`], key bytes
+    /// already prefetched) in the live epoch under `hasher`'s routes, in
+    /// slot order: hashes them all and prefetches their bucket heads
+    /// before linking any, so the head misses of a batch overlap instead
+    /// of serializing. Each entry's vouched bit is recomputed from the
+    /// route, since it now speaks for the live epoch, and each joined
+    /// chain's count raises the chain bound, walk-free.
+    #[inline]
+    fn file_batch(&mut self, slots: &[u32], hasher: &H, counts: &mut Option<Vec<u32>>) {
+        let live = self.live;
+        let nbuckets = self.heads.len() as u64;
+        let mut buckets = [0usize; DRAIN_BATCH];
+        let mut hashes = [0u64; DRAIN_BATCH];
+        let mut vouched = [false; DRAIN_BATCH];
+        for (i, &idx) in slots.iter().enumerate() {
+            let (key, _) = self.get_kv(idx);
+            (hashes[i], vouched[i]) = hasher.hash_routed(key.as_ref());
+            buckets[i] = self.policy.bucket_of(hashes[i], nbuckets) as usize;
+            prefetch(&self.heads[buckets[i]]);
+        }
+        for (i, &idx) in slots.iter().enumerate() {
+            let bucket = buckets[i];
+            let e = &mut self.entries[idx as usize];
+            e.hash = hashes[i];
+            e.set_vouched(vouched[i]);
+            e.set_next(live, self.heads[bucket]);
+            self.heads[bucket] = idx;
+            if let Some(counts) = counts {
+                counts[bucket] += 1;
+                self.note_chain(counts[bucket] as usize);
+            }
+        }
     }
 
     /// Puts `mig` back while it still files entries; otherwise retires the
@@ -779,7 +844,9 @@ where
         (found, live)
     }
 
-    /// Number of entries in the live chain starting at `at`.
+    /// Number of entries in the live chain starting at `at`: the walk
+    /// the epoch's bucket counts replaced, kept as their reference.
+    #[cfg(test)]
     fn chain_len(&self, mut at: u32) -> usize {
         let mut n = 0;
         while at != NONE {
@@ -853,12 +920,14 @@ where
     /// Inserts without checking for an existing equal key (multimap
     /// semantics).
     pub(crate) fn insert_multi(&mut self, key: K, value: V) {
-        // No probe, so no chain length to bound with.
-        self.chain_bound = None;
         self.pay_drain();
         self.reserve_one();
         let (hash, vouched) = self.hasher.hash_routed(key.as_ref());
-        self.link_new(hash, vouched, key, value);
+        if !self.link_new(hash, vouched, key, value) {
+            // No probe and no epoch's count, so no chain length to bound
+            // with.
+            self.chain_bound = None;
+        }
     }
 
     /// Map semantics: replaces the value of an existing equal key. Hashes
@@ -900,8 +969,9 @@ where
     /// live hasher routed it. A free slot is reused only while no epoch is
     /// open: mid-epoch, a freed slot may still be threaded in an old
     /// chain, and the sweep reads every occupied slot below the epoch's
-    /// `end` as an old-epoch entry.
-    fn link_new(&mut self, hash: u64, vouched: bool, key: K, value: V) {
+    /// `end` as an old-epoch entry. Returns whether an open epoch's count
+    /// of the joined chain bounded it.
+    fn link_new(&mut self, hash: u64, vouched: bool, key: K, value: V) -> bool {
         let bucket = self.bucket_of(hash);
         let mut entry = Entry {
             hash,
@@ -925,6 +995,19 @@ where
         };
         self.heads[bucket] = idx;
         self.len += 1;
+        let Some(counts) = self.live_counts() else {
+            return false;
+        };
+        counts[bucket] += 1;
+        let n = counts[bucket] as usize;
+        self.note_chain(n);
+        true
+    }
+
+    /// The open epoch's live bucket counts, when it keeps them.
+    #[inline]
+    fn live_counts(&mut self) -> Option<&mut Vec<u32>> {
+        self.migration.as_mut()?.counts.as_mut()
     }
 
     /// The first entry of `chain` holding `probe`'s key, and its
@@ -961,6 +1044,9 @@ where
             self.heads[chain.bucket] = next;
         } else {
             self.entries[prev as usize].set_next(chain.link, next);
+        }
+        if let Some(counts) = self.live_counts() {
+            counts[chain.bucket] -= 1;
         }
         Some(self.free_entry(at))
     }
@@ -1061,16 +1147,18 @@ where
     /// Resizes the live epoch to `bucket_count` buckets. Mid-epoch, the
     /// unswept slots keep their old-plan hashes and old chains; only the
     /// slots the live epoch owns (below the cursor, and from `end` on)
-    /// relink.
+    /// relink, and the epoch drops its bucket counts. An empty table
+    /// relinks nothing and keeps its bound of 0, so a `reserve` ahead of
+    /// the first insert costs no tick a walk.
     pub(crate) fn rehash(&mut self, bucket_count: usize) {
-        self.chain_bound = None;
+        self.chain_bound = if self.len == 0 { Some(0) } else { None };
         let bucket_count = bucket_count.max(1);
         self.heads = vec![NONE; bucket_count];
         let (policy, live) = (self.policy, self.live);
-        let (swept, end) = self
-            .migration
-            .as_ref()
-            .map_or((0, 0), |m| (m.cursor as usize, m.end as usize));
+        let (swept, end) = self.migration.as_mut().map_or((0, 0), |m| {
+            m.counts = None;
+            (m.cursor as usize, m.end as usize)
+        });
         for idx in (0..swept).chain(end..self.entries.len()) {
             let e = &mut self.entries[idx];
             if e.kv.is_none() {
@@ -1121,7 +1209,8 @@ where
     /// The longest live chain as the storm detector needs it: the O(1)
     /// chain bound while it is known and `could_trip(bound)` is false,
     /// otherwise the exact [`RawTable::max_bucket_len`] walk, whose result
-    /// becomes the new bound (an open epoch's drain raises it from there).
+    /// becomes the new bound. Mid-epoch the walk's per-bucket lengths
+    /// become the epoch's counts, which the drain raises the bound from.
     /// `could_trip` must be monotone in the chain length, so a bound that
     /// cannot trip means the exact length cannot.
     pub(crate) fn longest_chain(&mut self, could_trip: impl Fn(usize) -> bool) -> usize {
@@ -1130,7 +1219,18 @@ where
                 return bound;
             }
         }
-        let exact = self.max_bucket_len();
+        let exact = if let Some(mut mig) = self.migration.take() {
+            let mut lens = zeroed(mig.counts.take(), self.heads.len());
+            for (i, n) in lens.iter_mut().enumerate() {
+                *n = self.bucket_len(i) as u32;
+            }
+            let exact = lens.iter().max().map_or(0, |&n| n as usize);
+            mig.counts = Some(lens);
+            self.migration = Some(mig);
+            exact
+        } else {
+            self.max_bucket_len()
+        };
         self.chain_bound = Some(exact);
         exact
     }
@@ -1342,6 +1442,19 @@ mod tests {
                 old[end..].iter().all(|&n| n == 0),
                 "an old chain reaches past end"
             );
+            // The epoch's bucket counts are the live chains' lengths, and
+            // a known bound mid-epoch always has counts to grow from.
+            match &m.counts {
+                Some(counts) => {
+                    for (i, &n) in counts.iter().enumerate() {
+                        assert_eq!(n as usize, t.bucket_len(i), "count of bucket {i}");
+                    }
+                }
+                None => assert_eq!(t.chain_bound, None, "a bound without counts"),
+            }
+        }
+        if let Some(bound) = t.chain_bound {
+            assert!(bound >= t.max_bucket_len(), "bound {bound} is not a bound");
         }
     }
 
@@ -1456,25 +1569,104 @@ mod tests {
     }
 
     #[test]
-    fn an_epoch_opened_over_a_half_drained_one_starts_at_bound_zero() {
+    fn a_transition_over_a_half_drained_epoch_refiles_only_its_swept_side() {
         let mut t = colliding_epoch(300);
         t.migrate(40);
-        assert!(t.migration_in_flight());
-        assert!(t.chain_bound() >= Some(1), "the drain raised the bound");
-        *t.hasher_mut() = TestHash::Fnv(2);
-        t.begin_migration(TestHash::Fnv(1), TestHash::Fnv(2));
-        assert!(t.migration_in_flight());
-        assert_eq!(t.chain_bound(), Some(0), "the fresh live epoch is empty");
-        assert_eq!(t.migration.as_ref().unwrap().old_len, 300);
+        for i in 300..310 {
+            t.insert_unique(key(i), i);
+        }
+        t.remove_one(&key(3)[..]);
+        t.remove_one(&key(305)[..]);
+        let mig = t.migration.as_ref().expect("epoch in flight");
+        let (cursor, end, old_len) = (mig.cursor, mig.end, mig.old_len);
+        assert!(old_len < 300 && cursor < end, "the epoch is half drained");
+        let opened = t.obs.epochs_opened.get();
+        let drained = t.obs.drain_ops.get();
+        // The next routing vouches for every 8-byte key: the re-filed
+        // entries must take its route, the unswept ones keep the old one.
+        *t.hasher_mut() = TestHash::Word(2);
+        t.begin_migration(TestHash::Fnv(1), TestHash::Word(2));
+        let mig = t.migration.as_ref().expect("the epoch stays open");
+        assert_eq!((mig.cursor, mig.end, mig.old_len), (cursor, end, old_len));
+        assert!(
+            matches!(mig.old_hasher, TestHash::Const(7)),
+            "old filing kept"
+        );
+        assert!(matches!(mig.rehasher, TestHash::Word(2)), "re-targeted");
+        assert_eq!(t.obs.epochs_opened.get(), opened, "no epoch opened");
+        assert_eq!(t.obs.drain_ops.get(), drained, "nothing left the old epoch");
+        // The swept side and the inserts since `end`, minus the removed
+        // ones, are the whole live epoch, exactly counted.
+        let live_len: usize = (0..t.bucket_count()).map(|i| t.bucket_len(i)).sum();
+        assert_eq!(live_len, t.len() - old_len);
+        assert_eq!(t.chain_bound(), Some(t.max_bucket_len()));
         assert_partition(&t);
+        // The unswept entries drain straight to the newest routing, once.
         t.finish_migration();
         assert_partition(&t);
-        assert!(t.chain_bound() >= Some(t.max_bucket_len()));
+        assert_eq!(t.obs.drain_ops.get(), drained + old_len as u64);
+        assert_eq!(t.obs.epochs_finished.get(), opened);
+        for i in (0..310).filter(|&i| i != 3 && i != 305) {
+            assert_eq!(t.find(&key(i)[..]).map(|at| t.get_kv(at).1), Some(i));
+        }
         // An empty table opens no epoch and keeps its bound.
         let mut empty: Table = RawTable::new(TestHash::Fnv(0), BucketPolicy::Modulo);
         empty.begin_migration(TestHash::Fnv(0), TestHash::Fnv(1));
         assert!(!empty.migration_in_flight());
         assert_eq!(empty.chain_bound(), Some(0));
+    }
+
+    #[test]
+    fn the_epoch_counts_bound_every_chain_through_removes_resizes_and_walks() {
+        let mut t = RawTable::new(TestHash::Const(7), BucketPolicy::Modulo);
+        t.reserve(1400);
+        for i in 0..1000 {
+            t.insert_unique(key(i), i);
+        }
+        *t.hasher_mut() = TestHash::Fnv(1);
+        t.begin_migration(TestHash::Const(7), TestHash::Fnv(1));
+        t.migrate(30);
+        assert_partition(&t);
+        for i in 1000..1040 {
+            t.insert_unique(key(i), i);
+            t.insert_multi(key(i + 1000), i);
+            assert!(t.migration_in_flight());
+            assert!(t.chain_bound().is_some(), "the counts bound insert {i}");
+        }
+        for i in (0..1040).step_by(11) {
+            t.remove_one(&key(i)[..]);
+        }
+        assert_partition(&t);
+        // A resize drops the counts and forgets the bound; a walk brings
+        // both back, and the drain keeps them from there.
+        t.rehash(2 * t.bucket_count() + 1);
+        assert_eq!(t.chain_bound(), None);
+        assert!(t.migration.as_ref().unwrap().counts.is_none());
+        t.migrate(20);
+        assert_partition(&t);
+        let exact = t.longest_chain(|_| true);
+        assert_eq!(exact, t.max_bucket_len());
+        assert_partition(&t);
+        while t.migration_in_flight() {
+            t.migrate(7);
+            assert!(t.chain_bound().is_some());
+            assert_partition(&t);
+        }
+    }
+
+    #[test]
+    fn a_reserve_ahead_of_the_first_insert_keeps_the_bound() {
+        let mut t: Table = RawTable::new(TestHash::Fnv(0), BucketPolicy::Modulo);
+        t.reserve(1000);
+        assert_eq!(t.chain_bound(), Some(0), "an empty resize keeps the bound");
+        for i in 0..1000 {
+            t.insert_unique(key(i), i);
+        }
+        let bound = t.chain_bound().expect("inserts keep the bound");
+        assert!(bound >= t.max_bucket_len());
+        // A resize of a filled table still forgets it.
+        t.reserve(5000);
+        assert_eq!(t.chain_bound(), None);
     }
 
     #[test]

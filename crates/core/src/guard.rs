@@ -319,11 +319,14 @@ pub enum GuardMode {
     Guarded = 0,
     /// Every key uses the tagged fallback (the table has flipped).
     Degraded = 1,
-    /// Every key uses the secret-keyed hash — the HashDoS rung. Unlike
+    /// Every key uses a secret-keyed hash — the HashDoS rung. Unlike
     /// [`GuardMode::Degraded`], which still evaluates an *unkeyed*
     /// fallback an adversary with the binary can precompute collisions
     /// against, this mode is parameterized by a 128-bit seed held only in
-    /// process memory (see [`GuardedHash::escalate_keyed`]).
+    /// process memory (see [`GuardedHash::escalate_keyed`]). Under a plan
+    /// injective over the guard's pattern, an in-format key hashes as a
+    /// seeded bijection of its specialized hash; every other key as tagged
+    /// SipHash-1-3 of its bytes.
     Keyed = 2,
 }
 
@@ -676,11 +679,12 @@ impl<F, G> GuardedHash<F, G> {
         self.mode.store(GuardMode::Guarded as u8, Ordering::Relaxed);
     }
 
-    /// The hash of the secret-keyed rung: SipHash-1-3 over the raw key
-    /// bytes under the current seed, tag-separated and finalized like the
-    /// other routing domains. Deliberately *not* layered over the fallback
-    /// hash — collapsing first through an unkeyed function would let
-    /// precomputed fallback collisions survive into the keyed domain.
+    /// The keyed rung's hash of a key it cannot vouch for: SipHash-1-3
+    /// over the raw key bytes under the current seed, tag-separated and
+    /// finalized like the other routing domains. Deliberately *not*
+    /// layered over the fallback hash — collapsing first through an
+    /// unkeyed function would let precomputed fallback collisions survive
+    /// into the keyed domain.
     #[inline]
     fn keyed_hash(&self, key: &[u8]) -> u64 {
         let (k0, k1) = self.current_seed();
@@ -827,16 +831,18 @@ impl<F: ByteHash, G: ByteHash> ByteHash for GuardedHash<F, G> {
         self.hash_routed(key).0
     }
 
-    /// Routes `key` and hashes it. Vouches only for an in-format key in
-    /// [`GuardMode::Guarded`] under a plan injective over the guard's
-    /// pattern: two such keys with equal hashes are equal. Degraded and
-    /// keyed hashes, and off-format keys, never vouch — the fallback and
-    /// the keyed hash are not injective.
+    /// Routes `key` and hashes it. Vouches only for an in-format key
+    /// under a plan injective over the guard's pattern, in
+    /// [`GuardMode::Guarded`] or [`GuardMode::Keyed`] (whose in-format
+    /// route is a bijection of the specialized hash): two such keys with
+    /// equal hashes are equal. Degraded hashes, off-format keys and every
+    /// key under a non-injective plan never vouch — the fallback and
+    /// SipHash are not injective.
     #[inline]
     fn hash_routed(&self, key: &[u8]) -> (u64, bool) {
         match self.mode() {
             GuardMode::Degraded => return (self.off_format_hash(key), false),
-            GuardMode::Keyed => return (self.keyed_hash(key), false),
+            GuardMode::Keyed => return self.keyed_routed(key),
             GuardMode::Guarded => {}
         }
         if self.guard.matches(key) {
@@ -850,6 +856,29 @@ impl<F: ByteHash, G: ByteHash> ByteHash for GuardedHash<F, G> {
                 self.offer_to_reservoir(key);
             }
             (self.off_format_hash(key), false)
+        }
+    }
+}
+
+impl<F: ByteHash, G> GuardedHash<F, G> {
+    /// The [`GuardMode::Keyed`] route, out of line so the guarded fast
+    /// path does not grow. An in-format key under an injective plan
+    /// hashes as a seeded bijection of its specialized hash `x`: xor, an
+    /// odd multiplier and the finalizer each permute the 64-bit words, so
+    /// two keys the plan tells apart stay apart and the route vouches,
+    /// while which keys share a *bucket* depends on the seed, so a flood
+    /// forged against the plan, or under another seed, scatters. Every
+    /// other key takes tagged SipHash. Keyed traffic is presumed
+    /// adversarial, not drifted, so it bumps no drift counter and samples
+    /// nothing.
+    #[inline(never)]
+    fn keyed_routed(&self, key: &[u8]) -> (u64, bool) {
+        if self.injective && self.guard.matches(key) {
+            let (k0, k1) = self.current_seed();
+            let x = self.specialized.hash_bytes(key);
+            (fmix64((x ^ k0).wrapping_mul(k1 | 1)), true)
+        } else {
+            (self.keyed_hash(key), false)
         }
     }
 }
@@ -876,7 +905,7 @@ impl<F: crate::hash::HashBatch, G: ByteHash> crate::hash::HashBatch for GuardedH
             }
             GuardMode::Keyed => {
                 for (key, slot) in keys.iter().zip(out.iter_mut()) {
-                    *slot = self.keyed_hash(key);
+                    *slot = self.keyed_routed(key).0;
                 }
                 return;
             }
@@ -1233,45 +1262,93 @@ mod tests {
         assert!(guarded.guard().matches(b"1111111x"));
     }
 
+    /// The keyed rung's contract, exactly: an in-format key under an
+    /// injective plan hashes as the seeded bijection of its specialized
+    /// hash and is vouched for; every other key hashes as tagged SipHash
+    /// of its bytes and is not.
+    fn expected_keyed(
+        guarded: &GuardedHash<SynthesizedHash, Stl>,
+        injective: bool,
+        key: &[u8],
+    ) -> (u64, bool) {
+        let (k0, k1) = guarded.current_seed();
+        if injective && guarded.guard().matches(key) {
+            let x = guarded.specialized().hash_bytes(key);
+            (fmix64((x ^ k0).wrapping_mul(k1 | 1)), true)
+        } else {
+            (fmix64(siphash13(k0, k1, key) ^ KEYED_TAG), false)
+        }
+    }
+
     #[test]
-    fn keyed_mode_routes_everything_through_the_secret() {
+    fn keyed_mode_vouches_exactly_for_in_format_keys_under_an_injective_plan() {
         let pattern =
             Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("test regex is valid by construction");
-        let inner = SynthesizedHash::from_pattern(&pattern, Family::OffXor);
-        let guarded = GuardedHash::new(&pattern, inner.clone(), Stl);
-        let clone = guarded.clone();
-        let seeds = crate::hash::keyed::FixedSeedSource::new(0x5E9E);
-        guarded.escalate_keyed(&seeds);
-        assert!(clone.is_keyed(), "mode is shared across clones");
-        // In-format keys no longer take the specialized route, and the
-        // code is exactly the tagged keyed domain.
-        let (k0, k1) = guarded.current_seed();
-        assert_eq!(
-            clone.hash_bytes(b"123-45-6789"),
-            fmix64(siphash13(k0, k1, b"123-45-6789") ^ KEYED_TAG)
-        );
-        assert_ne!(
-            clone.hash_bytes(b"123-45-6789"),
-            inner.hash_bytes(b"123-45-6789")
-        );
-        // Keyed hashing bumps no drift counters and samples nothing: the
-        // traffic is presumed adversarial, not drifted.
-        let _ = clone.hash_bytes(b"attack key!");
-        assert_eq!(clone.stats().total(), 0);
-        assert!(clone.reservoir_keys().is_empty());
+        let key: &[u8] = b"123-45-6789";
+        let off: &[u8] = b"attack key!";
+        for family in Family::ALL {
+            let inner = SynthesizedHash::from_pattern(&pattern, family);
+            let injective = inner.injective_over(&pattern);
+            assert_eq!(injective, family != Family::Aes, "{family}");
+            let guarded = GuardedHash::new(&pattern, inner.clone(), Stl);
+            let clone = guarded.clone();
+            let seeds = crate::hash::keyed::FixedSeedSource::new(0x5E9E);
+            guarded.escalate_keyed(&seeds);
+            assert!(clone.is_keyed(), "mode is shared across clones");
+            let want = expected_keyed(&guarded, injective, key);
+            assert_eq!(want.1, injective, "{family}");
+            assert_eq!(clone.hash_routed(key), want, "{family} in format");
+            let want_off = expected_keyed(&guarded, injective, off);
+            assert_eq!(clone.hash_routed(off), want_off, "{family} off format");
+            assert!(!want_off.1, "{family}");
+            assert_ne!(clone.hash_bytes(key), inner.hash_bytes(key), "{family}");
+            // Keyed hashing bumps no drift counters and samples nothing: the
+            // traffic is presumed adversarial, not drifted.
+            assert_eq!(clone.stats().total(), 0, "{family}");
+            assert!(clone.reservoir_keys().is_empty(), "{family}");
+            // A rotation moves the bijection with the seed.
+            guarded.rotate_seed(&seeds);
+            assert_eq!(
+                guarded.hash_routed(key),
+                expected_keyed(&guarded, injective, key),
+                "{family} rotated"
+            );
+            assert_ne!(guarded.hash_bytes(key), want.0, "{family} rotated");
+        }
     }
 
     #[test]
     fn keyed_batch_agrees_with_scalar() {
         use crate::hash::HashBatch;
         let pattern = Regex::compile(r"\d{8}").expect("test regex is valid by construction");
-        let guarded = GuardedHash::from_pattern(&pattern, Family::Naive, Stl);
-        guarded.escalate_keyed(&crate::hash::keyed::FixedSeedSource::new(9));
-        let keys: Vec<&[u8]> = vec![b"12345678", b"attack!", b"00000000", b"x"];
-        let mut out = vec![0u64; keys.len()];
-        guarded.hash_batch(&keys, &mut out);
-        for (key, code) in keys.iter().zip(&out) {
-            assert_eq!(guarded.hash_bytes(key), *code);
+        let in_format: Vec<Vec<u8>> = (0..19u32)
+            .map(|i| format!("{:08}", i * 7919).into_bytes())
+            .collect();
+        for family in Family::ALL {
+            let guarded = GuardedHash::from_pattern(&pattern, family, Stl);
+            let injective = guarded.specialized().injective_over(&pattern);
+            guarded.escalate_keyed(&crate::hash::keyed::FixedSeedSource::new(9));
+            // All in format (whole chunks take the batched kernel), then
+            // in- and off-format keys mixed at every lane.
+            let mut keys: Vec<&[u8]> = in_format.iter().map(Vec::as_slice).collect();
+            for (i, extra) in [&b"attack!"[..], b"x", b"1234567", b"123456789", b"abcdefgh"]
+                .into_iter()
+                .enumerate()
+            {
+                keys.insert(8 + 3 * i, extra);
+            }
+            for width in [1, 3, 8, keys.len()] {
+                for batch in keys.chunks(width) {
+                    let mut out = vec![0u64; batch.len()];
+                    guarded.hash_batch(batch, &mut out);
+                    for (key, code) in batch.iter().zip(&out) {
+                        let want = expected_keyed(&guarded, injective, key);
+                        assert_eq!(guarded.hash_routed(key), want, "{family} {key:?}");
+                        assert_eq!(*code, want.0, "{family} width {width} {key:?}");
+                    }
+                }
+            }
+            assert_eq!(guarded.stats().total(), 0, "{family}");
         }
     }
 
@@ -1424,7 +1501,7 @@ mod tests {
     }
 
     #[test]
-    fn only_an_in_format_key_under_an_injective_guarded_plan_is_vouched_for() {
+    fn only_an_in_format_key_under_an_injective_plan_is_vouched_for() {
         let pattern =
             Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("test regex is valid by construction");
         let key: &[u8] = b"123-45-6789";
@@ -1440,7 +1517,8 @@ mod tests {
             assert!(!inner.hash_routed(key).1);
             assert_eq!(inner.injective_over(&pattern), injective, "{family}");
             // Frozen and detached copies of the guarded routing keep the
-            // verdict; copies pinned to the other modes never vouch.
+            // verdict; a copy pinned to the degraded mode never vouches, one
+            // pinned to the keyed mode vouches as the guarded routing does.
             let frozen = guarded.epoch_frozen(GuardMode::Guarded);
             assert_eq!(frozen.hash_routed(key).1, injective, "{family}");
             assert_eq!(guarded.detached().hash_routed(key).1, injective, "{family}");
@@ -1453,8 +1531,13 @@ mod tests {
                 "{family} frozen degraded"
             );
             guarded.escalate_keyed(&crate::hash::keyed::FixedSeedSource::new(1));
-            assert!(!guarded.hash_routed(key).1, "{family} keyed");
-            assert!(!frozen_keyed.hash_routed(key).1, "{family} frozen keyed");
+            assert_eq!(guarded.hash_routed(key).1, injective, "{family} keyed");
+            assert!(!guarded.hash_routed(off).1, "{family} keyed off format");
+            assert_eq!(
+                frozen_keyed.hash_routed(key).1,
+                injective,
+                "{family} frozen keyed"
+            );
             assert_eq!(
                 frozen.hash_routed(key).1,
                 injective,

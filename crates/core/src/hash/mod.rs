@@ -48,7 +48,8 @@ pub trait ByteHash {
     /// promises that any other key this hasher vouches for has a different
     /// hash, so a table may take a hash match between two vouched keys as
     /// a key match. The default never vouches; only a format-checking
-    /// hasher over an injective plan can (`GuardedHash` in `Guarded` mode).
+    /// hasher over an injective plan can (`GuardedHash` in `Guarded` or
+    /// `Keyed` mode).
     #[inline]
     fn hash_routed(&self, key: &[u8]) -> (u64, bool) {
         (self.hash_bytes(key), false)

@@ -15,6 +15,12 @@
 //!   is the attacker the escalation ladder must defeat: it works against
 //!   the guarded fallback too, which is why `Degraded` is not a safe
 //!   terminal state and the ladder continues to `Keyed(seed)`.
+//!   [`format_flood`] is the same search over keys of one format, which
+//!   the keyed rung hashes through the seeded bijection of the specialized
+//!   hash instead of SipHash: it pays only against the seed it was forged
+//!   under.
+
+use sepe_keygen::KeyFormat;
 
 /// A pair of distinct 15-byte keys that collide under the IPv4 OffXor
 /// plan (loads at offsets 0 and 7, the second rotated left by 4 for being
@@ -80,19 +86,56 @@ pub fn bucket_flood<H>(hash_of: H, bucket_count: u64, count: usize, tag: u64) ->
 where
     H: Fn(&[u8]) -> u64,
 {
+    let candidates = (0u64..).map(|i| format!("atk-{tag:08x}-{i:016x}").into_bytes());
+    flood_from(candidates, hash_of, bucket_count, count)
+}
+
+/// [`bucket_flood`] over keys of `format`: `count` distinct in-format keys
+/// that `hash_of` sends to a single bucket of a `bucket_count`-bucket
+/// table. `tag` picks where in the format's key space the search starts.
+///
+/// # Panics
+///
+/// Panics if `bucket_count` is zero, or if the format's key space runs
+/// out before `count` keys share a bucket.
+#[must_use]
+pub fn format_flood<H>(
+    format: KeyFormat,
+    hash_of: H,
+    bucket_count: u64,
+    count: usize,
+    tag: u64,
+) -> Vec<Vec<u8>>
+where
+    H: Fn(&[u8]) -> u64,
+{
+    let space = format.space();
+    let start = u128::from(tag.wrapping_mul(0x9E37_79B9_7F4A_7C15)) % space;
+    let candidates = (0..space).map(|i| format.materialize(start + i).into_bytes());
+    flood_from(candidates, hash_of, bucket_count, count)
+}
+
+/// The search both floods share: the first `count` candidates that land
+/// in the bucket the first one lands in.
+fn flood_from<H>(
+    candidates: impl Iterator<Item = Vec<u8>>,
+    hash_of: H,
+    bucket_count: u64,
+    count: usize,
+) -> Vec<Vec<u8>>
+where
+    H: Fn(&[u8]) -> u64,
+{
     assert!(bucket_count > 0, "bucket_count must be non-zero");
-    let mut keys = Vec::with_capacity(count);
     let mut target = None;
-    let mut i = 0u64;
-    while keys.len() < count {
-        let key = format!("atk-{tag:08x}-{i:016x}").into_bytes();
-        i += 1;
-        let bucket = hash_of(&key) % bucket_count;
-        let target = *target.get_or_insert(bucket);
-        if bucket == target {
-            keys.push(key);
-        }
-    }
+    let keys: Vec<Vec<u8>> = candidates
+        .filter(|key| {
+            let bucket = hash_of(key) % bucket_count;
+            *target.get_or_insert(bucket) == bucket
+        })
+        .take(count)
+        .collect();
+    assert_eq!(keys.len(), count, "the key space ran out");
     keys
 }
 

@@ -751,9 +751,15 @@ fn run_transitions(opts: &Options) -> Result<String, String> {
             .map_err(|e| format!("{family} multimap (keyed start: {keyed}): {e}"))?;
         multi.absorb(s);
     }
+    // Insert, degrade, escalate is the shortest sequence that merges.
+    if opts.depth >= 3 && map.merges == 0 {
+        return Err(format!(
+            "{family} map: no transition merged into an open epoch"
+        ));
+    }
     Ok(format!(
         "depth {} over {family} ({injective} plan): {} map sequences ({} steps, {} mid-epoch, {} transitions, \
-         {} tick drains) and {} multimap sequences from guarded and keyed starts ({} steps, {} mid-epoch) — \
+         {} tick drains, {} merged into an open epoch) and {} multimap sequences from guarded and keyed starts ({} steps, {} mid-epoch) — \
          contents matched the HashMap twin, mode and ladder counters the eager twin, and \
          {} degrade_now calls off Guarded changed nothing",
         opts.depth,
@@ -762,6 +768,7 @@ fn run_transitions(opts: &Options) -> Result<String, String> {
         map.mid_epoch,
         map.transitions,
         map.tick_drains,
+        map.merges,
         multi.sequences,
         multi.steps,
         multi.mid_epoch,

@@ -21,7 +21,11 @@
 //! keyed seed and drift counts must equal those of an *eager* twin that
 //! takes the same calls but finishes every migration epoch at once: an
 //! amortized drain never changes a transition. A `degrade_now` off
-//! [`GuardMode::Guarded`] must change nothing at all.
+//! [`GuardMode::Guarded`] must change nothing at all. A transition
+//! requested while an epoch is open (`degrade_now`, `escalate_now` or an
+//! applied `resynthesize`) must merge into it: the epoch stays open and
+//! its drain progress does not move, since only the swept side is
+//! re-filed and the unswept entries drain straight to the new routing.
 
 use sepe_baselines::CityHash;
 use sepe_containers::{AttackPolicy, UnorderedMap, UnorderedMultiMap};
@@ -156,6 +160,8 @@ pub struct TransitionStats {
     pub inert_degrades: usize,
     /// Maintenance ticks that drained part of an open epoch.
     pub tick_drains: usize,
+    /// Transitions requested over an open epoch and merged into it.
+    pub merges: usize,
 }
 
 impl TransitionStats {
@@ -167,6 +173,7 @@ impl TransitionStats {
         self.transitions += other.transitions;
         self.inert_degrades += other.inert_degrades;
         self.tick_drains += other.tick_drains;
+        self.merges += other.merges;
     }
 }
 
@@ -253,10 +260,12 @@ fn observe_multimap(m: &MultiMap) -> Observed {
 }
 
 /// The after-step checks both sides share: an inert degrade off
-/// `Guarded`, agreement with the eager twin, and the step's statistics.
+/// `Guarded`, a `requested` transition over an open epoch merged into
+/// it, agreement with the eager twin, and the step's statistics.
 fn check_step(
     stats: &mut TransitionStats,
     degrade: bool,
+    requested: bool,
     applied: bool,
     before: Observed,
     after: Observed,
@@ -279,6 +288,14 @@ fn check_step(
     let moved =
         after.ladder.mode != before.ladder.mode || after.ladder.counters != before.ladder.counters;
     stats.transitions += usize::from(moved || applied);
+    if requested && (moved || applied) && before.in_flight {
+        if !after.in_flight || after.progress != before.progress {
+            return Err(format!(
+                "a transition over an open epoch did not merge into it: {before:?} -> {after:?}"
+            ));
+        }
+        stats.merges += 1;
+    }
     Ok(())
 }
 
@@ -367,6 +384,7 @@ pub fn check_map(template: &Hasher, depth: usize, seed: u64) -> Result<Transitio
             check_step(
                 &mut stats,
                 op == MapOp::Degrade,
+                matches!(op, MapOp::Degrade | MapOp::Escalate | MapOp::Resynthesize),
                 applied,
                 before,
                 after,
@@ -463,6 +481,7 @@ pub fn check_multimap(
             let (after, twin) = (observe_multimap(&lazy), observe_multimap(&eager));
             check_step(
                 &mut stats,
+                op == MultiOp::Degrade,
                 op == MultiOp::Degrade,
                 false,
                 before,

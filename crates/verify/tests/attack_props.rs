@@ -3,7 +3,9 @@
 //! [`AttackPolicy`], a full escalation → de-escalation round trip
 //! restores the specialized hasher with contents and counters intact, the
 //! chain bound the detector's ticks read in place of a full walk never
-//! changes a decision, and neither does the storm hold's early exit.
+//! changes a decision, and neither does the storm hold's early exit. On
+//! the keyed rung an in-format flood trips the detector only under the
+//! seed it was forged with.
 
 use proptest::prelude::*;
 use sepe_containers::{AttackPolicy, UnorderedMap};
@@ -273,8 +275,9 @@ proptest! {
                     }
                 }
                 _ => {
+                    // An empty table's resize keeps its exact bound of 0.
                     twin.rehash(twin.bucket_count());
-                    prop_assert_eq!(twin.chain_bound(), None);
+                    prop_assert_eq!(twin.chain_bound(), twin.is_empty().then_some(0));
                     let map_moves = (
                         map.maybe_escalate(&tick_policy, &map_seeds),
                         map.maybe_deescalate(&tick_policy),
@@ -390,5 +393,79 @@ proptest! {
         );
         let expect = if held { GuardMode::Keyed } else { GuardMode::Guarded };
         prop_assert_eq!(map.guard_mode(), expect);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The keyed rung against in-format floods, across the evaluation
+    /// grid. Where the plan is injective an in-format key hashes as a
+    /// seeded bijection of its specialized hash, elsewhere as SipHash;
+    /// either way a flood forged under one seed must not trip the
+    /// detector on a table keyed under another, and a flood forged under
+    /// the live seed (a leak) must trip it and rotate the seed, after
+    /// which the chains are back near the benign ones.
+    #[test]
+    fn an_in_format_flood_trips_the_keyed_rung_only_under_its_own_seed(seed in any::<u64>()) {
+        let (format, dist, family) = cell(seed);
+        let pattern = Regex::compile(&format.regex()).expect("evaluated formats compile");
+        let pool = keygen_pool(format, dist, seed, 300);
+        let hasher = GuardedHash::from_pattern(&pattern, family, sepe_baselines::CityHash::new());
+        let mut map: UnorderedMap<Vec<u8>, u64, _> = UnorderedMap::with_hasher(hasher);
+        for (i, key) in pool.iter().enumerate() {
+            map.insert(key.clone(), i as u64);
+        }
+        map.reserve(3 * 64);
+        let seeds = FixedSeedSource::new(seed | 1);
+        map.escalate_now(&seeds);
+        map.escalate_now(&seeds);
+        map.finish_migration();
+        prop_assert_eq!(map.guard_mode(), GuardMode::Keyed);
+        let benign = map.max_bucket_len();
+        let policy = AttackPolicy::default();
+        let buckets = map.bucket_count() as u64;
+        let guard = map.hasher().guard().clone();
+        let in_format = |flood: &[Vec<u8>]| flood.iter().all(|k| guard.matches(k));
+
+        // Forged under seed A, served to a table keyed under seed B.
+        let other = map.hasher().detached();
+        other.rotate_seed(&FixedSeedSource::new(!seed));
+        prop_assert_ne!(other.current_seed(), map.hasher().current_seed());
+        let flood = attacker::format_flood(format, |k| other.hash_bytes(k), buckets, 64, seed);
+        prop_assert!(in_format(&flood), "the flood is in format");
+        for key in &flood {
+            map.insert(key.clone(), 0);
+        }
+        prop_assert_eq!(map.bucket_count() as u64, buckets, "the flood's bucket count held");
+        for tick in 0..2 * policy.trip_streak {
+            prop_assert!(!map.maybe_escalate(&policy, &seeds), "seed-A flood tripped at tick {}", tick);
+        }
+        prop_assert!(map.max_bucket_len() < 64, "chain {} under seed B", map.max_bucket_len());
+
+        // Forged under the live seed: the detector must rotate it.
+        let live = map.hasher().epoch_frozen(GuardMode::Keyed);
+        let leak = attacker::format_flood(format, |k| live.hash_bytes(k), buckets, 64, !seed);
+        prop_assert!(in_format(&leak), "the leak flood is in format");
+        for key in &leak {
+            map.insert(key.clone(), 1);
+        }
+        prop_assert!(map.max_bucket_len() >= 64, "the leak flood piled up");
+        let mut rotated = false;
+        for _ in 0..2 * policy.trip_streak {
+            if map.maybe_escalate(&policy, &seeds) {
+                rotated = true;
+                break;
+            }
+        }
+        prop_assert!(rotated, "the leak flood never tripped the detector");
+        prop_assert_eq!(map.guard_mode(), GuardMode::Keyed);
+        prop_assert_eq!(map.seed_rotations(), 1);
+        map.finish_migration();
+        let bound = (4 * benign.max(1)).max(8);
+        prop_assert!(map.max_bucket_len() <= bound, "chain {} after rotating (bound {})", map.max_bucket_len(), bound);
+        for (i, key) in pool.iter().enumerate() {
+            prop_assert_eq!(map.get(key), Some(&(i as u64)));
+        }
     }
 }

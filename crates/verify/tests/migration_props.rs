@@ -13,9 +13,10 @@
 //! while both epochs are live across a change of equality path: a degrade
 //! out of an injective plan, whose old-epoch hits are decided by hash, and
 //! a resynthesis from a stale Pext plan, which colliding in-format keys
-//! must not fool, into an injective one. The last requests transitions
-//! at maintenance ticks, which drain, while an earlier epoch is still
-//! open, against a `HashMap` twin and an eagerly drained twin.
+//! must not fool, into an injective one. The last two request
+//! transitions while an earlier epoch is still open, which merge into it,
+//! at maintenance ticks, which drain, and between arbitrary operations,
+//! against a `HashMap` twin and an eagerly drained twin.
 
 use proptest::prelude::*;
 use sepe_containers::{AttackPolicy, UnorderedMap, UnorderedMultiMap};
@@ -133,7 +134,7 @@ proptest! {
 
     /// A degrade, traffic with two calm ticks that each drain part of its
     /// epoch, then an escalation requested while that epoch is still open
-    /// (it finishes the rest synchronously), then traffic with a tick
+    /// (it merges into the epoch), then traffic with a tick
     /// every eight operations, where a de-escalation comes due at a tick
     /// that may itself land inside the escalation's epoch. After every
     /// step the map holds its `HashMap` twin's pairs and agrees with an
@@ -188,7 +189,10 @@ proptest! {
             prop_assert!(lazy.migration_progress() >= before, "a tick undid drain progress");
         }
         prop_assert!(lazy.migration_in_flight(), "the degrade epoch closed before the escalation");
+        let before = lazy.migration_progress();
         lazy.escalate_now(&lazy_seeds);
+        prop_assert!(lazy.migration_in_flight(), "the escalation finished the open epoch");
+        prop_assert_eq!(lazy.migration_progress(), before, "the merge moved unswept entries");
         eager.escalate_now(&eager_seeds);
         eager.finish_migration();
         prop_assert_eq!(ladder(&lazy), ladder(&eager), "after the escalation");
@@ -203,6 +207,93 @@ proptest! {
         for k in &pool {
             prop_assert_eq!(lazy.get(k), twin.get(k));
             prop_assert_eq!(eager.get(k), twin.get(k));
+        }
+    }
+
+    /// Transitions requested between arbitrary operations, most of them
+    /// over an open epoch: degrades, escalations up to the keyed rung and
+    /// through seed rotations, and resyntheses, with partial drains in
+    /// between. Each one over an open epoch merges into it: the epoch stays
+    /// open, its progress does not move, and the unswept entries drain
+    /// straight to the newest routing. After every step the map holds its
+    /// `HashMap` twin's pairs and agrees with an eagerly drained twin.
+    #[test]
+    fn transitions_merged_into_an_open_epoch_match_both_twins(
+        seed in any::<u64>(),
+        ops in prop::collection::vec((any::<u8>(), any::<u64>()), 1..160),
+    ) {
+        let family = Family::ALL[(seed % Family::ALL.len() as u64) as usize];
+        let pattern = Regex::compile(&KeyFormat::Ssn.regex()).expect("compiles");
+        let hasher = GuardedHash::from_pattern(&pattern, family, Stl);
+        let mut rng = SplitMix64::new(seed);
+        let mut pool: Vec<Vec<u8>> = KeySampler::new(KeyFormat::Ssn, Distribution::Normal, seed)
+            .distinct_pool(400)
+            .into_iter()
+            .map(String::into_bytes)
+            .collect();
+        let off: Vec<Vec<u8>> =
+            pool.iter().take(40).map(|k| mutate_off_format(&pattern, k, &mut rng)).collect();
+        pool.extend(off);
+        let (mut lazy, mut eager) = (Map::with_hasher(hasher.detached()), Map::with_hasher(hasher));
+        let mut twin = HashMap::new();
+        for (i, key) in pool.iter().enumerate().filter(|(i, _)| i % 5 != 4) {
+            lazy.insert(key.clone(), i as u64);
+            eager.insert(key.clone(), i as u64);
+            twin.insert(key.clone(), i as u64);
+        }
+        let (lazy_seeds, eager_seeds) = (FixedSeedSource::new(seed | 1), FixedSeedSource::new(seed | 1));
+        for (step, &(op, arg)) in ops.iter().enumerate() {
+            let key = pool[(arg % pool.len() as u64) as usize].clone();
+            let (open, progress) = (lazy.migration_in_flight(), lazy.migration_progress());
+            let before = ladder(&lazy);
+            let transition = match op % 16 {
+                0 => {
+                    lazy.degrade_now();
+                    eager.degrade_now();
+                    true
+                }
+                1 | 2 => {
+                    lazy.escalate_now(&lazy_seeds);
+                    eager.escalate_now(&eager_seeds);
+                    true
+                }
+                3 => {
+                    let out = lazy.resynthesize();
+                    prop_assert_eq!(&out, &eager.resynthesize());
+                    out.is_applied()
+                }
+                4 => {
+                    lazy.migrate((arg % 64) as usize);
+                    false
+                }
+                _ => {
+                    both_traffic(&mut lazy, &mut eager, &mut twin, key, (op, arg))?;
+                    false
+                }
+            };
+            eager.finish_migration();
+            let after = ladder(&lazy);
+            prop_assert_eq!(after, ladder(&eager), "ladder after step {}", step);
+            if transition && open && after != before {
+                prop_assert!(lazy.migration_in_flight(), "step {} finished the open epoch", step);
+                prop_assert_eq!(lazy.migration_progress(), progress, "step {}", step);
+            }
+            prop_assert_eq!(lazy.len(), twin.len(), "len after step {}", step);
+            if step % 16 == 15 {
+                // Both maps look up every key, so their drift counts agree.
+                for k in &pool {
+                    prop_assert_eq!(lazy.get(k), twin.get(k), "{:?} after step {}", k, step);
+                    prop_assert_eq!(eager.get(k), twin.get(k), "{:?} after step {}", k, step);
+                }
+            }
+        }
+        for k in &pool {
+            prop_assert_eq!(lazy.get(k), twin.get(k));
+            prop_assert_eq!(eager.get(k), twin.get(k));
+        }
+        lazy.finish_migration();
+        for k in &pool {
+            prop_assert_eq!(lazy.get(k), twin.get(k));
         }
     }
 

@@ -7,12 +7,16 @@
 //! (`maybe_escalate`, `maybe_deescalate`) after every 1024 `get`s, each of
 //! which drains 4 entries per lookup served since the last one in one
 //! batched sweep. The ticked row also reports how many ticks closed the
-//! epoch, and its time covers only the ticks. The example also times the
-//! synchronous drain an escalation pays when it opens an epoch over one
-//! still in flight: `escalate_now` on a map whose degrade epoch is half
-//! drained, per entry it had left. For scale it times hashing every key
-//! once and a cached-hash `rehash` of the same table. Each round builds a
-//! fresh map; the output is the median and range over the rounds.
+//! epoch, and its time covers only the ticks. Two rows price the chain
+//! bound: a whole epoch drained in one `finish_migration` call
+//! (`migrate(usize::MAX)`) while the bound is known, so every drained
+//! entry raises it from its bucket's count, and the same drain after a
+//! resize forgot it. The merge row times `escalate_now` on a map whose
+//! degrade epoch is half drained: the escalation merges into that epoch
+//! and re-files its swept half at once, per entry re-filed. For scale it
+//! times hashing every key once and a cached-hash `rehash` of the same
+//! table. Each round builds a fresh map; the output is the median and
+//! range over the rounds.
 //!
 //! ```text
 //! cargo run --release --example migration_drain [keys] [rounds]
@@ -67,7 +71,8 @@ fn main() {
         .collect();
 
     let (mut drain, mut hash, mut rehash) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut ticked, mut ticks, mut escalate) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut ticked, mut ticks, mut merge) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut bounded, mut unbounded) = (Vec::new(), Vec::new());
     let seeds = FixedSeedSource::new(1);
     let calm = AttackPolicy::default();
     for _ in 0..rounds {
@@ -110,16 +115,38 @@ fn main() {
         ticked.push(spent as f64 / n as f64);
         ticks.push(count as f64);
 
+        for (forget, samples) in [(false, &mut bounded), (true, &mut unbounded)] {
+            let mut map = build(&keys);
+            map.degrade_now();
+            if forget {
+                // A resize before the sweep relinks nothing, but forgets
+                // the bound and drops the bucket counts.
+                map.rehash(map.bucket_count());
+            }
+            assert_eq!(map.chain_bound().is_none(), forget);
+            let start = Instant::now();
+            map.finish_migration();
+            samples.push(start.elapsed().as_nanos() as f64 / n as f64);
+            assert_eq!(map.chain_bound().is_none(), forget);
+        }
+
         let mut map = build(&keys);
         map.degrade_now();
         while map.migration_progress() < 0.5 {
             map.migrate(4);
         }
-        let left = ((1.0 - map.migration_progress()) * n as f64).round();
+        let swept = (map.migration_progress() * n as f64).round();
         let start = Instant::now();
         map.escalate_now(&seeds);
-        escalate.push(start.elapsed().as_nanos() as f64 / left);
-        assert!(map.migration_in_flight(), "the escalation opened an epoch");
+        merge.push(start.elapsed().as_nanos() as f64 / swept);
+        assert!(
+            map.migration_in_flight(),
+            "the escalation merged into the epoch"
+        );
+        assert!(
+            map.migration_progress() >= 0.5,
+            "the unswept half stays put"
+        );
     }
     println!("{n} SSN keys, {rounds} rounds");
     ticks.sort_by(f64::total_cmp);
@@ -129,7 +156,12 @@ fn main() {
         summary(ticked),
         ticks[ticks.len() / 2]
     );
-    println!("escalate over a half-drained one:  {}", summary(escalate));
+    println!("finish_migration, bound kept:      {}", summary(bounded));
+    println!("finish_migration, bound forgotten: {}", summary(unbounded));
+    println!(
+        "escalation merged into a half-drained epoch: {} re-filed",
+        summary(merge)
+    );
     println!("hash every key once:               {}", summary(hash));
     println!("cached-hash rehash:                {}", summary(rehash));
 }
