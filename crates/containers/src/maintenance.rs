@@ -153,18 +153,23 @@ where
     }
 
     /// The one transition mechanism: freezes the routing the entries are
-    /// filed under, lets `flip` change the hasher (`false`: nothing
-    /// happens), opens a migration epoch from the frozen routing to the
-    /// new one, restarts the drain clock there, bumps `t`'s ladder counter,
-    /// records the cause and restarts the quiet streak
-    /// and hold. Frozen copies are counter-silent and keep a keyed seed
-    /// through a rotation.
+    /// filed under (only when an epoch opens), lets `flip` change the
+    /// hasher (`false`: nothing happens), opens a migration epoch from the
+    /// frozen routing to the new one or merges into the open one, restarts
+    /// the drain clock there, bumps `t`'s ladder counter, records the cause
+    /// and restarts the quiet streak and hold. Frozen copies are
+    /// counter-silent and keep a keyed seed through a rotation.
     fn step(
         &mut self,
         t: Transition,
         flip: impl FnOnce(&mut GuardedHash<F, G>) -> bool,
     ) -> Option<Transition> {
-        let old = self.table.hasher().epoch_frozen(self.mode());
+        // The routing the entries are filed under is frozen only when an
+        // epoch opens: a merge into an open epoch keeps that epoch's own.
+        let old = self
+            .table
+            .opens_epoch()
+            .then(|| self.table.hasher().epoch_frozen(self.mode()));
         if !flip(self.table.hasher_mut()) {
             return None;
         }

@@ -470,18 +470,25 @@ where
     /// they link. Opening touches no entry: the live chains become the old
     /// epoch's simply by flipping which link is live.
     ///
-    /// An epoch already in flight is not finished but re-targeted
-    /// ([`RawTable::retarget`]), and `old_hasher`, which speaks for the
-    /// superseded live routing, is dropped: the unswept entries are still
-    /// filed under the open epoch's own old routing.
-    pub(crate) fn begin_migration(&mut self, old_hasher: H, rehasher: H) {
+    /// `old_hasher` is needed only when an epoch opens
+    /// ([`RawTable::opens_epoch`]), and must be `None` otherwise, so a
+    /// caller builds it only then. An epoch already in flight is not
+    /// finished but re-targeted ([`RawTable::retarget`]): the unswept
+    /// entries are still filed under the open epoch's own old routing. An
+    /// empty table opens no epoch.
+    pub(crate) fn begin_migration(&mut self, old_hasher: Option<H>, rehasher: H) {
+        debug_assert_eq!(
+            old_hasher.is_some(),
+            self.opens_epoch(),
+            "the old routing is built exactly when an epoch opens"
+        );
         if let Some(mig) = self.migration.take() {
             self.retarget(mig, rehasher);
             return;
         }
-        if self.len == 0 {
+        let Some(old_hasher) = old_hasher.filter(|_| self.len > 0) else {
             return;
-        }
+        };
         self.obs.epochs_opened.inc();
         let buckets = self.heads.len();
         let old_heads = std::mem::replace(&mut self.heads, vec![NONE; buckets]);
@@ -497,6 +504,12 @@ where
             end: self.entries.len() as u32,
             counts: Some(vec![0; buckets]),
         });
+    }
+
+    /// Whether [`RawTable::begin_migration`] would open a new epoch: none
+    /// is open, and there are entries to move.
+    pub(crate) fn opens_epoch(&self) -> bool {
+        self.migration.is_none() && self.len > 0
     }
 
     /// Merges a transition into the open epoch `mig`: the slots the
@@ -1360,7 +1373,7 @@ mod tests {
             t.insert_unique(key(i), i);
         }
         *t.hasher_mut() = TestHash::Fnv(1);
-        t.begin_migration(TestHash::Const(7), TestHash::Fnv(1));
+        t.begin_migration(Some(TestHash::Const(7)), TestHash::Fnv(1));
         t
     }
 
@@ -1526,7 +1539,7 @@ mod tests {
             // The new hasher vouches for every key: the drain must set
             // each entry's bit as it re-files it.
             *t.hasher_mut() = TestHash::Word(1);
-            t.begin_migration(TestHash::Fnv(0), TestHash::Word(1));
+            t.begin_migration(Some(TestHash::Fnv(0)), TestHash::Word(1));
             for i in 600..620 {
                 t.insert_unique(key(i), i);
             }
@@ -1585,7 +1598,8 @@ mod tests {
         // The next routing vouches for every 8-byte key: the re-filed
         // entries must take its route, the unswept ones keep the old one.
         *t.hasher_mut() = TestHash::Word(2);
-        t.begin_migration(TestHash::Fnv(1), TestHash::Word(2));
+        assert!(!t.opens_epoch(), "the transition merges");
+        t.begin_migration(None, TestHash::Word(2));
         let mig = t.migration.as_ref().expect("the epoch stays open");
         assert_eq!((mig.cursor, mig.end, mig.old_len), (cursor, end, old_len));
         assert!(
@@ -1611,7 +1625,8 @@ mod tests {
         }
         // An empty table opens no epoch and keeps its bound.
         let mut empty: Table = RawTable::new(TestHash::Fnv(0), BucketPolicy::Modulo);
-        empty.begin_migration(TestHash::Fnv(0), TestHash::Fnv(1));
+        assert!(!empty.opens_epoch());
+        empty.begin_migration(None, TestHash::Fnv(1));
         assert!(!empty.migration_in_flight());
         assert_eq!(empty.chain_bound(), Some(0));
     }
@@ -1624,7 +1639,7 @@ mod tests {
             t.insert_unique(key(i), i);
         }
         *t.hasher_mut() = TestHash::Fnv(1);
-        t.begin_migration(TestHash::Const(7), TestHash::Fnv(1));
+        t.begin_migration(Some(TestHash::Const(7)), TestHash::Fnv(1));
         t.migrate(30);
         assert_partition(&t);
         for i in 1000..1040 {
@@ -1685,7 +1700,7 @@ mod tests {
             t.remove_one(&key(i)[..]);
         }
         *t.hasher_mut() = TestHash::Fnv(1);
-        t.begin_migration(TestHash::Fnv(0), TestHash::Fnv(1));
+        t.begin_migration(Some(TestHash::Fnv(0)), TestHash::Fnv(1));
         t.reserve(500);
         let cap = t.arena_capacity();
         for i in 1000..1500 {
@@ -1802,7 +1817,7 @@ mod tests {
         // route: its vouched entry still decides there, while the live
         // epoch's hasher vouches for nothing.
         *t.hasher_mut() = TestHash::Fnv(0);
-        t.begin_migration(TestHash::Claim(5), TestHash::Fnv(0));
+        t.begin_migration(Some(TestHash::Claim(5)), TestHash::Fnv(0));
         assert_eq!(t.find(&key(9)[..]), Some(0), "old-epoch route");
         assert_partition(&t);
         // The drain re-files both entries under the live route: no match
@@ -1822,6 +1837,20 @@ mod tests {
     }
 
     #[test]
+    fn only_a_nonempty_table_without_an_open_epoch_opens_one() {
+        let mut t: Table = RawTable::new(TestHash::Fnv(0), BucketPolicy::Modulo);
+        assert!(!t.opens_epoch(), "nothing to move");
+        t.insert_unique(key(1), 1);
+        t.insert_unique(key(2), 2);
+        assert!(t.opens_epoch());
+        t.begin_migration(Some(TestHash::Fnv(0)), TestHash::Fnv(1));
+        assert!(t.migration_in_flight());
+        assert!(!t.opens_epoch(), "a transition now merges");
+        t.finish_migration();
+        assert!(t.opens_epoch());
+    }
+
+    #[test]
     fn opening_an_epoch_touches_no_entry() {
         let mut t = RawTable::new(TestHash::Fnv(0), BucketPolicy::Modulo);
         for i in 0..50 {
@@ -1829,7 +1858,7 @@ mod tests {
         }
         let before: Vec<(u64, [u32; 2])> = t.entries.iter().map(|e| (e.hash, e.links)).collect();
         *t.hasher_mut() = TestHash::Fnv(1);
-        t.begin_migration(TestHash::Fnv(0), TestHash::Fnv(1));
+        t.begin_migration(Some(TestHash::Fnv(0)), TestHash::Fnv(1));
         let after: Vec<(u64, [u32; 2])> = t.entries.iter().map(|e| (e.hash, e.links)).collect();
         assert_eq!(before, after);
         assert_partition(&t);
@@ -1875,7 +1904,7 @@ mod tests {
         t.insert_unique(key(9), 9);
         assert_eq!(t.find(&key(9)[..]), Some(0));
         *t.hasher_mut() = TestHash::Fnv(1);
-        t.begin_migration(TestHash::Const(7), TestHash::Fnv(1));
+        t.begin_migration(Some(TestHash::Const(7)), TestHash::Fnv(1));
         t.migrate(1);
         assert_eq!(t.migration.as_ref().unwrap().cursor, 1, "swept slot 0 only");
         assert_partition(&t);
@@ -1987,7 +2016,7 @@ mod tests {
             t.insert_multi(b"dup".to_vec(), v);
             t.insert_multi(key(v), v);
         }
-        t.begin_migration(TestHash::Fnv(1), TestHash::Fnv(1));
+        t.begin_migration(Some(TestHash::Fnv(1)), TestHash::Fnv(1));
         t.migrate(3);
         assert!(t.migration_in_flight());
         // Swept duplicates sit in both epochs' chains; count sees each once.

@@ -14,6 +14,7 @@
 //! crosses a threshold.
 
 use crate::bits::load_u64_le;
+use crate::fused::{for_lanes, FusedKernel};
 use crate::hash::keyed::{siphash13, SeedSource};
 use crate::hash::{ByteHash, SynthError};
 use crate::infer::infer_pattern;
@@ -133,53 +134,12 @@ impl FormatGuard {
             .all(|(&b, p)| p.matches(b))
     }
 
-    /// Batched membership: `verdicts[i] = self.matches(keys[i])`.
-    ///
-    /// The word tests run interleaved (ops outer, lanes inner) like the
-    /// batch hash kernels, so the masked loads of independent keys overlap.
-    /// Out-of-bounds lanes are safe to load unconditionally because
-    /// [`load_u64_le`] zero-pads past the end of the key; their verdicts
-    /// are forced false by the length check.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys.len() != verdicts.len()`.
-    pub fn check_batch(&self, keys: &[&[u8]], verdicts: &mut [bool]) {
-        assert_eq!(keys.len(), verdicts.len(), "batch verdict length mismatch");
-        let min_len = self.pattern.min_len();
-        let max_len = self.pattern.max_len();
-        for (key, v) in keys.iter().zip(verdicts.iter_mut()) {
-            *v = key.len() >= min_len && key.len() <= max_len;
-        }
-        if self.words_cover_prefix {
-            let mut chunk_start = 0usize;
-            while chunk_start < keys.len() {
-                let n = (keys.len() - chunk_start).min(8);
-                let lanes = &keys[chunk_start..chunk_start + n];
-                let mut acc = [0u64; 8];
-                for w in &self.words {
-                    let off = w.offset as usize;
-                    for (lane, key) in lanes.iter().enumerate() {
-                        acc[lane] |= (load_u64_le(key, off) & w.mask) ^ w.bits;
-                    }
-                }
-                for lane in 0..n {
-                    verdicts[chunk_start + lane] &= acc[lane] == 0;
-                }
-                chunk_start += n;
-            }
-        }
-        // Byte tail (and the whole check for short formats), only for lanes
-        // still passing.
-        let tail_start = if self.words_cover_prefix { min_len } else { 0 };
-        for (key, v) in keys.iter().zip(verdicts.iter_mut()) {
-            if *v {
-                *v = key[tail_start..]
-                    .iter()
-                    .zip(&self.pattern.bytes()[tail_start..])
-                    .all(|(&b, p)| p.matches(b));
-            }
-        }
+    /// The key length of a fixed-length format of at least eight bytes,
+    /// whose membership word tests decide alone (no byte tail); `None` for
+    /// every other format.
+    pub(crate) fn fixed_len(&self) -> Option<usize> {
+        let len = self.pattern.min_len();
+        (self.words_cover_prefix && len == self.pattern.max_len()).then_some(len)
     }
 
     /// Number of word-level checks the fast path performs.
@@ -191,7 +151,7 @@ impl FormatGuard {
 
 /// Builds the `(mask, bits)` pair testing the eight byte patterns at
 /// `offset..offset + 8` against a little-endian load.
-fn word_test(pattern: &KeyPattern, offset: usize) -> (u64, u64) {
+pub(crate) fn word_test(pattern: &KeyPattern, offset: usize) -> (u64, u64) {
     let mut mask = 0u64;
     let mut bits = 0u64;
     for i in 0..8 {
@@ -477,6 +437,10 @@ pub struct GuardedHash<F, G> {
     /// in-format route vouches for its hashes only then (see
     /// [`ByteHash::hash_routed`]).
     injective: bool,
+    /// The guard and `specialized` compiled into one load schedule
+    /// ([`ByteHash::fused_with`]), rebuilt whenever either changes; `None`
+    /// for plan shapes without one, which check the guard and then hash.
+    fused: Option<FusedKernel>,
 }
 
 impl<F: ByteHash, G> GuardedHash<F, G> {
@@ -484,8 +448,10 @@ impl<F: ByteHash, G> GuardedHash<F, G> {
     /// that reroutes non-matching keys to `fallback`.
     #[must_use]
     pub fn new(pattern: &KeyPattern, specialized: F, fallback: G) -> Self {
+        let guard = FormatGuard::compile(pattern);
         GuardedHash {
-            guard: FormatGuard::compile(pattern),
+            fused: specialized.fused_with(&guard),
+            guard,
             injective: specialized.injective_over(pattern),
             specialized,
             fallback,
@@ -505,6 +471,13 @@ impl<F, G> GuardedHash<F, G> {
     #[must_use]
     pub fn guard(&self) -> &FormatGuard {
         &self.guard
+    }
+
+    /// The fused guard-and-hash kernel the in-format route runs, or `None`
+    /// when the plan shape has none (see [`crate::fused`]).
+    #[must_use]
+    pub fn fused(&self) -> Option<&FusedKernel> {
+        self.fused.as_ref()
     }
 
     /// The specialized (in-format) hasher.
@@ -597,6 +570,7 @@ impl<F, G> GuardedHash<F, G> {
             },
             forced_seed: self.forced_seed,
             injective: self.injective,
+            fused: self.fused,
         }
     }
 
@@ -785,11 +759,12 @@ impl<G> GuardedHash<SynthesizedHash, G> {
             Ok(hash) => hash,
         };
         // Swap the specialized hash, recompile the guard, judge the new
-        // plan against it, clear the reservoir, reset the counters, and
-        // re-arm.
+        // plan against it, fuse the two, clear the reservoir, reset the
+        // counters, and re-arm.
         self.injective = hash.injective_over(&widened);
-        self.specialized = hash;
         self.guard = FormatGuard::compile(&widened);
+        self.fused = hash.fused_with(&self.guard);
+        self.specialized = hash;
         self.lock_reservoir().clear();
         self.stats.reset();
         self.mode.store(GuardMode::Guarded as u8, Ordering::Relaxed);
@@ -841,26 +816,72 @@ impl<F: ByteHash, G: ByteHash> ByteHash for GuardedHash<F, G> {
     #[inline]
     fn hash_routed(&self, key: &[u8]) -> (u64, bool) {
         match self.mode() {
-            GuardMode::Degraded => return (self.off_format_hash(key), false),
-            GuardMode::Keyed => return self.keyed_routed(key),
-            GuardMode::Guarded => {}
-        }
-        if self.guard.matches(key) {
-            if !self.silent {
-                self.stats.in_format.inc();
-            }
-            (self.specialized.hash_bytes(key), self.injective)
-        } else {
-            if !self.silent {
-                self.stats.off_format.inc();
-                self.offer_to_reservoir(key);
-            }
-            (self.off_format_hash(key), false)
+            GuardMode::Degraded => (self.off_format_hash(key), false),
+            GuardMode::Keyed => self.keyed_routed(key),
+            GuardMode::Guarded => self.guarded_routed(key),
         }
     }
 }
 
 impl<F: ByteHash, G> GuardedHash<F, G> {
+    /// The specialized hash of `key` and whether it is in format: one
+    /// fused pass when the plan has a kernel, otherwise the guard and then
+    /// the specialized hash. The hash is meaningful only in format.
+    #[inline]
+    fn specialized_routed(&self, key: &[u8]) -> (u64, bool) {
+        match &self.fused {
+            Some(k) => k.eval(key),
+            None if self.guard.matches(key) => (self.specialized.hash_bytes(key), true),
+            None => (0, false),
+        }
+    }
+
+    /// The [`GuardMode::Guarded`] route: the specialized hash in format,
+    /// the tagged fallback off it, with drift accounting.
+    #[inline]
+    fn guarded_routed(&self, key: &[u8]) -> (u64, bool)
+    where
+        G: ByteHash,
+    {
+        let (h, in_format) = self.specialized_routed(key);
+        if in_format {
+            self.count_in_format(1);
+            (h, self.injective)
+        } else {
+            (self.off_format_routed(key), false)
+        }
+    }
+
+    /// Counts `n` in-format keys, unless this copy is silent.
+    #[inline]
+    fn count_in_format(&self, n: u64) {
+        if !self.silent {
+            self.stats.in_format.add(n);
+        }
+    }
+
+    /// Counts and samples one off-format key (unless this copy is silent)
+    /// and returns its tagged fallback hash.
+    #[inline]
+    fn off_format_routed(&self, key: &[u8]) -> u64
+    where
+        G: ByteHash,
+    {
+        if !self.silent {
+            self.stats.off_format.inc();
+            self.offer_to_reservoir(key);
+        }
+        self.off_format_hash(key)
+    }
+
+    /// The keyed rung's seeded bijection of an in-format key's
+    /// specialized hash `x`.
+    #[inline]
+    fn keyed_bijection(&self, x: u64) -> u64 {
+        let (k0, k1) = self.current_seed();
+        fmix64((x ^ k0).wrapping_mul(k1 | 1))
+    }
+
     /// The [`GuardMode::Keyed`] route, out of line so the guarded fast
     /// path does not grow. An in-format key under an injective plan
     /// hashes as a seeded bijection of its specialized hash `x`: xor, an
@@ -873,13 +894,13 @@ impl<F: ByteHash, G> GuardedHash<F, G> {
     /// nothing.
     #[inline(never)]
     fn keyed_routed(&self, key: &[u8]) -> (u64, bool) {
-        if self.injective && self.guard.matches(key) {
-            let (k0, k1) = self.current_seed();
-            let x = self.specialized.hash_bytes(key);
-            (fmix64((x ^ k0).wrapping_mul(k1 | 1)), true)
-        } else {
-            (self.keyed_hash(key), false)
+        if self.injective {
+            let (x, in_format) = self.specialized_routed(key);
+            if in_format {
+                return (self.keyed_bijection(x), true);
+            }
         }
+        (self.keyed_hash(key), false)
     }
 }
 
@@ -889,11 +910,13 @@ impl<F: crate::hash::HashBatch, G: ByteHash> crate::hash::HashBatch for GuardedH
     /// the same amounts, and the reservoir sees the same offers in the same
     /// order as `keys.iter().map(|k| self.hash_bytes(k))` would produce.
     ///
-    /// Chunks where every key passes [`FormatGuard::check_batch`] stay on
-    /// the fast path — one batched guard check, one counter update, one
-    /// specialized `hash_batch` call. Chunks containing an off-format key
-    /// fall back to per-key routing so reservoir sampling and tagging are
-    /// exactly the scalar path's.
+    /// With a fused kernel, chunks of eight and then four keys take one
+    /// interleaved pass that yields every lane's hash and verdict; a chunk
+    /// wholly in format costs that pass and one counter update. Without
+    /// one, a chunk the guard passes whole takes one specialized
+    /// `hash_batch` call. Chunks containing an off-format key, and the last
+    /// few keys, fall back to per-key routing, so reservoir sampling and
+    /// tagging are exactly the scalar path's.
     fn hash_batch(&self, keys: &[&[u8]], out: &mut [u64]) {
         assert_eq!(keys.len(), out.len(), "batch output length mismatch");
         match self.mode() {
@@ -901,45 +924,93 @@ impl<F: crate::hash::HashBatch, G: ByteHash> crate::hash::HashBatch for GuardedH
                 for (key, slot) in keys.iter().zip(out.iter_mut()) {
                     *slot = self.off_format_hash(key);
                 }
-                return;
             }
-            GuardMode::Keyed => {
+            GuardMode::Keyed => match &self.fused {
+                Some(k) if self.injective => for_lanes(keys, out, |chunk, out| match chunk.len() {
+                    8 => self.keyed_lanes::<8>(k, chunk, out),
+                    4 => self.keyed_lanes::<4>(k, chunk, out),
+                    _ => out[0] = self.keyed_routed(chunk[0]).0,
+                }),
+                _ => {
+                    for (key, slot) in keys.iter().zip(out.iter_mut()) {
+                        *slot = self.keyed_routed(key).0;
+                    }
+                }
+            },
+            GuardMode::Guarded => match &self.fused {
+                Some(k) => for_lanes(keys, out, |chunk, out| match chunk.len() {
+                    8 => self.guarded_lanes::<8>(k, chunk, out),
+                    4 => self.guarded_lanes::<4>(k, chunk, out),
+                    _ => out[0] = self.guarded_routed(chunk[0]).0,
+                }),
+                None => {
+                    for (chunk, out) in keys.chunks(8).zip(out.chunks_mut(8)) {
+                        self.guarded_chunk(chunk, out);
+                    }
+                }
+            },
+        }
+    }
+}
+
+impl<F: crate::hash::HashBatch, G: ByteHash> GuardedHash<F, G> {
+    /// One interleaved chunk of `W` keys on the guarded route: one pass
+    /// and one counter update when every key is in format, per-key
+    /// routing otherwise.
+    #[inline]
+    fn guarded_lanes<const W: usize>(&self, k: &FusedKernel, keys: &[&[u8]], out: &mut [u64]) {
+        match k.lanes::<W>(keys) {
+            Some(l) if l.all_in_format() => {
+                self.count_in_format(W as u64);
+                out.copy_from_slice(&l.hash);
+            }
+            _ => {
+                for (key, slot) in keys.iter().zip(out.iter_mut()) {
+                    *slot = self.guarded_routed(key).0;
+                }
+            }
+        }
+    }
+
+    /// One interleaved chunk of `W` keys on the keyed route, under an
+    /// injective plan.
+    #[inline]
+    fn keyed_lanes<const W: usize>(&self, k: &FusedKernel, keys: &[&[u8]], out: &mut [u64]) {
+        match k.lanes::<W>(keys) {
+            Some(l) if l.all_in_format() => {
+                for (slot, &x) in out.iter_mut().zip(&l.hash) {
+                    *slot = self.keyed_bijection(x);
+                }
+            }
+            _ => {
                 for (key, slot) in keys.iter().zip(out.iter_mut()) {
                     *slot = self.keyed_routed(key).0;
                 }
-                return;
             }
-            GuardMode::Guarded => {}
         }
+    }
+
+    /// A chunk of up to eight keys on the guarded route without a fused
+    /// kernel: the guard per key, then one specialized `hash_batch` call
+    /// when every key passes.
+    fn guarded_chunk(&self, keys: &[&[u8]], out: &mut [u64]) {
         let mut verdicts = [false; 8];
-        let mut start = 0usize;
-        while start < keys.len() {
-            let n = (keys.len() - start).min(8);
-            let chunk = &keys[start..start + n];
-            self.guard.check_batch(chunk, &mut verdicts[..n]);
-            if verdicts[..n].iter().all(|&v| v) {
-                if !self.silent {
-                    self.stats.in_format.add(n as u64);
-                }
-                self.specialized
-                    .hash_batch(chunk, &mut out[start..start + n]);
+        for (v, key) in verdicts.iter_mut().zip(keys) {
+            *v = self.guard.matches(key);
+        }
+        let verdicts = &verdicts[..keys.len()];
+        if verdicts.iter().all(|&v| v) {
+            self.count_in_format(keys.len() as u64);
+            self.specialized.hash_batch(keys, out);
+            return;
+        }
+        for ((key, slot), &ok) in keys.iter().zip(out.iter_mut()).zip(verdicts) {
+            *slot = if ok {
+                self.count_in_format(1);
+                self.specialized.hash_bytes(key)
             } else {
-                for (lane, (&key, &ok)) in chunk.iter().zip(&verdicts[..n]).enumerate() {
-                    out[start + lane] = if ok {
-                        if !self.silent {
-                            self.stats.in_format.inc();
-                        }
-                        self.specialized.hash_bytes(key)
-                    } else {
-                        if !self.silent {
-                            self.stats.off_format.inc();
-                            self.offer_to_reservoir(key);
-                        }
-                        self.off_format_hash(key)
-                    };
-                }
-            }
-            start += n;
+                self.off_format_routed(key)
+            };
         }
     }
 }
@@ -1109,7 +1180,7 @@ mod tests {
     }
 
     #[test]
-    fn check_batch_agrees_with_scalar_matches() {
+    fn fused_batch_verdicts_agree_with_scalar_matches() {
         for regex in [
             r"\d{3}-\d{2}-\d{4}",
             r"(([0-9]{3})\.){3}[0-9]{3}",
@@ -1131,12 +1202,25 @@ mod tests {
                 b"12345".to_vec(),
             ];
             let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-            for width in [1usize, 3, 7, 8, 11] {
-                let batch = &refs[..width];
-                let mut verdicts = vec![false; width];
-                guard.check_batch(batch, &mut verdicts);
-                for (key, &v) in batch.iter().zip(&verdicts) {
-                    assert_eq!(v, pattern.matches(key), "{regex} {key:?}");
+            let fixed = pattern.min_len() == pattern.max_len() && pattern.min_len() >= 8;
+            for family in Family::ALL {
+                let guarded = GuardedHash::from_pattern(&pattern, family, Stl);
+                let Some(kernel) = guarded.fused() else {
+                    assert!(!fixed || family == Family::Aes, "{regex} {family}");
+                    continue;
+                };
+                for width in [1usize, 3, 7, 8, 11] {
+                    let batch = &refs[..width];
+                    let mut hashes = vec![0u64; width];
+                    let mut verdicts = vec![false; width];
+                    kernel.eval_batch(batch, &mut hashes, &mut verdicts);
+                    for ((key, &v), &h) in batch.iter().zip(&verdicts).zip(&hashes) {
+                        assert_eq!(v, guard.matches(key), "{regex} {family} {key:?}");
+                        assert_eq!(v, pattern.matches(key), "{regex} {family} {key:?}");
+                        if v {
+                            assert_eq!(h, guarded.specialized().hash_bytes(key), "{regex}");
+                        }
+                    }
                 }
             }
         }
@@ -1147,26 +1231,38 @@ mod tests {
         use crate::hash::HashBatch;
         let pattern =
             Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("test regex is valid by construction");
-        let inner = SynthesizedHash::from_pattern(&pattern, Family::Pext);
-        let batched = GuardedHash::new(&pattern, inner.clone(), Stl);
-        let scalar = GuardedHash::new(&pattern, inner, Stl);
         let keys: Vec<Vec<u8>> = (0..23)
             .map(|i: u32| {
                 if i % 5 == 3 {
                     format!("drifted-{i}").into_bytes()
+                } else if i % 7 == 6 {
+                    // Right length, a constant bit off: only the verdict,
+                    // not the length compare, can route it.
+                    format!("{:03}_{:02}-{:04}", i, i % 97, i * 7).into_bytes()
                 } else {
                     format!("{:03}-{:02}-{:04}", i, i % 97, i * 7).into_bytes()
                 }
             })
             .collect();
         let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-        let mut out = vec![0u64; refs.len()];
-        batched.hash_batch(&refs, &mut out);
-        let expect: Vec<u64> = refs.iter().map(|k| scalar.hash_bytes(k)).collect();
-        assert_eq!(out, expect);
-        assert_eq!(batched.stats().in_format(), scalar.stats().in_format());
-        assert_eq!(batched.stats().off_format(), scalar.stats().off_format());
-        assert_eq!(batched.reservoir_keys(), scalar.reservoir_keys());
+        for family in Family::ALL {
+            let inner = SynthesizedHash::from_pattern(&pattern, family);
+            let batched = GuardedHash::new(&pattern, inner.clone(), Stl);
+            let scalar = GuardedHash::new(&pattern, inner, Stl);
+            // Every family but Aes takes the fused batch verdict.
+            assert_eq!(batched.fused().is_some(), family != Family::Aes, "{family}");
+            for width in [3usize, 8, refs.len()] {
+                for chunk in refs.chunks(width) {
+                    let mut out = vec![0u64; chunk.len()];
+                    batched.hash_batch(chunk, &mut out);
+                    let expect: Vec<u64> = chunk.iter().map(|k| scalar.hash_bytes(k)).collect();
+                    assert_eq!(out, expect, "{family} width {width}");
+                }
+            }
+            assert_eq!(batched.stats().in_format(), scalar.stats().in_format());
+            assert_eq!(batched.stats().off_format(), scalar.stats().off_format());
+            assert_eq!(batched.reservoir_keys(), scalar.reservoir_keys());
+        }
     }
 
     #[test]

@@ -96,7 +96,7 @@ fn loads_end(ops: &[WordOp]) -> Option<usize> {
 ///
 /// `offset + 8 <= key.len()` must hold.
 #[inline]
-unsafe fn load_u64_le_unchecked(key: &[u8], offset: usize) -> u64 {
+pub(crate) unsafe fn load_u64_le_unchecked(key: &[u8], offset: usize) -> u64 {
     debug_assert!(offset + 8 <= key.len());
     u64::from_le(unsafe { key.as_ptr().add(offset).cast::<u64>().read_unaligned() })
 }

@@ -9,7 +9,7 @@
 //! into `std::unordered_map` (Figure 5d).
 
 pub mod adapter;
-mod batch;
+pub(crate) mod batch;
 pub mod keyed;
 mod stl;
 mod synthesized;
@@ -19,6 +19,8 @@ pub use keyed::{siphash13, EntropySeedSource, FixedSeedSource, SeedSource};
 pub use stl::{stl_hash_bytes, DEFAULT_STL_SEED};
 pub use synthesized::{SynthError, SynthesizedHash};
 
+use crate::fused::FusedKernel;
+use crate::guard::FormatGuard;
 use crate::pattern::KeyPattern;
 
 /// A hash function over byte strings.
@@ -64,6 +66,15 @@ pub trait ByteHash {
         let _ = pattern;
         false
     }
+
+    /// This hash and `guard` compiled into one load schedule that returns
+    /// the hash and the guard's verdict in one pass (see
+    /// [`crate::fused`]), or `None` when the shape has none. Defaults to
+    /// `None`; [`SynthesizedHash`] fuses its fixed-word plans.
+    fn fused_with(&self, guard: &FormatGuard) -> Option<FusedKernel> {
+        let _ = guard;
+        None
+    }
 }
 
 impl<T: ByteHash + ?Sized> ByteHash for &T {
@@ -78,6 +89,10 @@ impl<T: ByteHash + ?Sized> ByteHash for &T {
 
     fn injective_over(&self, pattern: &KeyPattern) -> bool {
         (**self).injective_over(pattern)
+    }
+
+    fn fused_with(&self, guard: &FormatGuard) -> Option<FusedKernel> {
+        (**self).fused_with(guard)
     }
 }
 
@@ -94,6 +109,10 @@ impl<T: ByteHash + ?Sized> ByteHash for Box<T> {
     fn injective_over(&self, pattern: &KeyPattern) -> bool {
         (**self).injective_over(pattern)
     }
+
+    fn fused_with(&self, guard: &FormatGuard) -> Option<FusedKernel> {
+        (**self).fused_with(guard)
+    }
 }
 
 impl<T: ByteHash + ?Sized> ByteHash for std::sync::Arc<T> {
@@ -108,5 +127,9 @@ impl<T: ByteHash + ?Sized> ByteHash for std::sync::Arc<T> {
 
     fn injective_over(&self, pattern: &KeyPattern) -> bool {
         (**self).injective_over(pattern)
+    }
+
+    fn fused_with(&self, guard: &FormatGuard) -> Option<FusedKernel> {
+        (**self).fused_with(guard)
     }
 }

@@ -566,6 +566,18 @@ impl ByteHash for SynthesizedHash {
     fn injective_over(&self, pattern: &KeyPattern) -> bool {
         self.plan.injective_over(self.family, pattern)
     }
+
+    fn fused_with(&self, guard: &crate::guard::FormatGuard) -> Option<crate::fused::FusedKernel> {
+        let Plan::FixedWords { ops, .. } = &self.plan else {
+            return None;
+        };
+        let pext = match self.family {
+            Family::Naive | Family::OffXor => None,
+            Family::Pext => Some(self.hw_pext),
+            Family::Aes => return None,
+        };
+        crate::fused::FusedKernel::compile(guard, ops, pext, self.seed)
+    }
 }
 
 /// The fixed round key of the Aes family (hex digits of e).

@@ -46,6 +46,7 @@
 pub mod aes;
 pub mod bits;
 pub mod codegen;
+pub mod fused;
 pub mod guard;
 pub mod hash;
 pub mod infer;

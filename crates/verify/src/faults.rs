@@ -15,6 +15,7 @@
 
 use crate::interp::spec_matches;
 use sepe_containers::{DriftPolicy, UnorderedMap};
+use sepe_core::fused::FusedKernel;
 use sepe_core::guard::{FormatGuard, GuardMode, GuardedHash};
 use sepe_core::hash::ByteHash;
 use sepe_core::pattern::KeyPattern;
@@ -145,13 +146,16 @@ pub fn check_guard_agreement(
 /// Builds mixed batches (clean keys interleaved with [`mutate_off_format`]
 /// mutations) and asserts, across batch widths 1/3/4/7/8:
 ///
-/// * [`FormatGuard::check_batch`] flags exactly the indices that
-///   `guard.matches` and [`spec_matches`] flag;
+/// * the fused batch verdict ([`FusedKernel::eval_batch`]) of every
+///   family whose plan has a kernel flags exactly the indices that
+///   `guard.matches` and [`spec_matches`] flag, and its hash of each
+///   in-format key is the specialized hash;
 /// * driving a [`GuardedHash`] through `hash_batch` yields the same hash
 ///   values as a scalar twin, and leaves the drift counters (`in_format`,
 ///   `off_format`) with the same increments.
 ///
-/// Returns the number of membership decisions compared.
+/// Returns the number of membership decisions compared: one per key and
+/// width, each checked against every family's kernel.
 ///
 /// # Errors
 ///
@@ -179,22 +183,50 @@ pub fn check_batch_guard_agreement(
         })
         .collect();
     let refs: Vec<&[u8]> = pool.iter().map(Vec::as_slice).collect();
+    let fused: Vec<(Family, SynthesizedHash, FusedKernel)> = Family::ALL
+        .into_iter()
+        .filter_map(|family| {
+            let guarded = GuardedHash::from_pattern(pattern, family, CityHash::new());
+            let kernel = *guarded.fused()?;
+            Some((family, guarded.specialized().clone(), kernel))
+        })
+        .collect();
 
     let mut checked = 0usize;
     for width in [1usize, 3, 4, 7, 8] {
         for chunk in refs.chunks(width) {
+            let mut hashes = vec![0u64; chunk.len()];
             let mut verdicts = vec![false; chunk.len()];
-            guard.check_batch(chunk, &mut verdicts);
-            for (i, (&key, &batched)) in chunk.iter().zip(&verdicts).enumerate() {
+            for (i, &key) in chunk.iter().enumerate() {
                 let scalar = guard.matches(key);
                 let spec = spec_matches(pattern, key);
-                if batched != scalar || batched != spec {
+                if scalar != spec {
                     return Err(format!(
-                        "width {width} lane {i}: check_batch says {batched}, \
-                         guard.matches says {scalar}, spec says {spec} on {key:?}"
+                        "width {width} lane {i}: guard.matches says {scalar}, \
+                         spec says {spec} on {key:?}"
                     ));
                 }
                 checked += 1;
+            }
+            for (family, specialized, kernel) in &fused {
+                kernel.eval_batch(chunk, &mut hashes, &mut verdicts);
+                for (i, &key) in chunk.iter().enumerate() {
+                    let (batched, spec) = (verdicts[i], spec_matches(pattern, key));
+                    if batched != spec {
+                        return Err(format!(
+                            "{family} width {width} lane {i}: the fused batch verdict \
+                             says {batched}, spec says {spec} on {key:?}"
+                        ));
+                    }
+                    let want = specialized.hash_bytes(key);
+                    if batched && hashes[i] != want {
+                        return Err(format!(
+                            "{family} width {width} lane {i}: fused batch hash {:#x} \
+                             != specialized {want:#x} on {key:?}",
+                            hashes[i]
+                        ));
+                    }
+                }
             }
         }
     }

@@ -1,18 +1,82 @@
 //! Property-based tests for the batched hashing kernels: for seeded-random
 //! formats and keys, `hash_batch` is bit-identical to the scalar path and
 //! to the plan interpreter at every width (ragged tails included), with
-//! hardware `pext` dispatch forced both on and off.
+//! hardware `pext` dispatch forced both on and off. A guarded batch takes
+//! the same routes as the scalar path, down to the drift counters and the
+//! order of reservoir offers.
 
 use proptest::prelude::*;
-use sepe_core::hash::{ByteHash, HashBatch, SynthesizedHash};
+use sepe_core::guard::GuardedHash;
+use sepe_core::hash::{stl_hash_bytes, ByteHash, HashBatch, SynthesizedHash};
 use sepe_core::synth::{synthesize, Family};
 use sepe_core::Isa;
 use sepe_keygen::SplitMix64;
 use sepe_verify::batch::{with_forced_software_pext, WIDTHS};
+use sepe_verify::faults::mutate_off_format;
 use sepe_verify::formats::RandomFormat;
 use sepe_verify::interp;
 
+#[derive(Clone)]
+struct Stl;
+impl ByteHash for Stl {
+    fn hash_bytes(&self, key: &[u8]) -> u64 {
+        stl_hash_bytes(key, 0)
+    }
+}
+
 proptest! {
+    #[test]
+    fn a_guarded_batch_routes_counts_and_samples_like_the_scalar_path(seed in any::<u64>()) {
+        let mut rng = SplitMix64::new(seed);
+        let format = RandomFormat::generate(&mut rng);
+        let pattern = format.pattern();
+        // Runs of in-format keys (whole chunks take the fused pass) broken
+        // by off-format ones at random lanes.
+        let keys: Vec<Vec<u8>> = format
+            .sample_keys(&mut rng, 29)
+            .into_iter()
+            .map(|k| {
+                if rng.next_u64().is_multiple_of(5) {
+                    mutate_off_format(&pattern, &k, &mut rng)
+                } else {
+                    k
+                }
+            })
+            .collect();
+        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        for family in Family::ALL {
+            let plan = synthesize(&pattern, family);
+            for isa in [Isa::Native, Isa::Portable] {
+                let inner = SynthesizedHash::new(plan.clone(), family, isa);
+                for width in WIDTHS.into_iter().chain([refs.len()]) {
+                    let batched = GuardedHash::new(&pattern, inner.clone(), Stl);
+                    let scalar = GuardedHash::new(&pattern, inner.clone(), Stl);
+                    for chunk in refs.chunks(width) {
+                        let mut got = vec![0u64; chunk.len()];
+                        batched.hash_batch(chunk, &mut got);
+                        for (&key, &actual) in chunk.iter().zip(&got) {
+                            prop_assert_eq!(actual, scalar.hash_bytes(key), "{} {:?} width {} {:?}", family, isa, width, key);
+                        }
+                    }
+                    let (b, s) = (batched.stats(), scalar.stats());
+                    prop_assert_eq!((b.in_format(), b.off_format()), (s.in_format(), s.off_format()), "{} {:?} width {}", family, isa, width);
+                    prop_assert_eq!(batched.reservoir_keys(), scalar.reservoir_keys(), "{} {:?} width {}", family, isa, width);
+                    if let Some(kernel) = batched.fused() {
+                        let mut hashes = vec![0u64; refs.len()];
+                        let mut verdicts = vec![false; refs.len()];
+                        kernel.eval_batch(&refs, &mut hashes, &mut verdicts);
+                        for (i, key) in refs.iter().enumerate() {
+                            prop_assert_eq!(verdicts[i], batched.guard().matches(key), "{} {:?} {:?}", family, isa, key);
+                            if verdicts[i] {
+                                prop_assert_eq!(hashes[i], interp::interpret(&plan, family, 0, key), "{} {:?}", family, isa);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn hash_batch_equals_scalar_and_interpreter(seed in any::<u64>()) {
         let mut rng = SplitMix64::new(seed);
