@@ -828,9 +828,10 @@ fn synth_report(pattern: &KeyPattern, iterations: usize) {
     println!("{}", Json::Obj(doc));
 }
 
-/// Demonstrates the degradation state machine: fills a guarded map with the
+/// Demonstrates the drift state machine: fills a guarded map with the
 /// user's keys, then streams progressively off-format traffic through it
-/// until the drift policy flips the table to the fallback hasher.
+/// until the drift window trips, and reports the trip with the tripping
+/// window's counts. The trip holds the guarded route: no table re-filing.
 fn drift_demo(pattern: &KeyPattern, keys: &[String], threshold: f64) {
     let policy = DriftPolicy::with_threshold(threshold);
     let hasher = GuardedHash::from_pattern(pattern, Family::OffXor, CityHash::new());
@@ -845,24 +846,27 @@ fn drift_demo(pattern: &KeyPattern, keys: &[String], threshold: f64) {
         threshold * 100.0
     );
     // Off-format traffic: the same keys with a marker byte appended.
-    let mut flipped_at = None;
+    let mut tripped_at = None;
     for (i, key) in keys.iter().enumerate() {
         map.insert(format!("{key}!"), i);
         if map.maybe_degrade(&policy) {
-            flipped_at = Some(i + 1);
+            tripped_at = Some(i + 1);
             break;
         }
     }
     let stats = map.drift_stats();
-    match flipped_at {
-        Some(n) => println!(
-            "degraded to the fallback hasher after {n} off-format keys \
-             ({:.1}% drift over {} observations); table rehashed, mode {:?}",
-            stats.off_rate() * 100.0,
-            stats.total(),
-            map.guard_mode()
+    match (tripped_at, map.drift_trip()) {
+        (Some(n), Some((off, total))) => println!(
+            "drift window tripped after {n} off-format keys ({off} off-format of {total} in \
+             the tripping window); guarded route held, mode {:?}, epoch {}",
+            map.guard_mode(),
+            if map.migration_in_flight() {
+                "open"
+            } else {
+                "none"
+            }
         ),
-        None => println!(
+        _ => println!(
             "threshold never exceeded ({:.1}% drift over {} observations); mode {:?}",
             stats.off_rate() * 100.0,
             stats.total(),

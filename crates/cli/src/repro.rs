@@ -519,11 +519,13 @@ pub fn gradual(scale: &RunScale) -> String {
     out
 }
 
-/// **Robustness artifact** — the format-drift degradation state machine:
-/// per key format, a guarded OffXor map absorbs clean traffic, then
-/// off-format traffic (one marker byte appended) until the drift policy
-/// flips the table to the CityHash fallback. The table reports the flip
-/// point and the observed drift rate at the transition.
+/// **Robustness artifact** — the format-drift state machine: per key
+/// format, a guarded OffXor map absorbs clean traffic, then off-format
+/// traffic (one marker byte appended) until its drift window trips. The
+/// table reports the trip point, the tripping window's off-format and
+/// total counts, and that the trip held the guarded route: off-format keys
+/// already take the CityHash fallback, so no routing changes and no epoch
+/// opens until a resynthesis.
 ///
 /// When a validated [`SynthBundle`] is supplied (`sepe-repro --plan FILE
 /// guard`), an extra row drives the *loaded* plan — specialized hash,
@@ -545,10 +547,48 @@ pub fn guard(
     let policy = DriftPolicy::with_threshold(threshold);
     let clean_keys = scale.collision_keys.clamp(64, 4096);
     let mut out = format!(
-        "Format-drift degradation (threshold {:.0}%, {clean_keys} clean keys per format)\n\
-         Format    clean-drift  flip-after  drift-at-flip  mode-after\n",
+        "Format-drift trip (threshold {:.0}%, {clean_keys} clean keys per format)\n\
+         Format    clean-drift  trip-after  trip-window (off/total)  mode-after  epoch\n",
         threshold * 100.0
     );
+    /// Streams `off` into `map` until its drift window trips, then writes
+    /// the format's row.
+    fn drill<K, F, G>(
+        out: &mut String,
+        name: &str,
+        map: &mut UnorderedMap<K, u64, GuardedHash<F, G>>,
+        off: impl Iterator<Item = K>,
+        policy: &DriftPolicy,
+    ) where
+        K: Eq + AsRef<[u8]>,
+        F: sepe_core::ByteHash + Clone,
+        G: sepe_core::ByteHash + Clone,
+    {
+        let clean_drift = map.drift_stats().off_rate();
+        let mut trip_after = None;
+        for (i, key) in off.enumerate() {
+            map.insert(key, i as u64);
+            if map.maybe_degrade(policy) {
+                trip_after = Some(i + 1);
+                break;
+            }
+        }
+        let window = map
+            .drift_trip()
+            .map_or_else(|| "-".to_owned(), |(off, total)| format!("{off}/{total}"));
+        let epoch = if map.migration_in_flight() {
+            "open"
+        } else {
+            "none"
+        };
+        let _ = writeln!(
+            out,
+            "{name:<9} {:>10.1}% {:>11} {window:>24} {:>11} {epoch:>6}",
+            clean_drift * 100.0,
+            trip_after.map_or_else(|| "never".to_owned(), |n| n.to_string()),
+            format!("{:?}", map.guard_mode())
+        );
+    }
     for format in &scale.formats {
         let pattern = Regex::compile(&format.regex()).expect("paper formats compile");
         let hasher = GuardedHash::from_pattern(&pattern, Family::OffXor, CityHash::new());
@@ -557,29 +597,13 @@ pub fn guard(
         for i in 0..clean_keys {
             map.insert(format.materialize(i as u128 * step), i as u64);
         }
-        let clean_drift = map.drift_stats().off_rate();
-        let mut flip_after = None;
-        for i in 0..clean_keys * 2 {
-            let key = format!(
+        let off = (0..clean_keys * 2).map(|i| {
+            format!(
                 "{}!",
                 format.materialize((i as u128 * step) % format.space())
-            );
-            map.insert(key, i as u64);
-            if map.maybe_degrade(&policy) {
-                flip_after = Some(i + 1);
-                break;
-            }
-        }
-        let stats = map.drift_stats();
-        let _ = writeln!(
-            out,
-            "{:<9} {:>10.1}% {:>11} {:>13.1}% {:>11}",
-            format.name(),
-            clean_drift * 100.0,
-            flip_after.map_or_else(|| "never".to_owned(), |n| n.to_string()),
-            stats.off_rate() * 100.0,
-            format!("{:?}", map.guard_mode())
-        );
+            )
+        });
+        drill(&mut out, format.name(), &mut map, off, &policy);
     }
     if let Some(b) = bundle {
         use sepe_core::hash::SynthesizedHash;
@@ -587,7 +611,7 @@ pub fn guard(
         let hasher = GuardedHash::new(&b.pattern, spec, CityHash::new());
         let mut map: UnorderedMap<Vec<u8>, u64, _> = UnorderedMap::with_hasher(hasher);
         let mut rng = sepe_keygen::SplitMix64::new(0x91A4);
-        let sample = |rng: &mut sepe_keygen::SplitMix64| -> Vec<u8> {
+        let mut sample = move || -> Vec<u8> {
             (0..b.pattern.max_len())
                 .map(|i| {
                     let choices: Vec<u8> = b.pattern.bytes()[i].possible_bytes().collect();
@@ -596,36 +620,27 @@ pub fn guard(
                 .collect()
         };
         for i in 0..clean_keys {
-            map.insert(sample(&mut rng), i as u64);
+            map.insert(sample(), i as u64);
         }
-        let clean_drift = map.drift_stats().off_rate();
-        let mut flip_after = None;
-        for i in 0..clean_keys * 2 {
-            // Lengthening past the pattern's maximum is off-format for any
-            // loaded bundle, whatever bytes its format admits.
-            let mut key = sample(&mut rng);
+        // Lengthening past the pattern's maximum is off-format for any
+        // loaded bundle, whatever bytes its format admits.
+        let off = (0..clean_keys * 2).map(|i| {
+            let mut key = sample();
             key.resize(b.pattern.max_len() + 1 + i % 3, b'!');
-            map.insert(key, i as u64);
-            if map.maybe_degrade(&policy) {
-                flip_after = Some(i + 1);
-                break;
-            }
-        }
-        let stats = map.drift_stats();
-        let _ = writeln!(
-            out,
-            "{:<9} {:>10.1}% {:>11} {:>13.1}% {:>11}",
-            format!("plan/{}", b.family),
-            clean_drift * 100.0,
-            flip_after.map_or_else(|| "never".to_owned(), |n| n.to_string()),
-            stats.off_rate() * 100.0,
-            format!("{:?}", map.guard_mode())
+            key
+        });
+        drill(
+            &mut out,
+            &format!("plan/{}", b.family),
+            &mut map,
+            off,
+            &policy,
         );
     }
     out.push_str(
-        "(Off-format keys route to CityHash under a separated tag until the drift\n\
-         threshold trips; then the table re-files its entries to the fallback\n\
-         hasher through an incremental epoch migration — no stop-the-world rebuild.)\n",
+        "(Off-format keys route to CityHash under a separated tag from the first one.\n\
+         A trip records the window that crossed the threshold and holds the guarded\n\
+         route: no key is re-filed until a resynthesis widens the plan.)\n",
     );
     out
 }
@@ -741,17 +756,23 @@ mod tests {
     }
 
     #[test]
-    fn guard_artifact_reports_a_flip_for_every_format() {
+    fn guard_artifact_reports_a_held_trip_for_every_format() {
         let mut s = tiny_scale();
         s.formats = vec![KeyFormat::Ssn, KeyFormat::Ipv4];
         s.collision_keys = 200;
         let t = guard(&s, 0.10, None);
-        assert!(t.contains("Format-drift degradation"), "{t}");
-        for line in t.lines().filter(|l| l.contains("Degraded")) {
-            assert!(!line.contains("never"), "{line}");
+        assert!(t.contains("Format-drift trip"), "{t}");
+        let rows: Vec<&str> = t
+            .lines()
+            .filter(|l| l.starts_with("SSN") || l.starts_with("IPv4"))
+            .collect();
+        assert_eq!(rows.len(), 2, "{t}");
+        for row in rows {
+            assert!(!row.contains("never"), "{row}");
+            assert!(row.contains('/'), "the trip's window counts: {row}");
+            assert!(row.contains("Guarded") && row.ends_with("none"), "{row}");
         }
-        assert!(t.contains("SSN") && t.contains("IPv4"), "{t}");
-        assert!(t.matches("Degraded").count() == 2, "{t}");
+        assert!(!t.contains("Degraded"), "{t}");
     }
 
     #[test]

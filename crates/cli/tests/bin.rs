@@ -245,11 +245,13 @@ fn keybench_guard_reports_guarded_rows_and_drift_transition() {
         assert!(stdout.contains(row), "{row} missing from:\n{stdout}");
     }
     assert!(stdout.contains("guard drift:"), "{stdout}");
+    assert!(stdout.contains("drift window tripped after"), "{stdout}");
+    assert!(stdout.contains("in the tripping window"), "{stdout}");
     assert!(
-        stdout.contains("degraded to the fallback hasher"),
+        stdout.contains("guarded route held, mode Guarded, epoch none"),
         "{stdout}"
     );
-    assert!(stdout.contains("mode Degraded"), "{stdout}");
+    assert!(!stdout.contains("Degraded"), "{stdout}");
 }
 
 #[test]
@@ -264,8 +266,17 @@ fn sepe_repro_guard_artifact_shows_the_state_machine() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("Format-drift degradation"), "{stdout}");
-    assert!(stdout.contains("Degraded"), "{stdout}");
+    assert!(stdout.contains("Format-drift trip"), "{stdout}");
+    let rows: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.contains('%') && !l.starts_with("Format"))
+        .collect();
+    assert!(!rows.is_empty(), "{stdout}");
+    for row in rows {
+        assert!(!row.contains("never"), "{row}");
+        assert!(row.contains("Guarded") && row.ends_with("none"), "{row}");
+    }
+    assert!(!stdout.contains("Degraded"), "{stdout}");
 }
 
 #[test]
@@ -746,8 +757,12 @@ fn sepe_repro_guard_drives_a_valid_loaded_plan() {
         .find(|l| l.starts_with("plan/OffXor"))
         .unwrap_or_else(|| panic!("no plan row in:\n{stdout}"));
     assert!(
-        row.contains("Degraded"),
-        "loaded plan never degraded: {row}"
+        !row.contains("never") && row.contains('/'),
+        "loaded plan never tripped: {row}"
+    );
+    assert!(
+        row.contains("Guarded") && row.ends_with("none"),
+        "the trip did not hold the route: {row}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

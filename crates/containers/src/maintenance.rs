@@ -3,6 +3,9 @@
 //! ladder state; a [`Controller`] pairs it with the table, takes every
 //! transition through one private `step`, and returns each judgment's
 //! [`Transition`]. `UnorderedMap` and `UnorderedMultiMap` delegate here.
+//! A drift trip is the one judgment that takes no step: off-format keys
+//! already route to the tagged fallback, so the trip is recorded and held
+//! on the guarded rung, and only an applied resynthesis acts on it.
 //!
 //! The controller also owns the bulk of every migration epoch's drain:
 //! each judgment first drains [`DRAIN_PER_OP`] entries per data operation
@@ -23,10 +26,19 @@ use std::sync::atomic::Ordering;
 /// while its flood stays resident: the longest streak is 16× the policy's.
 pub(crate) const MAX_HOLD_DOUBLINGS: u32 = 4;
 
-/// One rung change a maintenance call took.
+/// One judgment a maintenance call took: a rung change, or a drift trip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Transition {
-    /// `Guarded` → `Degraded`, held for drift.
+    /// The drift window tripped on `Guarded` and the trip is now held:
+    /// the routing, the stored entries and the rung are unchanged. Carries
+    /// the tripping window's counts, the only evidence the trip leaves.
+    Drift {
+        /// Off-format keys in the window that tripped.
+        off_format: u64,
+        /// Keys observed in that window.
+        total: u64,
+    },
+    /// `Guarded` → `Degraded` on request (`degrade_now`), held for drift.
     Degrade,
     /// One storm rung up: `Guarded` → `Degraded`, or `Degraded` → `Keyed`.
     Escalate,
@@ -42,22 +54,27 @@ pub(crate) enum Transition {
 /// and so the only evidence that may bring it back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Cause {
-    /// The drift window tripped. The degraded hasher counts no drift, so
-    /// only an applied resynthesis leaves.
+    /// `degrade_now` flipped the table. The degraded hasher counts no
+    /// drift, so only an applied resynthesis leaves.
     Drift,
     /// The storm detector escalated. A quiet window leaves, once the
     /// routing it returns to would not itself look flooded.
     Storm,
 }
 
-/// A table's ladder state: why it left the guarded rung, the stormy and
-/// calm streaks that keep one noisy snapshot from flipping the hasher,
-/// and the probe-histogram baseline of the per-tick window.
+/// A table's ladder state: why it left the guarded rung, the held drift
+/// trip, the stormy and calm streaks that keep one noisy snapshot from
+/// flipping the hasher, and the probe-histogram baseline of the per-tick
+/// window.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Maintenance {
     /// Why the current rung was entered; `None` on the guarded rung (and
     /// on one reached outside this controller, treated as a storm's).
     cause: Option<Cause>,
+    /// The held drift trip: `(off_format, total)` of the window that
+    /// tripped on the guarded rung. While it is held the drift judgment
+    /// does not trip again; every transition clears it.
+    trip: Option<(u64, u64)>,
     /// Consecutive observations that looked like a storm.
     storm_streak: u32,
     /// Consecutive calm observations on a storm rung.
@@ -79,6 +96,7 @@ impl Default for Maintenance {
     fn default() -> Self {
         Maintenance {
             cause: None,
+            trip: None,
             storm_streak: 0,
             quiet_streak: 0,
             hold: 0,
@@ -112,6 +130,11 @@ fn windowed_quantile(before: &[u64; BUCKETS], after: &[u64; BUCKETS], q: f64) ->
 }
 
 impl Maintenance {
+    /// The held drift trip's window counts, `(off_format, total)`.
+    pub(crate) fn drift_trip(&self) -> Option<(u64, u64)> {
+        self.trip
+    }
+
     /// The controller of `table`, whose ladder state this is.
     pub(crate) fn on<'a, K, V, F, G>(
         &'a mut self,
@@ -156,9 +179,10 @@ where
     /// filed under (only when an epoch opens), lets `flip` change the
     /// hasher (`false`: nothing happens), opens a migration epoch from the
     /// frozen routing to the new one or merges into the open one, restarts
-    /// the drain clock there, bumps `t`'s ladder counter, records the cause
-    /// and restarts the quiet streak and hold. Frozen copies are
-    /// counter-silent and keep a keyed seed through a rotation.
+    /// the drain clock there, bumps `t`'s ladder counter, records the cause,
+    /// clears a held drift trip and restarts the quiet streak and hold.
+    /// Frozen copies are counter-silent and keep a keyed seed through a
+    /// rotation.
     fn step(
         &mut self,
         t: Transition,
@@ -178,7 +202,7 @@ where
         self.state.drained_at = self.table.epoch_ops();
         let obs = self.table.obs();
         self.state.cause = match t {
-            Transition::Degrade => Some(Cause::Drift),
+            Transition::Drift { .. } | Transition::Degrade => Some(Cause::Drift),
             Transition::Escalate => {
                 obs.escalations.inc();
                 Some(Cause::Storm)
@@ -194,6 +218,7 @@ where
             }
             Transition::Resynth => None,
         };
+        self.state.trip = None;
         self.state.quiet_streak = 0;
         self.state.hold = 0;
         Some(t)
@@ -211,21 +236,25 @@ where
     }
 
     /// `UnorderedMap::maybe_degrade`: the one drift-window judgment, after
-    /// the drain on every rung.
+    /// the drain on every rung. A trip on the guarded rung is held, not
+    /// acted on: off-format keys already take the tagged fallback, so it
+    /// records the window, rolls it and changes no routing. While it is
+    /// held, full windows roll without tripping again.
     pub(crate) fn maybe_degrade(mut self, policy: &DriftPolicy) -> Option<Transition> {
         self.drain_served();
         if self.mode() != GuardMode::Guarded {
             return None;
         }
         let stats = self.table.hasher().stats();
-        let (off, total) = stats.window_counts();
-        if policy.should_degrade(off, total) {
-            return self.degrade();
-        }
-        if policy.window_full(total) {
+        let (off_format, total) = stats.window_counts();
+        let trips = self.state.trip.is_none() && policy.should_degrade(off_format, total);
+        if trips || policy.window_full(total) {
             stats.roll_window();
         }
-        None
+        trips.then(|| {
+            self.state.trip = Some((off_format, total));
+            Transition::Drift { off_format, total }
+        })
     }
 
     /// `UnorderedMap::escalate_now`: one storm rung up, or a rotation.

@@ -362,6 +362,13 @@ where
         self.hasher().mode()
     }
 
+    /// The held drift trip: `(off_format, total)` of the window that
+    /// tripped [`UnorderedMap::maybe_degrade`], or `None` when no trip is
+    /// held.
+    pub fn drift_trip(&self) -> Option<(u64, u64)> {
+        self.maint.drift_trip()
+    }
+
     /// Registers the map's table metrics *and* its guard drift counters
     /// (`guard_in_format` / `guard_off_format`) under `labels`. The drift
     /// counters are exported as live reads of the shared [`GuardStats`],
@@ -392,7 +399,9 @@ where
     /// fallback-for-all-keys and opens a migration epoch so stored entries
     /// re-file incrementally instead of in one stop-the-world rebuild.
     /// Lookups stay consistent throughout — they probe both epochs until
-    /// the drain completes.
+    /// the drain completes. This is the only way drift reaches
+    /// [`GuardMode::Degraded`]: a tripped drift window holds the guarded
+    /// route instead (see [`UnorderedMap::maybe_degrade`]).
     ///
     /// A no-op unless the map is on [`GuardMode::Guarded`]: a degraded map
     /// has nothing to do, and a keyed map is already above this rung. The
@@ -402,16 +411,22 @@ where
         self.controller().degrade();
     }
 
-    /// Checks the *windowed* drift counters against `policy` and degrades
-    /// when the off-format rate of the current observation window exceeds
-    /// the threshold; full clean windows are rolled away, so early clean
-    /// traffic cannot mask a later drift burst. Returns whether a
-    /// transition happened during this call.
+    /// Checks the *windowed* drift counters against `policy`; full clean
+    /// windows are rolled away, so early clean traffic cannot mask a later
+    /// drift burst. Returns whether the window tripped during this call.
+    ///
+    /// A trip changes no routing and opens no epoch: off-format keys
+    /// already take the tagged fallback (counted and sampled), and
+    /// in-format keys keep the specialized route, vouched where the plan
+    /// is injective. The trip is recorded ([`UnorderedMap::drift_trip`]),
+    /// its window rolled, and then held: later windows do not trip again
+    /// until a transition clears it, usually the
+    /// [`UnorderedMap::resynthesize`] that widens the plan over the
+    /// sampled keys (any storm transition clears it too).
     ///
     /// Judges only a map on [`GuardMode::Guarded`]; on any other rung it
     /// returns `false` and leaves the window alone. On the keyed rung the
-    /// drift window is still the one frozen at escalation, and degrading
-    /// from there would file the stored entries under the wrong routing.
+    /// drift window is still the one frozen at escalation.
     ///
     /// On every rung it first drains an open migration epoch by 4 entries
     /// per data operation the map served since the last maintenance
@@ -426,8 +441,9 @@ where
     /// Takes one upward rung on the escalation ladder, opening a
     /// migration epoch so the re-keying is an incremental rehash:
     ///
-    /// * `Specialized (Guarded)` → `GuardedFallback (Degraded)` — format
-    ///   drift handling doubles as the first escalation step;
+    /// * `Specialized (Guarded)` → `GuardedFallback (Degraded)` — every
+    ///   key takes the fallback, so the specialized routing a flood was
+    ///   forged against is gone;
     /// * `Degraded` → `Keyed(seed)` — the fallback is unkeyed and
     ///   precomputable, so a detected storm moves to a secret seed;
     /// * `Keyed` → `Keyed(rotated seed)` — a storm *while keyed* means
@@ -464,7 +480,8 @@ where
     /// the stored entries: a rung stays while its flood is resident, since
     /// the specialized and fallback routes are adversary-computable. A
     /// storm rung re-arms even if a drift degrade sat below it; the
-    /// reservoir, filled during the attack, is cleared with it. A rung
+    /// reservoir, filled during the attack, is cleared with it (a drift
+    /// trip held before the storm was cleared by the escalation). A rung
     /// held for drift ([`UnorderedMap::degrade_now`]) is neither counted
     /// nor left: the degraded hasher counts no drift, so only
     /// [`UnorderedMap::resynthesize`] leaves it. On every rung it first
@@ -504,12 +521,13 @@ where
     /// Re-synthesizes the specialized hash from the reservoir of off-format
     /// keys the guard sampled, re-arms the guard (counters and reservoir
     /// reset), and opens a migration epoch that re-files stored entries
-    /// incrementally. Returns the typed outcome: [`Resynth::NoDrift`] (and
-    /// changes nothing) when no off-format keys were observed,
+    /// incrementally. An applied resynthesis clears a held drift trip.
+    /// Returns the typed outcome: [`Resynth::NoDrift`] (and changes
+    /// nothing) when no off-format keys were observed,
     /// [`Resynth::SynthFailed`] (and changes nothing) when synthesis or
     /// plan validation rejected the widened pattern.
     pub fn resynthesize(&mut self) -> Resynth {
-        self.maint.on(&mut self.table).resynthesize()
+        self.controller().resynthesize()
     }
 }
 
@@ -647,7 +665,7 @@ mod tests {
     }
 
     #[test]
-    fn drift_threshold_flips_the_table_to_the_fallback() {
+    fn drift_threshold_trips_and_holds_the_guarded_route() {
         let mut m = guarded_ssn_map(sepe_core::Family::Pext);
         let policy = DriftPolicy {
             threshold: 0.10,
@@ -664,11 +682,12 @@ mod tests {
             m.insert(format!("off-format key {i}"), i);
         }
         assert!(m.drift_stats().off_rate() > policy.threshold);
-        assert!(m.maybe_degrade(&policy), "transition happens exactly once");
-        assert_eq!(m.guard_mode(), GuardMode::Degraded);
-        assert!(!m.maybe_degrade(&policy), "idempotent once degraded");
-        // Every key is still found after the wholesale rehash: the cached
-        // hashes were rebuilt under the fallback hasher.
+        let window = m.drift_stats().window_counts();
+        assert!(m.maybe_degrade(&policy), "the window trips exactly once");
+        assert_eq!(m.drift_trip(), Some(window), "the trip keeps its evidence");
+        assert_eq!(m.guard_mode(), GuardMode::Guarded, "the route is held");
+        assert!(!m.migration_in_flight(), "no epoch opened");
+        assert!(!m.maybe_degrade(&policy), "idempotent while held");
         for i in 0..64u32 {
             let key = format!("{:03}-{:02}-{:04}", i, i % 100, i * 7 % 10_000);
             assert_eq!(m.get(key.as_str()), Some(&i), "{key}");
@@ -676,6 +695,84 @@ mod tests {
         for i in 0..40u32 {
             assert_eq!(m.get(format!("off-format key {i}").as_str()), Some(&i));
         }
+    }
+
+    #[test]
+    fn a_drift_trip_changes_no_route_and_holds_until_a_resynthesis() {
+        let mut m = guarded_ssn_map(sepe_core::Family::Pext);
+        let policy = DriftPolicy {
+            threshold: 0.10,
+            min_samples: 16,
+            window: 1024,
+        };
+        let off = |i: u32| format!("{:03}/{:02}/{:04}", i % 1000, i % 100, i);
+        for i in 0..100u32 {
+            m.insert(ssn_key(i), i);
+        }
+        for i in 0..20u32 {
+            m.insert(off(i), i);
+        }
+        let keys: Vec<String> = (0..100).map(ssn_key).chain((0..20).map(off)).collect();
+        // Routes read through counter-silent copies of the live routing.
+        let routes_now = |m: &UnorderedMap<String, u32, _>| -> Vec<(u64, bool)> {
+            let live: &GuardedHash<_, StlHash> = m.hasher();
+            let silent = live.epoch_frozen(live.mode());
+            keys.iter()
+                .map(|k| silent.hash_routed(k.as_bytes()))
+                .collect()
+        };
+        let routes = routes_now(&m);
+        assert!(routes[..100].iter().all(|r| r.1), "in-format keys vouch");
+        assert!(routes[100..].iter().all(|r| !r.1), "off-format keys do not");
+        let opened = m.table.obs().epochs_opened.get();
+
+        assert!(m.maybe_degrade(&policy));
+        assert_eq!(m.guard_mode(), GuardMode::Guarded);
+        assert!(!m.migration_in_flight());
+        assert_eq!(m.table.obs().epochs_opened.get(), opened, "no epoch opened");
+        assert_eq!(routes_now(&m), routes, "every route and vouch is unchanged");
+
+        // Off-format keys are still counted and sampled; the next window
+        // trips the policy but not the held judgment.
+        let counted = m.drift_stats().off_format();
+        for i in 20..40u32 {
+            m.insert(off(i), i);
+        }
+        assert_eq!(m.drift_stats().off_format(), counted + 20);
+        let sampled = m.hasher().reservoir_keys();
+        assert!(sampled.contains(&off(39).into_bytes()), "{sampled:?}");
+        let (off_format, total) = m.drift_stats().window_counts();
+        assert!(policy.should_degrade(off_format, total));
+        let held = m.drift_trip();
+        assert!(!m.maybe_degrade(&policy), "a held trip does not trip again");
+        assert_eq!(m.drift_trip(), held);
+
+        // The resynthesis is the one epoch, and it clears the hold.
+        assert!(m.resynthesize().is_applied());
+        assert_eq!(m.table.obs().epochs_opened.get(), opened + 1);
+        assert!(m.migration_in_flight());
+        assert_eq!((m.guard_mode(), m.drift_trip()), (GuardMode::Guarded, None));
+        assert!(m.hasher().guard().matches(off(0).as_bytes()));
+        m.finish_migration();
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(m.get(key.as_str()), Some(&(i as u32 % 100)), "{key}");
+        }
+    }
+
+    #[test]
+    fn a_storm_transition_clears_a_held_trip() {
+        let mut m = guarded_ssn_map(sepe_core::Family::OffXor);
+        for i in 0..64u32 {
+            m.insert(ssn_key(i), i);
+            m.insert(format!("off-format key {i}"), i);
+        }
+        assert!(m.maybe_degrade(&DriftPolicy::default()));
+        assert!(m.drift_trip().is_some());
+        m.escalate_now(&sepe_core::hash::keyed::FixedSeedSource::new(7));
+        assert_eq!(
+            (m.guard_mode(), m.drift_trip()),
+            (GuardMode::Degraded, None)
+        );
     }
 
     #[test]
@@ -901,7 +998,7 @@ mod tests {
         };
         for i in 0..5_000u32 {
             m.insert(format!("{:03}-{:02}-{:04}", i % 1000, i % 100, i), i);
-            assert!(!m.maybe_degrade(&policy), "clean traffic never degrades");
+            assert!(!m.maybe_degrade(&policy), "clean traffic never trips");
         }
         let clean_total = m.drift_stats().total();
         let mut flipped_after = None;
@@ -912,7 +1009,7 @@ mod tests {
                 break;
             }
         }
-        let flipped_after = flipped_after.expect("windowed policy must degrade");
+        let flipped_after = flipped_after.expect("windowed policy must trip");
         // Lifetime rate at the flip stays under the threshold — the old
         // lifetime-counter policy would still be waiting.
         let stats = m.drift_stats();
@@ -923,9 +1020,14 @@ mod tests {
         );
         assert!(
             u64::from(flipped_after) * 2 <= policy.window * 2,
-            "flip came within ~one window of off-format traffic, got {flipped_after}"
+            "trip came within ~one window of off-format traffic, got {flipped_after}"
         );
-        assert_eq!(m.guard_mode(), GuardMode::Degraded);
+        assert_eq!(
+            m.guard_mode(),
+            GuardMode::Guarded,
+            "the trip holds the route"
+        );
+        assert!(m.drift_trip().is_some());
     }
 
     #[test]
@@ -1332,7 +1434,15 @@ mod tests {
             m.insert(format!("{:03}/{:02}/{:04}", i % 1000, i % 100, i), i);
         }
         assert!(m.maybe_degrade(&drift));
+        assert_eq!(
+            m.guard_mode(),
+            GuardMode::Guarded,
+            "the trip holds the route"
+        );
+        // Only an explicit degrade flips a drifting map to the fallback.
+        m.degrade_now();
         assert_eq!(m.guard_mode(), GuardMode::Degraded);
+        assert_eq!(m.drift_trip(), None, "the flip clears the held trip");
         // Calm ticks see no storm, and the degraded hasher counts no
         // drift: neither signal can say the drift is over.
         for tick in 0..64u32 {

@@ -3,7 +3,7 @@
 use crate::maintenance::Maintenance;
 use crate::policy::{BucketPolicy, DriftPolicy};
 use crate::table::RawTable;
-use sepe_core::guard::{GuardMode, GuardStats, GuardedHash};
+use sepe_core::guard::{GuardMode, GuardStats, GuardedHash, Resynth};
 use sepe_core::hash::ByteHash;
 use std::borrow::Borrow;
 
@@ -181,6 +181,12 @@ where
     pub fn guard_mode(&self) -> GuardMode {
         self.table.hasher().mode()
     }
+
+    /// The held drift trip: `(off_format, total)` of the window that
+    /// tripped, or `None` when no trip is held.
+    pub fn drift_trip(&self) -> Option<(u64, u64)> {
+        self.maint.drift_trip()
+    }
 }
 
 impl<K, V, F, G> UnorderedMultiMap<K, V, GuardedHash<F, G>>
@@ -189,21 +195,38 @@ where
     F: ByteHash + Clone,
     G: ByteHash + Clone,
 {
-    /// Degrades from [`GuardMode::Guarded`] and opens a migration epoch.
+    /// Degrades from [`GuardMode::Guarded`] and opens a migration epoch:
+    /// the only way drift reaches [`GuardMode::Degraded`] (see
+    /// [`UnorderedMap::degrade_now`](crate::UnorderedMap::degrade_now)).
     pub fn degrade_now(&mut self) {
         self.maint.on(&mut self.table).degrade();
     }
 
-    /// Degrades when windowed drift exceeds `policy`; returns whether this
-    /// call performed the transition.
-    /// First drains an open migration epoch by its share of the operations
-    /// served since the last call, as
-    /// [`UnorderedMap::maybe_degrade`](crate::UnorderedMap::maybe_degrade) does.
+    /// Judges the windowed drift counters against `policy`; returns whether
+    /// the window tripped during this call. A trip is held on the guarded
+    /// route, changes no routing and opens no epoch, as
+    /// [`UnorderedMap::maybe_degrade`](crate::UnorderedMap::maybe_degrade)'s
+    /// does. First drains an open migration epoch by its share of the
+    /// operations served since the last call.
     pub fn maybe_degrade(&mut self, policy: &DriftPolicy) -> bool {
         self.maint
             .on(&mut self.table)
             .maybe_degrade(policy)
             .is_some()
+    }
+}
+
+impl<K, V, G> UnorderedMultiMap<K, V, GuardedHash<sepe_core::SynthesizedHash, G>>
+where
+    K: Eq + AsRef<[u8]>,
+    G: ByteHash + Clone,
+{
+    /// Re-synthesizes the specialized hash from the sampled off-format
+    /// keys and opens one migration epoch, clearing a held drift trip, as
+    /// [`UnorderedMap::resynthesize`](crate::UnorderedMap::resynthesize)
+    /// does.
+    pub fn resynthesize(&mut self) -> Resynth {
+        self.maint.on(&mut self.table).resynthesize()
     }
 }
 
@@ -280,6 +303,67 @@ pub(crate) mod tests {
         );
         assert_eq!(m.guard_mode(), GuardMode::Keyed);
         assert!(!m.migration_in_flight(), "no epoch opened");
+    }
+
+    #[test]
+    fn a_drift_trip_holds_the_guarded_route_until_a_resynthesis() {
+        let pattern = sepe_core::regex::Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("compiles");
+        let hasher = GuardedHash::from_pattern(&pattern, sepe_core::Family::Pext, StlHash::new());
+        let mut m = UnorderedMultiMap::with_hasher(hasher);
+        let policy = DriftPolicy {
+            threshold: 0.10,
+            min_samples: 16,
+            window: 1024,
+        };
+        let off = |i: u32| format!("{:03}/{:02}/{:04}", i % 1000, i % 100, i);
+        for i in 0..100u32 {
+            m.insert(ssn(i), i);
+        }
+        for i in 0..20u32 {
+            m.insert(off(i), i);
+        }
+        let keys: Vec<String> = (0..100).map(ssn).chain((0..20).map(off)).collect();
+        let routes_now = |m: &UnorderedMultiMap<String, u32, _>| -> Vec<(u64, bool)> {
+            let live: &GuardedHash<_, StlHash> = m.table.hasher();
+            let silent = live.epoch_frozen(live.mode());
+            keys.iter()
+                .map(|k| silent.hash_routed(k.as_bytes()))
+                .collect()
+        };
+        let (routes, opened) = (routes_now(&m), m.table.obs().epochs_opened.get());
+        assert!(routes[..100].iter().all(|r| r.1) && routes[100..].iter().all(|r| !r.1));
+
+        let window = m.drift_stats().window_counts();
+        assert!(m.maybe_degrade(&policy));
+        assert_eq!(m.drift_trip(), Some(window));
+        assert_eq!(m.guard_mode(), GuardMode::Guarded);
+        assert!(!m.migration_in_flight());
+        assert_eq!(m.table.obs().epochs_opened.get(), opened, "no epoch opened");
+        assert_eq!(routes_now(&m), routes, "every route and vouch is unchanged");
+
+        let counted = m.drift_stats().off_format();
+        for i in 20..40u32 {
+            m.insert(off(i), i);
+        }
+        assert_eq!(m.drift_stats().off_format(), counted + 20);
+        assert!(m
+            .table
+            .hasher()
+            .reservoir_keys()
+            .contains(&off(39).into_bytes()));
+        let (off_format, total) = m.drift_stats().window_counts();
+        assert!(policy.should_degrade(off_format, total));
+        assert!(!m.maybe_degrade(&policy), "a held trip does not trip again");
+        assert_eq!(m.drift_trip(), Some(window));
+
+        assert!(m.resynthesize().is_applied());
+        assert_eq!(m.table.obs().epochs_opened.get(), opened + 1);
+        assert!(m.migration_in_flight());
+        assert_eq!((m.guard_mode(), m.drift_trip()), (GuardMode::Guarded, None));
+        m.finish_migration();
+        for key in &keys {
+            assert_eq!(m.count(key), 1, "{key}");
+        }
     }
 
     /// A guarded SSN multimap of `len` keys, then a degrade epoch over

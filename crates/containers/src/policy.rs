@@ -39,7 +39,8 @@ impl BucketPolicy {
     }
 }
 
-/// When a guarded container should give up on its specialized hash.
+/// When a guarded container's format has drifted: the signal that its
+/// specialized hash should be resynthesized.
 ///
 /// A [`sepe_core::GuardedHash`] counts how many observed keys fell outside
 /// the trained format. The container judges the off-format fraction over a
@@ -47,8 +48,9 @@ impl BucketPolicy {
 /// counters would let a long clean prefix dilute a later drift burst
 /// forever): once the windowed fraction crosses `threshold` — after at
 /// least `min_samples` observations in the window, so a handful of stray
-/// keys cannot flip a fresh table — the container degrades, switching every
-/// key to the fallback hasher and migrating its stored hashes.
+/// keys cannot trip a fresh table — the container's drift judgment trips.
+/// The trip is held on the guarded route (off-format keys already take the
+/// fallback) until a resynthesis widens the plan.
 ///
 /// # Examples
 ///
@@ -62,7 +64,7 @@ impl BucketPolicy {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftPolicy {
-    /// Off-format fraction above which the container degrades.
+    /// Off-format fraction above which the drift judgment trips.
     pub threshold: f64,
     /// Minimum number of observed keys before the threshold applies.
     pub min_samples: u64,
@@ -73,7 +75,7 @@ pub struct DriftPolicy {
 }
 
 impl Default for DriftPolicy {
-    /// Degrade at 10% off-format traffic, judged over at least 64 keys in
+    /// Trip at 10% off-format traffic, judged over at least 64 keys in
     /// sliding windows of 1024.
     fn default() -> Self {
         DriftPolicy {
@@ -102,8 +104,8 @@ impl DriftPolicy {
         }
     }
 
-    /// Whether `off_format` failures out of `total` observed keys warrant
-    /// degradation. Callers pass the counts of the *current window*
+    /// Whether `off_format` failures out of `total` observed keys trip the
+    /// drift judgment. Callers pass the counts of the *current window*
     /// ([`sepe_core::guard::GuardStats::window_counts`]); lifetime totals
     /// would reintroduce the dilution bug this policy exists to avoid.
     #[must_use]

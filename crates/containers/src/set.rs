@@ -157,9 +157,10 @@ where
         self.inner.degrade_now();
     }
 
-    /// Degrades when drift exceeds `policy`; returns whether this call
-    /// performed the transition.
-    /// First drains an open migration epoch by its share of the operations
+    /// Judges the windowed drift counters against `policy`; returns
+    /// whether the window tripped during this call. The trip is held on
+    /// the guarded route: no routing changes and no epoch opens. First
+    /// drains an open migration epoch by its share of the operations
     /// served since the last call, as
     /// [`UnorderedMap::maybe_degrade`](crate::UnorderedMap::maybe_degrade) does.
     pub fn maybe_degrade(&mut self, policy: &DriftPolicy) -> bool {

@@ -18,9 +18,10 @@
 //! * **Each shard drifts alone.** Every shard owns a
 //!   [`detached`](GuardedHash::detached) copy of the hasher — same guard
 //!   and hash functions, private statistics, mode, and reservoir. One
-//!   shard's off-format burst degrades *that shard only*; its siblings
-//!   keep serving specialized hashes, which is the entire point of
-//!   bounding the blast radius of drift.
+//!   shard's off-format burst trips *that shard's* drift window only, and
+//!   its resynthesis (or an explicit degrade) re-files that shard only;
+//!   its siblings keep their plans and counters, which is the entire
+//!   point of bounding the blast radius of drift.
 //!
 //! Reads take a shard read lock; writes take the shard write lock. Batched
 //! operations group keys by shard first, lock each touched shard once, and
@@ -41,23 +42,24 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 /// well-mixed bits for bucket indexing inside each shard.
 pub const MAX_SHARDS: usize = 64;
 
-/// Ring capacity for a sharded map's degradation event trace: generous
-/// for `MAX_SHARDS` shards degrading and re-arming many times over.
+/// Ring capacity for a sharded map's transition event trace: generous
+/// for `MAX_SHARDS` shards tripping and re-arming many times over.
 const SHARD_EVENT_CAPACITY: usize = 1024;
 
 /// Map-wide observability: lock acquisitions, shard degradations, and a
-/// bounded trace of per-shard transition events. Shared handles so an
-/// exported [`sepe_obs::Registry`] reads live values. The ladder counts
-/// are the shards' own table counters, not kept here.
+/// bounded trace of per-shard drift trips and transition events. Shared
+/// handles so an exported [`sepe_obs::Registry`] reads live values. The
+/// ladder counts are the shards' own table counters, not kept here.
 #[derive(Debug)]
 struct ShardObs {
     /// Shard read locks taken (including non-blocking upgrade probes).
     read_locks: Arc<Counter>,
     /// Shard write locks taken.
     write_locks: Arc<Counter>,
-    /// Guarded→Degraded transitions, counted once per actual flip.
+    /// Guarded→Degraded transitions, counted once per actual flip (a drift
+    /// trip flips nothing, and is recorded only as an event).
     shard_degrades: Arc<Counter>,
-    /// Degradation and escalation events, oldest first.
+    /// Drift-trip, degradation and escalation events, oldest first.
     events: Arc<EventTrace<ObsEvent>>,
 }
 
@@ -338,9 +340,22 @@ where
         self.read(i).max_bucket_len()
     }
 
-    /// How many shards have degraded to fallback-for-all-keys.
+    /// How many shards are on [`GuardMode::Degraded`] (fallback for every
+    /// key): flipped by [`ShardedMap::degrade_shard`] or a storm's first
+    /// rung. A drift trip holds the guarded rung, so it never counts here
+    /// (see [`ShardedMap::shard_drift_trip`]).
     pub fn degraded_shards(&self) -> usize {
         self.sum(|s| usize::from(s.guard_mode() == GuardMode::Degraded))
+    }
+
+    /// Shard `i`'s held drift trip, `(off_format, total)` of the window
+    /// that tripped (see [`UnorderedMap::drift_trip`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.shard_count()`.
+    pub fn shard_drift_trip(&self, i: usize) -> Option<(u64, u64)> {
+        self.read(i).drift_trip()
     }
 
     /// Degrades shard `i` and opens its migration epoch when it is on
@@ -362,9 +377,12 @@ where
         }
     }
 
-    /// Applies `policy` to each shard's *own* windowed drift counters,
-    /// degrading the shards whose windows exceed it. Returns how many
-    /// shards degraded during this call.
+    /// Applies `policy` to each shard's *own* windowed drift counters.
+    /// A shard whose window exceeds it trips and holds its guarded route
+    /// (see [`UnorderedMap::maybe_degrade`]): no routing changes and no
+    /// epoch opens, so the trip is recorded as an [`ObsEvent::ShardDrift`]
+    /// carrying the window's counts. Returns how many shards tripped
+    /// during this call.
     pub fn maybe_degrade(&self, policy: &DriftPolicy) -> usize {
         (0..self.shards.len())
             .filter(|&i| self.transition(i, |c| c.maybe_degrade(policy)))
@@ -414,6 +432,11 @@ where
         };
         let shard = i as u64;
         let event = match t {
+            Transition::Drift { off_format, total } => ObsEvent::ShardDrift {
+                shard,
+                off_format,
+                total,
+            },
             Transition::Degrade => {
                 self.obs.shard_degrades.inc();
                 ObsEvent::ShardDegrade { shard }
@@ -486,13 +509,16 @@ where
         self.sum(UnorderedMap::migration_progress) / self.shards.len() as f64
     }
 
-    /// Lifetime count of shards flipped Guarded→Degraded (each flip
-    /// counted once, however it was triggered).
+    /// Lifetime count of shards flipped Guarded→Degraded by
+    /// [`ShardedMap::degrade_shard`], each flip counted once. A storm's
+    /// first rung counts as an escalation, and a drift trip flips nothing.
     pub fn shard_degrade_count(&self) -> u64 {
         self.obs.shard_degrades.get()
     }
 
-    /// The recorded [`ObsEvent::ShardDegrade`] events, oldest first.
+    /// The recorded per-shard events ([`ObsEvent::ShardDrift`],
+    /// [`ObsEvent::ShardDegrade`], escalations, rotations and
+    /// de-escalations), oldest first.
     pub fn degrade_events(&self) -> Vec<ObsEvent> {
         self.obs.events.snapshot()
     }
@@ -717,12 +743,13 @@ where
         self.inner.degrade_shard(i);
     }
 
-    /// Applies `policy` per shard; returns how many shards degraded.
+    /// Applies `policy` per shard; returns how many shards tripped (see
+    /// [`ShardedMap::maybe_degrade`]).
     pub fn maybe_degrade(&self, policy: &DriftPolicy) -> usize {
         self.inner.maybe_degrade(policy)
     }
 
-    /// How many shards have degraded.
+    /// How many shards are on the degraded rung.
     pub fn degraded_shards(&self) -> usize {
         self.inner.degraded_shards()
     }
@@ -1186,6 +1213,99 @@ mod tests {
         }
         for (i, key) in drift.iter().enumerate() {
             assert_eq!(m.get(key.as_str()), Some(i as u32), "{key} lost");
+        }
+    }
+
+    #[test]
+    fn a_shard_drift_trip_is_held_recorded_and_confined() {
+        let m = sharded(4);
+        let policy = DriftPolicy {
+            threshold: 0.10,
+            min_samples: 16,
+            window: 1024,
+        };
+        let drifted = 1usize;
+        let off = |i: u32| format!("{:03}/{:02}/{:04}", i % 1000, i % 100, i);
+        let drift: Vec<String> = (0u32..)
+            .map(off)
+            .filter(|k| m.shard_of(k.as_bytes()) == drifted)
+            .take(40)
+            .collect();
+        for i in 0..400 {
+            m.insert(ssn(i), i);
+        }
+        for (i, key) in drift[..20].iter().enumerate() {
+            m.insert(key.clone(), i as u32);
+        }
+        let registry = sepe_obs::Registry::new();
+        m.export_metrics(&registry).expect("export");
+        let opened = || {
+            registry
+                .snapshot()
+                .counter_family_total("table_epochs_opened")
+        };
+        let keys: Vec<String> = (0..400).map(ssn).chain(drift.iter().cloned()).collect();
+        // Each shard's routes of every key, through counter-silent copies,
+        // and its drift window.
+        let shard_state = |i: usize| {
+            let shard = m.read(i);
+            let silent = shard.hasher().epoch_frozen(shard.guard_mode());
+            let routes: Vec<(u64, bool)> = keys
+                .iter()
+                .map(|k| silent.hash_routed(k.as_bytes()))
+                .collect();
+            (
+                shard.guard_mode(),
+                shard.drift_stats().window_counts(),
+                routes,
+            )
+        };
+        let (before, epochs) = ((0..4).map(shard_state).collect::<Vec<_>>(), opened());
+        let window = before[drifted].1;
+
+        assert_eq!(m.maybe_degrade(&policy), 1, "only the drifted shard trips");
+        assert_eq!(m.shard_drift_trip(drifted), Some(window));
+        let (off_format, total) = window;
+        assert_eq!(
+            m.degrade_events(),
+            vec![ObsEvent::ShardDrift {
+                shard: drifted as u64,
+                off_format,
+                total
+            }]
+        );
+        assert_eq!((m.shard_degrade_count(), m.degraded_shards()), (0, 0));
+        assert_eq!((opened(), m.migrations_in_flight()), (epochs, 0));
+        for (i, was) in before.iter().enumerate() {
+            let (mode, window_now, routes) = shard_state(i);
+            assert_eq!(mode, GuardMode::Guarded, "shard {i}");
+            assert_eq!(routes, was.2, "shard {i}'s routes moved");
+            if i != drifted {
+                assert_eq!(window_now, was.1, "sibling {i}'s window moved");
+                assert_eq!(m.shard_drift_trip(i), None, "sibling {i}");
+            }
+        }
+
+        // Held: the drifted shard keeps counting, but does not trip again.
+        for (i, key) in drift[20..].iter().enumerate() {
+            m.insert(key.clone(), 20 + i as u32);
+        }
+        let (off_now, total_now) = m.read(drifted).drift_stats().window_counts();
+        assert!(policy.should_degrade(off_now, total_now));
+        assert_eq!(m.maybe_degrade(&policy), 0);
+        assert_eq!(m.degrade_events().len(), 1);
+
+        // Its resynthesis is the one epoch, on that shard alone.
+        assert!(m.resynthesize_shard(drifted).is_applied());
+        assert_eq!(m.shard_drift_trip(drifted), None);
+        assert_eq!((opened(), m.migrations_in_flight()), (epochs + 1, 1));
+        assert!(m.read(drifted).migration_in_flight());
+        m.finish_migrations();
+        for (i, key) in drift.iter().enumerate() {
+            assert_eq!(m.get(key.as_str()), Some(i as u32), "{key}");
+        }
+        for i in 0..400 {
+            assert_eq!(m.get(ssn(i).as_str()), Some(i), "{}", ssn(i));
         }
     }
 

@@ -583,8 +583,9 @@ impl<F, G> GuardedHash<F, G> {
     /// Flips this hasher (and every clone) to the fallback for all keys.
     ///
     /// Callers holding a container keyed by this hasher must rebuild the
-    /// stored hashes afterwards — see `UnorderedMap::maybe_degrade` in
-    /// `sepe-containers`, which performs the flip and the rehash together.
+    /// stored hashes afterwards — see `UnorderedMap::degrade_now` in
+    /// `sepe-containers`, which performs the flip and opens the re-filing
+    /// epoch together.
     pub fn degrade(&self) {
         self.mode
             .store(GuardMode::Degraded as u8, Ordering::Relaxed);

@@ -21,7 +21,18 @@ pub enum ObsEvent {
     },
     /// A migration epoch fully drained and closed.
     EpochFinish,
-    /// A shard fell back to its guarded fallback hash.
+    /// A shard's drift window tripped. The trip is held on the guarded
+    /// route and changes no routing, so the window's counts are its only
+    /// evidence.
+    ShardDrift {
+        /// Index of the tripped shard.
+        shard: u64,
+        /// Off-format keys in the window that tripped.
+        off_format: u64,
+        /// Keys observed in that window.
+        total: u64,
+    },
+    /// A shard was flipped to its guarded fallback hash for every key.
     ShardDegrade {
         /// Index of the degraded shard.
         shard: u64,
@@ -56,6 +67,7 @@ impl ObsEvent {
             ObsEvent::EpochOpen => "epoch_open",
             ObsEvent::EpochDrain { .. } => "epoch_drain",
             ObsEvent::EpochFinish => "epoch_finish",
+            ObsEvent::ShardDrift { .. } => "shard_drift",
             ObsEvent::ShardDegrade { .. } => "shard_degrade",
             ObsEvent::ShardEscalate { .. } => "shard_escalate",
             ObsEvent::ShardDeescalate { .. } => "shard_deescalate",
@@ -75,6 +87,11 @@ mod tests {
             ObsEvent::EpochOpen,
             ObsEvent::EpochDrain { entries: 2 },
             ObsEvent::EpochFinish,
+            ObsEvent::ShardDrift {
+                shard: 0,
+                off_format: 3,
+                total: 4,
+            },
             ObsEvent::ShardDegrade { shard: 0 },
             ObsEvent::ShardEscalate { shard: 0 },
             ObsEvent::ShardDeescalate { shard: 0 },

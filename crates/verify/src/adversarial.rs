@@ -16,8 +16,9 @@
 //! * **counter discipline** — the escalation / de-escalation /
 //!   seed-rotation counters exactly equal the harness transcript;
 //! * **hysteresis** — benign workloads never trip the detector;
-//! * **cause-aware exits** — a drift degrade is never undone by storm
-//!   quiet, and a storm rung is never left while its flood is resident.
+//! * **cause-aware exits** — a held drift trip never trips again before
+//!   the resynthesis that acts on it, and a storm rung is never left while
+//!   its flood is resident.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -316,7 +317,7 @@ struct Served<G: ByteHash> {
     drift: DriftPolicy,
     rng: SplitMix64,
     stats: AdversarialStats,
-    degrades: u64,
+    trips: u64,
 }
 
 impl<G: ByteHash + Clone> Served<G> {
@@ -353,18 +354,18 @@ impl<G: ByteHash + Clone> Served<G> {
         Ok(())
     }
 
-    /// One maintenance tick; returns whether it degraded, escalated and
-    /// de-escalated.
+    /// One maintenance tick; returns whether its drift window tripped,
+    /// and whether it escalated and de-escalated.
     fn tick(&mut self) -> (bool, bool, bool) {
-        let degraded = self.map.maybe_degrade(&self.drift);
+        let tripped = self.map.maybe_degrade(&self.drift);
         let from = self.map.guard_mode();
         let escalated = self.map.maybe_escalate(&self.attack, &self.seeds);
         let deescalated = self.map.maybe_deescalate(&self.attack);
-        self.degrades += u64::from(degraded);
+        self.trips += u64::from(tripped);
         self.stats.escalations += u64::from(escalated);
         self.stats.rotations += u64::from(escalated && from == GuardMode::Keyed);
         self.stats.deescalations += u64::from(deescalated);
-        (degraded, escalated, deescalated)
+        (tripped, escalated, deescalated)
     }
 
     /// A tick that must take no transition.
@@ -372,7 +373,7 @@ impl<G: ByteHash + Clone> Served<G> {
         match self.tick() {
             (false, false, false) => Ok(()),
             moves => Err(format!(
-                "{when}: a tick took (degrade, escalate, de-escalate) {moves:?} on {:?}",
+                "{when}: a tick took (drift trip, escalate, de-escalate) {moves:?} on {:?}",
                 self.map.guard_mode()
             )),
         }
@@ -385,12 +386,13 @@ impl<G: ByteHash + Clone> Served<G> {
 }
 
 /// Drift, then a flood, then calm, on one `UnorderedMap` ticked like a
-/// serving map: the sequence that makes a ladder flap if storm quiet can
-/// re-arm a drift degrade, or a keyed rung can re-arm onto a flood that
-/// is still stored.
+/// serving map: the sequence that makes a ladder flap if a held drift trip
+/// can trip again, or a keyed rung can re-arm onto a flood that is still
+/// stored.
 ///
-/// The transcript must read: one drift degrade, held through calm ticks
-/// until an inline resynthesis widens the guard; a flood forged against
+/// The transcript must read: one drift trip, held on the guarded route
+/// (no epoch opened) through calm ticks until an inline resynthesis widens
+/// the guard; a flood forged against
 /// the re-armed routing, answered by the keyed rung in at most two
 /// escalations and held there while the flood stays resident; exactly one
 /// de-escalation once the flood is removed, and no transition after it.
@@ -445,7 +447,7 @@ where
         },
         rng: SplitMix64::new(seed ^ 0xD21F),
         stats: AdversarialStats::default(),
-        degrades: 0,
+        trips: 0,
     };
     let quiet = s.attack.quiet_streak.max(1);
     for (i, k) in benign.iter().enumerate() {
@@ -475,22 +477,30 @@ where
             ));
         }
     }
-    if s.degrades != 1 || s.map.guard_mode() != GuardMode::Degraded {
+    if s.trips != 1 || s.map.guard_mode() != GuardMode::Guarded || s.map.drift_trip().is_none() {
         return Err(format!(
-            "drift took {} degrades, left the map {:?}",
-            s.degrades,
-            s.map.guard_mode()
+            "drift took {} trips, left the map {:?} holding {:?}",
+            s.trips,
+            s.map.guard_mode(),
+            s.map.drift_trip()
         ));
+    }
+    if s.map.migration_in_flight() {
+        return Err("the drift trip opened a migration epoch".into());
     }
     for _ in 0..8 * quiet {
         s.serve(&benign_refs)?;
-        s.calm_tick("calm after the drift degrade")?;
+        s.calm_tick("calm after the drift trip")?;
     }
-    s.checkpoint("drift degrade held through calm ticks")?;
-    if !s.map.resynthesize().is_applied() || s.map.guard_mode() != GuardMode::Guarded {
+    s.checkpoint("drift trip held through calm ticks")?;
+    if !s.map.resynthesize().is_applied()
+        || s.map.guard_mode() != GuardMode::Guarded
+        || s.map.drift_trip().is_some()
+    {
         return Err(format!(
-            "resynthesis did not re-arm the drift degrade ({:?})",
-            s.map.guard_mode()
+            "resynthesis did not clear the drift trip ({:?}, holding {:?})",
+            s.map.guard_mode(),
+            s.map.drift_trip()
         ));
     }
     s.checkpoint("after the resynthesis")?;
@@ -516,10 +526,10 @@ where
             break;
         }
         s.serve(&hammered)?;
-        let (degraded, _, deescalated) = s.tick();
-        if degraded || deescalated {
+        let (tripped, _, deescalated) = s.tick();
+        if tripped || deescalated {
             return Err(format!(
-                "the flood degraded or de-escalated the map ({:?})",
+                "the flood tripped drift or de-escalated the map ({:?})",
                 s.map.guard_mode()
             ));
         }
@@ -544,9 +554,9 @@ where
     }
     for _ in 0..32 * quiet {
         s.serve(&benign_refs)?;
-        let (degraded, escalated, deescalated) = s.tick();
-        if degraded || escalated {
-            return Err("calm traffic degraded or escalated the map".into());
+        let (tripped, escalated, deescalated) = s.tick();
+        if tripped || escalated {
+            return Err("calm traffic tripped drift or escalated the map".into());
         }
         if deescalated {
             break;

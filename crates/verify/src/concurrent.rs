@@ -10,12 +10,13 @@
 //! race in the test. The *interleaving* is still genuinely concurrent:
 //! threads contend on the shard locks and the twin mutex continuously.
 //!
-//! The chaos variant adds a drift-burst thread that degrades shards one at
-//! a time (hammering them with off-format keys first, so the degradation
-//! is earned, not just injected) and then resynthesizes each degraded
-//! shard inline while the other threads keep serving — the blast radius
-//! of a degrading shard must stay confined to that shard, and every
-//! degraded shard must be re-armed on its widened plan.
+//! The chaos variant adds a drift-burst thread that hammers one shard at a
+//! time with off-format keys, lets the per-shard drift policy trip it (the
+//! trip is held on the guarded route), flips a target that did not trip
+//! with an explicit degrade, and then resynthesizes each tripped or
+//! degraded shard inline while the other threads keep serving — the blast
+//! radius of drift must stay confined to its shard, and every such shard
+//! must be re-armed on its widened plan.
 
 use sepe_containers::sharded::ShardedMap;
 use sepe_containers::DriftPolicy;
@@ -25,6 +26,7 @@ use sepe_core::pattern::KeyPattern;
 use sepe_core::synth::Family;
 use sepe_core::SynthesizedHash;
 use sepe_keygen::SplitMix64;
+use sepe_obs::ObsEvent;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -35,9 +37,11 @@ pub struct ConcurrentStats {
     pub ops: usize,
     /// Worker threads that ran.
     pub threads: usize,
-    /// Shards degraded by drift bursts during the run.
+    /// Shards flipped to `Degraded` by `degrade_shard` after a burst.
     pub degradations: usize,
-    /// Degraded shards re-armed by inline resynthesis under load.
+    /// Drift trips the per-shard policy took (held on the guarded route).
+    pub drift_trips: usize,
+    /// Tripped or degraded shards re-armed by inline resynthesis under load.
     pub resyntheses: usize,
     /// Full-content comparisons against the twin (and `HashMap` union).
     pub checkpoints: usize,
@@ -49,6 +53,7 @@ impl ConcurrentStats {
         self.ops += other.ops;
         self.threads += other.threads;
         self.degradations += other.degradations;
+        self.drift_trips += other.drift_trips;
         self.resyntheses += other.resyntheses;
         self.checkpoints += other.checkpoints;
     }
@@ -66,7 +71,8 @@ pub struct ConcurrentRun {
     pub ops_per_thread: usize,
     /// Seed for the per-thread operation streams.
     pub seed: u64,
-    /// Fire drift bursts from thread 0 that degrade individual shards.
+    /// Fire drift bursts from thread 0 that trip or degrade individual
+    /// shards.
     pub chaos: bool,
 }
 
@@ -85,9 +91,10 @@ fn partition(pool: &[Vec<u8>], t: usize, threads: usize) -> Vec<Vec<u8>> {
 /// interleaving inserts, gets and removes over its own key partition and
 /// asserting per-operation agreement with the twin. When
 /// [`ConcurrentRun::chaos`] is set, thread 0 additionally fires drift
-/// bursts — off-format traffic aimed at one shard, a policy-driven
-/// degradation of that shard, then [`ShardedMap::resynthesize_shard`] on
-/// every degraded shard — while the others keep serving reads.
+/// bursts — off-format traffic aimed at one shard, the per-shard drift
+/// judgment (a trip holds the guarded route), an explicit degrade of the
+/// target when it did not trip, then [`ShardedMap::resynthesize_shard`] on
+/// every tripped or degraded shard — while the others keep serving reads.
 ///
 /// # Errors
 ///
@@ -115,15 +122,14 @@ where
     let twin: Mutex<HashMap<Vec<u8>, u64>> = Mutex::new(HashMap::new());
     let policy = DriftPolicy::default();
 
-    let worker = |t: usize| -> Result<(usize, usize, usize), String> {
+    let worker = |t: usize| -> Result<ConcurrentStats, String> {
         let mine = partition(pool, t, threads);
+        let mut stats = ConcurrentStats::default();
         if mine.is_empty() {
-            return Ok((0, 0, 0));
+            return Ok(stats);
         }
         let mut rng = SplitMix64::new(seed ^ (t as u64) << 16);
         let mut ops = 0usize;
-        let mut degradations = 0usize;
-        let mut resyntheses = 0usize;
         let mut bursts = 0usize;
         for step in 0..ops_per_thread {
             let r = rng.next_u64();
@@ -176,31 +182,42 @@ where
                         ops += 1;
                     }
                 }
-                let before = map.degraded_shards();
                 // The windowed per-shard policy gets first shot at the
-                // trigger; then the burst lands deterministically on its
-                // target. Only lower-half shards ever see off-format keys,
-                // so neither path can reach the upper half.
-                map.maybe_degrade(&policy);
-                if map.shard_mode(target) == GuardMode::Guarded {
-                    map.degrade_shard(target);
+                // trigger, and a trip holds the shard's guarded route; a
+                // target that did not trip is flipped explicitly, so the
+                // burst always lands. Only lower-half shards ever see
+                // off-format keys, so neither path can reach the upper half.
+                let before = map.degraded_shards();
+                stats.drift_trips += map.maybe_degrade(&policy);
+                if map.degraded_shards() != before {
+                    return Err("a drift trip flipped a shard off its guarded route".into());
                 }
-                degradations += map.degraded_shards().saturating_sub(before);
+                if map.shard_drift_trip(target).is_none()
+                    && map.shard_mode(target) == GuardMode::Guarded
+                {
+                    map.degrade_shard(target);
+                    stats.degradations += map.degraded_shards().saturating_sub(before);
+                }
                 // Win the specialized hash back inline, under the shard
                 // write lock, while the other threads keep serving.
                 for shard in 0..map.shard_count() {
-                    if map.shard_mode(shard) == GuardMode::Guarded {
+                    let held = map.shard_drift_trip(shard).is_some();
+                    if !held && map.shard_mode(shard) == GuardMode::Guarded {
                         continue;
                     }
                     let out = map.resynthesize_shard(shard);
-                    if !out.is_applied() || map.shard_mode(shard) != GuardMode::Guarded {
+                    if !out.is_applied()
+                        || map.shard_mode(shard) != GuardMode::Guarded
+                        || map.shard_drift_trip(shard).is_some()
+                    {
                         return Err(format!(
                             "inline resynthesis of shard {shard} returned {out:?} and left \
-                             it {:?}",
-                            map.shard_mode(shard)
+                             it {:?} holding {:?}",
+                            map.shard_mode(shard),
+                            map.shard_drift_trip(shard)
                         ));
                     }
-                    resyntheses += 1;
+                    stats.resyntheses += 1;
                 }
                 // The burst's keys read back mid-migration.
                 let twin = twin.lock().map_err(|_| "twin mutex poisoned".to_string())?;
@@ -262,14 +279,15 @@ where
             }
             ops += 1;
         }
-        Ok((ops, degradations, resyntheses))
+        stats.ops = ops;
+        Ok(stats)
     };
 
     let mut stats = ConcurrentStats {
         threads,
         ..ConcurrentStats::default()
     };
-    let results: Vec<Result<(usize, usize, usize), String>> = std::thread::scope(|s| {
+    let results: Vec<Result<ConcurrentStats, String>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads).map(|t| s.spawn(move || worker(t))).collect();
         handles
             .into_iter()
@@ -280,10 +298,7 @@ where
             .collect()
     });
     for r in results {
-        let (ops, degradations, resyntheses) = r?;
-        stats.ops += ops;
-        stats.degradations += degradations;
-        stats.resyntheses += resyntheses;
+        stats.absorb(r?);
     }
 
     // Quiescent checkpoint: drain the epochs, then the sharded contents
@@ -320,25 +335,36 @@ where
             twin.len()
         ));
     }
-    if chaos && stats.degradations == 0 {
-        return Err("chaos run degraded no shard — bursts were ineffective".to_string());
+    if chaos && stats.degradations + stats.drift_trips == 0 {
+        return Err("chaos run tripped or degraded no shard — bursts were ineffective".to_string());
     }
     if chaos {
         // Bursts only ever aim at the lower half of the stripes, and a
-        // shard that never saw an off-format key must not degrade: any
-        // degradation in the upper half means drift leaked across shards
-        // (via routing, shared counters, or the policy). Every lower-half
-        // degradation was followed by an inline resynthesis of its shard.
-        if stats.resyntheses != stats.degradations {
+        // shard that never saw an off-format key must not trip or degrade:
+        // any in the upper half means drift leaked across shards (via
+        // routing, shared counters, or the policy). Every lower-half trip
+        // and degradation was followed by an inline resynthesis of its
+        // shard.
+        if stats.resyntheses != stats.degradations + stats.drift_trips {
             return Err(format!(
-                "{} shards degraded but {} were resynthesized",
-                stats.degradations, stats.resyntheses
+                "{} shards degraded and {} tripped but {} were resynthesized",
+                stats.degradations, stats.drift_trips, stats.resyntheses
             ));
         }
         let half = (map.shard_count() / 2).max(1);
+        let tripped_above = map.degrade_events().into_iter().find_map(|e| match e {
+            ObsEvent::ShardDrift { shard, .. } if shard >= half as u64 => Some(shard),
+            _ => None,
+        });
+        if let Some(shard) = tripped_above {
+            return Err(format!(
+                "shard {shard} tripped without ever seeing off-format traffic — \
+                 blast radius was not confined"
+            ));
+        }
         for shard in 0..map.shard_count() {
             let mode = map.shard_mode(shard);
-            if mode == GuardMode::Guarded {
+            if mode == GuardMode::Guarded && map.shard_drift_trip(shard).is_none() {
                 continue;
             }
             return Err(if shard >= half {
@@ -351,20 +377,22 @@ where
             });
         }
     }
-    check_metrics_against_ground_truth(&map, &stats)?;
+    check_metrics_against_ground_truth(&map, &stats, &policy)?;
     stats.checkpoints = 1;
     Ok(stats)
 }
 
 /// Cross-checks an exported metrics snapshot against the model-checked
 /// ground truth the run itself established: guard drift totals must equal
-/// [`ShardedMap::drift_counts`], the `shard_degrades` counter (and the
-/// degrade event trace) must equal the worker-observed degradations, and
-/// after the quiescent drain every opened migration epoch must be
-/// finished.
+/// [`ShardedMap::drift_counts`], the `shard_degrades` counter and the
+/// trace's `ShardDegrade` events must equal the worker-observed
+/// degradations, its `ShardDrift` events the worker-observed trips (each
+/// carrying a window over the policy's threshold), and after the
+/// quiescent drain every opened migration epoch must be finished.
 fn check_metrics_against_ground_truth<G>(
     map: &ShardedMap<Vec<u8>, u64, SynthesizedHash, G>,
     stats: &ConcurrentStats,
+    policy: &DriftPolicy,
 ) -> Result<(), String>
 where
     G: ByteHash + Clone + Send + Sync,
@@ -396,12 +424,37 @@ where
             stats.degradations
         ));
     }
-    let events = map.degrade_events().len();
-    if events != stats.degradations {
+    let events = map.degrade_events();
+    let degrade_events = events
+        .iter()
+        .filter(|e| matches!(e, ObsEvent::ShardDegrade { .. }))
+        .count();
+    if degrade_events != stats.degradations {
         return Err(format!(
-            "metrics drift: degrade event trace holds {events} events, \
+            "metrics drift: the event trace holds {degrade_events} degrade events, \
              workers observed {} degradations",
             stats.degradations
+        ));
+    }
+    let trips: Vec<(u64, u64)> = events
+        .iter()
+        .filter_map(|e| match *e {
+            ObsEvent::ShardDrift {
+                off_format, total, ..
+            } => Some((off_format, total)),
+            _ => None,
+        })
+        .collect();
+    if trips.len() != stats.drift_trips {
+        return Err(format!(
+            "metrics drift: the event trace holds {} drift trips, workers observed {}",
+            trips.len(),
+            stats.drift_trips
+        ));
+    }
+    if let Some(&(off, total)) = trips.iter().find(|&&(o, t)| !policy.should_degrade(o, t)) {
+        return Err(format!(
+            "a drift trip recorded a window of {off} off-format in {total}, under the policy"
         ));
     }
     let opened = snap.counter_family_total("table_epochs_opened");
@@ -412,8 +465,8 @@ where
              after the quiescent drain"
         ));
     }
-    if stats.degradations > 0 && opened == 0 {
-        return Err("metrics drift: shards degraded but no epoch was counted".to_string());
+    if stats.resyntheses > 0 && opened == 0 {
+        return Err("metrics drift: shards re-armed but no epoch was counted".to_string());
     }
     Ok(())
 }
@@ -470,7 +523,11 @@ mod tests {
             },
         )
         .expect("chaos run agrees");
-        assert!(stats.degradations >= 1, "{stats:?}");
-        assert_eq!(stats.resyntheses, stats.degradations, "{stats:?}");
+        assert!(stats.degradations + stats.drift_trips >= 1, "{stats:?}");
+        assert_eq!(
+            stats.resyntheses,
+            stats.degradations + stats.drift_trips,
+            "{stats:?}"
+        );
     }
 }

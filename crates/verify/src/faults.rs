@@ -3,15 +3,16 @@
 //!
 //! The guard layer promises two things: a [`GuardedHash`]-backed container
 //! stays semantically a map no matter how many keys fall outside the
-//! trained format, and the degradation threshold really flips the table to
-//! its fallback hasher. This module checks both the hard way — it
-//! *manufactures* drift. [`mutate_off_format`] edits a valid key so it
-//! provably leaves the format (length edits past the bounds, byte flips out
-//! of the allowed ranges); [`mutate_in_format`] resamples a byte inside its
-//! range as a control. [`check_guarded_container`] replays random operation
+//! trained format, and the drift threshold really trips, and holds the
+//! guarded route until a resynthesis acts on it. This module checks both
+//! the hard way — it *manufactures* drift. [`mutate_off_format`] edits a
+//! valid key so it provably leaves the format (length edits past the
+//! bounds, byte flips out of the allowed ranges); [`mutate_in_format`]
+//! resamples a byte inside its range as a control. [`check_guarded_container`] replays random operation
 //! sequences with a configurable fraction of injected faults against
 //! `std::collections::HashMap`, and [`check_degradation`] drives a guarded
-//! map over the drift threshold and asserts the state transition.
+//! map over the drift threshold and asserts the held trip, the resynthesis
+//! that acts on it, and the explicit degrade.
 
 use crate::interp::spec_matches;
 use sepe_containers::{DriftPolicy, UnorderedMap};
@@ -150,12 +151,17 @@ pub fn check_guard_agreement(
 ///   family whose plan has a kernel flags exactly the indices that
 ///   `guard.matches` and [`spec_matches`] flag, and its hash of each
 ///   in-format key is the specialized hash;
+/// * the same verdict flags exactly the one lane of an interleaved chunk
+///   (width 4 or 8) of in-format keys in which a constant bit of a
+///   guard-only byte (constrained, loaded by no plan op) was flipped, for
+///   every lane and every such byte;
 /// * driving a [`GuardedHash`] through `hash_batch` yields the same hash
 ///   values as a scalar twin, and leaves the drift counters (`in_format`,
 ///   `off_format`) with the same increments.
 ///
 /// Returns the number of membership decisions compared: one per key and
-/// width, each checked against every family's kernel.
+/// width, each checked against every family's kernel, plus one per lane of
+/// every aimed chunk.
 ///
 /// # Errors
 ///
@@ -227,6 +233,47 @@ pub fn check_batch_guard_agreement(
                         ));
                     }
                 }
+            }
+        }
+    }
+
+    // Mutations aimed at the guard-only words (constrained bytes no plan
+    // load covers, such as a URL's constant prefix), one lane per chunk:
+    // only the guard's pass over those words can see them, and a mixed
+    // pool rarely puts its one off-format key there.
+    let clean: Vec<&[u8]> = refs.iter().copied().filter(|k| guard.matches(k)).collect();
+    let (mut hashes, mut verdicts) = ([0u64; 8], [false; 8]);
+    for (family, specialized, kernel) in &fused {
+        let ops = specialized.plan().word_ops().unwrap_or_default();
+        let guard_only: Vec<usize> = (0..pattern.min_len())
+            .filter(|&at| {
+                pattern.bytes()[at].const_mask() != 0
+                    && !ops
+                        .iter()
+                        .any(|op| (op.offset as usize..op.offset as usize + 8).contains(&at))
+            })
+            .collect();
+        for width in [4usize, 8] {
+            let Some(base) = clean.get(..width) else {
+                continue;
+            };
+            for (lane, &at) in (0..width).flat_map(|l| guard_only.iter().map(move |a| (l, a))) {
+                let mut chunk: Vec<Vec<u8>> = base.iter().map(|k| k.to_vec()).collect();
+                chunk[lane][at] ^= 1 << pattern.bytes()[at].const_mask().trailing_zeros();
+                let chunk: Vec<&[u8]> = chunk.iter().map(Vec::as_slice).collect();
+                kernel.eval_batch(&chunk, &mut hashes[..width], &mut verdicts[..width]);
+                for (i, &key) in chunk.iter().enumerate() {
+                    let spec = spec_matches(pattern, key);
+                    if verdicts[i] != spec || spec == (i == lane) {
+                        return Err(format!(
+                            "{family} width {width} lane {i}: the fused batch verdict says \
+                             {}, spec says {spec} on {key:?} (guard-only byte {at} flipped \
+                             in lane {lane})",
+                            verdicts[i]
+                        ));
+                    }
+                }
+                checked += width;
             }
         }
     }
@@ -438,9 +485,12 @@ fn check_contents<H: ByteHash>(
 }
 
 /// Drives a guarded map over the drift threshold with ≥10% injected
-/// off-format keys and asserts the full degradation state machine:
-/// `Guarded` before the threshold, exactly one transition to `Degraded`,
-/// and no key lost while the epoch migration is in flight.
+/// off-format keys and asserts the drift state machine: `Guarded` before
+/// the threshold; then exactly one trip, held on the guarded route (mode
+/// unchanged, no epoch opened, every stored key's route unchanged); an
+/// applied resynthesis that opens the one epoch and clears the hold; and
+/// an explicit `degrade_now` that flips to `Degraded`. No key may be lost
+/// at any step, mid-migration or after the drain.
 ///
 /// # Errors
 ///
@@ -460,6 +510,10 @@ pub fn check_degradation<G: ByteHash + Clone>(
     };
     let hasher = GuardedHash::from_pattern(pattern, family, fallback);
     let mut map: UnorderedMap<Vec<u8>, u64, _> = UnorderedMap::with_hasher(hasher);
+    let registry = sepe_obs::Registry::new();
+    map.export_table_metrics(&registry, &[])
+        .map_err(|e| format!("metrics export failed: {e}"))?;
+    let epochs = || registry.snapshot().counter("table_epochs_opened");
     if map.guard_mode() != GuardMode::Guarded {
         return Err("fresh guarded map is not in Guarded mode".to_owned());
     }
@@ -467,7 +521,7 @@ pub fn check_degradation<G: ByteHash + Clone>(
         map.insert(key.clone(), i as u64);
     }
     if map.maybe_degrade(&policy) {
-        return Err("map degraded on purely in-format traffic".to_owned());
+        return Err("drift tripped on purely in-format traffic".to_owned());
     }
     // 25% injected faults pushes drift well past the 10% threshold.
     let (pool, injected) = faulted_pool(pattern, clean, 0.25, &mut rng);
@@ -480,36 +534,76 @@ pub fn check_degradation<G: ByteHash + Clone>(
     for (i, key) in pool.iter().enumerate() {
         map.insert(key.clone(), (clean.len() + i) as u64);
     }
+    let keys: Vec<&Vec<u8>> = clean.iter().chain(&pool).collect();
+    // The live routing of every key, read through a counter-silent copy.
+    let routes = |map: &UnorderedMap<Vec<u8>, u64, GuardedHash<SynthesizedHash, G>>| {
+        let silent = map.hasher().epoch_frozen(map.guard_mode());
+        keys.iter()
+            .map(|k| silent.hash_routed(k))
+            .collect::<Vec<_>>()
+    };
+    let (routed, opened) = (routes(&map), epochs());
+    let window = map.drift_stats().window_counts();
     if !map.maybe_degrade(&policy) {
         return Err(format!(
-            "drift {:.1}% did not flip the table (threshold {:.1}%)",
+            "drift {:.1}% did not trip (threshold {:.1}%)",
             map.drift_stats().off_rate() * 100.0,
             policy.threshold * 100.0
         ));
     }
-    if map.guard_mode() != GuardMode::Degraded {
-        return Err("transition reported but mode is not Degraded".to_owned());
+    if map.guard_mode() != GuardMode::Guarded || map.drift_trip() != Some(window) {
+        return Err(format!(
+            "the trip left the map {:?} holding {:?}, not Guarded holding {window:?}",
+            map.guard_mode(),
+            map.drift_trip()
+        ));
+    }
+    if map.migration_in_flight() || epochs() != opened {
+        return Err("the trip opened a migration epoch".to_owned());
+    }
+    if routes(&map) != routed {
+        return Err("the trip changed a stored key's route".to_owned());
     }
     if map.maybe_degrade(&policy) {
-        return Err("degradation transition was not idempotent".to_owned());
+        return Err("a held trip tripped again".to_owned());
     }
-    // Every key must survive the flip, both mid-migration and after an
-    // explicit drain.
-    for key in clean.iter().chain(&pool) {
-        if !map.contains_key(key.as_slice()) {
-            return Err(format!("key {key:?} lost mid-migration"));
-        }
+    check_keys(&map, &keys, "the held trip")?;
+    // The resynthesis is the one epoch that changes the plan.
+    if !map.resynthesize().is_applied() {
+        return Err("resynthesis over the sampled drift was not applied".to_owned());
     }
+    if map.drift_trip().is_some() || epochs() != opened.map(|n| n + 1) {
+        return Err(format!(
+            "resynthesis left the trip {:?} and {:?} epochs opened (was {opened:?})",
+            map.drift_trip(),
+            epochs()
+        ));
+    }
+    check_keys(&map, &keys, "mid-migration after the resynthesis")?;
+    map.finish_migration();
+    // The explicit flip is still the only way to `Degraded`.
+    map.degrade_now();
+    if map.guard_mode() != GuardMode::Degraded {
+        return Err("degrade_now did not flip the map to Degraded".to_owned());
+    }
+    check_keys(&map, &keys, "mid-migration after degrade_now")?;
     map.finish_migration();
     if map.migration_in_flight() {
         return Err("finish_migration left the epoch in flight".to_owned());
     }
-    for key in clean.iter().chain(&pool) {
-        if !map.contains_key(key.as_slice()) {
-            return Err(format!("key {key:?} lost across the degradation drain"));
-        }
+    check_keys(&map, &keys, "across the degradation drain")
+}
+
+/// Every key of `keys` is still present in `map`.
+fn check_keys<H: ByteHash>(
+    map: &UnorderedMap<Vec<u8>, u64, H>,
+    keys: &[&Vec<u8>],
+    when: &str,
+) -> Result<(), String> {
+    match keys.iter().find(|k| !map.contains_key(k.as_slice())) {
+        Some(key) => Err(format!("key {key:?} lost {when}")),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -52,8 +52,8 @@ const SUITES: &[(&str, &str, Suite)] = &[
     ),
     (
         "faults",
-        "fault-injected guarded containers and the degradation state machine, \
-         batched guard checks included",
+        "fault-injected guarded containers and the drift state machine (held trip, \
+         resynthesis, explicit degrade), batched guard checks included",
         run_faults,
     ),
     (
@@ -65,7 +65,7 @@ const SUITES: &[(&str, &str, Suite)] = &[
     (
         "concurrent",
         "threaded ShardedMap ops vs. a Mutex<HashMap> twin; with --inject-faults, \
-         drift bursts degrade shards and each is resynthesized inline under load",
+         drift bursts trip or degrade shards and each is resynthesized inline under load",
         run_concurrent,
     ),
     (
@@ -422,7 +422,7 @@ fn run_faults(opts: &Options) -> Result<String, String> {
         }
     }
 
-    // The degradation state machine, end to end.
+    // The drift state machine, end to end.
     let mut degradations = 0usize;
     for i in 0..3usize {
         let format = RandomFormat::generate(&mut rng);
@@ -439,7 +439,7 @@ fn run_faults(opts: &Options) -> Result<String, String> {
         "{agreement_checks} guard/spec agreements, {batch_checks} batched guard verdicts, \
          {identity_keys} in-format hash identities, \
          {} faulted container ops ({} transitions, {} checkpoints), \
-         {degradations} degradation state machines — all agreed with std::collections::HashMap",
+         {degradations} drift state machines — all agreed with std::collections::HashMap",
         stats.ops, stats.transitions, stats.checkpoints
     ))
 }
@@ -525,7 +525,7 @@ fn run_concurrent(opts: &Options) -> Result<String, String> {
 
     // Paper formats × families × thread counts; each cell is one shared
     // map hammered by real threads against a Mutex<HashMap> twin. With
-    // `--inject-faults`, every cell also fires shard-degrading drift
+    // `--inject-faults`, every cell also fires shard-tripping drift
     // bursts from one thread while the others keep reading.
     for format in [KeyFormat::Ssn, KeyFormat::Ipv4, KeyFormat::Uuid] {
         let pattern = Regex::compile(&format.regex()).expect("compiles");
@@ -576,10 +576,16 @@ fn run_concurrent(opts: &Options) -> Result<String, String> {
     }
 
     Ok(format!(
-        "{} threaded ops across {runs} runs ({} worker threads total, {} shard \
-         degradations, {} inline shard resyntheses under load, {} quiescent checkpoints) — \
-         every per-key observation and final content matched the Mutex<HashMap> twin",
-        stats.ops, stats.threads, stats.degradations, stats.resyntheses, stats.checkpoints
+        "{} threaded ops across {runs} runs ({} worker threads total, {} shard drift \
+         trips held, {} shard degradations, {} inline shard resyntheses under load, {} \
+         quiescent checkpoints) — every per-key observation and final content matched \
+         the Mutex<HashMap> twin",
+        stats.ops,
+        stats.threads,
+        stats.drift_trips,
+        stats.degradations,
+        stats.resyntheses,
+        stats.checkpoints
     ))
 }
 
@@ -757,9 +763,13 @@ fn run_transitions(opts: &Options) -> Result<String, String> {
             "{family} map: no transition merged into an open epoch"
         ));
     }
+    // Inserting the off-format key, then judging, is the shortest trip.
+    if opts.depth >= 2 && map.drift_trips == 0 {
+        return Err(format!("{family} map: no drift trip was taken"));
+    }
     Ok(format!(
         "depth {} over {family} ({injective} plan): {} map sequences ({} steps, {} mid-epoch, {} transitions, \
-         {} tick drains, {} merged into an open epoch) and {} multimap sequences from guarded and keyed starts ({} steps, {} mid-epoch) — \
+         {} tick drains, {} merged into an open epoch, {} drift trips held) and {} multimap sequences from guarded and keyed starts ({} steps, {} mid-epoch) — \
          contents matched the HashMap twin, mode and ladder counters the eager twin, and \
          {} degrade_now calls off Guarded changed nothing",
         opts.depth,
@@ -769,6 +779,7 @@ fn run_transitions(opts: &Options) -> Result<String, String> {
         map.transitions,
         map.tick_drains,
         map.merges,
+        map.drift_trips,
         multi.sequences,
         multi.steps,
         multi.mid_epoch,

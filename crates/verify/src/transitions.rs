@@ -10,8 +10,9 @@
 //! * [`check_map`] drives an [`UnorderedMap`] through insert, remove and
 //!   get, `degrade_now`, `escalate_now`, a calm `maybe_escalate` tick (which
 //!   drains the epoch's share of the operations served since the last
-//!   one), a calm `maybe_deescalate`, `resynthesize`, `migrate(1)` and
-//!   `finish_migration`;
+//!   one), a calm `maybe_deescalate`, a `maybe_degrade` under a policy that
+//!   trips on any off-format key in the window, `resynthesize`,
+//!   `migrate(1)` and `finish_migration`;
 //! * [`check_multimap`] drives an [`UnorderedMultiMap`] through insert,
 //!   `remove_one` and count, `degrade_now`, `migrate(1)` and
 //!   `finish_migration`, from a guarded and from a keyed start.
@@ -21,14 +22,17 @@
 //! keyed seed and drift counts must equal those of an *eager* twin that
 //! takes the same calls but finishes every migration epoch at once: an
 //! amortized drain never changes a transition. A `degrade_now` off
-//! [`GuardMode::Guarded`] must change nothing at all. A transition
+//! [`GuardMode::Guarded`] must change nothing at all. A drift trip must be
+//! held: it leaves the map guarded with its counters unchanged, opens no
+//! epoch, and does not trip again until a transition clears it; every
+//! transition does. A transition
 //! requested while an epoch is open (`degrade_now`, `escalate_now` or an
 //! applied `resynthesize`) must merge into it: the epoch stays open and
 //! its drain progress does not move, since only the swept side is
 //! re-filed and the unswept entries drain straight to the new routing.
 
 use sepe_baselines::CityHash;
-use sepe_containers::{AttackPolicy, UnorderedMap, UnorderedMultiMap};
+use sepe_containers::{AttackPolicy, DriftPolicy, UnorderedMap, UnorderedMultiMap};
 use sepe_core::guard::{GuardMode, GuardedHash};
 use sepe_core::hash::keyed::FixedSeedSource;
 use sepe_core::regex::Regex;
@@ -77,6 +81,9 @@ pub enum MapOp {
     Tick,
     /// `maybe_deescalate(calm)`: no storm is visible in a four-key table.
     Deescalate,
+    /// `maybe_degrade(`[`TRIP`]`)`: trips on any off-format key in the
+    /// window, unless a trip is already held.
+    DriftTrip,
     /// `resynthesize()`.
     Resynthesize,
     /// `migrate(1)`.
@@ -85,8 +92,16 @@ pub enum MapOp {
     Finish,
 }
 
-/// Every map operation: 19 in all.
-pub const MAP_OPS: [MapOp; 19] = [
+/// The drift policy of [`MapOp::DriftTrip`]: any off-format observation
+/// in the window trips it.
+pub const TRIP: DriftPolicy = DriftPolicy {
+    threshold: 0.0,
+    min_samples: 1,
+    window: 1024,
+};
+
+/// Every map operation: 20 in all.
+pub const MAP_OPS: [MapOp; 20] = [
     MapOp::Insert(0),
     MapOp::Insert(1),
     MapOp::Insert(2),
@@ -103,6 +118,7 @@ pub const MAP_OPS: [MapOp; 19] = [
     MapOp::Escalate,
     MapOp::Tick,
     MapOp::Deescalate,
+    MapOp::DriftTrip,
     MapOp::Resynthesize,
     MapOp::Migrate,
     MapOp::Finish,
@@ -162,6 +178,8 @@ pub struct TransitionStats {
     pub tick_drains: usize,
     /// Transitions requested over an open epoch and merged into it.
     pub merges: usize,
+    /// Drift trips taken, each checked to be held.
+    pub drift_trips: usize,
 }
 
 impl TransitionStats {
@@ -174,6 +192,7 @@ impl TransitionStats {
         self.inert_degrades += other.inert_degrades;
         self.tick_drains += other.tick_drains;
         self.merges += other.merges;
+        self.drift_trips += other.drift_trips;
     }
 }
 
@@ -218,13 +237,15 @@ struct Observed {
 }
 
 /// Mode, ladder counters (escalations, de-escalations, rotations), the
-/// keyed seed, and the lifetime drift counts (in-format, off-format).
+/// keyed seed, the lifetime drift counts (in-format, off-format) and the
+/// held drift trip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Ladder {
     mode: GuardMode,
     counters: (u64, u64, u64),
     seed: Option<(u64, u64)>,
     drift: (u64, u64),
+    trip: Option<(u64, u64)>,
 }
 
 type Map = UnorderedMap<Vec<u8>, u64, Hasher>;
@@ -238,6 +259,7 @@ fn observe_map(m: &Map) -> Observed {
             counters: (m.escalations(), m.deescalations(), m.seed_rotations()),
             seed: (h.mode() == GuardMode::Keyed).then(|| h.current_seed()),
             drift: (h.stats().in_format(), h.stats().off_format()),
+            trip: m.drift_trip(),
         },
         in_flight: m.migration_in_flight(),
         progress: m.migration_progress(),
@@ -253,6 +275,7 @@ fn observe_multimap(m: &MultiMap) -> Observed {
             counters: (0, 0, 0),
             seed: None,
             drift: (stats.in_format(), stats.off_format()),
+            trip: m.drift_trip(),
         },
         in_flight: m.migration_in_flight(),
         progress: m.migration_progress(),
@@ -261,7 +284,8 @@ fn observe_multimap(m: &MultiMap) -> Observed {
 
 /// The after-step checks both sides share: an inert degrade off
 /// `Guarded`, a `requested` transition over an open epoch merged into
-/// it, agreement with the eager twin, and the step's statistics.
+/// it, a transition that clears a held drift trip, agreement with the
+/// eager twin, and the step's statistics.
 fn check_step(
     stats: &mut TransitionStats,
     degrade: bool,
@@ -288,6 +312,9 @@ fn check_step(
     let moved =
         after.ladder.mode != before.ladder.mode || after.ladder.counters != before.ladder.counters;
     stats.transitions += usize::from(moved || applied);
+    if (moved || applied) && after.ladder.trip.is_some() {
+        return Err(format!("a transition kept a drift trip held: {after:?}"));
+    }
     if requested && (moved || applied) && before.in_flight {
         if !after.in_flight || after.progress != before.progress {
             return Err(format!(
@@ -297,6 +324,30 @@ fn check_step(
         stats.merges += 1;
     }
     Ok(())
+}
+
+/// A drift judgment that `tripped` must leave the map guarded with its
+/// counters unchanged, hold the trip, and open no epoch; one that did not
+/// must keep a held trip held.
+fn check_held_trip(tripped: bool, before: Observed, after: Observed) -> Result<(), String> {
+    let (b, a) = (before.ladder, after.ladder);
+    let held = if tripped {
+        b.trip.is_none()
+            && b.mode == GuardMode::Guarded
+            && a.mode == GuardMode::Guarded
+            && a.counters == b.counters
+            && a.trip.is_some()
+            && (before.in_flight || !after.in_flight)
+    } else {
+        b.trip.is_none() || a.trip == b.trip
+    };
+    if held {
+        Ok(())
+    } else {
+        Err(format!(
+            "the drift judgment (tripped: {tripped}) did not hold: {before:?} -> {after:?}"
+        ))
+    }
 }
 
 fn map_contents_match(m: &Map, model: &HashMap<Vec<u8>, u64>) -> bool {
@@ -327,7 +378,7 @@ pub fn check_map(template: &Hasher, depth: usize, seed: u64) -> Result<Transitio
             let fail = |what: String| format!("{seq:?} step {step} ({op:?}): {what}");
             let before = observe_map(&lazy);
             let value = step as u64;
-            let mut applied = false;
+            let (mut applied, mut tripped) = (false, false);
             let agree = match op {
                 MapOp::Insert(k) => {
                     let want = model.insert(KEYS[k].to_vec(), value);
@@ -357,6 +408,10 @@ pub fn check_map(template: &Hasher, depth: usize, seed: u64) -> Result<Transitio
                         == eager.maybe_escalate(&calm, &eager_seeds)
                 }
                 MapOp::Deescalate => lazy.maybe_deescalate(&calm) == eager.maybe_deescalate(&calm),
+                MapOp::DriftTrip => {
+                    tripped = lazy.maybe_degrade(&TRIP);
+                    tripped == eager.maybe_degrade(&TRIP)
+                }
                 MapOp::Resynthesize => {
                     let out = lazy.resynthesize();
                     applied = out.is_applied();
@@ -381,6 +436,10 @@ pub fn check_map(template: &Hasher, depth: usize, seed: u64) -> Result<Transitio
             let drained =
                 before.in_flight && (!after.in_flight || after.progress > before.progress);
             stats.tick_drains += usize::from(op == MapOp::Tick && drained);
+            if op == MapOp::DriftTrip {
+                check_held_trip(tripped, before, after).map_err(fail)?;
+                stats.drift_trips += usize::from(tripped);
+            }
             check_step(
                 &mut stats,
                 op == MapOp::Degrade,
@@ -533,6 +592,7 @@ mod tests {
             let map = check_map(&template(family), 3, 7).expect("map");
             assert_eq!(map.sequences, MAP_OPS.len().pow(3));
             assert!(map.transitions > 0 && map.mid_epoch > 0 && map.inert_degrades > 0);
+            assert!(map.drift_trips > 0);
             for keyed in [false, true] {
                 let multi = check_multimap(&template(family), keyed, 3, 7).expect("multimap");
                 assert_eq!(multi.sequences, MULTI_OPS.len().pow(3));
