@@ -623,7 +623,7 @@ fn metrics_report(pattern: &KeyPattern, keys: &[String], iterations: usize) {
 /// Fills a guarded map, measures benign churn at steady state (ticking the
 /// collision-storm detector, which must stay quiet), then brute-forces a
 /// collision flood against the map's own hash — the strongest attacker
-/// model for the unkeyed rungs — and lets the detector climb the
+/// model for the unkeyed guarded rung — and lets the detector climb the
 /// escalation ladder to the keyed hasher. Reports ns/op benign vs. under
 /// attack vs. after escalation, the flooded-chain lengths, the wall-clock
 /// escalation latency (detector ticks plus the incremental re-key drain),
@@ -728,8 +728,7 @@ fn adversarial_report(pattern: &KeyPattern, keys: &[String], iterations: usize) 
         1e3 / attack_churn_ns
     );
 
-    // Let the detector climb the ladder; the off-format flood survives the
-    // unkeyed fallback rung, so it must reach the keyed hasher.
+    // Let the detector climb the ladder: one rung, to the keyed hasher.
     let start = Instant::now();
     let mut rungs = 0usize;
     let mut ticks = 0usize;

@@ -40,7 +40,7 @@ pub(crate) enum Transition {
     },
     /// `Guarded` → `Degraded` on request (`degrade_now`), held for drift.
     Degrade,
-    /// One storm rung up: `Guarded` → `Degraded`, or `Degraded` → `Keyed`.
+    /// One storm rung up: `Guarded` or `Degraded` → `Keyed`.
     Escalate,
     /// A storm on the keyed rung: the same rung under a fresh seed.
     Rotate,
@@ -257,7 +257,10 @@ where
         })
     }
 
-    /// `UnorderedMap::escalate_now`: one storm rung up, or a rotation.
+    /// `UnorderedMap::escalate_now`: to the keyed rung in one step, from
+    /// `Guarded` or from the drift rung `Degraded` alike (both are
+    /// unkeyed and share the off-format route), or a rotation on the
+    /// keyed rung.
     pub(crate) fn escalate(mut self, seeds: &impl SeedSource) -> Transition {
         let mode = self.mode();
         let t = match mode {
@@ -266,8 +269,7 @@ where
         };
         self.step(t, |h| {
             match mode {
-                GuardMode::Guarded => h.degrade(),
-                GuardMode::Degraded => h.escalate_keyed(seeds),
+                GuardMode::Guarded | GuardMode::Degraded => h.escalate_keyed(seeds),
                 GuardMode::Keyed => h.rotate_seed(seeds),
             }
             true

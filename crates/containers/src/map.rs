@@ -441,11 +441,9 @@ where
     /// Takes one upward rung on the escalation ladder, opening a
     /// migration epoch so the re-keying is an incremental rehash:
     ///
-    /// * `Specialized (Guarded)` → `GuardedFallback (Degraded)` — every
-    ///   key takes the fallback, so the specialized routing a flood was
-    ///   forged against is gone;
-    /// * `Degraded` → `Keyed(seed)` — the fallback is unkeyed and
-    ///   precomputable, so a detected storm moves to a secret seed;
+    /// * `Guarded` or `Degraded` → `Keyed(seed)` — the specialized route
+    ///   and the fallback are both unkeyed and precomputable, so a
+    ///   detected storm moves to a secret seed in one step;
     /// * `Keyed` → `Keyed(rotated seed)` — a storm *while keyed* means
     ///   the seed leaked; rotate it.
     ///
@@ -664,6 +662,93 @@ mod tests {
         UnorderedMap::with_hasher(GuardedHash::from_pattern(&pattern, family, StlHash::new()))
     }
 
+    /// The SSN plan, counting the keys it hashes.
+    #[derive(Debug, Clone)]
+    struct Counted {
+        plan: sepe_core::SynthesizedHash,
+        calls: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl ByteHash for Counted {
+        fn hash_bytes(&self, key: &[u8]) -> u64 {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.plan.hash_bytes(key)
+        }
+
+        fn injective_over(&self, pattern: &sepe_core::KeyPattern) -> bool {
+            self.plan.injective_over(pattern)
+        }
+    }
+
+    #[test]
+    fn storm_transitions_refile_vouched_entries_from_their_cached_hashes() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let pattern = sepe_core::regex::Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("compiles");
+        let plan = sepe_core::SynthesizedHash::from_pattern(&pattern, sepe_core::Family::OffXor);
+        assert!(plan.injective_over(&pattern), "the SSN OffXor plan vouches");
+        let calls = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counted = Counted {
+            plan,
+            calls: calls.clone(),
+        };
+        let filled = || {
+            let hasher = GuardedHash::new(&pattern, counted.clone(), StlHash::new());
+            let mut m: UnorderedMap<String, u32, _> = UnorderedMap::with_hasher(hasher);
+            for i in 0..2_000u32 {
+                m.insert(ssn_key(i), i);
+            }
+            for i in 0..20u32 {
+                m.insert(format!("off-format key {i}"), i);
+            }
+            m
+        };
+        // Only the debug build's check of each mapped hash reads the key.
+        let checked = if cfg!(debug_assertions) { 2_000 } else { 0 };
+        let seeds = sepe_core::hash::keyed::FixedSeedSource::new(7);
+        let mut m = filled();
+
+        // The drain, Guarded to Keyed.
+        let before = calls.load(Relaxed);
+        m.escalate_now(&seeds);
+        m.migrate(500);
+        let swept = 500;
+        // A rotation merged into the half-drained epoch re-files the
+        // swept side from Keyed to Keyed under the new seed.
+        m.escalate_now(&seeds);
+        m.finish_migration();
+        assert_eq!(calls.load(Relaxed) - before, checked + swept.min(checked));
+
+        // The storm hold's scan and the de-escalation's drain, from Keyed.
+        let policy = AttackPolicy {
+            quiet_streak: 1,
+            ..AttackPolicy::default()
+        };
+        // Start the probe window here: the fill's probes are no storm.
+        m.controller().exact_signals();
+        let before = calls.load(Relaxed);
+        assert!(m.maybe_deescalate(&policy));
+        m.finish_migration();
+        assert_eq!(m.guard_mode(), GuardMode::Guarded);
+        assert_eq!(calls.load(Relaxed) - before, 2 * checked);
+        for i in 0..2_000u32 {
+            assert_eq!(m.get(ssn_key(i).as_str()), Some(&i));
+        }
+        for i in 0..20u32 {
+            assert_eq!(m.get(format!("off-format key {i}").as_str()), Some(&i));
+        }
+
+        // Off the degraded rung nothing is vouched for: every in-format
+        // key is hashed from its bytes.
+        let mut d = filled();
+        d.degrade_now();
+        d.finish_migration();
+        let before = calls.load(Relaxed);
+        d.escalate_now(&seeds);
+        d.finish_migration();
+        assert_eq!(calls.load(Relaxed) - before, 2_000);
+    }
+
     #[test]
     fn drift_threshold_trips_and_holds_the_guarded_route() {
         let mut m = guarded_ssn_map(sepe_core::Family::Pext);
@@ -769,10 +854,7 @@ mod tests {
         assert!(m.maybe_degrade(&DriftPolicy::default()));
         assert!(m.drift_trip().is_some());
         m.escalate_now(&sepe_core::hash::keyed::FixedSeedSource::new(7));
-        assert_eq!(
-            (m.guard_mode(), m.drift_trip()),
-            (GuardMode::Degraded, None)
-        );
+        assert_eq!((m.guard_mode(), m.drift_trip()), (GuardMode::Keyed, None));
     }
 
     #[test]
@@ -1139,15 +1221,14 @@ mod tests {
             m.insert(format!("{:03}-{:02}-{:04}", i % 900, i % 90, i), i);
         }
         assert_eq!(m.guard_mode(), GuardMode::Guarded);
-        m.escalate_now(&seeds);
-        assert_eq!(m.guard_mode(), GuardMode::Degraded);
+        // A storm takes one rung: the guarded route goes straight to keyed.
         m.escalate_now(&seeds);
         assert_eq!(m.guard_mode(), GuardMode::Keyed);
         let seed_before = m.hasher().current_seed();
         m.escalate_now(&seeds);
         assert_eq!(m.guard_mode(), GuardMode::Keyed);
         assert_ne!(m.hasher().current_seed(), seed_before, "rotation rung");
-        assert_eq!(m.escalations(), 3);
+        assert_eq!(m.escalations(), 2);
         assert_eq!(m.seed_rotations(), 1);
         // Contents survive every rung; lookups probe both epochs.
         for i in 0..200u32 {
@@ -1156,6 +1237,22 @@ mod tests {
         }
         m.finish_migration();
         assert_eq!(m.len(), 200);
+
+        // From the drift rung `degrade_now` leaves, a storm also goes to
+        // keyed in one step.
+        let mut d = guarded_ssn_map(sepe_core::Family::OffXor);
+        for i in 0..200u32 {
+            d.insert(format!("{:03}-{:02}-{:04}", i % 900, i % 90, i), i);
+        }
+        d.degrade_now();
+        assert_eq!(d.guard_mode(), GuardMode::Degraded);
+        d.escalate_now(&seeds);
+        assert_eq!(d.guard_mode(), GuardMode::Keyed);
+        assert_eq!((d.escalations(), d.seed_rotations()), (1, 0));
+        for i in 0..200u32 {
+            let key = format!("{:03}-{:02}-{:04}", i % 900, i % 90, i);
+            assert_eq!(d.get(&key), Some(&i), "{key} lost during escalation");
+        }
     }
 
     #[test]
@@ -1190,7 +1287,7 @@ mod tests {
         // First stormy tick arms the streak, second trips it.
         assert!(!m.maybe_escalate(&policy, &seeds));
         assert!(m.maybe_escalate(&policy, &seeds));
-        assert_eq!(m.guard_mode(), GuardMode::Degraded);
+        assert_eq!(m.guard_mode(), GuardMode::Keyed);
         // The storm subsides: the crafted keys age out of the table and
         // the escalation migration drains. Quiet ticks then de-escalate.
         for key in &attack_keys {
@@ -1230,7 +1327,6 @@ mod tests {
         for i in 0..300u32 {
             m.insert(key(i), i);
         }
-        m.escalate_now(&seeds);
         m.escalate_now(&seeds);
         assert_eq!(m.guard_mode(), GuardMode::Keyed);
         m.finish_migration();
@@ -1347,7 +1443,7 @@ mod tests {
         }
         assert!(!m.maybe_escalate(&policy, &seeds));
         assert!(m.maybe_escalate(&policy, &seeds));
-        assert_eq!(m.guard_mode(), GuardMode::Degraded);
+        assert_eq!(m.guard_mode(), GuardMode::Keyed);
         assert!(m.migration_in_flight());
         let bound = m.chain_bound().expect("an open epoch keeps the bound");
         assert!(bound >= m.max_bucket_len(), "bound {bound} mid-drain");
@@ -1486,7 +1582,7 @@ mod tests {
             m.finish_migration();
         }
         assert_eq!(m.guard_mode(), GuardMode::Keyed);
-        assert_eq!(m.escalations(), 2, "guarded, degraded, keyed");
+        assert_eq!(m.escalations(), 1, "guarded, then keyed in one step");
         // The keyed rung spreads the flood, so every tick is quiet; but
         // the guarded routing it would return to piles the flood up again.
         for tick in 0..64u32 {
@@ -1509,7 +1605,7 @@ mod tests {
         let after = (1..=streak).find(|_| m.maybe_deescalate(&policy));
         assert!(after.is_some(), "no re-arm within one {streak}-tick streak");
         assert_eq!(m.guard_mode(), GuardMode::Guarded);
-        assert_eq!((m.escalations(), m.deescalations()), (2, 1));
+        assert_eq!((m.escalations(), m.deescalations()), (1, 1));
         assert_eq!(m.maint.hold(), 0, "the transition reset the hold");
         m.finish_migration();
         assert_eq!(m.len(), 4_000);
@@ -1552,7 +1648,6 @@ mod tests {
                     m.insert(key, i as u32);
                 }
                 assert_eq!(m.bucket_count() as u64, buckets);
-                m.escalate_now(&seeds);
                 m.escalate_now(&seeds);
                 m.finish_migration();
                 // Start the probe window here: the flood's own inserts

@@ -2,8 +2,9 @@
 
 use crate::multimap::UnorderedMultiMap;
 use crate::policy::{BucketPolicy, DriftPolicy};
-use sepe_core::guard::{GuardMode, GuardStats, GuardedHash};
+use sepe_core::guard::{GuardMode, GuardStats, GuardedHash, Resynth};
 use sepe_core::hash::ByteHash;
+use sepe_core::SynthesizedHash;
 use std::borrow::Borrow;
 
 /// A chained hash multiset: an [`UnorderedMultiMap`] with unit values.
@@ -167,6 +168,12 @@ where
     pub fn guard_mode(&self) -> GuardMode {
         self.inner.guard_mode()
     }
+
+    /// The held drift trip: `(off_format, total)` of the window that
+    /// tripped, or `None` when no trip is held.
+    pub fn drift_trip(&self) -> Option<(u64, u64)> {
+        self.inner.drift_trip()
+    }
 }
 
 impl<K, F, G> UnorderedMultiSet<K, GuardedHash<F, G>>
@@ -191,10 +198,70 @@ where
     }
 }
 
+impl<K, G> UnorderedMultiSet<K, GuardedHash<SynthesizedHash, G>>
+where
+    K: Eq + AsRef<[u8]>,
+    G: ByteHash + Clone,
+{
+    /// Re-synthesizes the specialized hash from the sampled off-format
+    /// keys and opens one migration epoch, clearing a held drift trip, as
+    /// [`UnorderedMap::resynthesize`](crate::UnorderedMap::resynthesize)
+    /// does.
+    pub fn resynthesize(&mut self) -> Resynth {
+        self.inner.resynthesize()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use sepe_baselines::StlHash;
+
+    #[test]
+    fn a_tripped_set_resynthesizes_and_trips_again() {
+        let pattern = sepe_core::regex::Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("compiles");
+        let hasher = GuardedHash::from_pattern(&pattern, sepe_core::Family::Pext, StlHash::new());
+        let mut s = UnorderedMultiSet::with_hasher(hasher);
+        let policy = DriftPolicy {
+            threshold: 0.10,
+            min_samples: 16,
+            ..DriftPolicy::default()
+        };
+        let ssn = |i: u32| format!("{:03}-{:02}-{:04}", i, i % 100, i * 7 % 10_000);
+        let slashed = |i: u32| format!("{:03}/{:02}/{:04}", i, i % 100, i);
+        for i in 0..64u32 {
+            s.insert(ssn(i));
+        }
+        for i in 0..40u32 {
+            s.insert(slashed(i));
+        }
+        assert!(s.maybe_degrade(&policy), "the drifted window trips");
+        let trip = s.drift_trip().expect("the trip is held");
+        assert_eq!(trip.0, 40);
+        assert!(!s.maybe_degrade(&policy), "a held trip does not trip again");
+
+        assert_eq!(s.resynthesize(), Resynth::Applied);
+        assert_eq!((s.guard_mode(), s.drift_trip()), (GuardMode::Guarded, None));
+        s.finish_migration();
+        for i in 0..64u32 {
+            assert!(s.contains(ssn(i).as_str()), "{}", ssn(i));
+        }
+        for i in 0..40u32 {
+            assert!(s.contains(slashed(i).as_str()), "{}", slashed(i));
+        }
+
+        // The widened guard admits the slashed keys; a later drift away
+        // from both formats trips again.
+        assert!(!s.maybe_degrade(&policy), "no drift since the resynthesis");
+        for i in 0..40u32 {
+            s.insert(format!("off-format key {i}"));
+        }
+        assert!(
+            s.maybe_degrade(&policy),
+            "a later drifted window trips again"
+        );
+        assert!(s.drift_trip().is_some());
+    }
 
     #[test]
     fn multiset_semantics() {

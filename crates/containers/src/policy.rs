@@ -37,6 +37,37 @@ impl BucketPolicy {
             BucketPolicy::HighBits { discard_low } => (hash >> discard_low.min(63)) % bucket_count,
         }
     }
+
+    /// [`BucketPolicy::bucket_of`] without a divide, given
+    /// `recip = reciprocal(bucket_count)`: the remainder by direct
+    /// computation of Lemire, Kaser & Kurz ("Faster Remainder by Direct
+    /// Computation", 2019). The low 128 bits of `recip · n` are the
+    /// fractional part of `n / d`, and their product with `d`, shifted
+    /// down 128 bits, is the remainder, exact for every 64-bit `n` and
+    /// `d ≥ 1` with a 128-bit reciprocal.
+    #[inline]
+    pub(crate) fn bucket_in(self, hash: u64, bucket_count: u64, recip: u128) -> usize {
+        let n = match self {
+            BucketPolicy::Modulo => hash,
+            BucketPolicy::HighBits { discard_low } => hash >> discard_low.min(63),
+        };
+        let frac = recip.wrapping_mul(u128::from(n));
+        let d = u128::from(bucket_count);
+        // The top 64 bits of the 192-bit product `frac · d`; the sum
+        // cannot overflow (it stays below 2^128 − 2^64).
+        let low = ((frac & u128::from(u64::MAX)) * d) >> 64;
+        let high = (frac >> 64) * d;
+        ((low + high) >> 64) as usize
+    }
+}
+
+/// `⌈2^128 / d⌉` for `d ≥ 1`, the reciprocal [`BucketPolicy::bucket_in`]
+/// indexes `d` buckets by; it wraps to 0 for `d = 1`, whose remainder is
+/// 0 anyway.
+#[inline]
+pub(crate) fn reciprocal(bucket_count: u64) -> u128 {
+    assert!(bucket_count > 0, "bucket_count must be non-zero");
+    (u128::MAX / u128::from(bucket_count)).wrapping_add(1)
 }
 
 /// When a guarded container's format has drifted: the signal that its
@@ -271,6 +302,66 @@ impl AttackPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::primes::grow_bucket_count;
+    use proptest::prelude::*;
+
+    /// Every bucket count a table growing from its first one by doubling
+    /// reaches, up to the arena's 2^31 slots at load factor 1/2.
+    fn doubling_primes() -> Vec<u64> {
+        let mut counts = vec![1, 2, 13];
+        while *counts.last().unwrap() < 1 << 32 {
+            let next = grow_bucket_count(*counts.last().unwrap(), 0, 1.0);
+            counts.push(next);
+        }
+        counts
+    }
+
+    const POLICIES: [BucketPolicy; 4] = [
+        BucketPolicy::Modulo,
+        BucketPolicy::HighBits { discard_low: 0 },
+        BucketPolicy::HighBits { discard_low: 17 },
+        BucketPolicy::HighBits { discard_low: 63 },
+    ];
+
+    /// The hashes every remainder is checked at besides random ones: 0,
+    /// `u64::MAX`, and multiples of `d` and their neighbours.
+    fn edge_hashes(d: u64) -> Vec<u64> {
+        let mut hashes = vec![0, 1, u64::MAX, u64::MAX - 1];
+        for m in [
+            d,
+            d.wrapping_mul(2),
+            (u64::MAX / d) * d,
+            (u64::MAX / d - 1) * d,
+        ] {
+            hashes.extend([m, m.wrapping_sub(1), m.wrapping_add(1)]);
+        }
+        hashes
+    }
+
+    proptest! {
+        /// The divide-free index equals `%` for random and edge hashes over
+        /// every doubling prime, and over the primes a load-driven growth
+        /// picks.
+        #[test]
+        fn the_divide_free_index_is_the_remainder(
+            hashes in proptest::collection::vec(any::<u64>(), 64),
+            required in 0usize..(1 << 31),
+            load in 1u32..64,
+        ) {
+            let by_load = grow_bucket_count(13, required, f64::from(load) / 16.0);
+            for d in doubling_primes().into_iter().chain([by_load]) {
+                let recip = reciprocal(d);
+                for policy in POLICIES {
+                    for hash in hashes.iter().copied().chain(edge_hashes(d)) {
+                        prop_assert_eq!(
+                            policy.bucket_in(hash, d, recip) as u64,
+                            policy.bucket_of(hash, d)
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn modulo_uses_low_bits() {

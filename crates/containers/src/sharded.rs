@@ -46,16 +46,26 @@ pub const MAX_SHARDS: usize = 64;
 /// for `MAX_SHARDS` shards tripping and re-arming many times over.
 const SHARD_EVENT_CAPACITY: usize = 1024;
 
+/// One shard's lock acquisitions, on cache lines of their own: client
+/// threads locking different shards bump different lines, so no line
+/// bounces between their cores.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct LockCounts {
+    /// Read locks taken (including non-blocking upgrade probes).
+    read: Counter,
+    /// Write locks taken.
+    write: Counter,
+}
+
 /// Map-wide observability: lock acquisitions, shard degradations, and a
 /// bounded trace of per-shard drift trips and transition events. Shared
 /// handles so an exported [`sepe_obs::Registry`] reads live values. The
 /// ladder counts are the shards' own table counters, not kept here.
 #[derive(Debug)]
 struct ShardObs {
-    /// Shard read locks taken (including non-blocking upgrade probes).
-    read_locks: Arc<Counter>,
-    /// Shard write locks taken.
-    write_locks: Arc<Counter>,
+    /// Each shard's lock counts; the exported totals are their sums.
+    locks: Arc<[LockCounts]>,
     /// Guarded→Degraded transitions, counted once per actual flip (a drift
     /// trip flips nothing, and is recorded only as an event).
     shard_degrades: Arc<Counter>,
@@ -63,11 +73,10 @@ struct ShardObs {
     events: Arc<EventTrace<ObsEvent>>,
 }
 
-impl Default for ShardObs {
-    fn default() -> Self {
+impl ShardObs {
+    fn new(shards: usize) -> Self {
         ShardObs {
-            read_locks: Arc::new(Counter::new()),
-            write_locks: Arc::new(Counter::new()),
+            locks: (0..shards).map(|_| LockCounts::default()).collect(),
             shard_degrades: Arc::new(Counter::new()),
             events: Arc::new(EventTrace::new(SHARD_EVENT_CAPACITY)),
         }
@@ -155,7 +164,7 @@ where
             router: hasher.epoch_frozen(GuardMode::Guarded),
             shards: shards.into_boxed_slice(),
             shard_bits: count.trailing_zeros(),
-            obs: ShardObs::default(),
+            obs: ShardObs::new(count),
         }
     }
 
@@ -185,7 +194,7 @@ where
         // A poisoned shard saw a panic mid-operation; its chains are still
         // structurally sound (no unsafe in the table), so recover rather
         // than cascade the panic through every thread touching the map.
-        self.obs.read_locks.inc();
+        self.obs.locks[i].read.inc();
         self.shards[i]
             .read()
             .unwrap_or_else(PoisonError::into_inner)
@@ -193,7 +202,7 @@ where
 
     #[inline]
     fn write(&self, i: usize) -> RwLockWriteGuard<'_, UnorderedMap<K, V, GuardedHash<F, G>>> {
-        self.obs.write_locks.inc();
+        self.obs.locks[i].write.inc();
         self.shards[i]
             .write()
             .unwrap_or_else(PoisonError::into_inner)
@@ -341,9 +350,9 @@ where
     }
 
     /// How many shards are on [`GuardMode::Degraded`] (fallback for every
-    /// key): flipped by [`ShardedMap::degrade_shard`] or a storm's first
-    /// rung. A drift trip holds the guarded rung, so it never counts here
-    /// (see [`ShardedMap::shard_drift_trip`]).
+    /// key): flipped by [`ShardedMap::degrade_shard`] only, since a storm
+    /// goes straight to the keyed rung. A drift trip holds the guarded
+    /// rung, so it never counts here (see [`ShardedMap::shard_drift_trip`]).
     pub fn degraded_shards(&self) -> usize {
         self.sum(|s| usize::from(s.guard_mode() == GuardMode::Degraded))
     }
@@ -519,7 +528,7 @@ where
     /// The recorded per-shard events ([`ObsEvent::ShardDrift`],
     /// [`ObsEvent::ShardDegrade`], escalations, rotations and
     /// de-escalations), oldest first.
-    pub fn degrade_events(&self) -> Vec<ObsEvent> {
+    pub fn events(&self) -> Vec<ObsEvent> {
         self.obs.events.snapshot()
     }
 
@@ -539,8 +548,14 @@ where
         &self,
         registry: &sepe_obs::Registry,
     ) -> Result<(), sepe_obs::RegistryError> {
-        registry.register_counter("shard_read_locks", &[], self.obs.read_locks.clone())?;
-        registry.register_counter("shard_write_locks", &[], self.obs.write_locks.clone())?;
+        let locks = self.obs.locks.clone();
+        registry.export_counter("shard_read_locks", &[], move || {
+            locks.iter().fold(0, |n, l| n.saturating_add(l.read.get()))
+        })?;
+        let locks = self.obs.locks.clone();
+        registry.export_counter("shard_write_locks", &[], move || {
+            locks.iter().fold(0, |n, l| n.saturating_add(l.write.get()))
+        })?;
         registry.register_counter("shard_degrades", &[], self.obs.shard_degrades.clone())?;
         for i in 0..self.shards.len() {
             let label = i.to_string();
@@ -811,6 +826,40 @@ mod tests {
         let pattern = Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("pattern");
         let hash = SynthesizedHash::from_pattern(&pattern, Family::Pext);
         ShardedMap::with_hasher(GuardedHash::new(&pattern, hash, StlHash::new()), shards)
+    }
+
+    #[test]
+    fn lock_counts_are_kept_per_shard_and_exported_as_sums() {
+        assert_eq!(std::mem::align_of::<LockCounts>(), 128, "a line pair each");
+        let m = sharded(8);
+        let registry = sepe_obs::Registry::new();
+        m.export_metrics(&registry).expect("export");
+        let totals = || {
+            let snap = registry.snapshot();
+            (
+                snap.counter("shard_read_locks").expect("exported"),
+                snap.counter("shard_write_locks").expect("exported"),
+            )
+        };
+        let (reads, writes) = totals();
+        for i in 0..200 {
+            m.insert(ssn(i), i);
+        }
+        let key = ssn(7);
+        let shard = m.shard_of(key.as_bytes());
+        let before = m.obs.locks[shard].read.get();
+        assert_eq!(m.get(key.as_str()), Some(7));
+        assert_eq!(m.obs.locks[shard].read.get(), before + 1, "the key's shard");
+        let sum = |f: fn(&LockCounts) -> u64| m.obs.locks.iter().map(f).sum::<u64>();
+        let (read_sum, write_sum) = (sum(|l| l.read.get()), sum(|l| l.write.get()));
+        assert_eq!(totals(), (read_sum, write_sum));
+        assert!(
+            read_sum > reads && write_sum >= writes + 200,
+            "{:?}",
+            totals()
+        );
+        let touched = m.obs.locks.iter().filter(|l| l.write.get() > 0).count();
+        assert!(touched > 1, "200 keys spread over the shards");
     }
 
     #[test]
@@ -1092,9 +1141,9 @@ mod tests {
             m.insert(ssn(i), i);
         }
         let target = m.shard_of(ssn(0).as_bytes());
-        // Climb the whole ladder on one shard: degrade, key, rotate.
+        // Climb the whole ladder on one shard: key, then rotate.
         m.escalate_shard(target, &seeds);
-        m.escalate_shard(target, &seeds);
+        assert_eq!(m.shard_mode(target), GuardMode::Keyed);
         m.escalate_shard(target, &seeds);
         assert_eq!(m.shard_mode(target), GuardMode::Keyed);
         for i in 0..m.shard_count() {
@@ -1102,13 +1151,10 @@ mod tests {
                 assert_eq!(m.shard_mode(i), GuardMode::Guarded, "sibling {i} flipped");
             }
         }
-        assert_eq!(m.shard_escalation_count(), 3);
+        assert_eq!(m.shard_escalation_count(), 2);
         assert_eq!(m.shard_seed_rotation_count(), 1);
-        let names: Vec<&str> = m.degrade_events().iter().map(ObsEvent::name).collect();
-        assert_eq!(
-            names,
-            vec!["shard_escalate", "shard_escalate", "seed_rotation"]
-        );
+        let names: Vec<&str> = m.events().iter().map(ObsEvent::name).collect();
+        assert_eq!(names, vec!["shard_escalate", "seed_rotation"]);
         // Contents survive; de-escalation restores the specialized hash.
         m.finish_migrations();
         for i in 0..400 {
@@ -1182,7 +1228,7 @@ mod tests {
         }
         assert_eq!(m.shard_bucket_count(flooded) as u64, buckets);
         assert_eq!(m.shard_mode(flooded), GuardMode::Keyed);
-        assert_eq!(m.shard_escalation_count(), 2);
+        assert_eq!(m.shard_escalation_count(), 1);
 
         // Calm ticks leave neither the drift rung nor the resident flood.
         for tick in 0..64 {
@@ -1267,7 +1313,7 @@ mod tests {
         assert_eq!(m.shard_drift_trip(drifted), Some(window));
         let (off_format, total) = window;
         assert_eq!(
-            m.degrade_events(),
+            m.events(),
             vec![ObsEvent::ShardDrift {
                 shard: drifted as u64,
                 off_format,
@@ -1293,7 +1339,7 @@ mod tests {
         let (off_now, total_now) = m.read(drifted).drift_stats().window_counts();
         assert!(policy.should_degrade(off_now, total_now));
         assert_eq!(m.maybe_degrade(&policy), 0);
-        assert_eq!(m.degrade_events().len(), 1);
+        assert_eq!(m.events().len(), 1);
 
         // Its resynthesis is the one epoch, on that shard alone.
         assert!(m.resynthesize_shard(drifted).is_applied());

@@ -35,9 +35,10 @@
 //! the entries they file are compared by bytes until a drain re-files
 //! them.
 
-use crate::policy::BucketPolicy;
+use crate::policy::{reciprocal, BucketPolicy};
 use crate::primes::grow_bucket_count;
 use sepe_core::hash::ByteHash;
+use sepe_core::RouteMap;
 use sepe_obs::{Counter, Histogram, Registry, RegistryError};
 use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -194,8 +195,8 @@ pub(crate) struct TableObs {
     pub(crate) batch_chunks: Arc<Counter>,
     /// Keys that went through those chunks.
     pub(crate) batch_keys: Arc<Counter>,
-    /// Upward storm rungs taken on the escalation ladder (to degraded,
-    /// to keyed, and rotations all count; a drift degrade does not).
+    /// Upward storm rungs taken on the escalation ladder (to keyed and
+    /// rotations both count; a drift degrade does not).
     pub(crate) escalations: Arc<Counter>,
     /// Quiet-window de-escalations back to the specialized hasher.
     pub(crate) deescalations: Arc<Counter>,
@@ -363,7 +364,13 @@ struct Migration<H> {
     /// not pollute drift accounting (an amortized migration must leave the
     /// same observable counters as a stop-the-world rebuild).
     rehasher: H,
+    /// `rehasher`'s [`ByteHash::refile_map`] from `old_hasher`: the drain
+    /// re-files the old epoch's vouched entries from their cached hashes.
+    refile: Option<RouteMap>,
     old_heads: Vec<u32>,
+    /// [`reciprocal`] of `old_heads.len()`, which old-epoch probes index
+    /// by.
+    old_recip: u128,
     /// Occupied slots in `cursor..end`: entries still filed in the old
     /// epoch.
     old_len: usize,
@@ -387,6 +394,10 @@ struct Migration<H> {
 #[derive(Debug, Clone)]
 pub(crate) struct RawTable<K, V, H> {
     heads: Vec<u32>,
+    /// [`reciprocal`] of `heads.len()`: every bucket index is a remainder
+    /// by multiplication ([`BucketPolicy::bucket_in`]). Recomputed
+    /// wherever the bucket array is replaced by one of another length.
+    recip: u128,
     entries: Vec<Entry<K, V>>,
     /// Which of [`Entry::links`] threads the live epoch; flips each time
     /// an epoch opens.
@@ -427,6 +438,7 @@ where
     pub(crate) fn new(hasher: H, policy: BucketPolicy) -> Self {
         RawTable {
             heads: vec![NONE; INITIAL_BUCKETS as usize],
+            recip: reciprocal(INITIAL_BUCKETS),
             entries: Vec::new(),
             live: false,
             free_head: NONE,
@@ -495,9 +507,11 @@ where
         self.live = !self.live;
         self.chain_bound = Some(0);
         self.migration = Some(Migration {
+            refile: rehasher.refile_map(&old_hasher),
             old_hasher,
             rehasher,
             old_heads,
+            old_recip: self.recip,
             old_len: self.len,
             initial: self.len,
             cursor: 0,
@@ -515,10 +529,11 @@ where
     /// Merges a transition into the open epoch `mig`: the slots the
     /// superseded live routing owns (below the cursor, and from `end` on)
     /// are re-filed under `rehasher` into a fresh live bucket array, in
-    /// slot order and in prefetched batches like a drain; the unswept
-    /// slots stay filed in the old epoch and will drain straight to
-    /// `rehasher`. Only the swept side moves now, and every entry moves
-    /// at most once more before the epoch closes. The re-filed chains are
+    /// slot order and in prefetched batches like a drain, the vouched ones
+    /// from their cached hashes where `rehasher` maps from the superseded
+    /// routing; the unswept slots stay filed in the old epoch and will
+    /// drain straight to `rehasher`. Only the swept side moves now, and
+    /// every entry moves at most once more before the epoch closes. The re-filed chains are
     /// counted as they link, so the epoch's counts and the chain bound
     /// come out exact. The epoch keeps its counters: no epoch opens or
     /// closes, and nothing drains out of the old one.
@@ -526,20 +541,21 @@ where
         self.heads.fill(NONE);
         let mut counts = Some(zeroed(mig.counts.take(), self.heads.len()));
         self.chain_bound = Some(0);
+        let refile = rehasher.refile_map(&mig.rehasher);
         let mut slots = [0u32; DRAIN_BATCH];
         let mut n = 0;
         for idx in (0..mig.cursor).chain(mig.end..self.entries.len() as u32) {
-            if let Some((key, _)) = &self.entries[idx as usize].kv {
-                prefetch(key.as_ref().as_ptr());
+            if self.gather(idx, refile.is_some()) {
                 slots[n] = idx;
                 n += 1;
             }
             if n == DRAIN_BATCH {
-                self.file_batch(&slots, &rehasher, &mut counts);
+                self.file_batch(&slots, &rehasher, refile, &mut counts);
                 n = 0;
             }
         }
-        self.file_batch(&slots[..n], &rehasher, &mut counts);
+        self.file_batch(&slots[..n], &rehasher, refile, &mut counts);
+        mig.refile = rehasher.refile_map(&mig.old_hasher);
         mig.rehasher = rehasher;
         mig.counts = counts;
         self.stale_reads.reset();
@@ -580,9 +596,9 @@ where
     /// check stays small in every mutating operation.
     ///
     /// Works in batches of up to [`DRAIN_BATCH`] occupied slots:
-    /// gather them and prefetch their key bytes, then file them
-    /// ([`RawTable::file_batch`]). The chains come out exactly as
-    /// one-at-a-time linking leaves them.
+    /// gather them and prefetch the key bytes of those that must be
+    /// hashed, then file them ([`RawTable::file_batch`]). The chains come
+    /// out exactly as one-at-a-time linking leaves them.
     #[inline(never)]
     fn drain(&mut self, budget: usize) {
         let mut mig = self.migration.take().expect("epoch in flight");
@@ -599,13 +615,12 @@ where
             while n < room && mig.cursor < stop {
                 let idx = mig.cursor;
                 mig.cursor += 1;
-                if let Some((key, _)) = &self.entries[idx as usize].kv {
-                    prefetch(key.as_ref().as_ptr());
+                if self.gather(idx, mig.refile.is_some()) {
                     slots[n] = idx;
                     n += 1;
                 }
             }
-            self.file_batch(&slots[..n], &mig.rehasher, &mut mig.counts);
+            self.file_batch(&slots[..n], &mig.rehasher, mig.refile, &mut mig.counts);
             moved += n;
         }
         mig.old_len -= moved;
@@ -615,24 +630,59 @@ where
         self.keep_or_close(mig);
     }
 
-    /// Files the occupied `slots` (at most [`DRAIN_BATCH`], key bytes
-    /// already prefetched) in the live epoch under `hasher`'s routes, in
+    /// Whether slot `idx` is occupied, so a drain or re-file takes it;
+    /// prefetches its key bytes unless `refile` will map its cached hash
+    /// instead (a vouched entry under a route map).
+    #[inline]
+    fn gather(&self, idx: u32, refile: bool) -> bool {
+        let e = &self.entries[idx as usize];
+        let Some((key, _)) = &e.kv else {
+            return false;
+        };
+        if !(refile && e.vouched()) {
+            prefetch(key.as_ref().as_ptr());
+        }
+        true
+    }
+
+    /// Files the occupied `slots` (at most [`DRAIN_BATCH`], gathered by
+    /// [`RawTable::gather`]) in the live epoch under `hasher`'s routes, in
     /// slot order: hashes them all and prefetches their bucket heads
     /// before linking any, so the head misses of a batch overlap instead
-    /// of serializing. Each entry's vouched bit is recomputed from the
-    /// route, since it now speaks for the live epoch, and each joined
-    /// chain's count raises the chain bound, walk-free.
+    /// of serializing. A vouched entry takes `refile`'s map of its cached
+    /// hash when there is one (`refile` must map from the routing its
+    /// hash was filed under to `hasher`), and stays vouched; every other
+    /// entry hashes its key, and its vouched bit is recomputed from the
+    /// route, since it now speaks for the live epoch. Each joined chain's
+    /// count raises the chain bound, walk-free.
     #[inline]
-    fn file_batch(&mut self, slots: &[u32], hasher: &H, counts: &mut Option<Vec<u32>>) {
+    fn file_batch(
+        &mut self,
+        slots: &[u32],
+        hasher: &H,
+        refile: Option<RouteMap>,
+        counts: &mut Option<Vec<u32>>,
+    ) {
         let live = self.live;
-        let nbuckets = self.heads.len() as u64;
         let mut buckets = [0usize; DRAIN_BATCH];
         let mut hashes = [0u64; DRAIN_BATCH];
         let mut vouched = [false; DRAIN_BATCH];
         for (i, &idx) in slots.iter().enumerate() {
-            let (key, _) = self.get_kv(idx);
-            (hashes[i], vouched[i]) = hasher.hash_routed(key.as_ref());
-            buckets[i] = self.policy.bucket_of(hashes[i], nbuckets) as usize;
+            let e = &self.entries[idx as usize];
+            let (key, _) = e.kv.as_ref().expect("live entry");
+            (hashes[i], vouched[i]) = match refile {
+                Some(map) if e.vouched() => {
+                    let h = map.map(e.hash);
+                    debug_assert_eq!(
+                        hasher.hash_routed(key.as_ref()),
+                        (h, true),
+                        "a mapped hash is the route's hash of the key"
+                    );
+                    (h, true)
+                }
+                _ => hasher.hash_routed(key.as_ref()),
+            };
+            buckets[i] = self.bucket_of(hashes[i]);
             prefetch(&self.heads[buckets[i]]);
         }
         for (i, &idx) in slots.iter().enumerate() {
@@ -740,7 +790,8 @@ where
 
     #[inline]
     fn bucket_of(&self, hash: u64) -> usize {
-        self.policy.bucket_of(hash, self.heads.len() as u64) as usize
+        self.policy
+            .bucket_in(hash, self.heads.len() as u64, self.recip)
     }
 
     /// Issues a software prefetch for the bucket `hash` maps to: the head
@@ -802,7 +853,9 @@ where
     fn old_epoch_probe<'k>(&self, key: &'k [u8]) -> Option<(Chain, Probe<'k>)> {
         let mig = self.migration.as_ref()?;
         let (hash, vouched) = mig.old_hasher.hash_routed(key);
-        let bucket = self.policy.bucket_of(hash, mig.old_heads.len() as u64) as usize;
+        let bucket = self
+            .policy
+            .bucket_in(hash, mig.old_heads.len() as u64, mig.old_recip);
         let chain = Chain {
             bucket,
             head: mig.old_heads[bucket],
@@ -1167,6 +1220,8 @@ where
         self.chain_bound = if self.len == 0 { Some(0) } else { None };
         let bucket_count = bucket_count.max(1);
         self.heads = vec![NONE; bucket_count];
+        self.recip = reciprocal(bucket_count as u64);
+        let recip = self.recip;
         let (policy, live) = (self.policy, self.live);
         let (swept, end) = self.migration.as_mut().map_or((0, 0), |m| {
             m.counts = None;
@@ -1177,7 +1232,7 @@ where
             if e.kv.is_none() {
                 continue;
             }
-            let bucket = policy.bucket_of(e.hash, bucket_count as u64) as usize;
+            let bucket = policy.bucket_in(e.hash, bucket_count as u64, recip);
             e.set_next(live, self.heads[bucket]);
             self.heads[bucket] = idx as u32;
         }
@@ -1260,19 +1315,35 @@ where
     /// in the length (a bucket that trips it on the way to its full count
     /// trips it at that count too); only a table that is not skewed
     /// hashes every key, and none does when even a chain of every entry
-    /// would not be.
+    /// would not be. A vouched entry whose epoch's routing `hasher` maps
+    /// from ([`ByteHash::refile_map`]) takes the map of its cached hash,
+    /// without reading its key.
     pub(crate) fn chain_skewed_under(&self, hasher: &H, skewed: impl Fn(usize) -> bool) -> bool {
         if !skewed(self.len) {
             return false;
         }
+        let live_map = hasher.refile_map(&self.hasher);
+        let (old_map, old_slots) = self.migration.as_ref().map_or((None, 0..0), |m| {
+            (hasher.refile_map(&m.old_hasher), m.cursor..m.end)
+        });
         let buckets = self.heads.len();
         let mut counts = vec![0u32; buckets];
-        self.entries.iter().rev().any(|e| {
+        self.entries.iter().enumerate().rev().any(|(idx, e)| {
             e.kv.as_ref().is_some_and(|(key, _)| {
-                let bucket = self
-                    .policy
-                    .bucket_of(hasher.hash_bytes(key.as_ref()), buckets as u64);
-                let n = &mut counts[bucket as usize];
+                let map = if old_slots.contains(&(idx as u32)) {
+                    old_map
+                } else {
+                    live_map
+                };
+                let hash = match map {
+                    Some(map) if e.vouched() => {
+                        let h = map.map(e.hash);
+                        debug_assert_eq!(h, hasher.hash_bytes(key.as_ref()), "a mapped hash");
+                        h
+                    }
+                    _ => hasher.hash_bytes(key.as_ref()),
+                };
+                let n = &mut counts[self.bucket_of(hash)];
                 *n += 1;
                 skewed(*n as usize)
             })

@@ -187,8 +187,9 @@ fn check_map(family: Family, rung: Rung, old: &[u8], live: &[u8]) {
     let mut m: UnorderedMap<Vec<u8>, u32, _> =
         UnorderedMap::with_hasher(forged_hasher(family, rung));
     if rung == Rung::Keyed {
-        // Up one storm rung while empty: no epoch, and no seed drawn.
-        m.escalate_now(&seeds);
+        // Onto the degraded rung while empty: no epoch, and no seed drawn.
+        // A storm goes from there to keyed, as from the guarded rung.
+        m.degrade_now();
         assert_eq!(m.guard_mode(), GuardMode::Degraded, "{what}");
     }
     for (i, key) in filler().enumerate() {

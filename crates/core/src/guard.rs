@@ -361,15 +361,120 @@ const OFF_FORMAT_TAG: u64 = 0x0FF0_F0E5_EC7E_D000;
 /// seed were ever (0, 0).
 const KEYED_TAG: u64 = 0x5EED_5EED_5EED_5EED;
 
+/// The multipliers of [`fmix64`] and their inverses modulo 2^64.
+const FMIX_C1: u64 = 0xFF51_AFD7_ED55_8CCD;
+const FMIX_C2: u64 = 0xC4CE_B9FE_1A85_EC53;
+const FMIX_C1_INV: u64 = inverse_odd(FMIX_C1);
+const FMIX_C2_INV: u64 = inverse_odd(FMIX_C2);
+
 /// Murmur3-style finalizer applied to tagged fallback hashes.
 #[inline]
 fn fmix64(mut h: u64) -> u64 {
     h ^= h >> 33;
-    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h = h.wrapping_mul(FMIX_C1);
     h ^= h >> 33;
-    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h = h.wrapping_mul(FMIX_C2);
     h ^= h >> 33;
     h
+}
+
+/// The inverse of [`fmix64`]: a xor-shift by 33 ≥ 32 bits undoes itself,
+/// and each multiplier is odd.
+#[inline]
+fn unfmix64(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(FMIX_C2_INV);
+    h ^= h >> 33;
+    h = h.wrapping_mul(FMIX_C1_INV);
+    h ^= h >> 33;
+    h
+}
+
+/// The multiplicative inverse of an odd `c` modulo 2^64. Newton's step
+/// doubles the correct low bits, from the 3 of `c` itself (`c·c ≡ 1 mod
+/// 8`) to 96 after five.
+const fn inverse_odd(c: u64) -> u64 {
+    let mut x = c;
+    let mut step = 0;
+    while step < 5 {
+        x = x.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(x)));
+        step += 1;
+    }
+    x
+}
+
+/// The keyed rung's seeded bijection of an in-format key's specialized
+/// hash `x` under the seed `(k0, k1)`.
+#[inline]
+fn keyed_bijection(x: u64, (k0, k1): (u64, u64)) -> u64 {
+    fmix64((x ^ k0).wrapping_mul(k1 | 1))
+}
+
+/// Lineages handed out so far: each names one (guard, specialized hash)
+/// pair as [`GuardedHash::new`] or an applied resynthesis installed it.
+static LINEAGES: AtomicU64 = AtomicU64::new(0);
+
+fn next_lineage() -> u64 {
+    LINEAGES.fetch_add(1, Ordering::Relaxed)
+}
+
+/// How an entry's cached hash under one vouching route of a
+/// [`GuardedHash`] becomes its hash under another route of the same
+/// specialized function and guard, without reading the key (see
+/// [`ByteHash::refile_map`]).
+///
+/// Both vouching routes are bijections of the specialized hash `x` of an
+/// in-format key: the guarded route is `x` itself, the keyed one
+/// `fmix64((x ^ k0) · (k1 | 1))`. The map undoes the source route (the
+/// finalizer's inverse, then the multiplier's inverse, computed once per
+/// map, then the xor) and applies the target one.
+///
+/// # Examples
+///
+/// ```
+/// use sepe_core::guard::{GuardMode, GuardedHash};
+/// use sepe_core::hash::{ByteHash, FixedSeedSource, SynthesizedHash};
+/// use sepe_core::regex::Regex;
+/// use sepe_core::synth::Family;
+///
+/// let pattern = Regex::compile(r"\d{3}-\d{2}-\d{4}")?;
+/// let plan = SynthesizedHash::from_pattern(&pattern, Family::OffXor);
+/// let live = GuardedHash::new(&pattern, plan.clone(), plan);
+/// let guarded = live.epoch_frozen(GuardMode::Guarded);
+/// live.escalate_keyed(&FixedSeedSource::new(7));
+/// let keyed = live.epoch_frozen(GuardMode::Keyed);
+///
+/// let key = b"123-45-6789";
+/// let (cached, vouched) = guarded.hash_routed(key);
+/// assert!(vouched, "an injective plan vouches for an in-format key");
+/// let map = keyed.refile_map(&guarded).expect("same plan and guard");
+/// assert_eq!(keyed.hash_routed(key), (map.map(cached), true));
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RouteMap {
+    /// `(k0, (k1 | 1)⁻¹)` of a keyed source route; `None` when the source
+    /// is the guarded route, whose hash is `x` itself.
+    unkey: Option<(u64, u64)>,
+    /// The seed of a keyed target route; `None` for the guarded one.
+    rekey: Option<(u64, u64)>,
+}
+
+impl RouteMap {
+    /// The target route's hash of a key whose source route hash is `h`.
+    /// Meaningful only for a hash the source route vouched for.
+    #[inline]
+    #[must_use]
+    pub fn map(&self, h: u64) -> u64 {
+        let x = match self.unkey {
+            Some((k0, inv)) => unfmix64(h).wrapping_mul(inv) ^ k0,
+            None => h,
+        };
+        match self.rekey {
+            Some(seed) => keyed_bijection(x, seed),
+            None => x,
+        }
+    }
 }
 
 /// A hasher that validates each key against a [`FormatGuard`] and routes it
@@ -441,6 +546,11 @@ pub struct GuardedHash<F, G> {
     /// ([`ByteHash::fused_with`]), rebuilt whenever either changes; `None`
     /// for plan shapes without one, which check the guard and then hash.
     fused: Option<FusedKernel>,
+    /// Names the guard and `specialized` pair: fresh from `new` and every
+    /// applied resynthesis, kept by clones, frozen and detached copies.
+    /// Two copies of one lineage hash in-format keys identically, which
+    /// is what [`ByteHash::refile_map`] needs to hold.
+    lineage: u64,
 }
 
 impl<F: ByteHash, G> GuardedHash<F, G> {
@@ -452,6 +562,7 @@ impl<F: ByteHash, G> GuardedHash<F, G> {
         GuardedHash {
             fused: specialized.fused_with(&guard),
             guard,
+            lineage: next_lineage(),
             injective: specialized.injective_over(pattern),
             specialized,
             fallback,
@@ -571,6 +682,7 @@ impl<F, G> GuardedHash<F, G> {
             forced_seed: self.forced_seed,
             injective: self.injective,
             fused: self.fused,
+            lineage: self.lineage,
         }
     }
 
@@ -612,6 +724,18 @@ impl<F, G> GuardedHash<F, G> {
             self.seed.0.load(Ordering::Relaxed),
             self.seed.1.load(Ordering::Relaxed),
         )
+    }
+
+    /// This copy's vouching route as a [`RouteMap`] end: `Some(None)` on
+    /// the guarded rung (the specialized hash itself), `Some(Some(seed))`
+    /// on the keyed rung (its seeded bijection), `None` when degraded,
+    /// where nothing is vouched for.
+    fn vouching_route(&self) -> Option<Option<(u64, u64)>> {
+        match self.mode() {
+            GuardMode::Guarded => Some(None),
+            GuardMode::Keyed => Some(Some(self.current_seed())),
+            GuardMode::Degraded => None,
+        }
     }
 
     /// Escalates this hasher (and every clone) to the secret-keyed rung
@@ -763,6 +887,7 @@ impl<G> GuardedHash<SynthesizedHash, G> {
         // plan against it, fuse the two, clear the reservoir, reset the
         // counters, and re-arm.
         self.injective = hash.injective_over(&widened);
+        self.lineage = next_lineage();
         self.guard = FormatGuard::compile(&widened);
         self.fused = hash.fused_with(&self.guard);
         self.specialized = hash;
@@ -822,6 +947,23 @@ impl<F: ByteHash, G: ByteHash> ByteHash for GuardedHash<F, G> {
             GuardMode::Guarded => self.guarded_routed(key),
         }
     }
+
+    /// Maps between the guarded and keyed routes (either way, or between
+    /// two seeds) of one lineage under an injective plan: the keys either
+    /// route vouches for are the in-format ones, and both route them as
+    /// bijections of the same specialized hash. `None` when `from` and
+    /// `self` differ in plan or guard (another lineage), when the plan is
+    /// not injective, or when either side is degraded.
+    fn refile_map(&self, from: &Self) -> Option<RouteMap> {
+        if !self.injective || self.lineage != from.lineage {
+            return None;
+        }
+        let unkey = from
+            .vouching_route()?
+            .map(|(k0, k1)| (k0, inverse_odd(k1 | 1)));
+        let rekey = self.vouching_route()?;
+        Some(RouteMap { unkey, rekey })
+    }
 }
 
 impl<F: ByteHash, G> GuardedHash<F, G> {
@@ -875,14 +1017,6 @@ impl<F: ByteHash, G> GuardedHash<F, G> {
         self.off_format_hash(key)
     }
 
-    /// The keyed rung's seeded bijection of an in-format key's
-    /// specialized hash `x`.
-    #[inline]
-    fn keyed_bijection(&self, x: u64) -> u64 {
-        let (k0, k1) = self.current_seed();
-        fmix64((x ^ k0).wrapping_mul(k1 | 1))
-    }
-
     /// The [`GuardMode::Keyed`] route, out of line so the guarded fast
     /// path does not grow. An in-format key under an injective plan
     /// hashes as a seeded bijection of its specialized hash `x`: xor, an
@@ -898,7 +1032,7 @@ impl<F: ByteHash, G> GuardedHash<F, G> {
         if self.injective {
             let (x, in_format) = self.specialized_routed(key);
             if in_format {
-                return (self.keyed_bijection(x), true);
+                return (keyed_bijection(x, self.current_seed()), true);
             }
         }
         (self.keyed_hash(key), false)
@@ -979,8 +1113,9 @@ impl<F: crate::hash::HashBatch, G: ByteHash> GuardedHash<F, G> {
     fn keyed_lanes<const W: usize>(&self, k: &FusedKernel, keys: &[&[u8]], out: &mut [u64]) {
         match k.lanes::<W>(keys) {
             Some(l) if l.all_in_format() => {
+                let seed = self.current_seed();
                 for (slot, &x) in out.iter_mut().zip(&l.hash) {
-                    *slot = self.keyed_bijection(x);
+                    *slot = keyed_bijection(x, seed);
                 }
             }
             _ => {

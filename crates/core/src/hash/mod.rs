@@ -20,7 +20,7 @@ pub use stl::{stl_hash_bytes, DEFAULT_STL_SEED};
 pub use synthesized::{SynthError, SynthesizedHash};
 
 use crate::fused::FusedKernel;
-use crate::guard::FormatGuard;
+use crate::guard::{FormatGuard, RouteMap};
 use crate::pattern::KeyPattern;
 
 /// A hash function over byte strings.
@@ -73,6 +73,22 @@ pub trait ByteHash {
     /// `None`; [`SynthesizedHash`] fuses its fixed-word plans.
     fn fused_with(&self, guard: &FormatGuard) -> Option<FusedKernel> {
         let _ = guard;
+        None
+    }
+
+    /// A map that re-files the keys `from` vouches for under this
+    /// hasher's routes from their cached hashes alone: for every key
+    /// `from.hash_routed` vouches for with hash `h`, `self.hash_routed`
+    /// returns `(map.map(h), true)`. A table moving its entries from one
+    /// routing to the next uses it instead of reading and hashing their
+    /// key bytes. Defaults to `None`, as do the `&T`, `Box` and `Arc`
+    /// forwarders; a `GuardedHash` answers between its guarded and keyed
+    /// routes of one plan and guard (see [`RouteMap`]).
+    fn refile_map(&self, from: &Self) -> Option<RouteMap>
+    where
+        Self: Sized,
+    {
+        let _ = from;
         None
     }
 }

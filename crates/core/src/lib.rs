@@ -58,7 +58,7 @@ pub mod regex;
 pub mod synth;
 
 pub use bits::Isa;
-pub use guard::{FormatGuard, GuardMode, GuardedHash, Resynth};
+pub use guard::{FormatGuard, GuardMode, GuardedHash, Resynth, RouteMap};
 pub use hash::{ByteHash, HashBatch, SynthError, SynthesizedHash};
 pub use pattern::{BytePattern, KeyPattern};
 pub use synth::{synthesize, Family, Plan, SearchStats};

@@ -1,7 +1,7 @@
 //! HashDoS chaos harness: scripted attackers vs. the escalation ladder.
 //!
 //! The checks in this module drive the collision-storm detector and the
-//! `Specialized → GuardedFallback → Keyed(seed) → Keyed(rotated seed)`
+//! `Specialized → Keyed(seed) → Keyed(rotated seed)`
 //! escalation ladder with the strongest attacker the threat model admits:
 //! one who holds the binary, knows the synthesized plan and the fallback
 //! hash, and (for the seed-leak phase) has read the current seed. Every
@@ -137,9 +137,8 @@ fn escalate_one_rung<G: ByteHash + Clone>(
 /// Drives one `UnorderedMap` up the full ladder and back down.
 ///
 /// Phases: benign fill (must not escalate) → unkeyed flood forged against
-/// `hash_of` (must reach `Degraded`, where the storm *persists* because
-/// the fallback is equally precomputable, then `Keyed`, where the chain
-/// bound is restored) → a second flood forged against the *keyed* hash,
+/// `hash_of` (must reach `Keyed` in one rung, where the chain bound is
+/// restored) → a second flood forged against the *keyed* hash,
 /// simulating a seed leak (must rotate the seed and restore the bound) →
 /// attack traffic removed (must de-escalate back to the specialized hash).
 /// The twin is consulted at every phase boundary, and the ladder counters
@@ -196,19 +195,12 @@ where
     if map.max_bucket_len() < FLOOD_KEYS {
         return Err("unkeyed flood failed to pile onto one bucket".into());
     }
+    // The fallback is as unkeyed as the specialized route, so one storm
+    // rung goes straight to the secret seed.
     stats.escalations += escalate_one_rung(&mut map, &policy, &seeds, GuardMode::Guarded)?;
-    if map.guard_mode() != GuardMode::Degraded {
-        return Err(format!(
-            "first rung should be Degraded, got {:?}",
-            map.guard_mode()
-        ));
-    }
-    // The fallback is unkeyed: the same off-format flood still collides,
-    // which is exactly why Degraded is not a safe terminal state.
-    stats.escalations += escalate_one_rung(&mut map, &policy, &seeds, GuardMode::Degraded)?;
     if map.guard_mode() != GuardMode::Keyed {
         return Err(format!(
-            "second rung should be Keyed, got {:?}",
+            "first rung should be Keyed, got {:?}",
             map.guard_mode()
         ));
     }
@@ -393,8 +385,8 @@ impl<G: ByteHash + Clone> Served<G> {
 /// The transcript must read: one drift trip, held on the guarded route
 /// (no epoch opened) through calm ticks until an inline resynthesis widens
 /// the guard; a flood forged against
-/// the re-armed routing, answered by the keyed rung in at most two
-/// escalations and held there while the flood stays resident; exactly one
+/// the re-armed routing, answered by the keyed rung in one escalation
+/// and held there while the flood stays resident; exactly one
 /// de-escalation once the flood is removed, and no transition after it.
 /// The ladder counters must equal the transcript and the twin must agree
 /// at every checkpoint.
@@ -534,7 +526,7 @@ where
             ));
         }
     }
-    if s.map.guard_mode() != GuardMode::Keyed || s.stats.escalations > 2 {
+    if s.map.guard_mode() != GuardMode::Keyed || s.stats.escalations != 1 {
         return Err(format!(
             "the flood took {} escalations and left the map {:?}",
             s.stats.escalations,
@@ -752,9 +744,9 @@ where
             break;
         }
     }
-    if map.guard_mode() != GuardMode::Degraded || !map.migration_in_flight() {
+    if map.guard_mode() != GuardMode::Keyed || !map.migration_in_flight() {
         return Err(format!(
-            "expected an in-flight Degraded migration, got {:?} (in flight: {})",
+            "expected an in-flight Keyed migration, got {:?} (in flight: {})",
             map.guard_mode(),
             map.migration_in_flight()
         ));
@@ -778,17 +770,7 @@ where
         &mut ops,
     )?;
 
-    // Continue to the keyed rung; the storm persists on the fallback.
-    map.finish_migration();
-    for _ in 0..8 {
-        if map.guard_mode() == GuardMode::Keyed {
-            break;
-        }
-        map.maybe_escalate(&policy, &seeds);
-    }
-    if map.guard_mode() != GuardMode::Keyed {
-        return Err("batched storm never reached the keyed rung".into());
-    }
+    // The one storm rung was the keyed one.
     map.finish_migration();
     if map.max_bucket_len() > bound {
         return Err(format!(
@@ -852,7 +834,7 @@ where
 /// `Mutex<HashMap>` twin while the attacker (who can compute the routing
 /// hash and read the shard layout) streams keys that all land in one
 /// bucket of one shard. The detector must escalate *that shard only*
-/// through `Degraded` to `Keyed` and restore the chain bound; a scripted
+/// to `Keyed`, in one rung, and restore the chain bound; a scripted
 /// seed rotation and a quiet-window de-escalation follow. Shard routing is
 /// frozen at construction, so every rung leaves the attack keys in the
 /// same shard — the blast radius stays one shard by design. Counters and
@@ -1006,8 +988,8 @@ where
                 ));
                 break 'attack;
             }
-            if escalated != 2 {
-                err = Some(format!("expected 2 detector rungs, saw {escalated}"));
+            if escalated != 1 {
+                err = Some(format!("expected 1 detector rung, saw {escalated}"));
                 break 'attack;
             }
             stats.escalations += escalated;
@@ -1086,7 +1068,7 @@ where
         ));
     }
     let names: Vec<&str> = map
-        .degrade_events()
+        .events()
         .iter()
         .filter(|e| {
             matches!(
@@ -1098,12 +1080,7 @@ where
         })
         .map(ObsEvent::name)
         .collect();
-    let want = [
-        "shard_escalate",
-        "shard_escalate",
-        "seed_rotation",
-        "shard_deescalate",
-    ];
+    let want = ["shard_escalate", "seed_rotation", "shard_deescalate"];
     if names != want {
         return Err(format!(
             "target-shard event transcript {names:?} != expected {want:?}"

@@ -352,7 +352,7 @@ where
             ));
         }
         let half = (map.shard_count() / 2).max(1);
-        let tripped_above = map.degrade_events().into_iter().find_map(|e| match e {
+        let tripped_above = map.events().into_iter().find_map(|e| match e {
             ObsEvent::ShardDrift { shard, .. } if shard >= half as u64 => Some(shard),
             _ => None,
         });
@@ -424,7 +424,7 @@ where
             stats.degradations
         ));
     }
-    let events = map.degrade_events();
+    let events = map.events();
     let degrade_events = events
         .iter()
         .filter(|e| matches!(e, ObsEvent::ShardDegrade { .. }))

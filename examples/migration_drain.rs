@@ -13,10 +13,15 @@
 //! entry raises it from its bucket's count, and the same drain after a
 //! resize forgot it. The merge row times `escalate_now` on a map whose
 //! degrade epoch is half drained: the escalation merges into that epoch
-//! and re-files its swept half at once, per entry re-filed. For scale it
-//! times hashing every key once and a cached-hash `rehash` of the same
-//! table. Each round builds a fresh map; the output is the median and
-//! range over the rounds.
+//! and re-files its swept half at once, per entry re-filed. The two
+//! de-escalation rows drain the epoch a quiet keyed map opens back to the
+//! guarded route, in `migrate(4)` calls: once with every entry filed by
+//! `insert`, vouched for, so the drain maps each cached keyed hash back to
+//! the plan's hash without reading the key; once with the same keys filed
+//! by `insert_batch`, unvouched, so the drain hashes every key's bytes.
+//! For scale it times hashing every key once and a cached-hash `rehash` of
+//! the same table. Each round builds a fresh map; the output is the median
+//! and range over the rounds.
 //!
 //! ```text
 //! cargo run --release --example migration_drain [keys] [rounds]
@@ -34,7 +39,7 @@ use std::time::Instant;
 
 type Map = UnorderedMap<Box<[u8]>, u64, GuardedHash<SynthesizedHash, CityHash>>;
 
-fn build(keys: &[Box<[u8]>]) -> Map {
+fn empty(keys: &[Box<[u8]>]) -> Map {
     let pattern = Regex::compile(&KeyFormat::Ssn.regex()).expect("the SSN regex compiles");
     let hasher = GuardedHash::new(
         &pattern,
@@ -43,10 +48,44 @@ fn build(keys: &[Box<[u8]>]) -> Map {
     );
     let mut map = UnorderedMap::with_hasher(hasher);
     map.reserve(keys.len());
+    map
+}
+
+fn build(keys: &[Box<[u8]>]) -> Map {
+    let mut map = empty(keys);
     for (i, key) in keys.iter().enumerate() {
         map.insert(key.clone(), i as u64);
     }
     map
+}
+
+/// A map on the keyed rung holding `keys`, filed by `insert` (vouched
+/// for) or by `insert_batch` (not), with the epoch back to the guarded
+/// route open: the ns per entry its drain takes in `migrate(4)` calls.
+fn deescalation_drain(keys: &[Box<[u8]>], seeds: &FixedSeedSource, batched: bool) -> f64 {
+    let mut map = empty(keys);
+    map.escalate_now(seeds);
+    if batched {
+        map.insert_batch(keys.iter().cloned().zip(0..).collect());
+    } else {
+        for (i, key) in keys.iter().enumerate() {
+            map.insert(key.clone(), i as u64);
+        }
+    }
+    // Quiet at once: no probe tail, one calm tick per streak.
+    let quiet = AttackPolicy {
+        quiet_streak: 1,
+        probe_p99_limit: u64::MAX,
+        ..AttackPolicy::default()
+    };
+    assert!(map.maybe_deescalate(&quiet), "the quiet keyed map re-arms");
+    let start = Instant::now();
+    while map.migration_in_flight() {
+        map.migrate(4);
+    }
+    let spent = start.elapsed().as_nanos() as f64 / keys.len() as f64;
+    assert_eq!(map.len(), keys.len());
+    spent
 }
 
 /// Median, minimum and maximum of `samples`.
@@ -73,6 +112,7 @@ fn main() {
     let (mut drain, mut hash, mut rehash) = (Vec::new(), Vec::new(), Vec::new());
     let (mut ticked, mut ticks, mut merge) = (Vec::new(), Vec::new(), Vec::new());
     let (mut bounded, mut unbounded) = (Vec::new(), Vec::new());
+    let (mut from_cache, mut from_bytes) = (Vec::new(), Vec::new());
     let seeds = FixedSeedSource::new(1);
     let calm = AttackPolicy::default();
     for _ in 0..rounds {
@@ -147,6 +187,9 @@ fn main() {
             map.migration_progress() >= 0.5,
             "the unswept half stays put"
         );
+
+        from_cache.push(deescalation_drain(&keys, &seeds, false));
+        from_bytes.push(deescalation_drain(&keys, &seeds, true));
     }
     println!("{n} SSN keys, {rounds} rounds");
     ticks.sort_by(f64::total_cmp);
@@ -162,6 +205,8 @@ fn main() {
         "escalation merged into a half-drained epoch: {} re-filed",
         summary(merge)
     );
+    println!("de-escalation drain, cached hash:  {}", summary(from_cache));
+    println!("de-escalation drain, key bytes:    {}", summary(from_bytes));
     println!("hash every key once:               {}", summary(hash));
     println!("cached-hash rehash:                {}", summary(rehash));
 }
