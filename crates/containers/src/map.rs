@@ -712,7 +712,10 @@ mod tests {
         let before = calls.load(Relaxed);
         m.escalate_now(&seeds);
         m.migrate(500);
-        let swept = 500;
+        // The sweep runs down from the arena's end: the 20 off-format
+        // keys, filed last, are among the 500 it takes, and their
+        // fallback hash is not the plan's.
+        let swept = 500 - 20;
         // A rotation merged into the half-drained epoch re-files the
         // swept side from Keyed to Keyed under the new seed.
         m.escalate_now(&seeds);
@@ -1344,17 +1347,13 @@ mod tests {
         // A flood filed before a migration epoch opened sits in the old
         // epoch's chains, where the live-epoch chain scan cannot see it;
         // lookups that keep hammering it while the epoch drains show up
-        // only in the probe-length window.
+        // only in the probe-length window. The epoch drains the arena
+        // from its end, so the flood is filed before the residents, in
+        // the slots that drain last.
         let mut m = guarded_ssn_map(sepe_core::Family::OffXor);
         let seeds = sepe_core::hash::keyed::FixedSeedSource::new(7);
         let policy = AttackPolicy::default();
         m.reserve(4_200);
-        let resident: Vec<String> = (0..4_000u32)
-            .map(|i| format!("{:03}-{:02}-{:04}", i % 1000, i % 100, i))
-            .collect();
-        for (i, key) in resident.iter().enumerate() {
-            m.insert(key.clone(), i as u32);
-        }
         let buckets = m.bucket_count() as u64;
         let target = m.hash_of(b"flood target") % buckets;
         let flood: Vec<String> = (0u64..)
@@ -1365,6 +1364,17 @@ mod tests {
         for key in &flood {
             m.insert(key.clone(), 0);
         }
+        let resident: Vec<String> = (0..4_000u32)
+            .map(|i| format!("{:03}-{:02}-{:04}", i % 1000, i % 100, i))
+            .collect();
+        for (i, key) in resident.iter().enumerate() {
+            m.insert(key.clone(), i as u32);
+        }
+        assert_eq!(
+            m.bucket_count() as u64,
+            buckets,
+            "no resize moved the flood"
+        );
         m.degrade_now();
         assert!(m.migration_in_flight());
         // Start the probe window after the epoch opened.

@@ -14,10 +14,19 @@
 //! to a change of hash function rather than of capacity. Every mutating
 //! operation drains a few entries itself; the bulk drains on the
 //! maintenance controller's calls, a share per data operation served
-//! since its last drain. The drain sweeps the arena in slot order rather
-//! than popping old chains, so each drained entry costs one sequential
-//! arena read, its key, and the live chain it joins; a batch's key and
-//! head misses are prefetched together.
+//! since its last drain. The drain sweeps the arena downward from its end
+//! rather than popping old chains, so each drained entry costs one
+//! sequential arena read, its key, and the live chain it joins; a batch's
+//! key and head misses are prefetched together.
+//!
+//! Every live chain keeps its entries in the order they were filed, unlike
+//! libstdc++, which inserts at the start of a bucket. A new key is appended
+//! after the last entry its miss probe walked. A resize, a drain and a
+//! re-target link slots highest first at the chain heads, so each chain
+//! they build lists its slots in ascending order, ahead of the keys
+//! appended since. An entry filed earlier is met earlier, so resident keys
+//! keep their probe cost when newer, colder keys join their buckets.
+//! [`RawTable::insert_multi`] does not probe, so it links at the head.
 //!
 //! Equality is decided by hash wherever the hasher vouches for it
 //! ([`ByteHash::hash_routed`]): a guarded hasher vouches for an in-format
@@ -331,6 +340,19 @@ struct Chain {
     swept: u32,
 }
 
+/// Where a walk of one chain stopped ([`RawTable::walk`]).
+#[derive(Debug, Clone, Copy)]
+struct Walk {
+    /// The first entry holding the probed key, if any.
+    found: Option<u32>,
+    /// The entry visited before the walk stopped (`NONE` when it stopped
+    /// at the head): the match's predecessor on a hit, the chain's last
+    /// entry on a miss.
+    prev: u32,
+    /// Entries examined, passed-over swept ones included.
+    probes: u64,
+}
+
 /// A key to look for in one epoch: its hash under that epoch's hasher,
 /// and whether that hasher vouched for it.
 #[derive(Debug, Clone, Copy)]
@@ -343,14 +365,14 @@ struct Probe<'k> {
 /// One in-flight migration epoch: the superseded bucket array plus the two
 /// frozen hashers needed to probe it and to drain it.
 ///
-/// The drain sweeps arena slots `cursor..end` in order. Occupied slots
-/// below `cursor`, and every slot from `end` on (inserted after the epoch
-/// opened), are filed in the live epoch; occupied slots in `cursor..end`
-/// are filed in the old one, under their old-epoch cached hash. A swept
-/// entry stays threaded in its old chain through the other link, so old
-/// chains never need unlinking; old-epoch probes skip slots below
-/// `cursor`. No slot is reused while the epoch is open, which keeps the
-/// range partition exact.
+/// The drain sweeps the arena downward: `cursor` starts at the arena's
+/// length when the epoch opened and falls to 0. Occupied slots below
+/// `cursor` are filed in the old epoch, under their old-epoch cached hash;
+/// every slot from `cursor` on, swept or inserted after the epoch opened,
+/// is filed in the live one. A swept entry stays threaded in its old chain
+/// through the other link, so old chains never need unlinking; old-epoch
+/// probes skip slots from `cursor` on. No slot is reused while the epoch
+/// is open, which keeps the prefix partition exact.
 ///
 /// A transition requested while the epoch is open re-targets it (see
 /// [`RawTable::begin_migration`]): the unswept slots keep their old
@@ -371,15 +393,17 @@ struct Migration<H> {
     /// [`reciprocal`] of `old_heads.len()`, which old-epoch probes index
     /// by.
     old_recip: u128,
-    /// Occupied slots in `cursor..end`: entries still filed in the old
+    /// Occupied slots below `cursor`: entries still filed in the old
     /// epoch.
     old_len: usize,
     /// `old_len` when the epoch opened, for progress reporting.
     initial: usize,
-    /// Next arena slot the sweep will inspect.
+    /// One past the next arena slot the sweep will inspect.
     cursor: u32,
-    /// Arena length when the epoch opened.
-    end: u32,
+    /// Arena length when the epoch opened: the partition checks verify
+    /// that no slot appended since sits in an old chain.
+    #[cfg(test)]
+    opened_at: u32,
     /// Entries in each live bucket's chain, kept so a drain or an insert
     /// bounds the chain it joins without walking it: raised by every entry
     /// linked into the live epoch, lowered by every live removal. `None`
@@ -514,8 +538,9 @@ where
             old_recip: self.recip,
             old_len: self.len,
             initial: self.len,
-            cursor: 0,
-            end: self.entries.len() as u32,
+            cursor: self.entries.len() as u32,
+            #[cfg(test)]
+            opened_at: self.entries.len() as u32,
             counts: Some(vec![0; buckets]),
         });
     }
@@ -527,16 +552,16 @@ where
     }
 
     /// Merges a transition into the open epoch `mig`: the slots the
-    /// superseded live routing owns (below the cursor, and from `end` on)
-    /// are re-filed under `rehasher` into a fresh live bucket array, in
-    /// slot order and in prefetched batches like a drain, the vouched ones
-    /// from their cached hashes where `rehasher` maps from the superseded
-    /// routing; the unswept slots stay filed in the old epoch and will
-    /// drain straight to `rehasher`. Only the swept side moves now, and
-    /// every entry moves at most once more before the epoch closes. The re-filed chains are
-    /// counted as they link, so the epoch's counts and the chain bound
-    /// come out exact. The epoch keeps its counters: no epoch opens or
-    /// closes, and nothing drains out of the old one.
+    /// superseded live routing owns (from the cursor on) are re-filed
+    /// under `rehasher` into a fresh live bucket array, highest first and
+    /// in prefetched batches like a drain, the vouched ones from their
+    /// cached hashes where `rehasher` maps from the superseded routing;
+    /// the unswept slots stay filed in the old epoch and will drain
+    /// straight to `rehasher`. Only the swept side moves now, and every
+    /// entry moves at most once more before the epoch closes. The
+    /// re-filed chains are counted as they link, so the epoch's counts and
+    /// the chain bound come out exact. The epoch keeps its counters: no
+    /// epoch opens or closes, and nothing drains out of the old one.
     fn retarget(&mut self, mut mig: Migration<H>, rehasher: H) {
         self.heads.fill(NONE);
         let mut counts = Some(zeroed(mig.counts.take(), self.heads.len()));
@@ -544,7 +569,7 @@ where
         let refile = rehasher.refile_map(&mig.rehasher);
         let mut slots = [0u32; DRAIN_BATCH];
         let mut n = 0;
-        for idx in (0..mig.cursor).chain(mig.end..self.entries.len() as u32) {
+        for idx in (mig.cursor..self.entries.len() as u32).rev() {
             if self.gather(idx, refile.is_some()) {
                 slots[n] = idx;
                 n += 1;
@@ -595,26 +620,26 @@ where
     /// The body of [`RawTable::migrate`], out of line so the calm-table
     /// check stays small in every mutating operation.
     ///
-    /// Works in batches of up to [`DRAIN_BATCH`] occupied slots:
-    /// gather them and prefetch the key bytes of those that must be
+    /// Works in batches of up to [`DRAIN_BATCH`] occupied slots, highest
+    /// first: gather them and prefetch the key bytes of those that must be
     /// hashed, then file them ([`RawTable::file_batch`]). The chains come
-    /// out exactly as one-at-a-time linking leaves them.
+    /// out exactly as one-at-a-time linking leaves them: the drained
+    /// entries in ascending slot order, ahead of the keys appended since
+    /// the epoch opened.
     #[inline(never)]
     fn drain(&mut self, budget: usize) {
         let mut mig = self.migration.take().expect("epoch in flight");
         let scan = budget.saturating_mul(SWEEP_SLOTS_PER_ENTRY);
-        let stop = (mig.cursor as usize)
-            .saturating_add(scan)
-            .min(mig.end as usize) as u32;
+        let stop = (mig.cursor as usize).saturating_sub(scan) as u32;
         let want = budget.min(mig.old_len);
         let mut slots = [0u32; DRAIN_BATCH];
         let mut moved = 0usize;
-        while moved < want && mig.cursor < stop {
+        while moved < want && mig.cursor > stop {
             let room = (want - moved).min(DRAIN_BATCH);
             let mut n = 0;
-            while n < room && mig.cursor < stop {
+            while n < room && mig.cursor > stop {
+                mig.cursor -= 1;
                 let idx = mig.cursor;
-                mig.cursor += 1;
                 if self.gather(idx, mig.refile.is_some()) {
                     slots[n] = idx;
                     n += 1;
@@ -647,14 +672,15 @@ where
 
     /// Files the occupied `slots` (at most [`DRAIN_BATCH`], gathered by
     /// [`RawTable::gather`]) in the live epoch under `hasher`'s routes, in
-    /// slot order: hashes them all and prefetches their bucket heads
-    /// before linking any, so the head misses of a batch overlap instead
-    /// of serializing. A vouched entry takes `refile`'s map of its cached
-    /// hash when there is one (`refile` must map from the routing its
-    /// hash was filed under to `hasher`), and stays vouched; every other
-    /// entry hashes its key, and its vouched bit is recomputed from the
-    /// route, since it now speaks for the live epoch. Each joined chain's
-    /// count raises the chain bound, walk-free.
+    /// the order given, each at its chain's head: hashes them all and
+    /// prefetches their bucket heads before linking any, so the head
+    /// misses of a batch overlap instead of serializing. A vouched entry
+    /// takes `refile`'s map of its cached hash when there is one (`refile`
+    /// must map from the routing its hash was filed under to `hasher`),
+    /// and stays vouched; every other entry hashes its key, and its
+    /// vouched bit is recomputed from the route, since it now speaks for
+    /// the live epoch. Each joined chain's count raises the chain bound,
+    /// walk-free.
     #[inline]
     fn file_batch(
         &mut self,
@@ -810,9 +836,9 @@ where
     }
 
     /// One bucket chain to walk: its bucket and head, the link that
-    /// threads it, and the slots below `swept`, which belong to the live
-    /// epoch and so are passed over (0 for a live chain, the sweep cursor
-    /// for an old one).
+    /// threads it, and the slots from `swept` on, which belong to the live
+    /// epoch and so are passed over (none for a live chain, those from the
+    /// sweep cursor on for an old one).
     #[inline]
     fn live_chain(&self, hash: u64) -> Chain {
         let bucket = self.bucket_of(hash);
@@ -820,24 +846,37 @@ where
             bucket,
             head: self.heads[bucket],
             link: self.live,
-            swept: 0,
+            swept: NONE,
         }
     }
 
-    /// Walks `chain` for an entry with the probe's hash that holds its
-    /// key. `probes` counts the entries examined, swept ones included.
+    /// Walks `chain` to its first entry with the probe's hash that holds
+    /// its key, or to its end: the one walk behind lookups, inserts (which
+    /// append after a miss's last entry) and removals (which unlink after
+    /// a hit's predecessor).
     #[inline]
-    fn find_in_chain(&self, chain: Chain, probe: Probe<'_>, probes: &mut u64) -> Option<u32> {
+    fn walk(&self, chain: Chain, probe: Probe<'_>) -> Walk {
+        let mut prev = NONE;
         let mut at = chain.head;
+        let mut probes = 0;
         while at != NONE {
-            *probes += 1;
+            probes += 1;
             let e = &self.entries[at as usize];
-            if e.hash == probe.hash && at >= chain.swept && e.holds(probe) {
-                return Some(at);
+            if e.hash == probe.hash && at < chain.swept && e.holds(probe) {
+                return Walk {
+                    found: Some(at),
+                    prev,
+                    probes,
+                };
             }
+            prev = at;
             at = e.next(chain.link);
         }
-        None
+        Walk {
+            found: None,
+            prev,
+            probes,
+        }
     }
 
     /// The probe for `key` in the live epoch: its live hash and route.
@@ -889,22 +928,23 @@ where
         self.find_probed(probe).0
     }
 
-    /// Finds `probe`'s key, live epoch first, and also returns how many
-    /// live-epoch entries it examined: on a miss, the length of the live
-    /// chain a new entry for the key would join.
+    /// Finds `probe`'s key, live epoch first, and also returns the walk of
+    /// the live chain: on a miss, its length and last entry are those of
+    /// the chain a new entry for the key joins.
     #[inline]
-    fn find_probed(&self, probe: Probe<'_>) -> (Option<u32>, usize) {
+    fn find_probed(&self, probe: Probe<'_>) -> (Option<u32>, Walk) {
         if self.migration.is_some() {
             self.stale_reads.record();
             self.epoch_ops.record();
             self.obs.stale_probes.add_single_writer(1);
         }
-        let mut probes = 0u64;
-        let found = self.find_in_chain(self.live_chain(probe.hash), probe, &mut probes);
-        let live = probes as usize;
-        let found = found.or_else(|| {
+        let live = self.walk(self.live_chain(probe.hash), probe);
+        let mut probes = live.probes;
+        let found = live.found.or_else(|| {
             let (chain, old) = self.old_epoch_probe(probe.key)?;
-            self.find_in_chain(chain, old, &mut probes)
+            let walk = self.walk(chain, old);
+            probes += walk.probes;
+            walk.found
         });
         self.obs.probe_len.observe_single_writer(probes);
         (found, live)
@@ -938,13 +978,16 @@ where
         self.insert_probed(hash, false, key, value)
     }
 
-    /// Map-semantics insert of `key` under `hash`, vouched for or not.
+    /// Map-semantics insert of `key` under `hash`, vouched for or not. A
+    /// new key is appended after the last entry its miss walked, so its
+    /// chain keeps insertion order.
     ///
     /// Drains once, before the probe: a drain between the probe and the
     /// link could grow the probed chain unseen, and the new entry joins
-    /// exactly the chain its miss walked (a resize in between forgets the
-    /// bound anyway). The probe, not the drain, counts the insert on the
-    /// maintenance clock.
+    /// exactly the chain its miss walked. A resize in between relinks
+    /// every chain, so the insert walks its new chain to the end again
+    /// (the resize forgets the bound anyway). The probe, not the drain,
+    /// counts the insert on the maintenance clock.
     fn insert_probed(&mut self, hash: u64, vouched: bool, key: K, value: V) -> Option<V> {
         self.migrate(DRAIN_PER_OP);
         let probe = Probe {
@@ -952,14 +995,18 @@ where
             vouched,
             key: key.as_ref(),
         };
-        let (found, chain) = self.find_probed(probe);
+        let (found, live) = self.find_probed(probe);
         if let Some(idx) = found {
             let slot = &mut self.get_kv_mut(idx).1;
             return Some(std::mem::replace(slot, value));
         }
-        self.reserve_one();
-        self.link_new(hash, vouched, key, value);
-        self.note_chain(chain + 1);
+        let tail = if self.reserve_one() {
+            self.walk(self.live_chain(hash), probe).prev
+        } else {
+            live.prev
+        };
+        self.link_new(hash, vouched, key, value, tail);
+        self.note_chain(live.probes as usize + 1);
         None
     }
 
@@ -984,12 +1031,13 @@ where
     }
 
     /// Inserts without checking for an existing equal key (multimap
-    /// semantics).
+    /// semantics). Nothing walks the chain, so the entry is linked at its
+    /// head, not appended: a rehash or a drain later puts it in slot order.
     pub(crate) fn insert_multi(&mut self, key: K, value: V) {
         self.pay_drain();
         self.reserve_one();
         let (hash, vouched) = self.hasher.hash_routed(key.as_ref());
-        if !self.link_new(hash, vouched, key, value) {
+        if !self.link_new(hash, vouched, key, value, NONE) {
             // No probe and no epoch's count, so no chain length to bound
             // with.
             self.chain_bound = None;
@@ -1023,21 +1071,26 @@ where
         self.entries.capacity()
     }
 
-    fn reserve_one(&mut self) {
-        if (self.len + 1) as f64 > self.max_load_factor * self.heads.len() as f64 {
+    /// Resizes for one more entry when it would exceed the maximum load
+    /// factor; returns whether it did, which relinks every live chain.
+    fn reserve_one(&mut self) -> bool {
+        let grow = (self.len + 1) as f64 > self.max_load_factor * self.heads.len() as f64;
+        if grow {
             let target =
                 grow_bucket_count(self.heads.len() as u64, self.len + 1, self.max_load_factor);
             self.rehash(target as usize);
         }
+        grow
     }
 
     /// Files a new entry in the live epoch, vouched for or not as the
-    /// live hasher routed it. A free slot is reused only while no epoch is
-    /// open: mid-epoch, a freed slot may still be threaded in an old
-    /// chain, and the sweep reads every occupied slot below the epoch's
-    /// `end` as an old-epoch entry. Returns whether an open epoch's count
-    /// of the joined chain bounded it.
-    fn link_new(&mut self, hash: u64, vouched: bool, key: K, value: V) -> bool {
+    /// live hasher routed it: after the entry `after` of its chain, or at
+    /// the chain's head when `after` is `NONE`. A free slot is reused only
+    /// while no epoch is open: mid-epoch, a freed slot may still be
+    /// threaded in an old chain, and the sweep reads every occupied slot
+    /// below its cursor as an old-epoch entry. Returns whether an open
+    /// epoch's count of the joined chain bounded it.
+    fn link_new(&mut self, hash: u64, vouched: bool, key: K, value: V, after: u32) -> bool {
         let bucket = self.bucket_of(hash);
         let mut entry = Entry {
             hash,
@@ -1045,7 +1098,11 @@ where
             kv: Some((key, value)),
         };
         entry.set_vouched(vouched);
-        entry.set_next(self.live, self.heads[bucket]);
+        let next = match after {
+            NONE => self.heads[bucket],
+            at => self.entries[at as usize].next(self.live),
+        };
+        entry.set_next(self.live, next);
         let idx = if self.free_head != NONE && self.migration.is_none() {
             let idx = self.free_head;
             self.free_head = self.entries[idx as usize].hash as u32;
@@ -1059,7 +1116,10 @@ where
             self.entries.push(entry);
             idx
         };
-        self.heads[bucket] = idx;
+        match after {
+            NONE => self.heads[bucket] = idx,
+            at => self.entries[at as usize].set_next(self.live, idx),
+        }
         self.len += 1;
         let Some(counts) = self.live_counts() else {
             return false;
@@ -1076,22 +1136,6 @@ where
         self.migration.as_mut()?.counts.as_mut()
     }
 
-    /// The first entry of `chain` holding `probe`'s key, and its
-    /// predecessor in the chain (`NONE` at the head).
-    fn find_with_prev(&self, chain: Chain, probe: Probe<'_>) -> Option<(u32, u32)> {
-        let mut prev = NONE;
-        let mut at = chain.head;
-        while at != NONE {
-            let e = &self.entries[at as usize];
-            if e.hash == probe.hash && at >= chain.swept && e.holds(probe) {
-                return Some((prev, at));
-            }
-            prev = at;
-            at = e.next(chain.link);
-        }
-        None
-    }
-
     /// Removes the first entry matching `key`, returning its pair. Probes
     /// the live epoch, then (during a migration) the old one.
     pub(crate) fn remove_one<Q>(&mut self, key: &Q) -> Option<(K, V)>
@@ -1102,7 +1146,8 @@ where
         self.pay_drain();
         let probe = self.live_probe(key.as_ref());
         let chain = self.live_chain(probe.hash);
-        let Some((prev, at)) = self.find_with_prev(chain, probe) else {
+        let walk = self.walk(chain, probe);
+        let (prev, Some(at)) = (walk.prev, walk.found) else {
             return self.remove_one_old_epoch(key);
         };
         let next = self.entries[at as usize].next(chain.link);
@@ -1131,14 +1176,16 @@ where
     }
 
     /// The old-epoch leg of [`RawTable::remove_one`]: only unswept slots
-    /// match, since a swept entry would have been found in the live epoch.
+    /// (below the cursor) match, since a swept entry would have been found
+    /// in the live epoch.
     fn remove_one_old_epoch<Q>(&mut self, key: &Q) -> Option<(K, V)>
     where
         Q: ?Sized + Eq + AsRef<[u8]>,
         K: Borrow<Q>,
     {
         let (chain, probe) = self.old_epoch_probe(key.as_ref())?;
-        let (prev, at) = self.find_with_prev(chain, probe)?;
+        let walk = self.walk(chain, probe);
+        let (prev, at) = (walk.prev, walk.found?);
         let next = self.entries[at as usize].next(chain.link);
         let mut mig = self.migration.take().expect("epoch in flight");
         if prev == NONE {
@@ -1172,7 +1219,7 @@ where
         let mut at = chain.head;
         while at != NONE {
             let e = &self.entries[at as usize];
-            if e.hash == probe.hash && at >= chain.swept && e.holds(probe) {
+            if e.hash == probe.hash && at < chain.swept && e.holds(probe) {
                 n += 1;
             }
             at = e.next(chain.link);
@@ -1210,12 +1257,13 @@ where
         self.stale_reads.reset();
     }
 
-    /// Resizes the live epoch to `bucket_count` buckets. Mid-epoch, the
-    /// unswept slots keep their old-plan hashes and old chains; only the
-    /// slots the live epoch owns (below the cursor, and from `end` on)
-    /// relink, and the epoch drops its bucket counts. An empty table
-    /// relinks nothing and keeps its bound of 0, so a `reserve` ahead of
-    /// the first insert costs no tick a walk.
+    /// Resizes the live epoch to `bucket_count` buckets, relinking slots
+    /// highest first at the chain heads, so every chain lists its slots in
+    /// ascending order. Mid-epoch, the unswept slots keep their old-plan
+    /// hashes and old chains; only the slots the live epoch owns (from the
+    /// cursor on) relink, and the epoch drops its bucket counts. An empty
+    /// table relinks nothing and keeps its bound of 0, so a `reserve`
+    /// ahead of the first insert costs no tick a walk.
     pub(crate) fn rehash(&mut self, bucket_count: usize) {
         self.chain_bound = if self.len == 0 { Some(0) } else { None };
         let bucket_count = bucket_count.max(1);
@@ -1223,11 +1271,11 @@ where
         self.recip = reciprocal(bucket_count as u64);
         let recip = self.recip;
         let (policy, live) = (self.policy, self.live);
-        let (swept, end) = self.migration.as_mut().map_or((0, 0), |m| {
+        let swept = self.migration.as_mut().map_or(0, |m| {
             m.counts = None;
-            (m.cursor as usize, m.end as usize)
+            m.cursor as usize
         });
-        for idx in (0..swept).chain(end..self.entries.len()) {
+        for idx in (swept..self.entries.len()).rev() {
             let e = &mut self.entries[idx];
             if e.kv.is_none() {
                 continue;
@@ -1324,7 +1372,7 @@ where
         }
         let live_map = hasher.refile_map(&self.hasher);
         let (old_map, old_slots) = self.migration.as_ref().map_or((None, 0..0), |m| {
-            (hasher.refile_map(&m.old_hasher), m.cursor..m.end)
+            (hasher.refile_map(&m.old_hasher), 0..m.cursor)
         });
         let buckets = self.heads.len();
         let mut counts = vec![0u32; buckets];
@@ -1448,10 +1496,18 @@ mod tests {
         t
     }
 
-    /// Files key `i` under the live hasher's route without draining first.
+    /// Appends key `i` to its live chain under the live hasher's route
+    /// without draining first.
     fn link(t: &mut Table, i: u32) {
-        let (hash, vouched) = t.hasher.hash_routed(&key(i));
-        t.link_new(hash, vouched, key(i), i);
+        let k = key(i);
+        let (hash, vouched) = t.hasher.hash_routed(&k);
+        let probe = Probe {
+            hash,
+            vouched,
+            key: &k,
+        };
+        let tail = t.walk(t.live_chain(hash), probe).prev;
+        t.link_new(hash, vouched, key(i), i, tail);
     }
 
     /// Slots a chain array threads through link `link`, with multiplicity.
@@ -1478,20 +1534,17 @@ mod tests {
         );
     }
 
-    /// The sweep's range partition, checked slot by slot: an occupied slot
-    /// below the cursor or from `end` on sits exactly once in the live
-    /// chains under its live hash; one in `cursor..end` sits exactly once
-    /// in the old chains under its old hash; dead slots sit in no live
-    /// chain, exactly once on the free list, and unvouched.
+    /// The sweep's prefix partition, checked slot by slot: an occupied
+    /// slot from the cursor on sits exactly once in the live chains under
+    /// its live hash; one below the cursor sits exactly once in the old
+    /// chains under its old hash; no slot appended since the epoch opened
+    /// sits in an old chain; dead slots sit in no live chain, exactly once
+    /// on the free list, and unvouched.
     fn assert_partition(t: &Table) {
         let live = threaded(t, &t.heads, t.live);
-        let (old, swept, end) = match &t.migration {
-            Some(m) => (
-                threaded(t, &m.old_heads, !t.live),
-                m.cursor as usize,
-                m.end as usize,
-            ),
-            None => (vec![0; t.entries.len()], 0, 0),
+        let (old, swept) = match &t.migration {
+            Some(m) => (threaded(t, &m.old_heads, !t.live), m.cursor as usize),
+            None => (vec![0; t.entries.len()], 0),
         };
         let mut free = vec![0u32; t.entries.len()];
         let mut at = t.free_head;
@@ -1509,7 +1562,7 @@ mod tests {
             };
             occupied += 1;
             assert_eq!(free[idx], 0, "occupied slot {idx} on the free list");
-            if (swept..end).contains(&idx) {
+            if idx < swept {
                 unswept += 1;
                 let m = t.migration.as_ref().unwrap();
                 assert_eq!((live[idx], old[idx]), (0, 1), "old-epoch slot {idx}");
@@ -1523,8 +1576,8 @@ mod tests {
         if let Some(m) = &t.migration {
             assert_eq!(m.old_len, unswept);
             assert!(
-                old[end..].iter().all(|&n| n == 0),
-                "an old chain reaches past end"
+                old[m.opened_at as usize..].iter().all(|&n| n == 0),
+                "an old chain reaches a slot appended since the epoch opened"
             );
             // The epoch's bucket counts are the live chains' lengths, and
             // a known bound mid-epoch always has counts to grow from.
@@ -1550,13 +1603,12 @@ mod tests {
         };
         let live = t.live;
         let stop = (mig.cursor as usize)
-            .saturating_add(budget.saturating_mul(SWEEP_SLOTS_PER_ENTRY))
-            .min(mig.end as usize) as u32;
+            .saturating_sub(budget.saturating_mul(SWEEP_SLOTS_PER_ENTRY)) as u32;
         let want = budget.min(mig.old_len);
         let mut moved = 0;
-        while moved < want && mig.cursor < stop {
+        while moved < want && mig.cursor > stop {
+            mig.cursor -= 1;
             let idx = mig.cursor;
-            mig.cursor += 1;
             let Some((key, _)) = &t.entries[idx as usize].kv else {
                 continue;
             };
@@ -1576,20 +1628,21 @@ mod tests {
         t.keep_or_close(mig);
     }
 
+    /// The live chain from `head`, as its slot sequence.
+    fn slots_from(t: &Table, head: u32) -> Vec<u32> {
+        let mut chain = Vec::new();
+        let mut at = head;
+        while at != NONE {
+            assert!(chain.len() < t.entries.len(), "a live chain cycles");
+            chain.push(at);
+            at = t.entries[at as usize].next(t.live);
+        }
+        chain
+    }
+
     /// Every live chain of `t`, as the slot sequence from its head.
     fn live_chains(t: &Table) -> Vec<Vec<u32>> {
-        t.heads
-            .iter()
-            .map(|&head| {
-                let mut chain = Vec::new();
-                let mut at = head;
-                while at != NONE {
-                    chain.push(at);
-                    at = t.entries[at as usize].next(t.live);
-                }
-                chain
-            })
-            .collect()
+        t.heads.iter().map(|&head| slots_from(t, head)).collect()
     }
 
     #[test]
@@ -1662,8 +1715,8 @@ mod tests {
         t.remove_one(&key(3)[..]);
         t.remove_one(&key(305)[..]);
         let mig = t.migration.as_ref().expect("epoch in flight");
-        let (cursor, end, old_len) = (mig.cursor, mig.end, mig.old_len);
-        assert!(old_len < 300 && cursor < end, "the epoch is half drained");
+        let (cursor, old_len) = (mig.cursor, mig.old_len);
+        assert!(old_len < 300 && cursor > 0, "the epoch is half drained");
         let opened = t.obs.epochs_opened.get();
         let drained = t.obs.drain_ops.get();
         // The next routing vouches for every 8-byte key: the re-filed
@@ -1672,7 +1725,7 @@ mod tests {
         assert!(!t.opens_epoch(), "the transition merges");
         t.begin_migration(None, TestHash::Word(2));
         let mig = t.migration.as_ref().expect("the epoch stays open");
-        assert_eq!((mig.cursor, mig.end, mig.old_len), (cursor, end, old_len));
+        assert_eq!((mig.cursor, mig.old_len), (cursor, old_len));
         assert!(
             matches!(mig.old_hasher, TestHash::Const(7)),
             "old filing kept"
@@ -1787,8 +1840,8 @@ mod tests {
         t.migrate(4);
         // One swept and one unswept slot freed mid-epoch, then a reserve
         // that resizes, which rebuilds the free list over both.
-        t.remove_one(&key(1)[..]);
-        t.remove_one(&key(60)[..]);
+        t.remove_one(&key(98)[..]);
+        t.remove_one(&key(40)[..]);
         let fresh = t.entries.len() as u32;
         t.reserve(4 * t.bucket_count());
         assert!(t.migration_in_flight());
@@ -1806,7 +1859,7 @@ mod tests {
         t.insert_unique(key(102), 102);
         assert_eq!(
             t.find(&key(102)[..]),
-            Some(1),
+            Some(40),
             "a closed epoch frees its slots"
         );
         assert_partition(&t);
@@ -1865,19 +1918,20 @@ mod tests {
     #[test]
     fn only_routes_of_the_same_epoch_let_a_hash_match_decide() {
         // `Claim` vouches for every key under one hash: wherever the hash
-        // decides, a lookup of an absent key finds the stored one.
+        // decides, a lookup of an absent key finds the stored one. A
+        // batched insert files its entry unvouched, first in the chain: a
+        // vouched probe compares it by bytes, and still finds its own key.
         let mut t = RawTable::new(TestHash::Claim(5), BucketPolicy::Modulo);
+        assert_eq!(t.insert_unique_hashed(5, key(3), 3), None);
+        assert_eq!(t.find(&key(3)[..]), Some(0));
         t.insert_unique(key(1), 1);
-        assert_eq!(t.find(&key(2)[..]), Some(0), "vouched probe and entry");
+        assert_eq!(t.find(&key(2)[..]), Some(1), "vouched probe and entry");
         assert_eq!(
             t.find_hashed(5, &key(2)),
             None,
             "an unrouted probe compares bytes"
         );
-        // A batched insert files its entry unvouched: a vouched probe
-        // compares it by bytes, and still finds its own key.
-        assert_eq!(t.insert_unique_hashed(5, key(3), 3), None);
-        assert_eq!(t.find(&key(3)[..]), Some(1));
+        assert_eq!(t.find(&key(3)[..]), Some(0));
         assert_eq!(
             t.count(&key(3)[..]),
             2,
@@ -1889,7 +1943,7 @@ mod tests {
         // epoch's hasher vouches for nothing.
         *t.hasher_mut() = TestHash::Fnv(0);
         t.begin_migration(Some(TestHash::Claim(5)), TestHash::Fnv(0));
-        assert_eq!(t.find(&key(9)[..]), Some(0), "old-epoch route");
+        assert_eq!(t.find(&key(9)[..]), Some(1), "old-epoch route");
         assert_partition(&t);
         // The drain re-files both entries under the live route: no match
         // is decided by hash any more.
@@ -1897,7 +1951,7 @@ mod tests {
         assert_partition(&t);
         assert!(t.entries.iter().all(|e| !e.vouched()));
         assert_eq!(t.find(&key(9)[..]), None);
-        assert_eq!(t.find(&key(1)[..]), Some(0));
+        assert_eq!(t.find(&key(1)[..]), Some(1));
         // Freeing a vouched slot clears its bit.
         let mut t = RawTable::new(TestHash::Word(0), BucketPolicy::Modulo);
         t.insert_unique(key(4), 4);
@@ -1949,7 +2003,7 @@ mod tests {
             let (cursor, left) = (m.cursor, m.old_len);
             t.migrate(2);
             let (swept, moved) = match &t.migration {
-                Some(m) => (m.cursor - cursor, left - m.old_len),
+                Some(m) => (cursor - m.cursor, left - m.old_len),
                 None => break,
             };
             assert!(moved <= 2 && swept as usize <= 2 * SWEEP_SLOTS_PER_ENTRY);
@@ -1964,38 +2018,42 @@ mod tests {
 
     #[test]
     fn removing_a_swept_entry_leaves_its_old_chain_walkable() {
-        // Slot 0 is freed and refilled, so it heads the one old chain
-        // (slot 0, then 3, 2, 1): the sweep's first slot sits in front of
-        // every unswept entry of that chain.
+        // Slots 0..3 are freed and refilled behind slot 3, so the highest
+        // slot heads the one old chain (slot 3, then 2, 1, 0): the sweep's
+        // first slot sits in front of every unswept entry of that chain.
         let mut t = RawTable::new(TestHash::Const(7), BucketPolicy::Modulo);
         for i in 0..4 {
             t.insert_unique(key(i), i);
         }
-        t.remove_one(&key(0)[..]);
-        t.insert_unique(key(9), 9);
-        assert_eq!(t.find(&key(9)[..]), Some(0));
+        for i in 0..3 {
+            t.remove_one(&key(i)[..]);
+        }
+        for i in 5..8 {
+            t.insert_unique(key(i), i);
+        }
+        assert_eq!(live_chains(&t)[7], [3, 2, 1, 0]);
         *t.hasher_mut() = TestHash::Fnv(1);
         t.begin_migration(Some(TestHash::Const(7)), TestHash::Fnv(1));
         t.migrate(1);
-        assert_eq!(t.migration.as_ref().unwrap().cursor, 1, "swept slot 0 only");
+        assert_eq!(t.migration.as_ref().unwrap().cursor, 3, "swept slot 3 only");
         assert_partition(&t);
         // The swept entry leaves through the live epoch; its slot stays
         // threaded at the head of the old chain.
-        assert_eq!(t.remove_one(&key(9)[..]), Some((key(9), 9)));
+        assert_eq!(t.remove_one(&key(3)[..]), Some((key(3), 3)));
         assert_partition(&t);
-        assert_eq!(t.find(&key(9)[..]), None);
-        assert_eq!(t.count(&key(9)[..]), 0);
+        assert_eq!(t.find(&key(3)[..]), None);
+        assert_eq!(t.count(&key(3)[..]), 0);
         // Unswept keys behind it are found and removed through the old epoch.
-        assert_eq!(t.find(&key(2)[..]), Some(2));
-        assert_eq!(t.remove_one(&key(1)[..]), Some((key(1), 1)));
+        assert_eq!(t.find(&key(6)[..]), Some(1));
+        assert_eq!(t.remove_one(&key(5)[..]), Some((key(5), 5)));
         assert_partition(&t);
-        assert_eq!(t.remove_one(&key(1)[..]), None);
-        assert_eq!(t.find(&key(3)[..]), Some(3));
+        assert_eq!(t.remove_one(&key(5)[..]), None);
+        assert_eq!(t.find(&key(7)[..]), Some(0));
         t.finish_migration();
         assert_partition(&t);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.find(&key(2)[..]).map(|x| t.get_kv(x).1), Some(2));
-        assert_eq!(t.find(&key(3)[..]).map(|x| t.get_kv(x).1), Some(3));
+        assert_eq!(t.find(&key(6)[..]).map(|x| t.get_kv(x).1), Some(6));
+        assert_eq!(t.find(&key(7)[..]).map(|x| t.get_kv(x).1), Some(7));
     }
 
     #[test]
@@ -2003,9 +2061,9 @@ mod tests {
         let mut t = colliding_epoch(100);
         t.migrate(4);
         // One swept and one unswept slot freed mid-epoch.
-        t.remove_one(&key(1)[..]);
-        t.remove_one(&key(60)[..]);
-        assert!(t.migration.as_ref().unwrap().cursor <= 60);
+        t.remove_one(&key(98)[..]);
+        t.remove_one(&key(40)[..]);
+        assert!(t.migration.as_ref().unwrap().cursor > 40);
         let fresh = t.entries.len() as u32;
         // Link directly: `insert_unique` would drain a stride first.
         link(&mut t, 100);
@@ -2024,7 +2082,7 @@ mod tests {
         reused.sort();
         assert_eq!(
             reused,
-            [Some(1), Some(60)],
+            [Some(40), Some(98)],
             "a closed epoch frees its slots"
         );
         assert_eq!(t.entries.len() as u32, fresh + 1);
@@ -2102,5 +2160,161 @@ mod tests {
         assert_eq!(t.remove_all(&b"dup"[..]), 4);
         assert_eq!(t.len(), 4);
         assert_partition(&t);
+    }
+
+    /// The live chain `key` hashes to under the live hasher, as slots.
+    fn chain_of(t: &Table, key: &[u8]) -> Vec<u32> {
+        let (hash, _) = t.hasher.hash_routed(key);
+        slots_from(t, t.live_chain(hash).head)
+    }
+
+    /// Entries a lookup of `key` examines in its live chain, when it is
+    /// filed in the live epoch: the test-only walk behind the probe
+    /// length the `table_probe_len` histogram records.
+    fn live_probe_len(t: &Table, key: &[u8]) -> Option<u64> {
+        let (hash, vouched) = t.hasher.hash_routed(key);
+        let walk = t.walk(t.live_chain(hash), Probe { hash, vouched, key });
+        walk.found.map(|_| walk.probes)
+    }
+
+    /// Whether every live chain lists its slots in ascending order,
+    /// passing over `skip`.
+    fn chains_ascend(t: &Table, skip: Option<u32>) -> bool {
+        live_chains(t).iter().all(|chain| {
+            let slots: Vec<u32> = chain
+                .iter()
+                .copied()
+                .filter(|&at| Some(at) != skip)
+                .collect();
+            slots.windows(2).all(|w| w[0] < w[1])
+        })
+    }
+
+    #[derive(Debug, Clone)]
+    enum OrderOp {
+        /// A map insert of key `n`, new or already stored.
+        Insert(u8),
+        Remove(u8),
+        /// A `reserve` past the next resize.
+        Reserve,
+        /// A change of hasher: opens an epoch, or re-targets the open one.
+        Transition,
+        Migrate(usize),
+        Finish,
+    }
+
+    fn arb_order_op() -> impl proptest::strategy::Strategy<Value = OrderOp> {
+        use proptest::prelude::*;
+        prop_oneof![
+            10 => any::<u8>().prop_map(OrderOp::Insert),
+            4 => any::<u8>().prop_map(OrderOp::Remove),
+            1 => Just(OrderOp::Reserve),
+            1 => Just(OrderOp::Transition),
+            3 => (1usize..24).prop_map(OrderOp::Migrate),
+            1 => Just(OrderOp::Finish),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Chains keep insertion order through inserts, removes, resizes,
+        /// epochs, drains and re-targets, checked against a twin: a new
+        /// key is its live chain's last entry; an insert lengthens no
+        /// other key's probe except by the older entries its drain filed
+        /// ahead of it; and a resize, a re-target, an open epoch and a
+        /// closed one each leave every live chain in ascending slot order.
+        #[test]
+        fn chains_keep_insertion_order(ops in proptest::collection::vec(arb_order_op(), 1..400)) {
+            let mut t: Table = RawTable::new(TestHash::Fnv(0), BucketPolicy::Modulo);
+            t.set_max_load_factor(3.0);
+            let mut twin = std::collections::BTreeMap::new();
+            let mut routings = 0u64;
+            for op in ops {
+                let buckets = t.bucket_count();
+                let cursor = t.migration.as_ref().map(|m| m.cursor);
+                let mut inserted = None;
+                match op {
+                    OrderOp::Insert(k) => {
+                        let k = u32::from(k);
+                        let fresh = !twin.contains_key(&k);
+                        let before: Vec<(u32, u64)> = twin
+                            .keys()
+                            .filter_map(|&j| live_probe_len(&t, &key(j)).map(|n| (j, n)))
+                            .collect();
+                        assert_eq!(t.insert_unique(key(k), k), twin.insert(k, k));
+                        let at = t.find(&key(k)[..]).expect("inserted");
+                        if fresh {
+                            inserted = Some(at);
+                            assert_eq!(
+                                chain_of(&t, &key(k)).last(),
+                                Some(&at),
+                                "new key {k} is not its chain's last entry"
+                            );
+                        }
+                        if t.bucket_count() == buckets {
+                            // Only entries this insert's drain moved out of
+                            // the old epoch may now sit ahead of a key.
+                            let low = t.migration.as_ref().map_or(0, |m| m.cursor);
+                            let drained = low..cursor.unwrap_or(0);
+                            for (j, n) in before {
+                                let chain = chain_of(&t, &key(j));
+                                let at = t.find(&key(j)[..]).expect("kept");
+                                let pos = chain.iter().position(|&x| x == at).expect("live");
+                                let moved_ahead =
+                                    chain[..pos].iter().filter(|x| drained.contains(x)).count();
+                                assert_eq!(
+                                    live_probe_len(&t, &key(j)),
+                                    Some(n + moved_ahead as u64),
+                                    "inserting key {k} moved key {j}"
+                                );
+                            }
+                        }
+                    }
+                    OrderOp::Remove(k) => {
+                        let k = u32::from(k);
+                        assert_eq!(
+                            t.remove_one(&key(k)[..]).map(|(_, v)| v),
+                            twin.remove(&k)
+                        );
+                    }
+                    // Each resize at least doubles the buckets: stop at a
+                    // few thousand.
+                    OrderOp::Reserve if buckets < 2048 => {
+                        t.reserve(3 * buckets + 1 - t.len());
+                        assert_ne!(t.bucket_count(), buckets, "the reserve resized");
+                    }
+                    OrderOp::Reserve => {}
+                    OrderOp::Transition => {
+                        routings += 1;
+                        let next = if routings.is_multiple_of(2) {
+                            TestHash::Fnv(routings)
+                        } else {
+                            TestHash::Word(routings)
+                        };
+                        let old = t.opens_epoch().then(|| *t.hasher());
+                        *t.hasher_mut() = next;
+                        t.begin_migration(old, next);
+                        assert!(chains_ascend(&t, None), "a re-target or an epoch opened");
+                    }
+                    OrderOp::Migrate(k) => t.migrate(k),
+                    OrderOp::Finish => t.finish_migration(),
+                }
+                let closed = cursor.is_some() && !t.migration_in_flight();
+                let relinked = t.bucket_count() != buckets || closed || t.migration_in_flight();
+                if relinked {
+                    assert!(chains_ascend(&t, inserted), "after {op:?}");
+                }
+                assert_eq!(t.len(), twin.len());
+                assert_partition(&t);
+            }
+            if t.migration_in_flight() {
+                t.finish_migration();
+                assert!(chains_ascend(&t, None), "a closed epoch");
+            }
+            for (&k, &v) in &twin {
+                assert_eq!(t.find(&key(k)[..]).map(|at| t.get_kv(at).1), Some(v));
+            }
+        }
     }
 }
