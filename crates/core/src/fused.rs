@@ -20,7 +20,10 @@
 //! path touches no `Vec` and no [`crate::pattern::KeyPattern`]. One length
 //! compare puts every load in bounds. The batched form interleaves independent keys
 //! (operations outer, lanes inner), the multi-stream schedule of the batch
-//! kernels in [`crate::hash::HashBatch`].
+//! kernels in [`crate::hash::HashBatch`]. On x86-64 the Naive/OffXor
+//! batched pass holds two keys per SSE2 register (DESIGN §10); the
+//! portable pass is the only one elsewhere, and the reference the vector
+//! pass is tested against.
 //!
 //! Only plan shape decides whether a kernel exists: a fixed-length format
 //! of at least eight bytes, a fixed-word plan (Naive, OffXor or Pext) whose
@@ -105,10 +108,10 @@ pub struct FusedKernel {
 }
 
 /// The interleaved result of [`FusedKernel::lanes`]: per lane, the plan's
-/// hash, and the guard's mismatch bits of all lanes together (zero when
-/// every lane is in format). One accumulator, not one per lane, keeps the
-/// pass's registers for the hashes; a chunk with a miss is re-judged one
-/// key at a time, which is also what routing it takes.
+/// hash, and the guard's mismatch bits of all lanes OR-ed together (zero
+/// when every lane is in format). The verdict is the chunk's, not each
+/// lane's: a chunk with a miss is re-judged one key at a time, which is
+/// also what routing it takes, so per-lane verdicts would buy nothing.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Lanes<const W: usize> {
     pub(crate) hash: [u64; W],
@@ -279,6 +282,9 @@ impl FusedKernel {
         // compiled in only when BMI2 was detected.
         Some(unsafe {
             match self.step {
+                #[cfg(target_arch = "x86_64")]
+                Step::Xor => lanes_xor_sse2::<W>(self, keys),
+                #[cfg(not(target_arch = "x86_64"))]
                 Step::Xor => lanes::<Rotate, W>(self, keys),
                 #[cfg(target_arch = "x86_64")]
                 Step::PextHw => lanes_pext_hw::<W>(self, keys),
@@ -407,6 +413,89 @@ unsafe fn lanes<S: Fold, const W: usize>(k: &FusedKernel, keys: &[&[u8]; W]) -> 
     Lanes { hash, miss }
 }
 
+/// Most register pairs [`lanes_xor_sse2`] holds: chunks of up to eight keys.
+#[cfg(target_arch = "x86_64")]
+const MAX_PAIRS: usize = 4;
+
+/// [`lanes`] with [`Rotate`] in SSE2, two keys per 128-bit register: key
+/// `2p` in the low half of pair `p`, key `2p + 1` in the high half. The
+/// guard's mismatch bits of every lane OR into one register, whose two
+/// halves OR into `miss`, so hashes and `miss` are bit for bit the portable
+/// pass's. SSE2 is part of the x86-64 baseline: no detection is needed,
+/// and every caller may inline it.
+///
+/// # Safety
+///
+/// Every key's length must equal the kernel's key length.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+#[inline]
+unsafe fn lanes_xor_sse2<const W: usize>(k: &FusedKernel, keys: &[&[u8]; W]) -> Lanes<W> {
+    use std::arch::x86_64::{
+        _mm_and_si128, _mm_cvtsi128_si64, _mm_cvtsi32_si128, _mm_or_si128, _mm_set1_epi64x,
+        _mm_set_epi64x, _mm_setzero_si128, _mm_sll_epi64, _mm_srl_epi64, _mm_storeu_si128,
+        _mm_unpackhi_epi64, _mm_xor_si128,
+    };
+    const { assert!(W.is_multiple_of(2) && W <= 2 * MAX_PAIRS) };
+    let pairs = keys.as_chunks::<2>().0;
+    // SAFETY: `[key_lo, key_hi]` are `key_len` long (the caller's
+    // guarantee), and `compile` admitted only loads with
+    // `offset + 8 <= key_len`.
+    let load = |[lo, hi]: &[&[u8]; 2], off| unsafe {
+        _mm_set_epi64x(
+            load_u64_le_unchecked(hi, off) as i64,
+            load_u64_le_unchecked(lo, off) as i64,
+        )
+    };
+    let (hashed, checked) = k.split();
+    let mut hash = [_mm_set1_epi64x(k.seed as i64); MAX_PAIRS];
+    // The guard's `(w & mask) ^ bits` OR-ed over the lanes equals
+    // `(w_0 ^ bits | w_1 ^ bits | ...) & mask`, since `bits` lies within
+    // `mask`: one AND per word, not one per pair.
+    let mut g = _mm_setzero_si128();
+    for e in hashed {
+        let (off, bits) = (e.offset as usize, _mm_set1_epi64x(e.const_bits as i64));
+        let mut t = _mm_setzero_si128();
+        let s = i32::from(e.shift) & 63;
+        if s == 0 {
+            // Most xor-plan loads are not rotated, and a vector rotation
+            // costs three operations where a scalar one costs one.
+            for (h, pair) in hash.iter_mut().zip(pairs) {
+                let w = load(pair, off);
+                t = _mm_or_si128(t, _mm_xor_si128(w, bits));
+                *h = _mm_xor_si128(*h, w);
+            }
+        } else {
+            // A rotation by `s` is `(w << s) | (w >> (64 - s))`.
+            let (left, right) = (_mm_cvtsi32_si128(s), _mm_cvtsi32_si128(64 - s));
+            for (h, pair) in hash.iter_mut().zip(pairs) {
+                let w = load(pair, off);
+                t = _mm_or_si128(t, _mm_xor_si128(w, bits));
+                let rotated = _mm_or_si128(_mm_sll_epi64(w, left), _mm_srl_epi64(w, right));
+                *h = _mm_xor_si128(*h, rotated);
+            }
+        }
+        g = _mm_or_si128(g, _mm_and_si128(t, _mm_set1_epi64x(e.const_mask as i64)));
+    }
+    for e in checked {
+        let (off, bits) = (e.offset as usize, _mm_set1_epi64x(e.const_bits as i64));
+        let mut t = _mm_setzero_si128();
+        for pair in pairs {
+            t = _mm_or_si128(t, _mm_xor_si128(load(pair, off), bits));
+        }
+        g = _mm_or_si128(g, _mm_and_si128(t, _mm_set1_epi64x(e.const_mask as i64)));
+    }
+    let mut out = Lanes {
+        hash: [0; W],
+        miss: (_mm_cvtsi128_si64(g) | _mm_cvtsi128_si64(_mm_unpackhi_epi64(g, g))) as u64,
+    };
+    for (dst, h) in out.hash.as_chunks_mut::<2>().0.iter_mut().zip(hash) {
+        // SAFETY: `dst` is 16 writable bytes; the store takes any alignment.
+        unsafe { _mm_storeu_si128(dst.as_mut_ptr().cast(), h) };
+    }
+    out
+}
+
 /// # Safety
 ///
 /// The caller must have verified BMI2 support, and `key.len()` must equal
@@ -519,6 +608,146 @@ mod tests {
                         assert_eq!(hashes[i], h, "{family} {isa:?} batch");
                     }
                 }
+            }
+        }
+    }
+
+    /// The x86-64 SSE2 batched pass against the portable one.
+    #[cfg(target_arch = "x86_64")]
+    mod sse2 {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::test_runner::TestRng;
+
+        /// The eight evaluated formats and UUID, as the key generator writes
+        /// them.
+        const FORMATS: [&str; 9] = [
+            r"\d{3}-\d{2}-\d{4}",
+            r"\d{3}\.\d{3}\.\d{3}-\d{2}",
+            r"([0-9a-f]{2}-){5}[0-9a-f]{2}",
+            r"(([0-9]{3})\.){3}[0-9]{3}",
+            r"([0-9a-f]{4}:){7}[0-9a-f]{4}",
+            r"[0-9]{100}",
+            r"https://www\.example\.us/[a-z0-9]{20}\.html",
+            r"https://www\.longer-example-site\.us/p[a-z0-9]{20}\.html",
+            r"[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}",
+        ];
+
+        /// `W` in-format keys, then 0 to `W` lanes pushed off format by one
+        /// flipped constant bit of a plan word or a guard-only word, and with
+        /// probability 1/4 one lane a byte short or long. Returns the keys and
+        /// whether a length changed.
+        fn chunk<const W: usize>(
+            k: &FusedKernel,
+            allowed: &[Vec<u8>],
+            rng: &mut TestRng,
+        ) -> (Vec<Vec<u8>>, bool) {
+            let mut pick = |n: usize| rng.below(n as u64) as usize;
+            let mut keys: Vec<Vec<u8>> = (0..W)
+                .map(|_| allowed.iter().map(|a| a[pick(a.len())]).collect())
+                .collect();
+            let testable = |words: &[Entry]| -> Vec<Entry> {
+                words
+                    .iter()
+                    .copied()
+                    .filter(|e| e.const_mask != 0)
+                    .collect()
+            };
+            let (plan, guard_only) = k.split();
+            let (plan, guard_only) = (testable(plan), testable(guard_only));
+            let mut lanes: Vec<usize> = (0..W).collect();
+            for i in (1..W).rev() {
+                lanes.swap(i, pick(i + 1));
+            }
+            let off = pick(W + 1);
+            for &lane in &lanes[..off] {
+                let words = if guard_only.is_empty() || pick(2) == 0 {
+                    &plan
+                } else {
+                    &guard_only
+                };
+                let e = words[pick(words.len())];
+                let bits: Vec<usize> = (0..64).filter(|b| e.const_mask >> b & 1 == 1).collect();
+                let bit = bits[pick(bits.len())];
+                keys[lane][e.offset as usize + bit / 8] ^= 1 << (bit % 8);
+            }
+            let wrong_len = pick(4) == 0;
+            if wrong_len {
+                let lane = pick(W);
+                if pick(2) == 0 {
+                    keys[lane].pop();
+                } else {
+                    keys[lane].push(b'0');
+                }
+            }
+            (keys, wrong_len)
+        }
+
+        /// One chunk of `W` keys through both passes, and through the keyed
+        /// route's `hash_batch` against its `hash_routed`.
+        fn passes_agree<const W: usize>(
+            k: &FusedKernel,
+            guard: &FormatGuard,
+            keyed: &crate::guard::GuardedHash<SynthesizedHash, SynthesizedHash>,
+            allowed: &[Vec<u8>],
+            rng: &mut TestRng,
+        ) -> Result<(), TestCaseError> {
+            use crate::hash::HashBatch;
+            let (keys, wrong_len) = chunk::<W>(k, allowed, rng);
+            let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+            let in_format = refs.iter().all(|key| guard.matches(key));
+            match k.lanes::<W>(&refs) {
+                None => prop_assert!(wrong_len, "only a length edit refuses the pass"),
+                Some(dispatched) => {
+                    prop_assert!(!wrong_len, "a length edit must refuse the pass");
+                    let keys: &[&[u8]; W] = refs.as_slice().try_into().expect("W keys");
+                    // SAFETY: `lanes` checked that every key is `key_len` long.
+                    let (portable, sse2) =
+                        unsafe { (lanes::<Rotate, W>(k, keys), lanes_xor_sse2::<W>(k, keys)) };
+                    prop_assert_eq!(sse2.hash, portable.hash);
+                    prop_assert_eq!(sse2.miss, portable.miss);
+                    prop_assert_eq!(sse2.all_in_format(), in_format, "{:?}", refs);
+                    prop_assert_eq!(dispatched.hash, portable.hash);
+                    prop_assert_eq!(dispatched.miss, portable.miss);
+                }
+            }
+            let mut out = [0u64; W];
+            keyed.hash_batch(&refs, &mut out);
+            for (key, h) in refs.iter().zip(out) {
+                prop_assert_eq!(h, keyed.hash_routed(key).0, "{:?}", key);
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// The SSE2 pass is the portable pass, bit for bit, over the
+            /// evaluated formats under Naive and OffXor, random kernel seeds,
+            /// and chunks of 4 and 8 with any number of off-format lanes in
+            /// either half of a register pair.
+            #[test]
+                fn the_sse2_pass_is_the_portable_pass(
+                format in 0..FORMATS.len(),
+                offxor in any::<bool>(),
+                seed in any::<u64>(),
+                draw in any::<u64>(),
+            ) {
+                let pattern = Regex::compile(FORMATS[format]).expect("valid regex");
+                let family = if offxor { Family::OffXor } else { Family::Naive };
+                let hash = SynthesizedHash::from_pattern(&pattern, family).with_seed(seed);
+                let guard = FormatGuard::compile(&pattern);
+                let k = hash.fused_with(&guard).expect("a fixed-word plan fuses");
+                let keyed = crate::guard::GuardedHash::new(&pattern, hash.clone(), hash);
+                keyed.escalate_keyed(&crate::hash::FixedSeedSource::new(seed));
+                let allowed: Vec<Vec<u8>> = pattern
+                    .bytes()
+                    .iter()
+                    .map(|b| b.possible_bytes().collect())
+                    .collect();
+                let mut rng = TestRng::from_seed(draw);
+                passes_agree::<4>(&k, &guard, &keyed, &allowed, &mut rng)?;
+                passes_agree::<8>(&k, &guard, &keyed, &allowed, &mut rng)?;
             }
         }
     }

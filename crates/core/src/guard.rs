@@ -159,6 +159,8 @@ pub(crate) fn word_test(pattern: &KeyPattern, offset: usize) -> (u64, u64) {
         mask |= u64::from(p.const_mask()) << (8 * i);
         bits |= u64::from(p.const_bits()) << (8 * i);
     }
+    // The fused kernel's SSE2 pass masks once per word, after the xor.
+    debug_assert_eq!(bits & !mask, 0, "constant bits lie within the mask");
     (mask, bits)
 }
 
