@@ -8,14 +8,15 @@
 //! * `guard-throughput/<FORMAT>/<family>`: the eight evaluated formats,
 //!   OffXor and Pext, over 4,096 independent keys per iteration, bare
 //!   `SynthesizedHash` against `GuardedHash`, scalar `hash_bytes` and
-//!   `hash_batch` calls of 8. After each pair the bench prints guarded ÷
-//!   bare and marks ratios over the 1.3x target.
+//!   `hash_batch` calls of 8. Bare and guarded samples are timed
+//!   alternately, and each line prints both sides' median ns/key and the
+//!   median of the per-sample guarded ÷ bare ratios with their quartiles,
+//!   marking ratios over the 1.3x target. A machine slowdown then lands on
+//!   both sides of a ratio instead of one.
 //!
 //! Run with `cargo bench -p sepe-bench --bench guard`.
 
-use criterion::{
-    criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
-};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sepe_baselines::CityHash;
 use sepe_bench::key_pool;
 use sepe_core::guard::GuardedHash;
@@ -25,7 +26,7 @@ use sepe_core::synth::Family;
 use sepe_core::ByteHash;
 use sepe_keygen::KeyFormat;
 use std::hint::black_box;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Independent keys per throughput iteration.
 const POOL: usize = 4096;
@@ -91,45 +92,84 @@ fn batched(hash: &impl HashBatch, keys: &[&[u8]]) -> u64 {
     acc
 }
 
-/// Runs one row and returns its median in ns per key.
-fn row(group: &mut BenchmarkGroup<'_>, id: &str, mut f: impl FnMut() -> u64) -> f64 {
-    group.bench_function(BenchmarkId::from_parameter(id), |b| b.iter(&mut f));
-    let median = group.last_median().unwrap_or(Duration::ZERO);
-    median.as_secs_f64() * 1e9 / POOL as f64
+/// Samples per side of one ratio.
+const SAMPLES: usize = 15;
+/// Time one side of one sample runs for.
+const SAMPLE_TIME: Duration = Duration::from_millis(40);
+
+/// Each side's median and the per-sample guarded ÷ bare ratios, ns per key.
+struct Paired {
+    bare_ns: f64,
+    guarded_ns: f64,
+    /// The ratios' lower quartile, median and upper quartile.
+    ratio: [f64; 3],
 }
 
-fn bench_throughput(c: &mut Criterion) {
+fn quartiles(mut xs: Vec<f64>) -> [f64; 3] {
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    [xs[n / 4], xs[n / 2], xs[(3 * n) / 4]]
+}
+
+/// Times `bare` and `guarded` in alternating samples (the side that goes
+/// first alternates too), in ns per key.
+fn paired(mut bare: impl FnMut() -> u64, mut guarded: impl FnMut() -> u64) -> Paired {
+    let time = |f: &mut dyn FnMut() -> u64, iters: u32| {
+        let start = Instant::now();
+        for _ in 0..iters {
+            black_box(f());
+        }
+        start.elapsed().as_secs_f64() * 1e9 / (f64::from(iters) * POOL as f64)
+    };
+    // The first runs warm both sides up and size a sample.
+    let per_iter = time(&mut bare, 1).max(time(&mut guarded, 1)) * POOL as f64;
+    let iters = (SAMPLE_TIME.as_secs_f64() * 1e9 / per_iter.max(1.0)).clamp(1.0, 1e6) as u32;
+    let (mut b, mut g, mut r) = (Vec::new(), Vec::new(), Vec::new());
+    for sample in 0..SAMPLES {
+        let (bare_ns, guarded_ns) = if sample % 2 == 0 {
+            let x = time(&mut bare, iters);
+            (x, time(&mut guarded, iters))
+        } else {
+            let y = time(&mut guarded, iters);
+            (time(&mut bare, iters), y)
+        };
+        b.push(bare_ns);
+        g.push(guarded_ns);
+        r.push(guarded_ns / bare_ns.max(f64::MIN_POSITIVE));
+    }
+    Paired {
+        bare_ns: quartiles(b)[1],
+        guarded_ns: quartiles(g)[1],
+        ratio: quartiles(r),
+    }
+}
+
+impl std::fmt::Display for Paired {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let [lo, mid, hi] = self.ratio;
+        let mark = if mid > TARGET { "  over target" } else { "" };
+        write!(
+            f,
+            "{:.1} -> {:.1} ({mid:.2}x [{lo:.2}, {hi:.2}]{mark})",
+            self.bare_ns, self.guarded_ns
+        )
+    }
+}
+
+fn bench_throughput(_: &mut Criterion) {
     for format in KeyFormat::EVALUATED {
         let pattern = Regex::compile(&format.regex()).expect("paper formats compile");
         let pool = key_pool(format, POOL);
         let keys: Vec<&[u8]> = pool.iter().map(|s| s.as_bytes()).collect();
         for family in [Family::OffXor, Family::Pext] {
-            let mut group =
-                c.benchmark_group(format!("guard-throughput/{}/{family}", format.name()));
-            group
-                .sample_size(9)
-                .measurement_time(Duration::from_millis(450))
-                .warm_up_time(Duration::from_millis(150))
-                .throughput(Throughput::Elements(keys.len() as u64));
             let bare = SynthesizedHash::from_pattern(&pattern, family);
             let guarded = GuardedHash::new(&pattern, bare.clone(), CityHash::new());
-            let bare_scalar = row(&mut group, "bare", || scalar(&bare, &keys));
-            let guarded_scalar = row(&mut group, "guarded", || scalar(&guarded, &keys));
-            let bare_batch = row(&mut group, "bare-batch8", || batched(&bare, &keys));
-            let guarded_batch = row(&mut group, "guarded-batch8", || batched(&guarded, &keys));
-            group.finish();
-            let ratio = |guarded: f64, bare: f64| {
-                let r = guarded / bare.max(f64::MIN_POSITIVE);
-                let mark = if r > TARGET { "  over target" } else { "" };
-                format!("{r:.2}x{mark}")
-            };
+            let scalar_pair = paired(|| scalar(&bare, &keys), || scalar(&guarded, &keys));
+            let batch_pair = paired(|| batched(&bare, &keys), || batched(&guarded, &keys));
             println!(
-                "guard-throughput/{}/{family} ns/key: scalar {bare_scalar:.1} -> \
-                 {guarded_scalar:.1} ({}), batch8 {bare_batch:.1} -> {guarded_batch:.1} ({}); \
+                "guard-throughput/{}/{family} ns/key: scalar {scalar_pair}, batch8 {batch_pair}; \
                  fused kernel: {}",
                 format.name(),
-                ratio(guarded_scalar, bare_scalar),
-                ratio(guarded_batch, bare_batch),
                 if guarded.fused().is_some() {
                     "yes"
                 } else {

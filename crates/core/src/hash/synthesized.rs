@@ -6,7 +6,7 @@ use crate::hash::stl::{stl_hash_bytes, MUL};
 use crate::hash::ByteHash;
 use crate::infer::infer_pattern;
 use crate::pattern::KeyPattern;
-use crate::regex::{parse, ExpandError, ParseRegexError};
+use crate::regex::{CompileRegexError, ExpandError, ParseRegexError, Regex};
 use crate::synth::{synthesize, Family, Plan, WordOp};
 use std::fmt;
 
@@ -151,6 +151,15 @@ impl From<ExpandError> for SynthError {
     }
 }
 
+impl From<CompileRegexError> for SynthError {
+    fn from(e: CompileRegexError) -> Self {
+        match e {
+            CompileRegexError::Parse(e) => SynthError::Parse(e),
+            CompileRegexError::Expand(e) => SynthError::Expand(e),
+        }
+    }
+}
+
 /// A specialized hash function synthesized for one key format.
 ///
 /// The plan is executed directly — the same loads, masks and shifts the
@@ -258,7 +267,7 @@ impl SynthesizedHash {
     /// `{n}` repetition, optional prefix), and [`SynthError::EmptyFormat`]
     /// when it expands to a zero-length format.
     pub fn from_regex(source: &str, family: Family) -> Result<Self, SynthError> {
-        let pattern = parse(source)?.expand()?.to_key_pattern();
+        let pattern = Regex::compile(source)?;
         if pattern.is_empty() {
             return Err(SynthError::EmptyFormat);
         }

@@ -12,7 +12,13 @@
 //! captures the constant bits shared by ASCII digits (four constant bits,
 //! `0011`), upper-case letters and lower-case letters (two constant bits,
 //! `01`). See Example 3.5 of the paper.
+//!
+//! [`Quad`] spells the lattice out one element at a time and is the
+//! reference. The pipeline joins four quads at once as mask arithmetic on a
+//! byte's `(const_mask, const_bits)` pair ([`crate::pattern::BytePattern`]):
+//! a quad stays constant where both masks hold it and the constants agree.
 
+use crate::pattern::BytePattern;
 use std::fmt;
 
 /// An element of the quad-semilattice: a constant two-bit value or `⊤`.
@@ -116,15 +122,37 @@ pub fn quads_of_byte(byte: u8) -> [Quad; 4] {
 }
 
 /// Joins the quad decompositions of two bytes pairwise.
+///
+/// Computed with [`BytePattern::join`]'s mask arithmetic; the quad-wise
+/// [`Quad::join`] is the reference the tests check it against.
 #[must_use]
 pub fn join_bytes(quads: [Quad; 4], byte: u8) -> [Quad; 4] {
-    let other = quads_of_byte(byte);
-    [
-        quads[0].join(other[0]),
-        quads[1].join(other[1]),
-        quads[2].join(other[2]),
-        quads[3].join(other[3]),
-    ]
+    BytePattern::from_quads(quads).join_byte(byte).quads()
+}
+
+/// The low bit of every quad of a byte.
+const QUAD_LOW_BITS: u8 = 0x55;
+
+/// Narrows a bit mask to the quads whose two bits it both holds.
+///
+/// A quad is a constant only when both of its bits are, so a single
+/// varying bit makes its whole quad `⊤`.
+#[must_use]
+pub(crate) fn whole_quads(mask: u8) -> u8 {
+    let both = mask & (mask >> 1) & QUAD_LOW_BITS;
+    both | (both << 1)
+}
+
+/// The join of two bytes' worth of quads held as `(const_mask,
+/// const_bits)` pairs, four quads at a time.
+///
+/// A quad stays constant only where both masks hold it and the two
+/// constants agree; a differing bit spreads over its whole quad. Bits
+/// outside the returned mask are zero.
+#[must_use]
+pub(crate) fn join_masks((mask_a, bits_a): (u8, u8), (mask_b, bits_b): (u8, u8)) -> (u8, u8) {
+    let mask = whole_quads(mask_a & mask_b & !(bits_a ^ bits_b));
+    (mask, bits_a & mask)
 }
 
 #[cfg(test)]

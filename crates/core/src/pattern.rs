@@ -7,7 +7,7 @@
 //! or by expanding a regular expression ([`crate::regex`]), and it is the
 //! sole input of the synthesis pipeline ([`crate::synth`]).
 
-use crate::lattice::{quads_of_byte, Quad};
+use crate::lattice::{join_masks, quads_of_byte, whole_quads, Quad};
 use std::fmt;
 
 /// The constant/variable structure of a single byte position.
@@ -69,16 +69,33 @@ impl BytePattern {
         }
     }
 
+    /// The pattern of a position whose bits are judged one at a time:
+    /// `constant` marks the bits that never vary and `ones` holds their
+    /// values. Only quads with both bits constant stay constant.
+    #[must_use]
+    pub(crate) fn from_constant_bits(constant: u8, ones: u8) -> Self {
+        let const_mask = whole_quads(constant);
+        BytePattern {
+            const_mask,
+            const_bits: ones & const_mask,
+        }
+    }
+
     /// Joins an iterator of example bytes in the quad-semilattice.
     ///
     /// Returns `None` when the iterator is empty (the join of zero keys is
     /// undefined; the paper always starts from at least one example).
+    ///
+    /// This folds [`Quad::join`] one quad at a time and is the reference
+    /// the mask arithmetic of [`BytePattern::join`] and
+    /// [`crate::regex::ByteClass::to_byte_pattern`] is tested against.
     pub fn from_bytes<I: IntoIterator<Item = u8>>(bytes: I) -> Option<Self> {
         let mut iter = bytes.into_iter();
-        let first = iter.next()?;
-        let mut quads = quads_of_byte(first);
+        let mut quads = quads_of_byte(iter.next()?);
         for b in iter {
-            quads = crate::lattice::join_bytes(quads, b);
+            for (q, o) in quads.iter_mut().zip(quads_of_byte(b)) {
+                *q = q.join(o);
+            }
         }
         Some(BytePattern::from_quads(quads))
     }
@@ -97,16 +114,20 @@ impl BytePattern {
     }
 
     /// Joins two byte patterns pairwise in the lattice.
+    ///
+    /// All four quads at once: a quad stays constant where both masks hold
+    /// it and the constants agree, and a differing bit makes its whole
+    /// quad `⊤`.
     #[must_use]
     pub fn join(self, other: BytePattern) -> BytePattern {
-        let a = self.quads();
-        let b = other.quads();
-        BytePattern::from_quads([
-            a[0].join(b[0]),
-            a[1].join(b[1]),
-            a[2].join(b[2]),
-            a[3].join(b[3]),
-        ])
+        let (const_mask, const_bits) = join_masks(
+            (self.const_mask, self.const_bits),
+            (other.const_mask, other.const_bits),
+        );
+        BytePattern {
+            const_mask,
+            const_bits,
+        }
     }
 
     /// Joins this pattern with a concrete byte.

@@ -27,6 +27,18 @@ use std::fmt;
 /// against `[0-9]{999999999}`-style blowups.
 pub const MAX_EXPANDED_LEN: usize = 1 << 20;
 
+/// `IN_WORD_PLANES[j]` marks the bytes with bit `j` set within one word
+/// of [`ByteClass`]'s layout (byte `b` is bit `b % 64` of word `b / 64`).
+/// Bits 6 and 7 pick the word instead.
+const IN_WORD_PLANES: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
 /// A set of byte values, the exact (non-lattice) description of one byte
 /// position of a key format.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,11 +117,20 @@ impl ByteClass {
         self.bits == [0; 4]
     }
 
-    /// Iterates over the members of the class in ascending order.
+    /// Iterates over the members of the class in ascending order, one set
+    /// bit at a time.
     pub fn iter(&self) -> impl Iterator<Item = u8> + '_ {
-        (0u16..=255)
-            .map(|b| b as u8)
-            .filter(move |&b| self.contains(b))
+        self.bits.iter().zip(0u8..).flat_map(|(&word, w)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let bit = rest.trailing_zeros() as u8;
+                rest &= rest - 1;
+                Some(w << 6 | bit)
+            })
+        })
     }
 
     /// The single member, if the class is a singleton.
@@ -125,11 +146,31 @@ impl ByteClass {
     /// Joins every member in the quad-semilattice, giving the (possibly
     /// over-approximating) [`BytePattern`] of this position.
     ///
+    /// Computed from the bit set in O(1), not member by member: bit `j` is
+    /// constant when the class has no member with bit `j` set, or none
+    /// with it clear. For bits 0–5 that is one AND of the OR of the four
+    /// words against bit `j`'s plane and one against its complement; bits
+    /// 6 and 7 pick words, so they test which words are non-zero. A quad
+    /// is constant when both of its bits are. The join of the members
+    /// ([`BytePattern::from_bytes`]) is the reference.
+    ///
     /// Returns [`BytePattern::ANY`] for the empty class, which never arises
     /// from a successfully parsed expression.
     #[must_use]
     pub fn to_byte_pattern(&self) -> BytePattern {
-        BytePattern::from_bytes(self.iter()).unwrap_or(BytePattern::ANY)
+        if self.is_empty() {
+            return BytePattern::ANY;
+        }
+        let [w0, w1, w2, w3] = self.bits;
+        let any = w0 | w1 | w2 | w3;
+        let (mut set, mut clear) = (0u8, 0u8);
+        for (j, plane) in IN_WORD_PLANES.iter().enumerate() {
+            set |= u8::from(any & plane != 0) << j;
+            clear |= u8::from(any & !plane != 0) << j;
+        }
+        set |= u8::from(w1 | w3 != 0) << 6 | u8::from(w2 | w3 != 0) << 7;
+        clear |= u8::from(w0 | w2 != 0) << 6 | u8::from(w0 | w1 != 0) << 7;
+        BytePattern::from_constant_bits(!(set & clear), set)
     }
 
     /// The members of the class as maximal inclusive ranges.
@@ -219,6 +260,46 @@ impl fmt::Display for ExpandError {
 
 impl std::error::Error for ExpandError {}
 
+/// Error produced by [`Regex::compile`]: the source did not parse, or it
+/// parsed but does not expand into pinned byte positions.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CompileRegexError {
+    /// Syntax outside the supported subset.
+    Parse(ParseRegexError),
+    /// An oversized or ambiguous shape.
+    Expand(ExpandError),
+}
+
+impl fmt::Display for CompileRegexError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CompileRegexError::Parse(e) => e.fmt(f),
+            CompileRegexError::Expand(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for CompileRegexError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            CompileRegexError::Parse(e) => Some(e),
+            CompileRegexError::Expand(e) => Some(e),
+        }
+    }
+}
+
+impl From<ParseRegexError> for CompileRegexError {
+    fn from(e: ParseRegexError) -> Self {
+        CompileRegexError::Parse(e)
+    }
+}
+
+impl From<ExpandError> for CompileRegexError {
+    fn from(e: ExpandError) -> Self {
+        CompileRegexError::Expand(e)
+    }
+}
+
 /// The expansion of a regex: one class per byte position plus the minimum
 /// key length (positions `min_len..` are optional).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -288,8 +369,8 @@ impl Regex {
     ///
     /// # Errors
     ///
-    /// Returns a parse error for unsupported syntax, or an expansion error
-    /// for oversized or ambiguous shapes.
+    /// Returns [`CompileRegexError::Parse`] for unsupported syntax, or
+    /// [`CompileRegexError::Expand`] for oversized or ambiguous shapes.
     ///
     /// # Examples
     ///
@@ -299,9 +380,9 @@ impl Regex {
     /// let pattern = Regex::compile(r"(([0-9]{3})\.){3}[0-9]{3}")?;
     /// assert_eq!(pattern.max_len(), 15);
     /// assert!(pattern.matches(b"192.168.001.001"));
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// # Ok::<(), sepe_core::regex::CompileRegexError>(())
     /// ```
-    pub fn compile(source: &str) -> Result<KeyPattern, Box<dyn std::error::Error>> {
+    pub fn compile(source: &str) -> Result<KeyPattern, CompileRegexError> {
         let regex = parse(source)?;
         let expansion = regex.expand()?;
         Ok(expansion.to_key_pattern())

@@ -7,10 +7,10 @@ use proptest::prelude::*;
 use sepe_core::bits::{pdep_reference, pdep_soft, pext_reference, pext_soft, pext_u64, Isa};
 use sepe_core::hash::{ByteHash, SynthesizedHash};
 use sepe_core::infer::infer_pattern;
-use sepe_core::lattice::{quads_of_byte, Quad};
+use sepe_core::lattice::{join_bytes, quads_of_byte, Quad};
 use sepe_core::pattern::{BytePattern, KeyPattern};
 use sepe_core::regex::render::render;
-use sepe_core::regex::Regex;
+use sepe_core::regex::{ByteClass, Regex};
 use sepe_core::synth::Family;
 
 fn arb_quad() -> impl Strategy<Value = Quad> {
@@ -152,5 +152,139 @@ proptest! {
         let mut longer = key.clone();
         longer.push(0);
         prop_assert!(!p.matches(&longer));
+    }
+}
+
+// The lattice as mask arithmetic (`BytePattern::join`,
+// `ByteClass::to_byte_pattern`, `KeyPattern::join_key`) against the
+// quad-wise reference (`Quad::join`, `BytePattern::from_bytes`).
+
+/// Every byte pattern: each of the four quads is one of five elements.
+fn all_byte_patterns() -> Vec<BytePattern> {
+    let elements = [
+        Quad::new(0b00),
+        Quad::new(0b01),
+        Quad::new(0b10),
+        Quad::new(0b11),
+        Quad::Top,
+    ];
+    let mut out = Vec::with_capacity(625);
+    for a in elements {
+        for b in elements {
+            for c in elements {
+                for d in elements {
+                    out.push(BytePattern::from_quads([a, b, c, d]));
+                }
+            }
+        }
+    }
+    out
+}
+
+fn quad_wise_join(a: BytePattern, b: BytePattern) -> BytePattern {
+    let (qa, qb) = (a.quads(), b.quads());
+    BytePattern::from_quads([
+        qa[0].join(qb[0]),
+        qa[1].join(qb[1]),
+        qa[2].join(qb[2]),
+        qa[3].join(qb[3]),
+    ])
+}
+
+/// The members of `class`, found by testing all 256 byte values.
+fn members(class: &ByteClass) -> Vec<u8> {
+    (0..=255u8).filter(|&b| class.contains(b)).collect()
+}
+
+fn assert_class_joins_its_members(class: &ByteClass) {
+    let members = members(class);
+    assert_eq!(class.iter().collect::<Vec<_>>(), members, "{class:?}");
+    let reference = BytePattern::from_bytes(members).unwrap_or(BytePattern::ANY);
+    assert_eq!(class.to_byte_pattern(), reference, "{class:?}");
+}
+
+#[test]
+fn lattice_mask_join_is_the_quad_join_on_every_pair() {
+    let patterns = all_byte_patterns();
+    assert_eq!(patterns.len(), 625);
+    for &a in &patterns {
+        for &b in &patterns {
+            assert_eq!(a.join(b), quad_wise_join(a, b), "{a} ∨ {b}");
+        }
+        for byte in 0..=255u8 {
+            let reference = quad_wise_join(a, BytePattern::literal(byte));
+            assert_eq!(a.join_byte(byte), reference, "{a} ∨ {byte:#04x}");
+            assert_eq!(join_bytes(a.quads(), byte), reference.quads());
+        }
+    }
+}
+
+#[test]
+fn lattice_class_pattern_is_the_join_of_every_range_and_the_extremes() {
+    for lo in 0..=255u8 {
+        for hi in lo..=255u8 {
+            assert_class_joins_its_members(&ByteClass::range(lo, hi));
+        }
+    }
+    assert_class_joins_its_members(&ByteClass::EMPTY);
+    assert_eq!(ByteClass::EMPTY.to_byte_pattern(), BytePattern::ANY);
+    assert_class_joins_its_members(&ByteClass::ANY);
+    let dot = Regex::compile(".").expect("compiles");
+    assert_eq!(dot.bytes(), [BytePattern::ANY]);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn lattice_class_pattern_is_the_join_of_random_members(
+        bytes in vec(any::<u8>(), 1..12),
+        words in vec(any::<u64>(), 4..=4),
+        negate in any::<bool>(),
+    ) {
+        // A few members, their complement, and four random words.
+        let mut sparse = ByteClass::EMPTY;
+        for &b in &bytes {
+            sparse.insert(b);
+        }
+        let mut dense = ByteClass::EMPTY;
+        for (w, &word) in words.iter().enumerate() {
+            for bit in 0..64 {
+                if word >> bit & 1 == 1 {
+                    dense.insert((w * 64 + bit) as u8);
+                }
+            }
+        }
+        let sparse = if negate { sparse.complement() } else { sparse };
+        assert_class_joins_its_members(&sparse);
+        assert_class_joins_its_members(&dense);
+        assert_class_joins_its_members(&sparse.union(&dense));
+    }
+
+    #[test]
+    fn lattice_join_key_is_the_quad_wise_fold(
+        keys in vec(vec(any::<u8>(), 0..20), 1..10),
+        narrow in any::<bool>(),
+    ) {
+        // Narrow keys share most bits, so constant quads survive the join.
+        let keys: Vec<Vec<u8>> = if narrow {
+            keys.iter().map(|k| k.iter().map(|b| 0x30 | (b & 0x05)).collect()).collect()
+        } else {
+            keys
+        };
+        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        let joined = infer_pattern(refs.iter().copied()).expect("non-empty key set");
+        let max_len = refs.iter().map(|k| k.len()).max().unwrap_or(0);
+        let min_len = refs.iter().map(|k| k.len()).min().unwrap_or(0);
+        // A position some key lacks joins to ⊤ (s_j[i] = ⊤).
+        let reference: Vec<BytePattern> = (0..max_len)
+            .map(|i| {
+                let column: Option<Vec<u8>> = refs.iter().map(|k| k.get(i).copied()).collect();
+                column
+                    .and_then(BytePattern::from_bytes)
+                    .unwrap_or(BytePattern::ANY)
+            })
+            .collect();
+        prop_assert_eq!(joined, KeyPattern::with_min_len(reference, min_len));
     }
 }

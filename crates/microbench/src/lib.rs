@@ -58,7 +58,6 @@ impl Criterion {
             measurement_time: Duration::from_millis(800),
             warm_up_time: Duration::from_millis(200),
             throughput: None,
-            last_median: None,
         }
     }
 
@@ -77,7 +76,6 @@ pub struct BenchmarkGroup<'a> {
     measurement_time: Duration,
     warm_up_time: Duration,
     throughput: Option<Throughput>,
-    last_median: Option<Duration>,
 }
 
 impl BenchmarkGroup<'_> {
@@ -109,13 +107,6 @@ impl BenchmarkGroup<'_> {
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: BenchmarkId, mut f: F) {
         let label = id.0.clone();
         self.run_one(&label, &mut f);
-    }
-
-    /// The median sample of the last benchmark this group ran, per
-    /// iteration. Not in the real API: a bench uses it to print ratios
-    /// between its rows.
-    pub fn last_median(&self) -> Option<Duration> {
-        self.last_median
     }
 
     /// Ends the group (parity with the real API; nothing to flush).
@@ -154,7 +145,6 @@ impl BenchmarkGroup<'_> {
         samples.sort_by(f64::total_cmp);
         let median = samples[samples.len() / 2];
         let min = samples[0];
-        self.last_median = Some(Duration::from_secs_f64(median));
         let tp = match self.throughput {
             Some(Throughput::Bytes(n)) if median > 0.0 => {
                 format!("  {:>10.1} MiB/s", n as f64 / median / (1024.0 * 1024.0))
@@ -242,7 +232,6 @@ mod tests {
                 runs += 1;
             });
         });
-        assert!(group.last_median().is_some());
         group.finish();
         assert!(runs > 0);
     }
