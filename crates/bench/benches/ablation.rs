@@ -12,20 +12,8 @@ use sepe_baselines::GperfHash;
 use sepe_core::hash::SynthesizedHash;
 use sepe_core::synth::Family;
 use sepe_core::{ByteHash, Isa};
+use sepe_driver::measure::chained_hashes;
 use sepe_keygen::{Distribution, KeyFormat, KeySampler};
-use std::hint::black_box;
-
-fn chained(hash: &dyn ByteHash, keys: &[&[u8]]) -> u64 {
-    let mut idx = 0usize;
-    let mut acc = 0u64;
-    let mask = keys.len() - 1;
-    for _ in 0..256 {
-        let h = hash.hash_bytes(black_box(keys[idx]));
-        acc ^= h;
-        idx = (h as usize) & mask;
-    }
-    acc
-}
 
 fn bench_isa_ablation(c: &mut Criterion) {
     let pool: Vec<String> =
@@ -44,7 +32,7 @@ fn bench_isa_ablation(c: &mut Criterion) {
                 .with_isa(isa);
             group.bench_function(
                 BenchmarkId::from_parameter(format!("{family}/{label}")),
-                |b| b.iter(|| chained(&hash, &keys)),
+                |b| b.iter(|| chained_hashes::<dyn ByteHash>(&hash, &keys, 256)),
             );
         }
     }
@@ -66,7 +54,7 @@ fn bench_gradual_ladder(c: &mut Criterion) {
                 .expect("format regex compiles");
             group.bench_function(
                 BenchmarkId::from_parameter(format!("{}/{family}", format.name())),
-                |b| b.iter(|| chained(&hash, &keys)),
+                |b| b.iter(|| chained_hashes::<dyn ByteHash>(&hash, &keys, 256)),
             );
         }
     }
@@ -108,13 +96,13 @@ fn bench_related_work(c: &mut Criterion) {
         .measurement_time(std::time::Duration::from_millis(800))
         .warm_up_time(std::time::Duration::from_millis(300));
     group.bench_function(BenchmarkId::from_parameter("sepe-offxor"), |b| {
-        b.iter(|| chained(&offxor, &keys));
+        b.iter(|| chained_hashes::<dyn ByteHash>(&offxor, &keys, 256));
     });
     group.bench_function(BenchmarkId::from_parameter("entropy-learned"), |b| {
-        b.iter(|| chained(&elh, &keys));
+        b.iter(|| chained_hashes::<dyn ByteHash>(&elh, &keys, 256));
     });
     group.bench_function(BenchmarkId::from_parameter("stl"), |b| {
-        b.iter(|| chained(&stl, &keys));
+        b.iter(|| chained_hashes::<dyn ByteHash>(&stl, &keys, 256));
     });
     group.finish();
 }

@@ -4,19 +4,22 @@
 //! Width 1 is the latency-chained scalar reference (one dependency chain);
 //! wider groups run that many independent chains through
 //! `HashBatch::hash_batch`, the interleaved multi-stream kernels. The
-//! ratio between the two is the win this subsystem exists to deliver —
-//! `sepe-repro bench-json` records the same cells machine-readably.
+//! ratio between the two is the win this subsystem exists to deliver.
+//! Both sides run the shared timing loops of `sepe_driver::measure`. The
+//! serving stack's batched rate is `hash-stream`'s `hash.batch_ns_per_key`
+//! in the `benchmark/` package.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sepe_bench::key_pool;
-use sepe_core::hash::{ByteHash, HashBatch};
 use sepe_core::synth::Family;
 use sepe_core::SynthesizedHash;
+use sepe_driver::measure::{batched_ns_per_key, chained_hashes};
 use sepe_keygen::KeyFormat;
-use std::hint::black_box;
 
 const POOL: usize = 1024;
-const MASK: u64 = (POOL - 1) as u64;
+/// Keys hashed per timed iteration: enough that the three width-sized
+/// buffers `batched_ns_per_key` allocates cost well under 0.1 ns per key.
+const KEYS_PER_ITER: usize = 4096;
 const WIDTHS: [usize; 3] = [4, 8, 32];
 
 fn bench_batch(c: &mut Criterion) {
@@ -37,41 +40,14 @@ fn bench_batch(c: &mut Criterion) {
                 .sample_size(20)
                 .measurement_time(std::time::Duration::from_millis(800))
                 .warm_up_time(std::time::Duration::from_millis(300));
-            group.throughput(Throughput::Elements(256));
-            // Scalar reference: one dependency chain, 256 keys/iter.
+            group.throughput(Throughput::Elements(KEYS_PER_ITER as u64));
+            // Scalar reference: one dependency chain.
             group.bench_function(BenchmarkId::from_parameter("width-1"), |b| {
-                b.iter(|| {
-                    let mut idx = 0usize;
-                    let mut acc = 0u64;
-                    for _ in 0..256 {
-                        let h = hash.hash_bytes(black_box(keys[idx]));
-                        acc ^= h;
-                        idx = (h & MASK) as usize;
-                    }
-                    acc
-                });
+                b.iter(|| chained_hashes(&hash, &keys, KEYS_PER_ITER));
             });
             for width in WIDTHS {
                 group.bench_function(BenchmarkId::from_parameter(format!("width-{width}")), |b| {
-                    let mut batch: Vec<&[u8]> = vec![keys[0]; width];
-                    let mut out = vec![0u64; width];
-                    let mut idx: Vec<usize> = (0..width).collect();
-                    let steps = 256 / width;
-                    b.iter(|| {
-                        // `width` independent chains advance together.
-                        let mut acc = 0u64;
-                        for _ in 0..steps {
-                            for lane in 0..width {
-                                batch[lane] = keys[idx[lane]];
-                            }
-                            hash.hash_batch(black_box(&batch), &mut out);
-                            for lane in 0..width {
-                                acc ^= out[lane];
-                                idx[lane] = (out[lane] & MASK) as usize;
-                            }
-                        }
-                        acc
-                    });
+                    b.iter(|| batched_ns_per_key(&hash, &keys, width, KEYS_PER_ITER));
                 });
             }
             group.finish();

@@ -24,6 +24,7 @@ use sepe_core::hash::{HashBatch, SynthesizedHash};
 use sepe_core::regex::Regex;
 use sepe_core::synth::Family;
 use sepe_core::ByteHash;
+use sepe_driver::measure::chained_hashes;
 use sepe_keygen::KeyFormat;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -34,18 +35,6 @@ const POOL: usize = 4096;
 const BATCH: usize = 8;
 /// The guarded ÷ bare throughput ratio the guard aims to stay under.
 const TARGET: f64 = 1.3;
-
-fn chain(hash: &dyn ByteHash, keys: &[&[u8]]) -> u64 {
-    // Dependent chain across 256 keys per iteration.
-    let mut idx = 0usize;
-    let mut acc = 0u64;
-    for _ in 0..256 {
-        let h = hash.hash_bytes(black_box(keys[idx]));
-        acc ^= h;
-        idx = (h as usize) & 1023;
-    }
-    acc
-}
 
 fn bench_guard(c: &mut Criterion) {
     for format in [KeyFormat::Ssn, KeyFormat::Ipv4, KeyFormat::Uuid] {
@@ -60,13 +49,13 @@ fn bench_guard(c: &mut Criterion) {
         for family in Family::ALL {
             let plain = SynthesizedHash::from_pattern(&pattern, family);
             group.bench_function(BenchmarkId::from_parameter(format!("{family}")), |b| {
-                b.iter(|| chain(&plain, &keys));
+                b.iter(|| chained_hashes::<dyn ByteHash>(&plain, &keys, 256));
             });
             let guarded = GuardedHash::from_pattern(&pattern, family, CityHash::new());
             group.bench_function(
                 BenchmarkId::from_parameter(format!("{family}+guard")),
                 |b| {
-                    b.iter(|| chain(&guarded, &keys));
+                    b.iter(|| chained_hashes::<dyn ByteHash>(&guarded, &keys, 256));
                 },
             );
         }

@@ -4,9 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sepe_bench::{build, key_pool, TIMED_HASHES};
+use sepe_driver::measure::chained_hashes;
 use sepe_driver::HashId;
 use sepe_keygen::KeyFormat;
-use std::hint::black_box;
 
 fn bench_htime(c: &mut Criterion) {
     for format in [KeyFormat::Ssn, KeyFormat::Url1, KeyFormat::Ints] {
@@ -20,17 +20,8 @@ fn bench_htime(c: &mut Criterion) {
         for id in TIMED_HASHES.into_iter().chain([HashId::Gperf]) {
             let hash = build(id, format);
             group.bench_function(BenchmarkId::from_parameter(id.name()), |b| {
-                b.iter(|| {
-                    // Dependent chain across 256 keys per iteration.
-                    let mut idx = 0usize;
-                    let mut acc = 0u64;
-                    for _ in 0..256 {
-                        let h = hash.hash_bytes(black_box(keys[idx]));
-                        acc ^= h;
-                        idx = (h as usize) & 1023;
-                    }
-                    acc
-                });
+                // Dependent chain across 256 keys per iteration.
+                b.iter(|| chained_hashes(hash.as_ref(), &keys, 256));
             });
         }
         group.finish();

@@ -1,21 +1,23 @@
 //! # sepe-bench
 //!
-//! Shared plumbing for the criterion benchmarks under `benches/`. Each
-//! bench regenerates the measurements behind one table or figure of the
-//! paper:
+//! Shared plumbing for the criterion benchmarks under `benches/`:
 //!
-//! | bench        | paper artifact |
-//! |--------------|----------------|
-//! | `htime`      | Table 1 H-Time (pure hashing speed) |
-//! | `btime`      | Table 1 B-Time / Figures 13 & 15 (container workload) |
-//! | `synthesis`  | Figure 16 (synthesis time vs key size) |
-//! | `scaling`    | Figure 19 (hashing time vs key size) |
-//! | `uniformity` | Table 2 (χ² uniformity pipeline) |
-//! | `containers` | Figure 20 (per-container B-Time) |
+//! | bench       | measures |
+//! |-------------|----------|
+//! | `htime`     | Table 1 H-Time (latency-chained hashing speed) |
+//! | `batch`     | batched vs scalar ns/key, widths 1/4/8/32 |
+//! | `synthesis` | Figure 16 (synthesis time vs key size) |
+//! | `guard`     | guarded vs bare hashing, chained and per format |
+//! | `ablation`  | ISA, gradual-ladder, gperf-training and related-work ablations |
+//! | `direct`    | direct-addressed vs bucketed lookups |
 //!
-//! The absolute numbers of the paper were measured on a different machine
-//! and through compiled C++; only the relative ordering is expected to
-//! transfer. `sepe-repro` prints the same data as one-shot tables.
+//! Every latency-chained row runs `sepe_driver::measure::chained_hashes`,
+//! the loop behind `sepe-repro`'s H-Time. The container and statistics
+//! artifacts (B-Time in Table 1 and Figures 13, 15 and 20, Figure 19,
+//! Table 2) have no bench here: `sepe-repro` prints them from the same
+//! functions. The absolute numbers of the paper were measured on a
+//! different machine and through compiled C++; only the relative ordering
+//! is expected to transfer.
 
 use sepe_core::Isa;
 use sepe_driver::HashId;

@@ -11,7 +11,7 @@ use sepe_cli::repro;
 use sepe_driver::analysis::RunScale;
 use std::process::ExitCode;
 
-const ARTIFACTS: [&str; 18] = [
+const ARTIFACTS: [&str; 17] = [
     "table1",
     "table2",
     "table3",
@@ -28,7 +28,6 @@ const ARTIFACTS: [&str; 18] = [
     "avalanche",
     "bykey",
     "guard",
-    "bench-json",
     "metrics",
 ];
 
@@ -74,7 +73,6 @@ fn run(
         "avalanche" => repro::avalanche(scale),
         "bykey" => repro::bykey(scale),
         "guard" => repro::guard(scale, drift_threshold, bundle),
-        "bench-json" => repro::bench_json(scale),
         "metrics" => repro::metrics(scale),
         _ => return None,
     };
@@ -242,21 +240,8 @@ fn main() -> ExitCode {
         match run(artifact, &scale, drift_threshold, bundle.as_ref()) {
             Some(out) => {
                 println!("{out}");
-                // bench-json is the machine-readable perf baseline: it goes
-                // to BENCH_<date>.json (in --out or the working directory)
-                // so successive runs build a dated trajectory.
-                let path = if artifact == "bench-json" {
-                    let name = format!("BENCH_{}.json", sepe_driver::bench_json::today_utc());
-                    Some(match &out_dir {
-                        Some(dir) => dir.join(name),
-                        None => std::path::PathBuf::from(name),
-                    })
-                } else {
-                    out_dir
-                        .as_ref()
-                        .map(|dir| dir.join(format!("{artifact}.txt")))
-                };
-                if let Some(path) = path {
+                if let Some(dir) = &out_dir {
+                    let path = dir.join(format!("{artifact}.txt"));
                     if let Err(e) = std::fs::write(&path, &out) {
                         eprintln!("sepe-repro: cannot write {}: {e}", path.display());
                         return ExitCode::FAILURE;

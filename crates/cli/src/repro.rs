@@ -11,6 +11,7 @@ use sepe_driver::analysis::{
     digits_hash, hashing_time, low_mixing_point, per_container_times, run_grid, synthesis_time,
     uniformity_chi2, RunScale,
 };
+use sepe_driver::measure::median_of_rounds;
 use sepe_driver::HashId;
 use sepe_keygen::{Distribution, KeyFormat};
 use sepe_stats::{pearson_correlation, BoxplotSummary};
@@ -211,8 +212,17 @@ pub fn table3(scale: &RunScale) -> String {
     out
 }
 
+/// Timed rounds over every (size, family) point of Figure 16; each
+/// point's median is plotted.
+const FIG16_SAMPLES: usize = 9;
+/// Back-to-back syntheses averaged into one Figure 16 sample.
+const FIG16_CALLS: usize = 8;
+
 /// **Figure 16** — synthesis time versus key size (RQ6), with the Pearson
-/// correlation that establishes linearity.
+/// correlation that establishes linearity. Each point is the median of
+/// [`FIG16_SAMPLES`] samples after one warm-up, each sample the mean of
+/// [`FIG16_CALLS`] calls, taken in rounds over all points
+/// ([`median_of_rounds`]).
 #[must_use]
 pub fn fig16() -> String {
     let mut out = String::from(
@@ -220,16 +230,26 @@ pub fn fig16() -> String {
          size        Pext        OffXor      Aes\n",
     );
     let families = [Family::Pext, Family::OffXor, Family::Aes];
-    let mut per_family: Vec<Vec<f64>> = vec![Vec::new(); families.len()];
-    for size in SCALING_SIZES {
-        let mut row = format!("{size:<8}");
-        for (fi, &family) in families.iter().enumerate() {
-            // Median of a few runs to steady the tiny timings.
-            let mut times: Vec<f64> = (0..5)
+    // One sample is the mean of back-to-back syntheses: a single call is
+    // 1 µs to 1.3 ms, short enough for one preemption to move a point.
+    let times = median_of_rounds(
+        SCALING_SIZES.len() * families.len(),
+        FIG16_SAMPLES,
+        |point| {
+            let (size, family) = (
+                SCALING_SIZES[point / families.len()],
+                families[point % families.len()],
+            );
+            let total: f64 = (0..FIG16_CALLS)
                 .map(|_| synthesis_time(family, size).as_secs_f64())
-                .collect();
-            times.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-            let t = times[times.len() / 2];
+                .sum();
+            total / FIG16_CALLS as f64
+        },
+    );
+    let mut per_family: Vec<Vec<f64>> = vec![Vec::new(); families.len()];
+    for (size, row_times) in SCALING_SIZES.iter().zip(times.chunks(families.len())) {
+        let mut row = format!("{size:<8}");
+        for (fi, &t) in row_times.iter().enumerate() {
             per_family[fi].push(t);
             let _ = write!(row, " {t:>11.6}");
         }
@@ -645,49 +665,6 @@ pub fn guard(
     out
 }
 
-/// **Benchmark baseline** — the `sepe-bench/v1` JSON document: batched vs
-/// scalar ns/key for every family × format × width cell, plus the
-/// migration scenario (churn ops/sec at steady state, while an epoch
-/// drain is in flight, and after it completes) and the concurrency
-/// scenario (the same churn fanned over a lock-striped [`ShardedMap`] at
-/// 1/2/4/8 threads) and the resynthesis scenario (p50/p99/max mutating-op
-/// latency across an inline resynthesis on the serving thread) and the
-/// adversarial
-/// scenario (churn ns/op and worst chain length benign, under a
-/// brute-forced collision flood, and after the collision-storm detector
-/// escalates to the keyed hasher, plus the escalation latency) and the
-/// synthesis scenario (ns per `synthesize` call per format and family).
-/// `sepe-repro` writes it as `BENCH_<date>.json`, the machine-readable
-/// perf trajectory.
-///
-/// [`ShardedMap`]: sepe_containers::ShardedMap
-#[must_use]
-pub fn bench_json(scale: &RunScale) -> String {
-    use sepe_driver::bench_json::{
-        adversarial_records, concurrency_records, metrics_snapshot, migration_records,
-        resynth_records, run_suite, synthesis_records, to_json, today_utc, BenchConfig,
-    };
-    let config = BenchConfig::from_scale(scale);
-    let records = run_suite(scale, &config);
-    let migration = migration_records(scale, &config);
-    let concurrency = concurrency_records(scale, &config);
-    let resynthesis = resynth_records(scale, &config);
-    let adversarial = adversarial_records(scale, &config);
-    let synthesis = synthesis_records(scale, &config);
-    let metrics = metrics_snapshot(scale, &config);
-    to_json(
-        &today_utc(),
-        &records,
-        &migration,
-        &concurrency,
-        &resynthesis,
-        &adversarial,
-        &synthesis,
-        &metrics,
-    )
-    .to_string()
-}
-
 /// **Metrics snapshot** — the `sepe-metrics/v1` registry export of a
 /// deterministic, seeded, single-threaded workload (fill, churn, degrade,
 /// drain, churn again — per paper format). Two runs at the same scale
@@ -695,9 +672,7 @@ pub fn bench_json(scale: &RunScale) -> String {
 /// re-parses a saved snapshot through the strict typed parser.
 #[must_use]
 pub fn metrics(scale: &RunScale) -> String {
-    use sepe_driver::bench_json::{metrics_snapshot, BenchConfig};
-    let config = BenchConfig::from_scale(scale);
-    metrics_snapshot(scale, &config).render()
+    sepe_driver::analysis::metrics_snapshot(scale).render()
 }
 
 #[cfg(test)]

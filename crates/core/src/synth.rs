@@ -300,7 +300,7 @@ pub fn synthesize(pattern: &KeyPattern, family: Family) -> Plan {
 }
 
 /// [`synthesize`] that also returns the [`SearchStats`] of the run — the
-/// entry point `keybench --synth` reports the work counters of.
+/// entry point `sepe-verify`'s synthesis suite bounds the work counters of.
 #[must_use]
 pub fn synthesize_with_stats(pattern: &KeyPattern, family: Family) -> (Plan, SearchStats) {
     let mut stats = SearchStats::default();

@@ -4,13 +4,16 @@
 use crate::config::{ExperimentConfig, Mode, SPREADS};
 use crate::measure::{collisions_of, run_experiment, time_affectations, Measurement};
 use crate::registry::HashId;
-use sepe_containers::BucketPolicy;
+use sepe_baselines::CityHash;
+use sepe_containers::{BucketPolicy, UnorderedMap};
 use sepe_core::codegen::{emit, Language};
+use sepe_core::guard::GuardedHash;
 use sepe_core::hash::SynthesizedHash;
 use sepe_core::infer::infer_pattern;
+use sepe_core::regex::Regex;
 use sepe_core::synth::{synthesize, Family};
 use sepe_core::{ByteHash, Isa};
-use sepe_keygen::{Distribution, KeyFormat, KeySampler};
+use sepe_keygen::{Distribution, KeyFormat, KeySampler, SplitMix64};
 use sepe_stats::{chi_square_gof, geometric_mean, hash_histogram_range};
 use std::time::{Duration, Instant};
 
@@ -234,6 +237,67 @@ pub fn digits_hash(family: Family, size: usize, isa: Isa) -> SynthesizedHash {
         .with_isa(isa)
 }
 
+type GuardedMap = UnorderedMap<String, u64, GuardedHash<SynthesizedHash, CityHash>>;
+
+/// Runs `ops` mixed operations against `map`: 50% lookups, 30% value
+/// overwrites, 20% remove-then-reinsert, all over the shared key pool.
+fn churn(map: &mut GuardedMap, keys: &[String], rng: &mut SplitMix64, ops: usize) {
+    for _ in 0..ops {
+        let r = rng.next_u64();
+        let key = &keys[(r >> 8) as usize % keys.len()];
+        match r % 10 {
+            0..=4 => {
+                std::hint::black_box(map.get(key));
+            }
+            5..=7 => {
+                map.insert(key.clone(), r);
+            }
+            _ => {
+                map.remove(key);
+                map.insert(key.clone(), r);
+            }
+        }
+    }
+}
+
+/// Distinct keys per format in the [`metrics_snapshot`] workload.
+const METRICS_POOL: usize = 1024;
+
+/// Deterministic observability counts from a seeded, single-threaded
+/// workload: per format, a guarded map is filled from the key pool,
+/// churned at steady state, degraded (opening one epoch migration),
+/// drained with seeded random strides, and churned again — with the
+/// table and guard metrics exported into one [`sepe_obs::Registry`]
+/// under a `format` label. Because the workload is single-threaded and
+/// every input is seeded, the resulting [`sepe_obs::Snapshot`] is
+/// byte-identical across runs at the same scale.
+#[must_use]
+pub fn metrics_snapshot(scale: &RunScale) -> sepe_obs::Snapshot {
+    let registry = sepe_obs::Registry::new();
+    let ops = (scale.affectations * 16).clamp(1024, 4096);
+    for &format in &scale.formats {
+        let cap = usize::try_from(format.space()).unwrap_or(usize::MAX).max(1);
+        let mut sampler = KeySampler::new(format, Distribution::Normal, 0x0B5E);
+        let keys = sampler.distinct_pool(METRICS_POOL.min(cap));
+        let pattern = Regex::compile(&format.regex()).expect("paper formats compile");
+        let hasher = GuardedHash::from_pattern(&pattern, Family::OffXor, CityHash::new());
+        let mut map: GuardedMap = UnorderedMap::with_hasher(hasher);
+        map.export_metrics(&registry, &[("format", format.name())])
+            .expect("format labels are distinct");
+        for (i, key) in keys.iter().enumerate() {
+            map.insert(key.clone(), i as u64);
+        }
+        let mut rng = SplitMix64::new(0x0B5E_C0DE);
+        churn(&mut map, &keys, &mut rng, ops);
+        map.degrade_now();
+        while map.migration_in_flight() {
+            map.migrate(1 + (rng.next_u64() % 32) as usize);
+        }
+        churn(&mut map, &keys, &mut rng, ops);
+    }
+    registry.snapshot()
+}
+
 /// Runs one full experiment per (container, mode) pair — the data behind
 /// Figure 20 (RQ9).
 #[must_use]
@@ -361,6 +425,28 @@ mod tests {
             t_off > t_stl,
             "offxor truncated collisions {t_off} should exceed stl {t_stl}"
         );
+    }
+
+    #[test]
+    fn metrics_snapshot_is_deterministic_and_balanced() {
+        let mut scale = RunScale::smoke();
+        scale.affectations = 32;
+        scale.formats = vec![KeyFormat::Ssn];
+        let a = metrics_snapshot(&scale);
+        let b = metrics_snapshot(&scale);
+        assert_eq!(
+            a.render(),
+            b.render(),
+            "same scale, same seeds, same snapshot bytes"
+        );
+        // One degrade per format: the epoch opened, drained completely,
+        // and every resident entry moved.
+        let opened = a.counter_family_total("table_epochs_opened");
+        let finished = a.counter_family_total("table_epochs_finished");
+        assert_eq!(opened, scale.formats.len() as u64, "{a:?}");
+        assert_eq!(opened, finished, "quiescent snapshot balances epochs");
+        assert!(a.counter_family_total("table_drain_ops") > 0);
+        assert!(a.counter_family_total("guard_in_format") > 0);
     }
 
     #[test]

@@ -33,7 +33,6 @@
 #![warn(clippy::all)]
 
 pub mod analysis;
-pub mod bench_json;
 pub mod config;
 pub mod measure;
 pub mod registry;

@@ -4,6 +4,7 @@ use crate::config::{ContainerKind, ExperimentConfig, Mode, COLLISION_KEYS};
 use sepe_containers::{
     BucketPolicy, UnorderedMap, UnorderedMultiMap, UnorderedMultiSet, UnorderedSet,
 };
+use sepe_core::hash::HashBatch;
 use sepe_core::ByteHash;
 use sepe_keygen::{KeySampler, SplitMix64};
 use std::time::{Duration, Instant};
@@ -169,32 +170,103 @@ pub fn time_affectations(cfg: &ExperimentConfig, hash: &dyn ByteHash, pool: &[St
 }
 
 /// Times hashing alone: `cfg.affectations` hash computations over the pool
-/// (the **H-Time** of RQ1).
+/// (the **H-Time** of RQ1), along one [`chained_hashes`] chain.
 #[must_use]
 pub fn time_hashing(cfg: &ExperimentConfig, hash: &dyn ByteHash, pool: &[String]) -> Duration {
-    // Latency-chained measurement: the next key index depends on the
-    // previous hash value, exactly as a hash-table consumer depends on the
-    // hash to pick a bucket. Without the chain, out-of-order execution
-    // pipelines the calls and the measurement collapses into call-overhead
-    // throughput, hiding the differences RQ1 is after.
     let keys: Vec<&[u8]> = pool.iter().map(|s| s.as_bytes()).collect();
-    // Index with a power-of-two mask so the chain costs one AND.
-    let pot = if keys.len().is_power_of_two() {
-        keys.len()
-    } else {
-        (keys.len().next_power_of_two() / 2).max(1)
-    };
-    let mask = pot - 1;
+    let start = Instant::now();
+    std::hint::black_box(chained_hashes(hash, &keys, cfg.affectations));
+    start.elapsed()
+}
+
+/// Hashes `iterations` keys along one dependency chain and returns the xor
+/// of the hashes: each key's index is the previous hash masked to the
+/// largest power of two that fits in `keys`, exactly as a hash-table
+/// consumer depends on the hash to pick a bucket. Without the chain,
+/// out-of-order execution pipelines the calls and the measurement
+/// collapses into call-overhead throughput, hiding the differences RQ1 is
+/// after. Every latency-chained timing (H-Time, `keybench`, the criterion
+/// benches) runs this loop; the caller owns the clock.
+///
+/// # Panics
+///
+/// Panics if `keys` is empty and `iterations` is not zero.
+#[inline]
+#[must_use]
+pub fn chained_hashes<H: ByteHash + ?Sized>(hash: &H, keys: &[&[u8]], iterations: usize) -> u64 {
+    // A power-of-two mask, so the chain costs one AND.
+    let mask = (1usize << keys.len().max(1).ilog2()) - 1;
     let mut idx = 0usize;
     let mut acc = 0u64;
-    let start = Instant::now();
-    for _ in 0..cfg.affectations {
-        let h = hash.hash_bytes(keys[idx]);
+    for _ in 0..iterations {
+        let h = hash.hash_bytes(std::hint::black_box(keys[idx]));
         acc ^= h;
         idx = (h as usize) & mask;
     }
-    std::hint::black_box(acc);
-    start.elapsed()
+    acc
+}
+
+/// Batched throughput in ns per key: `width` independent chains, each
+/// indexed like [`chained_hashes`], advance together through one
+/// [`HashBatch::hash_batch`] call per step, so the interleaved kernels
+/// have independent work for the out-of-order window.
+///
+/// # Panics
+///
+/// Panics if `width` is zero or larger than `pool`.
+#[must_use]
+pub fn batched_ns_per_key<H: HashBatch>(
+    hash: &H,
+    pool: &[&[u8]],
+    width: usize,
+    iterations: usize,
+) -> f64 {
+    let mask = (1u64 << pool.len().max(1).ilog2()) - 1;
+    let steps = (iterations / width).max(1);
+    let mut idx: Vec<usize> = (0..width).collect();
+    let mut out = vec![0u64; width];
+    let mut keys: Vec<&[u8]> = vec![pool[0]; width];
+    let start = Instant::now();
+    for _ in 0..steps {
+        for lane in 0..width {
+            keys[lane] = pool[idx[lane]];
+        }
+        hash.hash_batch(&keys, &mut out);
+        for lane in 0..width {
+            idx[lane] = (out[lane] & mask) as usize;
+        }
+    }
+    let elapsed = start.elapsed();
+    std::hint::black_box(&out);
+    elapsed.as_secs_f64() * 1e9 / (steps * width) as f64
+}
+
+/// Runs `measure` on each of `points` once to warm up, then `samples`
+/// rounds over all of them, and returns each point's median. A round
+/// visits every point, so a slow phase of the machine lands on every point
+/// of the rounds it spans, where the medians discard it, instead of on a
+/// run of consecutive points, where it would bend a curve.
+#[must_use]
+pub fn median_of_rounds(
+    points: usize,
+    samples: usize,
+    mut measure: impl FnMut(usize) -> f64,
+) -> Vec<f64> {
+    for point in 0..points {
+        let _warmup = measure(point);
+    }
+    let mut runs = vec![Vec::with_capacity(samples.max(1)); points];
+    for _ in 0..samples.max(1) {
+        for (point, run) in runs.iter_mut().enumerate() {
+            run.push(measure(point));
+        }
+    }
+    runs.into_iter()
+        .map(|mut run| {
+            run.sort_by(f64::total_cmp);
+            run[run.len() / 2]
+        })
+        .collect()
 }
 
 /// The distinct key pool the collision counts of an experiment measure.
@@ -405,6 +477,41 @@ mod tests {
             heavy_insert > heavy_remove,
             "(0.7,0.2) -> {heavy_insert} should exceed (0.4,0.3) -> {heavy_remove}"
         );
+    }
+
+    #[test]
+    fn measurement_helpers_accept_any_hasher() {
+        let keys: Vec<String> = (0..64).map(|i| format!("{i:03}-00-0000")).collect();
+        let pool: Vec<&[u8]> = keys.iter().map(String::as_bytes).collect();
+        let hash = sepe_core::SynthesizedHash::from_regex(
+            r"\d{3}-\d{2}-\d{4}",
+            sepe_core::synth::Family::OffXor,
+        )
+        .unwrap();
+        let boxed: &dyn ByteHash = &hash;
+        assert_eq!(
+            chained_hashes(&hash, &pool, 512),
+            chained_hashes(boxed, &pool, 512)
+        );
+        assert!(batched_ns_per_key(&hash, &pool, 8, 512) > 0.0);
+    }
+
+    #[test]
+    fn median_of_rounds_drops_the_warm_up_and_visits_points_round_robin() {
+        let mut order = Vec::new();
+        // Each point's first call, the warm-up, reads far off; point 1's
+        // third timed sample is an outlier the median must discard.
+        let medians = median_of_rounds(2, 3, |point| {
+            order.push(point);
+            let nth = order.iter().filter(|&&p| p == point).count();
+            match (point, nth) {
+                (_, 1) => 1e9,
+                (1, 4) => 1e6,
+                _ => point as f64 + nth as f64,
+            }
+        });
+        assert_eq!(order, [0, 1, 0, 1, 0, 1, 0, 1]);
+        assert_eq!(medians, [3.0, 4.0]);
     }
 
     #[test]
