@@ -250,7 +250,6 @@ fn keybench_guard_reports_guarded_rows_and_drift_transition() {
         stdout.contains("guarded route held, mode Guarded, epoch none"),
         "{stdout}"
     );
-    assert!(!stdout.contains("Degraded"), "{stdout}");
 }
 
 #[test]
@@ -275,7 +274,6 @@ fn sepe_repro_guard_artifact_shows_the_state_machine() {
         assert!(!row.contains("never"), "{row}");
         assert!(row.contains("Guarded") && row.ends_with("none"), "{row}");
     }
-    assert!(!stdout.contains("Degraded"), "{stdout}");
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! The drift and storm ladder every guarded container shares: the one
-//! home of DESIGN §16's rung × cause table. [`Maintenance`] is a table's
-//! ladder state; a [`Controller`] pairs it with the table, takes every
-//! transition through one private `step`, and returns each judgment's
-//! [`Transition`]. `UnorderedMap` and `UnorderedMultiMap` delegate here.
+//! home of DESIGN §16's two rungs, `Guarded` and `Keyed`. [`Maintenance`]
+//! is a table's ladder state; a [`Controller`] pairs it with the table,
+//! takes every transition through one private `step`, and returns each
+//! judgment's [`Transition`]. `UnorderedMap` and `UnorderedMultiMap`
+//! delegate here.
 //! A drift trip is the one judgment that takes no step: off-format keys
 //! already route to the tagged fallback, so the trip is recorded and held
 //! on the guarded rung, and only an applied resynthesis acts on it.
@@ -38,9 +39,7 @@ pub(crate) enum Transition {
         /// Keys observed in that window.
         total: u64,
     },
-    /// `Guarded` → `Degraded` on request (`degrade_now`), held for drift.
-    Degrade,
-    /// One storm rung up: `Guarded` or `Degraded` → `Keyed`.
+    /// One storm rung up: `Guarded` → `Keyed`.
     Escalate,
     /// A storm on the keyed rung: the same rung under a fresh seed.
     Rotate,
@@ -50,27 +49,11 @@ pub(crate) enum Transition {
     Resynth,
 }
 
-/// Why a table left [`GuardMode::Guarded`]: the signal that took it off,
-/// and so the only evidence that may bring it back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Cause {
-    /// `degrade_now` flipped the table. The degraded hasher counts no
-    /// drift, so only an applied resynthesis leaves.
-    Drift,
-    /// The storm detector escalated. A quiet window leaves, once the
-    /// routing it returns to would not itself look flooded.
-    Storm,
-}
-
-/// A table's ladder state: why it left the guarded rung, the held drift
-/// trip, the stormy and calm streaks that keep one noisy snapshot from
-/// flipping the hasher, and the probe-histogram baseline of the per-tick
-/// window.
+/// A table's ladder state: the held drift trip, the stormy and calm
+/// streaks that keep one noisy snapshot from flipping the hasher, and the
+/// probe-histogram baseline of the per-tick window.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Maintenance {
-    /// Why the current rung was entered; `None` on the guarded rung (and
-    /// on one reached outside this controller, treated as a storm's).
-    cause: Option<Cause>,
     /// The held drift trip: `(off_format, total)` of the window that
     /// tripped on the guarded rung. While it is held the drift judgment
     /// does not trip again; every transition clears it.
@@ -95,7 +78,6 @@ pub(crate) struct Maintenance {
 impl Default for Maintenance {
     fn default() -> Self {
         Maintenance {
-            cause: None,
             trip: None,
             storm_streak: 0,
             quiet_streak: 0,
@@ -179,8 +161,8 @@ where
     /// filed under (only when an epoch opens), lets `flip` change the
     /// hasher (`false`: nothing happens), opens a migration epoch from the
     /// frozen routing to the new one or merges into the open one, restarts
-    /// the drain clock there, bumps `t`'s ladder counter, records the cause,
-    /// clears a held drift trip and restarts the quiet streak and hold.
+    /// the drain clock there, bumps `t`'s ladder counter, clears a held
+    /// drift trip and restarts the quiet streak and hold.
     /// Frozen copies are counter-silent and keep a keyed seed through a
     /// rotation.
     fn step(
@@ -201,38 +183,19 @@ where
         self.table.begin_migration(old, rehasher);
         self.state.drained_at = self.table.epoch_ops();
         let obs = self.table.obs();
-        self.state.cause = match t {
-            Transition::Drift { .. } | Transition::Degrade => Some(Cause::Drift),
-            Transition::Escalate => {
-                obs.escalations.inc();
-                Some(Cause::Storm)
-            }
+        match t {
+            Transition::Escalate => obs.escalations.inc(),
             Transition::Rotate => {
                 obs.escalations.inc();
                 obs.seed_rotations.inc();
-                Some(Cause::Storm)
             }
-            Transition::Deescalate => {
-                obs.deescalations.inc();
-                None
-            }
-            Transition::Resynth => None,
-        };
+            Transition::Deescalate => obs.deescalations.inc(),
+            Transition::Drift { .. } | Transition::Resynth => {}
+        }
         self.state.trip = None;
         self.state.quiet_streak = 0;
         self.state.hold = 0;
         Some(t)
-    }
-
-    /// `UnorderedMap::degrade_now`: only a guarded table degrades.
-    pub(crate) fn degrade(mut self) -> Option<Transition> {
-        if self.mode() != GuardMode::Guarded {
-            return None;
-        }
-        self.step(Transition::Degrade, |h| {
-            h.degrade();
-            true
-        })
     }
 
     /// `UnorderedMap::maybe_degrade`: the one drift-window judgment, after
@@ -257,19 +220,17 @@ where
         })
     }
 
-    /// `UnorderedMap::escalate_now`: to the keyed rung in one step, from
-    /// `Guarded` or from the drift rung `Degraded` alike (both are
-    /// unkeyed and share the off-format route), or a rotation on the
-    /// keyed rung.
+    /// `UnorderedMap::escalate_now`: to the keyed rung in one step from
+    /// `Guarded`, or a rotation on the keyed rung.
     pub(crate) fn escalate(mut self, seeds: &impl SeedSource) -> Transition {
         let mode = self.mode();
         let t = match mode {
             GuardMode::Keyed => Transition::Rotate,
-            GuardMode::Guarded | GuardMode::Degraded => Transition::Escalate,
+            GuardMode::Guarded => Transition::Escalate,
         };
         self.step(t, |h| {
             match mode {
-                GuardMode::Guarded | GuardMode::Degraded => h.escalate_keyed(seeds),
+                GuardMode::Guarded => h.escalate_keyed(seeds),
                 GuardMode::Keyed => h.rotate_seed(seeds),
             }
             true
@@ -307,7 +268,7 @@ where
     /// verdict is the full count's.
     pub(crate) fn maybe_deescalate(mut self, policy: &AttackPolicy) -> Option<Transition> {
         self.drain_served();
-        if self.mode() == GuardMode::Guarded || self.state.cause == Some(Cause::Drift) {
+        if self.mode() == GuardMode::Guarded {
             return None;
         }
         if policy.storm(&self.judged_signals(policy)) {
@@ -338,8 +299,8 @@ where
     /// unless the chain bound proves the skew test false. On the keyed
     /// rung, while its re-key epoch drains, the probe tail is dropped: its
     /// long probes walk chains filed under the routing the rung just left,
-    /// so they say nothing about whether the current seed leaked. (Below
-    /// the keyed rung the tail counts: the unkeyed fallback is forgeable.)
+    /// so they say nothing about whether the current seed leaked. (On the
+    /// guarded rung the tail counts: the unkeyed routing is forgeable.)
     fn judged_signals(&mut self, policy: &AttackPolicy) -> AttackSignals {
         let (len, buckets) = (self.table.len(), self.table.bucket_count());
         let mut signals = self.signals_with(|max| policy.chain_skewed(max, len, buckets));

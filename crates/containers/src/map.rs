@@ -50,6 +50,28 @@ where
     }
 
     /// The hash function in use.
+    ///
+    /// Shared access only: a [`GuardedHash`]'s routing flips
+    /// (`escalate_keyed`, `rotate_seed`, `rearm`, `resynthesize`) take
+    /// `&mut self`, so they cannot re-route a live map under its stored
+    /// hashes. The map's own transitions ([`UnorderedMap::escalate_now`],
+    /// [`UnorderedMap::resynthesize`], …) pair each flip with a migration
+    /// epoch.
+    ///
+    /// ```compile_fail
+    /// use sepe_baselines::StlHash;
+    /// use sepe_containers::UnorderedMap;
+    /// use sepe_core::guard::GuardedHash;
+    /// use sepe_core::hash::FixedSeedSource;
+    /// use sepe_core::regex::Regex;
+    /// use sepe_core::synth::Family;
+    ///
+    /// let pattern = Regex::compile(r"\d{3}-\d{2}-\d{4}").unwrap();
+    /// let hasher = GuardedHash::from_pattern(&pattern, Family::OffXor, StlHash::new());
+    /// let mut map: UnorderedMap<String, u32, _> = UnorderedMap::with_hasher(hasher);
+    /// map.insert("123-45-6789".to_owned(), 1);
+    /// map.hasher().escalate_keyed(&FixedSeedSource::new(7)); // needs `&mut`
+    /// ```
     pub fn hasher(&self) -> &H {
         self.table.hasher()
     }
@@ -395,22 +417,6 @@ where
     F: ByteHash + Clone,
     G: ByteHash + Clone,
 {
-    /// Degrades without consulting the drift window: flips the hasher to
-    /// fallback-for-all-keys and opens a migration epoch so stored entries
-    /// re-file incrementally instead of in one stop-the-world rebuild.
-    /// Lookups stay consistent throughout — they probe both epochs until
-    /// the drain completes. This is the only way drift reaches
-    /// [`GuardMode::Degraded`]: a tripped drift window holds the guarded
-    /// route instead (see [`UnorderedMap::maybe_degrade`]).
-    ///
-    /// A no-op unless the map is on [`GuardMode::Guarded`]: a degraded map
-    /// has nothing to do, and a keyed map is already above this rung. The
-    /// rung is held for drift: storm quiet never leaves it, only an
-    /// applied [`UnorderedMap::resynthesize`] does.
-    pub fn degrade_now(&mut self) {
-        self.controller().degrade();
-    }
-
     /// Checks the *windowed* drift counters against `policy`; full clean
     /// windows are rolled away, so early clean traffic cannot mask a later
     /// drift burst. Returns whether the window tripped during this call.
@@ -424,7 +430,7 @@ where
     /// [`UnorderedMap::resynthesize`] that widens the plan over the
     /// sampled keys (any storm transition clears it too).
     ///
-    /// Judges only a map on [`GuardMode::Guarded`]; on any other rung it
+    /// Judges only a map on [`GuardMode::Guarded`]; on the keyed rung it
     /// returns `false` and leaves the window alone. On the keyed rung the
     /// drift window is still the one frozen at escalation.
     ///
@@ -439,11 +445,12 @@ where
     }
 
     /// Takes one upward rung on the escalation ladder, opening a
-    /// migration epoch so the re-keying is an incremental rehash:
+    /// migration epoch so the re-keying is an incremental rehash (lookups
+    /// probe both epochs until the drain completes):
     ///
-    /// * `Guarded` or `Degraded` → `Keyed(seed)` — the specialized route
-    ///   and the fallback are both unkeyed and precomputable, so a
-    ///   detected storm moves to a secret seed in one step;
+    /// * `Guarded` → `Keyed(seed)` — the specialized route and the
+    ///   fallback are both unkeyed and precomputable, so a detected storm
+    ///   moves to a secret seed in one step;
     /// * `Keyed` → `Keyed(rotated seed)` — a storm *while keyed* means
     ///   the seed leaked; rotate it.
     ///
@@ -476,15 +483,11 @@ where
     /// A streak is [`AttackPolicy::quiet_streak`] calm ticks, doubled (up
     /// to 16×) each time one ends with the guarded routing still skewed on
     /// the stored entries: a rung stays while its flood is resident, since
-    /// the specialized and fallback routes are adversary-computable. A
-    /// storm rung re-arms even if a drift degrade sat below it; the
-    /// reservoir, filled during the attack, is cleared with it (a drift
-    /// trip held before the storm was cleared by the escalation). A rung
-    /// held for drift ([`UnorderedMap::degrade_now`]) is neither counted
-    /// nor left: the degraded hasher counts no drift, so only
-    /// [`UnorderedMap::resynthesize`] leaves it. On every rung it first
-    /// drains the epoch's share of the operations served since the last
-    /// drain, as `maybe_degrade` does.
+    /// the specialized and fallback routes are adversary-computable. The
+    /// reservoir, filled during the attack, is cleared with the re-arm (a
+    /// drift trip held before the storm was cleared by the escalation).
+    /// On every rung it first drains the epoch's share of the operations
+    /// served since the last drain, as `maybe_degrade` does.
     pub fn maybe_deescalate(&mut self, policy: &AttackPolicy) -> bool {
         self.controller().maybe_deescalate(policy).is_some()
     }
@@ -681,6 +684,8 @@ mod tests {
         }
     }
 
+    impl HashBatch for Counted {}
+
     #[test]
     fn storm_transitions_refile_vouched_entries_from_their_cached_hashes() {
         use std::sync::atomic::Ordering::Relaxed;
@@ -692,14 +697,18 @@ mod tests {
             plan,
             calls: calls.clone(),
         };
-        let filled = || {
+        let pairs = || {
+            let ssns = (0..2_000u32).map(|i| (ssn_key(i), i));
+            ssns.chain((0..20u32).map(|i| (format!("off-format key {i}"), i)))
+        };
+        let empty = || {
             let hasher = GuardedHash::new(&pattern, counted.clone(), StlHash::new());
-            let mut m: UnorderedMap<String, u32, _> = UnorderedMap::with_hasher(hasher);
-            for i in 0..2_000u32 {
-                m.insert(ssn_key(i), i);
-            }
-            for i in 0..20u32 {
-                m.insert(format!("off-format key {i}"), i);
+            UnorderedMap::<String, u32, _>::with_hasher(hasher)
+        };
+        let filled = || {
+            let mut m = empty();
+            for (key, i) in pairs() {
+                m.insert(key, i);
             }
             m
         };
@@ -741,11 +750,10 @@ mod tests {
             assert_eq!(m.get(format!("off-format key {i}").as_str()), Some(&i));
         }
 
-        // Off the degraded rung nothing is vouched for: every in-format
-        // key is hashed from its bytes.
-        let mut d = filled();
-        d.degrade_now();
-        d.finish_migration();
+        // A batch insert vouches for nothing: every in-format key is
+        // re-filed from its bytes.
+        let mut d = empty();
+        d.insert_batch(pairs().collect());
         let before = calls.load(Relaxed);
         d.escalate_now(&seeds);
         d.finish_migration();
@@ -861,12 +869,12 @@ mod tests {
     }
 
     #[test]
-    fn degraded_map_keeps_working_through_growth() {
+    fn keyed_map_keeps_working_through_growth() {
         let mut m = guarded_ssn_map(sepe_core::Family::OffXor);
         for i in 0..100u32 {
             m.insert(format!("{i:03}-00-0000"), i);
         }
-        m.degrade_now();
+        m.escalate_now(&sepe_core::hash::keyed::FixedSeedSource::new(7));
         // Inserts after the flip use the fallback hash; growth rehashes mix
         // cached pre-flip and post-flip hashes only if rebuild missed one.
         for i in 0..5_000u32 {
@@ -978,14 +986,14 @@ mod tests {
     }
 
     #[test]
-    fn degradation_migrates_incrementally_not_stop_the_world() {
+    fn an_escalation_migrates_incrementally_not_stop_the_world() {
         let mut m = guarded_ssn_map(sepe_core::Family::OffXor);
         for i in 0..500u32 {
             m.insert(format!("{:03}-{:02}-{:04}", i % 1000, i % 100, i), i);
         }
         assert!((m.migration_progress() - 1.0).abs() < 1e-12);
-        m.degrade_now();
-        assert!(m.migration_in_flight(), "degrade opens an epoch");
+        m.escalate_now(&sepe_core::hash::keyed::FixedSeedSource::new(7));
+        assert!(m.migration_in_flight(), "an escalation opens an epoch");
         assert!(m.migration_progress() < 1.0);
         // Every key is visible mid-migration, from either epoch.
         for i in 0..500u32 {
@@ -1015,7 +1023,7 @@ mod tests {
         for i in 0..300u32 {
             m.insert(format!("{:03}-{:02}-{:04}", i % 1000, i % 100, i), i);
         }
-        m.degrade_now();
+        m.escalate_now(&sepe_core::hash::keyed::FixedSeedSource::new(7));
         assert!(m.migration_in_flight());
         // Remove from the tail of the key space so some targets are still
         // in the old epoch when their removal arrives.
@@ -1033,7 +1041,7 @@ mod tests {
         for i in 0..200u32 {
             m.insert(format!("{:03}-{:02}-{:04}", i % 1000, i % 100, i), i);
         }
-        m.degrade_now();
+        m.escalate_now(&sepe_core::hash::keyed::FixedSeedSource::new(7));
         m.migrate(7);
         assert!(m.migration_in_flight());
         m.finish_migration();
@@ -1049,7 +1057,7 @@ mod tests {
         for i in 0..100u32 {
             m.insert(format!("{:03}-{:02}-{:04}", i % 1000, i % 100, i), i);
         }
-        m.degrade_now();
+        m.escalate_now(&sepe_core::hash::keyed::FixedSeedSource::new(7));
         // Force a live-epoch resize while most entries still sit in the old
         // epoch; old-epoch chains must survive untouched.
         m.rehash(4099);
@@ -1125,7 +1133,7 @@ mod tests {
         for i in 0..300u32 {
             m.insert(format!("{:03}-{:02}-{:04}", i % 1000, i % 100, i), i);
         }
-        m.degrade_now();
+        m.escalate_now(&sepe_core::hash::keyed::FixedSeedSource::new(7));
         assert!(m.migration_in_flight());
         let mut last = m.migration_progress();
         let mut lookups = 0u32;
@@ -1161,7 +1169,7 @@ mod tests {
         for i in 0..200u32 {
             m.insert(format!("{:03}-{:02}-{:04}", i % 1000, i % 100, i), i);
         }
-        m.degrade_now();
+        m.escalate_now(&sepe_core::hash::keyed::FixedSeedSource::new(7));
         assert!(m.migration_in_flight());
         assert_eq!(m.stale_reads(), 0);
         for round in 0..6u32 {
@@ -1240,22 +1248,6 @@ mod tests {
         }
         m.finish_migration();
         assert_eq!(m.len(), 200);
-
-        // From the drift rung `degrade_now` leaves, a storm also goes to
-        // keyed in one step.
-        let mut d = guarded_ssn_map(sepe_core::Family::OffXor);
-        for i in 0..200u32 {
-            d.insert(format!("{:03}-{:02}-{:04}", i % 900, i % 90, i), i);
-        }
-        d.degrade_now();
-        assert_eq!(d.guard_mode(), GuardMode::Degraded);
-        d.escalate_now(&seeds);
-        assert_eq!(d.guard_mode(), GuardMode::Keyed);
-        assert_eq!((d.escalations(), d.seed_rotations()), (1, 0));
-        for i in 0..200u32 {
-            let key = format!("{:03}-{:02}-{:04}", i % 900, i % 90, i);
-            assert_eq!(d.get(&key), Some(&i), "{key} lost during escalation");
-        }
     }
 
     #[test]
@@ -1333,8 +1325,7 @@ mod tests {
         m.escalate_now(&seeds);
         assert_eq!(m.guard_mode(), GuardMode::Keyed);
         m.finish_migration();
-        assert!(!m.maybe_degrade(&policy), "no degrade from the keyed rung");
-        m.degrade_now();
+        assert!(!m.maybe_degrade(&policy), "no trip on the keyed rung");
         assert_eq!(m.guard_mode(), GuardMode::Keyed);
         assert!(!m.migration_in_flight(), "no epoch opened");
         for i in 0..300u32 {
@@ -1375,7 +1366,11 @@ mod tests {
             buckets,
             "no resize moved the flood"
         );
-        m.degrade_now();
+        // The flood keys are off-format, so the reservoir sampled them: a
+        // resynthesis opens an epoch and stays on the unkeyed rung, whose
+        // probe tail the detector judges.
+        assert!(m.resynthesize().is_applied());
+        assert_eq!(m.guard_mode(), GuardMode::Guarded);
         assert!(m.migration_in_flight());
         // Start the probe window after the epoch opened.
         let signals = m.controller().exact_signals();
@@ -1501,8 +1496,8 @@ mod tests {
     }
 
     /// A guarded SSN map holding `n` resident SSNs plus a 64-key flood
-    /// forged against its live routing (off-format keys, so the
-    /// specialized, degraded and re-armed routings all pile them up).
+    /// forged against its live routing (off-format keys, so the guarded
+    /// and re-armed routings both pile them up).
     fn flooded_ssn_map(
         n: u32,
     ) -> (
@@ -1528,7 +1523,7 @@ mod tests {
     }
 
     #[test]
-    fn a_drift_degrade_is_left_only_by_resynthesis() {
+    fn a_held_drift_trip_is_left_only_by_resynthesis() {
         let mut m = guarded_ssn_map(sepe_core::Family::OffXor);
         let seeds = sepe_core::hash::keyed::FixedSeedSource::new(7);
         let (drift, attack) = (DriftPolicy::default(), AttackPolicy::default());
@@ -1540,32 +1535,27 @@ mod tests {
             m.insert(format!("{:03}/{:02}/{:04}", i % 1000, i % 100, i), i);
         }
         assert!(m.maybe_degrade(&drift));
-        assert_eq!(
-            m.guard_mode(),
-            GuardMode::Guarded,
-            "the trip holds the route"
-        );
-        // Only an explicit degrade flips a drifting map to the fallback.
-        m.degrade_now();
-        assert_eq!(m.guard_mode(), GuardMode::Degraded);
-        assert_eq!(m.drift_trip(), None, "the flip clears the held trip");
-        // Calm ticks see no storm, and the degraded hasher counts no
-        // drift: neither signal can say the drift is over.
+        let held = m.drift_trip();
+        assert!(held.is_some());
+        // Calm ticks see no storm, and the held trip does not trip again:
+        // no tick changes the route or clears the hold.
         for tick in 0..64u32 {
             m.remove(&ssn(tick));
             m.insert(ssn(tick), tick);
             assert!(!m.maybe_degrade(&drift), "tick {tick}");
             assert!(!m.maybe_escalate(&attack, &seeds), "tick {tick}");
-            assert!(
-                !m.maybe_deescalate(&attack),
-                "tick {tick} left the drift rung"
+            assert!(!m.maybe_deescalate(&attack), "tick {tick}");
+            assert_eq!(
+                (m.guard_mode(), m.drift_trip()),
+                (GuardMode::Guarded, held),
+                "tick {tick}"
             );
-            assert_eq!(m.guard_mode(), GuardMode::Degraded, "tick {tick}");
         }
         assert_eq!((m.escalations(), m.deescalations()), (0, 0));
-        // The reservoir kept the drifted keys sampled before the degrade.
+        assert!(!m.migration_in_flight(), "the hold opened no epoch");
+        // The reservoir kept the drifted keys sampled before the trip.
         assert!(m.resynthesize().is_applied());
-        assert_eq!(m.guard_mode(), GuardMode::Guarded);
+        assert_eq!((m.guard_mode(), m.drift_trip()), (GuardMode::Guarded, None));
         assert!(m.hasher().guard().matches(b"123/45/6789"));
         for tick in 0..8u32 {
             assert!(!m.maybe_deescalate(&attack), "guarded tick {tick}");
@@ -1685,22 +1675,16 @@ mod tests {
     }
 
     #[test]
-    fn a_storm_rung_above_a_drift_degrade_rearms_and_clears_the_reservoir() {
+    fn a_storm_rung_rearms_and_clears_the_reservoir() {
         let (mut m, flood) = flooded_ssn_map(2_000);
         let seeds = sepe_core::hash::keyed::FixedSeedSource::new(7);
         let policy = AttackPolicy::default();
         // The flood keys are off-format, so the reservoir sampled them.
         assert!(!m.hasher().reservoir_keys().is_empty());
-        m.degrade_now();
-        m.finish_migration();
         for _ in 0..policy.trip_streak {
             m.maybe_escalate(&policy, &seeds);
         }
-        assert_eq!(
-            m.guard_mode(),
-            GuardMode::Keyed,
-            "the storm climbs past the drift rung"
-        );
+        assert_eq!(m.guard_mode(), GuardMode::Keyed, "the storm climbed");
         for key in &flood {
             m.remove(key);
         }
@@ -1716,13 +1700,13 @@ mod tests {
     }
 
     #[test]
-    fn a_degrade_sweep_survives_removes_reserve_and_clear() {
+    fn an_escalation_sweep_survives_removes_reserve_and_clear() {
         let ssn = |i: u32| format!("{:03}-{:02}-{:04}", i % 1000, i % 100, i);
         let mut m = guarded_ssn_map(sepe_core::Family::OffXor);
         for i in 0..4000u32 {
             m.insert(ssn(i), i);
         }
-        m.degrade_now();
+        m.escalate_now(&sepe_core::hash::keyed::FixedSeedSource::new(7));
         m.migrate(500);
         let mid = m.migration_progress();
         assert!(m.migration_in_flight() && mid > 0.0);
@@ -1750,13 +1734,13 @@ mod tests {
 
     type GuardedMap = UnorderedMap<String, u32, GuardedHash<sepe_core::SynthesizedHash, StlHash>>;
 
-    /// A guarded SSN map of `len` keys, then a degrade epoch over them.
-    fn degraded_ssn_map(len: u32) -> GuardedMap {
+    /// A guarded SSN map of `len` keys, then an escalation epoch over them.
+    fn escalated_ssn_map(len: u32) -> GuardedMap {
         let mut m = guarded_ssn_map(sepe_core::Family::OffXor);
         for i in 0..len {
             m.insert(ssn_key(i), i);
         }
-        m.degrade_now();
+        m.escalate_now(&sepe_core::hash::keyed::FixedSeedSource::new(7));
         assert!(m.migration_in_flight());
         m
     }
@@ -1783,10 +1767,10 @@ mod tests {
     fn read_only_ticked_traffic_closes_its_epoch() {
         // Regression: `get` takes `&self` and never drains, and no
         // maintenance call drained either, so a ticked map that served
-        // only reads after a degrade kept its epoch open for good.
+        // only reads after a transition kept its epoch open for good.
         let len = 3000u32;
         let window = 64u32;
-        let mut m = degraded_ssn_map(len);
+        let mut m = escalated_ssn_map(len);
         let (policy, seeds) = (
             AttackPolicy::default(),
             sepe_core::hash::keyed::FixedSeedSource::new(7),
@@ -1807,7 +1791,7 @@ mod tests {
     #[test]
     fn two_judgments_in_one_tick_drain_once() {
         let len = 3000u32;
-        let mut m = degraded_ssn_map(len);
+        let mut m = escalated_ssn_map(len);
         let (policy, seeds) = (
             AttackPolicy::default(),
             sepe_core::hash::keyed::FixedSeedSource::new(7),
@@ -1834,11 +1818,11 @@ mod tests {
         }
         // Calm reads before any epoch never reach the clock.
         serve_gets(&m, len, 500);
-        m.degrade_now();
-        serve_gets(&m, len, 20);
-        // The escalation finishes the degrade epoch and opens its own; the
-        // reads served inside the first one are not owed to the second.
         let seeds = sepe_core::hash::keyed::FixedSeedSource::new(7);
+        m.escalate_now(&seeds);
+        serve_gets(&m, len, 20);
+        // The rotation merges into the escalation's epoch and restarts the
+        // drain clock: the reads served before it are not owed after it.
         m.escalate_now(&seeds);
         assert!(m.migration_in_flight());
         serve_gets(&m, len, 10);

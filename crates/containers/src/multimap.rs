@@ -195,13 +195,6 @@ where
     F: ByteHash + Clone,
     G: ByteHash + Clone,
 {
-    /// Degrades from [`GuardMode::Guarded`] and opens a migration epoch:
-    /// the only way drift reaches [`GuardMode::Degraded`] (see
-    /// [`UnorderedMap::degrade_now`](crate::UnorderedMap::degrade_now)).
-    pub fn degrade_now(&mut self) {
-        self.maint.on(&mut self.table).degrade();
-    }
-
     /// Judges the windowed drift counters against `policy`; returns whether
     /// the window tripped during this call. A trip is held on the guarded
     /// route, changes no routing and opens no epoch, as
@@ -231,7 +224,7 @@ where
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::table::DRAIN_PER_OP;
     use sepe_baselines::StlHash;
@@ -273,36 +266,8 @@ pub(crate) mod tests {
         assert!(m.bucket_count() >= 5000);
     }
 
-    /// A guarded SSN hasher already on the keyed rung.
-    pub(crate) fn keyed_ssn_hasher() -> GuardedHash<sepe_core::SynthesizedHash, StlHash> {
-        let pattern = sepe_core::regex::Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("compiles");
-        let hasher = GuardedHash::from_pattern(&pattern, sepe_core::Family::Pext, StlHash::new());
-        hasher.escalate_keyed(&sepe_core::hash::keyed::FixedSeedSource::new(7));
-        hasher
-    }
-
-    pub(crate) fn ssn(i: u32) -> String {
+    fn ssn(i: u32) -> String {
         format!("{:03}-{:02}-{:04}", i % 1000, i % 100, i)
-    }
-
-    #[test]
-    fn degrading_from_the_keyed_rung_keeps_every_key() {
-        // Regression: the multimap degraded from any rung but `Degraded`,
-        // filing the old epoch under the guarded routing while its entries
-        // sat under the keyed one, so every stored key missed until the
-        // epoch drained.
-        let mut m = UnorderedMultiMap::with_hasher(keyed_ssn_hasher());
-        for i in 0..500u32 {
-            m.insert(ssn(i), i);
-        }
-        m.degrade_now();
-        let missing = (0..500u32).filter(|&i| m.count(&ssn(i)) != 1).count();
-        assert_eq!(
-            missing, 0,
-            "{missing} of 500 keys missing after degrade_now"
-        );
-        assert_eq!(m.guard_mode(), GuardMode::Keyed);
-        assert!(!m.migration_in_flight(), "no epoch opened");
     }
 
     #[test]
@@ -366,18 +331,19 @@ pub(crate) mod tests {
         }
     }
 
-    /// A guarded SSN multimap of `len` keys, then a degrade epoch over
-    /// them.
-    fn degraded_ssn_multimap(
+    /// A guarded SSN multimap of `len` keys, the last one drifted, then
+    /// the resynthesis epoch that drift opens over them.
+    fn resynthesized_ssn_multimap(
         len: u32,
     ) -> UnorderedMultiMap<String, u32, GuardedHash<sepe_core::SynthesizedHash, StlHash>> {
         let pattern = sepe_core::regex::Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("compiles");
         let hasher = GuardedHash::from_pattern(&pattern, sepe_core::Family::Pext, StlHash::new());
         let mut m = UnorderedMultiMap::with_hasher(hasher);
-        for i in 0..len {
+        for i in 0..len - 1 {
             m.insert(ssn(i), i);
         }
-        m.degrade_now();
+        m.insert("123/45/6789".to_owned(), len - 1);
+        assert!(m.resynthesize().is_applied());
         assert!(m.migration_in_flight());
         m
     }
@@ -388,7 +354,7 @@ pub(crate) mod tests {
         // counts it at its drain: each insert pays `DRAIN_PER_OP` entries
         // itself and owes as many to the next tick.
         let len = 3000u32;
-        let mut m = degraded_ssn_multimap(len);
+        let mut m = resynthesized_ssn_multimap(len);
         let (window, policy) = (64u32, DriftPolicy::default());
         let mut ops = 0u32;
         while m.migration_in_flight() {
@@ -409,7 +375,7 @@ pub(crate) mod tests {
     #[test]
     fn counts_and_removals_served_mid_epoch_are_owed_to_the_next_tick() {
         let len = 3000u32;
-        let mut m = degraded_ssn_multimap(len);
+        let mut m = resynthesized_ssn_multimap(len);
         for i in 0..50 {
             assert_eq!(m.count(&ssn(i)), 1);
         }

@@ -182,11 +182,6 @@ where
     F: ByteHash + Clone,
     G: ByteHash + Clone,
 {
-    /// Degrades from [`GuardMode::Guarded`] and opens a migration epoch.
-    pub fn degrade_now(&mut self) {
-        self.inner.degrade_now();
-    }
-
     /// Judges the windowed drift counters against `policy`; returns
     /// whether the window tripped during this call. The trip is held on
     /// the guarded route: no routing changes and no epoch opens. First
@@ -278,22 +273,5 @@ mod tests {
         assert!(!s.contains("a"));
         s.clear();
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn degrading_from_the_keyed_rung_keeps_every_key() {
-        use crate::multimap::tests::{keyed_ssn_hasher, ssn};
-        let mut s = UnorderedMultiSet::with_hasher(keyed_ssn_hasher());
-        for i in 0..500u32 {
-            s.insert(ssn(i));
-        }
-        s.degrade_now();
-        let missing = (0..500u32).filter(|&i| s.count(&ssn(i)) != 1).count();
-        assert_eq!(
-            missing, 0,
-            "{missing} of 500 keys missing after degrade_now"
-        );
-        assert_eq!(s.guard_mode(), GuardMode::Keyed);
-        assert!(!s.migration_in_flight(), "no epoch opened");
     }
 }

@@ -159,11 +159,6 @@ where
     F: ByteHash + Clone,
     G: ByteHash + Clone,
 {
-    /// Degrades from [`GuardMode::Guarded`] and opens a migration epoch.
-    pub fn degrade_now(&mut self) {
-        self.inner.degrade_now();
-    }
-
     /// Judges the windowed drift counters against `policy`; returns
     /// whether the window tripped during this call. The trip is held on
     /// the guarded route: no routing changes and no epoch opens. First

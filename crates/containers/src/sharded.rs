@@ -10,8 +10,8 @@
 //! * **The router never moves.** Routing goes through an epoch-frozen,
 //!   counter-silent copy of the guarded hasher pinned to
 //!   [`GuardMode::Guarded`]. A live guarded hash changes its output when a
-//!   shard degrades or resynthesizes; if shard selection followed it, a
-//!   degradation would silently re-route keys to a *different* shard and
+//!   shard escalates or resynthesizes; if shard selection followed it, a
+//!   transition would silently re-route keys to a *different* shard and
 //!   orphan everything already stored. The frozen router hashes every key
 //!   the same way forever, and it bumps no drift counters, so routing is
 //!   invisible to the drift policies.
@@ -19,7 +19,7 @@
 //!   [`detached`](GuardedHash::detached) copy of the hasher — same guard
 //!   and hash functions, private statistics, mode, and reservoir. One
 //!   shard's off-format burst trips *that shard's* drift window only, and
-//!   its resynthesis (or an explicit degrade) re-files that shard only;
+//!   its resynthesis (or an escalation) re-files that shard only;
 //!   its siblings keep their plans and counters, which is the entire
 //!   point of bounding the blast radius of drift.
 //!
@@ -58,18 +58,15 @@ struct LockCounts {
     write: Counter,
 }
 
-/// Map-wide observability: lock acquisitions, shard degradations, and a
-/// bounded trace of per-shard drift trips and transition events. Shared
-/// handles so an exported [`sepe_obs::Registry`] reads live values. The
-/// ladder counts are the shards' own table counters, not kept here.
+/// Map-wide observability: lock acquisitions and a bounded trace of
+/// per-shard drift trips and transition events. Shared handles so an
+/// exported [`sepe_obs::Registry`] reads live values. The ladder counts
+/// are the shards' own table counters, not kept here.
 #[derive(Debug)]
 struct ShardObs {
     /// Each shard's lock counts; the exported totals are their sums.
     locks: Arc<[LockCounts]>,
-    /// Guarded→Degraded transitions, counted once per actual flip (a drift
-    /// trip flips nothing, and is recorded only as an event).
-    shard_degrades: Arc<Counter>,
-    /// Drift-trip, degradation and escalation events, oldest first.
+    /// Drift-trip and ladder transition events, oldest first.
     events: Arc<EventTrace<ObsEvent>>,
 }
 
@@ -77,7 +74,6 @@ impl ShardObs {
     fn new(shards: usize) -> Self {
         ShardObs {
             locks: (0..shards).map(|_| LockCounts::default()).collect(),
-            shard_degrades: Arc::new(Counter::new()),
             events: Arc::new(EventTrace::new(SHARD_EVENT_CAPACITY)),
         }
     }
@@ -349,14 +345,6 @@ where
         self.read(i).max_bucket_len()
     }
 
-    /// How many shards are on [`GuardMode::Degraded`] (fallback for every
-    /// key): flipped by [`ShardedMap::degrade_shard`] only, since a storm
-    /// goes straight to the keyed rung. A drift trip holds the guarded
-    /// rung, so it never counts here (see [`ShardedMap::shard_drift_trip`]).
-    pub fn degraded_shards(&self) -> usize {
-        self.sum(|s| usize::from(s.guard_mode() == GuardMode::Degraded))
-    }
-
     /// Shard `i`'s held drift trip, `(off_format, total)` of the window
     /// that tripped (see [`UnorderedMap::drift_trip`]).
     ///
@@ -365,25 +353,6 @@ where
     /// Panics if `i >= self.shard_count()`.
     pub fn shard_drift_trip(&self, i: usize) -> Option<(u64, u64)> {
         self.read(i).drift_trip()
-    }
-
-    /// Degrades shard `i` and opens its migration epoch when it is on
-    /// [`GuardMode::Guarded`] (see [`UnorderedMap::degrade_now`]); a shard
-    /// on any other rung is left alone and no degrade is recorded. Other
-    /// shards are untouched — they keep their specialized hashes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.shard_count()`.
-    pub fn degrade_shard(&self, i: usize) {
-        self.transition(i, |c| c.degrade());
-    }
-
-    /// Degrades every shard (mainly for tests and the verify harness).
-    pub fn degrade_all(&self) {
-        for i in 0..self.shards.len() {
-            self.degrade_shard(i);
-        }
     }
 
     /// Applies `policy` to each shard's *own* windowed drift counters.
@@ -401,8 +370,8 @@ where
     /// Takes one upward escalation rung on shard `i` — see
     /// [`UnorderedMap::escalate_now`] for the ladder — leaving its
     /// siblings untouched. The per-shard blast radius that bounds drift
-    /// degradation bounds HashDoS escalation the same way: a flood aimed
-    /// at one shard re-keys that shard only.
+    /// bounds HashDoS escalation the same way: a flood aimed at one shard
+    /// re-keys that shard only.
     ///
     /// # Panics
     ///
@@ -446,10 +415,6 @@ where
                 off_format,
                 total,
             },
-            Transition::Degrade => {
-                self.obs.shard_degrades.inc();
-                ObsEvent::ShardDegrade { shard }
-            }
             Transition::Escalate => ObsEvent::ShardEscalate { shard },
             Transition::Rotate => ObsEvent::SeedRotation { shard },
             Transition::Deescalate => ObsEvent::ShardDeescalate { shard },
@@ -518,22 +483,14 @@ where
         self.sum(UnorderedMap::migration_progress) / self.shards.len() as f64
     }
 
-    /// Lifetime count of shards flipped Guarded→Degraded by
-    /// [`ShardedMap::degrade_shard`], each flip counted once. A storm's
-    /// first rung counts as an escalation, and a drift trip flips nothing.
-    pub fn shard_degrade_count(&self) -> u64 {
-        self.obs.shard_degrades.get()
-    }
-
     /// The recorded per-shard events ([`ObsEvent::ShardDrift`],
-    /// [`ObsEvent::ShardDegrade`], escalations, rotations and
-    /// de-escalations), oldest first.
+    /// escalations, rotations and de-escalations), oldest first.
     pub fn events(&self) -> Vec<ObsEvent> {
         self.obs.events.snapshot()
     }
 
     /// Registers the map-wide families (`shard_read_locks`,
-    /// `shard_write_locks`, `shard_degrades`) plus, per shard `i` under
+    /// `shard_write_locks`) plus, per shard `i` under
     /// label `shard="i"`, the shard's table metrics and guard drift
     /// counters (see [`UnorderedMap::export_metrics`]).
     ///
@@ -556,7 +513,6 @@ where
         registry.export_counter("shard_write_locks", &[], move || {
             locks.iter().fold(0, |n, l| n.saturating_add(l.write.get()))
         })?;
-        registry.register_counter("shard_degrades", &[], self.obs.shard_degrades.clone())?;
         for i in 0..self.shards.len() {
             let label = i.to_string();
             let labels = [("shard", label.as_str())];
@@ -748,25 +704,10 @@ where
         self.inner.drift_counts()
     }
 
-    /// Degrades shard `i` when it is on the guarded rung (see
-    /// [`ShardedMap::degrade_shard`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.shard_count()`.
-    pub fn degrade_shard(&self, i: usize) {
-        self.inner.degrade_shard(i);
-    }
-
     /// Applies `policy` per shard; returns how many shards tripped (see
     /// [`ShardedMap::maybe_degrade`]).
     pub fn maybe_degrade(&self, policy: &DriftPolicy) -> usize {
         self.inner.maybe_degrade(policy)
-    }
-
-    /// How many shards are on the degraded rung.
-    pub fn degraded_shards(&self) -> usize {
-        self.inner.degraded_shards()
     }
 
     /// Drains every in-flight migration completely.
@@ -828,6 +769,20 @@ mod tests {
         ShardedMap::with_hasher(GuardedHash::new(&pattern, hash, StlHash::new()), shards)
     }
 
+    /// Escalates every shard, opening an epoch on each.
+    fn escalate_all(m: &Map) {
+        let seeds = sepe_core::hash::keyed::FixedSeedSource::new(7);
+        for i in 0..m.shard_count() {
+            m.escalate_shard(i, &seeds);
+        }
+    }
+
+    fn keyed_shards(m: &Map) -> usize {
+        (0..m.shard_count())
+            .filter(|&i| m.shard_mode(i) == GuardMode::Keyed)
+            .count()
+    }
+
     #[test]
     fn lock_counts_are_kept_per_shard_and_exported_as_sums() {
         assert_eq!(std::mem::align_of::<LockCounts>(), 128, "a line pair each");
@@ -870,7 +825,7 @@ mod tests {
         for i in 0..800 {
             m.insert(format!("key-{i}"), i);
         }
-        m.degrade_all();
+        escalate_all(&m);
         assert_eq!(m.migrations_in_flight(), 8);
         let left = |m: &Map| -> usize {
             (0..m.shard_count())
@@ -926,15 +881,16 @@ mod tests {
     }
 
     #[test]
-    fn routing_is_stable_across_degradation() {
+    fn routing_is_stable_across_escalation() {
         let m = sharded(8);
+        let seeds = sepe_core::hash::keyed::FixedSeedSource::new(7);
         for i in 0..500 {
             m.insert(ssn(i), i);
         }
         let homes: Vec<usize> = (0..500).map(|i| m.shard_of(ssn(i).as_bytes())).collect();
-        // Degrade a couple of shards; every key must still route home.
-        m.degrade_shard(homes[0]);
-        m.degrade_shard(homes[499]);
+        // Escalate a couple of shards; every key must still route home.
+        m.escalate_shard(homes[0], &seeds);
+        m.escalate_shard(homes[499], &seeds);
         m.finish_migrations();
         for i in 0..500 {
             assert_eq!(
@@ -948,20 +904,20 @@ mod tests {
     }
 
     #[test]
-    fn degrading_one_shard_leaves_siblings_guarded() {
+    fn escalating_one_shard_leaves_siblings_guarded() {
         let m = sharded(8);
         for i in 0..1000 {
             m.insert(ssn(i), i);
         }
-        m.degrade_shard(3);
-        assert_eq!(m.degraded_shards(), 1);
-        assert_eq!(m.shard_mode(3), GuardMode::Degraded);
+        m.escalate_shard(3, &sepe_core::hash::keyed::FixedSeedSource::new(7));
+        assert_eq!(keyed_shards(&m), 1);
+        assert_eq!(m.shard_mode(3), GuardMode::Keyed);
         for i in 0..8 {
             if i != 3 {
                 assert_eq!(m.shard_mode(i), GuardMode::Guarded, "shard {i}");
             }
         }
-        // The degraded shard still answers correctly mid-migration.
+        // The keyed shard still answers correctly mid-migration.
         for i in 0..1000 {
             assert_eq!(m.get(ssn(i).as_str()), Some(i), "{}", ssn(i));
         }
@@ -987,7 +943,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_readers_during_shard_degradation() {
+    fn concurrent_readers_during_shard_escalation() {
         let m = sharded(4);
         for i in 0..2000 {
             m.insert(ssn(i), i);
@@ -1005,13 +961,14 @@ mod tests {
             }
             let m = &m;
             s.spawn(move || {
+                let seeds = sepe_core::hash::keyed::FixedSeedSource::new(7);
                 for shard in 0..2 {
-                    m.degrade_shard(shard);
+                    m.escalate_shard(shard, &seeds);
                 }
             });
         });
         m.finish_migrations();
-        assert_eq!(m.degraded_shards(), 2);
+        assert_eq!(keyed_shards(&m), 2);
         for i in 0..2000 {
             assert_eq!(m.get(ssn(i).as_str()), Some(i), "{} after drain", ssn(i));
         }
@@ -1052,7 +1009,7 @@ mod tests {
         for i in 0..600 {
             m.insert(ssn(i), i);
         }
-        m.degrade_all();
+        escalate_all(&m);
         assert_eq!(m.migrations_in_flight(), 2);
         let mut spins = 0u32;
         while m.migrations_in_flight() > 0 && spins < 100_000 {
@@ -1115,8 +1072,6 @@ mod tests {
             }
             i += 1;
         }
-        m.degrade_shard(drifted);
-        m.finish_migrations();
 
         // Undrifted shards have nothing to resynthesize.
         let clean = (0..4).find(|&i| i != drifted).unwrap();
@@ -1175,7 +1130,7 @@ mod tests {
     }
 
     #[test]
-    fn a_shard_holds_each_rung_for_its_cause_and_siblings_stay_guarded() {
+    fn a_drift_trip_and_a_storm_rung_hold_on_their_shards_alone() {
         let m = sharded(4);
         let seeds = sepe_core::hash::keyed::FixedSeedSource::new(0xD1F7);
         let policy = AttackPolicy::default();
@@ -1184,7 +1139,7 @@ mod tests {
         }
         let (drifted, flooded) = (0usize, 2usize);
         // Off-format keys routed to the drifted shard, sampled by its
-        // reservoir before the degrade.
+        // reservoir, trip its drift window.
         let drift: Vec<String> = (0u32..)
             .map(|i| format!("{:03}/{:02}/{:04}", i % 1000, i % 100, i))
             .filter(|k| m.shard_of(k.as_bytes()) == drifted)
@@ -1193,7 +1148,13 @@ mod tests {
         for (i, key) in drift.iter().enumerate() {
             m.insert(key.clone(), i as u32);
         }
-        m.degrade_shard(drifted);
+        let drift_policy = DriftPolicy {
+            threshold: 0.05,
+            ..DriftPolicy::default()
+        };
+        assert_eq!(m.maybe_degrade(&drift_policy), 1);
+        let trip = m.shard_drift_trip(drifted);
+        assert!(trip.is_some());
 
         // Pre-grow the flooded shard so the flood's bucket stays put, then
         // forge it against that shard's guarded routing.
@@ -1230,19 +1191,20 @@ mod tests {
         assert_eq!(m.shard_mode(flooded), GuardMode::Keyed);
         assert_eq!(m.shard_escalation_count(), 1);
 
-        // Calm ticks leave neither the drift rung nor the resident flood.
+        // Calm ticks leave neither the drift trip nor the resident flood.
         for tick in 0..64 {
             assert_eq!(m.maybe_escalate(&policy, &seeds), 0, "tick {tick}");
             assert_eq!(m.maybe_deescalate(&policy), 0, "tick {tick}");
         }
-        assert_eq!(m.shard_mode(drifted), GuardMode::Degraded);
+        assert_eq!(m.shard_drift_trip(drifted), trip);
         assert_eq!(m.shard_mode(flooded), GuardMode::Keyed);
-        for i in [1, 3] {
-            assert_eq!(m.shard_mode(i), GuardMode::Guarded, "sibling {i}");
+        for i in [drifted, 1, 3] {
+            assert_eq!(m.shard_mode(i), GuardMode::Guarded, "shard {i}");
         }
 
-        // Resynthesis leaves the drift rung; the flood's removal the storm.
+        // Resynthesis clears the drift trip; the flood's removal the storm.
         assert!(m.resynthesize_shard(drifted).is_applied());
+        assert_eq!(m.shard_drift_trip(drifted), None);
         for key in &flood {
             assert_eq!(m.remove(key.as_str()), Some(0));
         }
@@ -1320,7 +1282,6 @@ mod tests {
                 total
             }]
         );
-        assert_eq!((m.shard_degrade_count(), m.degraded_shards()), (0, 0));
         assert_eq!((opened(), m.migrations_in_flight()), (epochs, 0));
         for (i, was) in before.iter().enumerate() {
             let (mode, window_now, routes) = shard_state(i);
@@ -1352,26 +1313,6 @@ mod tests {
         }
         for i in 0..400 {
             assert_eq!(m.get(ssn(i).as_str()), Some(i), "{}", ssn(i));
-        }
-    }
-
-    #[test]
-    fn degrading_a_keyed_shard_records_nothing() {
-        let m = sharded(4);
-        let seeds = sepe_core::hash::keyed::FixedSeedSource::new(0xC4A05);
-        for i in 0..400 {
-            m.insert(ssn(i), i);
-        }
-        let target = m.shard_of(ssn(0).as_bytes());
-        m.escalate_shard(target, &seeds);
-        m.escalate_shard(target, &seeds);
-        m.finish_migrations();
-        m.degrade_shard(target);
-        assert_eq!(m.shard_mode(target), GuardMode::Keyed);
-        assert_eq!(m.shard_degrade_count(), 0, "no Guarded→Degraded flip");
-        assert_eq!(m.migrations_in_flight(), 0, "no epoch opened");
-        for i in 0..400 {
-            assert_eq!(m.get(ssn(i).as_str()), Some(i), "{} lost", ssn(i));
         }
     }
 

@@ -6,8 +6,8 @@
 //! go on a free list; outside a migration epoch they are reused before the
 //! arena grows, and a slot freed during an epoch waits for it to close.
 //!
-//! When the hash *function* changes (a guarded hasher degrades or
-//! resynthesizes), the table does not pause the world to rebuild: it opens
+//! When the hash *function* changes (a guarded hasher escalates, rotates
+//! its seed, re-arms or resynthesizes), the table does not pause the world to rebuild: it opens
 //! a migration epoch. The superseded bucket array is set aside, lookups
 //! consult both epochs, and entries drain into the new chains a bounded
 //! number at a time — the amortized rehash of Redis and hashbrown, applied
@@ -193,7 +193,8 @@ pub(crate) struct TableObs {
     pub(crate) probe_len: Arc<Histogram>,
     /// Entries drained out of migration epochs (monotone lifetime total).
     pub(crate) drain_ops: Arc<Counter>,
-    /// Migration epochs opened.
+    /// Migration epochs opened (by an escalation, a seed rotation, a
+    /// de-escalation or an applied resynthesis; a merge opens none).
     pub(crate) epochs_opened: Arc<Counter>,
     /// Migration epochs retired — fully drained, or discarded by `clear`.
     pub(crate) epochs_finished: Arc<Counter>,
@@ -205,7 +206,7 @@ pub(crate) struct TableObs {
     /// Keys that went through those chunks.
     pub(crate) batch_keys: Arc<Counter>,
     /// Upward storm rungs taken on the escalation ladder (to keyed and
-    /// rotations both count; a drift degrade does not).
+    /// rotations both count; a held drift trip does not).
     pub(crate) escalations: Arc<Counter>,
     /// Quiet-window de-escalations back to the specialized hasher.
     pub(crate) deescalations: Arc<Counter>,
@@ -2137,7 +2138,7 @@ mod tests {
 
     #[test]
     fn multimap_count_sums_both_epochs_without_double_counting_swept_entries() {
-        // The transition keeps every hash, as a degrade keeps an
+        // The transition keeps every hash, as a resynthesis keeps a still
         // off-format key's: a swept entry then matches its old chain's
         // probe too, and only the sweep cursor tells the epochs apart.
         let mut t = RawTable::new(TestHash::Fnv(1), BucketPolicy::Modulo);

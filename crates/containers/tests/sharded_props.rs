@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use sepe_baselines::StlHash;
 use sepe_containers::{ShardedMap, UnorderedMap};
 use sepe_core::guard::GuardedHash;
-use sepe_core::hash::SynthesizedHash;
+use sepe_core::hash::{FixedSeedSource, SynthesizedHash};
 use sepe_core::regex::Regex;
 use sepe_core::synth::Family;
 use std::collections::BTreeMap;
@@ -138,20 +138,21 @@ proptest! {
     }
 
     #[test]
-    fn contents_agree_across_shard_degradations(
+    fn contents_agree_across_shard_escalations(
         ops in vec(arb_op(), 1..250),
-        degrade_at in vec(any::<u16>(), 1..4),
+        escalate_at in vec(any::<u16>(), 1..4),
     ) {
-        // Degrading arbitrary shards mid-stream (and the twin alongside)
+        // Escalating arbitrary shards mid-stream (and the twin alongside)
         // must never change what lookups observe. Counters are *not*
-        // compared here: a degraded hasher stops counting, and which keys
-        // land in a degraded shard is exactly what sharding changes.
+        // compared here: a keyed hasher stops counting, and which keys
+        // land in a keyed shard is exactly what sharding changes.
         let (sharded, mut single) = pair();
-        let marks: Vec<usize> = degrade_at.iter().map(|&d| d as usize % ops.len()).collect();
+        let seeds = FixedSeedSource::new(7);
+        let marks: Vec<usize> = escalate_at.iter().map(|&d| d as usize % ops.len()).collect();
         for (step, op) in ops.into_iter().enumerate() {
             if let Some(pos) = marks.iter().position(|&m| m == step) {
-                sharded.degrade_shard(pos * 2 % sharded.shard_count());
-                single.degrade_now();
+                sharded.escalate_shard(pos * 2 % sharded.shard_count(), &seeds);
+                single.escalate_now(&seeds);
             }
             match op {
                 Op::Insert(k, v) => {
@@ -191,7 +192,10 @@ proptest! {
         for (i, &k) in seed_keys.iter().enumerate() {
             sharded.insert(key_of(k), i as u32);
         }
-        sharded.degrade_all();
+        let seeds = FixedSeedSource::new(7);
+        for i in 0..sharded.shard_count() {
+            sharded.escalate_shard(i, &seeds);
+        }
         let mut last = sharded.migration_progress();
         prop_assert!(last >= 0.0);
         let mut spins = 0u32;

@@ -738,7 +738,7 @@ mod tests {
                 let hash = SynthesizedHash::from_pattern(&pattern, family).with_seed(seed);
                 let guard = FormatGuard::compile(&pattern);
                 let k = hash.fused_with(&guard).expect("a fixed-word plan fuses");
-                let keyed = crate::guard::GuardedHash::new(&pattern, hash.clone(), hash);
+                let mut keyed = crate::guard::GuardedHash::new(&pattern, hash.clone(), hash);
                 keyed.escalate_keyed(&crate::hash::FixedSeedSource::new(seed));
                 let allowed: Vec<Vec<u8>> = pattern
                     .bytes()

@@ -1,5 +1,5 @@
 //! Format guards: cheap membership checks compiled from a [`KeyPattern`],
-//! and a [`GuardedHash`] wrapper that degrades gracefully on format drift.
+//! and a [`GuardedHash`] wrapper that reroutes format drift safely.
 //!
 //! A synthesized hash (Section 3.2 of the paper) is only well-dispersed on
 //! keys of its trained format: a Pext plan discards the byte positions and
@@ -9,9 +9,9 @@
 //! check plus the per-byte constant-bit test of [`BytePattern::matches`],
 //! evaluated word-at-a-time over the same clamped load schedule the plans
 //! use — and [`GuardedHash`] routes keys that fail the guard to a general
-//! fallback hasher under a distinct domain tag, while counting drift so a
-//! container can flip wholesale to the fallback once the mismatch rate
-//! crosses a threshold.
+//! fallback hasher under a distinct domain tag, while counting and sampling
+//! drift so a container can resynthesize a widened plan once the mismatch
+//! rate crosses a threshold.
 
 use crate::bits::load_u64_le;
 use crate::fused::{for_lanes, FusedKernel};
@@ -279,17 +279,15 @@ pub enum GuardMode {
     /// In-format keys use the specialized hash; off-format keys use the
     /// tagged fallback.
     Guarded = 0,
-    /// Every key uses the tagged fallback (the table has flipped).
-    Degraded = 1,
-    /// Every key uses a secret-keyed hash — the HashDoS rung. Unlike
-    /// [`GuardMode::Degraded`], which still evaluates an *unkeyed*
-    /// fallback an adversary with the binary can precompute collisions
-    /// against, this mode is parameterized by a 128-bit seed held only in
-    /// process memory (see [`GuardedHash::escalate_keyed`]). Under a plan
-    /// injective over the guard's pattern, an in-format key hashes as a
-    /// seeded bijection of its specialized hash; every other key as tagged
-    /// SipHash-1-3 of its bytes.
-    Keyed = 2,
+    /// Every key uses a secret-keyed hash — the HashDoS rung. Unlike the
+    /// guarded route, whose specialized hash and *unkeyed* fallback an
+    /// adversary with the binary can precompute collisions against, this
+    /// mode is parameterized by a 128-bit seed held only in process memory
+    /// (see [`GuardedHash::escalate_keyed`]). Under a plan injective over
+    /// the guard's pattern, an in-format key hashes as a seeded bijection
+    /// of its specialized hash; every other key as tagged SipHash-1-3 of
+    /// its bytes.
+    Keyed = 1,
 }
 
 /// Typed outcome of a resynthesis attempt, so callers can distinguish
@@ -320,7 +318,7 @@ impl Resynth {
 const RESERVOIR_CAP: usize = 64;
 
 /// A bounded uniform sample of recently observed off-format keys, kept so a
-/// degraded table can re-synthesize a widened pattern that covers the
+/// drifted table can re-synthesize a widened pattern that covers the
 /// drifted traffic.
 #[derive(Debug, Default)]
 struct Reservoir {
@@ -441,7 +439,7 @@ fn next_lineage() -> u64 {
 ///
 /// let pattern = Regex::compile(r"\d{3}-\d{2}-\d{4}")?;
 /// let plan = SynthesizedHash::from_pattern(&pattern, Family::OffXor);
-/// let live = GuardedHash::new(&pattern, plan.clone(), plan);
+/// let mut live = GuardedHash::new(&pattern, plan.clone(), plan);
 /// let guarded = live.epoch_frozen(GuardMode::Guarded);
 /// live.escalate_keyed(&FixedSeedSource::new(7));
 /// let keyed = live.epoch_frozen(GuardMode::Keyed);
@@ -485,7 +483,11 @@ impl RouteMap {
 ///
 /// Clones share their statistics, mode and reservoir through [`Arc`]s: a
 /// container can own one clone while the caller keeps another to observe
-/// drift, and flipping the mode on any clone flips all of them.
+/// drift, and flipping the mode on any clone flips all of them. The flips
+/// take `&mut self`, so a container that hands out `&` to its hasher
+/// cannot be re-routed under its stored hashes; flipping a clone the
+/// caller kept re-routes the container's copy too, and rebuilding its
+/// stored hashes afterwards is then the caller's responsibility.
 ///
 /// # Examples
 ///
@@ -530,10 +532,10 @@ pub struct GuardedHash<F, G> {
     /// drift accounting identical to a stop-the-world rebuild.
     silent: bool,
     /// The 128-bit key of the [`GuardMode::Keyed`] rung, shared by every
-    /// clone. Stored as two atomics so `&self` rotation works through the
-    /// shared containers; the pair is only ever written under the owning
-    /// container's exclusive access (a shard write lock or `&mut self`),
-    /// so readers cannot observe a torn (half-rotated) pair.
+    /// clone. Stored as two atomics because clones share it; the pair is
+    /// only ever written through `&mut self`, under the owning container's
+    /// exclusive access (a shard write lock or `&mut self`), so readers
+    /// cannot observe a torn (half-rotated) pair.
     seed: Arc<(AtomicU64, AtomicU64)>,
     /// When set, keyed hashing ignores the shared seed — an epoch-frozen
     /// copy taken in a keyed epoch must keep reproducing that epoch's
@@ -626,7 +628,6 @@ impl<F, G> GuardedHash<F, G> {
             return m;
         }
         match self.mode.load(Ordering::Relaxed) {
-            m if m == GuardMode::Degraded as u8 => GuardMode::Degraded,
             m if m == GuardMode::Keyed as u8 => GuardMode::Keyed,
             _ => GuardMode::Guarded,
         }
@@ -660,8 +661,8 @@ impl<F, G> GuardedHash<F, G> {
     /// with no one (ordinary clones share all three through [`Arc`]s).
     ///
     /// The sharded containers hand each shard a detached copy so one
-    /// shard's drift accounting — and its degradation decision — cannot
-    /// flip its siblings.
+    /// shard's drift accounting — and its escalation — cannot flip its
+    /// siblings.
     #[must_use]
     pub fn detached(&self) -> Self
     where
@@ -688,23 +689,6 @@ impl<F, G> GuardedHash<F, G> {
         }
     }
 
-    /// Whether the hasher has flipped to fallback-for-everything.
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        self.mode() == GuardMode::Degraded
-    }
-
-    /// Flips this hasher (and every clone) to the fallback for all keys.
-    ///
-    /// Callers holding a container keyed by this hasher must rebuild the
-    /// stored hashes afterwards — see `UnorderedMap::degrade_now` in
-    /// `sepe-containers`, which performs the flip and opens the re-filing
-    /// epoch together.
-    pub fn degrade(&self) {
-        self.mode
-            .store(GuardMode::Degraded as u8, Ordering::Relaxed);
-    }
-
     /// Whether the hasher is on a secret-keyed rung.
     #[must_use]
     pub fn is_keyed(&self) -> bool {
@@ -728,27 +712,25 @@ impl<F, G> GuardedHash<F, G> {
         )
     }
 
-    /// This copy's vouching route as a [`RouteMap`] end: `Some(None)` on
-    /// the guarded rung (the specialized hash itself), `Some(Some(seed))`
-    /// on the keyed rung (its seeded bijection), `None` when degraded,
-    /// where nothing is vouched for.
-    fn vouching_route(&self) -> Option<Option<(u64, u64)>> {
+    /// This copy's vouching route as a [`RouteMap`] end: `None` on the
+    /// guarded rung (the specialized hash itself), `Some(seed)` on the
+    /// keyed rung (its seeded bijection).
+    fn vouching_route(&self) -> Option<(u64, u64)> {
         match self.mode() {
-            GuardMode::Guarded => Some(None),
-            GuardMode::Keyed => Some(Some(self.current_seed())),
-            GuardMode::Degraded => None,
+            GuardMode::Guarded => None,
+            GuardMode::Keyed => Some(self.current_seed()),
         }
     }
 
     /// Escalates this hasher (and every clone) to the secret-keyed rung
     /// under a fresh seed from `seeds`.
     ///
-    /// Like [`GuardedHash::degrade`], this only flips the routing —
-    /// callers owning a container keyed by this hasher must rebuild stored
-    /// hashes afterwards (`UnorderedMap::escalate_now` pairs the flip with
-    /// an incremental migration). Call only with exclusive access to the
-    /// owning container, so no reader observes a torn seed pair.
-    pub fn escalate_keyed(&self, seeds: &impl SeedSource) {
+    /// This only flips the routing — callers owning a container keyed by
+    /// this hasher must rebuild stored hashes afterwards
+    /// (`UnorderedMap::escalate_now` pairs the flip with an incremental
+    /// migration). Call only with exclusive access to the owning
+    /// container, so no reader observes a torn seed pair.
+    pub fn escalate_keyed(&mut self, seeds: &impl SeedSource) {
         let (k0, k1) = seeds.next_seed();
         self.seed.0.store(k0, Ordering::Relaxed);
         self.seed.1.store(k1, Ordering::Relaxed);
@@ -759,7 +741,7 @@ impl<F, G> GuardedHash<F, G> {
     /// [`GuardMode::Keyed`]) — the response to a suspected seed leak. The
     /// same exclusive-access and rebuild obligations as
     /// [`GuardedHash::escalate_keyed`] apply.
-    pub fn rotate_seed(&self, seeds: &impl SeedSource) {
+    pub fn rotate_seed(&mut self, seeds: &impl SeedSource) {
         let (k0, k1) = seeds.next_seed();
         self.seed.0.store(k0, Ordering::Relaxed);
         self.seed.1.store(k1, Ordering::Relaxed);
@@ -773,8 +755,9 @@ impl<F, G> GuardedHash<F, G> {
     /// with the attacker's crafted keys, and resynthesizing a widened
     /// pattern over those would hand the adversary control of the next
     /// plan. The quiet window that justifies re-arming also invalidates
-    /// the sample.
-    pub fn rearm(&self) {
+    /// the sample. The same rebuild obligation as
+    /// [`GuardedHash::escalate_keyed`] applies.
+    pub fn rearm(&mut self) {
         self.lock_reservoir().clear();
         self.stats.reset();
         self.mode.store(GuardMode::Guarded as u8, Ordering::Relaxed);
@@ -838,8 +821,7 @@ impl<F, G> GuardedHash<F, G> {
         }
     }
 
-    /// The hash used for off-format keys (and, in degraded mode, for all
-    /// keys): the fallback mixed under [`OFF_FORMAT_TAG`] and finalized, so
+    /// The hash used for off-format keys on the guarded route: the fallback mixed under [`OFF_FORMAT_TAG`] and finalized, so
     /// the two routing domains cannot alias by construction.
     #[inline]
     fn off_format_hash(&self, key: &[u8]) -> u64
@@ -857,8 +839,8 @@ impl<G> GuardedHash<SynthesizedHash, G> {
     ///
     /// The synthesized plan is validated before anything is mutated, so a
     /// failure leaves the hasher exactly as it was. As with
-    /// [`GuardedHash::degrade`], containers must rebuild stored hashes
-    /// after this returns [`Resynth::Applied`].
+    /// [`GuardedHash::escalate_keyed`], containers must rebuild stored
+    /// hashes after this returns [`Resynth::Applied`].
     pub fn resynthesize(&mut self) -> Resynth {
         let family = self.specialized.family();
         let isa = self.specialized.isa();
@@ -938,13 +920,12 @@ impl<F: ByteHash, G: ByteHash> ByteHash for GuardedHash<F, G> {
     /// under a plan injective over the guard's pattern, in
     /// [`GuardMode::Guarded`] or [`GuardMode::Keyed`] (whose in-format
     /// route is a bijection of the specialized hash): two such keys with
-    /// equal hashes are equal. Degraded hashes, off-format keys and every
-    /// key under a non-injective plan never vouch — the fallback and
-    /// SipHash are not injective.
+    /// equal hashes are equal. Off-format keys and every key under a
+    /// non-injective plan never vouch — the fallback and SipHash are not
+    /// injective.
     #[inline]
     fn hash_routed(&self, key: &[u8]) -> (u64, bool) {
         match self.mode() {
-            GuardMode::Degraded => (self.off_format_hash(key), false),
             GuardMode::Keyed => self.keyed_routed(key),
             GuardMode::Guarded => self.guarded_routed(key),
         }
@@ -954,16 +935,16 @@ impl<F: ByteHash, G: ByteHash> ByteHash for GuardedHash<F, G> {
     /// two seeds) of one lineage under an injective plan: the keys either
     /// route vouches for are the in-format ones, and both route them as
     /// bijections of the same specialized hash. `None` when `from` and
-    /// `self` differ in plan or guard (another lineage), when the plan is
-    /// not injective, or when either side is degraded.
+    /// `self` differ in plan or guard (another lineage), or when the plan
+    /// is not injective.
     fn refile_map(&self, from: &Self) -> Option<RouteMap> {
         if !self.injective || self.lineage != from.lineage {
             return None;
         }
         let unkey = from
-            .vouching_route()?
+            .vouching_route()
             .map(|(k0, k1)| (k0, inverse_odd(k1 | 1)));
-        let rekey = self.vouching_route()?;
+        let rekey = self.vouching_route();
         Some(RouteMap { unkey, rekey })
     }
 }
@@ -1057,11 +1038,6 @@ impl<F: crate::hash::HashBatch, G: ByteHash> crate::hash::HashBatch for GuardedH
     fn hash_batch(&self, keys: &[&[u8]], out: &mut [u64]) {
         assert_eq!(keys.len(), out.len(), "batch output length mismatch");
         match self.mode() {
-            GuardMode::Degraded => {
-                for (key, slot) in keys.iter().zip(out.iter_mut()) {
-                    *slot = self.off_format_hash(key);
-                }
-            }
             GuardMode::Keyed => match &self.fused {
                 Some(k) if self.injective => for_lanes(keys, out, |chunk, out| match chunk.len() {
                     8 => self.keyed_lanes::<8>(k, chunk, out),
@@ -1269,26 +1245,6 @@ mod tests {
     }
 
     #[test]
-    fn degraded_mode_uses_the_fallback_for_everything() {
-        let pattern =
-            Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("test regex is valid by construction");
-        let inner = SynthesizedHash::from_pattern(&pattern, Family::Pext);
-        let guarded = GuardedHash::new(&pattern, inner.clone(), Stl);
-        let clone = guarded.clone();
-        guarded.degrade();
-        assert!(clone.is_degraded(), "mode is shared across clones");
-        assert_ne!(
-            clone.hash_bytes(b"123-45-6789"),
-            inner.hash_bytes(b"123-45-6789")
-        );
-        // Degraded hashing is still deterministic.
-        assert_eq!(
-            clone.hash_bytes(b"123-45-6789"),
-            guarded.hash_bytes(b"123-45-6789")
-        );
-    }
-
-    #[test]
     fn reservoir_samples_off_format_keys() {
         let pattern = Regex::compile(r"\d{8}").expect("test regex is valid by construction");
         let guarded = GuardedHash::from_pattern(&pattern, Family::Naive, Stl);
@@ -1308,9 +1264,9 @@ mod tests {
         for i in 0..50u32 {
             let _ = guarded.hash_bytes(format!("{i:07}x").as_bytes());
         }
-        guarded.degrade();
+        guarded.escalate_keyed(&crate::hash::keyed::FixedSeedSource::new(5));
         assert_eq!(guarded.resynthesize(), Resynth::Applied);
-        assert!(!guarded.is_degraded());
+        assert_eq!(guarded.mode(), GuardMode::Guarded);
         assert_eq!(guarded.stats().total(), 0);
         // Both the original and the drifted shape now pass the guard.
         assert!(guarded.guard().matches(b"12345678"));
@@ -1404,22 +1360,6 @@ mod tests {
     }
 
     #[test]
-    fn degraded_hash_batch_uses_the_fallback_for_everything() {
-        use crate::hash::HashBatch;
-        let pattern =
-            Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("test regex is valid by construction");
-        let guarded = GuardedHash::from_pattern(&pattern, Family::OffXor, Stl);
-        guarded.degrade();
-        let keys: [&[u8]; 2] = [b"123-45-6789", b"off format"];
-        let mut out = [0u64; 2];
-        guarded.hash_batch(&keys, &mut out);
-        for (key, h) in keys.iter().zip(out) {
-            assert_eq!(h, guarded.hash_bytes(key));
-        }
-        assert_eq!(guarded.stats().total(), 0, "degraded mode does not count");
-    }
-
-    #[test]
     fn resynthesize_without_drift_is_a_no_op() {
         let pattern = Regex::compile(r"\d{8}").expect("test regex is valid by construction");
         let mut guarded = GuardedHash::from_pattern(&pattern, Family::OffXor, Stl);
@@ -1436,7 +1376,7 @@ mod tests {
         for i in 0..50u32 {
             let _ = guarded.hash_bytes(format!("{i:07}x").as_bytes());
         }
-        guarded.degrade();
+        guarded.escalate_keyed(&crate::hash::keyed::FixedSeedSource::new(5));
         let keys_before = guarded.reservoir_keys();
         assert!(!keys_before.is_empty(), "drift was sampled");
         let stats_before = (guarded.stats().in_format(), guarded.stats().off_format());
@@ -1451,7 +1391,7 @@ mod tests {
             })
         });
         assert!(matches!(out, Resynth::SynthFailed(_)), "{out:?}");
-        assert!(guarded.is_degraded(), "mode untouched");
+        assert!(guarded.is_keyed(), "mode untouched");
         assert_eq!(
             (guarded.stats().in_format(), guarded.stats().off_format()),
             stats_before,
@@ -1524,7 +1464,7 @@ mod tests {
             let inner = SynthesizedHash::from_pattern(&pattern, family);
             let injective = inner.injective_over(&pattern);
             assert_eq!(injective, family != Family::Aes, "{family}");
-            let guarded = GuardedHash::new(&pattern, inner.clone(), Stl);
+            let mut guarded = GuardedHash::new(&pattern, inner.clone(), Stl);
             let clone = guarded.clone();
             let seeds = crate::hash::keyed::FixedSeedSource::new(0x5E9E);
             guarded.escalate_keyed(&seeds);
@@ -1559,7 +1499,7 @@ mod tests {
             .map(|i| format!("{:08}", i * 7919).into_bytes())
             .collect();
         for family in Family::ALL {
-            let guarded = GuardedHash::from_pattern(&pattern, family, Stl);
+            let mut guarded = GuardedHash::from_pattern(&pattern, family, Stl);
             let injective = guarded.specialized().injective_over(&pattern);
             guarded.escalate_keyed(&crate::hash::keyed::FixedSeedSource::new(9));
             // All in format (whole chunks take the batched kernel), then
@@ -1589,7 +1529,7 @@ mod tests {
     #[test]
     fn epoch_frozen_pins_the_keyed_seed_across_rotation() {
         let pattern = Regex::compile(r"\d{8}").expect("test regex is valid by construction");
-        let guarded = GuardedHash::from_pattern(&pattern, Family::OffXor, Stl);
+        let mut guarded = GuardedHash::from_pattern(&pattern, Family::OffXor, Stl);
         let seeds = crate::hash::keyed::FixedSeedSource::new(42);
         guarded.escalate_keyed(&seeds);
         let before = guarded.hash_bytes(b"12345678");
@@ -1612,7 +1552,7 @@ mod tests {
         let pattern =
             Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("test regex is valid by construction");
         let inner = SynthesizedHash::from_pattern(&pattern, Family::Pext);
-        let guarded = GuardedHash::new(&pattern, inner.clone(), Stl);
+        let mut guarded = GuardedHash::new(&pattern, inner.clone(), Stl);
         let _ = guarded.hash_bytes(b"not an ssn"); // sampled + counted
         guarded.escalate_keyed(&crate::hash::keyed::FixedSeedSource::new(7));
         guarded.rearm();
@@ -1632,7 +1572,7 @@ mod tests {
         // poisons the reservoir mutex — `rearm` clears it through the
         // recovering lock, and sampling resumes afterwards.
         let pattern = Regex::compile(r"\d{8}").expect("test regex is valid by construction");
-        let guarded = GuardedHash::from_pattern(&pattern, Family::Naive, Stl);
+        let mut guarded = GuardedHash::from_pattern(&pattern, Family::Naive, Stl);
         let poisoner = guarded.clone();
         let _ = std::thread::spawn(move || {
             let _guard = poisoner
@@ -1719,7 +1659,7 @@ mod tests {
         let pattern =
             Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("test regex is valid by construction");
         let inner = SynthesizedHash::from_pattern(&pattern, Family::OffXor);
-        let original = GuardedHash::new(&pattern, inner.clone(), Stl);
+        let mut original = GuardedHash::new(&pattern, inner.clone(), Stl);
         let detached = original.detached();
         // Hashes agree; accounting does not flow between the copies.
         let key: &[u8] = b"123-45-6789";
@@ -1727,10 +1667,10 @@ mod tests {
         let _ = original.hash_bytes(b"off-format!");
         assert_eq!(original.stats().total(), 2);
         assert_eq!(detached.stats().total(), 1);
-        // Degrading one side leaves the other guarded.
-        original.degrade();
-        assert!(original.is_degraded());
-        assert!(!detached.is_degraded(), "detached copy keeps its own mode");
+        // Escalating one side leaves the other guarded.
+        original.escalate_keyed(&crate::hash::keyed::FixedSeedSource::new(5));
+        assert!(original.is_keyed());
+        assert!(!detached.is_keyed(), "detached copy keeps its own mode");
         assert_eq!(detached.hash_bytes(key), inner.hash_bytes(key));
     }
 
@@ -1742,7 +1682,7 @@ mod tests {
         let off: &[u8] = b"123/45/6789";
         for family in Family::ALL {
             let inner = SynthesizedHash::from_pattern(&pattern, family).with_seed(0xABCD);
-            let guarded = GuardedHash::new(&pattern, inner.clone(), Stl);
+            let mut guarded = GuardedHash::new(&pattern, inner.clone(), Stl);
             let injective = family != Family::Aes;
             // The route never changes the hash, and vouches only in format.
             assert_eq!(guarded.hash_routed(key), (inner.hash_bytes(key), injective));
@@ -1751,19 +1691,12 @@ mod tests {
             assert!(!inner.hash_routed(key).1);
             assert_eq!(inner.injective_over(&pattern), injective, "{family}");
             // Frozen and detached copies of the guarded routing keep the
-            // verdict; a copy pinned to the degraded mode never vouches, one
-            // pinned to the keyed mode vouches as the guarded routing does.
+            // verdict; a copy pinned to the keyed mode vouches as the
+            // guarded routing does.
             let frozen = guarded.epoch_frozen(GuardMode::Guarded);
             assert_eq!(frozen.hash_routed(key).1, injective, "{family}");
             assert_eq!(guarded.detached().hash_routed(key).1, injective, "{family}");
-            let frozen_degraded = guarded.epoch_frozen(GuardMode::Degraded);
             let frozen_keyed = guarded.epoch_frozen(GuardMode::Keyed);
-            guarded.degrade();
-            assert!(!guarded.hash_routed(key).1, "{family} degraded");
-            assert!(
-                !frozen_degraded.hash_routed(key).1,
-                "{family} frozen degraded"
-            );
             guarded.escalate_keyed(&crate::hash::keyed::FixedSeedSource::new(1));
             assert_eq!(guarded.hash_routed(key).1, injective, "{family} keyed");
             assert!(!guarded.hash_routed(off).1, "{family} keyed off format");
@@ -1816,26 +1749,28 @@ mod tests {
         let pattern =
             Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("test regex is valid by construction");
         let inner = SynthesizedHash::from_pattern(&pattern, Family::OffXor);
-        let live = GuardedHash::new(&pattern, inner.clone(), Stl);
+        let mut live = GuardedHash::new(&pattern, inner.clone(), Stl);
         let frozen_guarded = live.epoch_frozen(GuardMode::Guarded);
-        let frozen_degraded = live.epoch_frozen(GuardMode::Degraded);
         let key: &[u8] = b"123-45-6789";
         let off: &[u8] = b"not an ssn!";
 
-        // The pinned copies ignore the shared flip.
-        live.degrade();
+        // The pinned copy ignores the shared flip.
+        live.escalate_keyed(&crate::hash::keyed::FixedSeedSource::new(5));
+        let frozen_keyed = live.epoch_frozen(GuardMode::Keyed);
+        live.rearm();
         assert_eq!(frozen_guarded.mode(), GuardMode::Guarded);
         assert_eq!(frozen_guarded.hash_bytes(key), inner.hash_bytes(key));
-        assert_eq!(
-            frozen_degraded.hash_bytes(key),
+        assert_eq!(frozen_keyed.mode(), GuardMode::Keyed);
+        assert_ne!(
+            frozen_keyed.hash_bytes(key),
             live.hash_bytes(key),
-            "degraded-pinned copy matches the live degraded hash"
+            "keyed-pinned copy keeps the keyed hash after the rearm"
         );
 
         // Silent copies never touch the shared counters or the reservoir.
         let before = live.stats().total();
         let _ = frozen_guarded.hash_bytes(off);
-        let _ = frozen_degraded.hash_bytes(off);
+        let _ = frozen_keyed.hash_bytes(off);
         use crate::hash::HashBatch;
         let mut out = [0u64; 2];
         frozen_guarded.hash_batch(&[key, off], &mut out);

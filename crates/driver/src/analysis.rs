@@ -8,7 +8,7 @@ use sepe_baselines::CityHash;
 use sepe_containers::{BucketPolicy, UnorderedMap};
 use sepe_core::codegen::{emit, Language};
 use sepe_core::guard::GuardedHash;
-use sepe_core::hash::SynthesizedHash;
+use sepe_core::hash::{FixedSeedSource, SynthesizedHash};
 use sepe_core::infer::infer_pattern;
 use sepe_core::regex::Regex;
 use sepe_core::synth::{synthesize, Family};
@@ -265,7 +265,8 @@ const METRICS_POOL: usize = 1024;
 
 /// Deterministic observability counts from a seeded, single-threaded
 /// workload: per format, a guarded map is filled from the key pool,
-/// churned at steady state, degraded (opening one epoch migration),
+/// churned at steady state, escalated to the keyed rung under a fixed
+/// seed (opening one epoch migration),
 /// drained with seeded random strides, and churned again — with the
 /// table and guard metrics exported into one [`sepe_obs::Registry`]
 /// under a `format` label. Because the workload is single-threaded and
@@ -289,7 +290,7 @@ pub fn metrics_snapshot(scale: &RunScale) -> sepe_obs::Snapshot {
         }
         let mut rng = SplitMix64::new(0x0B5E_C0DE);
         churn(&mut map, &keys, &mut rng, ops);
-        map.degrade_now();
+        map.escalate_now(&FixedSeedSource::new(0x0B5E));
         while map.migration_in_flight() {
             map.migrate(1 + (rng.next_u64() % 32) as usize);
         }
@@ -439,7 +440,7 @@ mod tests {
             b.render(),
             "same scale, same seeds, same snapshot bytes"
         );
-        // One degrade per format: the epoch opened, drained completely,
+        // One escalation per format: the epoch opened, drained completely,
         // and every resident entry moved.
         let opened = a.counter_family_total("table_epochs_opened");
         let finished = a.counter_family_total("table_epochs_finished");

@@ -12,7 +12,8 @@ pub enum ObsEvent {
         /// Off-format observations in the burst.
         off_format: u64,
     },
-    /// A migration epoch opened (degrade or resynthesis swap).
+    /// A migration epoch opened (an escalation, rotation, de-escalation or
+    /// resynthesis swap).
     EpochOpen,
     /// A mutating op drained entries from an old epoch.
     EpochDrain {
@@ -32,14 +33,9 @@ pub enum ObsEvent {
         /// Keys observed in that window.
         total: u64,
     },
-    /// A shard was flipped to its guarded fallback hash for every key.
-    ShardDegrade {
-        /// Index of the degraded shard.
-        shard: u64,
-    },
     /// A shard's collision-storm detector took an upward rung on the
-    /// HashDoS escalation ladder (degrade or keyed; seed rotations are
-    /// recorded as [`ObsEvent::SeedRotation`]).
+    /// HashDoS escalation ladder: `Guarded` → `Keyed` in one step (seed
+    /// rotations are recorded as [`ObsEvent::SeedRotation`]).
     ShardEscalate {
         /// Index of the escalated shard.
         shard: u64,
@@ -68,7 +64,6 @@ impl ObsEvent {
             ObsEvent::EpochDrain { .. } => "epoch_drain",
             ObsEvent::EpochFinish => "epoch_finish",
             ObsEvent::ShardDrift { .. } => "shard_drift",
-            ObsEvent::ShardDegrade { .. } => "shard_degrade",
             ObsEvent::ShardEscalate { .. } => "shard_escalate",
             ObsEvent::ShardDeescalate { .. } => "shard_deescalate",
             ObsEvent::SeedRotation { .. } => "seed_rotation",
@@ -92,7 +87,6 @@ mod tests {
                 off_format: 3,
                 total: 4,
             },
-            ObsEvent::ShardDegrade { shard: 0 },
             ObsEvent::ShardEscalate { shard: 0 },
             ObsEvent::ShardDeescalate { shard: 0 },
             ObsEvent::SeedRotation { shard: 0 },

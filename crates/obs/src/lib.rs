@@ -1,6 +1,6 @@
 //! Unified observability for the SEPE runtime.
 //!
-//! The synthesize → guard → degrade → resynthesize pipeline spans several
+//! The synthesize → guard → escalate → resynthesize pipeline spans several
 //! subsystems — format guards, migration epochs, lock-striped shards, the
 //! HashDoS escalation ladder — and each of them grew its own ad-hoc
 //! telemetry. This crate gives them one dependency-light surface:

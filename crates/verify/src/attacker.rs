@@ -13,8 +13,8 @@
 //!   offline and keep the keys that land in one chosen bucket. ~one
 //!   bucket-count of trials per colliding key, entirely practical. This
 //!   is the attacker the escalation ladder must defeat: it works against
-//!   the guarded fallback too, which is why a storm skips `Degraded` and
-//!   goes straight to `Keyed(seed)`.
+//!   the guarded fallback too, which is why a storm goes straight to
+//!   `Keyed(seed)`.
 //!   [`format_flood`] is the same search over keys of one format, which
 //!   the keyed rung hashes through the seeded bijection of the specialized
 //!   hash instead of SipHash: it pays only against the seed it was forged

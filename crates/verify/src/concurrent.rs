@@ -12,16 +12,16 @@
 //!
 //! The chaos variant adds a drift-burst thread that hammers one shard at a
 //! time with off-format keys, lets the per-shard drift policy trip it (the
-//! trip is held on the guarded route), flips a target that did not trip
-//! with an explicit degrade, and then resynthesizes each tripped or
-//! degraded shard inline while the other threads keep serving — the blast
+//! trip is held on the guarded route), escalates a target that did not
+//! trip to the keyed rung, and then resynthesizes each tripped or
+//! escalated shard inline while the other threads keep serving — the blast
 //! radius of drift must stay confined to its shard, and every such shard
 //! must be re-armed on its widened plan.
 
 use sepe_containers::sharded::ShardedMap;
 use sepe_containers::DriftPolicy;
 use sepe_core::guard::{GuardMode, GuardedHash};
-use sepe_core::hash::ByteHash;
+use sepe_core::hash::{ByteHash, FixedSeedSource};
 use sepe_core::pattern::KeyPattern;
 use sepe_core::synth::Family;
 use sepe_core::SynthesizedHash;
@@ -37,11 +37,11 @@ pub struct ConcurrentStats {
     pub ops: usize,
     /// Worker threads that ran.
     pub threads: usize,
-    /// Shards flipped to `Degraded` by `degrade_shard` after a burst.
-    pub degradations: usize,
+    /// Shards escalated by `escalate_shard` after a burst did not trip.
+    pub escalations: usize,
     /// Drift trips the per-shard policy took (held on the guarded route).
     pub drift_trips: usize,
-    /// Tripped or degraded shards re-armed by inline resynthesis under load.
+    /// Tripped or escalated shards re-armed by inline resynthesis under load.
     pub resyntheses: usize,
     /// Full-content comparisons against the twin (and `HashMap` union).
     pub checkpoints: usize,
@@ -52,7 +52,7 @@ impl ConcurrentStats {
     pub fn absorb(&mut self, other: ConcurrentStats) {
         self.ops += other.ops;
         self.threads += other.threads;
-        self.degradations += other.degradations;
+        self.escalations += other.escalations;
         self.drift_trips += other.drift_trips;
         self.resyntheses += other.resyntheses;
         self.checkpoints += other.checkpoints;
@@ -71,7 +71,7 @@ pub struct ConcurrentRun {
     pub ops_per_thread: usize,
     /// Seed for the per-thread operation streams.
     pub seed: u64,
-    /// Fire drift bursts from thread 0 that trip or degrade individual
+    /// Fire drift bursts from thread 0 that trip or escalate individual
     /// shards.
     pub chaos: bool,
 }
@@ -92,9 +92,9 @@ fn partition(pool: &[Vec<u8>], t: usize, threads: usize) -> Vec<Vec<u8>> {
 /// asserting per-operation agreement with the twin. When
 /// [`ConcurrentRun::chaos`] is set, thread 0 additionally fires drift
 /// bursts — off-format traffic aimed at one shard, the per-shard drift
-/// judgment (a trip holds the guarded route), an explicit degrade of the
-/// target when it did not trip, then [`ShardedMap::resynthesize_shard`] on
-/// every tripped or degraded shard — while the others keep serving reads.
+/// judgment (a trip holds the guarded route), an escalation of the target
+/// when it did not trip, then [`ShardedMap::resynthesize_shard`] on every
+/// tripped or escalated shard — while the others keep serving reads.
 ///
 /// # Errors
 ///
@@ -184,19 +184,18 @@ where
                 }
                 // The windowed per-shard policy gets first shot at the
                 // trigger, and a trip holds the shard's guarded route; a
-                // target that did not trip is flipped explicitly, so the
+                // target that did not trip is escalated explicitly, so the
                 // burst always lands. Only lower-half shards ever see
                 // off-format keys, so neither path can reach the upper half.
-                let before = map.degraded_shards();
+                // Every shard is guarded here: each burst re-arms what it
+                // tripped or escalated.
                 stats.drift_trips += map.maybe_degrade(&policy);
-                if map.degraded_shards() != before {
+                if (0..map.shard_count()).any(|i| map.shard_mode(i) != GuardMode::Guarded) {
                     return Err("a drift trip flipped a shard off its guarded route".into());
                 }
-                if map.shard_drift_trip(target).is_none()
-                    && map.shard_mode(target) == GuardMode::Guarded
-                {
-                    map.degrade_shard(target);
-                    stats.degradations += map.degraded_shards().saturating_sub(before);
+                if map.shard_drift_trip(target).is_none() {
+                    map.escalate_shard(target, &FixedSeedSource::new(r));
+                    stats.escalations += 1;
                 }
                 // Win the specialized hash back inline, under the shard
                 // write lock, while the other threads keep serving.
@@ -335,20 +334,22 @@ where
             twin.len()
         ));
     }
-    if chaos && stats.degradations + stats.drift_trips == 0 {
-        return Err("chaos run tripped or degraded no shard — bursts were ineffective".to_string());
+    if chaos && stats.escalations + stats.drift_trips == 0 {
+        return Err(
+            "chaos run tripped or escalated no shard — bursts were ineffective".to_string(),
+        );
     }
     if chaos {
         // Bursts only ever aim at the lower half of the stripes, and a
-        // shard that never saw an off-format key must not trip or degrade:
-        // any in the upper half means drift leaked across shards (via
-        // routing, shared counters, or the policy). Every lower-half trip
-        // and degradation was followed by an inline resynthesis of its
-        // shard.
-        if stats.resyntheses != stats.degradations + stats.drift_trips {
+        // shard that never saw an off-format key must not trip or leave
+        // its guarded route: any in the upper half means drift leaked
+        // across shards (via routing, shared counters, or the policy).
+        // Every lower-half trip and escalation was followed by an inline
+        // resynthesis of its shard.
+        if stats.resyntheses != stats.escalations + stats.drift_trips {
             return Err(format!(
-                "{} shards degraded and {} tripped but {} were resynthesized",
-                stats.degradations, stats.drift_trips, stats.resyntheses
+                "{} shards escalated and {} tripped but {} were resynthesized",
+                stats.escalations, stats.drift_trips, stats.resyntheses
             ));
         }
         let half = (map.shard_count() / 2).max(1);
@@ -369,7 +370,7 @@ where
             }
             return Err(if shard >= half {
                 format!(
-                    "shard {shard} degraded without ever seeing off-format traffic — \
+                    "shard {shard} left its guarded route without ever seeing off-format traffic — \
                      blast radius was not confined"
                 )
             } else {
@@ -384,9 +385,9 @@ where
 
 /// Cross-checks an exported metrics snapshot against the model-checked
 /// ground truth the run itself established: guard drift totals must equal
-/// [`ShardedMap::drift_counts`], the `shard_degrades` counter and the
-/// trace's `ShardDegrade` events must equal the worker-observed
-/// degradations, its `ShardDrift` events the worker-observed trips (each
+/// [`ShardedMap::drift_counts`], the shards' `table_escalations` family
+/// and the trace's `ShardEscalate` events must equal the worker-observed
+/// escalations, its `ShardDrift` events the worker-observed trips (each
 /// carrying a window over the policy's threshold), and after the
 /// quiescent drain every opened migration epoch must be finished.
 fn check_metrics_against_ground_truth<G>(
@@ -416,24 +417,24 @@ where
              drift_counts says {off_f}"
         ));
     }
-    let degrades = snap.counter("shard_degrades");
-    if degrades != Some(stats.degradations as u64) {
+    let escalations = snap.counter_family_total("table_escalations");
+    if escalations != stats.escalations as u64 {
         return Err(format!(
-            "metrics drift: shard_degrades reads {degrades:?}, workers \
-             observed {} degradations",
-            stats.degradations
+            "metrics drift: the table_escalations family totals {escalations}, \
+             workers observed {} escalations",
+            stats.escalations
         ));
     }
     let events = map.events();
-    let degrade_events = events
+    let escalate_events = events
         .iter()
-        .filter(|e| matches!(e, ObsEvent::ShardDegrade { .. }))
+        .filter(|e| matches!(e, ObsEvent::ShardEscalate { .. }))
         .count();
-    if degrade_events != stats.degradations {
+    if escalate_events != stats.escalations {
         return Err(format!(
-            "metrics drift: the event trace holds {degrade_events} degrade events, \
-             workers observed {} degradations",
-            stats.degradations
+            "metrics drift: the event trace holds {escalate_events} escalate events, \
+             workers observed {} escalations",
+            stats.escalations
         ));
     }
     let trips: Vec<(u64, u64)> = events
@@ -503,11 +504,11 @@ mod tests {
         assert_eq!(stats.threads, 4);
         assert_eq!(stats.ops, 8_000);
         assert_eq!(stats.checkpoints, 1);
-        assert_eq!(stats.degradations, 0);
+        assert_eq!(stats.escalations, 0);
     }
 
     #[test]
-    fn chaos_run_degrades_some_but_not_all_shards() {
+    fn chaos_run_trips_or_escalates_some_but_not_all_shards() {
         let pattern = Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("pattern");
         let pool = ssn_pool(240);
         let stats = check_concurrent_map(
@@ -523,10 +524,10 @@ mod tests {
             },
         )
         .expect("chaos run agrees");
-        assert!(stats.degradations + stats.drift_trips >= 1, "{stats:?}");
+        assert!(stats.escalations + stats.drift_trips >= 1, "{stats:?}");
         assert_eq!(
             stats.resyntheses,
-            stats.degradations + stats.drift_trips,
+            stats.escalations + stats.drift_trips,
             "{stats:?}"
         );
     }

@@ -10,9 +10,9 @@
 //! bounds, byte flips out of the allowed ranges); [`mutate_in_format`]
 //! resamples a byte inside its range as a control. [`check_guarded_container`] replays random operation
 //! sequences with a configurable fraction of injected faults against
-//! `std::collections::HashMap`, and [`check_degradation`] drives a guarded
-//! map over the drift threshold and asserts the held trip, the resynthesis
-//! that acts on it, and the explicit degrade.
+//! `std::collections::HashMap`, and [`check_drift_trip`] drives a guarded
+//! map over the drift threshold and asserts the held trip and the
+//! resynthesis that acts on it.
 
 use crate::interp::spec_matches;
 use sepe_containers::{DriftPolicy, UnorderedMap};
@@ -342,7 +342,7 @@ pub struct FaultStats {
     pub ops: usize,
     /// Off-format keys injected into the pool.
     pub injected: usize,
-    /// Degradation transitions observed.
+    /// Drift trips observed.
     pub transitions: usize,
     /// Full-content checkpoints passed.
     pub checkpoints: usize,
@@ -377,7 +377,7 @@ pub fn faulted_pool(
 /// keys from `pool` (which may contain off-format, non-UTF-8 keys — the
 /// model uses `Vec<u8>` keys for exactly that reason). Every 512 steps the
 /// drift policy is consulted, so a pool over the threshold exercises the
-/// degradation transition mid-sequence.
+/// held drift trip mid-sequence.
 ///
 /// # Errors
 ///
@@ -453,7 +453,7 @@ pub fn check_guarded_container<G: ByteHash + Clone>(
         }
         if step % 512 == 511 && sut.maybe_degrade(policy) {
             stats.transitions += 1;
-            check_contents(step, &sut, &model).map_err(|e| format!("after degradation: {e}"))?;
+            check_contents(step, &sut, &model).map_err(|e| format!("after the drift trip: {e}"))?;
         }
         stats.ops += 1;
     }
@@ -488,14 +488,13 @@ fn check_contents<H: ByteHash>(
 /// off-format keys and asserts the drift state machine: `Guarded` before
 /// the threshold; then exactly one trip, held on the guarded route (mode
 /// unchanged, no epoch opened, every stored key's route unchanged); an
-/// applied resynthesis that opens the one epoch and clears the hold; and
-/// an explicit `degrade_now` that flips to `Degraded`. No key may be lost
-/// at any step, mid-migration or after the drain.
+/// applied resynthesis that opens the one epoch and clears the hold. No
+/// key may be lost at any step, mid-migration or after the drain.
 ///
 /// # Errors
 ///
 /// Describes the first violated transition or lost key.
-pub fn check_degradation<G: ByteHash + Clone>(
+pub fn check_drift_trip<G: ByteHash + Clone>(
     pattern: &KeyPattern,
     family: Family,
     fallback: G,
@@ -581,17 +580,10 @@ pub fn check_degradation<G: ByteHash + Clone>(
     }
     check_keys(&map, &keys, "mid-migration after the resynthesis")?;
     map.finish_migration();
-    // The explicit flip is still the only way to `Degraded`.
-    map.degrade_now();
-    if map.guard_mode() != GuardMode::Degraded {
-        return Err("degrade_now did not flip the map to Degraded".to_owned());
-    }
-    check_keys(&map, &keys, "mid-migration after degrade_now")?;
-    map.finish_migration();
     if map.migration_in_flight() {
         return Err("finish_migration left the epoch in flight".to_owned());
     }
-    check_keys(&map, &keys, "across the degradation drain")
+    check_keys(&map, &keys, "across the resynthesis drain")
 }
 
 /// Every key of `keys` is still present in `map`.
@@ -653,11 +645,11 @@ mod tests {
     }
 
     #[test]
-    fn degradation_state_machine_is_exercised() {
+    fn drift_state_machine_is_exercised() {
         let mut rng = SplitMix64::new(0xD1F7);
         let format = RandomFormat::generate(&mut rng);
         let pattern = format.pattern();
         let clean = format.sample_keys(&mut rng, 200);
-        check_degradation(&pattern, Family::Pext, Stl, &clean, 0x0FF).expect("state machine");
+        check_drift_trip(&pattern, Family::Pext, Stl, &clean, 0x0FF).expect("state machine");
     }
 }

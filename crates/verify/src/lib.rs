@@ -27,8 +27,8 @@
 //!   against `std::collections::HashMap` to validate the container layer;
 //! * [`faults`] — a fault injector that mutates pool keys off-format
 //!   (length edits, byte flips out of the allowed ranges) and model-checks
-//!   `GuardedHash`-backed containers, including the drift-triggered
-//!   degradation transition, under injected faults;
+//!   `GuardedHash`-backed containers, including the held drift trip and
+//!   the resynthesis that acts on it, under injected faults;
 //! * [`migration`] — a chaos harness for the incremental migration state
 //!   machine: interrupted epochs with drift bursts model-checked against an
 //!   eagerly drained twin and `std::collections::HashMap` (contents *and*
@@ -36,8 +36,9 @@
 //!   boundaries, and typed rejection of corrupted plan bundles;
 //! * [`concurrent`] — a multi-threaded model checker for the lock-striped
 //!   `ShardedMap`: real OS threads over disjoint key partitions against a
-//!   `Mutex<HashMap>` twin, with chaos-mode drift bursts that degrade one
-//!   shard and resynthesize it inline while its siblings keep serving;
+//!   `Mutex<HashMap>` twin, with chaos-mode drift bursts that trip or
+//!   escalate one shard and resynthesize it inline while its siblings keep
+//!   serving;
 //! * [`attacker`] — scripted HashDoS attackers: the linear OffXor
 //!   forgeries promoted from the repository's adversarial tests, plus a
 //!   brute-force bucket-flood generator that works against any

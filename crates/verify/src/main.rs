@@ -53,7 +53,7 @@ const SUITES: &[(&str, &str, Suite)] = &[
     (
         "faults",
         "fault-injected guarded containers and the drift state machine (held trip, \
-         resynthesis, explicit degrade), batched guard checks included",
+         resynthesis), batched guard checks included",
         run_faults,
     ),
     (
@@ -65,7 +65,7 @@ const SUITES: &[(&str, &str, Suite)] = &[
     (
         "concurrent",
         "threaded ShardedMap ops vs. a Mutex<HashMap> twin; with --inject-faults, \
-         drift bursts trip or degrade shards and each is resynthesized inline under load",
+         drift bursts trip or escalate shards and each is resynthesized inline under load",
         run_concurrent,
     ),
     (
@@ -423,15 +423,15 @@ fn run_faults(opts: &Options) -> Result<String, String> {
     }
 
     // The drift state machine, end to end.
-    let mut degradations = 0usize;
+    let mut machines = 0usize;
     for i in 0..3usize {
         let format = RandomFormat::generate(&mut rng);
         let pattern = format.pattern();
         let clean = format.sample_keys(&mut rng, 200);
         for family in Family::ALL {
-            faults::check_degradation(&pattern, family, CityHash::new(), &clean, opts.seed)
-                .map_err(|e| format!("degradation format {i} {family}: {e}"))?;
-            degradations += 1;
+            faults::check_drift_trip(&pattern, family, CityHash::new(), &clean, opts.seed)
+                .map_err(|e| format!("drift format {i} {family}: {e}"))?;
+            machines += 1;
         }
     }
 
@@ -439,7 +439,7 @@ fn run_faults(opts: &Options) -> Result<String, String> {
         "{agreement_checks} guard/spec agreements, {batch_checks} batched guard verdicts, \
          {identity_keys} in-format hash identities, \
          {} faulted container ops ({} transitions, {} checkpoints), \
-         {degradations} drift state machines — all agreed with std::collections::HashMap",
+         {machines} drift state machines — all agreed with std::collections::HashMap",
         stats.ops, stats.transitions, stats.checkpoints
     ))
 }
@@ -577,13 +577,13 @@ fn run_concurrent(opts: &Options) -> Result<String, String> {
 
     Ok(format!(
         "{} threaded ops across {runs} runs ({} worker threads total, {} shard drift \
-         trips held, {} shard degradations, {} inline shard resyntheses under load, {} \
+         trips held, {} shard escalations, {} inline shard resyntheses under load, {} \
          quiescent checkpoints) — every per-key observation and final content matched \
          the Mutex<HashMap> twin",
         stats.ops,
         stats.threads,
         stats.drift_trips,
-        stats.degradations,
+        stats.escalations,
         stats.resyntheses,
         stats.checkpoints
     ))
@@ -757,7 +757,8 @@ fn run_transitions(opts: &Options) -> Result<String, String> {
             .map_err(|e| format!("{family} multimap (keyed start: {keyed}): {e}"))?;
         multi.absorb(s);
     }
-    // Insert, degrade, escalate is the shortest sequence that merges.
+    // Insert, escalate, escalate (a rotation over the open epoch) is the
+    // shortest sequence that merges.
     if opts.depth >= 3 && map.merges == 0 {
         return Err(format!(
             "{family} map: no transition merged into an open epoch"
@@ -770,8 +771,7 @@ fn run_transitions(opts: &Options) -> Result<String, String> {
     Ok(format!(
         "depth {} over {family} ({injective} plan): {} map sequences ({} steps, {} mid-epoch, {} transitions, \
          {} tick drains, {} merged into an open epoch, {} drift trips held) and {} multimap sequences from guarded and keyed starts ({} steps, {} mid-epoch) — \
-         contents matched the HashMap twin, mode and ladder counters the eager twin, and \
-         {} degrade_now calls off Guarded changed nothing",
+         contents matched the HashMap twin, mode and ladder counters the eager twin",
         opts.depth,
         map.sequences,
         map.steps,
@@ -783,7 +783,6 @@ fn run_transitions(opts: &Options) -> Result<String, String> {
         multi.sequences,
         multi.steps,
         multi.mid_epoch,
-        map.inert_degrades + multi.inert_degrades,
     ))
 }
 

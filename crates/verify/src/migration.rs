@@ -1,7 +1,7 @@
 //! Chaos harness for the incremental migration state machine and the
 //! hardened plan trust boundary.
 //!
-//! A degrade or resynthesize on a guarded container no longer rebuilds
+//! An escalation or resynthesis on a guarded container no longer rebuilds
 //! stored hashes stop-the-world: it opens an *epoch* — old-plan and
 //! new-plan bucket arrays coexist, every mutating operation drains a
 //! bounded number of entries, and lookups consult both epochs until the
@@ -28,7 +28,7 @@
 use crate::faults::{faulted_pool, mutate_off_format};
 use sepe_containers::UnorderedMap;
 use sepe_core::guard::{GuardStats, GuardedHash};
-use sepe_core::hash::{ByteHash, SynthError};
+use sepe_core::hash::{ByteHash, FixedSeedSource, SynthError};
 use sepe_core::pattern::KeyPattern;
 use sepe_core::plan_io::{bundle_from_str, bundle_to_string, SynthBundle};
 use sepe_core::synth::{synthesize, Family, Plan, WordOp};
@@ -46,7 +46,7 @@ pub struct MigrationStats {
     pub ops: usize,
     /// Randomized partial `migrate(n)` drains issued to the SUT.
     pub interruptions: usize,
-    /// Epoch transitions (degrade + resynthesize) exercised.
+    /// Epoch transitions (escalation + resynthesis) exercised.
     pub transitions: usize,
     /// Full content + counter checkpoints passed.
     pub checkpoints: usize,
@@ -127,8 +127,10 @@ fn check_counters<G: ByteHash + Clone>(
 ///
 /// The run seeds all three peers with `clean`, then replays `n_ops` random
 /// operations from a fault-injected pool. A third of the way in, both
-/// guarded maps `degrade_now()`; two thirds in, both `resynthesize()` from
-/// their (identical) reservoirs. The twin finishes each migration on the
+/// guarded maps `escalate_now()` under one fixed seed; two thirds in, both
+/// `resynthesize()` from their (identical) reservoirs, sampled before the
+/// escalation. The resynthesis installs a new plan, so its epoch re-files
+/// every entry from its key bytes. The twin finishes each migration on the
 /// spot; the SUT drains only through per-op amortization plus randomized
 /// `migrate(n)` interruptions, with extra off-format drift bursts injected
 /// while its epoch is in flight. Contents are checked against the model
@@ -166,18 +168,18 @@ pub fn check_interrupted_migration<G: ByteHash + Clone>(
         return Err("empty key pool".to_owned());
     }
 
-    let degrade_at = n_ops / 3;
+    let escalate_at = n_ops / 3;
     let resynth_at = 2 * n_ops / 3;
     let mut next_value = clean.len() as u64;
 
     for step in 0..n_ops {
-        if step == degrade_at {
-            sut.degrade_now();
-            twin.degrade_now();
+        if step == escalate_at {
+            sut.escalate_now(&FixedSeedSource::new(seed));
+            twin.escalate_now(&FixedSeedSource::new(seed));
             twin.finish_migration();
             if !sut.migration_in_flight() {
                 return Err(format!(
-                    "step {step}: degrade_now on a {}-entry map left no epoch in flight",
+                    "step {step}: escalate_now on a {}-entry map left no epoch in flight",
                     sut.len()
                 ));
             }
@@ -342,8 +344,8 @@ pub fn check_batched_epoch_boundary<G: ByteHash + Clone>(
     let mut next_value = 0u64;
     for round in 0..rounds {
         if round == rounds / 3 {
-            sut.degrade_now();
-            twin.degrade_now();
+            sut.escalate_now(&FixedSeedSource::new(seed));
+            twin.escalate_now(&FixedSeedSource::new(seed));
             twin.finish_migration();
         }
         if round == 2 * rounds / 3 && sut.resynthesize().is_applied() {
@@ -409,7 +411,7 @@ pub fn check_batched_epoch_boundary<G: ByteHash + Clone>(
 }
 
 /// Cross-checks the table's exported drain metrics against exact ground
-/// truth on a deterministic scenario: seed a map with `clean`, degrade it
+/// truth on a deterministic scenario: seed a map with `clean`, escalate it
 /// (one epoch over exactly `len` entries), drain it in seeded random
 /// strides, then probe every key once. The registry snapshot must show
 /// exactly one epoch opened and finished, exactly `len` entries drained,
@@ -439,7 +441,7 @@ pub fn check_drain_accounting<G: ByteHash + Clone>(
     if entries == 0 {
         return Err("empty clean pool".to_owned());
     }
-    map.degrade_now();
+    map.escalate_now(&FixedSeedSource::new(seed));
     let expect = |what: &str, got: Option<u64>, want: u64| -> Result<(), String> {
         if got != Some(want) {
             return Err(format!(

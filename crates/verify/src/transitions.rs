@@ -8,26 +8,24 @@
 //! off-format key) plus every maintenance call:
 //!
 //! * [`check_map`] drives an [`UnorderedMap`] through insert, remove and
-//!   get, `degrade_now`, `escalate_now`, a calm `maybe_escalate` tick (which
-//!   drains the epoch's share of the operations served since the last
-//!   one), a calm `maybe_deescalate`, a `maybe_degrade` under a policy that
-//!   trips on any off-format key in the window, `resynthesize`,
-//!   `migrate(1)` and `finish_migration`;
+//!   get, `escalate_now`, a calm `maybe_escalate` tick (which drains the
+//!   epoch's share of the operations served since the last one), a calm
+//!   `maybe_deescalate`, a `maybe_degrade` under a policy that trips on
+//!   any off-format key in the window, `resynthesize`, `migrate(1)` and
+//!   `finish_migration`;
 //! * [`check_multimap`] drives an [`UnorderedMultiMap`] through insert,
-//!   `remove_one` and count, `degrade_now`, `migrate(1)` and
+//!   `remove_one` and count, `resynthesize`, `migrate(1)` and
 //!   `finish_migration`, from a guarded and from a keyed start.
 //!
 //! After every step the table must hold exactly what a
 //! `std::collections::HashMap` twin holds, and its mode, ladder counters,
 //! keyed seed and drift counts must equal those of an *eager* twin that
 //! takes the same calls but finishes every migration epoch at once: an
-//! amortized drain never changes a transition. A `degrade_now` off
-//! [`GuardMode::Guarded`] must change nothing at all. A drift trip must be
-//! held: it leaves the map guarded with its counters unchanged, opens no
-//! epoch, and does not trip again until a transition clears it; every
-//! transition does. A transition
-//! requested while an epoch is open (`degrade_now`, `escalate_now` or an
-//! applied `resynthesize`) must merge into it: the epoch stays open and
+//! amortized drain never changes a transition. A drift trip must be held:
+//! it leaves the map guarded with its counters unchanged, opens no epoch,
+//! and does not trip again until a transition clears it; every transition
+//! does. A transition requested while an epoch is open (`escalate_now` or
+//! an applied `resynthesize`) must merge into it: the epoch stays open and
 //! its drain progress does not move, since only the swept side is
 //! re-filed and the unswept entries drain straight to the new routing.
 
@@ -72,8 +70,6 @@ pub enum MapOp {
     Remove(usize),
     /// `get(KEYS[i])`.
     Get(usize),
-    /// `degrade_now()`.
-    Degrade,
     /// `escalate_now(seeds)`.
     Escalate,
     /// `maybe_escalate(calm, seeds)`: a tick that judges no storm in a
@@ -100,8 +96,8 @@ pub const TRIP: DriftPolicy = DriftPolicy {
     window: 1024,
 };
 
-/// Every map operation: 20 in all.
-pub const MAP_OPS: [MapOp; 20] = [
+/// Every map operation: 19 in all.
+pub const MAP_OPS: [MapOp; 19] = [
     MapOp::Insert(0),
     MapOp::Insert(1),
     MapOp::Insert(2),
@@ -114,7 +110,6 @@ pub const MAP_OPS: [MapOp; 20] = [
     MapOp::Get(1),
     MapOp::Get(2),
     MapOp::Get(3),
-    MapOp::Degrade,
     MapOp::Escalate,
     MapOp::Tick,
     MapOp::Deescalate,
@@ -133,8 +128,9 @@ pub enum MultiOp {
     RemoveOne(usize),
     /// `count(KEYS[i])`.
     Count(usize),
-    /// `degrade_now()`.
-    Degrade,
+    /// `resynthesize()`: the multimap's one transition, applied once the
+    /// off-format key has been sampled on the guarded rung.
+    Resynthesize,
     /// `migrate(1)`.
     Migrate,
     /// `finish_migration()`.
@@ -155,7 +151,7 @@ pub const MULTI_OPS: [MultiOp; 15] = [
     MultiOp::Count(1),
     MultiOp::Count(2),
     MultiOp::Count(3),
-    MultiOp::Degrade,
+    MultiOp::Resynthesize,
     MultiOp::Migrate,
     MultiOp::Finish,
 ];
@@ -172,8 +168,6 @@ pub struct TransitionStats {
     pub mid_epoch: usize,
     /// Steps that changed the mode, a ladder counter, or the plan.
     pub transitions: usize,
-    /// `degrade_now` calls off `Guarded` that were checked to be inert.
-    pub inert_degrades: usize,
     /// Maintenance ticks that drained part of an open epoch.
     pub tick_drains: usize,
     /// Transitions requested over an open epoch and merged into it.
@@ -189,7 +183,6 @@ impl TransitionStats {
         self.steps += other.steps;
         self.mid_epoch += other.mid_epoch;
         self.transitions += other.transitions;
-        self.inert_degrades += other.inert_degrades;
         self.tick_drains += other.tick_drains;
         self.merges += other.merges;
         self.drift_trips += other.drift_trips;
@@ -227,8 +220,7 @@ fn for_each_sequence<T: Copy>(
 }
 
 /// The observable maintenance state of a guarded table: what an eager
-/// twin must agree on (`ladder`), plus the epoch an inert call must not
-/// touch.
+/// twin must agree on (`ladder`), plus the epoch a merge must not move.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Observed {
     ladder: Ladder,
@@ -282,25 +274,17 @@ fn observe_multimap(m: &MultiMap) -> Observed {
     }
 }
 
-/// The after-step checks both sides share: an inert degrade off
-/// `Guarded`, a `requested` transition over an open epoch merged into
-/// it, a transition that clears a held drift trip, agreement with the
-/// eager twin, and the step's statistics.
+/// The after-step checks both sides share: a `requested` transition over
+/// an open epoch merged into it, a transition that clears a held drift
+/// trip, agreement with the eager twin, and the step's statistics.
 fn check_step(
     stats: &mut TransitionStats,
-    degrade: bool,
     requested: bool,
     applied: bool,
     before: Observed,
     after: Observed,
     twin: Observed,
 ) -> Result<(), String> {
-    if degrade && before.ladder.mode != GuardMode::Guarded {
-        if after != before {
-            return Err(format!("degrade off Guarded: {before:?} -> {after:?}"));
-        }
-        stats.inert_degrades += 1;
-    }
     if after.ladder != twin.ladder {
         return Err(format!("lazy {:?}, eager {:?}", after.ladder, twin.ladder));
     }
@@ -393,11 +377,6 @@ pub fn check_map(template: &Hasher, depth: usize, seed: u64) -> Result<Transitio
                     let want = model.get(KEYS[k]);
                     lazy.get(KEYS[k]) == want && eager.get(KEYS[k]) == want
                 }
-                MapOp::Degrade => {
-                    lazy.degrade_now();
-                    eager.degrade_now();
-                    true
-                }
                 MapOp::Escalate => {
                     lazy.escalate_now(&lazy_seeds);
                     eager.escalate_now(&eager_seeds);
@@ -442,8 +421,7 @@ pub fn check_map(template: &Hasher, depth: usize, seed: u64) -> Result<Transitio
             }
             check_step(
                 &mut stats,
-                op == MapOp::Degrade,
-                matches!(op, MapOp::Degrade | MapOp::Escalate | MapOp::Resynthesize),
+                matches!(op, MapOp::Escalate | MapOp::Resynthesize),
                 applied,
                 before,
                 after,
@@ -469,8 +447,8 @@ fn multimap_contents_match(m: &MultiMap, model: &HashMap<Vec<u8>, usize>) -> boo
 /// Replays every sequence of `depth` [`MULTI_OPS`] on a fresh multimap
 /// over a private copy of `template`, against a `HashMap<key, count>`
 /// twin and an eager twin. With `keyed`, both start on the keyed rung
-/// (seeded from `FixedSeedSource::new(seed)`), where every `degrade_now`
-/// must be inert.
+/// (seeded from `FixedSeedSource::new(seed)`), which samples no drift, so
+/// every `resynthesize` there finds none.
 ///
 /// # Errors
 ///
@@ -482,7 +460,7 @@ pub fn check_multimap(
     seed: u64,
 ) -> Result<TransitionStats, String> {
     let start = || {
-        let hasher = template.detached();
+        let mut hasher = template.detached();
         if keyed {
             hasher.escalate_keyed(&FixedSeedSource::new(seed));
         }
@@ -495,6 +473,7 @@ pub fn check_multimap(
         for (step, &op) in seq.iter().enumerate() {
             let fail = |what: String| format!("{seq:?} step {step} ({op:?}): {what}");
             let before = observe_multimap(&lazy);
+            let mut applied = false;
             let agree = match op {
                 MultiOp::Insert(k) => {
                     *model.entry(KEYS[k].to_vec()).or_default() += 1;
@@ -517,10 +496,10 @@ pub fn check_multimap(
                     let want = model.get(KEYS[k]).copied().unwrap_or(0);
                     lazy.count(KEYS[k]) == want && eager.count(KEYS[k]) == want
                 }
-                MultiOp::Degrade => {
-                    lazy.degrade_now();
-                    eager.degrade_now();
-                    true
+                MultiOp::Resynthesize => {
+                    let out = lazy.resynthesize();
+                    applied = out.is_applied();
+                    out == eager.resynthesize()
                 }
                 MultiOp::Migrate => {
                     lazy.migrate(1);
@@ -540,9 +519,8 @@ pub fn check_multimap(
             let (after, twin) = (observe_multimap(&lazy), observe_multimap(&eager));
             check_step(
                 &mut stats,
-                op == MultiOp::Degrade,
-                op == MultiOp::Degrade,
-                false,
+                op == MultiOp::Resynthesize,
+                applied,
                 before,
                 after,
                 twin,
@@ -591,12 +569,13 @@ mod tests {
         for family in [Family::Pext, Family::OffXor] {
             let map = check_map(&template(family), 3, 7).expect("map");
             assert_eq!(map.sequences, MAP_OPS.len().pow(3));
-            assert!(map.transitions > 0 && map.mid_epoch > 0 && map.inert_degrades > 0);
+            assert!(map.transitions > 0 && map.mid_epoch > 0 && map.merges > 0);
             assert!(map.drift_trips > 0);
             for keyed in [false, true] {
                 let multi = check_multimap(&template(family), keyed, 3, 7).expect("multimap");
                 assert_eq!(multi.sequences, MULTI_OPS.len().pow(3));
-                assert!(multi.inert_degrades > 0);
+                // Only the guarded start samples drift to resynthesize over.
+                assert_eq!(multi.transitions > 0 && multi.mid_epoch > 0, !keyed);
             }
         }
     }

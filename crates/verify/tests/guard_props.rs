@@ -167,7 +167,7 @@ proptest! {
         let pattern = format.pattern();
         let keys = judged_keys(&format, &pattern, &mut rng);
         let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-        for (family, isa, guarded) in every_kernel(&pattern, rng.next_u64()) {
+        for (family, isa, mut guarded) in every_kernel(&pattern, rng.next_u64()) {
             let injective = guarded.specialized().injective_over(&pattern);
             guarded.escalate_keyed(&FixedSeedSource::new(seed));
             let (k0, k1) = guarded.current_seed();

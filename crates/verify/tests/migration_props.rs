@@ -1,6 +1,6 @@
 //! Property-based tests for the epoch migration machinery: `resynthesize`
 //! must reset the drift counters and the reservoir *exactly* (a guard that
-//! keeps stale counts re-degrades on phantom drift) and be total over
+//! keeps stale counts re-trips on phantom drift) and be total over
 //! arbitrary off-format bytes (it runs inline, with no deadline or panic
 //! isolation around it), and `hash_of` must
 //! agree with a freshly constructed scalar [`SynthesizedHash`] across an
@@ -10,10 +10,11 @@
 //! sequences against a `HashMap` twin: contents and `len` agree after
 //! every step, `migration_progress` never falls within an epoch, and a
 //! known chain bound covers the longest live chain. Two more drive traffic
-//! while both epochs are live across a change of equality path: a degrade
-//! out of an injective plan, whose old-epoch hits are decided by hash, and
-//! a resynthesis from a stale Pext plan, which colliding in-format keys
-//! must not fool, into an injective one. The last two request
+//! while both epochs are live across a change of route: an escalation out
+//! of an injective plan, whose hits in both epochs are decided by hash
+//! under two different routes, and a resynthesis from a stale Pext plan,
+//! which colliding in-format keys must not fool, into an injective one
+//! (its epoch re-files every entry from its key bytes). The last two request
 //! transitions while an earlier epoch is still open, which merge into it,
 //! at maintenance ticks, which drain, and between arbitrary operations,
 //! against a `HashMap` twin and an eagerly drained twin.
@@ -132,8 +133,10 @@ fn both_traffic(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A degrade, traffic with two calm ticks that each drain part of its
-    /// epoch, then an escalation requested while that epoch is still open
+    /// A resynthesis over the sampled drift, traffic with two calm ticks
+    /// that each drain part of its epoch (re-filed from key bytes, since
+    /// the plan changed), then an escalation requested while that epoch is
+    /// still open
     /// (it merges into the epoch), then traffic with a tick
     /// every eight operations, where a de-escalation comes due at a tick
     /// that may itself land inside the escalation's epoch. After every
@@ -175,8 +178,9 @@ proptest! {
             eager.finish_migration();
             Ok(())
         };
-        lazy.degrade_now();
-        eager.degrade_now();
+        let out = lazy.resynthesize();
+        prop_assert!(out.is_applied(), "{:?}", out);
+        prop_assert_eq!(out, eager.resynthesize());
         eager.finish_migration();
         let (head, tail) = ops.split_at(ops.len().min(16));
         let (first, second) = head.split_at(head.len() / 2);
@@ -188,7 +192,7 @@ proptest! {
             tick(&mut lazy, &mut eager)?;
             prop_assert!(lazy.migration_progress() >= before, "a tick undid drain progress");
         }
-        prop_assert!(lazy.migration_in_flight(), "the degrade epoch closed before the escalation");
+        prop_assert!(lazy.migration_in_flight(), "the resynthesis epoch closed before the escalation");
         let before = lazy.migration_progress();
         lazy.escalate_now(&lazy_seeds);
         prop_assert!(lazy.migration_in_flight(), "the escalation finished the open epoch");
@@ -211,8 +215,8 @@ proptest! {
     }
 
     /// Transitions requested between arbitrary operations, most of them
-    /// over an open epoch: degrades, escalations up to the keyed rung and
-    /// through seed rotations, and resyntheses, with partial drains in
+    /// over an open epoch: escalations up to the keyed rung and through
+    /// seed rotations, and resyntheses, with partial drains in
     /// between. Each one over an open epoch merges into it: the epoch stays
     /// open, its progress does not move, and the unswept entries drain
     /// straight to the newest routing. After every step the map holds its
@@ -247,17 +251,12 @@ proptest! {
             let (open, progress) = (lazy.migration_in_flight(), lazy.migration_progress());
             let before = ladder(&lazy);
             let transition = match op % 16 {
-                0 => {
-                    lazy.degrade_now();
-                    eager.degrade_now();
-                    true
-                }
                 1 | 2 => {
                     lazy.escalate_now(&lazy_seeds);
                     eager.escalate_now(&eager_seeds);
                     true
                 }
-                3 => {
+                0 | 3 => {
                     let out = lazy.resynthesize();
                     prop_assert_eq!(&out, &eager.resynthesize());
                     out.is_applied()
@@ -297,11 +296,12 @@ proptest! {
         }
     }
 
-    /// A degrade out of an injective plan: old-epoch entries stay vouched
-    /// for under the frozen guarded routing while the live epoch vouches
-    /// for nothing, and off-format keys sit in both.
+    /// An escalation out of an injective plan: old-epoch entries stay
+    /// vouched for under the frozen guarded routing while the live epoch
+    /// vouches under the keyed bijection, and off-format keys, vouched for
+    /// by neither, sit in both.
     #[test]
-    fn a_degrade_out_of_an_injective_plan_keeps_both_epochs_apart(
+    fn an_escalation_out_of_an_injective_plan_keeps_both_epochs_apart(
         seed in any::<u64>(),
         ops in prop::collection::vec((any::<u8>(), any::<u64>()), 1..160),
     ) {
@@ -325,9 +325,11 @@ proptest! {
             map.insert(key.clone(), i as u64);
             twin.insert(key.clone(), i as u64);
         }
-        map.degrade_now();
+        map.escalate_now(&FixedSeedSource::new(seed | 1));
         prop_assert!(map.migration_in_flight());
-        prop_assert!(!map.hasher().epoch_frozen(map.guard_mode()).hash_routed(&pool[0]).1);
+        let live = map.hasher().epoch_frozen(map.guard_mode());
+        prop_assert!(live.hash_routed(&pool[0]).1);
+        prop_assert!(!live.hash_routed(pool.last().expect("off-format keys")).1);
         let mid_epoch = twin_traffic(&mut map, &mut twin, &pool, &ops)?;
         prop_assert!(mid_epoch > 0);
     }
@@ -417,7 +419,7 @@ proptest! {
                 15..=17 => map.migrate((arg % 24) as usize),
                 18 => {
                     opens_epoch = true;
-                    map.degrade_now();
+                    let _ = map.resynthesize();
                 }
                 19 | 20 => {
                     opens_epoch = true;
@@ -461,14 +463,18 @@ proptest! {
 
     /// The multimap's `insert` links duplicates without a probe, and its
     /// `count` sums both epochs: under random traffic across sweep-drained
-    /// degrade epochs, every key's multiset of values matches the twin's.
+    /// resynthesis epochs, every key's multiset of values matches the
+    /// twin's. Eight of the 64 keys are off-format, so the guard samples
+    /// drift to resynthesize over.
     #[test]
     fn multimap_sweep_matches_a_counting_twin(
         seed in any::<u64>(),
         ops in prop::collection::vec((0u8..10, any::<u64>()), 1..240),
     ) {
         let (format, pool) = key_pool(seed);
-        let pool = &pool[..pool.len().min(64)];
+        let pattern = format.pattern();
+        let (off, on): (Vec<_>, Vec<_>) = pool.into_iter().partition(|k| !pattern.matches(k));
+        let pool: Vec<Vec<u8>> = on.into_iter().take(56).chain(off.into_iter().take(8)).collect();
         let family = Family::ALL[(seed % Family::ALL.len() as u64) as usize];
         let hasher = GuardedHash::from_pattern(&format.pattern(), family, Stl);
         let mut map: UnorderedMultiMap<Vec<u8>, u64, _> = UnorderedMultiMap::with_hasher(hasher);
@@ -499,7 +505,7 @@ proptest! {
                 5 => map.migrate((arg % 24) as usize),
                 6 => {
                     opens_epoch = true;
-                    map.degrade_now();
+                    let _ = map.resynthesize();
                 }
                 7 if arg % 8 == 0 => {
                     map.clear();

@@ -1,19 +1,23 @@
 //! What draining a migration epoch costs per entry.
 //!
 //! A guarded SSN map (boxed byte keys, `u64` values, the OffXor plan with
-//! a CityHash fallback) degrades, which opens an epoch, and then drains it
-//! two ways: in `migrate(4)` calls, the 4 entries every mutating operation
-//! pays; and on the maintenance clock, by calm ticks
-//! (`maybe_escalate`, `maybe_deescalate`) after every 1024 `get`s, each of
-//! which drains 4 entries per lookup served since the last one in one
+//! a CityHash fallback) escalates to the keyed rung, which opens an epoch,
+//! and then drains it two ways: in `migrate(4)` calls, the 4 entries every
+//! mutating operation pays, with every key filed by `insert_batch`,
+//! unvouched, so the drain hashes every key's bytes; and on the
+//! maintenance clock, by calm ticks (`maybe_escalate`, `maybe_deescalate`
+//! under a quiet streak no epoch outlasts) after every 1024 `get`s, each
+//! of which drains 4 entries per lookup served since the last one in one
 //! batched sweep. The ticked row also reports how many ticks closed the
 //! epoch, and its time covers only the ticks. Two rows price the chain
 //! bound: a whole epoch drained in one `finish_migration` call
 //! (`migrate(usize::MAX)`) while the bound is known, so every drained
 //! entry raises it from its bucket's count, and the same drain after a
-//! resize forgot it. The merge row times `escalate_now` on a map whose
-//! degrade epoch is half drained: the escalation merges into that epoch
-//! and re-files its swept half at once, per entry re-filed. The two
+//! resize forgot it. The merge row times a second `escalate_now`, a seed
+//! rotation, on a map whose escalation epoch is half drained: the
+//! rotation merges into that epoch and re-files its swept half at once,
+//! per entry re-filed. Every row but the first files its keys by
+//! `insert`, vouched for, so its drain maps cached hashes. The two
 //! de-escalation rows drain the epoch a quiet keyed map opens back to the
 //! guarded route, in `migrate(4)` calls: once with every entry filed by
 //! `insert`, vouched for, so the drain maps each cached keyed hash back to
@@ -51,11 +55,20 @@ fn empty(keys: &[Box<[u8]>]) -> Map {
     map
 }
 
-fn build(keys: &[Box<[u8]>]) -> Map {
-    let mut map = empty(keys);
-    for (i, key) in keys.iter().enumerate() {
-        map.insert(key.clone(), i as u64);
+/// Files `keys` by `insert` (vouched for) or by `insert_batch` (not).
+fn fill(map: &mut Map, keys: &[Box<[u8]>], batched: bool) {
+    if batched {
+        map.insert_batch(keys.iter().cloned().zip(0..).collect());
+    } else {
+        for (i, key) in keys.iter().enumerate() {
+            map.insert(key.clone(), i as u64);
+        }
     }
+}
+
+fn build(keys: &[Box<[u8]>], batched: bool) -> Map {
+    let mut map = empty(keys);
+    fill(&mut map, keys, batched);
     map
 }
 
@@ -65,13 +78,7 @@ fn build(keys: &[Box<[u8]>]) -> Map {
 fn deescalation_drain(keys: &[Box<[u8]>], seeds: &FixedSeedSource, batched: bool) -> f64 {
     let mut map = empty(keys);
     map.escalate_now(seeds);
-    if batched {
-        map.insert_batch(keys.iter().cloned().zip(0..).collect());
-    } else {
-        for (i, key) in keys.iter().enumerate() {
-            map.insert(key.clone(), i as u64);
-        }
-    }
+    fill(&mut map, keys, batched);
     // Quiet at once: no probe tail, one calm tick per streak.
     let quiet = AttackPolicy {
         quiet_streak: 1,
@@ -114,9 +121,13 @@ fn main() {
     let (mut bounded, mut unbounded) = (Vec::new(), Vec::new());
     let (mut from_cache, mut from_bytes) = (Vec::new(), Vec::new());
     let seeds = FixedSeedSource::new(1);
-    let calm = AttackPolicy::default();
+    // Calm ticks on the keyed rung never re-arm: they only drain.
+    let calm = AttackPolicy {
+        quiet_streak: u32::MAX,
+        ..AttackPolicy::default()
+    };
     for _ in 0..rounds {
-        let mut map = build(&keys);
+        let mut map = build(&keys, true);
         let start = Instant::now();
         let mut sum = 0u64;
         for key in &keys {
@@ -126,7 +137,7 @@ fn main() {
         hash.push(start.elapsed().as_nanos() as f64 / n as f64);
 
         let start = Instant::now();
-        map.degrade_now();
+        map.escalate_now(&seeds);
         while map.migration_in_flight() {
             map.migrate(4);
         }
@@ -138,8 +149,8 @@ fn main() {
         map.rehash(2 * buckets + 1);
         rehash.push(start.elapsed().as_nanos() as f64 / n as f64);
 
-        let mut map = build(&keys);
-        map.degrade_now();
+        let mut map = build(&keys, false);
+        map.escalate_now(&seeds);
         let (mut spent, mut count, mut served) = (0u128, 0usize, 0usize);
         while map.migration_in_flight() {
             for _ in 0..1024 {
@@ -156,8 +167,8 @@ fn main() {
         ticks.push(count as f64);
 
         for (forget, samples) in [(false, &mut bounded), (true, &mut unbounded)] {
-            let mut map = build(&keys);
-            map.degrade_now();
+            let mut map = build(&keys, false);
+            map.escalate_now(&seeds);
             if forget {
                 // A resize before the sweep relinks nothing, but forgets
                 // the bound and drops the bucket counts.
@@ -170,8 +181,8 @@ fn main() {
             assert_eq!(map.chain_bound().is_none(), forget);
         }
 
-        let mut map = build(&keys);
-        map.degrade_now();
+        let mut map = build(&keys, false);
+        map.escalate_now(&seeds);
         while map.migration_progress() < 0.5 {
             map.migrate(4);
         }
@@ -181,7 +192,7 @@ fn main() {
         merge.push(start.elapsed().as_nanos() as f64 / swept);
         assert!(
             map.migration_in_flight(),
-            "the escalation merged into the epoch"
+            "the rotation merged into the epoch"
         );
         assert!(
             map.migration_progress() >= 0.5,
@@ -193,7 +204,10 @@ fn main() {
     }
     println!("{n} SSN keys, {rounds} rounds");
     ticks.sort_by(f64::total_cmp);
-    println!("drain an epoch, migrate(4) calls:  {}", summary(drain));
+    println!(
+        "drain an epoch, migrate(4) calls:  {} from key bytes",
+        summary(drain)
+    );
     println!(
         "ticked, a tick per 1024 gets:      {} in {} ticks",
         summary(ticked),
@@ -202,7 +216,7 @@ fn main() {
     println!("finish_migration, bound kept:      {}", summary(bounded));
     println!("finish_migration, bound forgotten: {}", summary(unbounded));
     println!(
-        "escalation merged into a half-drained epoch: {} re-filed",
+        "rotation merged into a half-drained epoch: {} re-filed",
         summary(merge)
     );
     println!("de-escalation drain, cached hash:  {}", summary(from_cache));
