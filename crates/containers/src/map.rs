@@ -875,7 +875,7 @@ mod tests {
             m.insert(format!("{i:03}-00-0000"), i);
         }
         m.escalate_now(&sepe_core::hash::keyed::FixedSeedSource::new(7));
-        // Inserts after the flip use the fallback hash; growth rehashes mix
+        // Inserts after the flip use the keyed hash; growth rehashes mix
         // cached pre-flip and post-flip hashes only if rebuild missed one.
         for i in 0..5_000u32 {
             m.insert(format!("post-{i:06}"), i);

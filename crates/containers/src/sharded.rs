@@ -179,7 +179,7 @@ where
     }
 
     /// The shard index `key` routes to — stable for the lifetime of the
-    /// map, across shard degradations and resynthesis.
+    /// map, across shard escalations and resynthesis.
     #[inline]
     pub fn shard_of(&self, key: &[u8]) -> usize {
         self.shard_of_hash(self.router.hash_bytes(key))
@@ -1077,6 +1077,10 @@ mod tests {
         let clean = (0..4).find(|&i| i != drifted).unwrap();
         assert_eq!(m.resynthesize_shard(clean), sepe_core::Resynth::NoDrift);
 
+        // Off the guarded rung first, with the keys filed across a drain.
+        m.escalate_shard(drifted, &sepe_core::hash::keyed::FixedSeedSource::new(7));
+        m.finish_migrations();
+        assert_eq!(m.shard_mode(drifted), GuardMode::Keyed);
         assert!(m.resynthesize_shard(drifted).is_applied());
         assert_eq!(m.shard_mode(drifted), GuardMode::Guarded, "shard re-armed");
         m.finish_migrations();

@@ -14,8 +14,10 @@
 //!
 //! With the two keys of a map split across the old (guarded) and live
 //! (keyed) epochs of an escalation, in both orders, the pair collides in
-//! one of the epochs, and no lookup, insert or removal may confuse them;
-//! in a multimap, filed in one epoch, no count may.
+//! one of the epochs, and no lookup, insert or removal may confuse them.
+//! With the two keys of a multimap split across the old and live epochs
+//! of a resynthesis, in both orders, the guarded pair collides in the old
+//! epoch, and no count or removal may confuse them.
 
 use sepe_baselines::StlHash;
 use sepe_containers::{UnorderedMap, UnorderedMultiMap};
@@ -168,8 +170,10 @@ fn forged_hasher(family: Family, rung: Rung) -> Hasher {
     hasher
 }
 
-/// In-format keys filed ahead of the pair, so the handful of mutating ops
-/// after the escalation drains none of the pair out of the old epoch.
+/// In-format keys filed after the pair's old key. An epoch drains from the
+/// arena's end, so the handful of mutating ops after the transition
+/// drains filler only, and the old key stays in the old epoch while the
+/// epoch is open.
 fn filler() -> impl Iterator<Item = Vec<u8>> {
     (0..400u32).map(|i| format!("{:03}-{:02}-{:04}", i % 997, i % 89, i).into_bytes())
 }
@@ -182,10 +186,10 @@ fn check_map(family: Family, rung: Rung, old: &[u8], live: &[u8]) {
     let seeds = FixedSeedSource::new(SEED);
     let mut m: UnorderedMap<Vec<u8>, u32, _> =
         UnorderedMap::with_hasher(forged_hasher(family, rung));
+    assert_eq!(m.insert(old.to_vec(), 1), None, "{what}");
     for (i, key) in filler().enumerate() {
         m.insert(key, 1000 + i as u32);
     }
-    assert_eq!(m.insert(old.to_vec(), 1), None, "{what}");
     m.escalate_now(&seeds);
     assert_eq!(m.guard_mode(), GuardMode::Keyed, "{what}");
     assert_eq!(
@@ -244,19 +248,45 @@ fn a_forged_keyed_collision_never_aliases_in_a_map() {
     }
 }
 
+/// A guarded SSN hasher over the plain plan whose forged key collides
+/// with [`IN_FORMAT`] on the guarded rung. [`Aimed`] aims nothing there,
+/// and the plain plan can be resynthesized.
+fn forged_plain_hasher(family: Family) -> GuardedHash<SynthesizedHash, Forger> {
+    let pattern = Regex::compile(r"\d{3}-\d{2}-\d{4}").expect("compiles");
+    let plan = SynthesizedHash::from_pattern(&pattern, family);
+    let target = plan.hash_bytes(IN_FORMAT);
+    let hasher = GuardedHash::new(&pattern, plan, Forger::aiming_at(target));
+    let frozen = hasher.epoch_frozen(GuardMode::Guarded);
+    assert_eq!(frozen.hash_routed(IN_FORMAT), (target, true), "{family}");
+    assert_eq!(
+        frozen.hash_routed(FORGED),
+        (target, false),
+        "{family}: the forge"
+    );
+    hasher
+}
+
+/// An off-format key filed before a multimap's resynthesis, so the
+/// reservoir has drift to widen the pattern with in both orders.
+const DRIFTED: &[u8] = b"123/45/6789";
+
 #[test]
 fn a_forged_fallback_collision_never_aliases_in_a_multimap_count() {
     for family in [Family::OffXor, Family::Pext] {
         for (old, live) in [(IN_FORMAT, FORGED), (FORGED, IN_FORMAT)] {
-            let what = format!("{family}, {old:?} filed first, then {live:?}");
+            let what = format!("{family}, {old:?} old and {live:?} live");
             let mut m: UnorderedMultiMap<Vec<u8>, u32, _> =
-                UnorderedMultiMap::with_hasher(forged_hasher(family, Rung::Guarded));
-            for (i, key) in filler().enumerate() {
-                m.insert(key, i as u32);
-            }
+                UnorderedMultiMap::with_hasher(forged_plain_hasher(family));
             m.insert(old.to_vec(), 1);
             m.insert(old.to_vec(), 2);
+            for (i, key) in filler().enumerate() {
+                m.insert(key, 1000 + i as u32);
+            }
+            m.insert(DRIFTED.to_vec(), 0);
+            assert!(m.resynthesize().is_applied(), "{what}");
+            assert_eq!(m.guard_mode(), GuardMode::Guarded, "{what}");
             m.insert(live.to_vec(), 3);
+            assert!(m.migration_in_flight(), "{what}");
             assert_eq!(m.count(old), 2, "{what}");
             assert_eq!(m.count(live), 1, "{what}");
             assert_eq!(m.remove_one(live), Some(3), "{what}");
@@ -265,6 +295,7 @@ fn a_forged_fallback_collision_never_aliases_in_a_multimap_count() {
             m.insert(live.to_vec(), 4);
             assert_eq!(m.remove_all(old), 2, "{what}");
             assert_eq!((m.count(old), m.count(live)), (0, 1), "{what}");
+            assert!(m.migration_in_flight(), "{what}: the pair was never split");
         }
     }
 }

@@ -242,8 +242,8 @@ impl GuardStats {
         self.win_off_base.set(self.off_format());
     }
 
-    /// Resets all counters, window bases included (used after a
-    /// degradation or resynthesis).
+    /// Resets all counters, window bases included (used after a re-arm
+    /// or resynthesis).
     pub fn reset(&self) {
         self.in_format.reset();
         self.off_format.reset();

@@ -33,7 +33,7 @@
 //! There is no feature that compiles instrumentation out: every metric is
 //! always recorded. Some are load-bearing: the
 //! guard drift counters and a table's probe-length window drive the
-//! degradation and storm policies. The rest (lock-acquisition counters,
+//! drift and storm policies. The rest (lock-acquisition counters,
 //! batch chunk counters, epoch accounting) are observability, kept on
 //! because they are cheap and the harnesses reconcile them.
 //!
